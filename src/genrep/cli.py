@@ -19,13 +19,10 @@ from .gvalue import (
     IndexLabel,
     IndexNotInSet,
     MalformedValue,
-    PayloadSlot,
-    TOP_SORT,
+    TOP_SLOT,
     print_label,
     print_value,
 )
-
-_TOP_SLOT = PayloadSlot(TOP_SORT)
 
 _UNIVERSES = ("regular", "polyp", "multirec", "indexed", "instant")
 
@@ -152,6 +149,13 @@ def _resolve_index(text: str | None, fallback: IndexLabel | None) -> IndexLabel:
     return fallback
 
 
+def _budget(max_size: int) -> oracle.EnumBudget:
+    try:
+        return oracle.EnumBudget(max_size=max_size)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
 def _first(labels) -> IndexLabel | None:
     for lbl in labels:
         return lbl
@@ -175,7 +179,7 @@ def _cmd_check(args) -> int:
         ok = regular.conform_mu_r(code, _resolve_value(args.value))
     elif args.universe == "polyp":
         code = _resolve_code("polyp", args.code)
-        ok = polyp.conform_mu_p(code, _TOP_SLOT, _resolve_value(args.value))
+        ok = polyp.conform_mu_p(code, TOP_SLOT, _resolve_value(args.value))
     elif args.universe == "multirec":
         code = _resolve_code("multirec", args.code)
         at = _resolve_index(args.index, _first(code.indices))
@@ -249,13 +253,13 @@ def _cmd_roundtrip(args) -> int:
     _check_pair(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     name = f"iso-{_SHORT[args.src]}-{_SHORT[args.dst]}"
-    budget = oracle.EnumBudget(max_size=args.max_size)
+    budget = _budget(args.max_size)
     report = oracle.run_property(name, {args.code: code}, budget)
     return _print_report(report)
 
 
 def _cmd_enum(args) -> int:
-    budget = oracle.EnumBudget(max_size=args.max_size)
+    budget = _budget(args.max_size)
     if args.universe == "instant":
         if args.env is None:
             raise UsageError("enum in the instant universe needs --env")
@@ -267,7 +271,7 @@ def _cmd_enum(args) -> int:
         values = oracle.enum_mu_regular(code, budget)
     elif args.universe == "polyp":
         code = _resolve_code("polyp", args.code)
-        values = oracle.enum_mu_polyp(code, _TOP_SLOT, budget)
+        values = oracle.enum_mu_polyp(code, TOP_SLOT, budget)
     elif args.universe == "multirec":
         code = _resolve_code("multirec", args.code)
         at = _resolve_index(args.index, _first(code.indices))
@@ -293,7 +297,7 @@ def _cmd_laws(args) -> int:
     if args.universe not in _LAW_PROPERTIES:
         raise UsageError("laws supports regular, polyp, multirec, and indexed")
     code = _resolve_code(args.universe, args.code)
-    budget = oracle.EnumBudget(max_size=args.max_size)
+    budget = _budget(args.max_size)
     combined = embed.ConversionReport()
     for name in _LAW_PROPERTIES[args.universe]:
         report = oracle.run_property(name, {args.code: code}, budget)

@@ -1,8 +1,13 @@
 """Code lifting and value conversion between the five universes.
 
 Four of the five arrows (regular to polyp, regular to multirec, polyp to
-indexed, multirec to indexed) preserve the value tree exactly; converting is
-a validating walk and the interesting content lives in the lifted codes.
+indexed, multirec to indexed) leave the value tree unchanged: the content of
+each inclusion lives in the lifted code. Converting along them, in either
+direction, checks conformance in the source universe and returns the input
+object itself; a value that does not conform raises ``MalformedValue``.
+Polyp conversion fixes the parameter to the ``⊤`` payload slot, as polyp
+conformance does elsewhere. One check serves both directions because each
+lift reflects conformance as well as preserving it.
 The fifth arrow (indexed to instant) really rewrites trees: rolls become
 rec nodes, parameter and tag contents get wrapped in constants, and every
 composition or fixed point becomes a named environment entry.
@@ -28,6 +33,7 @@ from .gvalue import (
     RecV,
     Refl,
     Roll,
+    TOP_SLOT,
     TOP_SORT,
     TT,
     disjoint_union,
@@ -81,27 +87,19 @@ def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
     raise TypeError(f"not a regular code: {code!r}")
 
 
-def _walk_mu_r(code: regular.RegularCode, v: GenericValue, fuel: int) -> GenericValue:
-    match v:
-        case Roll(x):
-            if fuel <= 0:
-                raise FuelExhausted("conversion ran out of fuel")
-            return Roll(regular.map_r(code, lambda w: _walk_mu_r(code, w, fuel - 1), x))
-    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+def _conforming(conforms: bool, v: GenericValue) -> GenericValue:
+    if not conforms:
+        raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
+    return v
 
 
 def convert_r_p(
-    code: regular.RegularCode,
-    v: GenericValue,
-    direction: Direction,
-    fuel: int | None = None,
+    code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
-    """Both directions are checked identity walks: the lift is structural,
-    so the polyp tree and the regular tree coincide node for node."""
+    """Both directions check regular conformance and return ``v``: the lift
+    is structural, so the polyp tree and the regular tree are the same."""
     _check_direction(direction)
-    if fuel is None:
-        fuel = value_size(v)
-    return _walk_mu_r(code, v, fuel)
+    return _conforming(regular.conform_mu_r(code, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +125,11 @@ def _lift_body_r_m(code: regular.RegularCode) -> multirec.MultirecBody:
 
 
 def convert_r_m(
-    code: regular.RegularCode,
-    v: GenericValue,
-    direction: Direction,
-    fuel: int | None = None,
+    code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
+    """Both directions check regular conformance and return ``v``."""
     _check_direction(direction)
-    if fuel is None:
-        fuel = value_size(v)
-    return _walk_mu_r(code, v, fuel)
+    return _conforming(regular.conform_mu_r(code, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -179,123 +173,13 @@ def fix_p_code(code: polyp.PolyPCode) -> indexed.IndexedCode:
     )
 
 
-def _identity(v: GenericValue) -> GenericValue:
-    return v
-
-
-def _from_p(code: polyp.PolyPCode, v: GenericValue, fuel: int) -> GenericValue:
-    """One-layer converter; only composition does anything beyond walking."""
-    match code:
-        case polyp.Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return v
-        case polyp.Par() | polyp.Id():
-            return v
-        case polyp.Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_from_p(f, w, fuel))
-                case In2(w):
-                    return In2(_from_p(g, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case polyp.Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(_from_p(f, a, fuel), _from_p(g, b, fuel))
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        case polyp.Comp(f, g):
-            match v:
-                case Roll(x):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    fam = indexed.split_transform(
-                        {STAR: lambda u: _from_p(g, u, fuel - 1)},
-                        {STAR: lambda u: _from_p(code, u, fuel - 1)},
-                    )
-                    layer = _from_p(f, x, fuel - 1)
-                    return Roll(
-                        indexed.map_i(lift_p_to_i(f), fam, STAR, layer, fuel - 1)
-                    )
-            raise MalformedValue(f"composition layer is not rolled: {print_value(v)}")
-    raise TypeError(f"not a polyp code: {code!r}")
-
-
-def _to_p(code: polyp.PolyPCode, v: GenericValue, fuel: int) -> GenericValue:
-    match code:
-        case polyp.Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return v
-        case polyp.Par() | polyp.Id():
-            return v
-        case polyp.Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_to_p(f, w, fuel))
-                case In2(w):
-                    return In2(_to_p(g, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case polyp.Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(_to_p(f, a, fuel), _to_p(g, b, fuel))
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        case polyp.Comp(f, g):
-            match v:
-                case Roll(x):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    fam = indexed.split_transform(
-                        {STAR: lambda u: _to_p(g, u, fuel - 1)},
-                        {STAR: lambda u: _to_p(code, u, fuel - 1)},
-                    )
-                    mapped = indexed.map_i(lift_p_to_i(f), fam, STAR, x, fuel - 1)
-                    return Roll(_to_p(f, mapped, fuel - 1))
-            raise MalformedValue(f"composition layer is not rolled: {print_value(v)}")
-    raise TypeError(f"not a polyp code: {code!r}")
-
-
-def _from_mu_p(code: polyp.PolyPCode, v: GenericValue, fuel: int) -> GenericValue:
-    match v:
-        case Roll(x):
-            if fuel <= 0:
-                raise FuelExhausted("conversion ran out of fuel")
-            fam = indexed.split_transform(
-                {STAR: _identity},
-                {STAR: lambda u: _from_mu_p(code, u, fuel - 1)},
-            )
-            layer = _from_p(code, x, fuel - 1)
-            return Roll(indexed.map_i(lift_p_to_i(code), fam, STAR, layer, fuel - 1))
-    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
-
-
-def _to_mu_p(code: polyp.PolyPCode, v: GenericValue, fuel: int) -> GenericValue:
-    match v:
-        case Roll(x):
-            if fuel <= 0:
-                raise FuelExhausted("conversion ran out of fuel")
-            fam = indexed.split_transform(
-                {STAR: _identity},
-                {STAR: lambda u: _to_mu_p(code, u, fuel - 1)},
-            )
-            mapped = indexed.map_i(lift_p_to_i(code), fam, STAR, x, fuel - 1)
-            return Roll(_to_p(code, mapped, fuel - 1))
-    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
-
-
 def convert_p_i(
-    code: polyp.PolyPCode,
-    v: GenericValue,
-    direction: Direction,
-    fuel: int | None = None,
+    code: polyp.PolyPCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
+    """Both directions check polyp conformance at the ``⊤`` parameter slot
+    and return ``v``."""
     _check_direction(direction)
-    if fuel is None:
-        fuel = value_size(v)
-    if direction == "forward":
-        return _from_mu_p(code, v, fuel)
-    return _to_mu_p(code, v, fuel)
+    return _conforming(polyp.conform_mu_p(code, TOP_SLOT, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +224,11 @@ def convert_m_i(
     at: IndexLabel,
     v: GenericValue,
     direction: Direction,
-    fuel: int | None = None,
 ) -> GenericValue:
-    """Checked identity walk; Refl witnesses pass through untouched."""
+    """Both directions check multirec conformance at ``at`` and return ``v``;
+    Refl witnesses must sit under the tag of ``at``."""
     _check_direction(direction)
-    if fuel is None:
-        fuel = value_size(v)
-    return _walk_mu_m(code, at, v, fuel)
-
-
-def _walk_mu_m(
-    code: multirec.MultirecCode, at: IndexLabel, v: GenericValue, fuel: int
-) -> GenericValue:
-    match v:
-        case Roll(x):
-            if fuel <= 0:
-                raise FuelExhausted("conversion ran out of fuel")
-            fam = {
-                lbl: (lambda w, lbl=lbl: _walk_mu_m(code, lbl, w, fuel - 1))
-                for lbl in code.indices
-            }
-            return Roll(multirec.map_m(code, fam, at, x))
-    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+    return _conforming(multirec.conform_mu_m(code, at, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +275,9 @@ class _EnvBuilder:
         return name
 
     def finished(self) -> dict[str, instant.InstantCode]:
-        assert all(code is not None for code in self.entries.values())
+        unbuilt = [name for name, code in self.entries.items() if code is None]
+        if unbuilt:
+            raise RuntimeError(f"environment entries never built: {', '.join(unbuilt)}")
         return dict(self.entries)
 
 
@@ -745,9 +614,6 @@ def _to_ig_body(
 # ---------------------------------------------------------------------------
 # path composition
 
-PATH_STEPS = ("r-p", "r-m", "p-i", "m-i", "i-ig")
-
-
 @dataclass(frozen=True)
 class PathContext:
     """What a conversion step needs to know about its source side."""
@@ -809,13 +675,13 @@ def _apply_step(
         raise ValueError(f"step {step} does not start from {ctx.universe}")
     match step:
         case "r-p":
-            return convert_r_p(ctx.code, v, direction, fuel)
+            return convert_r_p(ctx.code, v, direction)
         case "r-m":
-            return convert_r_m(ctx.code, v, direction, fuel)
+            return convert_r_m(ctx.code, v, direction)
         case "p-i":
-            return convert_p_i(ctx.code, v, direction, fuel)
+            return convert_p_i(ctx.code, v, direction)
         case "m-i":
-            return convert_m_i(ctx.code, ctx.at, v, direction, fuel)
+            return convert_m_i(ctx.code, ctx.at, v, direction)
         case "i-ig":
             return convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, direction, fuel)
     raise ValueError(f"unknown conversion step: {step!r}")
@@ -834,19 +700,10 @@ def compose_path(
     contexts = [start]
     for step in steps:
         contexts.append(_step_target(step, contexts[-1]))
-    current = v
-    if direction == "forward":
-        for step, ctx in zip(steps, contexts[:-1]):
-            current = _apply_step(step, ctx, current, "forward", fuel)
-        return current
-    for step, ctx in zip(reversed(steps), reversed(contexts[:-1])):
-        current = _apply_step(step, ctx, current, "backward", fuel)
-    return current
+    walk = list(zip(steps, contexts))
+    if direction == "backward":
+        walk.reverse()
+    for step, ctx in walk:
+        v = _apply_step(step, ctx, v, direction, fuel)
+    return v
 
-
-def path_contexts(steps: Sequence[str], start: PathContext) -> list[PathContext]:
-    """The source context of every step plus the final landing context."""
-    contexts = [start]
-    for step in steps:
-        contexts.append(_step_target(step, contexts[-1]))
-    return contexts

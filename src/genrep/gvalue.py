@@ -184,8 +184,6 @@ class RecV:
 
 GenericValue = Union[TT, In1, In2, Pair, Roll, Payload, Refl, Konst, RecV]
 
-_VALUE_TYPES = (TT, In1, In2, Pair, Roll, Payload, Refl, Konst, RecV)
-
 
 def payload(sort: str, ident: int) -> Payload:
     return Payload(PayloadToken(sort, ident))
@@ -201,11 +199,6 @@ def value_size(v: GenericValue) -> int:
         case Pair(a, b):
             return 1 + value_size(a) + value_size(b)
     raise MalformedValue(f"not a generic value: {v!r}")
-
-
-def value_equal(a: GenericValue, b: GenericValue) -> bool:
-    """Structural equality (the dataclass equality is already structural)."""
-    return a == b
 
 
 def print_value(v: GenericValue) -> str:
@@ -244,6 +237,9 @@ class PayloadSlot:
     """
 
     sort: str
+
+
+TOP_SLOT = PayloadSlot(TOP_SORT)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ identifiers to 0 and 1 per sort; size bounds then give finite universes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular
@@ -28,6 +29,7 @@ from .gvalue import (
     RecV,
     Refl,
     Roll,
+    TOP_SLOT,
     TOP_SORT,
     TT,
     payload,
@@ -59,6 +61,16 @@ class EnumBudget:
 def _finish(values: Iterable[GenericValue]) -> list[GenericValue]:
     unique = set(values)
     return sorted(unique, key=lambda v: (value_size(v), print_value(v)))
+
+
+def _rechecked(
+    values: list[GenericValue], conforms: Callable[[GenericValue], bool]
+) -> list[GenericValue]:
+    """The inline re-check of every emitted value; it also runs under -O."""
+    for v in values:
+        if not conforms(v):
+            raise RuntimeError(f"enumerator emitted a non-conforming value: {print_value(v)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +125,7 @@ def enum_regular(
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
     values = _finish(_gen_mu_r(code, budget.max_size))
-    assert all(regular.conform_mu_r(code, v) for v in values)
-    return values
+    return _rechecked(values, partial(regular.conform_mu_r, code))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +191,7 @@ def enum_mu_polyp(
     code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(_gen_mu_p(code, param, budget.max_size))
-    assert all(polyp.conform_mu_p(code, param, v) for v in values)
-    return values
+    return _rechecked(values, partial(polyp.conform_mu_p, code, param))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +264,7 @@ def enum_mu_multirec(
     code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(_gen_mu_m(code, at, budget.max_size))
-    assert all(multirec.conform_mu_m(code, at, v) for v in values)
-    return values
+    return _rechecked(values, partial(multirec.conform_mu_m, code, at))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +341,7 @@ def enum_indexed(
     budget: EnumBudget,
 ) -> list[GenericValue]:
     values = _finish(_gen_i(code, assign, at, budget.max_size))
-    assert all(indexed.conform_i(code, assign, at, v) for v in values)
-    return values
+    return _rechecked(values, partial(indexed.conform_i, code, assign, at))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +390,7 @@ def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(_gen_ig(env, code, budget.max_size))
-    assert all(instant.conform_ig(env, code, v, budget.unfold()) for v in values)
-    return values
+    return _rechecked(values, partial(instant.conform_ig, env, code, fuel=budget.unfold()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +432,6 @@ def enumerate_values(universe, code, context, budget: EnumBudget):
 # ---------------------------------------------------------------------------
 # property suites
 
-_TOP_SLOT = PayloadSlot(TOP_SORT)
-
 
 def standard_table(code: indexed.IndexedCode) -> dict[IndexLabel, instant.KSet]:
     """Every input index is a ⊤ parameter; matches the shipped corpus."""
@@ -434,7 +439,7 @@ def standard_table(code: indexed.IndexedCode) -> dict[IndexLabel, instant.KSet]:
 
 
 def standard_assign(code: indexed.IndexedCode) -> dict[IndexLabel, indexed.IndexedSlot]:
-    return {lbl: _TOP_SLOT for lbl in code.ins}
+    return {lbl: TOP_SLOT for lbl in code.ins}
 
 
 def _report(
@@ -450,210 +455,124 @@ def _report(
 
 def _round_trip(
     values: Iterable[GenericValue],
-    there: Callable[[GenericValue], GenericValue],
-    back: Callable[[GenericValue], GenericValue],
-    direction: str,
+    convert: Callable[[GenericValue, str], GenericValue],
+    there: str,
+    back: str,
 ):
     for v in values:
         try:
-            w = back(there(v))
+            w = convert(convert(v, there), back)
         except Exception as err:
-            yield v, direction, f"{type(err).__name__}: {err}"
+            yield v, there, f"{type(err).__name__}: {err}"
             continue
         if w != v:
-            yield v, direction, f"round trip produced {print_value(w)}"
+            yield v, there, f"round trip produced {print_value(w)}"
         else:
-            yield v, direction, None
+            yield v, there, None
 
 
-def _iso_runner(source_values, target_values, forward, backward) -> ConversionReport:
-    first = _round_trip(source_values, forward, backward, "forward")
-    second = _round_trip(target_values, backward, forward, "backward")
-    return _report(list(first) + list(second))
+@dataclass(frozen=True)
+class _Arrow:
+    """One conversion at one code and index, as the iso and transport suites
+    see it. The enumerators are thunks, so transport never enumerates the
+    target."""
+
+    source: Callable[[], list[GenericValue]]
+    target: Callable[[], list[GenericValue]]
+    convert: Callable[[GenericValue, str], GenericValue]
+    conforms: Callable[[GenericValue], bool]  # under the lifted code
 
 
-def _prop_iso_r_p(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
+def _arrows_r_p(codes, budget: EnumBudget):
     for code in codes.values():
         lifted = embed.lift_r_to_p(code)
-        source = enum_mu_regular(code, budget)
-        target = enum_mu_polyp(lifted, EmptySlot(), budget)
-        piece = _iso_runner(
-            source,
-            target,
-            lambda v, code=code: embed.convert_r_p(code, v, "forward"),
-            lambda v, code=code: embed.convert_r_p(code, v, "backward"),
+        yield _Arrow(
+            partial(enum_mu_regular, code, budget),
+            partial(enum_mu_polyp, lifted, EmptySlot(), budget),
+            partial(embed.convert_r_p, code),
+            partial(polyp.conform_mu_p, lifted, EmptySlot()),
         )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
 
 
-def _prop_iso_r_m(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
+def _arrows_r_m(codes, budget: EnumBudget):
     for code in codes.values():
         lifted = embed.lift_r_to_m(code)
-        source = enum_mu_regular(code, budget)
-        target = enum_mu_multirec(lifted, STAR, budget)
-        piece = _iso_runner(
-            source,
-            target,
-            lambda v, code=code: embed.convert_r_m(code, v, "forward"),
-            lambda v, code=code: embed.convert_r_m(code, v, "backward"),
+        yield _Arrow(
+            partial(enum_mu_regular, code, budget),
+            partial(enum_mu_multirec, lifted, STAR, budget),
+            partial(embed.convert_r_m, code),
+            partial(multirec.conform_mu_m, lifted, STAR),
         )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
 
 
-def _prop_iso_p_i(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
+def _arrows_p_i(codes, budget: EnumBudget):
     for code in codes.values():
         fixed = embed.fix_p_code(code)
-        source = enum_mu_polyp(code, _TOP_SLOT, budget)
-        target = enum_indexed(fixed, {STAR: _TOP_SLOT}, STAR, budget)
-        piece = _iso_runner(
-            source,
-            target,
-            lambda v, code=code: embed.convert_p_i(code, v, "forward"),
-            lambda v, code=code: embed.convert_p_i(code, v, "backward"),
+        yield _Arrow(
+            partial(enum_mu_polyp, code, TOP_SLOT, budget),
+            partial(enum_indexed, fixed, {STAR: TOP_SLOT}, STAR, budget),
+            partial(embed.convert_p_i, code),
+            partial(indexed.conform_i, fixed, {STAR: TOP_SLOT}, STAR),
         )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
 
 
-def _prop_iso_m_i(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
+def _arrows_m_i(codes, budget: EnumBudget):
     for code in codes.values():
         fixed = embed.fix_m_code(code)
         for at in code.indices:
-            source = enum_mu_multirec(code, at, budget)
-            target = enum_indexed(fixed, {}, at, budget)
-            piece = _iso_runner(
-                source,
-                target,
-                lambda v, code=code, at=at: embed.convert_m_i(code, at, v, "forward"),
-                lambda v, code=code, at=at: embed.convert_m_i(code, at, v, "backward"),
+            yield _Arrow(
+                partial(enum_mu_multirec, code, at, budget),
+                partial(enum_indexed, fixed, {}, at, budget),
+                partial(embed.convert_m_i, code, at),
+                partial(indexed.conform_i, fixed, {}, at),
             )
-            report.checked_count += piece.checked_count
-            report.failures.extend(piece.failures)
-    return report
 
 
-def _prop_iso_i_ig(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
+def _arrows_i_ig(codes, budget: EnumBudget):
     for code in codes.values():
         table = standard_table(code)
         assign = standard_assign(code)
         lifted, env = embed.lift_i_to_ig(code, table)
         for at in code.outs:
-            source = enum_indexed(code, assign, at, budget)
-            target = enum_instant(env, lifted[at], budget)
-            piece = _iso_runner(
-                source,
-                target,
-                lambda v, code=code, table=table, at=at: embed.convert_i_ig(
-                    code, table, at, v, "forward"
-                ),
-                lambda v, code=code, table=table, at=at: embed.convert_i_ig(
-                    code, table, at, v, "backward"
-                ),
+            yield _Arrow(
+                partial(enum_indexed, code, assign, at, budget),
+                partial(enum_instant, env, lifted[at], budget),
+                partial(embed.convert_i_ig, code, table, at),
+                partial(instant.conform_ig, env, lifted[at]),
             )
-            report.checked_count += piece.checked_count
-            report.failures.extend(piece.failures)
-    return report
 
 
-def _transport(values, forward, conforms) -> ConversionReport:
+_ARROWS = {
+    "r-p": (corpus.REGULAR_CODES, _arrows_r_p),
+    "r-m": (corpus.REGULAR_CODES, _arrows_r_m),
+    "p-i": (corpus.POLYP_CODES, _arrows_p_i),
+    "m-i": (corpus.MULTIREC_CODES, _arrows_m_i),
+    "i-ig": (corpus.INDEXED_CODES, _arrows_i_ig),
+}
+
+
+def _iso(arrows, codes, budget: EnumBudget) -> ConversionReport:
+    """Round trips from every source value, then from every target value."""
     pairs = []
-    for v in values:
-        try:
-            w = forward(v)
-            ok = conforms(w)
-        except Exception as err:
-            pairs.append((v, "forward", f"{type(err).__name__}: {err}"))
-            continue
-        pairs.append((v, "forward", None if ok else f"{print_value(w)} does not conform"))
+    for arrow in arrows(codes, budget):
+        pairs += _round_trip(arrow.source(), arrow.convert, "forward", "backward")
+        pairs += _round_trip(arrow.target(), arrow.convert, "backward", "forward")
     return _report(pairs)
 
 
-def _prop_transport_r_p(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
-    for code in codes.values():
-        lifted = embed.lift_r_to_p(code)
-        piece = _transport(
-            enum_mu_regular(code, budget),
-            lambda v, code=code: embed.convert_r_p(code, v, "forward"),
-            lambda w, lifted=lifted: polyp.conform_mu_p(lifted, EmptySlot(), w),
-        )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
-
-
-def _prop_transport_r_m(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
-    for code in codes.values():
-        lifted = embed.lift_r_to_m(code)
-        piece = _transport(
-            enum_mu_regular(code, budget),
-            lambda v, code=code: embed.convert_r_m(code, v, "forward"),
-            lambda w, lifted=lifted: multirec.conform_mu_m(lifted, STAR, w),
-        )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
-
-
-def _prop_transport_p_i(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
-    for code in codes.values():
-        fixed = embed.fix_p_code(code)
-        piece = _transport(
-            enum_mu_polyp(code, _TOP_SLOT, budget),
-            lambda v, code=code: embed.convert_p_i(code, v, "forward"),
-            lambda w, fixed=fixed: indexed.conform_i(fixed, {STAR: _TOP_SLOT}, STAR, w),
-        )
-        report.checked_count += piece.checked_count
-        report.failures.extend(piece.failures)
-    return report
-
-
-def _prop_transport_m_i(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
-    for code in codes.values():
-        fixed = embed.fix_m_code(code)
-        for at in code.indices:
-            piece = _transport(
-                enum_mu_multirec(code, at, budget),
-                lambda v, code=code, at=at: embed.convert_m_i(code, at, v, "forward"),
-                lambda w, fixed=fixed, at=at: indexed.conform_i(fixed, {}, at, w),
-            )
-            report.checked_count += piece.checked_count
-            report.failures.extend(piece.failures)
-    return report
-
-
-def _prop_transport_i_ig(codes, budget: EnumBudget) -> ConversionReport:
-    report = ConversionReport()
-    for code in codes.values():
-        table = standard_table(code)
-        assign = standard_assign(code)
-        lifted, env = embed.lift_i_to_ig(code, table)
-        for at in code.outs:
-            piece = _transport(
-                enum_indexed(code, assign, at, budget),
-                lambda v, code=code, table=table, at=at: embed.convert_i_ig(
-                    code, table, at, v, "forward"
-                ),
-                lambda w, env=env, lifted=lifted, at=at: instant.conform_ig(
-                    env, lifted[at], w
-                ),
-            )
-            report.checked_count += piece.checked_count
-            report.failures.extend(piece.failures)
-    return report
+def _transport(arrows, codes, budget: EnumBudget) -> ConversionReport:
+    """Every source value converts forward to a value of the lifted code."""
+    pairs = []
+    for arrow in arrows(codes, budget):
+        for v in arrow.source():
+            try:
+                w = arrow.convert(v, "forward")
+                ok = arrow.conforms(w)
+            except Exception as err:
+                pairs.append((v, "forward", f"{type(err).__name__}: {err}"))
+                continue
+            pairs.append((v, "forward", None if ok else f"{print_value(w)} does not conform"))
+    return _report(pairs)
 
 
 def _tree_succ(v: GenericValue) -> GenericValue:
@@ -690,7 +609,7 @@ def _prop_map_comp_r(codes, budget: EnumBudget) -> ConversionReport:
 def _prop_map_id_p(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
-        for v in enum_mu_polyp(code, _TOP_SLOT, budget):
+        for v in enum_mu_polyp(code, TOP_SLOT, budget):
             w = polyp.pmap(code, lambda u: u, v)
             pairs.append((v, "pmap-id", None if w == v else print_value(w)))
     return _report(pairs)
@@ -699,7 +618,7 @@ def _prop_map_id_p(codes, budget: EnumBudget) -> ConversionReport:
 def _prop_map_comp_p(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
-        for v in enum_mu_polyp(code, _TOP_SLOT, budget):
+        for v in enum_mu_polyp(code, TOP_SLOT, budget):
             lhs = polyp.pmap(code, lambda u: _wrap_in1(_tree_succ(u)), v)
             rhs = polyp.pmap(code, _wrap_in1, polyp.pmap(code, _tree_succ, v))
             pairs.append((v, "pmap-comp", None if lhs == rhs else print_value(lhs)))
@@ -790,7 +709,7 @@ def _prop_par_id(codes, budget: EnumBudget) -> ConversionReport:
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
         fam = indexed.split_transform({STAR: lambda u: u}, {STAR: lambda u: u})
-        assign = indexed.split_assign({STAR: _TOP_SLOT}, {STAR: _TOP_SLOT})
+        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
         for v in enum_indexed(lifted, assign, STAR, budget):
             w = indexed.map_i(lifted, fam, STAR, v)
             pairs.append((v, "par-id", None if w == v else print_value(w)))
@@ -801,7 +720,7 @@ def _prop_par_comp(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_assign({STAR: _TOP_SLOT}, {STAR: _TOP_SLOT})
+        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
         for f, g in _par_families():
             for f2, g2 in _par_families():
                 split_then = indexed.split_transform(
@@ -824,7 +743,7 @@ def _prop_par_cong(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_assign({STAR: _TOP_SLOT}, {STAR: _TOP_SLOT})
+        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
         one = indexed.split_transform({STAR: _tree_succ}, {STAR: _wrap_in1})
         two = indexed.split_transform(
             {STAR: lambda u: _tree_succ(u)}, {STAR: lambda u: _wrap_in1(u)}
@@ -838,8 +757,8 @@ def _prop_par_cong(codes, budget: EnumBudget) -> ConversionReport:
 
 def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
     witness = corpus.TREE_OF_LISTS
-    naive = polyp.conform_mu_p(corpus.TREE_LIST_NAIVE, _TOP_SLOT, witness)
-    proper = polyp.conform_mu_p(corpus.TREE_LIST_PROPER, _TOP_SLOT, witness)
+    naive = polyp.conform_mu_p(corpus.TREE_LIST_NAIVE, TOP_SLOT, witness)
+    proper = polyp.conform_mu_p(corpus.TREE_LIST_PROPER, TOP_SLOT, witness)
     pairs = [
         (witness, "naive", "naive composition accepted the witness" if naive else None),
         (witness, "proper", None if proper else "proper code rejected the witness"),
@@ -847,59 +766,27 @@ def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
     return _report(pairs)
 
 
-_PROPERTIES: dict[str, Callable[[Mapping, EnumBudget], ConversionReport]] = {
-    "iso-r-p": _prop_iso_r_p,
-    "isoMu-r-p": _prop_iso_r_p,
-    "iso-r-m": _prop_iso_r_m,
-    "iso-p-i": _prop_iso_p_i,
-    "iso-m-i": _prop_iso_m_i,
-    "iso-i-ig": _prop_iso_i_ig,
-    "transport-r-p": _prop_transport_r_p,
-    "transport-r-m": _prop_transport_r_m,
-    "transport-p-i": _prop_transport_p_i,
-    "transport-m-i": _prop_transport_m_i,
-    "transport-i-ig": _prop_transport_i_ig,
-    "map-id-r": _prop_map_id_r,
-    "map-comp-r": _prop_map_comp_r,
-    "map-id-p": _prop_map_id_p,
-    "map-comp-p": _prop_map_comp_p,
-    "map-id-m": _prop_map_id_m,
-    "map-comp-m": _prop_map_comp_m,
-    "map-id-i": _prop_map_id_i,
-    "map-comp-i": _prop_map_comp_i,
-    "map-commute-r-p": _prop_map_commute_r_p,
-    "par-id": _prop_par_id,
-    "par-comp": _prop_par_comp,
-    "par-cong": _prop_par_cong,
-    "pitfall-comp": _prop_pitfall_comp,
-}
-
-
-_DEFAULT_SUBSETS: dict[str, Mapping] = {
-    "iso-r-p": corpus.REGULAR_CODES,
-    "isoMu-r-p": corpus.REGULAR_CODES,
-    "iso-r-m": corpus.REGULAR_CODES,
-    "iso-p-i": corpus.POLYP_CODES,
-    "iso-m-i": corpus.MULTIREC_CODES,
-    "iso-i-ig": corpus.INDEXED_CODES,
-    "transport-r-p": corpus.REGULAR_CODES,
-    "transport-r-m": corpus.REGULAR_CODES,
-    "transport-p-i": corpus.POLYP_CODES,
-    "transport-m-i": corpus.MULTIREC_CODES,
-    "transport-i-ig": corpus.INDEXED_CODES,
-    "map-id-r": corpus.REGULAR_CODES,
-    "map-comp-r": corpus.REGULAR_CODES,
-    "map-id-p": corpus.POLYP_CODES,
-    "map-comp-p": corpus.POLYP_CODES,
-    "map-id-m": corpus.MULTIREC_CODES,
-    "map-comp-m": corpus.MULTIREC_CODES,
-    "map-id-i": corpus.INDEXED_CODES,
-    "map-comp-i": corpus.INDEXED_CODES,
-    "map-commute-r-p": corpus.REGULAR_CODES,
-    "par-id": corpus.POLYP_CODES,
-    "par-comp": corpus.POLYP_CODES,
-    "par-cong": corpus.POLYP_CODES,
-    "pitfall-comp": corpus.POLYP_CODES,
+# name -> (default codes, suite)
+_PROPERTIES: dict[str, tuple[Mapping, Callable[[Mapping, EnumBudget], ConversionReport]]] = {
+    **{f"iso-{name}": (codes, partial(_iso, arrows)) for name, (codes, arrows) in _ARROWS.items()},
+    "isoMu-r-p": (corpus.REGULAR_CODES, partial(_iso, _arrows_r_p)),
+    **{
+        f"transport-{name}": (codes, partial(_transport, arrows))
+        for name, (codes, arrows) in _ARROWS.items()
+    },
+    "map-id-r": (corpus.REGULAR_CODES, _prop_map_id_r),
+    "map-comp-r": (corpus.REGULAR_CODES, _prop_map_comp_r),
+    "map-id-p": (corpus.POLYP_CODES, _prop_map_id_p),
+    "map-comp-p": (corpus.POLYP_CODES, _prop_map_comp_p),
+    "map-id-m": (corpus.MULTIREC_CODES, _prop_map_id_m),
+    "map-comp-m": (corpus.MULTIREC_CODES, _prop_map_comp_m),
+    "map-id-i": (corpus.INDEXED_CODES, _prop_map_id_i),
+    "map-comp-i": (corpus.INDEXED_CODES, _prop_map_comp_i),
+    "map-commute-r-p": (corpus.REGULAR_CODES, _prop_map_commute_r_p),
+    "par-id": (corpus.POLYP_CODES, _prop_par_id),
+    "par-comp": (corpus.POLYP_CODES, _prop_par_comp),
+    "par-cong": (corpus.POLYP_CODES, _prop_par_cong),
+    "pitfall-comp": (corpus.POLYP_CODES, _prop_pitfall_comp),
 }
 
 
@@ -915,5 +802,5 @@ def run_property(
         raise UnknownProperty(f"unknown property: {name}")
     if budget is None:
         budget = EnumBudget(max_size=10)
-    subset = codes if codes is not None else _DEFAULT_SUBSETS[name]
-    return _PROPERTIES[name](subset, budget)
+    default_codes, suite = _PROPERTIES[name]
+    return suite(codes if codes is not None else default_codes, budget)

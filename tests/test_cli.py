@@ -152,3 +152,37 @@ def test_transcripts_are_byte_stable(args):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enum", "--universe", "regular", "--code", "NatC"),
+        ("roundtrip", "--from", "regular", "--to", "polyp", "--code", "NatC"),
+        ("laws", "--universe", "regular", "--code", "NatC"),
+    ],
+)
+def test_max_size_below_one_is_a_usage_error(args):
+    out = run_cli(*args, "--max-size", "0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: max_size must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--from", "polyp", "--to", "indexed", "--code", "ListC",
+         "--value", "<in2 (nat#0 , <in1 tt>)>"),
+        ("--from", "multirec", "--to", "indexed", "--code", "ZigZagC", "--index", "L.⋆",
+         "--value", "<in2 (refl , <in1 (refl , in2 tt)>)>"),
+    ],
+    ids=["token-at-parameter", "refl-under-wrong-tag"],
+)
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_convert_rejects_non_conforming_values(args, direction):
+    out = run_cli("convert", *args, "--dir", direction)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert out.stderr.count("\n") == 1

@@ -1,16 +1,21 @@
 """Round-trip checks for every conversion pair, on golden values and on
 everything the enumerators produce at small sizes."""
 
+from functools import partial
+
 import pytest
 
-from genrep import In1, In2, Pair, RecV, Roll, TT
+from genrep import In1, In2, MalformedValue, Pair, RecV, Refl, Roll, TT, payload, print_label
 from genrep.corpus import (
     A_LIST,
     A_NAT,
     BIN_C,
     LIST_C,
     LIST_I,
+    MULTIREC_CODES,
     NAT_C,
+    POLYP_CODES,
+    REGULAR_CODES,
     ROSE_C,
     S_ROSE,
     ZIG_ZAG_C,
@@ -48,6 +53,9 @@ from genrep.oracle import (
     standard_table,
 )
 from genrep.polyp import conform_mu_p
+from genrep.regular import conform_mu_r
+
+from helpers import all_trees_upto
 
 BUDGET = EnumBudget(max_size=8)
 TOP_TABLE = {STAR: Prim("⊤")}
@@ -169,3 +177,64 @@ def test_full_path_lands_in_a_checkable_environment():
     back = compose_path(["r-m", "m-i", "i-ig"], regular_context(NAT_C), image, "backward")
     assert back == A_NAT
     assert lifted.outs == fixed.outs
+
+
+@pytest.mark.parametrize(
+    "convert, v",
+    [
+        (lambda v, d: convert_r_p(NAT_C, v, d), A_NAT),
+        (lambda v, d: convert_r_m(NAT_C, v, d), A_NAT),
+        (lambda v, d: convert_p_i(ROSE_C, v, d), S_ROSE),
+        (lambda v, d: convert_m_i(ZIG_ZAG_C, LSTAR, v, d), ZIG_ZAG_END),
+    ],
+    ids=["r-p", "r-m", "p-i", "m-i"],
+)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_identity_arrows_return_their_input(convert, v, direction):
+    assert convert(v, direction) is v
+
+
+# A token at a ⊤ parameter position, and refl under the tag of the other index.
+NAT_AT_PARAM = Roll(In2(Pair(payload("nat", 0), Roll(In1(TT())))))
+REFL_UNDER_WRONG_TAG = Roll(In2(Pair(Refl(), Roll(In1(Pair(Refl(), In2(TT())))))))
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda d: convert_p_i(LIST_C, NAT_AT_PARAM, d),
+        lambda d: convert_m_i(ZIG_ZAG_C, LSTAR, REFL_UNDER_WRONG_TAG, d),
+    ],
+    ids=["token-at-parameter", "refl-under-wrong-tag"],
+)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_non_conforming_values_do_not_pass_through(convert, direction):
+    with pytest.raises(MalformedValue):
+        convert(direction)
+
+
+def _reflection_cases():
+    top = PayloadSlot("⊤")
+    for name, code in REGULAR_CODES.items():
+        in_regular = partial(conform_mu_r, code)
+        lifted_p = partial(conform_mu_p, lift_r_to_p(code), EmptySlot())
+        lifted_m = partial(conform_mu_m, lift_r_to_m(code), STAR)
+        yield pytest.param(in_regular, lifted_p, id=f"r-p-{name}")
+        yield pytest.param(in_regular, lifted_m, id=f"r-m-{name}")
+    for name, code in POLYP_CODES.items():
+        lifted = partial(conform_i, fix_p_code(code), {STAR: top}, STAR)
+        yield pytest.param(partial(conform_mu_p, code, top), lifted, id=f"p-i-{name}")
+    for name, code in MULTIREC_CODES.items():
+        for at in code.indices:
+            lifted = partial(conform_i, fix_m_code(code), {}, at)
+            yield pytest.param(
+                partial(conform_mu_m, code, at), lifted, id=f"m-i-{name}-{print_label(at)}"
+            )
+
+
+@pytest.mark.parametrize("in_source, in_target", _reflection_cases())
+def test_lifts_reflect_conformance(in_source, in_target):
+    """Conformance in the source universe equals conformance under the lifted
+    code on every small tree, so one check serves both directions."""
+    for t in all_trees_upto(6):
+        assert in_source(t) == in_target(t), t

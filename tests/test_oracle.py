@@ -2,6 +2,10 @@
 against a generator that shares none of their structure: build every tree
 over the value alphabet and keep the ones the conformance checkers accept."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from genrep import label, left, print_value, value_size
@@ -141,3 +145,53 @@ def test_known_check_counts():
     assert run_property("iso-m-i", budget=EnumBudget(max_size=8)).checked_count == 2
     assert run_property("iso-m-i", budget=EnumBudget(max_size=12)).checked_count == 4
     assert run_property("pitfall-comp").checked_count == 2
+
+
+# The child replaces each generator in turn with one that emits ``refl``,
+# which conforms to none of the codes asked for, and prints what the
+# enumerator does then.
+_BROKEN_GENERATORS = textwrap.dedent(
+    """
+    from genrep import Refl, corpus, embed, oracle
+    from genrep.gvalue import TOP_SLOT
+
+    budget = oracle.EnumBudget(max_size=6)
+    cases = {
+        "_gen_mu_r": lambda: oracle.enum_mu_regular(corpus.NAT_C, budget),
+        "_gen_mu_p": lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget),
+        "_gen_mu_m": lambda: oracle.enum_mu_multirec(corpus.ZIG_ZAG_C, embed.LSTAR, budget),
+        "_gen_i": lambda: oracle.enum_indexed(
+            corpus.NAT_I, oracle.standard_assign(corpus.NAT_I), embed.STAR, budget
+        ),
+        "_gen_ig": lambda: oracle.enum_instant(
+            corpus.LIST_TOP_ENV, corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME], budget
+        ),
+    }
+    for name, enumerate_ in cases.items():
+        setattr(oracle, name, lambda *args: [Refl()])
+        try:
+            print(name, "returned", enumerate_())
+        except RuntimeError as err:
+            print(name, "raised", err)
+    builder = embed._EnvBuilder({})
+    builder.entries["ig0"] = None
+    try:
+        print("env returned", builder.finished())
+    except RuntimeError as err:
+        print("env raised", err)
+    """
+)
+
+
+def test_inline_rechecks_survive_optimized_mode():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_GENERATORS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} raised enumerator emitted a non-conforming value: refl"
+        for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
+    ] + ["env raised environment entries never built: ig0"]
