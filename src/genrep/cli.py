@@ -325,6 +325,17 @@ _COMMANDS = {
 }
 
 
+# Every error a command may raise, with the exit code it maps to.
+_EXIT_CODES = {
+    UsageError: 2,
+    ParseError: 2,
+    IndexNotInSet: 2,
+    oracle.UnknownProperty: 2,
+    FuelExhausted: 3,
+    MalformedValue: 1,
+}
+
+
 def run_cli(argv) -> int:
     parser = _build_parser()
     try:
@@ -333,24 +344,9 @@ def run_cli(argv) -> int:
         return 2 if err.code is None else int(err.code)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except IndexNotInSet as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except oracle.UnknownProperty as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FuelExhausted as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except MalformedValue as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Concrete syntax for codes, values, and code environments.
 
-One token stream serves every universe; the parser builds a neutral surface
-tree and a per-universe elaborator turns it into codes. Operator precedence
+One token stream serves every universe; the parser builds the shared
+unit/sum/product spine around neutral surface atoms, and a per-universe
+elaborator lifts those atoms into codes. Operator precedence
 is "@" above "*" above "+", all right-associative, and "fix" binds tighter
 than any operator, so its argument is an atom unless parenthesized.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import indexed, instant, multirec, polyp, regular
+from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
     GenericValue,
     In1,
@@ -263,18 +264,14 @@ def _parse_label_list(text: str, line: int, col: int) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# surface expressions, shared by every code grammar
+# surface atoms, shared by every code grammar; U, + and * parse straight to
+# spine nodes, which need no position because every universe accepts them
 
 
 @dataclass(frozen=True)
 class _SNode:
     line: int
     col: int
-
-
-@dataclass(frozen=True)
-class _SUnit(_SNode):
-    pass
 
 
 @dataclass(frozen=True)
@@ -314,18 +311,6 @@ class _SRec(_SNode):
 
 
 @dataclass(frozen=True)
-class _SSum(_SNode):
-    left: "_SExpr"
-    right: "_SExpr"
-
-
-@dataclass(frozen=True)
-class _SProd(_SNode):
-    left: "_SExpr"
-    right: "_SExpr"
-
-
-@dataclass(frozen=True)
 class _SComp(_SNode):
     left: "_SExpr"
     right: "_SExpr"
@@ -362,18 +347,16 @@ _GRAMMARS: dict[str, _Grammar] = {
 def _parse_sum(stream: _Stream, g: _Grammar) -> _SExpr:
     left = _parse_prod(stream, g)
     if stream.peek().kind == "+":
-        tok = stream.advance()
-        right = _parse_sum(stream, g)
-        return _SSum(tok.line, tok.col, left, right)
+        stream.advance()
+        return spine.Sum(left, _parse_sum(stream, g))
     return left
 
 
 def _parse_prod(stream: _Stream, g: _Grammar) -> _SExpr:
     left = _parse_comp(stream, g)
     if stream.peek().kind == "*":
-        tok = stream.advance()
-        right = _parse_prod(stream, g)
-        return _SProd(tok.line, tok.col, left, right)
+        stream.advance()
+        return spine.Prod(left, _parse_prod(stream, g))
     return left
 
 
@@ -408,7 +391,7 @@ def _parse_atom(stream: _Stream, g: _Grammar) -> _SExpr:
     if tok.kind == "ident":
         if tok.text == "U" and "U" in g.atoms:
             stream.advance()
-            return _SUnit(tok.line, tok.col)
+            return spine.Unit()
         if tok.text == "P" and "P" in g.atoms:
             stream.advance()
             return _SPar(tok.line, tok.col)
@@ -492,120 +475,85 @@ def _header_labels(
 
 
 def _elab_regular(node: _SExpr) -> regular.RegularCode:
-    match node:
-        case _SUnit():
-            return regular.Unit()
-        case _SId(lbl=None):
-            return regular.Id()
-        case _SSum(left=l, right=r):
-            return regular.Sum(_elab_regular(l), _elab_regular(r))
-        case _SProd(left=l, right=r):
-            return regular.Prod(_elab_regular(l), _elab_regular(r))
-    raise ParseError("not a regular code", node.line, node.col)
+    def atom(node: _SExpr) -> regular.RegularCode:
+        match node:
+            case _SId(lbl=None):
+                return regular.Id()
+        raise ParseError("not a regular code", node.line, node.col)
+
+    return spine.lift(node, atom)
 
 
 def _elab_polyp(node: _SExpr) -> polyp.PolyPCode:
-    match node:
-        case _SUnit():
-            return polyp.Unit()
-        case _SPar():
-            return polyp.Par()
-        case _SId(lbl=None):
-            return polyp.Id()
-        case _SSum(left=l, right=r):
-            return polyp.Sum(_elab_polyp(l), _elab_polyp(r))
-        case _SProd(left=l, right=r):
-            return polyp.Prod(_elab_polyp(l), _elab_polyp(r))
-        case _SComp(left=l, right=r):
-            return polyp.Comp(_elab_polyp(l), _elab_polyp(r))
-    raise ParseError("not a polyp code", node.line, node.col)
+    def atom(node: _SExpr) -> polyp.PolyPCode:
+        match node:
+            case _SPar():
+                return polyp.Par()
+            case _SId(lbl=None):
+                return polyp.Id()
+            case _SComp(left=l, right=r):
+                return polyp.Comp(_elab_polyp(l), _elab_polyp(r))
+        raise ParseError("not a polyp code", node.line, node.col)
+
+    return spine.lift(node, atom)
+
+
+def _member(lbl: IndexLabel, labels: IndexSet, what: str, node: _SNode) -> IndexLabel:
+    if lbl not in labels:
+        raise ParseError(
+            f"label {print_label(lbl)} is not in the {what}", node.line, node.col
+        )
+    return lbl
 
 
 def _elab_multirec(node: _SExpr, indices: IndexSet) -> multirec.MultirecBody:
-    match node:
-        case _SUnit():
-            return multirec.Unit()
-        case _SId(lbl=lbl) if lbl is not None:
-            if lbl not in indices:
-                raise ParseError(
-                    f"label {print_label(lbl)} is not in the index set",
-                    node.line,
-                    node.col,
-                )
-            return multirec.Id(lbl)
-        case _STag(lbl=lbl):
-            if lbl not in indices:
-                raise ParseError(
-                    f"label {print_label(lbl)} is not in the index set",
-                    node.line,
-                    node.col,
-                )
-            return multirec.Tag(lbl)
-        case _SSum(left=l, right=r):
-            return multirec.Sum(_elab_multirec(l, indices), _elab_multirec(r, indices))
-        case _SProd(left=l, right=r):
-            return multirec.Prod(_elab_multirec(l, indices), _elab_multirec(r, indices))
-    raise ParseError("not a multirec body", node.line, node.col)
+    def atom(node: _SExpr) -> multirec.MultirecBody:
+        match node:
+            case _SId(lbl=lbl) if lbl is not None:
+                return multirec.Id(_member(lbl, indices, "index set", node))
+            case _STag(lbl=lbl):
+                return multirec.Tag(_member(lbl, indices, "index set", node))
+        raise ParseError("not a multirec body", node.line, node.col)
+
+    return spine.lift(node, atom)
 
 
 def _elab_indexed(
     node: _SExpr, ins: IndexSet, outs: IndexSet, mid: IndexSet
 ) -> indexed.IndexedBody:
-    match node:
-        case _SUnit():
-            return indexed.Unit()
-        case _SId(lbl=lbl) if lbl is not None:
-            if lbl not in ins:
-                raise ParseError(
-                    f"label {print_label(lbl)} is not in the input set",
-                    node.line,
-                    node.col,
-                )
-            return indexed.Id(lbl)
-        case _STag(lbl=lbl):
-            if lbl not in outs:
-                raise ParseError(
-                    f"label {print_label(lbl)} is not in the output set",
-                    node.line,
-                    node.col,
-                )
-            return indexed.Tag(lbl)
-        case _SSum(left=l, right=r):
-            return indexed.Sum(
-                _elab_indexed(l, ins, outs, mid), _elab_indexed(r, ins, outs, mid)
-            )
-        case _SProd(left=l, right=r):
-            return indexed.Prod(
-                _elab_indexed(l, ins, outs, mid), _elab_indexed(r, ins, outs, mid)
-            )
-        case _SComp(left=l, right=r):
-            f = indexed.IndexedCode(mid, outs, _elab_indexed(l, mid, outs, mid))
-            g = indexed.IndexedCode(ins, mid, _elab_indexed(r, ins, mid, mid))
-            return indexed.Comp(f, g)
-        case _SFix(inner=inner):
-            inner_ins = disjoint_union(ins, outs)
-            body = _elab_indexed(inner, inner_ins, outs, mid)
-            return indexed.Fix(indexed.IndexedCode(inner_ins, outs, body))
-    raise ParseError("not an indexed body", node.line, node.col)
+    def atom(node: _SExpr) -> indexed.IndexedBody:
+        match node:
+            case _SId(lbl=lbl) if lbl is not None:
+                return indexed.Id(_member(lbl, ins, "input set", node))
+            case _STag(lbl=lbl):
+                return indexed.Tag(_member(lbl, outs, "output set", node))
+            case _SComp(left=l, right=r):
+                f = indexed.IndexedCode(mid, outs, _elab_indexed(l, mid, outs, mid))
+                g = indexed.IndexedCode(ins, mid, _elab_indexed(r, ins, mid, mid))
+                return indexed.Comp(f, g)
+            case _SFix(inner=inner):
+                inner_ins = disjoint_union(ins, outs)
+                body = _elab_indexed(inner, inner_ins, outs, mid)
+                return indexed.Fix(indexed.IndexedCode(inner_ins, outs, body))
+        raise ParseError("not an indexed body", node.line, node.col)
+
+    return spine.lift(node, atom)
 
 
 def _elab_instant(node: _SExpr) -> instant.InstantCode:
-    match node:
-        case _SUnit():
-            return instant.Unit()
-        case _SPrim(sort=sort):
-            return instant.K(instant.Prim(sort))
-        case _SEq(a=a, b=b):
-            return instant.K(instant.EqWitness(a, b))
-        case _SOf(ref=ref):
-            return instant.K(instant.OfCode(ref))
-        case _SRec(ref=ref):
-            return instant.R(ref)
-        case _SSum(left=l, right=r):
-            return instant.Sum(_elab_instant(l), _elab_instant(r))
-        case _SProd(left=l, right=r):
-            return instant.Prod(_elab_instant(l), _elab_instant(r))
-    raise ParseError("not an instant code", node.line, node.col)
+    def atom(node: _SExpr) -> instant.InstantCode:
+        match node:
+            case _SPrim(sort=sort):
+                return instant.K(instant.Prim(sort))
+            case _SEq(a=a, b=b):
+                return instant.K(instant.EqWitness(a, b))
+            case _SOf(ref=ref):
+                return instant.K(instant.OfCode(ref))
+            case _SRec(ref=ref):
+                return instant.R(ref)
+        raise ParseError("not an instant code", node.line, node.col)
+
+    return spine.lift(node, atom)
 
 
 def parse_code(universe: str, text: str):
@@ -701,69 +649,57 @@ def _wrap(text: str, own: int, level: int) -> str:
     return f"({text})" if own < level else text
 
 
-def _pp_regular(code: regular.RegularCode, level: int) -> str:
+def _pp(code, level: int, atom) -> str:
+    """Print the spine; ``atom(node, level)`` prints everything else."""
     match code:
-        case regular.Unit():
+        case spine.Unit():
             return "U"
+        case spine.Sum(f, g):
+            text = f"{_pp(f, _PROD_LEVEL, atom)} + {_pp(g, _SUM_LEVEL, atom)}"
+            return _wrap(text, _SUM_LEVEL, level)
+        case spine.Prod(f, g):
+            text = f"{_pp(f, _COMP_LEVEL, atom)} * {_pp(g, _PROD_LEVEL, atom)}"
+            return _wrap(text, _PROD_LEVEL, level)
+    return atom(code, level)
+
+
+def _pp_regular(node: regular.RegularCode, level: int) -> str:
+    match node:
         case regular.Id():
             return "I"
-        case regular.Sum(f, g):
-            text = f"{_pp_regular(f, _PROD_LEVEL)} + {_pp_regular(g, _SUM_LEVEL)}"
-            return _wrap(text, _SUM_LEVEL, level)
-        case regular.Prod(f, g):
-            text = f"{_pp_regular(f, _COMP_LEVEL)} * {_pp_regular(g, _PROD_LEVEL)}"
-            return _wrap(text, _PROD_LEVEL, level)
-    raise MalformedValue(f"not a regular code: {code!r}")
+    raise MalformedValue(f"not a regular code: {node!r}")
 
 
-def _pp_polyp(code: polyp.PolyPCode, level: int) -> str:
-    match code:
-        case polyp.Unit():
-            return "U"
+def _pp_polyp(node: polyp.PolyPCode, level: int) -> str:
+    match node:
         case polyp.Par():
             return "P"
         case polyp.Id():
             return "I"
-        case polyp.Sum(f, g):
-            text = f"{_pp_polyp(f, _PROD_LEVEL)} + {_pp_polyp(g, _SUM_LEVEL)}"
-            return _wrap(text, _SUM_LEVEL, level)
-        case polyp.Prod(f, g):
-            text = f"{_pp_polyp(f, _COMP_LEVEL)} * {_pp_polyp(g, _PROD_LEVEL)}"
-            return _wrap(text, _PROD_LEVEL, level)
         case polyp.Comp(f, g):
-            text = f"{_pp_polyp(f, _ATOM_LEVEL)} @ {_pp_polyp(g, _COMP_LEVEL)}"
+            text = f"{_pp(f, _ATOM_LEVEL, _pp_polyp)} @ {_pp(g, _COMP_LEVEL, _pp_polyp)}"
             return _wrap(text, _COMP_LEVEL, level)
-    raise MalformedValue(f"not a polyp code: {code!r}")
+    raise MalformedValue(f"not a polyp code: {node!r}")
 
 
-def _pp_multirec(body: multirec.MultirecBody, level: int) -> str:
-    match body:
-        case multirec.Unit():
-            return "U"
+def _pp_multirec(node: multirec.MultirecBody, level: int) -> str:
+    match node:
         case multirec.Id(lbl):
             return f"I@{print_label(lbl)}"
         case multirec.Tag(lbl):
             return f"!{print_label(lbl)}"
-        case multirec.Sum(f, g):
-            text = f"{_pp_multirec(f, _PROD_LEVEL)} + {_pp_multirec(g, _SUM_LEVEL)}"
-            return _wrap(text, _SUM_LEVEL, level)
-        case multirec.Prod(f, g):
-            text = f"{_pp_multirec(f, _COMP_LEVEL)} * {_pp_multirec(g, _PROD_LEVEL)}"
-            return _wrap(text, _PROD_LEVEL, level)
-    raise MalformedValue(f"not a multirec body: {body!r}")
+    raise MalformedValue(f"not a multirec body: {node!r}")
 
 
 def _comp_middles(body: indexed.IndexedBody, found: list[IndexSet]) -> None:
-    match body:
-        case indexed.Sum(f, g) | indexed.Prod(f, g):
-            _comp_middles(f, found)
-            _comp_middles(g, found)
-        case indexed.Comp(f, g):
-            found.append(f.ins)
-            _comp_middles(f.body, found)
-            _comp_middles(g.body, found)
-        case indexed.Fix(f):
-            _comp_middles(f.body, found)
+    for node in spine.atoms(body):
+        match node:
+            case indexed.Comp(f, g):
+                found.append(f.ins)
+                _comp_middles(f.body, found)
+                _comp_middles(g.body, found)
+            case indexed.Fix(f):
+                _comp_middles(f.body, found)
 
 
 def _pp_indexed(
@@ -773,48 +709,35 @@ def _pp_indexed(
     mid: IndexSet,
     level: int,
 ) -> str:
-    match body:
-        case indexed.Unit():
-            return "U"
-        case indexed.Id(lbl):
-            return f"I@{print_label(lbl)}"
-        case indexed.Tag(lbl):
-            return f"!{print_label(lbl)}"
-        case indexed.Sum(f, g):
-            text = (
-                f"{_pp_indexed(f, ins, outs, mid, _PROD_LEVEL)}"
-                f" + {_pp_indexed(g, ins, outs, mid, _SUM_LEVEL)}"
-            )
-            return _wrap(text, _SUM_LEVEL, level)
-        case indexed.Prod(f, g):
-            text = (
-                f"{_pp_indexed(f, ins, outs, mid, _COMP_LEVEL)}"
-                f" * {_pp_indexed(g, ins, outs, mid, _PROD_LEVEL)}"
-            )
-            return _wrap(text, _PROD_LEVEL, level)
-        case indexed.Comp(f, g):
-            if f.ins != mid or f.outs != outs or g.ins != ins or g.outs != mid:
-                raise MalformedValue(
-                    "composition does not fit the mid/in/out header shape"
+    def atom(node: indexed.IndexedBody, level: int) -> str:
+        match node:
+            case indexed.Id(lbl):
+                return f"I@{print_label(lbl)}"
+            case indexed.Tag(lbl):
+                return f"!{print_label(lbl)}"
+            case indexed.Comp(f, g):
+                if f.ins != mid or f.outs != outs or g.ins != ins or g.outs != mid:
+                    raise MalformedValue(
+                        "composition does not fit the mid/in/out header shape"
+                    )
+                text = (
+                    f"{_pp_indexed(f.body, mid, outs, mid, _ATOM_LEVEL)}"
+                    f" @ {_pp_indexed(g.body, ins, mid, mid, _COMP_LEVEL)}"
                 )
-            text = (
-                f"{_pp_indexed(f.body, mid, outs, mid, _ATOM_LEVEL)}"
-                f" @ {_pp_indexed(g.body, ins, mid, mid, _COMP_LEVEL)}"
-            )
-            return _wrap(text, _COMP_LEVEL, level)
-        case indexed.Fix(f):
-            expected_ins = disjoint_union(ins, outs)
-            if f.ins != expected_ins or f.outs != outs:
-                raise MalformedValue("fixed point does not fit the in/out header shape")
-            text = f"fix {_pp_indexed(f.body, expected_ins, outs, mid, _ATOM_LEVEL)}"
-            return text if level <= _ATOM_LEVEL else f"({text})"
-    raise MalformedValue(f"not an indexed body: {body!r}")
+                return _wrap(text, _COMP_LEVEL, level)
+            case indexed.Fix(f):
+                expected_ins = disjoint_union(ins, outs)
+                if f.ins != expected_ins or f.outs != outs:
+                    raise MalformedValue("fixed point does not fit the in/out header shape")
+                text = f"fix {_pp_indexed(f.body, expected_ins, outs, mid, _ATOM_LEVEL)}"
+                return text if level <= _ATOM_LEVEL else f"({text})"
+        raise MalformedValue(f"not an indexed body: {node!r}")
+
+    return _pp(body, level, atom)
 
 
-def _pp_instant(code: instant.InstantCode, level: int) -> str:
-    match code:
-        case instant.Unit():
-            return "U"
+def _pp_instant(node: instant.InstantCode, level: int) -> str:
+    match node:
         case instant.K(instant.Prim(sort)):
             return f"K {sort}"
         case instant.K(instant.EqWitness(a, b)):
@@ -823,13 +746,7 @@ def _pp_instant(code: instant.InstantCode, level: int) -> str:
             return f"K@{ref}"
         case instant.R(ref):
             return f"R {ref}"
-        case instant.Sum(f, g):
-            text = f"{_pp_instant(f, _PROD_LEVEL)} + {_pp_instant(g, _SUM_LEVEL)}"
-            return _wrap(text, _SUM_LEVEL, level)
-        case instant.Prod(f, g):
-            text = f"{_pp_instant(f, _COMP_LEVEL)} * {_pp_instant(g, _PROD_LEVEL)}"
-            return _wrap(text, _PROD_LEVEL, level)
-    raise MalformedValue(f"not an instant code: {code!r}")
+    raise MalformedValue(f"not an instant code: {node!r}")
 
 
 def _print_labels(labels: IndexSet) -> str:
@@ -840,12 +757,12 @@ def print_code(universe: str, code) -> str:
     """Canonical concrete syntax: single spaces, minimal parentheses."""
     match universe:
         case "regular":
-            return _pp_regular(code, _SUM_LEVEL)
+            return _pp(code, _SUM_LEVEL, _pp_regular)
         case "polyp":
-            return _pp_polyp(code, _SUM_LEVEL)
+            return _pp(code, _SUM_LEVEL, _pp_polyp)
         case "multirec":
             header = f"indices: {_print_labels(code.indices)}".rstrip()
-            return f"{header}\n{_pp_multirec(code.body, _SUM_LEVEL)}"
+            return f"{header}\n{_pp(code.body, _SUM_LEVEL, _pp_multirec)}"
         case "indexed":
             found: list[IndexSet] = []
             _comp_middles(code.body, found)
@@ -862,5 +779,5 @@ def print_code(universe: str, code) -> str:
             lines.append(_pp_indexed(code.body, code.ins, code.outs, mid, _SUM_LEVEL))
             return "\n".join(lines)
         case "instant":
-            return _pp_instant(code, _SUM_LEVEL)
+            return _pp(code, _SUM_LEVEL, _pp_instant)
     raise ValueError(f"unknown universe tag: {universe!r}")

@@ -18,24 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Mapping, Sequence, Union
 
-from . import indexed, instant, multirec, polyp, regular
+from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
     EMPTY_INDEX_SET,
     FuelExhausted,
     GenericValue,
-    In1,
-    In2,
     IndexLabel,
     IndexSet,
     Konst,
     MalformedValue,
-    Pair,
     RecV,
     Refl,
     Roll,
     TOP_SLOT,
     TOP_SORT,
-    TT,
     disjoint_union,
     index_set,
     label,
@@ -75,16 +71,14 @@ class ConversionReport:
 
 def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
     """Structural lift; the result never mentions Par or Comp."""
-    match code:
-        case regular.Unit():
-            return polyp.Unit()
-        case regular.Id():
-            return polyp.Id()
-        case regular.Sum(f, g):
-            return polyp.Sum(lift_r_to_p(f), lift_r_to_p(g))
-        case regular.Prod(f, g):
-            return polyp.Prod(lift_r_to_p(f), lift_r_to_p(g))
-    raise TypeError(f"not a regular code: {code!r}")
+
+    def atom(node: regular.RegularCode) -> polyp.PolyPCode:
+        match node:
+            case regular.Id():
+                return polyp.Id()
+        raise TypeError(f"not a regular code: {node!r}")
+
+    return spine.lift(code, atom)
 
 
 def _conforming(conforms: bool, v: GenericValue) -> GenericValue:
@@ -112,16 +106,13 @@ def lift_r_to_m(code: regular.RegularCode) -> multirec.MultirecCode:
 
 
 def _lift_body_r_m(code: regular.RegularCode) -> multirec.MultirecBody:
-    match code:
-        case regular.Unit():
-            return multirec.Unit()
-        case regular.Id():
-            return multirec.Id(STAR)
-        case regular.Sum(f, g):
-            return multirec.Sum(_lift_body_r_m(f), _lift_body_r_m(g))
-        case regular.Prod(f, g):
-            return multirec.Prod(_lift_body_r_m(f), _lift_body_r_m(g))
-    raise TypeError(f"not a regular code: {code!r}")
+    def atom(node: regular.RegularCode) -> multirec.MultirecBody:
+        match node:
+            case regular.Id():
+                return multirec.Id(STAR)
+        raise TypeError(f"not a regular code: {node!r}")
+
+    return spine.lift(code, atom)
 
 
 def convert_r_m(
@@ -150,20 +141,17 @@ def lift_p_to_i(code: polyp.PolyPCode) -> indexed.IndexedCode:
 
 
 def _lift_body_p_i(code: polyp.PolyPCode) -> indexed.IndexedBody:
-    match code:
-        case polyp.Unit():
-            return indexed.Unit()
-        case polyp.Par():
-            return indexed.Id(LSTAR)
-        case polyp.Id():
-            return indexed.Id(RSTAR)
-        case polyp.Sum(f, g):
-            return indexed.Sum(_lift_body_p_i(f), _lift_body_p_i(g))
-        case polyp.Prod(f, g):
-            return indexed.Prod(_lift_body_p_i(f), _lift_body_p_i(g))
-        case polyp.Comp(f, g):
-            return indexed.Comp(fix_p_code(f), lift_p_to_i(g))
-    raise TypeError(f"not a polyp code: {code!r}")
+    def atom(node: polyp.PolyPCode) -> indexed.IndexedBody:
+        match node:
+            case polyp.Par():
+                return indexed.Id(LSTAR)
+            case polyp.Id():
+                return indexed.Id(RSTAR)
+            case polyp.Comp(f, g):
+                return indexed.Comp(fix_p_code(f), lift_p_to_i(g))
+        raise TypeError(f"not a polyp code: {node!r}")
+
+    return spine.lift(code, atom)
 
 
 def fix_p_code(code: polyp.PolyPCode) -> indexed.IndexedCode:
@@ -198,18 +186,15 @@ def lift_m_to_i(code: multirec.MultirecCode) -> indexed.IndexedCode:
 
 
 def _lift_body_m_i(body: multirec.MultirecBody) -> indexed.IndexedBody:
-    match body:
-        case multirec.Unit():
-            return indexed.Unit()
-        case multirec.Id(lbl):
-            return indexed.Id(right(lbl))
-        case multirec.Tag(lbl):
-            return indexed.Tag(lbl)
-        case multirec.Sum(f, g):
-            return indexed.Sum(_lift_body_m_i(f), _lift_body_m_i(g))
-        case multirec.Prod(f, g):
-            return indexed.Prod(_lift_body_m_i(f), _lift_body_m_i(g))
-    raise TypeError(f"not a multirec body: {body!r}")
+    def atom(node: multirec.MultirecBody) -> indexed.IndexedBody:
+        match node:
+            case multirec.Id(lbl):
+                return indexed.Id(right(lbl))
+            case multirec.Tag(lbl):
+                return indexed.Tag(lbl)
+        raise TypeError(f"not a multirec body: {node!r}")
+
+    return spine.lift(body, atom)
 
 
 def fix_m_code(code: multirec.MultirecCode) -> indexed.IndexedCode:
@@ -323,35 +308,27 @@ def _lift_code_ig(
 def _lift_body_ig(
     body: indexed.IndexedBody, rho: _Rho, o: IndexLabel, builder: _EnvBuilder
 ) -> instant.InstantCode:
-    match body:
-        case indexed.Unit():
-            return instant.Unit()
-        case indexed.Id(lbl):
-            entry = _rho_get(rho, lbl)
-            match entry:
-                case _RRef(name):
-                    return instant.R(name)
-            return instant.K(entry)
-        case indexed.Tag(lbl):
-            return instant.K(instant.EqWitness(o, lbl))
-        case indexed.Sum(f, g):
-            return instant.Sum(
-                _lift_body_ig(f, rho, o, builder), _lift_body_ig(g, rho, o, builder)
-            )
-        case indexed.Prod(f, g):
-            return instant.Prod(
-                _lift_body_ig(f, rho, o, builder), _lift_body_ig(g, rho, o, builder)
-            )
-        case indexed.Comp(f, g):
-            name = builder.ensure(
-                ("comp", f, g, rho, o),
-                lambda: _lift_body_ig(f.body, _comp_rho(f, g, rho, builder), o, builder),
-            )
-            return instant.R(name)
-        case indexed.Fix(f):
-            name = _ensure_fix(body, f, rho, o, builder)
-            return instant.R(name)
-    raise TypeError(f"not an indexed body: {body!r}")
+    def atom(node: indexed.IndexedBody) -> instant.InstantCode:
+        match node:
+            case indexed.Id(lbl):
+                entry = _rho_get(rho, lbl)
+                match entry:
+                    case _RRef(name):
+                        return instant.R(name)
+                return instant.K(entry)
+            case indexed.Tag(lbl):
+                return instant.K(instant.EqWitness(o, lbl))
+            case indexed.Comp(f, g):
+                name = builder.ensure(
+                    ("comp", f, g, rho, o),
+                    lambda: _lift_body_ig(f.body, _comp_rho(f, g, rho, builder), o, builder),
+                )
+                return instant.R(name)
+            case indexed.Fix(f):
+                return instant.R(_ensure_fix(node, f, rho, o, builder))
+        raise TypeError(f"not an indexed body: {node!r}")
+
+    return spine.lift(body, atom)
 
 
 def _comp_rho(
@@ -445,68 +422,39 @@ def _conv_rho_get(rho: _ConvRho, lbl: IndexLabel) -> _ConvEntry:
 def _from_ig(
     code: indexed.IndexedCode, rho: _ConvRho, o: IndexLabel, v: GenericValue, fuel: int
 ) -> GenericValue:
-    return _from_ig_body(code.body, rho, o, v, fuel)
+    def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
+        match node:
+            case indexed.Id(lbl):
+                entry = _conv_rho_get(rho, lbl)
+                match entry:
+                    case _ParamEntry(_):
+                        return Konst(w)
+                    case _CompEntry(inner, inner_rho, at):
+                        if fuel <= 0:
+                            raise FuelExhausted("conversion ran out of fuel")
+                        return Konst(_from_ig(inner, inner_rho, at, w, fuel - 1))
+                    case _FixEntry(inner, inner_rho, at):
+                        return _from_ig(inner, inner_rho, at, w, fuel)
+            case indexed.Tag(_):
+                if w != Refl():
+                    raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+                return Konst(w)
+            case indexed.Comp(f, g):
+                if fuel <= 0:
+                    raise FuelExhausted("conversion ran out of fuel")
+                mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
+                return RecV(_from_ig(f, mid, o, w, fuel - 1))
+            case indexed.Fix(f):
+                match w:
+                    case Roll(x):
+                        if fuel <= 0:
+                            raise FuelExhausted("conversion ran out of fuel")
+                        inner_rho = _fix_conv_rho(f, rho)
+                        return RecV(_from_ig(f, inner_rho, o, x, fuel - 1))
+                raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
+        raise TypeError(f"not an indexed body: {node!r}")
 
-
-def _from_ig_body(
-    body: indexed.IndexedBody,
-    rho: _ConvRho,
-    o: IndexLabel,
-    v: GenericValue,
-    fuel: int,
-) -> GenericValue:
-    match body:
-        case indexed.Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return v
-        case indexed.Id(lbl):
-            entry = _conv_rho_get(rho, lbl)
-            match entry:
-                case _ParamEntry(_):
-                    return Konst(v)
-                case _CompEntry(inner, inner_rho, at):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    return Konst(_from_ig(inner, inner_rho, at, v, fuel - 1))
-                case _FixEntry(inner, inner_rho, at):
-                    return _from_ig(inner, inner_rho, at, v, fuel)
-        case indexed.Tag(_):
-            if v != Refl():
-                raise MalformedValue(f"tag position is not refl: {print_value(v)}")
-            return Konst(v)
-        case indexed.Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_from_ig_body(f, rho, o, w, fuel))
-                case In2(w):
-                    return In2(_from_ig_body(g, rho, o, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case indexed.Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(
-                        _from_ig_body(f, rho, o, a, fuel),
-                        _from_ig_body(g, rho, o, b, fuel),
-                    )
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        case indexed.Comp(f, g):
-            if fuel <= 0:
-                raise FuelExhausted("conversion ran out of fuel")
-            mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-            return RecV(_from_ig(f, mid, o, v, fuel - 1))
-        case indexed.Fix(f):
-            match v:
-                case Roll(x):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    fix_code = indexed.IndexedCode(
-                        _strip_left(f.ins), f.outs, indexed.Fix(f)
-                    )
-                    inner_rho = _fix_conv_rho(fix_code, f, rho)
-                    return RecV(_from_ig(f, inner_rho, o, x, fuel - 1))
-            raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
-    raise TypeError(f"not an indexed body: {body!r}")
+    return spine.map(code.body, v, atom)
 
 
 def _strip_left(labels: IndexSet) -> IndexSet:
@@ -517,9 +465,10 @@ def _strip_left(labels: IndexSet) -> IndexSet:
     return IndexSet(tuple(kept))
 
 
-def _fix_conv_rho(
-    fix_code: indexed.IndexedCode, inner: indexed.IndexedCode, rho: _ConvRho
-) -> _ConvRho:
+def _fix_conv_rho(inner: indexed.IndexedCode, rho: _ConvRho) -> _ConvRho:
+    """The entries one layer under ``Fix(inner)``: Left inputs keep theirs,
+    Right inputs re-enter the fixed point."""
+    fix_code = indexed.IndexedCode(_strip_left(inner.ins), inner.outs, indexed.Fix(inner))
     pairs = [(left(lbl), entry) for lbl, entry in rho]
     for out in inner.outs:
         pairs.append((right(out), _FixEntry(fix_code, rho, out)))
@@ -529,86 +478,57 @@ def _fix_conv_rho(
 def _to_ig(
     code: indexed.IndexedCode, rho: _ConvRho, o: IndexLabel, v: GenericValue, fuel: int
 ) -> GenericValue:
-    return _to_ig_body(code.body, rho, o, v, fuel)
+    def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
+        match node:
+            case indexed.Id(lbl):
+                entry = _conv_rho_get(rho, lbl)
+                match entry:
+                    case _ParamEntry(_):
+                        match w:
+                            case Konst(x):
+                                return x
+                        raise MalformedValue(
+                            f"parameter position is not a constant: {print_value(w)}"
+                        )
+                    case _CompEntry(inner, inner_rho, at):
+                        match w:
+                            case Konst(x):
+                                if fuel <= 0:
+                                    raise FuelExhausted("conversion ran out of fuel")
+                                return _to_ig(inner, inner_rho, at, x, fuel - 1)
+                        raise MalformedValue(
+                            f"composition argument is not a constant: {print_value(w)}"
+                        )
+                    case _FixEntry(inner, inner_rho, at):
+                        return _to_ig(inner, inner_rho, at, w, fuel)
+            case indexed.Tag(_):
+                match w:
+                    case Konst(Refl()):
+                        return Refl()
+                raise MalformedValue(f"tag position is not k refl: {print_value(w)}")
+            case indexed.Comp(f, g):
+                match w:
+                    case RecV(x):
+                        if fuel <= 0:
+                            raise FuelExhausted("conversion ran out of fuel")
+                        mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
+                        return _to_ig(f, mid, o, x, fuel - 1)
+                raise MalformedValue(
+                    f"composition layer is not a rec node: {print_value(w)}"
+                )
+            case indexed.Fix(f):
+                match w:
+                    case RecV(x):
+                        if fuel <= 0:
+                            raise FuelExhausted("conversion ran out of fuel")
+                        inner_rho = _fix_conv_rho(f, rho)
+                        return Roll(_to_ig(f, inner_rho, o, x, fuel - 1))
+                raise MalformedValue(
+                    f"fixed-point layer is not a rec node: {print_value(w)}"
+                )
+        raise TypeError(f"not an indexed body: {node!r}")
 
-
-def _to_ig_body(
-    body: indexed.IndexedBody,
-    rho: _ConvRho,
-    o: IndexLabel,
-    v: GenericValue,
-    fuel: int,
-) -> GenericValue:
-    match body:
-        case indexed.Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return v
-        case indexed.Id(lbl):
-            entry = _conv_rho_get(rho, lbl)
-            match entry:
-                case _ParamEntry(_):
-                    match v:
-                        case Konst(w):
-                            return w
-                    raise MalformedValue(
-                        f"parameter position is not a constant: {print_value(v)}"
-                    )
-                case _CompEntry(inner, inner_rho, at):
-                    match v:
-                        case Konst(w):
-                            if fuel <= 0:
-                                raise FuelExhausted("conversion ran out of fuel")
-                            return _to_ig(inner, inner_rho, at, w, fuel - 1)
-                    raise MalformedValue(
-                        f"composition argument is not a constant: {print_value(v)}"
-                    )
-                case _FixEntry(inner, inner_rho, at):
-                    return _to_ig(inner, inner_rho, at, v, fuel)
-        case indexed.Tag(_):
-            match v:
-                case Konst(Refl()):
-                    return Refl()
-            raise MalformedValue(f"tag position is not k refl: {print_value(v)}")
-        case indexed.Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_to_ig_body(f, rho, o, w, fuel))
-                case In2(w):
-                    return In2(_to_ig_body(g, rho, o, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case indexed.Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(
-                        _to_ig_body(f, rho, o, a, fuel),
-                        _to_ig_body(g, rho, o, b, fuel),
-                    )
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        case indexed.Comp(f, g):
-            match v:
-                case RecV(w):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-                    return _to_ig(f, mid, o, w, fuel - 1)
-            raise MalformedValue(
-                f"composition layer is not a rec node: {print_value(v)}"
-            )
-        case indexed.Fix(f):
-            match v:
-                case RecV(x):
-                    if fuel <= 0:
-                        raise FuelExhausted("conversion ran out of fuel")
-                    fix_code = indexed.IndexedCode(
-                        _strip_left(f.ins), f.outs, indexed.Fix(f)
-                    )
-                    inner_rho = _fix_conv_rho(fix_code, f, rho)
-                    return Roll(_to_ig(f, inner_rho, o, x, fuel - 1))
-            raise MalformedValue(
-                f"fixed-point layer is not a rec node: {print_value(v)}"
-            )
-    raise TypeError(f"not an indexed body: {body!r}")
+    return spine.map(code.body, v, atom)
 
 
 # ---------------------------------------------------------------------------

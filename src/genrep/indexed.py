@@ -9,23 +9,21 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import partial
+from typing import Mapping, TypeVar, Union
 
+from . import spine
 from .gvalue import (
     EmptySlot,
     FuelExhausted,
     GenericValue,
-    In1,
-    In2,
     IndexLabel,
     IndexNotInSet,
     IndexSet,
     MalformedValue,
-    Pair,
     PayloadSlot,
     Refl,
     Roll,
-    TT,
     Transformer,
     disjoint_union,
     left,
@@ -35,11 +33,9 @@ from .gvalue import (
     right,
     value_size,
 )
+from .spine import Prod, Sum, Unit
 
-
-@dataclass(frozen=True)
-class Unit:
-    pass
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -50,18 +46,6 @@ class Id:
 @dataclass(frozen=True)
 class Tag:
     label: IndexLabel
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "IndexedBody"
-    right: "IndexedBody"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "IndexedBody"
-    right: "IndexedBody"
 
 
 @dataclass(frozen=True)
@@ -91,19 +75,15 @@ class IndexedCode:
 
 def wellformed_i(code: IndexedCode) -> bool:
     """Check label membership and the index-set side conditions everywhere."""
-    return _wf_body(code, code.body)
+    return all(_wf_atom(code, node) for node in spine.atoms(code.body))
 
 
-def _wf_body(code: IndexedCode, body: IndexedBody) -> bool:
-    match body:
-        case Unit():
-            return True
+def _wf_atom(code: IndexedCode, node: IndexedBody) -> bool:
+    match node:
         case Id(lbl):
             return lbl in code.ins
         case Tag(lbl):
             return lbl in code.outs
-        case Sum(f, g) | Prod(f, g):
-            return _wf_body(code, f) and _wf_body(code, g)
         case Comp(f, g):
             return (
                 f.outs == code.outs
@@ -118,7 +98,7 @@ def _wf_body(code: IndexedCode, body: IndexedBody) -> bool:
                 and f.ins == disjoint_union(code.ins, code.outs)
                 and wellformed_i(f)
             )
-    raise TypeError(f"not an indexed body: {body!r}")
+    raise TypeError(f"not an indexed body: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -144,31 +124,23 @@ IndexedSlot = Union[PayloadSlot, EmptySlot, InterpSlot, MuSlot]
 SlotTable = Mapping[IndexLabel, IndexedSlot]
 
 
-def split_assign(first: SlotTable, second: SlotTable) -> dict[IndexLabel, IndexedSlot]:
-    """Join two slot tables over a disjoint union: Left looks up the first."""
-    joined: dict[IndexLabel, IndexedSlot] = {}
-    for lbl, slot in first.items():
-        joined[left(lbl)] = slot
-    for lbl, slot in second.items():
-        joined[right(lbl)] = slot
+def split_tables(
+    first: Mapping[IndexLabel, T], second: Mapping[IndexLabel, T]
+) -> dict[IndexLabel, T]:
+    """Join two label-keyed tables (slots or transformers) over a disjoint
+    union: Left labels look up the first, Right labels the second."""
+    joined: dict[IndexLabel, T] = {}
+    for lbl, entry in first.items():
+        joined[left(lbl)] = entry
+    for lbl, entry in second.items():
+        joined[right(lbl)] = entry
     return joined
 
 
-def split_transform(
-    first: Mapping[IndexLabel, Transformer],
-    second: Mapping[IndexLabel, Transformer],
-) -> dict[IndexLabel, Transformer]:
-    """Join two transformer families over a disjoint union of index sets."""
-    joined: dict[IndexLabel, Transformer] = {}
-    for lbl, fn in first.items():
-        joined[left(lbl)] = fn
-    for lbl, fn in second.items():
-        joined[right(lbl)] = fn
-    return joined
-
-
-def _mu_table(inner: IndexedCode, assign: SlotTable) -> dict[IndexLabel, IndexedSlot]:
-    return {lbl: MuSlot(inner, assign, lbl) for lbl in inner.outs}
+def mu_assign(inner: IndexedCode, assign: SlotTable) -> dict[IndexLabel, IndexedSlot]:
+    """The assignment one layer under a fixed point: Left inputs keep their
+    slots in ``assign``, Right inputs hold the fixed point of ``inner``."""
+    return split_tables(assign, {lbl: MuSlot(inner, assign, lbl) for lbl in inner.outs})
 
 
 def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
@@ -182,7 +154,7 @@ def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
         case MuSlot(inner, assign, at):
             match v:
                 case Roll(w):
-                    return conform_i(inner, split_assign(assign, _mu_table(inner, assign)), at, w)
+                    return conform_i(inner, mu_assign(inner, assign), at, w)
             return False
     raise TypeError(f"not an indexed slot: {slot!r}")
 
@@ -194,49 +166,26 @@ def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericVa
     """
     if at not in code.outs:
         raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
-    return _conform_body(code, code.body, assign, at, v)
 
+    def atom(node: IndexedBody, w: GenericValue) -> bool:
+        match node:
+            case Id(lbl):
+                if lbl not in assign:
+                    raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
+                return slot_accepts_i(assign[lbl], w)
+            case Tag(lbl):
+                return w == Refl() and at == lbl
+            case Comp(f, g):
+                middle = {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
+                return conform_i(f, middle, at, w)
+            case Fix(f):
+                match w:
+                    case Roll(x):
+                        return conform_i(f, mu_assign(f, assign), at, x)
+                return False
+        raise TypeError(f"not an indexed body: {node!r}")
 
-def _conform_body(
-    code: IndexedCode,
-    body: IndexedBody,
-    assign: SlotTable,
-    at: IndexLabel,
-    v: GenericValue,
-) -> bool:
-    match body:
-        case Unit():
-            return v == TT()
-        case Id(lbl):
-            if lbl not in assign:
-                raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
-            return slot_accepts_i(assign[lbl], v)
-        case Tag(lbl):
-            return v == Refl() and at == lbl
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return _conform_body(code, f, assign, at, w)
-                case In2(w):
-                    return _conform_body(code, g, assign, at, w)
-            return False
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return _conform_body(code, f, assign, at, a) and _conform_body(
-                        code, g, assign, at, b
-                    )
-            return False
-        case Comp(f, g):
-            middle = {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
-            return conform_i(f, middle, at, v)
-        case Fix(f):
-            match v:
-                case Roll(w):
-                    inner_assign = split_assign(assign, _mu_table(f, assign))
-                    return conform_i(f, inner_assign, at, w)
-            return False
-    raise TypeError(f"not an indexed body: {body!r}")
+    return spine.conform(code.body, v, atom)
 
 
 IxTransform = Mapping[IndexLabel, Transformer]
@@ -258,22 +207,13 @@ def map_i(
         fuel = value_size(v)
     if at not in code.outs:
         raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
-    return _map_body(code, code.body, fam, at, v, fuel)
+    return spine.map(code.body, v, partial(_map_atom, fam, at, fuel))
 
 
-def _map_body(
-    code: IndexedCode,
-    body: IndexedBody,
-    fam: IxTransform,
-    at: IndexLabel,
-    v: GenericValue,
-    fuel: int,
+def _map_atom(
+    fam: IxTransform, at: IndexLabel, fuel: int, node: IndexedBody, v: GenericValue
 ) -> GenericValue:
-    match body:
-        case Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return TT()
+    match node:
         case Id(lbl):
             if lbl not in fam:
                 raise IndexNotInSet(f"no transformer for index {print_label(lbl)}")
@@ -282,21 +222,6 @@ def _map_body(
             if v != Refl():
                 raise MalformedValue(f"tag position is not refl: {print_value(v)}")
             return v
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_map_body(code, f, fam, at, w, fuel))
-                case In2(w):
-                    return In2(_map_body(code, g, fam, at, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(
-                        _map_body(code, f, fam, at, a, fuel),
-                        _map_body(code, g, fam, at, b, fuel),
-                    )
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
         case Comp(f, g):
             middle = {
                 lbl: (lambda w, lbl=lbl: map_i(g, fam, lbl, w, fuel)) for lbl in f.ins
@@ -308,14 +233,8 @@ def _map_body(
                     if fuel <= 0:
                         raise FuelExhausted("map_i ran out of fuel on a fixed point")
                     recur = {
-                        lbl: (
-                            lambda u, lbl=lbl: _map_body(
-                                code, body, fam, lbl, u, fuel - 1
-                            )
-                        )
-                        for lbl in f.outs
+                        lbl: partial(_map_atom, fam, lbl, fuel - 1, node) for lbl in f.outs
                     }
-                    inner_fam = split_transform(fam, recur)
-                    return Roll(map_i(f, inner_fam, at, w, fuel - 1))
+                    return Roll(map_i(f, split_tables(fam, recur), at, w, fuel - 1))
             raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
-    raise TypeError(f"not an indexed body: {body!r}")
+    raise TypeError(f"not an indexed body: {node!r}")

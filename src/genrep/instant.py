@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
+from . import spine
 from .gvalue import (
     FuelExhausted,
     GenericValue,
@@ -32,6 +33,7 @@ from .gvalue import (
     token_successor,
     value_size,
 )
+from .spine import Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,6 @@ KSet = Union[Prim, EqWitness, OfCode]
 
 
 @dataclass(frozen=True)
-class Unit:
-    pass
-
-
-@dataclass(frozen=True)
 class K:
     payload: KSet
 
@@ -70,38 +67,27 @@ class R:
     ref: str
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "InstantCode"
-    right: "InstantCode"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "InstantCode"
-    right: "InstantCode"
-
-
 InstantCode = Union[Unit, K, R, Sum, Prod]
 
 CodeEnv = Mapping[str, InstantCode]
 
 
+def resolve(env: CodeEnv, ref: str) -> InstantCode:
+    """The code named ``ref``; a dangling reference is a malformed input."""
+    if ref not in env:
+        raise MalformedValue(f"reference {ref} is not defined in the environment")
+    return env[ref]
+
+
 def _refs(code: InstantCode) -> Iterator[str]:
-    match code:
-        case Unit():
-            return
-        case K(OfCode(ref)):
-            yield ref
-        case K(_):
-            return
-        case R(ref):
-            yield ref
-        case Sum(f, g) | Prod(f, g):
-            yield from _refs(f)
-            yield from _refs(g)
-        case _:
-            raise TypeError(f"not an instant code: {code!r}")
+    for node in spine.atoms(code):
+        match node:
+            case K(OfCode(ref)) | R(ref):
+                yield ref
+            case K(_):
+                pass
+            case _:
+                raise TypeError(f"not an instant code: {node!r}")
 
 
 def env_check(env: CodeEnv) -> bool:
@@ -123,34 +109,24 @@ def conform_ig(
     """
     if fuel is None:
         fuel = value_size(v)
-    match code:
-        case Unit():
-            return v == TT()
-        case K(kset):
-            match v:
-                case Konst(w):
-                    return _kset_accepts(env, kset, w, fuel)
-            return False
-        case R(ref):
-            match v:
-                case RecV(w):
-                    if fuel <= 0:
-                        raise FuelExhausted(f"conform_ig: no fuel to unfold {ref}")
-                    return conform_ig(env, env[ref], w, fuel - 1)
-            return False
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return conform_ig(env, f, w, fuel)
-                case In2(w):
-                    return conform_ig(env, g, w, fuel)
-            return False
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return conform_ig(env, f, a, fuel) and conform_ig(env, g, b, fuel)
-            return False
-    raise TypeError(f"not an instant code: {code!r}")
+
+    def atom(node: InstantCode, w: GenericValue) -> bool:
+        match node:
+            case K(kset):
+                match w:
+                    case Konst(x):
+                        return _kset_accepts(env, kset, x, fuel)
+                return False
+            case R(ref):
+                match w:
+                    case RecV(x):
+                        if fuel <= 0:
+                            raise FuelExhausted(f"conform_ig: no fuel to unfold {ref}")
+                        return conform_ig(env, resolve(env, ref), x, fuel - 1)
+                return False
+        raise TypeError(f"not an instant code: {node!r}")
+
+    return spine.conform(code, v, atom)
 
 
 def _kset_accepts(env: CodeEnv, kset: KSet, v: GenericValue, fuel: int) -> bool:
@@ -162,7 +138,7 @@ def _kset_accepts(env: CodeEnv, kset: KSet, v: GenericValue, fuel: int) -> bool:
         case OfCode(ref):
             if fuel <= 0:
                 raise FuelExhausted(f"conform_ig: no fuel to enter constant {ref}")
-            return conform_ig(env, env[ref], v, fuel - 1)
+            return conform_ig(env, resolve(env, ref), v, fuel - 1)
     raise TypeError(f"not a constant set: {kset!r}")
 
 
@@ -196,7 +172,7 @@ def crush(
         case R(ref), RecV(w):
             if fuel <= 0:
                 raise FuelExhausted(f"crush: no fuel to unfold {ref}")
-            return spec.step(crush(env, env[ref], spec, w, fuel - 1))
+            return spec.step(crush(env, resolve(env, ref), spec, w, fuel - 1))
         case Sum(f, _), In1(w):
             return crush(env, f, spec, w, fuel)
         case Sum(_, g), In2(w):

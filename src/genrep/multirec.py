@@ -8,32 +8,25 @@ a tag is inhabited by the equality witness exactly at its own index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, TypeVar, Union
 
+from . import spine
 from .gvalue import (
     EmptySlot,
     GenericValue,
-    In1,
-    In2,
     IndexLabel,
     IndexNotInSet,
     IndexSet,
     MalformedValue,
-    Pair,
     PayloadSlot,
     Refl,
     Roll,
-    TT,
     Transformer,
     payload_slot_accepts,
     print_label,
     print_value,
 )
-
-
-@dataclass(frozen=True)
-class Unit:
-    pass
+from .spine import Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
@@ -44,18 +37,6 @@ class Id:
 @dataclass(frozen=True)
 class Tag:
     label: IndexLabel
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "MultirecBody"
-    right: "MultirecBody"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "MultirecBody"
-    right: "MultirecBody"
 
 
 MultirecBody = Union[Unit, Id, Tag, Sum, Prod]
@@ -78,16 +59,25 @@ MultirecSlot = Union[PayloadSlot, MuSlot, EmptySlot]
 
 Assignment = Mapping[IndexLabel, MultirecSlot]
 
+T = TypeVar("T")
+
 
 def mu_assignment(code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
     """The total assignment that ties every index back to the fixed point."""
     return {lbl: MuSlot(code) for lbl in code.indices}
 
 
-def _slot_at(code: MultirecCode, assign: Assignment, lbl: IndexLabel) -> MultirecSlot:
-    if lbl not in code.indices or lbl not in assign:
+def _check_index(code: MultirecCode, lbl: IndexLabel) -> None:
+    if lbl not in code.indices:
         raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
-    return assign[lbl]
+
+
+def at_index(code: MultirecCode, table: Mapping[IndexLabel, T], lbl: IndexLabel) -> T:
+    """The entry of a per-index table (slots or transformers) for ``lbl``,
+    which must be in the code's index set and in the table."""
+    if lbl not in code.indices or lbl not in table:
+        raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
+    return table[lbl]
 
 
 def slot_accepts_m(slot: MultirecSlot, lbl: IndexLabel, v: GenericValue) -> bool:
@@ -108,45 +98,24 @@ def conform_m(
     v: GenericValue,
 ) -> bool:
     """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    if at not in code.indices:
-        raise IndexNotInSet(f"index {print_label(at)} is not in the code's index set")
-    return _conform_body(code, code.body, assign, at, v)
+    _check_index(code, at)
 
+    def atom(node: MultirecBody, w: GenericValue) -> bool:
+        match node:
+            case Id(lbl):
+                return slot_accepts_m(at_index(code, assign, lbl), lbl, w)
+            case Tag(lbl):
+                _check_index(code, lbl)
+                return w == Refl() and at == lbl
+        raise TypeError(f"not a multirec body: {node!r}")
 
-def _conform_body(
-    code: MultirecCode,
-    body: MultirecBody,
-    assign: Assignment,
-    at: IndexLabel,
-    v: GenericValue,
-) -> bool:
-    match body:
-        case Unit():
-            return v == TT()
-        case Id(lbl):
-            return slot_accepts_m(_slot_at(code, assign, lbl), lbl, v)
-        case Tag(lbl):
-            if lbl not in code.indices:
-                raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
-            return v == Refl() and at == lbl
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return _conform_body(code, f, assign, at, w)
-                case In2(w):
-                    return _conform_body(code, g, assign, at, w)
-            return False
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return _conform_body(code, f, assign, at, a) and _conform_body(
-                        code, g, assign, at, b
-                    )
-            return False
-    raise TypeError(f"not a multirec body: {body!r}")
+    return spine.conform(code.body, v, atom)
 
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
+    """Fixed-point conformance at index ``at``, which must be in the code's
+    index set whatever the value."""
+    _check_index(code, at)
     match v:
         case Roll(w):
             return conform_m(code, mu_assignment(code), at, w)
@@ -160,44 +129,16 @@ def map_m(
     v: GenericValue,
 ) -> GenericValue:
     """Apply the per-index family at identity positions; tags pass through."""
-    if at not in code.indices:
-        raise IndexNotInSet(f"index {print_label(at)} is not in the code's index set")
-    return _map_body(code, code.body, fam, at, v)
+    _check_index(code, at)
 
+    def atom(node: MultirecBody, w: GenericValue) -> GenericValue:
+        match node:
+            case Id(lbl):
+                return at_index(code, fam, lbl)(w)
+            case Tag(_):
+                if w != Refl():
+                    raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+                return w
+        raise TypeError(f"not a multirec body: {node!r}")
 
-def _map_body(
-    code: MultirecCode,
-    body: MultirecBody,
-    fam: Mapping[IndexLabel, Transformer],
-    at: IndexLabel,
-    v: GenericValue,
-) -> GenericValue:
-    match body:
-        case Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return TT()
-        case Id(lbl):
-            if lbl not in code.indices or lbl not in fam:
-                raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
-            return fam[lbl](v)
-        case Tag(_):
-            if v != Refl():
-                raise MalformedValue(f"tag position is not refl: {print_value(v)}")
-            return v
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return In1(_map_body(code, f, fam, at, w))
-                case In2(w):
-                    return In2(_map_body(code, g, fam, at, w))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return Pair(
-                        _map_body(code, f, fam, at, a),
-                        _map_body(code, g, fam, at, b),
-                    )
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-    raise TypeError(f"not a multirec body: {body!r}")
+    return spine.map(code.body, v, atom)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping
 
-from . import corpus, embed, indexed, instant, multirec, polyp, regular
+from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
 from .embed import STAR, ConversionReport
 from .gvalue import (
     EmptySlot,
@@ -22,9 +22,7 @@ from .gvalue import (
     In1,
     In2,
     IndexLabel,
-    IndexNotInSet,
     Konst,
-    Pair,
     PayloadSlot,
     RecV,
     Refl,
@@ -33,7 +31,6 @@ from .gvalue import (
     TOP_SORT,
     TT,
     payload,
-    print_label,
     print_value,
     value_size,
 )
@@ -73,6 +70,15 @@ def _rechecked(
     return values
 
 
+def _gen_payload(sort: str, n: int) -> list[GenericValue]:
+    """Tokens 0 and 1 of a sort, or ``tt`` for ``⊤``: one node each."""
+    if n < 1:
+        return []
+    if sort == TOP_SORT:
+        return [TT()]
+    return [payload(sort, 0), payload(sort, 1)]
+
+
 # ---------------------------------------------------------------------------
 # regular
 
@@ -80,11 +86,7 @@ def _rechecked(
 def _gen_slot_r(slot: regular.RegularSlot, n: int) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
-            if n < 1:
-                return []
-            if sort == TOP_SORT:
-                return [TT()]
-            return [payload(sort, 0), payload(sort, 1)]
+            return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case regular.MuSlot(code):
@@ -93,24 +95,13 @@ def _gen_slot_r(slot: regular.RegularSlot, n: int) -> list[GenericValue]:
 
 
 def _gen_r(code: regular.RegularCode, slot: regular.RegularSlot, n: int):
-    if n < 1:
-        return []
-    match code:
-        case regular.Unit():
-            return [TT()]
-        case regular.Id():
-            return _gen_slot_r(slot, n)
-        case regular.Sum(f, g):
-            return [In1(w) for w in _gen_r(f, slot, n - 1)] + [
-                In2(w) for w in _gen_r(g, slot, n - 1)
-            ]
-        case regular.Prod(f, g):
-            out = []
-            for a in _gen_r(f, slot, n - 2):
-                for b in _gen_r(g, slot, n - 1 - value_size(a)):
-                    out.append(Pair(a, b))
-            return out
-    raise TypeError(f"not a regular code: {code!r}")
+    def atom(node: regular.RegularCode, m: int) -> list[GenericValue]:
+        match node:
+            case regular.Id():
+                return _gen_slot_r(slot, m)
+        raise TypeError(f"not a regular code: {node!r}")
+
+    return spine.gen(code, n, atom)
 
 
 def _gen_mu_r(code: regular.RegularCode, n: int) -> list[GenericValue]:
@@ -135,11 +126,7 @@ def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[Gener
 def _gen_slot_p(slot: polyp.PolyPSlot, n: int) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
-            if n < 1:
-                return []
-            if sort == TOP_SORT:
-                return [TT()]
-            return [payload(sort, 0), payload(sort, 1)]
+            return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case polyp.MuSlot(code, param):
@@ -150,28 +137,17 @@ def _gen_slot_p(slot: polyp.PolyPSlot, n: int) -> list[GenericValue]:
 
 
 def _gen_p(code: polyp.PolyPCode, slots: polyp.SlotPair, n: int):
-    if n < 1:
-        return []
-    match code:
-        case polyp.Unit():
-            return [TT()]
-        case polyp.Par():
-            return _gen_slot_p(slots.param, n)
-        case polyp.Id():
-            return _gen_slot_p(slots.rec, n)
-        case polyp.Sum(f, g):
-            return [In1(w) for w in _gen_p(f, slots, n - 1)] + [
-                In2(w) for w in _gen_p(g, slots, n - 1)
-            ]
-        case polyp.Prod(f, g):
-            out = []
-            for a in _gen_p(f, slots, n - 2):
-                for b in _gen_p(g, slots, n - 1 - value_size(a)):
-                    out.append(Pair(a, b))
-            return out
-        case polyp.Comp(f, g):
-            return _gen_mu_p(f, polyp.InterpSlot(g, slots), n)
-    raise TypeError(f"not a polyp code: {code!r}")
+    def atom(node: polyp.PolyPCode, m: int) -> list[GenericValue]:
+        match node:
+            case polyp.Par():
+                return _gen_slot_p(slots.param, m)
+            case polyp.Id():
+                return _gen_slot_p(slots.rec, m)
+            case polyp.Comp(f, g):
+                return _gen_mu_p(f, polyp.InterpSlot(g, slots), m)
+        raise TypeError(f"not a polyp code: {node!r}")
+
+    return spine.gen(code, n, atom)
 
 
 def _gen_mu_p(
@@ -203,11 +179,7 @@ def _gen_slot_m(
 ) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
-            if n < 1:
-                return []
-            if sort == TOP_SORT:
-                return [TT()]
-            return [payload(sort, 0), payload(sort, 1)]
+            return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case multirec.MuSlot(code):
@@ -216,39 +188,22 @@ def _gen_slot_m(
 
 
 def _gen_body_m(
-    code: multirec.MultirecCode,
-    body: multirec.MultirecBody,
-    assign: multirec.Assignment,
-    at: IndexLabel,
-    n: int,
+    code: multirec.MultirecCode, assign: multirec.Assignment, at: IndexLabel, n: int
 ):
-    if n < 1:
-        return []
-    match body:
-        case multirec.Unit():
-            return [TT()]
-        case multirec.Id(lbl):
-            if lbl not in code.indices or lbl not in assign:
-                raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
-            return _gen_slot_m(assign[lbl], lbl, n)
-        case multirec.Tag(lbl):
-            return [Refl()] if at == lbl else []
-        case multirec.Sum(f, g):
-            return [In1(w) for w in _gen_body_m(code, f, assign, at, n - 1)] + [
-                In2(w) for w in _gen_body_m(code, g, assign, at, n - 1)
-            ]
-        case multirec.Prod(f, g):
-            out = []
-            for a in _gen_body_m(code, f, assign, at, n - 2):
-                for b in _gen_body_m(code, g, assign, at, n - 1 - value_size(a)):
-                    out.append(Pair(a, b))
-            return out
-    raise TypeError(f"not a multirec body: {body!r}")
+    def atom(node: multirec.MultirecBody, m: int) -> list[GenericValue]:
+        match node:
+            case multirec.Id(lbl):
+                return _gen_slot_m(multirec.at_index(code, assign, lbl), lbl, m)
+            case multirec.Tag(lbl):
+                return [Refl()] if at == lbl else []
+        raise TypeError(f"not a multirec body: {node!r}")
+
+    return spine.gen(code.body, n, atom)
 
 
 def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int):
     assign = multirec.mu_assignment(code)
-    return [Roll(w) for w in _gen_body_m(code, code.body, assign, at, n - 1)]
+    return [Roll(w) for w in _gen_body_m(code, assign, at, n - 1)]
 
 
 def enum_multirec(
@@ -257,7 +212,7 @@ def enum_multirec(
     at: IndexLabel,
     budget: EnumBudget,
 ) -> list[GenericValue]:
-    return _finish(_gen_body_m(code, code.body, assign, at, budget.max_size))
+    return _finish(_gen_body_m(code, assign, at, budget.max_size))
 
 
 def enum_mu_multirec(
@@ -274,64 +229,33 @@ def enum_mu_multirec(
 def _gen_slot_i(slot: indexed.IndexedSlot, n: int) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
-            if n < 1:
-                return []
-            if sort == TOP_SORT:
-                return [TT()]
-            return [payload(sort, 0), payload(sort, 1)]
+            return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case indexed.InterpSlot(code, assign, at):
             return _gen_i(code, assign, at, n)
         case indexed.MuSlot(inner, assign, at):
-            inner_assign = indexed.split_assign(
-                assign, {lbl: indexed.MuSlot(inner, assign, lbl) for lbl in inner.outs}
-            )
-            return [Roll(w) for w in _gen_i(inner, inner_assign, at, n - 1)]
+            return [Roll(w) for w in _gen_i(inner, indexed.mu_assign(inner, assign), at, n - 1)]
     raise TypeError(f"not an indexed slot: {slot!r}")
 
 
 def _gen_i(
     code: indexed.IndexedCode, assign: indexed.SlotTable, at: IndexLabel, n: int
 ) -> list[GenericValue]:
-    return _gen_body_i(code, code.body, assign, at, n)
+    def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
+        match node:
+            case indexed.Id(lbl):
+                return _gen_slot_i(assign[lbl], m)
+            case indexed.Tag(lbl):
+                return [Refl()] if at == lbl else []
+            case indexed.Comp(f, g):
+                middle = {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins}
+                return _gen_i(f, middle, at, m)
+            case indexed.Fix(f):
+                return [Roll(w) for w in _gen_i(f, indexed.mu_assign(f, assign), at, m - 1)]
+        raise TypeError(f"not an indexed body: {node!r}")
 
-
-def _gen_body_i(
-    code: indexed.IndexedCode,
-    body: indexed.IndexedBody,
-    assign: indexed.SlotTable,
-    at: IndexLabel,
-    n: int,
-):
-    if n < 1:
-        return []
-    match body:
-        case indexed.Unit():
-            return [TT()]
-        case indexed.Id(lbl):
-            return _gen_slot_i(assign[lbl], n)
-        case indexed.Tag(lbl):
-            return [Refl()] if at == lbl else []
-        case indexed.Sum(f, g):
-            return [In1(w) for w in _gen_body_i(code, f, assign, at, n - 1)] + [
-                In2(w) for w in _gen_body_i(code, g, assign, at, n - 1)
-            ]
-        case indexed.Prod(f, g):
-            out = []
-            for a in _gen_body_i(code, f, assign, at, n - 2):
-                for b in _gen_body_i(code, g, assign, at, n - 1 - value_size(a)):
-                    out.append(Pair(a, b))
-            return out
-        case indexed.Comp(f, g):
-            middle = {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins}
-            return _gen_i(f, middle, at, n)
-        case indexed.Fix(f):
-            inner_assign = indexed.split_assign(
-                assign, {lbl: indexed.MuSlot(f, assign, lbl) for lbl in f.outs}
-            )
-            return [Roll(w) for w in _gen_i(f, inner_assign, at, n - 1)]
-    raise TypeError(f"not an indexed body: {body!r}")
+    return spine.gen(code.body, n, atom)
 
 
 def enum_indexed(
@@ -351,39 +275,24 @@ def enum_indexed(
 def _gen_kset(env: instant.CodeEnv, kset: instant.KSet, n: int) -> list[GenericValue]:
     match kset:
         case instant.Prim(sort):
-            if n < 1:
-                return []
-            if sort == TOP_SORT:
-                return [TT()]
-            return [payload(sort, 0), payload(sort, 1)]
+            return _gen_payload(sort, n)
         case instant.EqWitness(a, b):
             return [Refl()] if a == b and n >= 1 else []
         case instant.OfCode(ref):
-            return _gen_ig(env, env[ref], n)
+            return _gen_ig(env, instant.resolve(env, ref), n)
     raise TypeError(f"not a constant set: {kset!r}")
 
 
 def _gen_ig(env: instant.CodeEnv, code: instant.InstantCode, n: int):
-    if n < 1:
-        return []
-    match code:
-        case instant.Unit():
-            return [TT()]
-        case instant.K(kset):
-            return [Konst(w) for w in _gen_kset(env, kset, n - 1)]
-        case instant.R(ref):
-            return [RecV(w) for w in _gen_ig(env, env[ref], n - 1)]
-        case instant.Sum(f, g):
-            return [In1(w) for w in _gen_ig(env, f, n - 1)] + [
-                In2(w) for w in _gen_ig(env, g, n - 1)
-            ]
-        case instant.Prod(f, g):
-            out = []
-            for a in _gen_ig(env, f, n - 2):
-                for b in _gen_ig(env, g, n - 1 - value_size(a)):
-                    out.append(Pair(a, b))
-            return out
-    raise TypeError(f"not an instant code: {code!r}")
+    def atom(node: instant.InstantCode, m: int) -> list[GenericValue]:
+        match node:
+            case instant.K(kset):
+                return [Konst(w) for w in _gen_kset(env, kset, m - 1)]
+            case instant.R(ref):
+                return [RecV(w) for w in _gen_ig(env, instant.resolve(env, ref), m - 1)]
+        raise TypeError(f"not an instant code: {node!r}")
+
+    return spine.gen(code, n, atom)
 
 
 def enum_instant(
@@ -708,8 +617,8 @@ def _prop_par_id(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        fam = indexed.split_transform({STAR: lambda u: u}, {STAR: lambda u: u})
-        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
+        fam = indexed.split_tables({STAR: lambda u: u}, {STAR: lambda u: u})
+        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
         for v in enum_indexed(lifted, assign, STAR, budget):
             w = indexed.map_i(lifted, fam, STAR, v)
             pairs.append((v, "par-id", None if w == v else print_value(w)))
@@ -720,14 +629,14 @@ def _prop_par_comp(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
+        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
         for f, g in _par_families():
             for f2, g2 in _par_families():
-                split_then = indexed.split_transform(
+                split_then = indexed.split_tables(
                     {STAR: lambda u: f(f2(u))}, {STAR: lambda u: g(g2(u))}
                 )
-                first = indexed.split_transform({STAR: f2}, {STAR: g2})
-                second = indexed.split_transform({STAR: f}, {STAR: g})
+                first = indexed.split_tables({STAR: f2}, {STAR: g2})
+                second = indexed.split_tables({STAR: f}, {STAR: g})
                 for v in enum_indexed(lifted, assign, STAR, budget):
                     lhs = indexed.map_i(lifted, split_then, STAR, v)
                     rhs = indexed.map_i(
@@ -743,9 +652,9 @@ def _prop_par_cong(codes, budget: EnumBudget) -> ConversionReport:
     pairs = []
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_assign({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
-        one = indexed.split_transform({STAR: _tree_succ}, {STAR: _wrap_in1})
-        two = indexed.split_transform(
+        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
+        one = indexed.split_tables({STAR: _tree_succ}, {STAR: _wrap_in1})
+        two = indexed.split_tables(
             {STAR: lambda u: _tree_succ(u)}, {STAR: lambda u: _wrap_in1(u)}
         )
         for v in enum_indexed(lifted, assign, STAR, budget):

@@ -12,27 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from . import spine
 from .gvalue import (
     EmptySlot,
     FuelExhausted,
     GenericValue,
-    In1,
-    In2,
     MalformedValue,
-    Pair,
     PayloadSlot,
     Roll,
-    TT,
     Transformer,
     payload_slot_accepts,
     print_value,
     value_size,
 )
-
-
-@dataclass(frozen=True)
-class Unit:
-    pass
+from .spine import Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
@@ -43,18 +36,6 @@ class Par:
 @dataclass(frozen=True)
 class Id:
     pass
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "PolyPCode"
-    right: "PolyPCode"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "PolyPCode"
-    right: "PolyPCode"
 
 
 @dataclass(frozen=True)
@@ -105,30 +86,20 @@ def slot_accepts_p(slot: PolyPSlot, v: GenericValue) -> bool:
 
 
 def conform_p(code: PolyPCode, slots: SlotPair, v: GenericValue) -> bool:
-    match code:
-        case Unit():
-            return v == TT()
-        case Par():
-            return slot_accepts_p(slots.param, v)
-        case Id():
-            return slot_accepts_p(slots.rec, v)
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return conform_p(f, slots, w)
-                case In2(w):
-                    return conform_p(g, slots, w)
-            return False
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return conform_p(f, slots, a) and conform_p(g, slots, b)
-            return False
-        case Comp(f, g):
-            # The interpretation equation: values of Comp(F, G) at (A, R) are
-            # fixed-point values of F whose parameters interpret G at (A, R).
-            return conform_mu_p(f, InterpSlot(g, slots), v)
-    raise TypeError(f"not a polyp code: {code!r}")
+    def atom(node: PolyPCode, w: GenericValue) -> bool:
+        match node:
+            case Par():
+                return slot_accepts_p(slots.param, w)
+            case Id():
+                return slot_accepts_p(slots.rec, w)
+            case Comp(f, g):
+                # The interpretation equation: values of Comp(F, G) at (A, R)
+                # are fixed-point values of F whose parameters interpret G at
+                # (A, R).
+                return conform_mu_p(f, InterpSlot(g, slots), w)
+        raise TypeError(f"not a polyp code: {node!r}")
+
+    return spine.conform(code, v, atom)
 
 
 def conform_mu_p(code: PolyPCode, param: PolyPSlot, v: GenericValue) -> bool:
@@ -152,43 +123,31 @@ def map_p(
     """
     if fuel is None:
         fuel = value_size(v)
-    match code:
-        case Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return TT()
-        case Par():
-            return f(v)
-        case Id():
-            return g(v)
-        case Sum(c, d):
-            match v:
-                case In1(w):
-                    return In1(map_p(c, f, g, w, fuel))
-                case In2(w):
-                    return In2(map_p(d, f, g, w, fuel))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case Prod(c, d):
-            match v:
-                case Pair(a, b):
-                    return Pair(map_p(c, f, g, a, fuel), map_p(d, f, g, b, fuel))
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        case Comp(c, d):
-            match v:
-                case Roll(w):
-                    if fuel <= 0:
-                        raise FuelExhausted("map_p ran out of fuel on a composition")
-                    return Roll(
-                        map_p(
-                            c,
-                            lambda u: map_p(d, f, g, u, fuel - 1),
-                            lambda u: map_p(code, f, g, u, fuel - 1),
-                            w,
-                            fuel - 1,
+
+    def atom(node: PolyPCode, w: GenericValue) -> GenericValue:
+        match node:
+            case Par():
+                return f(w)
+            case Id():
+                return g(w)
+            case Comp(c, d):
+                match w:
+                    case Roll(x):
+                        if fuel <= 0:
+                            raise FuelExhausted("map_p ran out of fuel on a composition")
+                        return Roll(
+                            map_p(
+                                c,
+                                lambda u: map_p(d, f, g, u, fuel - 1),
+                                lambda u: map_p(node, f, g, u, fuel - 1),
+                                x,
+                                fuel - 1,
+                            )
                         )
-                    )
-            raise MalformedValue(f"composition layer is not rolled: {print_value(v)}")
-    raise TypeError(f"not a polyp code: {code!r}")
+                raise MalformedValue(f"composition layer is not rolled: {print_value(w)}")
+        raise TypeError(f"not a polyp code: {node!r}")
+
+    return spine.map(code, v, atom)
 
 
 def pmap(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from . import spine
 from .gvalue import (
     EmptySlot,
     FuelExhausted,
@@ -18,7 +19,6 @@ from .gvalue import (
     In2,
     MalformedValue,
     NAT_SORT,
-    Pair,
     Payload,
     PayloadSlot,
     PayloadToken,
@@ -29,28 +29,12 @@ from .gvalue import (
     print_value,
     value_size,
 )
-
-
-@dataclass(frozen=True)
-class Unit:
-    pass
+from .spine import Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
 class Id:
     pass
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "RegularCode"
-    right: "RegularCode"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "RegularCode"
-    right: "RegularCode"
 
 
 RegularCode = Union[Unit, Id, Sum, Prod]
@@ -79,24 +63,14 @@ def slot_accepts_r(slot: RegularSlot, v: GenericValue) -> bool:
 
 def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` at ``slot``?"""
-    match code:
-        case Unit():
-            return v == TT()
-        case Id():
-            return slot_accepts_r(slot, v)
-        case Sum(f, g):
-            match v:
-                case In1(w):
-                    return conform_r(f, slot, w)
-                case In2(w):
-                    return conform_r(g, slot, w)
-            return False
-        case Prod(f, g):
-            match v:
-                case Pair(a, b):
-                    return conform_r(f, slot, a) and conform_r(g, slot, b)
-            return False
-    raise TypeError(f"not a regular code: {code!r}")
+
+    def atom(node: RegularCode, w: GenericValue) -> bool:
+        match node:
+            case Id():
+                return slot_accepts_r(slot, w)
+        raise TypeError(f"not a regular code: {node!r}")
+
+    return spine.conform(code, v, atom)
 
 
 def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
@@ -109,26 +83,14 @@ def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
 
 def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:
     """Apply ``f`` at every identity position of one layer."""
-    match code:
-        case Unit():
-            if v != TT():
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            return TT()
-        case Id():
-            return f(v)
-        case Sum(g, h):
-            match v:
-                case In1(w):
-                    return In1(map_r(g, f, w))
-                case In2(w):
-                    return In2(map_r(h, f, w))
-            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        case Prod(g, h):
-            match v:
-                case Pair(a, b):
-                    return Pair(map_r(g, f, a), map_r(h, f, b))
-            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-    raise TypeError(f"not a regular code: {code!r}")
+
+    def atom(node: RegularCode, w: GenericValue) -> GenericValue:
+        match node:
+            case Id():
+                return f(w)
+        raise TypeError(f"not a regular code: {node!r}")
+
+    return spine.map(code, v, atom)
 
 
 RegularAlgebra = Callable[[GenericValue], GenericValue]

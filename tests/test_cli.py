@@ -186,3 +186,30 @@ def test_convert_rejects_non_conforming_values(args, direction):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["tt", "zigZagEnd"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("check", "--universe", "multirec"),
+        ("convert", "--from", "multirec", "--to", "indexed", "--dir", "fwd"),
+    ],
+    ids=["check", "convert"],
+)
+def test_unknown_multirec_index_exits_two_whatever_the_value(command, value):
+    out = run_cli(*command, "--code", "ZigZagC", "--index", "nosuch", "--value", value)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: index nosuch is not in the code's index set\n"
+
+
+@pytest.mark.parametrize("command", ["check", "size"])
+def test_dangling_reference_is_one_error_line(command):
+    universe = ("--universe", "instant") if command == "check" else ()
+    out = run_cli(
+        command, *universe, "--env", "List⊤", "--code", "R B", "--value", "rec tt"
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: reference B is not defined in the environment\n"

@@ -13,8 +13,7 @@ from genrep.gvalue import IndexNotInSet, PayloadSlot
 from genrep.indexed import (
     conform_i,
     map_i,
-    split_assign,
-    split_transform,
+    split_tables,
     wellformed_i,
 )
 
@@ -72,10 +71,10 @@ def test_map_identity_preserves_rose_values():
 
 
 def test_split_tables_tag_left_and_right():
-    joined = split_assign({STAR: PayloadSlot("a")}, {STAR: PayloadSlot("b")})
+    joined = split_tables({STAR: PayloadSlot("a")}, {STAR: PayloadSlot("b")})
     assert set(joined) == {left(STAR), right(STAR)}
     assert joined[left(STAR)] == PayloadSlot("a")
 
-    fns = split_transform({STAR: lambda v: In1(v)}, {STAR: lambda v: In2(v)})
+    fns = split_tables({STAR: lambda v: In1(v)}, {STAR: lambda v: In2(v)})
     assert fns[left(STAR)](TT()) == In1(TT())
     assert fns[right(STAR)](TT()) == In2(TT())

@@ -17,6 +17,7 @@ from genrep.corpus import A_LIST, LIST_TOP_ENV, LIST_TOP_NAME
 from genrep.instant import (
     EqWitness,
     K,
+    OfCode,
     Prim,
     Prod,
     R,
@@ -29,6 +30,7 @@ from genrep.instant import (
     nat_add,
     size_ig,
 )
+from genrep.oracle import EnumBudget, enum_instant
 
 LIST_CODE = R(LIST_TOP_NAME)
 
@@ -84,3 +86,25 @@ def test_nat_add_rejects_non_naturals():
 def test_crush_rejects_mismatched_shape():
     with pytest.raises(MalformedValue):
         crush(LIST_TOP_ENV, LIST_CODE, SIZE_SPEC, TT())
+
+
+# "A" refers on to "B", which no entry defines: once through a recursive
+# reference and once through a constant drawn from a named code.
+DANGLING_ENV = {"A": R("B")}
+DANGLING_CONST_ENV = {"A": K(OfCode("B"))}
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda: conform_ig(DANGLING_ENV, R("A"), RecV(RecV(TT()))),
+        lambda: size_ig(DANGLING_ENV, R("A"), RecV(RecV(TT()))),
+        lambda: enum_instant(DANGLING_ENV, R("A"), EnumBudget(max_size=4)),
+        lambda: conform_ig(DANGLING_CONST_ENV, R("A"), RecV(Konst(TT()))),
+        lambda: enum_instant(DANGLING_CONST_ENV, R("A"), EnumBudget(max_size=4)),
+    ],
+    ids=["conform_ig", "size_ig", "enum_instant", "conform_ig-const", "enum_instant-const"],
+)
+def test_dangling_reference_is_a_malformed_value(entry_point):
+    with pytest.raises(MalformedValue, match="reference B is not defined"):
+        entry_point()

@@ -5,11 +5,25 @@ over the value alphabet and keep the ones the conformance checkers accept."""
 import subprocess
 import sys
 import textwrap
+from functools import partial
 
 import pytest
 
-from genrep import label, left, print_value, value_size
-from genrep.corpus import LIST_C, LIST_TOP_ENV, LIST_TOP_NAME, NAT_C, NAT_I, ZIG_ZAG_C
+from genrep import label, left, print_label, print_value, value_size
+from genrep.corpus import (
+    INDEXED_CODES,
+    INSTANT_CODES,
+    INSTANT_ENVS,
+    LIST_C,
+    LIST_TOP_ENV,
+    LIST_TOP_NAME,
+    MULTIREC_CODES,
+    NAT_C,
+    NAT_I,
+    POLYP_CODES,
+    REGULAR_CODES,
+    ZIG_ZAG_C,
+)
 from genrep.gvalue import FuelExhausted, PayloadSlot
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
@@ -77,6 +91,53 @@ def test_brute_force_agrees_instant():
     brute = _accepted(lambda t: conform_ig(LIST_TOP_ENV, body, t, fuel=7), 7)
     assert enum_instant(LIST_TOP_ENV, body, EnumBudget(max_size=7)) == brute
     assert len(brute) == 2
+
+
+BRUTE_CEILING = 6
+
+
+def _corpus_cases():
+    """(conformance check, enumerator) per corpus code and index or output."""
+    budget = EnumBudget(max_size=BRUTE_CEILING)
+    for name, code in REGULAR_CODES.items():
+        yield pytest.param(
+            partial(conform_mu_r, code),
+            partial(enum_mu_regular, code, budget),
+            id=f"regular-{name}",
+        )
+    for name, code in POLYP_CODES.items():
+        yield pytest.param(
+            partial(conform_mu_p, code, TOP),
+            partial(enum_mu_polyp, code, TOP, budget),
+            id=f"polyp-{name}",
+        )
+    for name, code in MULTIREC_CODES.items():
+        for at in code.indices:
+            yield pytest.param(
+                partial(conform_mu_m, code, at),
+                partial(enum_mu_multirec, code, at, budget),
+                id=f"multirec-{name}-{print_label(at)}",
+            )
+    for name, code in INDEXED_CODES.items():
+        assign = standard_assign(code)
+        for at in code.outs:
+            yield pytest.param(
+                partial(conform_i, code, assign, at),
+                partial(enum_indexed, code, assign, at, budget),
+                id=f"indexed-{name}-{print_label(at)}",
+            )
+    for name, code in INSTANT_CODES.items():
+        env = INSTANT_ENVS[name]
+        yield pytest.param(
+            partial(conform_ig, env, code, fuel=BRUTE_CEILING),
+            partial(enum_instant, env, code, budget),
+            id=f"instant-{name}",
+        )
+
+
+@pytest.mark.parametrize("conforms, enumerate_", list(_corpus_cases()))
+def test_brute_force_agrees_on_every_corpus_code(conforms, enumerate_):
+    assert enumerate_() == _accepted(conforms, BRUTE_CEILING)
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
