@@ -26,20 +26,13 @@ from .gvalue import (
 
 _UNIVERSES = ("regular", "polyp", "multirec", "indexed", "instant")
 
-_SHORT = {
-    "regular": "r",
-    "polyp": "p",
-    "multirec": "m",
-    "indexed": "i",
-    "instant": "ig",
-}
+# (source, target) -> the name of the conversion step between them
+_PAIRS = {(source, target): step for step, (source, target, _, _) in embed.STEPS.items()}
 
-_PAIRS = {
-    ("regular", "polyp"),
-    ("regular", "multirec"),
-    ("polyp", "indexed"),
-    ("multirec", "indexed"),
-    ("indexed", "instant"),
+# universe -> its functor-law suites, in registry order
+_LAW_PROPERTIES = {
+    universe: [name for name, (key, _, _) in oracle.LAWS.items() if key == universe]
+    for universe in _UNIVERSES
 }
 
 _CORPUS_CODES = {
@@ -193,14 +186,15 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _check_pair(src: str, dst: str) -> None:
+def _step(src: str, dst: str) -> str:
     if (src, dst) not in _PAIRS:
         pairs = ", ".join(f"{a}:{b}" for a, b in sorted(_PAIRS))
         raise UsageError(f"no embedding from {src} to {dst}; pairs are {pairs}")
+    return _PAIRS[(src, dst)]
 
 
 def _cmd_lift(args) -> int:
-    _check_pair(args.src, args.dst)
+    _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     if (args.src, args.dst) == ("regular", "polyp"):
         print(dsl.print_code("polyp", embed.lift_r_to_p(code)))
@@ -219,25 +213,24 @@ def _cmd_lift(args) -> int:
     return 0
 
 
+def _source_context(universe: str, code, index: str | None) -> embed.PathContext:
+    if universe == "regular":
+        return embed.regular_context(code)
+    if universe == "polyp":
+        return embed.polyp_context(code)
+    if universe == "multirec":
+        return embed.multirec_context(code, _resolve_index(index, _first(code.indices)))
+    at = _resolve_index(index, _first(code.outs))
+    return embed.indexed_context(code, oracle.standard_table(code), at)
+
+
 def _cmd_convert(args) -> int:
-    _check_pair(args.src, args.dst)
+    step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     v = _resolve_value(args.value)
     direction = "forward" if args.direction == "fwd" else "backward"
-    if (args.src, args.dst) == ("regular", "polyp"):
-        w = embed.convert_r_p(code, v, direction)
-    elif (args.src, args.dst) == ("regular", "multirec"):
-        w = embed.convert_r_m(code, v, direction)
-    elif (args.src, args.dst) == ("polyp", "indexed"):
-        w = embed.convert_p_i(code, v, direction)
-    elif (args.src, args.dst) == ("multirec", "indexed"):
-        at = _resolve_index(args.index, _first(code.indices))
-        w = embed.convert_m_i(code, at, v, direction)
-    else:
-        at = _resolve_index(args.index, _first(code.outs))
-        table = oracle.standard_table(code)
-        w = embed.convert_i_ig(code, table, at, v, direction)
-    print(print_value(w))
+    start = _source_context(args.src, code, args.index)
+    print(print_value(embed.compose_path([step], start, v, direction)))
     return 0
 
 
@@ -250,11 +243,10 @@ def _print_report(report) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    _check_pair(args.src, args.dst)
+    step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
-    name = f"iso-{_SHORT[args.src]}-{_SHORT[args.dst]}"
     budget = _budget(args.max_size)
-    report = oracle.run_property(name, {args.code: code}, budget)
+    report = oracle.run_property(f"iso-{step}", {args.code: code}, budget)
     return _print_report(report)
 
 
@@ -285,16 +277,8 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-_LAW_PROPERTIES = {
-    "regular": ("map-id-r", "map-comp-r"),
-    "polyp": ("map-id-p", "map-comp-p"),
-    "multirec": ("map-id-m", "map-comp-m"),
-    "indexed": ("map-id-i", "map-comp-i"),
-}
-
-
 def _cmd_laws(args) -> int:
-    if args.universe not in _LAW_PROPERTIES:
+    if not _LAW_PROPERTIES[args.universe]:
         raise UsageError("laws supports regular, polyp, multirec, and indexed")
     code = _resolve_code(args.universe, args.code)
     budget = _budget(args.max_size)

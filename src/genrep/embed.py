@@ -562,49 +562,25 @@ def indexed_context(
     return PathContext("indexed", code, at=at, table=table)
 
 
-def _step_target(step: str, ctx: PathContext) -> PathContext:
-    match step:
-        case "r-p":
-            return polyp_context(lift_r_to_p(ctx.code))
-        case "r-m":
-            return multirec_context(lift_r_to_m(ctx.code), STAR)
-        case "p-i":
-            return indexed_context(
-                fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR
-            )
-        case "m-i":
-            return indexed_context(fix_m_code(ctx.code), {}, ctx.at)
-        case "i-ig":
-            return PathContext("instant", None)
-    raise ValueError(f"unknown conversion step: {step!r}")
-
-
-_STEP_SOURCE = {
-    "r-p": "regular",
-    "r-m": "regular",
-    "p-i": "polyp",
-    "m-i": "multirec",
-    "i-ig": "indexed",
+# step -> (source universe, target universe, target context, conversion); the
+# last two take the step's source context.
+STEPS = {
+    "r-p": ("regular", "polyp",
+            lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
+            lambda ctx, v, d, fuel: convert_r_p(ctx.code, v, d)),
+    "r-m": ("regular", "multirec",
+            lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
+            lambda ctx, v, d, fuel: convert_r_m(ctx.code, v, d)),
+    "p-i": ("polyp", "indexed",
+            lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
+            lambda ctx, v, d, fuel: convert_p_i(ctx.code, v, d)),
+    "m-i": ("multirec", "indexed",
+            lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
+            lambda ctx, v, d, fuel: convert_m_i(ctx.code, ctx.at, v, d)),
+    "i-ig": ("indexed", "instant",
+             lambda ctx: PathContext("instant", None),
+             lambda ctx, v, d, fuel: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d, fuel)),
 }
-
-
-def _apply_step(
-    step: str, ctx: PathContext, v: GenericValue, direction: Direction, fuel: int | None
-) -> GenericValue:
-    if _STEP_SOURCE[step] != ctx.universe:
-        raise ValueError(f"step {step} does not start from {ctx.universe}")
-    match step:
-        case "r-p":
-            return convert_r_p(ctx.code, v, direction)
-        case "r-m":
-            return convert_r_m(ctx.code, v, direction)
-        case "p-i":
-            return convert_p_i(ctx.code, v, direction)
-        case "m-i":
-            return convert_m_i(ctx.code, ctx.at, v, direction)
-        case "i-ig":
-            return convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, direction, fuel)
-    raise ValueError(f"unknown conversion step: {step!r}")
 
 
 def compose_path(
@@ -615,15 +591,21 @@ def compose_path(
     fuel: int | None = None,
 ) -> GenericValue:
     """Run the steps in order (forward) or in reverse (backward); the empty
-    path is the identity either way."""
+    path is the identity either way. Every step's source universe is checked
+    before any code is lifted."""
     _check_direction(direction)
-    contexts = [start]
+    walk = []
+    ctx = start
     for step in steps:
-        contexts.append(_step_target(step, contexts[-1]))
-    walk = list(zip(steps, contexts))
+        if step not in STEPS:
+            raise ValueError(f"unknown conversion step: {step!r}")
+        source, _, target_context, convert = STEPS[step]
+        if source != ctx.universe:
+            raise ValueError(f"step {step} does not start from {ctx.universe}")
+        walk.append((convert, ctx))
+        ctx = target_context(ctx)
     if direction == "backward":
         walk.reverse()
-    for step, ctx in walk:
-        v = _apply_step(step, ctx, v, direction, fuel)
+    for convert, ctx in walk:
+        v = convert(ctx, v, direction, fuel)
     return v
-

@@ -143,6 +143,19 @@ def mu_assign(inner: IndexedCode, assign: SlotTable) -> dict[IndexLabel, Indexed
     return split_tables(assign, {lbl: MuSlot(inner, assign, lbl) for lbl in inner.outs})
 
 
+def check_output(code: IndexedCode, at: IndexLabel) -> None:
+    """Conformance, map and enumeration all reject an index outside the outputs."""
+    if at not in code.outs:
+        raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
+
+
+def slot_at(assign: SlotTable, lbl: IndexLabel) -> IndexedSlot:
+    """The slot ``assign`` gives ``lbl``, which it must have."""
+    if lbl not in assign:
+        raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
+    return assign[lbl]
+
+
 def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
     match slot:
         case PayloadSlot():
@@ -164,15 +177,12 @@ def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericVa
 
     Assumes ``wellformed_i(code)``.
     """
-    if at not in code.outs:
-        raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
+    check_output(code, at)
 
     def atom(node: IndexedBody, w: GenericValue) -> bool:
         match node:
             case Id(lbl):
-                if lbl not in assign:
-                    raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
-                return slot_accepts_i(assign[lbl], w)
+                return slot_accepts_i(slot_at(assign, lbl), w)
             case Tag(lbl):
                 return w == Refl() and at == lbl
             case Comp(f, g):
@@ -205,8 +215,7 @@ def map_i(
     """
     if fuel is None:
         fuel = value_size(v)
-    if at not in code.outs:
-        raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
+    check_output(code, at)
     return spine.map(code.body, v, partial(_map_atom, fam, at, fuel))
 
 

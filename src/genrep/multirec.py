@@ -67,7 +67,8 @@ def mu_assignment(code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
     return {lbl: MuSlot(code) for lbl in code.indices}
 
 
-def _check_index(code: MultirecCode, lbl: IndexLabel) -> None:
+def check_index(code: MultirecCode, lbl: IndexLabel) -> None:
+    """Conformance, map and enumeration all reject a label outside the set."""
     if lbl not in code.indices:
         raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
 
@@ -98,14 +99,14 @@ def conform_m(
     v: GenericValue,
 ) -> bool:
     """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    _check_index(code, at)
+    check_index(code, at)
 
     def atom(node: MultirecBody, w: GenericValue) -> bool:
         match node:
             case Id(lbl):
                 return slot_accepts_m(at_index(code, assign, lbl), lbl, w)
             case Tag(lbl):
-                _check_index(code, lbl)
+                check_index(code, lbl)
                 return w == Refl() and at == lbl
         raise TypeError(f"not a multirec body: {node!r}")
 
@@ -115,7 +116,7 @@ def conform_m(
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
     """Fixed-point conformance at index ``at``, which must be in the code's
     index set whatever the value."""
-    _check_index(code, at)
+    check_index(code, at)
     match v:
         case Roll(w):
             return conform_m(code, mu_assignment(code), at, w)
@@ -129,7 +130,7 @@ def map_m(
     v: GenericValue,
 ) -> GenericValue:
     """Apply the per-index family at identity positions; tags pass through."""
-    _check_index(code, at)
+    check_index(code, at)
 
     def atom(node: MultirecBody, w: GenericValue) -> GenericValue:
         match node:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
@@ -30,6 +31,8 @@ from .gvalue import (
     TOP_SLOT,
     TOP_SORT,
     TT,
+    compose,
+    identity,
     payload,
     print_value,
     value_size,
@@ -111,7 +114,8 @@ def _gen_mu_r(code: regular.RegularCode, n: int) -> list[GenericValue]:
 def enum_regular(
     code: regular.RegularCode, slot: regular.RegularSlot, budget: EnumBudget
 ) -> list[GenericValue]:
-    return _finish(_gen_r(code, slot, budget.max_size))
+    values = _finish(_gen_r(code, slot, budget.max_size))
+    return _rechecked(values, partial(regular.conform_r, code, slot))
 
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
@@ -160,7 +164,8 @@ def _gen_mu_p(
 def enum_polyp(
     code: polyp.PolyPCode, slots: polyp.SlotPair, budget: EnumBudget
 ) -> list[GenericValue]:
-    return _finish(_gen_p(code, slots, budget.max_size))
+    values = _finish(_gen_p(code, slots, budget.max_size))
+    return _rechecked(values, partial(polyp.conform_p, code, slots))
 
 
 def enum_mu_polyp(
@@ -190,11 +195,14 @@ def _gen_slot_m(
 def _gen_body_m(
     code: multirec.MultirecCode, assign: multirec.Assignment, at: IndexLabel, n: int
 ):
+    multirec.check_index(code, at)
+
     def atom(node: multirec.MultirecBody, m: int) -> list[GenericValue]:
         match node:
             case multirec.Id(lbl):
                 return _gen_slot_m(multirec.at_index(code, assign, lbl), lbl, m)
             case multirec.Tag(lbl):
+                multirec.check_index(code, lbl)
                 return [Refl()] if at == lbl else []
         raise TypeError(f"not a multirec body: {node!r}")
 
@@ -212,7 +220,8 @@ def enum_multirec(
     at: IndexLabel,
     budget: EnumBudget,
 ) -> list[GenericValue]:
-    return _finish(_gen_body_m(code, assign, at, budget.max_size))
+    values = _finish(_gen_body_m(code, assign, at, budget.max_size))
+    return _rechecked(values, partial(multirec.conform_m, code, assign, at))
 
 
 def enum_mu_multirec(
@@ -242,10 +251,12 @@ def _gen_slot_i(slot: indexed.IndexedSlot, n: int) -> list[GenericValue]:
 def _gen_i(
     code: indexed.IndexedCode, assign: indexed.SlotTable, at: IndexLabel, n: int
 ) -> list[GenericValue]:
+    indexed.check_output(code, at)
+
     def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
         match node:
             case indexed.Id(lbl):
-                return _gen_slot_i(assign[lbl], m)
+                return _gen_slot_i(indexed.slot_at(assign, lbl), m)
             case indexed.Tag(lbl):
                 return [Refl()] if at == lbl else []
             case indexed.Comp(f, g):
@@ -303,7 +314,8 @@ def enum_instant(
 
 
 # ---------------------------------------------------------------------------
-# a single dispatch point, used by the CLI
+# one dispatch point over the enumerators by universe tag, for library
+# callers; the CLI calls the enumerators directly
 
 
 def enumerate_values(universe, code, context, budget: EnumBudget):
@@ -492,176 +504,135 @@ def _wrap_in1(v: GenericValue) -> GenericValue:
     return In1(v)
 
 
-def _prop_map_id_r(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
+def _functors_r(codes, budget: EnumBudget):
     for code in codes.values():
-        slot = regular.MuSlot(code)
-        for v in enum_regular(code, slot, budget):
-            w = regular.map_r(code, lambda u: u, v)
-            pairs.append((v, "map-id", None if w == v else print_value(w)))
-    return _report(pairs)
+        fmap = lambda fs, code=code: partial(regular.map_r, code, *fs)
+        yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
 
 
-def _prop_map_comp_r(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
+def _functors_p(codes, budget: EnumBudget):
     for code in codes.values():
-        slot = regular.MuSlot(code)
-        for v in enum_regular(code, slot, budget):
-            lhs = regular.map_r(code, lambda u: _wrap_in1(_tree_succ(u)), v)
-            rhs = regular.map_r(
-                code, _wrap_in1, regular.map_r(code, _tree_succ, v)
+        fmap = lambda fs, code=code: partial(polyp.pmap, code, *fs)
+        yield partial(enum_mu_polyp, code, TOP_SLOT, budget), fmap
+
+
+def _functors_m(codes, budget: EnumBudget):
+    for code in codes.values():
+        assign = multirec.mu_assignment(code)
+        for at in code.indices:
+            fmap = lambda fs, code=code, at=at: partial(
+                multirec.map_m, code, dict.fromkeys(code.indices, *fs), at
             )
-            pairs.append((v, "map-comp", None if lhs == rhs else print_value(lhs)))
-    return _report(pairs)
+            yield partial(enum_multirec, code, assign, at, budget), fmap
 
 
-def _prop_map_id_p(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        for v in enum_mu_polyp(code, TOP_SLOT, budget):
-            w = polyp.pmap(code, lambda u: u, v)
-            pairs.append((v, "pmap-id", None if w == v else print_value(w)))
-    return _report(pairs)
-
-
-def _prop_map_comp_p(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        for v in enum_mu_polyp(code, TOP_SLOT, budget):
-            lhs = polyp.pmap(code, lambda u: _wrap_in1(_tree_succ(u)), v)
-            rhs = polyp.pmap(code, _wrap_in1, polyp.pmap(code, _tree_succ, v))
-            pairs.append((v, "pmap-comp", None if lhs == rhs else print_value(lhs)))
-    return _report(pairs)
-
-
-def _prop_map_id_m(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        assign = multirec.mu_assignment(code)
-        fam = {lbl: (lambda u: u) for lbl in code.indices}
-        for at in code.indices:
-            for v in enum_multirec(code, assign, at, budget):
-                w = multirec.map_m(code, fam, at, v)
-                pairs.append((v, "map-id", None if w == v else print_value(w)))
-    return _report(pairs)
-
-
-def _prop_map_comp_m(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        assign = multirec.mu_assignment(code)
-        succ_fam = {lbl: _tree_succ for lbl in code.indices}
-        wrap_fam = {lbl: _wrap_in1 for lbl in code.indices}
-        both_fam = {lbl: (lambda u: _wrap_in1(_tree_succ(u))) for lbl in code.indices}
-        for at in code.indices:
-            for v in enum_multirec(code, assign, at, budget):
-                lhs = multirec.map_m(code, both_fam, at, v)
-                rhs = multirec.map_m(code, wrap_fam, at, multirec.map_m(code, succ_fam, at, v))
-                pairs.append((v, "map-comp", None if lhs == rhs else print_value(lhs)))
-    return _report(pairs)
-
-
-def _prop_map_id_i(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
+def _functors_i(codes, budget: EnumBudget):
     for code in codes.values():
         assign = standard_assign(code)
-        fam = {lbl: (lambda u: u) for lbl in code.ins}
         for at in code.outs:
-            for v in enum_indexed(code, assign, at, budget):
-                w = indexed.map_i(code, fam, at, v)
-                pairs.append((v, "map-id", None if w == v else print_value(w)))
-    return _report(pairs)
+            fmap = lambda fs, code=code, at=at: partial(
+                indexed.map_i, code, dict.fromkeys(code.ins, *fs), at
+            )
+            yield partial(enum_indexed, code, assign, at, budget), fmap
 
 
-def _prop_map_comp_i(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        assign = standard_assign(code)
-        succ_fam = {lbl: _tree_succ for lbl in code.ins}
-        wrap_fam = {lbl: _wrap_in1 for lbl in code.ins}
-        both_fam = {lbl: (lambda u: _wrap_in1(_tree_succ(u))) for lbl in code.ins}
-        for at in code.outs:
-            for v in enum_indexed(code, assign, at, budget):
-                lhs = indexed.map_i(code, both_fam, at, v)
-                rhs = indexed.map_i(code, wrap_fam, at, indexed.map_i(code, succ_fam, at, v))
-                pairs.append((v, "map-comp", None if lhs == rhs else print_value(lhs)))
-    return _report(pairs)
-
-
-def _prop_map_commute_r_p(codes, budget: EnumBudget) -> ConversionReport:
-    """Mapping under the lifted code agrees with mapping under the source
-    code on every enumerated one-layer value."""
-    pairs = []
+def _functors_r_p(codes, budget: EnumBudget):
+    """The r→p commute pair: a family (parameter, recursion) maps under the
+    lifted polyp code, a family (recursion,) under the regular code."""
     for code in codes.values():
         lifted = embed.lift_r_to_p(code)
-        slot = regular.MuSlot(code)
-        for v in enum_regular(code, slot, budget):
-            via_p = polyp.map_p(lifted, lambda u: u, _tree_succ, v)
-            via_r = regular.map_r(code, _tree_succ, v)
-            pairs.append(
-                (v, "map-commute", None if via_p == via_r else print_value(via_p))
-            )
-    return _report(pairs)
+        fmap = lambda fs, code=code, lifted=lifted: (
+            partial(polyp.map_p, lifted, *fs) if len(fs) == 2 else partial(regular.map_r, code, *fs)
+        )
+        yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
 
 
-def _par_families():
-    ident = lambda u: u
-    return [
-        (ident, ident),
-        (_tree_succ, _wrap_in1),
-        (_wrap_in1, _tree_succ),
+def _functors_p_i(codes, budget: EnumBudget):
+    """The open p→i lift under split families (parameter, recursion)."""
+    assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
+    for code in codes.values():
+        lifted = embed.lift_p_to_i(code)
+        fmap = lambda fs, lifted=lifted: partial(
+            indexed.map_i, lifted, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), STAR
+        )
+        yield partial(enum_indexed, lifted, assign, STAR, budget), fmap
+
+
+# functor key -> (default codes, functors). Functors yield, per code and
+# index, a thunk of its values and an ``fmap`` that takes a transformer
+# family, a tuple of one function per parameter, and returns the map the
+# family induces, so each family's table is built once.
+_FUNCTORS = {
+    "regular": (corpus.REGULAR_CODES, _functors_r),
+    "polyp": (corpus.POLYP_CODES, _functors_p),
+    "multirec": (corpus.MULTIREC_CODES, _functors_m),
+    "indexed": (corpus.INDEXED_CODES, _functors_i),
+    "r-p": (corpus.REGULAR_CODES, _functors_r_p),
+    "p-i": (corpus.POLYP_CODES, _functors_p_i),
+}
+
+
+# A law takes a functor's fmap and gives the (left, right) pairs of maps
+# that must agree on every value.
+
+
+def _identity(arity: int):
+    return lambda fmap: [(fmap((identity,) * arity), identity)]
+
+
+def _composition(pairs):
+    """Per (outer, inner) pair of families: mapping the composed family
+    equals mapping the inner family, then the outer one."""
+    return lambda fmap: [
+        (fmap(tuple(map(compose, outer, inner))), compose(fmap(outer), fmap(inner)))
+        for outer, inner in pairs
     ]
 
 
-def _prop_par_id(codes, budget: EnumBudget) -> ConversionReport:
+def _congruence(one, two):
+    """The maps of two families agree: the same transformers as other
+    function objects (par-cong), or one transformer under two codes
+    (map-commute)."""
+    return lambda fmap: [(fmap(one), fmap(two))]
+
+
+def _laws(functors, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
+    """Check every pair of ``law`` on every value of every functor; a failure
+    shows the left map's result."""
     pairs = []
-    for code in codes.values():
-        lifted = embed.lift_p_to_i(code)
-        fam = indexed.split_tables({STAR: lambda u: u}, {STAR: lambda u: u})
-        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
-        for v in enum_indexed(lifted, assign, STAR, budget):
-            w = indexed.map_i(lifted, fam, STAR, v)
-            pairs.append((v, "par-id", None if w == v else print_value(w)))
+    for enumerate_, fmap in functors(codes, budget):
+        values = enumerate_()
+        for lhs, rhs in law(fmap):
+            for v in values:
+                w = lhs(v)
+                pairs.append((v, label, None if w == rhs(v) else print_value(w)))
     return _report(pairs)
 
 
-def _prop_par_comp(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
-        for f, g in _par_families():
-            for f2, g2 in _par_families():
-                split_then = indexed.split_tables(
-                    {STAR: lambda u: f(f2(u))}, {STAR: lambda u: g(g2(u))}
-                )
-                first = indexed.split_tables({STAR: f2}, {STAR: g2})
-                second = indexed.split_tables({STAR: f}, {STAR: g})
-                for v in enum_indexed(lifted, assign, STAR, budget):
-                    lhs = indexed.map_i(lifted, split_then, STAR, v)
-                    rhs = indexed.map_i(
-                        lifted, second, STAR, indexed.map_i(lifted, first, STAR, v)
-                    )
-                    pairs.append(
-                        (v, "par-comp", None if lhs == rhs else print_value(lhs))
-                    )
-    return _report(pairs)
+_MAP_COMP = _composition([((_wrap_in1,), (_tree_succ,))])
+_SPLIT_FAMILIES = [(identity, identity), (_tree_succ, _wrap_in1), (_wrap_in1, _tree_succ)]
+_SUCC_WRAP = (_tree_succ, _wrap_in1)
 
-
-def _prop_par_cong(codes, budget: EnumBudget) -> ConversionReport:
-    pairs = []
-    for code in codes.values():
-        lifted = embed.lift_p_to_i(code)
-        assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
-        one = indexed.split_tables({STAR: _tree_succ}, {STAR: _wrap_in1})
-        two = indexed.split_tables(
-            {STAR: lambda u: _tree_succ(u)}, {STAR: lambda u: _wrap_in1(u)}
-        )
-        for v in enum_indexed(lifted, assign, STAR, budget):
-            lhs = indexed.map_i(lifted, one, STAR, v)
-            rhs = indexed.map_i(lifted, two, STAR, v)
-            pairs.append((v, "par-cong", None if lhs == rhs else print_value(lhs)))
-    return _report(pairs)
+# law suite -> (functor key, failure label, law); ``genrep laws`` runs the
+# suites whose key is its universe.
+LAWS = {
+    "map-id-r": ("regular", "map-id", _identity(1)),
+    "map-comp-r": ("regular", "map-comp", _MAP_COMP),
+    "map-id-p": ("polyp", "pmap-id", _identity(1)),
+    "map-comp-p": ("polyp", "pmap-comp", _MAP_COMP),
+    "map-id-m": ("multirec", "map-id", _identity(1)),
+    "map-comp-m": ("multirec", "map-comp", _MAP_COMP),
+    "map-id-i": ("indexed", "map-id", _identity(1)),
+    "map-comp-i": ("indexed", "map-comp", _MAP_COMP),
+    "map-commute-r-p": ("r-p", "map-commute", _congruence((identity, _tree_succ), (_tree_succ,))),
+    "par-id": ("p-i", "par-id", _identity(2)),
+    "par-comp": ("p-i", "par-comp", _composition(list(product(_SPLIT_FAMILIES, repeat=2)))),
+    "par-cong": (
+        "p-i",
+        "par-cong",
+        _congruence(_SUCC_WRAP, tuple(compose(f, identity) for f in _SUCC_WRAP)),
+    ),
+}
 
 
 def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
@@ -683,18 +654,10 @@ _PROPERTIES: dict[str, tuple[Mapping, Callable[[Mapping, EnumBudget], Conversion
         f"transport-{name}": (codes, partial(_transport, arrows))
         for name, (codes, arrows) in _ARROWS.items()
     },
-    "map-id-r": (corpus.REGULAR_CODES, _prop_map_id_r),
-    "map-comp-r": (corpus.REGULAR_CODES, _prop_map_comp_r),
-    "map-id-p": (corpus.POLYP_CODES, _prop_map_id_p),
-    "map-comp-p": (corpus.POLYP_CODES, _prop_map_comp_p),
-    "map-id-m": (corpus.MULTIREC_CODES, _prop_map_id_m),
-    "map-comp-m": (corpus.MULTIREC_CODES, _prop_map_comp_m),
-    "map-id-i": (corpus.INDEXED_CODES, _prop_map_id_i),
-    "map-comp-i": (corpus.INDEXED_CODES, _prop_map_comp_i),
-    "map-commute-r-p": (corpus.REGULAR_CODES, _prop_map_commute_r_p),
-    "par-id": (corpus.POLYP_CODES, _prop_par_id),
-    "par-comp": (corpus.POLYP_CODES, _prop_par_comp),
-    "par-cong": (corpus.POLYP_CODES, _prop_par_cong),
+    **{
+        name: (_FUNCTORS[key][0], partial(_laws, _FUNCTORS[key][1], label, law))
+        for name, (key, label, law) in LAWS.items()
+    },
     "pitfall-comp": (corpus.POLYP_CODES, _prop_pitfall_comp),
 }
 

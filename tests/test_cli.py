@@ -204,6 +204,22 @@ def test_unknown_multirec_index_exits_two_whatever_the_value(command, value):
     assert out.stderr == "error: index nosuch is not in the code's index set\n"
 
 
+@pytest.mark.parametrize(
+    "universe, code, message",
+    [
+        ("multirec", "ZigZagC", "index nosuch is not in the code's index set"),
+        ("indexed", "ZigZagI", "index nosuch is not an output of the code"),
+    ],
+)
+def test_enum_at_an_unknown_index_exits_two(universe, code, message):
+    out = run_cli(
+        "enum", "--universe", universe, "--code", code, "--index", "nosuch", "--max-size", "8"
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "size"])
 def test_dangling_reference_is_one_error_line(command):
     universe = ("--universe", "instant") if command == "check" else ()

@@ -37,6 +37,7 @@ from genrep.embed import (
     lift_m_to_i,
     lift_r_to_m,
     lift_r_to_p,
+    polyp_context,
     regular_context,
 )
 from genrep.gvalue import EmptySlot, PayloadSlot
@@ -166,6 +167,22 @@ def test_conversion_paths_agree():
 def test_empty_path_is_identity():
     assert compose_path([], regular_context(NAT_C), A_NAT) == A_NAT
     assert compose_path([], regular_context(NAT_C), A_NAT, "backward") == A_NAT
+
+
+@pytest.mark.parametrize(
+    "step, start, v, universe",
+    [
+        ("m-i", regular_context(NAT_C), A_NAT, "regular"),
+        ("p-i", regular_context(NAT_C), A_NAT, "regular"),
+        ("r-p", polyp_context(LIST_C), A_LIST, "polyp"),
+        ("i-ig", regular_context(NAT_C), A_NAT, "regular"),
+    ],
+    ids=["m-i", "p-i", "r-p", "i-ig"],
+)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_a_step_must_start_from_the_current_universe(step, start, v, universe, direction):
+    with pytest.raises(ValueError, match=f"^step {step} does not start from {universe}$"):
+        compose_path([step], start, v, direction)
 
 
 def test_full_path_lands_in_a_checkable_environment():

@@ -9,12 +9,13 @@ from functools import partial
 
 import pytest
 
-from genrep import label, left, print_label, print_value, value_size
+from genrep import index_set, label, left, print_label, print_value, value_size
 from genrep.corpus import (
     INDEXED_CODES,
     INSTANT_CODES,
     INSTANT_ENVS,
     LIST_C,
+    LIST_I,
     LIST_TOP_ENV,
     LIST_TOP_NAME,
     MULTIREC_CODES,
@@ -24,10 +25,10 @@ from genrep.corpus import (
     REGULAR_CODES,
     ZIG_ZAG_C,
 )
-from genrep.gvalue import FuelExhausted, PayloadSlot
+from genrep.gvalue import FuelExhausted, IndexNotInSet, PayloadSlot, Refl, Roll
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
-from genrep.multirec import conform_mu_m
+from genrep.multirec import MultirecCode, Tag, conform_mu_m
 from genrep.oracle import (
     EnumBudget,
     UnknownProperty,
@@ -202,6 +203,46 @@ def test_every_property_holds_at_small_sizes(name):
     assert report.checked_count > 0
 
 
+# Checked counts at max_size 10, so a registry refactor that drops or repeats
+# checks fails here and not only in the benchmark.
+CHECKED_AT_10 = {
+    "iso-i-ig": 21, "iso-m-i": 4, "iso-p-i": 16, "iso-r-m": 12, "iso-r-p": 12,
+    "isoMu-r-p": 12, "map-commute-r-p": 7, "map-comp-i": 11, "map-comp-m": 2,
+    "map-comp-p": 8, "map-comp-r": 7, "map-id-i": 11, "map-id-m": 2, "map-id-p": 8,
+    "map-id-r": 7, "par-comp": 99, "par-cong": 11, "par-id": 11, "pitfall-comp": 2,
+    "transport-i-ig": 11, "transport-m-i": 2, "transport-p-i": 8, "transport-r-m": 6,
+    "transport-r-p": 6,
+}
+
+
+@pytest.mark.parametrize("name", property_names())
+def test_checked_counts_are_pinned_at_size_ten(name):
+    report = run_property(name, budget=EnumBudget(max_size=10))
+    assert report.failures == []
+    assert report.checked_count == CHECKED_AT_10[name]
+
+
+def test_missing_indexed_slot_is_reported_as_in_conformance():
+    with pytest.raises(IndexNotInSet, match=r"^no slot for index L\.⋆$"):
+        enum_indexed(LIST_I, {}, STAR, EnumBudget(max_size=6))
+
+
+A, B = label("a"), label("b")
+
+
+@pytest.mark.parametrize(
+    "code, at, missing",
+    [(MultirecCode(index_set(A), Tag(B)), A, "b"), (ZIG_ZAG_C, label("nosuch"), "nosuch")],
+    ids=["tag", "index"],
+)
+def test_multirec_labels_outside_the_index_set_raise(code, at, missing):
+    message = f"^index {missing} is not in the code's index set$"
+    with pytest.raises(IndexNotInSet, match=message):
+        conform_mu_m(code, at, Roll(Refl()))
+    with pytest.raises(IndexNotInSet, match=message):
+        enum_mu_multirec(code, at, EnumBudget(max_size=4))
+
+
 def test_known_check_counts():
     assert run_property("iso-m-i", budget=EnumBudget(max_size=8)).checked_count == 2
     assert run_property("iso-m-i", budget=EnumBudget(max_size=12)).checked_count == 4
@@ -256,3 +297,45 @@ def test_inline_rechecks_survive_optimized_mode():
         f"{name} raised enumerator emitted a non-conforming value: refl"
         for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
     ] + ["env raised environment entries never built: ig0"]
+
+
+# The same with the one-layer generators, whose enumerators re-check too.
+_BROKEN_ONE_LAYER_GENERATORS = textwrap.dedent(
+    """
+    from genrep import Refl, corpus, embed, multirec, oracle, polyp, regular
+    from genrep.gvalue import TOP_SLOT
+
+    budget = oracle.EnumBudget(max_size=6)
+    list_slots = polyp.SlotPair(TOP_SLOT, polyp.MuSlot(corpus.LIST_C, TOP_SLOT))
+    zig_zag = multirec.mu_assignment(corpus.ZIG_ZAG_C)
+    cases = {
+        "_gen_r": lambda: oracle.enum_regular(
+            corpus.NAT_C, regular.MuSlot(corpus.NAT_C), budget
+        ),
+        "_gen_p": lambda: oracle.enum_polyp(corpus.LIST_C, list_slots, budget),
+        "_gen_body_m": lambda: oracle.enum_multirec(
+            corpus.ZIG_ZAG_C, zig_zag, embed.LSTAR, budget
+        ),
+    }
+    for name, enumerate_ in cases.items():
+        setattr(oracle, name, lambda *args: [Refl()])
+        try:
+            print(name, "returned", enumerate_())
+        except RuntimeError as err:
+            print(name, "raised", err)
+    """
+)
+
+
+def test_one_layer_rechecks_survive_optimized_mode():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ONE_LAYER_GENERATORS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} raised enumerator emitted a non-conforming value: refl"
+        for name in ("_gen_r", "_gen_p", "_gen_body_m")
+    ]
