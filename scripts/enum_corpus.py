@@ -8,24 +8,9 @@ import argparse
 import sys
 
 from genrep import print_label, print_value
-from genrep.corpus import (
-    INDEXED_CODES,
-    INSTANT_CODES,
-    INSTANT_ENVS,
-    MULTIREC_CODES,
-    POLYP_CODES,
-    REGULAR_CODES,
-)
-from genrep.gvalue import PayloadSlot
-from genrep.oracle import (
-    EnumBudget,
-    enum_indexed,
-    enum_instant,
-    enum_mu_multirec,
-    enum_mu_polyp,
-    enum_mu_regular,
-    standard_assign,
-)
+from genrep.corpus import CODES, INSTANT_ENVS
+from genrep.embed import contexts
+from genrep.oracle import EnumBudget, enum_context
 
 
 def _show(heading, values):
@@ -39,27 +24,12 @@ def main(argv=None):
     parser.add_argument("--max-size", type=int, default=9)
     args = parser.parse_args(argv)
     budget = EnumBudget(max_size=args.max_size)
-    top = PayloadSlot("⊤")
 
-    for name, code in REGULAR_CODES.items():
-        _show(f"regular {name}", enum_mu_regular(code, budget))
-    for name, code in POLYP_CODES.items():
-        _show(f"polyp {name}", enum_mu_polyp(code, top, budget))
-    for name, code in MULTIREC_CODES.items():
-        for at in code.indices:
-            _show(
-                f"multirec {name} at {print_label(at)}",
-                enum_mu_multirec(code, at, budget),
-            )
-    for name, code in INDEXED_CODES.items():
-        assign = standard_assign(code)
-        for at in code.outs:
-            _show(
-                f"indexed {name} at {print_label(at)}",
-                enum_indexed(code, assign, at, budget),
-            )
-    for name, code in INSTANT_CODES.items():
-        _show(f"instant {name}", enum_instant(INSTANT_ENVS[name], code, budget))
+    for universe, codes in CODES.items():
+        for name, code in codes.items():
+            for ctx in contexts(universe, code, INSTANT_ENVS.get(name)):
+                at = "" if ctx.at is None else f" at {print_label(ctx.at)}"
+                _show(f"{universe} {name}{at}", enum_context(ctx, budget))
     return 0
 
 

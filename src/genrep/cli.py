@@ -11,15 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus, dsl, embed, indexed, instant, multirec, oracle, polyp, regular
+from . import corpus, dsl, embed, instant, oracle
 from .dsl import ParseError
 from .gvalue import (
     FuelExhausted,
     GenericValue,
-    IndexLabel,
     IndexNotInSet,
     MalformedValue,
-    TOP_SLOT,
     print_label,
     print_value,
 )
@@ -27,21 +25,7 @@ from .gvalue import (
 _UNIVERSES = ("regular", "polyp", "multirec", "indexed", "instant")
 
 # (source, target) -> the name of the conversion step between them
-_PAIRS = {(source, target): step for step, (source, target, _, _) in embed.STEPS.items()}
-
-# universe -> its functor-law suites, in registry order
-_LAW_PROPERTIES = {
-    universe: [name for name, (key, _, _) in oracle.LAWS.items() if key == universe]
-    for universe in _UNIVERSES
-}
-
-_CORPUS_CODES = {
-    "regular": corpus.REGULAR_CODES,
-    "polyp": corpus.POLYP_CODES,
-    "multirec": corpus.MULTIREC_CODES,
-    "indexed": corpus.INDEXED_CODES,
-    "instant": corpus.INSTANT_CODES,
-}
+_PAIRS = {(row.source, row.target): step for step, row in embed.STEPS.items()}
 
 
 class UsageError(Exception):
@@ -55,54 +39,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+# flag -> its argparse options; "--env!" is a required --env
+_FLAGS = {
+    "--universe": {"required": True, "choices": _UNIVERSES},
+    "--from": {"dest": "src", "required": True, "choices": _UNIVERSES},
+    "--to": {"dest": "dst", "required": True, "choices": _UNIVERSES},
+    "--code": {"required": True},
+    "--value": {"required": True},
+    "--dir": {"dest": "direction", "required": True, "choices": ("fwd", "bwd")},
+    "--max-size": {"type": int, "required": True},
+    "--index": {},
+    "--fuel": {"type": int},
+    "--env": {},
+    "--env!": {"required": True},
+}
+
+# command -> (help, flags in order)
+_SYNTAX = {
+    "check": ("conformance of a value against a code",
+              "--universe --code --value --index --fuel --env"),
+    "lift": ("print a lifted code in canonical syntax", "--from --to --code"),
+    "convert": ("convert a value along an embedding",
+                "--from --to --code --value --dir --index"),
+    "roundtrip": ("exhaustive isomorphism suite", "--from --to --code --max-size"),
+    "enum": ("list all conforming values up to a size",
+             "--universe --code --max-size --index --env"),
+    "laws": ("functor-law suite for one code", "--universe --code --max-size"),
+    "size": ("crush-based size of an instant value", "--env! --code --value"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="genrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="conformance of a value against a code")
-    check.add_argument("--universe", required=True, choices=_UNIVERSES)
-    check.add_argument("--code", required=True)
-    check.add_argument("--value", required=True)
-    check.add_argument("--index")
-    check.add_argument("--fuel", type=int)
-    check.add_argument("--env")
-
-    lift = sub.add_parser("lift", help="print a lifted code in canonical syntax")
-    lift.add_argument("--from", dest="src", required=True, choices=_UNIVERSES)
-    lift.add_argument("--to", dest="dst", required=True, choices=_UNIVERSES)
-    lift.add_argument("--code", required=True)
-
-    convert = sub.add_parser("convert", help="convert a value along an embedding")
-    convert.add_argument("--from", dest="src", required=True, choices=_UNIVERSES)
-    convert.add_argument("--to", dest="dst", required=True, choices=_UNIVERSES)
-    convert.add_argument("--code", required=True)
-    convert.add_argument("--value", required=True)
-    convert.add_argument("--dir", dest="direction", required=True, choices=("fwd", "bwd"))
-    convert.add_argument("--index")
-
-    roundtrip = sub.add_parser("roundtrip", help="exhaustive isomorphism suite")
-    roundtrip.add_argument("--from", dest="src", required=True, choices=_UNIVERSES)
-    roundtrip.add_argument("--to", dest="dst", required=True, choices=_UNIVERSES)
-    roundtrip.add_argument("--code", required=True)
-    roundtrip.add_argument("--max-size", type=int, required=True)
-
-    enum = sub.add_parser("enum", help="list all conforming values up to a size")
-    enum.add_argument("--universe", required=True, choices=_UNIVERSES)
-    enum.add_argument("--code", required=True)
-    enum.add_argument("--max-size", type=int, required=True)
-    enum.add_argument("--index")
-    enum.add_argument("--env")
-
-    laws = sub.add_parser("laws", help="functor-law suite for one code")
-    laws.add_argument("--universe", required=True, choices=_UNIVERSES)
-    laws.add_argument("--code", required=True)
-    laws.add_argument("--max-size", type=int, required=True)
-
-    size = sub.add_parser("size", help="crush-based size of an instant value")
-    size.add_argument("--env", required=True)
-    size.add_argument("--code", required=True)
-    size.add_argument("--value", required=True)
-
+    for name, (help_text, flags) in _SYNTAX.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            command.add_argument(flag.rstrip("!"), **_FLAGS[flag])
     return parser
 
 
@@ -111,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_code(universe: str, text: str, env=None):
-    named = _CORPUS_CODES[universe]
+    named = corpus.CODES[universe]
     if text in named:
         return named[text]
-    if universe == "instant" and env is not None and text in env:
+    if env is not None and text in env:
         return env[text]
     return dsl.parse_code(universe, text)
 
@@ -126,20 +99,44 @@ def _resolve_value(text: str) -> GenericValue:
 
 
 def _resolve_env(text: str):
+    """A corpus env name, a readable UTF-8 file, or else env text."""
     if text in corpus.INSTANT_ENVS:
         return corpus.INSTANT_ENVS[text]
     path = Path(text)
-    if path.exists():
+    try:
+        is_path = path.exists()
+    except OSError:  # too long to name a file, for one
+        is_path = False
+    if not is_path:
+        return dsl.parse_env(text)
+    try:
         return dsl.parse_env(path.read_text(encoding="utf-8"))
-    return dsl.parse_env(text)
+    except OSError as err:
+        raise UsageError(f"cannot read env file {text}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"env file {text} is not UTF-8 text") from None
 
 
-def _resolve_index(text: str | None, fallback: IndexLabel | None) -> IndexLabel:
-    if text is not None:
-        return dsl.parse_label(text)
-    if fallback is None:
+def _instant_env(args):
+    """The environment an instant code needs, which --env must give; other
+    universes ignore --env."""
+    if args.universe != "instant":
+        return None
+    if args.env is None:
+        raise UsageError(f"{args.command} in the instant universe needs --env")
+    return _resolve_env(args.env)
+
+
+def _context(universe: str, code, index: str | None, env=None) -> embed.PathContext:
+    """Where the command reads ``code``: at --index or at the first index of
+    the code's family; universes without indices ignore --index."""
+    at = None
+    if index is not None and embed.family(universe, code) is not None:
+        at = dsl.parse_label(index)
+    found = embed.contexts(universe, code, env, at)
+    if not found:
         raise UsageError("an --index is required here")
-    return fallback
+    return found[0]
 
 
 def _budget(max_size: int) -> oracle.EnumBudget:
@@ -149,39 +146,15 @@ def _budget(max_size: int) -> oracle.EnumBudget:
         raise UsageError(str(err)) from None
 
 
-def _first(labels) -> IndexLabel | None:
-    for lbl in labels:
-        return lbl
-    return None
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_check(args) -> int:
-    if args.universe == "instant":
-        if args.env is None:
-            raise UsageError("check in the instant universe needs --env")
-        env = _resolve_env(args.env)
-        code = _resolve_code("instant", args.code, env)
-        v = _resolve_value(args.value)
-        ok = instant.conform_ig(env, code, v, fuel=args.fuel)
-    elif args.universe == "regular":
-        code = _resolve_code("regular", args.code)
-        ok = regular.conform_mu_r(code, _resolve_value(args.value))
-    elif args.universe == "polyp":
-        code = _resolve_code("polyp", args.code)
-        ok = polyp.conform_mu_p(code, TOP_SLOT, _resolve_value(args.value))
-    elif args.universe == "multirec":
-        code = _resolve_code("multirec", args.code)
-        at = _resolve_index(args.index, _first(code.indices))
-        ok = multirec.conform_mu_m(code, at, _resolve_value(args.value))
-    else:
-        code = _resolve_code("indexed", args.code)
-        at = _resolve_index(args.index, _first(code.outs))
-        assign = oracle.standard_assign(code)
-        ok = indexed.conform_i(code, assign, at, _resolve_value(args.value))
+    env = _instant_env(args)
+    code = _resolve_code(args.universe, args.code, env)
+    ctx = _context(args.universe, code, args.index, env)
+    ok = embed.conforms(ctx, _resolve_value(args.value), fuel=args.fuel)
     print("conforms" if ok else "does not conform")
     return 0 if ok else 1
 
@@ -194,34 +167,16 @@ def _step(src: str, dst: str) -> str:
 
 
 def _cmd_lift(args) -> int:
-    _step(args.src, args.dst)
-    code = _resolve_code(args.src, args.code)
-    if (args.src, args.dst) == ("regular", "polyp"):
-        print(dsl.print_code("polyp", embed.lift_r_to_p(code)))
-    elif (args.src, args.dst) == ("regular", "multirec"):
-        print(dsl.print_code("multirec", embed.lift_r_to_m(code)))
-    elif (args.src, args.dst) == ("polyp", "indexed"):
-        print(dsl.print_code("indexed", embed.lift_p_to_i(code)))
-    elif (args.src, args.dst) == ("multirec", "indexed"):
-        print(dsl.print_code("indexed", embed.lift_m_to_i(code)))
-    else:
-        table = oracle.standard_table(code)
-        lifted, env = embed.lift_i_to_ig(code, table)
-        for out, out_code in lifted.items():
-            print(f"out {print_label(out)} = {dsl.print_code('instant', out_code)}")
-        print(dsl.print_env(env), end="")
+    step = _step(args.src, args.dst)
+    lifted = embed.STEPS[step].lift(_resolve_code(args.src, args.code))
+    if args.dst != "instant":
+        print(dsl.print_code(args.dst, lifted))
+        return 0
+    outs, env = lifted
+    for out, out_code in outs.items():
+        print(f"out {print_label(out)} = {dsl.print_code('instant', out_code)}")
+    print(dsl.print_env(env), end="")
     return 0
-
-
-def _source_context(universe: str, code, index: str | None) -> embed.PathContext:
-    if universe == "regular":
-        return embed.regular_context(code)
-    if universe == "polyp":
-        return embed.polyp_context(code)
-    if universe == "multirec":
-        return embed.multirec_context(code, _resolve_index(index, _first(code.indices)))
-    at = _resolve_index(index, _first(code.outs))
-    return embed.indexed_context(code, oracle.standard_table(code), at)
 
 
 def _cmd_convert(args) -> int:
@@ -229,7 +184,7 @@ def _cmd_convert(args) -> int:
     code = _resolve_code(args.src, args.code)
     v = _resolve_value(args.value)
     direction = "forward" if args.direction == "fwd" else "backward"
-    start = _source_context(args.src, code, args.index)
+    start = _context(args.src, code, args.index)
     print(print_value(embed.compose_path([step], start, v, direction)))
     return 0
 
@@ -252,38 +207,21 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_enum(args) -> int:
     budget = _budget(args.max_size)
-    if args.universe == "instant":
-        if args.env is None:
-            raise UsageError("enum in the instant universe needs --env")
-        env = _resolve_env(args.env)
-        code = _resolve_code("instant", args.code, env)
-        values = oracle.enum_instant(env, code, budget)
-    elif args.universe == "regular":
-        code = _resolve_code("regular", args.code)
-        values = oracle.enum_mu_regular(code, budget)
-    elif args.universe == "polyp":
-        code = _resolve_code("polyp", args.code)
-        values = oracle.enum_mu_polyp(code, TOP_SLOT, budget)
-    elif args.universe == "multirec":
-        code = _resolve_code("multirec", args.code)
-        at = _resolve_index(args.index, _first(code.indices))
-        values = oracle.enum_mu_multirec(code, at, budget)
-    else:
-        code = _resolve_code("indexed", args.code)
-        at = _resolve_index(args.index, _first(code.outs))
-        values = oracle.enum_indexed(code, oracle.standard_assign(code), at, budget)
-    for v in values:
+    env = _instant_env(args)
+    code = _resolve_code(args.universe, args.code, env)
+    for v in oracle.enum_context(_context(args.universe, code, args.index, env), budget):
         print(print_value(v))
     return 0
 
 
 def _cmd_laws(args) -> int:
-    if not _LAW_PROPERTIES[args.universe]:
+    names = [name for name, (key, _, _) in oracle.LAWS.items() if key == args.universe]
+    if not names:
         raise UsageError("laws supports regular, polyp, multirec, and indexed")
     code = _resolve_code(args.universe, args.code)
     budget = _budget(args.max_size)
     combined = embed.ConversionReport()
-    for name in _LAW_PROPERTIES[args.universe]:
+    for name in names:
         report = oracle.run_property(name, {args.code: code}, budget)
         combined.checked_count += report.checked_count
         combined.failures.extend(report.failures)

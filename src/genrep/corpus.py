@@ -169,3 +169,13 @@ VALUES: dict[str, GenericValue] = {
     "aList": A_LIST,
     "treeOfLists": TREE_OF_LISTS,
 }
+
+
+# universe -> its named codes
+CODES: dict[str, dict[str, object]] = {
+    "regular": REGULAR_CODES,
+    "polyp": POLYP_CODES,
+    "multirec": MULTIREC_CODES,
+    "indexed": INDEXED_CODES,
+    "instant": INSTANT_CODES,
+}

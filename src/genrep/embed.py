@@ -16,7 +16,7 @@ composition or fixed point becomes a named environment entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence, Union
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence, Union
 
 from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
@@ -27,6 +27,7 @@ from .gvalue import (
     IndexSet,
     Konst,
     MalformedValue,
+    PayloadSlot,
     RecV,
     Refl,
     Roll,
@@ -267,19 +268,17 @@ class _EnvBuilder:
 
 
 def _rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> _Rho:
-    pairs = []
     for lbl in code.ins:
         if lbl not in table:
             raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
-        pairs.append((lbl, table[lbl]))
-    return tuple(pairs)
+    return tuple((lbl, table[lbl]) for lbl in code.ins)
 
 
-def _rho_get(rho: _Rho, lbl: IndexLabel) -> _LiftEntry:
+def _rho_get(rho: tuple, lbl: IndexLabel, missing: str = "no constant set for input index"):
     for key, entry in rho:
         if key == lbl:
             return entry
-    raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
+    raise MalformedValue(f"{missing} {print_label(lbl)}")
 
 
 def lift_i_to_ig(
@@ -295,14 +294,8 @@ def lift_i_to_ig(
     """
     builder = _EnvBuilder(env if env is not None else {})
     rho = _rho_from_table(code, table)
-    out = {o: _lift_code_ig(code, rho, o, builder) for o in code.outs}
+    out = {o: _lift_body_ig(code.body, rho, o, builder) for o in code.outs}
     return out, builder.finished()
-
-
-def _lift_code_ig(
-    code: indexed.IndexedCode, rho: _Rho, o: IndexLabel, builder: _EnvBuilder
-) -> instant.InstantCode:
-    return _lift_body_ig(code.body, rho, o, builder)
 
 
 def _lift_body_ig(
@@ -337,7 +330,7 @@ def _comp_rho(
     pairs = []
     for lbl in f.ins:
         name = builder.ensure(
-            ("interp", g, rho, lbl), lambda lbl=lbl: _lift_code_ig(g, rho, lbl, builder)
+            ("interp", g, rho, lbl), lambda lbl=lbl: _lift_body_ig(g.body, rho, lbl, builder)
         )
         pairs.append((lbl, instant.OfCode(name)))
     return tuple(pairs)
@@ -384,15 +377,6 @@ _ConvEntry = Union[_ParamEntry, _CompEntry, _FixEntry]
 _ConvRho = tuple[tuple[IndexLabel, _ConvEntry], ...]
 
 
-def _conv_rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> _ConvRho:
-    pairs = []
-    for lbl in code.ins:
-        if lbl not in table:
-            raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
-        pairs.append((lbl, _ParamEntry(table[lbl])))
-    return tuple(pairs)
-
-
 def convert_i_ig(
     code: indexed.IndexedCode,
     table: KSetTable,
@@ -404,19 +388,27 @@ def convert_i_ig(
     """Forward: rolls become rec nodes, parameter and tag contents become
     constants. Backward restores the original tree exactly."""
     _check_direction(direction)
+    indexed.check_output(code, o)
     if fuel is None:
         fuel = value_size(v)
-    rho = _conv_rho_from_table(code, table)
+    rho = tuple((lbl, _ParamEntry(kset)) for lbl, kset in _rho_from_table(code, table))
     if direction == "forward":
         return _from_ig(code, rho, o, v, fuel)
     return _to_ig(code, rho, o, v, fuel)
 
 
-def _conv_rho_get(rho: _ConvRho, lbl: IndexLabel) -> _ConvEntry:
-    for key, entry in rho:
-        if key == lbl:
-            return entry
-    raise MalformedValue(f"no conversion entry for index {print_label(lbl)}")
+def _spend(fuel: int) -> int:
+    """The fuel left after one more layer."""
+    if fuel <= 0:
+        raise FuelExhausted("conversion ran out of fuel")
+    return fuel - 1
+
+
+def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
+    """A refl under ``Tag(lbl)`` witnesses ``lbl == o``; any other index
+    leaves the tag uninhabited."""
+    if lbl != o:
+        raise MalformedValue(f"refl under tag {print_label(lbl)} at index {print_label(o)}")
 
 
 def _from_ig(
@@ -425,32 +417,26 @@ def _from_ig(
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _conv_rho_get(rho, lbl)
+                entry = _rho_get(rho, lbl, "no conversion entry for index")
                 match entry:
                     case _ParamEntry(_):
                         return Konst(w)
                     case _CompEntry(inner, inner_rho, at):
-                        if fuel <= 0:
-                            raise FuelExhausted("conversion ran out of fuel")
-                        return Konst(_from_ig(inner, inner_rho, at, w, fuel - 1))
+                        return Konst(_from_ig(inner, inner_rho, at, w, _spend(fuel)))
                     case _FixEntry(inner, inner_rho, at):
                         return _from_ig(inner, inner_rho, at, w, fuel)
-            case indexed.Tag(_):
+            case indexed.Tag(lbl):
                 if w != Refl():
                     raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+                _check_tag(lbl, o)
                 return Konst(w)
             case indexed.Comp(f, g):
-                if fuel <= 0:
-                    raise FuelExhausted("conversion ran out of fuel")
                 mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-                return RecV(_from_ig(f, mid, o, w, fuel - 1))
+                return RecV(_from_ig(f, mid, o, w, _spend(fuel)))
             case indexed.Fix(f):
                 match w:
                     case Roll(x):
-                        if fuel <= 0:
-                            raise FuelExhausted("conversion ran out of fuel")
-                        inner_rho = _fix_conv_rho(f, rho)
-                        return RecV(_from_ig(f, inner_rho, o, x, fuel - 1))
+                        return RecV(_from_ig(f, _fix_conv_rho(f, rho), o, x, _spend(fuel)))
                 raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
         raise TypeError(f"not an indexed body: {node!r}")
 
@@ -481,7 +467,7 @@ def _to_ig(
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _conv_rho_get(rho, lbl)
+                entry = _rho_get(rho, lbl, "no conversion entry for index")
                 match entry:
                     case _ParamEntry(_):
                         match w:
@@ -493,36 +479,30 @@ def _to_ig(
                     case _CompEntry(inner, inner_rho, at):
                         match w:
                             case Konst(x):
-                                if fuel <= 0:
-                                    raise FuelExhausted("conversion ran out of fuel")
-                                return _to_ig(inner, inner_rho, at, x, fuel - 1)
+                                return _to_ig(inner, inner_rho, at, x, _spend(fuel))
                         raise MalformedValue(
                             f"composition argument is not a constant: {print_value(w)}"
                         )
                     case _FixEntry(inner, inner_rho, at):
                         return _to_ig(inner, inner_rho, at, w, fuel)
-            case indexed.Tag(_):
+            case indexed.Tag(lbl):
                 match w:
                     case Konst(Refl()):
+                        _check_tag(lbl, o)
                         return Refl()
                 raise MalformedValue(f"tag position is not k refl: {print_value(w)}")
             case indexed.Comp(f, g):
                 match w:
                     case RecV(x):
-                        if fuel <= 0:
-                            raise FuelExhausted("conversion ran out of fuel")
                         mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-                        return _to_ig(f, mid, o, x, fuel - 1)
+                        return _to_ig(f, mid, o, x, _spend(fuel))
                 raise MalformedValue(
                     f"composition layer is not a rec node: {print_value(w)}"
                 )
             case indexed.Fix(f):
                 match w:
                     case RecV(x):
-                        if fuel <= 0:
-                            raise FuelExhausted("conversion ran out of fuel")
-                        inner_rho = _fix_conv_rho(f, rho)
-                        return Roll(_to_ig(f, inner_rho, o, x, fuel - 1))
+                        return Roll(_to_ig(f, _fix_conv_rho(f, rho), o, x, _spend(fuel)))
                 raise MalformedValue(
                     f"fixed-point layer is not a rec node: {print_value(w)}"
                 )
@@ -532,16 +512,25 @@ def _to_ig(
 
 
 # ---------------------------------------------------------------------------
-# path composition
+# where a fixed-point value lives
+
+
+def standard_table(code: indexed.IndexedCode) -> dict[IndexLabel, instant.KSet]:
+    """Every input index is a ⊤ parameter; matches the shipped corpus."""
+    return {lbl: instant.Prim(TOP_SORT) for lbl in code.ins}
+
 
 @dataclass(frozen=True)
 class PathContext:
-    """What a conversion step needs to know about its source side."""
+    """Where a fixed-point value lives: its universe and code, the index it
+    is read at (multirec, indexed), the constant set of every input index
+    (indexed) and the environment the code refers into (instant)."""
 
     universe: str
     code: object
     at: IndexLabel | None = None
     table: Mapping[IndexLabel, instant.KSet] | None = None
+    env: instant.CodeEnv | None = None
 
 
 def regular_context(code: regular.RegularCode) -> PathContext:
@@ -562,24 +551,104 @@ def indexed_context(
     return PathContext("indexed", code, at=at, table=table)
 
 
-# step -> (source universe, target universe, target context, conversion); the
-# last two take the step's source context.
+def family(universe: str, code) -> IndexSet | None:
+    """The indices a code is read at: a multirec family's index set or an
+    indexed code's outputs; None in the universes without indices."""
+    match universe:
+        case "multirec":
+            return code.indices
+        case "indexed":
+            return code.outs
+    return None
+
+
+def contexts(
+    universe: str, code, env: instant.CodeEnv | None = None, at: IndexLabel | None = None
+) -> list[PathContext]:
+    """One context per index of the code's family, or the one context at
+    ``at``; universes without indices give one context and ignore ``at``.
+    ``env`` is the environment of an instant code."""
+    labels = family(universe, code)
+    if labels is None:
+        return [PathContext(universe, code, env=env)]
+    if at is not None:
+        labels = (at,)
+    if universe == "multirec":
+        return [multirec_context(code, lbl) for lbl in labels]
+    table = standard_table(code)
+    return [indexed_context(code, table, lbl) for lbl in labels]
+
+
+def payload_slots(table: KSetTable) -> dict[IndexLabel, indexed.IndexedSlot]:
+    """The indexed slot table that reads every ``Prim(sort)`` of ``table`` as
+    the payload slot of ``sort``."""
+    if not all(isinstance(kset, instant.Prim) for kset in table.values()):
+        raise ValueError("only the constant sets Prim(sort) have payload slots")
+    return {lbl: PayloadSlot(kset.sort) for lbl, kset in table.items()}
+
+
+def conforms(ctx: PathContext, v: GenericValue, fuel: int | None = None) -> bool:
+    """Does ``v`` conform where ``ctx`` says it lives? ``fuel`` bounds the
+    unfolding of instant references and is ignored elsewhere."""
+    match ctx.universe:
+        case "regular":
+            return regular.conform_mu_r(ctx.code, v)
+        case "polyp":
+            return polyp.conform_mu_p(ctx.code, TOP_SLOT, v)
+        case "multirec":
+            return multirec.conform_mu_m(ctx.code, ctx.at, v)
+        case "indexed":
+            return indexed.conform_i(ctx.code, payload_slots(ctx.table), ctx.at, v)
+        case "instant":
+            return instant.conform_ig(ctx.env, ctx.code, v, fuel=fuel)
+    raise ValueError(f"unknown universe: {ctx.universe!r}")
+
+
+# ---------------------------------------------------------------------------
+# path composition
+
+
+def _instant_target(ctx: PathContext) -> PathContext:
+    """The lift of the code at the source's index, in the lift's environment."""
+    indexed.check_output(ctx.code, ctx.at)
+    lifted, env = lift_i_to_ig(ctx.code, ctx.table)
+    return PathContext("instant", lifted[ctx.at], env=env)
+
+
+class Step(NamedTuple):
+    """One arrow. ``lift`` takes a source code; ``context`` and ``convert``
+    take the source context, and ``context`` gives the target's."""
+
+    source: str
+    target: str
+    lift: Callable
+    context: Callable[[PathContext], PathContext]
+    convert: Callable[..., GenericValue]
+
+
+# The rows call the conversions by their module names, so the functions a
+# caller re-binds in this module are the ones that run.
 STEPS = {
-    "r-p": ("regular", "polyp",
-            lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-            lambda ctx, v, d, fuel: convert_r_p(ctx.code, v, d)),
-    "r-m": ("regular", "multirec",
-            lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-            lambda ctx, v, d, fuel: convert_r_m(ctx.code, v, d)),
-    "p-i": ("polyp", "indexed",
-            lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-            lambda ctx, v, d, fuel: convert_p_i(ctx.code, v, d)),
-    "m-i": ("multirec", "indexed",
-            lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-            lambda ctx, v, d, fuel: convert_m_i(ctx.code, ctx.at, v, d)),
-    "i-ig": ("indexed", "instant",
-             lambda ctx: PathContext("instant", None),
-             lambda ctx, v, d, fuel: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d, fuel)),
+    "r-p": Step("regular", "polyp",
+                lambda code: lift_r_to_p(code),
+                lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
+                lambda ctx, v, d, fuel: convert_r_p(ctx.code, v, d)),
+    "r-m": Step("regular", "multirec",
+                lambda code: lift_r_to_m(code),
+                lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
+                lambda ctx, v, d, fuel: convert_r_m(ctx.code, v, d)),
+    "p-i": Step("polyp", "indexed",
+                lambda code: lift_p_to_i(code),
+                lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
+                lambda ctx, v, d, fuel: convert_p_i(ctx.code, v, d)),
+    "m-i": Step("multirec", "indexed",
+                lambda code: lift_m_to_i(code),
+                lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
+                lambda ctx, v, d, fuel: convert_m_i(ctx.code, ctx.at, v, d)),
+    "i-ig": Step("indexed", "instant",
+                 lambda code: lift_i_to_ig(code, standard_table(code)),
+                 _instant_target,
+                 lambda ctx, v, d, fuel: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d, fuel)),
 }
 
 
@@ -592,20 +661,21 @@ def compose_path(
 ) -> GenericValue:
     """Run the steps in order (forward) or in reverse (backward); the empty
     path is the identity either way. Every step's source universe is checked
-    before any code is lifted."""
+    before any code is lifted, and no code is lifted past the last step."""
     _check_direction(direction)
-    walk = []
-    ctx = start
+    universe = start.universe
     for step in steps:
         if step not in STEPS:
             raise ValueError(f"unknown conversion step: {step!r}")
-        source, _, target_context, convert = STEPS[step]
-        if source != ctx.universe:
-            raise ValueError(f"step {step} does not start from {ctx.universe}")
-        walk.append((convert, ctx))
-        ctx = target_context(ctx)
+        if STEPS[step].source != universe:
+            raise ValueError(f"step {step} does not start from {universe}")
+        universe = STEPS[step].target
+    sources = [start]
+    for step in steps[:-1]:
+        sources.append(STEPS[step].context(sources[-1]))
+    walk = list(zip(steps, sources))
     if direction == "backward":
         walk.reverse()
-    for convert, ctx in walk:
-        v = convert(ctx, v, direction, fuel)
+    for step, ctx in walk:
+        v = STEPS[step].convert(ctx, v, direction, fuel)
     return v

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
-from .embed import STAR, ConversionReport
+from .embed import STAR, ConversionReport, PathContext, standard_table
 from .gvalue import (
     EmptySlot,
     GenericValue,
@@ -314,8 +314,25 @@ def enum_instant(
 
 
 # ---------------------------------------------------------------------------
-# one dispatch point over the enumerators by universe tag, for library
-# callers; the CLI calls the enumerators directly
+# dispatch over the enumerators: by context, or by universe tag with the
+# one-layer enumerators included
+
+
+def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
+    """Every value of at most ``budget.max_size`` nodes where ``ctx`` says a
+    fixed-point value lives; see ``embed.contexts``."""
+    match ctx.universe:
+        case "regular":
+            return enum_mu_regular(ctx.code, budget)
+        case "polyp":
+            return enum_mu_polyp(ctx.code, TOP_SLOT, budget)
+        case "multirec":
+            return enum_mu_multirec(ctx.code, ctx.at, budget)
+        case "indexed":
+            return enum_indexed(ctx.code, embed.payload_slots(ctx.table), ctx.at, budget)
+        case "instant":
+            return enum_instant(ctx.env, ctx.code, budget)
+    raise ValueError(f"unknown universe: {ctx.universe!r}")
 
 
 def enumerate_values(universe, code, context, budget: EnumBudget):
@@ -354,13 +371,9 @@ def enumerate_values(universe, code, context, budget: EnumBudget):
 # property suites
 
 
-def standard_table(code: indexed.IndexedCode) -> dict[IndexLabel, instant.KSet]:
-    """Every input index is a ⊤ parameter; matches the shipped corpus."""
-    return {lbl: instant.Prim(TOP_SORT) for lbl in code.ins}
-
-
 def standard_assign(code: indexed.IndexedCode) -> dict[IndexLabel, indexed.IndexedSlot]:
-    return {lbl: TOP_SLOT for lbl in code.ins}
+    """The slots of ``embed.standard_table``: every input is a ``⊤`` parameter."""
+    return embed.payload_slots(standard_table(code))
 
 
 def _report(
@@ -392,103 +405,37 @@ def _round_trip(
             yield v, there, None
 
 
-@dataclass(frozen=True)
-class _Arrow:
-    """One conversion at one code and index, as the iso and transport suites
-    see it. The enumerators are thunks, so transport never enumerates the
-    target."""
-
-    source: Callable[[], list[GenericValue]]
-    target: Callable[[], list[GenericValue]]
-    convert: Callable[[GenericValue, str], GenericValue]
-    conforms: Callable[[GenericValue], bool]  # under the lifted code
-
-
-def _arrows_r_p(codes, budget: EnumBudget):
+def _arrows(step: str, codes, budget: EnumBudget):
+    """Per code and index of the step's source family: the source context,
+    the step's target context and the conversion between them."""
+    row = embed.STEPS[step]
     for code in codes.values():
-        lifted = embed.lift_r_to_p(code)
-        yield _Arrow(
-            partial(enum_mu_regular, code, budget),
-            partial(enum_mu_polyp, lifted, EmptySlot(), budget),
-            partial(embed.convert_r_p, code),
-            partial(polyp.conform_mu_p, lifted, EmptySlot()),
-        )
+        for ctx in embed.contexts(row.source, code):
+            yield ctx, row.context(ctx), partial(row.convert, ctx, fuel=None)
 
 
-def _arrows_r_m(codes, budget: EnumBudget):
-    for code in codes.values():
-        lifted = embed.lift_r_to_m(code)
-        yield _Arrow(
-            partial(enum_mu_regular, code, budget),
-            partial(enum_mu_multirec, lifted, STAR, budget),
-            partial(embed.convert_r_m, code),
-            partial(multirec.conform_mu_m, lifted, STAR),
-        )
+# step -> its default codes, those of the step's source universe
+_ARROWS = {step: corpus.CODES[row.source] for step, row in embed.STEPS.items()}
 
 
-def _arrows_p_i(codes, budget: EnumBudget):
-    for code in codes.values():
-        fixed = embed.fix_p_code(code)
-        yield _Arrow(
-            partial(enum_mu_polyp, code, TOP_SLOT, budget),
-            partial(enum_indexed, fixed, {STAR: TOP_SLOT}, STAR, budget),
-            partial(embed.convert_p_i, code),
-            partial(indexed.conform_i, fixed, {STAR: TOP_SLOT}, STAR),
-        )
-
-
-def _arrows_m_i(codes, budget: EnumBudget):
-    for code in codes.values():
-        fixed = embed.fix_m_code(code)
-        for at in code.indices:
-            yield _Arrow(
-                partial(enum_mu_multirec, code, at, budget),
-                partial(enum_indexed, fixed, {}, at, budget),
-                partial(embed.convert_m_i, code, at),
-                partial(indexed.conform_i, fixed, {}, at),
-            )
-
-
-def _arrows_i_ig(codes, budget: EnumBudget):
-    for code in codes.values():
-        table = standard_table(code)
-        assign = standard_assign(code)
-        lifted, env = embed.lift_i_to_ig(code, table)
-        for at in code.outs:
-            yield _Arrow(
-                partial(enum_indexed, code, assign, at, budget),
-                partial(enum_instant, env, lifted[at], budget),
-                partial(embed.convert_i_ig, code, table, at),
-                partial(instant.conform_ig, env, lifted[at]),
-            )
-
-
-_ARROWS = {
-    "r-p": (corpus.REGULAR_CODES, _arrows_r_p),
-    "r-m": (corpus.REGULAR_CODES, _arrows_r_m),
-    "p-i": (corpus.POLYP_CODES, _arrows_p_i),
-    "m-i": (corpus.MULTIREC_CODES, _arrows_m_i),
-    "i-ig": (corpus.INDEXED_CODES, _arrows_i_ig),
-}
-
-
-def _iso(arrows, codes, budget: EnumBudget) -> ConversionReport:
+def _iso(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Round trips from every source value, then from every target value."""
     pairs = []
-    for arrow in arrows(codes, budget):
-        pairs += _round_trip(arrow.source(), arrow.convert, "forward", "backward")
-        pairs += _round_trip(arrow.target(), arrow.convert, "backward", "forward")
+    for source, target, convert in _arrows(step, codes, budget):
+        pairs += _round_trip(enum_context(source, budget), convert, "forward", "backward")
+        pairs += _round_trip(enum_context(target, budget), convert, "backward", "forward")
     return _report(pairs)
 
 
-def _transport(arrows, codes, budget: EnumBudget) -> ConversionReport:
-    """Every source value converts forward to a value of the lifted code."""
+def _transport(step: str, codes, budget: EnumBudget) -> ConversionReport:
+    """Every source value converts forward to a value of the lifted code;
+    the target is never enumerated."""
     pairs = []
-    for arrow in arrows(codes, budget):
-        for v in arrow.source():
+    for source, target, convert in _arrows(step, codes, budget):
+        for v in enum_context(source, budget):
             try:
-                w = arrow.convert(v, "forward")
-                ok = arrow.conforms(w)
+                w = convert(v, "forward")
+                ok = embed.conforms(target, w)
             except Exception as err:
                 pairs.append((v, "forward", f"{type(err).__name__}: {err}"))
                 continue
@@ -513,7 +460,7 @@ def _functors_r(codes, budget: EnumBudget):
 def _functors_p(codes, budget: EnumBudget):
     for code in codes.values():
         fmap = lambda fs, code=code: partial(polyp.pmap, code, *fs)
-        yield partial(enum_mu_polyp, code, TOP_SLOT, budget), fmap
+        yield partial(enum_context, embed.polyp_context(code), budget), fmap
 
 
 def _functors_m(codes, budget: EnumBudget):
@@ -528,12 +475,11 @@ def _functors_m(codes, budget: EnumBudget):
 
 def _functors_i(codes, budget: EnumBudget):
     for code in codes.values():
-        assign = standard_assign(code)
-        for at in code.outs:
-            fmap = lambda fs, code=code, at=at: partial(
+        for ctx in embed.contexts("indexed", code):
+            fmap = lambda fs, code=code, at=ctx.at: partial(
                 indexed.map_i, code, dict.fromkeys(code.ins, *fs), at
             )
-            yield partial(enum_indexed, code, assign, at, budget), fmap
+            yield partial(enum_context, ctx, budget), fmap
 
 
 def _functors_r_p(codes, budget: EnumBudget):
@@ -637,8 +583,8 @@ LAWS = {
 
 def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
     witness = corpus.TREE_OF_LISTS
-    naive = polyp.conform_mu_p(corpus.TREE_LIST_NAIVE, TOP_SLOT, witness)
-    proper = polyp.conform_mu_p(corpus.TREE_LIST_PROPER, TOP_SLOT, witness)
+    naive = embed.conforms(embed.polyp_context(corpus.TREE_LIST_NAIVE), witness)
+    proper = embed.conforms(embed.polyp_context(corpus.TREE_LIST_PROPER), witness)
     pairs = [
         (witness, "naive", "naive composition accepted the witness" if naive else None),
         (witness, "proper", None if proper else "proper code rejected the witness"),
@@ -648,12 +594,9 @@ def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
 
 # name -> (default codes, suite)
 _PROPERTIES: dict[str, tuple[Mapping, Callable[[Mapping, EnumBudget], ConversionReport]]] = {
-    **{f"iso-{name}": (codes, partial(_iso, arrows)) for name, (codes, arrows) in _ARROWS.items()},
-    "isoMu-r-p": (corpus.REGULAR_CODES, partial(_iso, _arrows_r_p)),
-    **{
-        f"transport-{name}": (codes, partial(_transport, arrows))
-        for name, (codes, arrows) in _ARROWS.items()
-    },
+    **{f"iso-{step}": (codes, partial(_iso, step)) for step, codes in _ARROWS.items()},
+    "isoMu-r-p": (corpus.REGULAR_CODES, partial(_iso, "r-p")),
+    **{f"transport-{step}": (codes, partial(_transport, step)) for step, codes in _ARROWS.items()},
     **{
         name: (_FUNCTORS[key][0], partial(_laws, _FUNCTORS[key][1], label, law))
         for name, (key, label, law) in LAWS.items()

@@ -229,3 +229,76 @@ def test_dangling_reference_is_one_error_line(command):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == "error: reference B is not defined in the environment\n"
+
+
+@pytest.mark.parametrize(
+    "src, dst, code, expected",
+    [
+        ("regular", "polyp", "NatC", "U + I\n"),
+        ("polyp", "indexed", "RoseC",
+         "in: L.⋆, R.⋆\nout: ⋆\nI@L.⋆ * fix (U + I@L.⋆ * I@R.⋆) @ I@R.⋆\n"),
+        ("multirec", "indexed", "ZigZagC",
+         "in: R.L.⋆, R.R.⋆\nout: L.⋆, R.⋆\n!L.⋆ * (I@R.R.⋆ + U) + !R.⋆ * I@R.L.⋆\n"),
+    ],
+    ids=["r-p", "p-i", "m-i"],
+)
+def test_lift_prints_the_open_lifted_code(src, dst, code, expected):
+    out = run_cli("lift", "--from", src, "--to", dst, "--code", code)
+    assert out.returncode == 0
+    assert out.stdout == expected
+    assert out.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, message",
+    [
+        (("--code", "NatI", "--index", "nosuch", "--value", "<in1 tt>", "--dir", "fwd"),
+         2, "index nosuch is not an output of the code"),
+        (("--code", "NatI", "--index", "nosuch", "--value", "rec in1 tt", "--dir", "bwd"),
+         2, "index nosuch is not an output of the code"),
+        (("--code", "ZigZagI", "--value", "<in2 (refl , <in1 (refl , in2 tt)>)>",
+          "--dir", "fwd"),
+         1, "refl under tag R.⋆ at index L.⋆"),
+        (("--code", "ZigZagI", "--value", "rec in2 (k refl , rec in1 (k refl , in2 tt))",
+          "--dir", "bwd"),
+         1, "refl under tag R.⋆ at index L.⋆"),
+    ],
+    ids=["index-fwd", "index-bwd", "tag-fwd", "tag-bwd"],
+)
+def test_convert_to_instant_checks_the_index_and_the_tags(args, exit_code, message):
+    out = run_cli("convert", "--from", "indexed", "--to", "instant", *args)
+    assert out.returncode == exit_code
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
+
+
+def test_an_env_too_long_to_name_a_file_is_env_text():
+    env = "".join(f"Entry{i} = U + K ⊤ * R Entry{i}\n" for i in range(12))
+    assert len(env.encode()) > 255
+    out = run_cli(
+        "check", "--universe", "instant", "--env", env, "--code", "Entry11",
+        "--value", "in1 tt",
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "conforms\n", "")
+
+
+def test_an_env_directory_is_one_error_line(tmp_path):
+    out = run_cli(
+        "enum", "--universe", "instant", "--env", str(tmp_path), "--code", "A",
+        "--max-size", "3",
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: cannot read env file {tmp_path}: Is a directory\n"
+
+
+def test_an_env_file_that_is_not_utf8_is_one_error_line(tmp_path):
+    path = tmp_path / "utf16.env"
+    path.write_bytes("A = K ⊤".encode("utf-16"))
+    out = run_cli(
+        "check", "--universe", "instant", "--env", str(path), "--code", "A",
+        "--value", "k tt",
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: env file {path} is not UTF-8 text\n"

@@ -5,27 +5,49 @@ from functools import partial
 
 import pytest
 
-from genrep import In1, In2, MalformedValue, Pair, RecV, Refl, Roll, TT, payload, print_label
+from genrep import (
+    In1,
+    In2,
+    IndexNotInSet,
+    Konst,
+    MalformedValue,
+    Pair,
+    RecV,
+    Refl,
+    Roll,
+    TT,
+    label,
+    payload,
+    print_label,
+)
+from genrep import embed
 from genrep.corpus import (
     A_LIST,
     A_NAT,
     BIN_C,
+    CODES,
+    INSTANT_ENVS,
     LIST_C,
     LIST_I,
     MULTIREC_CODES,
     NAT_C,
+    NAT_I,
     POLYP_CODES,
     REGULAR_CODES,
     ROSE_C,
     S_ROSE,
     ZIG_ZAG_C,
     ZIG_ZAG_END,
+    ZIG_ZAG_I,
 )
 from genrep.embed import (
     LSTAR,
     RSTAR,
     STAR,
+    STEPS,
     compose_path,
+    conforms,
+    contexts,
     convert_i_ig,
     convert_m_i,
     convert_p_i,
@@ -33,19 +55,23 @@ from genrep.embed import (
     convert_r_p,
     fix_m_code,
     fix_p_code,
+    indexed_context,
     lift_i_to_ig,
     lift_m_to_i,
     lift_r_to_m,
     lift_r_to_p,
+    multirec_context,
+    payload_slots,
     polyp_context,
     regular_context,
 )
 from genrep.gvalue import EmptySlot, PayloadSlot
-from genrep.instant import Prim, R, conform_ig
+from genrep.instant import EqWitness, Prim, R, conform_ig
 from genrep.indexed import conform_i
 from genrep.multirec import conform_mu_m
 from genrep.oracle import (
     EnumBudget,
+    enum_context,
     enum_indexed,
     enum_mu_multirec,
     enum_mu_polyp,
@@ -255,3 +281,82 @@ def test_lifts_reflect_conformance(in_source, in_target):
     code on every small tree, so one check serves both directions."""
     for t in all_trees_upto(6):
         assert in_source(t) == in_target(t), t
+
+
+# The output index must be one of the code's outputs, and a refl must sit
+# under the tag of the index it is read at, in both directions.
+@pytest.mark.parametrize(
+    "direction, v",
+    [("forward", Roll(In1(TT()))), ("backward", RecV(In1(TT())))],
+    ids=["forward", "backward"],
+)
+def test_i_ig_rejects_an_index_outside_the_outputs(direction, v):
+    with pytest.raises(IndexNotInSet, match="^index nosuch is not an output of the code$"):
+        convert_i_ig(NAT_I, standard_table(NAT_I), label("nosuch"), v, direction)
+
+
+REFL_UNDER_WRONG_TAG_IG = RecV(
+    In2(Pair(Konst(Refl()), RecV(In1(Pair(Konst(Refl()), In2(TT()))))))
+)
+
+
+@pytest.mark.parametrize(
+    "direction, v",
+    [("forward", REFL_UNDER_WRONG_TAG), ("backward", REFL_UNDER_WRONG_TAG_IG)],
+    ids=["forward", "backward"],
+)
+def test_i_ig_rejects_refl_under_the_other_index_tag(direction, v):
+    with pytest.raises(MalformedValue, match="^refl under tag R.⋆ at index L.⋆$"):
+        convert_i_ig(ZIG_ZAG_I, {}, LSTAR, v, direction)
+
+
+@pytest.mark.parametrize(
+    "steps, start, v",
+    [
+        (["i-ig"], indexed_context(LIST_I, standard_table(LIST_I), STAR), Roll(In1(TT()))),
+        (["p-i", "i-ig"], polyp_context(LIST_C), Roll(In1(TT()))),
+    ],
+    ids=["i-ig", "p-i-i-ig"],
+)
+def test_compose_path_lifts_nothing_past_the_last_step(monkeypatch, steps, start, v):
+    image = compose_path(steps, start, v)
+    calls = []
+    original = embed.lift_i_to_ig
+    monkeypatch.setattr(embed, "lift_i_to_ig", lambda *args: calls.append(args) or original(*args))
+    assert compose_path(steps, start, v) == image
+    assert compose_path(steps, start, image, "backward") == v
+    assert calls == []
+
+
+def test_contexts_read_a_family_at_each_index_or_at_one():
+    assert [ctx.at for ctx in contexts("multirec", ZIG_ZAG_C)] == [LSTAR, RSTAR]
+    assert contexts("multirec", ZIG_ZAG_C, at=RSTAR) == [multirec_context(ZIG_ZAG_C, RSTAR)]
+    assert [ctx.at for ctx in contexts("indexed", ZIG_ZAG_I)] == [LSTAR, RSTAR]
+    assert contexts("indexed", LIST_I) == [
+        indexed_context(LIST_I, standard_table(LIST_I), STAR)
+    ]
+    assert contexts("regular", NAT_C, at=STAR) == [regular_context(NAT_C)]
+
+
+@pytest.mark.parametrize("universe", list(CODES))
+def test_every_value_enumerated_in_a_context_conforms_there(universe):
+    for name, code in CODES[universe].items():
+        for ctx in contexts(universe, code, INSTANT_ENVS.get(name)):
+            values = enum_context(ctx, EnumBudget(max_size=7))
+            assert all(conforms(ctx, v) for v in values), (name, ctx.at)
+
+
+@pytest.mark.parametrize("at", [LSTAR, RSTAR], ids=print_label)
+def test_the_i_ig_step_targets_the_lifted_code_at_the_index(at):
+    source = indexed_context(ZIG_ZAG_I, {}, at)
+    target = STEPS["i-ig"].context(source)
+    lifted, env = lift_i_to_ig(ZIG_ZAG_I, {})
+    assert (target.universe, target.code, target.env) == ("instant", lifted[at], env)
+    for v in enum_context(source, BUDGET):
+        assert conforms(target, convert_i_ig(ZIG_ZAG_I, {}, at, v, "forward"))
+
+
+def test_only_payload_constant_sets_have_slots():
+    assert payload_slots(TOP_TABLE) == {STAR: PayloadSlot("⊤")}
+    with pytest.raises(ValueError):
+        payload_slots({STAR: EqWitness(STAR, STAR)})
