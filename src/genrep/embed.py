@@ -21,7 +21,6 @@ from typing import Callable, Literal, Mapping, NamedTuple, Sequence, Union
 from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
     EMPTY_INDEX_SET,
-    FuelExhausted,
     GenericValue,
     IndexLabel,
     IndexSet,
@@ -40,7 +39,6 @@ from .gvalue import (
     print_label,
     print_value,
     right,
-    value_size,
 )
 
 STAR = label("⋆")
@@ -274,17 +272,16 @@ def _rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> _Rho:
     return tuple((lbl, table[lbl]) for lbl in code.ins)
 
 
-def _rho_get(rho: tuple, lbl: IndexLabel, missing: str = "no constant set for input index"):
+def _rho_get(rho: _Rho, lbl: IndexLabel) -> _LiftEntry:
     for key, entry in rho:
         if key == lbl:
             return entry
-    raise MalformedValue(f"{missing} {print_label(lbl)}")
+    raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
 
 
 def lift_i_to_ig(
     code: indexed.IndexedCode,
     table: KSetTable,
-    env: instant.CodeEnv | None = None,
 ) -> tuple[dict[IndexLabel, instant.InstantCode], dict[str, instant.InstantCode]]:
     """Produce one instant code per output index plus the environment that
     holds every composition and fixed point as a named entry.
@@ -292,7 +289,7 @@ def lift_i_to_ig(
     Entry names are an ig-prefixed counter in traversal order, so repeated
     runs yield byte-identical environments.
     """
-    builder = _EnvBuilder(env if env is not None else {})
+    builder = _EnvBuilder({})
     rho = _rho_from_table(code, table)
     out = {o: _lift_body_ig(code.body, rho, o, builder) for o in code.outs}
     return out, builder.finished()
@@ -353,28 +350,31 @@ def _ensure_fix(
     return builder.ensure(("fix", fix_body, rho, o), build)
 
 
-@dataclass(frozen=True)
 class _ParamEntry:
-    kset: instant.KSet
+    """A parameter position: its contents become a constant."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _CompEntry:
+    """An input of a composition's left code, read in ``code`` at ``at``."""
+
     code: indexed.IndexedCode
-    rho: "tuple"
+    rho: _Entries
     at: IndexLabel
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _FixEntry:
-    code: indexed.IndexedCode
-    rho: "tuple"
+    """A recursive position of ``Fix(inner)``; ``under`` holds this entry."""
+
+    inner: indexed.IndexedCode
+    under: _Entries
     at: IndexLabel
 
 
 _ConvEntry = Union[_ParamEntry, _CompEntry, _FixEntry]
 
-_ConvRho = tuple[tuple[IndexLabel, _ConvEntry], ...]
+_Entries = dict[IndexLabel, _ConvEntry]
 
 
 def convert_i_ig(
@@ -383,25 +383,15 @@ def convert_i_ig(
     o: IndexLabel,
     v: GenericValue,
     direction: Direction,
-    fuel: int | None = None,
 ) -> GenericValue:
     """Forward: rolls become rec nodes, parameter and tag contents become
     constants. Backward restores the original tree exactly."""
     _check_direction(direction)
     indexed.check_output(code, o)
-    if fuel is None:
-        fuel = value_size(v)
-    rho = tuple((lbl, _ParamEntry(kset)) for lbl, kset in _rho_from_table(code, table))
+    rho = {lbl: _ParamEntry() for lbl, _ in _rho_from_table(code, table)}
     if direction == "forward":
-        return _from_ig(code, rho, o, v, fuel)
-    return _to_ig(code, rho, o, v, fuel)
-
-
-def _spend(fuel: int) -> int:
-    """The fuel left after one more layer."""
-    if fuel <= 0:
-        raise FuelExhausted("conversion ran out of fuel")
-    return fuel - 1
+        return _from_ig(code, rho, o, v)
+    return _to_ig(code, rho, o, v)
 
 
 def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
@@ -411,80 +401,63 @@ def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
         raise MalformedValue(f"refl under tag {print_label(lbl)} at index {print_label(o)}")
 
 
+def _conv_entry(rho: _Entries, lbl: IndexLabel) -> _ConvEntry:
+    if lbl not in rho:
+        raise MalformedValue(f"no conversion entry for index {print_label(lbl)}")
+    return rho[lbl]
+
+
+def _under_fix(inner: indexed.IndexedCode, rho: _Entries) -> _Entries:
+    """The entries one layer under ``Fix(inner)``, built once per fixed
+    point: Left inputs keep theirs, Right inputs re-enter the fixed point.
+    The walks unroll a fixed point's first layer as they unroll its
+    recursive positions, in the atom itself, adding no frame per layer."""
+    under = {left(lbl): entry for lbl, entry in rho.items()}
+    for out in inner.outs:
+        under[right(out)] = _FixEntry(inner, under, out)
+    return under
+
+
 def _from_ig(
-    code: indexed.IndexedCode, rho: _ConvRho, o: IndexLabel, v: GenericValue, fuel: int
+    code: indexed.IndexedCode, rho: _Entries, o: IndexLabel, v: GenericValue
 ) -> GenericValue:
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _rho_get(rho, lbl, "no conversion entry for index")
-                match entry:
-                    case _ParamEntry(_):
-                        return Konst(w)
-                    case _CompEntry(inner, inner_rho, at):
-                        return Konst(_from_ig(inner, inner_rho, at, w, _spend(fuel)))
-                    case _FixEntry(inner, inner_rho, at):
-                        return _from_ig(inner, inner_rho, at, w, fuel)
+                entry = _conv_entry(rho, lbl)
             case indexed.Tag(lbl):
                 if w != Refl():
                     raise MalformedValue(f"tag position is not refl: {print_value(w)}")
                 _check_tag(lbl, o)
                 return Konst(w)
             case indexed.Comp(f, g):
-                mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-                return RecV(_from_ig(f, mid, o, w, _spend(fuel)))
+                mid = {lbl: _CompEntry(g, rho, lbl) for lbl in f.ins}
+                return RecV(_from_ig(f, mid, o, w))
             case indexed.Fix(f):
+                entry = _FixEntry(f, _under_fix(f, rho), o)
+            case _:
+                raise TypeError(f"not an indexed body: {node!r}")
+        match entry:
+            case _ParamEntry():
+                return Konst(w)
+            case _CompEntry(inner, inner_rho, at):
+                return Konst(_from_ig(inner, inner_rho, at, w))
+            case _FixEntry(inner, under, at):
                 match w:
                     case Roll(x):
-                        return RecV(_from_ig(f, _fix_conv_rho(f, rho), o, x, _spend(fuel)))
+                        return RecV(_from_ig(inner, under, at, x))
                 raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
-        raise TypeError(f"not an indexed body: {node!r}")
 
     return spine.map(code.body, v, atom)
 
 
-def _strip_left(labels: IndexSet) -> IndexSet:
-    kept = []
-    for lbl in labels:
-        if lbl.tags and lbl.tags[0] == "L":
-            kept.append(IndexLabel(lbl.name, lbl.tags[1:]))
-    return IndexSet(tuple(kept))
-
-
-def _fix_conv_rho(inner: indexed.IndexedCode, rho: _ConvRho) -> _ConvRho:
-    """The entries one layer under ``Fix(inner)``: Left inputs keep theirs,
-    Right inputs re-enter the fixed point."""
-    fix_code = indexed.IndexedCode(_strip_left(inner.ins), inner.outs, indexed.Fix(inner))
-    pairs = [(left(lbl), entry) for lbl, entry in rho]
-    for out in inner.outs:
-        pairs.append((right(out), _FixEntry(fix_code, rho, out)))
-    return tuple(pairs)
-
-
 def _to_ig(
-    code: indexed.IndexedCode, rho: _ConvRho, o: IndexLabel, v: GenericValue, fuel: int
+    code: indexed.IndexedCode, rho: _Entries, o: IndexLabel, v: GenericValue
 ) -> GenericValue:
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _rho_get(rho, lbl, "no conversion entry for index")
-                match entry:
-                    case _ParamEntry(_):
-                        match w:
-                            case Konst(x):
-                                return x
-                        raise MalformedValue(
-                            f"parameter position is not a constant: {print_value(w)}"
-                        )
-                    case _CompEntry(inner, inner_rho, at):
-                        match w:
-                            case Konst(x):
-                                return _to_ig(inner, inner_rho, at, x, _spend(fuel))
-                        raise MalformedValue(
-                            f"composition argument is not a constant: {print_value(w)}"
-                        )
-                    case _FixEntry(inner, inner_rho, at):
-                        return _to_ig(inner, inner_rho, at, w, fuel)
+                entry = _conv_entry(rho, lbl)
             case indexed.Tag(lbl):
                 match w:
                     case Konst(Refl()):
@@ -494,19 +467,37 @@ def _to_ig(
             case indexed.Comp(f, g):
                 match w:
                     case RecV(x):
-                        mid = tuple((lbl, _CompEntry(g, rho, lbl)) for lbl in f.ins)
-                        return _to_ig(f, mid, o, x, _spend(fuel))
+                        mid = {lbl: _CompEntry(g, rho, lbl) for lbl in f.ins}
+                        return _to_ig(f, mid, o, x)
                 raise MalformedValue(
                     f"composition layer is not a rec node: {print_value(w)}"
                 )
             case indexed.Fix(f):
+                entry = _FixEntry(f, _under_fix(f, rho), o)
+            case _:
+                raise TypeError(f"not an indexed body: {node!r}")
+        match entry:
+            case _ParamEntry():
+                match w:
+                    case Konst(x):
+                        return x
+                raise MalformedValue(
+                    f"parameter position is not a constant: {print_value(w)}"
+                )
+            case _CompEntry(inner, inner_rho, at):
+                match w:
+                    case Konst(x):
+                        return _to_ig(inner, inner_rho, at, x)
+                raise MalformedValue(
+                    f"composition argument is not a constant: {print_value(w)}"
+                )
+            case _FixEntry(inner, under, at):
                 match w:
                     case RecV(x):
-                        return Roll(_to_ig(f, _fix_conv_rho(f, rho), o, x, _spend(fuel)))
+                        return Roll(_to_ig(inner, under, at, x))
                 raise MalformedValue(
                     f"fixed-point layer is not a rec node: {print_value(w)}"
                 )
-        raise TypeError(f"not an indexed body: {node!r}")
 
     return spine.map(code.body, v, atom)
 
@@ -623,7 +614,7 @@ class Step(NamedTuple):
     target: str
     lift: Callable
     context: Callable[[PathContext], PathContext]
-    convert: Callable[..., GenericValue]
+    convert: Callable[[PathContext, GenericValue, str], GenericValue]
 
 
 # The rows call the conversions by their module names, so the functions a
@@ -632,23 +623,23 @@ STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
                 lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-                lambda ctx, v, d, fuel: convert_r_p(ctx.code, v, d)),
+                lambda ctx, v, d: convert_r_p(ctx.code, v, d)),
     "r-m": Step("regular", "multirec",
                 lambda code: lift_r_to_m(code),
                 lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-                lambda ctx, v, d, fuel: convert_r_m(ctx.code, v, d)),
+                lambda ctx, v, d: convert_r_m(ctx.code, v, d)),
     "p-i": Step("polyp", "indexed",
                 lambda code: lift_p_to_i(code),
                 lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-                lambda ctx, v, d, fuel: convert_p_i(ctx.code, v, d)),
+                lambda ctx, v, d: convert_p_i(ctx.code, v, d)),
     "m-i": Step("multirec", "indexed",
                 lambda code: lift_m_to_i(code),
                 lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-                lambda ctx, v, d, fuel: convert_m_i(ctx.code, ctx.at, v, d)),
+                lambda ctx, v, d: convert_m_i(ctx.code, ctx.at, v, d)),
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 lambda ctx, v, d, fuel: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d, fuel)),
+                 lambda ctx, v, d: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d)),
 }
 
 
@@ -657,7 +648,6 @@ def compose_path(
     start: PathContext,
     v: GenericValue,
     direction: Direction = "forward",
-    fuel: int | None = None,
 ) -> GenericValue:
     """Run the steps in order (forward) or in reverse (backward); the empty
     path is the identity either way. Every step's source universe is checked
@@ -677,5 +667,5 @@ def compose_path(
     if direction == "backward":
         walk.reverse()
     for step, ctx in walk:
-        v = STEPS[step].convert(ctx, v, direction, fuel)
+        v = STEPS[step].convert(ctx, v, direction)
     return v

@@ -15,7 +15,6 @@ from typing import Mapping, TypeVar, Union
 from . import spine
 from .gvalue import (
     EmptySlot,
-    FuelExhausted,
     GenericValue,
     IndexLabel,
     IndexNotInSet,
@@ -31,7 +30,6 @@ from .gvalue import (
     print_label,
     print_value,
     right,
-    value_size,
 )
 from .spine import Prod, Sum, Unit
 
@@ -206,21 +204,18 @@ def map_i(
     fam: IxTransform,
     at: IndexLabel,
     v: GenericValue,
-    fuel: int | None = None,
 ) -> GenericValue:
     """Apply a per-index transformer family at every identity position.
 
-    Mapping through a fixed point unrolls and consumes fuel; the default fuel
-    is the value size.
+    Mapping through a fixed point unrolls it, one ``Roll`` of the value per
+    layer.
     """
-    if fuel is None:
-        fuel = value_size(v)
     check_output(code, at)
-    return spine.map(code.body, v, partial(_map_atom, fam, at, fuel))
+    return spine.map(code.body, v, partial(_map_atom, fam, at))
 
 
 def _map_atom(
-    fam: IxTransform, at: IndexLabel, fuel: int, node: IndexedBody, v: GenericValue
+    fam: IxTransform, at: IndexLabel, node: IndexedBody, v: GenericValue
 ) -> GenericValue:
     match node:
         case Id(lbl):
@@ -232,18 +227,12 @@ def _map_atom(
                 raise MalformedValue(f"tag position is not refl: {print_value(v)}")
             return v
         case Comp(f, g):
-            middle = {
-                lbl: (lambda w, lbl=lbl: map_i(g, fam, lbl, w, fuel)) for lbl in f.ins
-            }
-            return map_i(f, middle, at, v, fuel)
+            middle = {lbl: (lambda w, lbl=lbl: map_i(g, fam, lbl, w)) for lbl in f.ins}
+            return map_i(f, middle, at, v)
         case Fix(f):
             match v:
                 case Roll(w):
-                    if fuel <= 0:
-                        raise FuelExhausted("map_i ran out of fuel on a fixed point")
-                    recur = {
-                        lbl: partial(_map_atom, fam, lbl, fuel - 1, node) for lbl in f.outs
-                    }
-                    return Roll(map_i(f, split_tables(fam, recur), at, w, fuel - 1))
+                    recur = {lbl: partial(_map_atom, fam, lbl, node) for lbl in f.outs}
+                    return Roll(map_i(f, split_tables(fam, recur), at, w))
             raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
     raise TypeError(f"not an indexed body: {node!r}")

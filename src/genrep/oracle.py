@@ -46,16 +46,10 @@ class UnknownProperty(Exception):
 @dataclass(frozen=True)
 class EnumBudget:
     max_size: int
-    max_unfold: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if self.max_unfold is not None and self.max_unfold < 1:
-            raise ValueError("max_unfold must be at least 1")
-
-    def unfold(self) -> int:
-        return self.max_size if self.max_unfold is None else self.max_unfold
 
 
 def _finish(values: Iterable[GenericValue]) -> list[GenericValue]:
@@ -310,12 +304,11 @@ def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(_gen_ig(env, code, budget.max_size))
-    return _rechecked(values, partial(instant.conform_ig, env, code, fuel=budget.unfold()))
+    return _rechecked(values, partial(instant.conform_ig, env, code))
 
 
 # ---------------------------------------------------------------------------
-# dispatch over the enumerators: by context, or by universe tag with the
-# one-layer enumerators included
+# dispatch over the enumerators by context
 
 
 def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
@@ -333,38 +326,6 @@ def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
         case "instant":
             return enum_instant(ctx.env, ctx.code, budget)
     raise ValueError(f"unknown universe: {ctx.universe!r}")
-
-
-def enumerate_values(universe, code, context, budget: EnumBudget):
-    """Enumerate all conforming values of size at most budget.max_size.
-
-    The context depends on the universe: a slot for one-layer regular, a
-    SlotPair for one-layer polyp, (assignment, index) pairs for multirec and
-    indexed, an environment for instant, and None for the -mu variants
-    (multirec-mu takes the index, polyp-mu the parameter slot).  The "-μ"
-    spelling of the fixed-point tags is accepted too.
-    """
-    universe = universe.replace("-μ", "-mu")
-    match universe:
-        case "regular":
-            return enum_regular(code, context, budget)
-        case "regular-mu":
-            return enum_mu_regular(code, budget)
-        case "polyp":
-            return enum_polyp(code, context, budget)
-        case "polyp-mu":
-            return enum_mu_polyp(code, context, budget)
-        case "multirec":
-            assign, at = context
-            return enum_multirec(code, assign, at, budget)
-        case "multirec-mu":
-            return enum_mu_multirec(code, context, budget)
-        case "indexed":
-            assign, at = context
-            return enum_indexed(code, assign, at, budget)
-        case "instant":
-            return enum_instant(context, code, budget)
-    raise ValueError(f"unknown universe tag: {universe!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +366,13 @@ def _round_trip(
             yield v, there, None
 
 
-def _arrows(step: str, codes, budget: EnumBudget):
+def _arrows(step: str, codes):
     """Per code and index of the step's source family: the source context,
     the step's target context and the conversion between them."""
     row = embed.STEPS[step]
     for code in codes.values():
         for ctx in embed.contexts(row.source, code):
-            yield ctx, row.context(ctx), partial(row.convert, ctx, fuel=None)
+            yield ctx, row.context(ctx), partial(row.convert, ctx)
 
 
 # step -> its default codes, those of the step's source universe
@@ -421,7 +382,7 @@ _ARROWS = {step: corpus.CODES[row.source] for step, row in embed.STEPS.items()}
 def _iso(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Round trips from every source value, then from every target value."""
     pairs = []
-    for source, target, convert in _arrows(step, codes, budget):
+    for source, target, convert in _arrows(step, codes):
         pairs += _round_trip(enum_context(source, budget), convert, "forward", "backward")
         pairs += _round_trip(enum_context(target, budget), convert, "backward", "forward")
     return _report(pairs)
@@ -431,7 +392,7 @@ def _transport(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Every source value converts forward to a value of the lifted code;
     the target is never enumerated."""
     pairs = []
-    for source, target, convert in _arrows(step, codes, budget):
+    for source, target, convert in _arrows(step, codes):
         for v in enum_context(source, budget):
             try:
                 w = convert(v, "forward")

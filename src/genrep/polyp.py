@@ -15,7 +15,6 @@ from typing import Union
 from . import spine
 from .gvalue import (
     EmptySlot,
-    FuelExhausted,
     GenericValue,
     MalformedValue,
     PayloadSlot,
@@ -23,7 +22,6 @@ from .gvalue import (
     Transformer,
     payload_slot_accepts,
     print_value,
-    value_size,
 )
 from .spine import Prod, Sum, Unit
 
@@ -114,15 +112,12 @@ def map_p(
     f: Transformer,
     g: Transformer,
     v: GenericValue,
-    fuel: int | None = None,
 ) -> GenericValue:
     """Apply ``f`` at parameter positions and ``g`` at recursive positions.
 
     Composition layers hide a fixed point, so mapping through them unrolls
-    and consumes fuel; the default fuel is the value size.
+    it, one ``Roll`` of the value per layer.
     """
-    if fuel is None:
-        fuel = value_size(v)
 
     def atom(node: PolyPCode, w: GenericValue) -> GenericValue:
         match node:
@@ -133,15 +128,12 @@ def map_p(
             case Comp(c, d):
                 match w:
                     case Roll(x):
-                        if fuel <= 0:
-                            raise FuelExhausted("map_p ran out of fuel on a composition")
                         return Roll(
                             map_p(
                                 c,
-                                lambda u: map_p(d, f, g, u, fuel - 1),
-                                lambda u: map_p(node, f, g, u, fuel - 1),
+                                lambda u: map_p(d, f, g, u),
+                                lambda u: map_p(node, f, g, u),
                                 x,
-                                fuel - 1,
                             )
                         )
                 raise MalformedValue(f"composition layer is not rolled: {print_value(w)}")
@@ -154,14 +146,9 @@ def pmap(
     code: PolyPCode,
     f: Transformer,
     v: GenericValue,
-    fuel: int | None = None,
 ) -> GenericValue:
     """Map ``f`` over the parameters of a whole fixed-point value."""
-    if fuel is None:
-        fuel = value_size(v)
     match v:
         case Roll(w):
-            if fuel <= 0:
-                raise FuelExhausted("pmap ran out of fuel")
-            return Roll(map_p(code, f, lambda u: pmap(code, f, u, fuel - 1), w, fuel - 1))
+            return Roll(map_p(code, f, lambda u: pmap(code, f, u), w))
     raise MalformedValue(f"pmap expects a rolled value: {print_value(v)}")

@@ -1,12 +1,15 @@
-"""Shared generators for the test suite.
+"""Shared generators and plumbing for the test suite.
 
 `all_trees_upto` builds every value tree over a small alphabet so the
 structural enumerators can be checked against an oracle that cannot share
 their blind spots.  `gvalues` is the hypothesis strategy used by the
-round-trip properties.
+round-trip properties.  `child_env` is the environment every test that
+starts a Python process gives it.
 """
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import hypothesis.strategies as st
 
@@ -22,6 +25,17 @@ from genrep import (
     TT,
     payload,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process: this one's, with the
+    checkout's ``src`` first on ``PYTHONPATH`` so ``genrep`` imports from
+    the tree under test."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
 
 _LEAVES = (TT(), Refl(), payload("⊤", 0), payload("⊤", 1))
 _UNARY = (In1, In2, Roll, Konst, RecV)

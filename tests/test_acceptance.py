@@ -48,6 +48,8 @@ from genrep.polyp import conform_mu_p
 from genrep.regular import cata_r, conform_mu_r, to_nat_alg
 from genrep.gvalue import payload
 
+from helpers import child_env
+
 STAR = label("⋆")
 TOP = PayloadSlot("⊤")
 
@@ -196,7 +198,7 @@ def test_dsl_round_trip_and_stable_transcripts():
     for args in commands:
         runs = [
             subprocess.run(
-                [sys.executable, "-m", "genrep", *args], capture_output=True
+                [sys.executable, "-m", "genrep", *args], capture_output=True, env=child_env()
             )
             for _ in range(2)
         ]

@@ -3,12 +3,15 @@ import sys
 
 import pytest
 
+from helpers import child_env
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "genrep", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -126,6 +129,24 @@ def test_fuel_exhaustion_exits_three():
     )
     assert out.returncode == 3
     assert out.stderr.startswith("error: ")
+
+
+NESTED_COMP = "in: x\nout: x\n(U @ I@x) @ I@x"
+
+
+def test_nested_compositions_convert_to_instant():
+    """A composition layer consumes no node of the indexed value, so the
+    conversion is not bounded by the value's size."""
+    out = run_cli(
+        "convert", "--from", "indexed", "--to", "instant", "--code", NESTED_COMP,
+        "--value", "tt", "--dir", "fwd",
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "rec rec tt\n", "")
+    out = run_cli(
+        "roundtrip", "--from", "indexed", "--to", "instant", "--code", NESTED_COMP,
+        "--max-size", "4",
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "checked 2\n0 failures\n", "")
 
 
 def test_usage_errors_exit_two():

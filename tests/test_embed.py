@@ -20,7 +20,7 @@ from genrep import (
     payload,
     print_label,
 )
-from genrep import embed
+from genrep import embed, parse_code
 from genrep.corpus import (
     A_LIST,
     A_NAT,
@@ -159,6 +159,41 @@ def test_round_trips_on_enumerated_indexed_values():
     for v in enum_indexed(LIST_I, assign, STAR, BUDGET):
         image = convert_i_ig(LIST_I, table, STAR, v, "forward")
         assert convert_i_ig(LIST_I, table, STAR, image, "backward") == v
+
+
+def test_nested_compositions_convert_a_value_they_add_layers_to():
+    """Each composition layer becomes a rec node but consumes no node of the
+    indexed value, so the image is larger than the value it came from."""
+    x = label("x")
+    code = parse_code("indexed", "in: x\nout: x\n(U @ I@x) @ I@x")
+    table = standard_table(code)
+    image = convert_i_ig(code, table, x, TT(), "forward")
+    assert image == RecV(RecV(TT()))
+    assert convert_i_ig(code, table, x, image, "backward") == TT()
+
+
+def _indexed_list(layers):
+    v = Roll(In1(TT()))
+    for _ in range(layers - 1):
+        v = Roll(In2(Pair(TT(), v)))
+    return v
+
+
+def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
+    calls = []
+    for name in ("left", "right"):
+        original = getattr(embed, name)
+        monkeypatch.setattr(
+            embed, name, lambda lbl, original=original: calls.append(lbl) or original(lbl)
+        )
+    counts = []
+    for layers in (2, 120):
+        v = _indexed_list(layers)
+        calls.clear()
+        image = convert_i_ig(LIST_I, TOP_TABLE, STAR, v, "forward")
+        convert_i_ig(LIST_I, TOP_TABLE, STAR, image, "backward")
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_map_commutes_with_the_polyp_lift():
