@@ -1,7 +1,8 @@
 """Command-line surface over the universes, embeddings, and oracles.
 
 Exit codes: 0 success (or "conforms"), 1 non-conformance, property failures,
-or malformed values, 2 usage and parse errors (including unknown indices),
+malformed values, or values nested too deeply for Python's recursion limit,
+2 usage and parse errors (including unknown indices and a negative --fuel),
 3 fuel exhaustion. Every error writes one stderr line prefixed "error:".
 """
 
@@ -151,6 +152,8 @@ def _budget(max_size: int) -> oracle.EnumBudget:
 
 
 def _cmd_check(args) -> int:
+    if args.fuel is not None and args.fuel < 0:
+        raise UsageError("fuel must be at least 0")
     env = _instant_env(args)
     code = _resolve_code(args.universe, args.code, env)
     ctx = _context(args.universe, code, args.index, env)
@@ -255,7 +258,16 @@ _EXIT_CODES = {
     oracle.UnknownProperty: 2,
     FuelExhausted: 3,
     MalformedValue: 1,
+    RecursionError: 1,
 }
+
+
+def _message(err: Exception) -> str:
+    # A RecursionError names no input. Parsing and the value walks recurse
+    # per layer of the value, so it is the value's nesting that hit the limit.
+    if isinstance(err, RecursionError):
+        return "value nests too deeply for the recursion limit"
+    return str(err)
 
 
 def run_cli(argv) -> int:
@@ -267,7 +279,7 @@ def run_cli(argv) -> int:
     try:
         return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_message(err)}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 

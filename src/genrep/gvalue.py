@@ -10,6 +10,7 @@ what makes cross-universe conversion meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Union
 
 
@@ -62,10 +63,15 @@ def label(name: str) -> IndexLabel:
     return IndexLabel(name)
 
 
+# Tagging is interned: each Left or Right label is built, and its name
+# validated, once, however many fixed-point layers ask for it. Only the
+# labels of codes' index sets are ever tagged, so the caches stay small.
+@cache
 def left(lbl: IndexLabel) -> IndexLabel:
     return IndexLabel(lbl.name, ("L",) + lbl.tags)
 
 
+@cache
 def right(lbl: IndexLabel) -> IndexLabel:
     return IndexLabel(lbl.name, ("R",) + lbl.tags)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, TypeVar, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from . import spine
 from .gvalue import (
@@ -108,12 +108,13 @@ class InterpSlot:
     at: IndexLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuSlot:
-    """Fixed-point values of the inner code ``inner`` under ``assign`` at ``at``."""
+    """Fixed-point values of the inner code ``inner`` at ``at``; ``under`` is
+    the assignment one layer under the fixed point, which holds this slot."""
 
     inner: IndexedCode
-    assign: "SlotTable"
+    under: "SlotTable"
     at: IndexLabel
 
 
@@ -135,10 +136,24 @@ def split_tables(
     return joined
 
 
+def under_fix(
+    inner: IndexedCode,
+    outer: Mapping[IndexLabel, T],
+    recur: Callable[[dict[IndexLabel, T], IndexLabel], T],
+) -> dict[IndexLabel, T]:
+    """The table one layer under ``Fix(inner)``: Left inputs keep their
+    entries in ``outer``, and each Right input ``lbl`` holds
+    ``recur(under, lbl)``, which may keep ``under``, this very table, so that
+    every deeper layer of the fixed point reuses it."""
+    under: dict[IndexLabel, T] = {}
+    under.update(split_tables(outer, {lbl: recur(under, lbl) for lbl in inner.outs}))
+    return under
+
+
 def mu_assign(inner: IndexedCode, assign: SlotTable) -> dict[IndexLabel, IndexedSlot]:
     """The assignment one layer under a fixed point: Left inputs keep their
     slots in ``assign``, Right inputs hold the fixed point of ``inner``."""
-    return split_tables(assign, {lbl: MuSlot(inner, assign, lbl) for lbl in inner.outs})
+    return under_fix(inner, assign, partial(MuSlot, inner))
 
 
 def check_output(code: IndexedCode, at: IndexLabel) -> None:
@@ -162,10 +177,10 @@ def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
             return False
         case InterpSlot(code, assign, at):
             return conform_i(code, assign, at, v)
-        case MuSlot(inner, assign, at):
+        case MuSlot(inner, under, at):
             match v:
                 case Roll(w):
-                    return conform_i(inner, mu_assign(inner, assign), at, w)
+                    return conform_i(inner, under, at, w)
             return False
     raise TypeError(f"not an indexed slot: {slot!r}")
 
@@ -230,9 +245,17 @@ def _map_atom(
             middle = {lbl: (lambda w, lbl=lbl: map_i(g, fam, lbl, w)) for lbl in f.ins}
             return map_i(f, middle, at, v)
         case Fix(f):
-            match v:
-                case Roll(w):
-                    recur = {lbl: partial(_map_atom, fam, lbl, node) for lbl in f.outs}
-                    return Roll(map_i(f, split_tables(fam, recur), at, w))
-            raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+            under = under_fix(f, fam, lambda table, lbl: partial(_map_layer, f, table, lbl))
+            return _map_layer(f, under, at, v)
     raise TypeError(f"not an indexed body: {node!r}")
+
+
+def _map_layer(
+    inner: IndexedCode, under: IxTransform, at: IndexLabel, v: GenericValue
+) -> GenericValue:
+    """Map one layer of ``Fix(inner)`` under its table ``under``, whose Right
+    transformers map the next layer the same way."""
+    match v:
+        case Roll(w):
+            return Roll(map_i(inner, under, at, w))
+    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")

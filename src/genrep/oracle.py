@@ -237,8 +237,8 @@ def _gen_slot_i(slot: indexed.IndexedSlot, n: int) -> list[GenericValue]:
             return []
         case indexed.InterpSlot(code, assign, at):
             return _gen_i(code, assign, at, n)
-        case indexed.MuSlot(inner, assign, at):
-            return [Roll(w) for w in _gen_i(inner, indexed.mu_assign(inner, assign), at, n - 1)]
+        case indexed.MuSlot(inner, under, at):
+            return [Roll(w) for w in _gen_i(inner, under, at, n - 1)]
     raise TypeError(f"not an indexed slot: {slot!r}")
 
 
@@ -246,6 +246,8 @@ def _gen_i(
     code: indexed.IndexedCode, assign: indexed.SlotTable, at: IndexLabel, n: int
 ) -> list[GenericValue]:
     indexed.check_output(code, at)
+    # id(Fix node) -> the assignment under it, built at the node's first visit
+    under: dict[int, indexed.SlotTable] = {}
 
     def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
         match node:
@@ -257,7 +259,9 @@ def _gen_i(
                 middle = {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins}
                 return _gen_i(f, middle, at, m)
             case indexed.Fix(f):
-                return [Roll(w) for w in _gen_i(f, indexed.mu_assign(f, assign), at, m - 1)]
+                if id(node) not in under:
+                    under[id(node)] = indexed.mu_assign(f, assign)
+                return [Roll(w) for w in _gen_i(f, under[id(node)], at, m - 1)]
         raise TypeError(f"not an indexed body: {node!r}")
 
     return spine.gen(code.body, n, atom)

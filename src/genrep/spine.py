@@ -128,9 +128,12 @@ def gen(
         ]
     if kind is Prod:
         out = []
+        rights: dict[int, list[GenericValue]] = {}  # remaining budget -> right values
         for a in gen(code.left, n - 2, atom):
-            for b in gen(code.right, n - 1 - value_size(a), atom):
-                out.append(Pair(a, b))
+            budget = n - 1 - value_size(a)
+            if budget not in rights:
+                rights[budget] = gen(code.right, budget, atom)
+            out += [Pair(a, b) for b in rights[budget]]
         return out
     if kind is Unit:
         return [TT()]

@@ -131,6 +131,41 @@ def test_fuel_exhaustion_exits_three():
     assert out.stderr.startswith("error: ")
 
 
+FUEL_CHECK = ("check", "--universe", "instant", "--env", "List⊤", "--code", "R List",
+              "--value", "rec in1 tt")
+
+
+def test_negative_fuel_is_a_usage_error():
+    out = run_cli(*FUEL_CHECK, "--fuel", "-1")
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: fuel must be at least 0\n")
+    out = run_cli(*FUEL_CHECK, "--fuel", "0")
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: conform_ig: no fuel")
+
+
+DEEP_NUMERAL = "<in2 " * 1500 + "<in1 tt>" + ">" * 1500
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--universe", "regular", "--code", "NatC"),
+        ("check", "--universe", "indexed", "--code", "NatI"),
+        ("convert", "--from", "regular", "--to", "polyp", "--code", "NatC", "--dir", "fwd"),
+        ("convert", "--from", "indexed", "--to", "instant", "--code", "NatI", "--dir", "fwd"),
+    ],
+    ids=["check-regular", "check-indexed", "convert-r-p", "convert-i-ig"],
+)
+def test_a_deep_value_writes_no_traceback(args):
+    """Whether or not the value fits under the recursion limit, the command
+    ends with at most one error line and no traceback."""
+    out = run_cli(*args, "--value", DEEP_NUMERAL)
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("error:") <= 1
+    if out.returncode != 0:
+        assert out.stderr.startswith("error: ") and out.stderr.endswith("\n")
+
+
 NESTED_COMP = "in: x\nout: x\n(U @ I@x) @ I@x"
 
 

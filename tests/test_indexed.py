@@ -1,5 +1,6 @@
 import pytest
 
+from genrep import indexed
 from genrep import In1, In2, Pair, Roll, TT, label, left, payload, right
 from genrep.corpus import (
     BIN_I,
@@ -13,6 +14,7 @@ from genrep.gvalue import IndexNotInSet, PayloadSlot
 from genrep.indexed import (
     conform_i,
     map_i,
+    mu_assign,
     split_tables,
     wellformed_i,
 )
@@ -78,3 +80,50 @@ def test_split_tables_tag_left_and_right():
     fns = split_tables({STAR: lambda v: In1(v)}, {STAR: lambda v: In2(v)})
     assert fns[left(STAR)](TT()) == In1(TT())
     assert fns[right(STAR)](TT()) == In2(TT())
+
+
+def _count_tagging(monkeypatch):
+    """Record every ``left``/``right`` call the indexed walks make."""
+    calls = []
+    for name in ("left", "right"):
+        original = getattr(indexed, name)
+        monkeypatch.setattr(
+            indexed, name, lambda lbl, original=original: calls.append(lbl) or original(lbl)
+        )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda v: conform_i(LIST_I, TOP_ASSIGN, STAR, v),
+        lambda v: map_i(LIST_I, {STAR: lambda w: w}, STAR, v),
+    ],
+    ids=["conform_i", "map_i"],
+)
+def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
+    """The table under a fixed point is built when the walk enters it, not
+    again at every layer, so the tagging work does not grow with depth."""
+    calls = _count_tagging(monkeypatch)
+    counts = []
+    for layers in (2, 120):
+        v = _ilist([TT()] * (layers - 1))
+        calls.clear()
+        assert walk(v)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_tagged_labels_are_interned():
+    assert left(STAR) is left(STAR)
+    assert right(left(STAR)) is right(left(STAR))
+    assert left(STAR) != right(STAR)
+
+
+def test_a_fixed_points_table_holds_its_own_slots():
+    inner = LIST_I.body.inner
+    under = mu_assign(inner, TOP_ASSIGN)
+    slot = under[right(STAR)]
+    assert slot.under is under
+    assert under[left(STAR)] == PayloadSlot("⊤")
+    assert "..." in repr(under)
