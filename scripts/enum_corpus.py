@@ -23,7 +23,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-size", type=int, default=9)
     args = parser.parse_args(argv)
-    budget = EnumBudget(max_size=args.max_size)
+    try:
+        budget = EnumBudget(max_size=args.max_size)
+    except ValueError as err:
+        parser.error(str(err))
 
     for universe, codes in CODES.items():
         for name, code in codes.items():

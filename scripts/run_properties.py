@@ -27,8 +27,14 @@ def main(argv=None):
             print(name)
         return 0
 
+    unknown = [name for name in args.names if name not in property_names()]
+    if unknown:
+        parser.error(f"unknown property: {unknown[0]}")
+    try:
+        budget = EnumBudget(max_size=args.max_size)
+    except ValueError as err:
+        parser.error(str(err))
     names = args.names or property_names()
-    budget = EnumBudget(max_size=args.max_size)
     failed = 0
     for name in names:
         start = time.perf_counter()

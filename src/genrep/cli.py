@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or "conforms"), 1 non-conformance, property failures,
 malformed values, or values nested too deeply for Python's recursion limit,
-2 usage and parse errors (including unknown indices and a negative --fuel),
-3 fuel exhaustion. Every error writes one stderr line prefixed "error:".
+2 usage and parse errors (including unknown indices and code or env text
+nested too deeply). Every error writes one stderr line prefixed "error:".
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 from . import corpus, dsl, embed, instant, oracle
 from .dsl import ParseError
 from .gvalue import (
-    FuelExhausted,
     GenericValue,
     IndexNotInSet,
     MalformedValue,
@@ -50,7 +49,6 @@ _FLAGS = {
     "--dir": {"dest": "direction", "required": True, "choices": ("fwd", "bwd")},
     "--max-size": {"type": int, "required": True},
     "--index": {},
-    "--fuel": {"type": int},
     "--env": {},
     "--env!": {"required": True},
 }
@@ -58,7 +56,7 @@ _FLAGS = {
 # command -> (help, flags in order)
 _SYNTAX = {
     "check": ("conformance of a value against a code",
-              "--universe --code --value --index --fuel --env"),
+              "--universe --code --value --index --env"),
     "lift": ("print a lifted code in canonical syntax", "--from --to --code"),
     "convert": ("convert a value along an embedding",
                 "--from --to --code --value --dir --index"),
@@ -90,7 +88,15 @@ def _resolve_code(universe: str, text: str, env=None):
         return named[text]
     if env is not None and text in env:
         return env[text]
-    return dsl.parse_code(universe, text)
+    return _parse_code_text(dsl.parse_code, universe, text)
+
+
+def _parse_code_text(parse, *args):
+    """Run a code or env parser, reporting a RecursionError as the text's nesting."""
+    try:
+        return parse(*args)
+    except RecursionError:
+        raise UsageError("code nests too deeply for the recursion limit") from None
 
 
 def _resolve_value(text: str) -> GenericValue:
@@ -108,14 +114,14 @@ def _resolve_env(text: str):
         is_path = path.exists()
     except OSError:  # too long to name a file, for one
         is_path = False
-    if not is_path:
-        return dsl.parse_env(text)
-    try:
-        return dsl.parse_env(path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise UsageError(f"cannot read env file {text}: {err.strerror}") from None
-    except UnicodeDecodeError:
-        raise UsageError(f"env file {text} is not UTF-8 text") from None
+    if is_path:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as err:
+            raise UsageError(f"cannot read env file {text}: {err.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"env file {text} is not UTF-8 text") from None
+    return _parse_code_text(dsl.parse_env, text)
 
 
 def _instant_env(args):
@@ -152,12 +158,10 @@ def _budget(max_size: int) -> oracle.EnumBudget:
 
 
 def _cmd_check(args) -> int:
-    if args.fuel is not None and args.fuel < 0:
-        raise UsageError("fuel must be at least 0")
     env = _instant_env(args)
     code = _resolve_code(args.universe, args.code, env)
     ctx = _context(args.universe, code, args.index, env)
-    ok = embed.conforms(ctx, _resolve_value(args.value), fuel=args.fuel)
+    ok = embed.conforms(ctx, _resolve_value(args.value))
     print("conforms" if ok else "does not conform")
     return 0 if ok else 1
 
@@ -256,15 +260,14 @@ _EXIT_CODES = {
     ParseError: 2,
     IndexNotInSet: 2,
     oracle.UnknownProperty: 2,
-    FuelExhausted: 3,
     MalformedValue: 1,
     RecursionError: 1,
 }
 
 
 def _message(err: Exception) -> str:
-    # A RecursionError names no input. Parsing and the value walks recurse
-    # per layer of the value, so it is the value's nesting that hit the limit.
+    # A RecursionError names no input. Code text reports its own nesting
+    # (_parse_code_text), so this one came from parsing or walking a value.
     if isinstance(err, RecursionError):
         return "value nests too deeply for the recursion limit"
     return str(err)

@@ -578,9 +578,8 @@ def payload_slots(table: KSetTable) -> dict[IndexLabel, indexed.IndexedSlot]:
     return {lbl: PayloadSlot(kset.sort) for lbl, kset in table.items()}
 
 
-def conforms(ctx: PathContext, v: GenericValue, fuel: int | None = None) -> bool:
-    """Does ``v`` conform where ``ctx`` says it lives? ``fuel`` bounds the
-    unfolding of instant references and is ignored elsewhere."""
+def conforms(ctx: PathContext, v: GenericValue) -> bool:
+    """Does ``v`` conform where ``ctx`` says it lives?"""
     match ctx.universe:
         case "regular":
             return regular.conform_mu_r(ctx.code, v)
@@ -591,7 +590,7 @@ def conforms(ctx: PathContext, v: GenericValue, fuel: int | None = None) -> bool
         case "indexed":
             return indexed.conform_i(ctx.code, payload_slots(ctx.table), ctx.at, v)
         case "instant":
-            return instant.conform_ig(ctx.env, ctx.code, v, fuel=fuel)
+            return instant.conform_ig(ctx.env, ctx.code, v)
     raise ValueError(f"unknown universe: {ctx.universe!r}")
 
 

@@ -19,7 +19,7 @@ class MalformedValue(Exception):
 
 
 class FuelExhausted(Exception):
-    """An unfolding ran out of fuel before reaching a base case."""
+    """Nothing raises this: every walk over a finite value ends without fuel."""
 
 
 class IndexNotInSet(Exception):

@@ -2,7 +2,8 @@
 
 Recursion is not structural here: an R node carries a name that is resolved
 against a code environment, so codes stay finite, printable and hashable.
-Unfolding a reference consumes fuel, which keeps every traversal total.
+Unfolding a reference consumes a ``rec`` node of the value and entering a
+constant a ``k`` node, so every walk over a finite value ends.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Callable, Iterator, Mapping, Union
 
 from . import spine
 from .gvalue import (
-    FuelExhausted,
     GenericValue,
     In1,
     In2,
@@ -31,7 +31,6 @@ from .gvalue import (
     payload_slot_accepts,
     print_value,
     token_successor,
-    value_size,
 )
 from .spine import Prod, Sum, Unit
 
@@ -95,50 +94,34 @@ def env_check(env: CodeEnv) -> bool:
     return all(ref in env for code in env.values() for ref in _refs(code))
 
 
-def conform_ig(
-    env: CodeEnv,
-    code: InstantCode,
-    v: GenericValue,
-    fuel: int | None = None,
-) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` in ``env``?
-
-    Every step through an R reference or an OfCode constant costs one fuel;
-    the default budget is the value size, which is always enough for values
-    that do conform.
-    """
-    if fuel is None:
-        fuel = value_size(v)
+def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
+    """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
 
     def atom(node: InstantCode, w: GenericValue) -> bool:
         match node:
             case K(kset):
                 match w:
                     case Konst(x):
-                        return _kset_accepts(env, kset, x, fuel)
+                        return _kset_accepts(env, kset, x)
                 return False
             case R(ref):
                 match w:
                     case RecV(x):
-                        if fuel <= 0:
-                            raise FuelExhausted(f"conform_ig: no fuel to unfold {ref}")
-                        return conform_ig(env, resolve(env, ref), x, fuel - 1)
+                        return conform_ig(env, resolve(env, ref), x)
                 return False
         raise TypeError(f"not an instant code: {node!r}")
 
     return spine.conform(code, v, atom)
 
 
-def _kset_accepts(env: CodeEnv, kset: KSet, v: GenericValue, fuel: int) -> bool:
+def _kset_accepts(env: CodeEnv, kset: KSet, v: GenericValue) -> bool:
     match kset:
         case Prim(sort):
             return payload_slot_accepts(PayloadSlot(sort), v)
         case EqWitness(a, b):
             return v == Refl() and a == b
         case OfCode(ref):
-            if fuel <= 0:
-                raise FuelExhausted(f"conform_ig: no fuel to enter constant {ref}")
-            return conform_ig(env, resolve(env, ref), v, fuel - 1)
+            return conform_ig(env, resolve(env, ref), v)
     raise TypeError(f"not a constant set: {kset!r}")
 
 
@@ -149,38 +132,32 @@ class CrushSpec:
     unit: GenericValue
 
 
-def crush(
-    env: CodeEnv,
-    code: InstantCode,
-    spec: CrushSpec,
-    v: GenericValue,
-    fuel: int | None = None,
-) -> GenericValue:
-    """Fold a conforming value to a single result.
+def crush(env: CodeEnv, code: InstantCode, spec: CrushSpec, v: GenericValue) -> GenericValue:
+    """Fold a conforming value to a single result; others raise MalformedValue.
 
     Unit and constant positions yield the unit, products combine their two
     sides, sums descend, and each unfolded reference applies the step to the
     result from underneath.
     """
-    if fuel is None:
-        fuel = value_size(v)
+    if not conform_ig(env, code, v):
+        raise MalformedValue(f"crush: value {print_value(v)} does not conform to the code")
+    return _crush(env, code, spec, v)
+
+
+def _crush(env: CodeEnv, code: InstantCode, spec: CrushSpec, v: GenericValue) -> GenericValue:
     match code, v:
         case Unit(), TT():
             return spec.unit
         case K(_), Konst(_):
             return spec.unit
         case R(ref), RecV(w):
-            if fuel <= 0:
-                raise FuelExhausted(f"crush: no fuel to unfold {ref}")
-            return spec.step(crush(env, resolve(env, ref), spec, w, fuel - 1))
+            return spec.step(_crush(env, resolve(env, ref), spec, w))
         case Sum(f, _), In1(w):
-            return crush(env, f, spec, w, fuel)
+            return _crush(env, f, spec, w)
         case Sum(_, g), In2(w):
-            return crush(env, g, spec, w, fuel)
+            return _crush(env, g, spec, w)
         case Prod(f, g), Pair(a, b):
-            return spec.combine(
-                crush(env, f, spec, a, fuel), crush(env, g, spec, b, fuel)
-            )
+            return spec.combine(_crush(env, f, spec, a), _crush(env, g, spec, b))
     raise MalformedValue(f"crush: value {print_value(v)} does not fit the code")
 
 
@@ -196,14 +173,9 @@ def nat_add(a: GenericValue, b: GenericValue) -> GenericValue:
 SIZE_SPEC = CrushSpec(combine=nat_add, step=token_successor, unit=payload(NAT_SORT, 0))
 
 
-def size_ig(
-    env: CodeEnv,
-    code: InstantCode,
-    v: GenericValue,
-    fuel: int | None = None,
-) -> int:
+def size_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> int:
     """Count the recursive layers of ``v``: crush with (+, successor, 0)."""
-    result = crush(env, code, SIZE_SPEC, v, fuel)
+    result = crush(env, code, SIZE_SPEC, v)
     match result:
         case Payload(PayloadToken(sort, n)) if sort == NAT_SORT:
             return n

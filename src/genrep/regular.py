@@ -13,7 +13,6 @@ from typing import Callable, Union
 from . import spine
 from .gvalue import (
     EmptySlot,
-    FuelExhausted,
     GenericValue,
     In1,
     In2,
@@ -27,7 +26,6 @@ from .gvalue import (
     Transformer,
     payload_slot_accepts,
     print_value,
-    value_size,
 )
 from .spine import Prod, Sum, Unit
 
@@ -96,30 +94,20 @@ def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:
 RegularAlgebra = Callable[[GenericValue], GenericValue]
 
 
-def cata_r(
-    code: RegularCode,
-    alg: RegularAlgebra,
-    v: GenericValue,
-    fuel: int | None = None,
-) -> GenericValue:
-    """Fold the fixed point of ``code`` with ``alg``, one layer per fuel unit.
+def cata_r(code: RegularCode, alg: RegularAlgebra, v: GenericValue) -> GenericValue:
+    """Fold the fixed point of ``code`` with ``alg``, one layer per ``Roll``.
 
-    The input must conform at the fixed point; the default fuel is the value
-    size, which always suffices.
+    The input must conform at the fixed point.
     """
     if not conform_mu_r(code, v):
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
-    if fuel is None:
-        fuel = value_size(v)
-    return _cata_go(code, alg, v, fuel)
+    return _cata_go(code, alg, v)
 
 
-def _cata_go(code: RegularCode, alg: RegularAlgebra, v: GenericValue, fuel: int) -> GenericValue:
+def _cata_go(code: RegularCode, alg: RegularAlgebra, v: GenericValue) -> GenericValue:
     match v:
         case Roll(w):
-            if fuel <= 0:
-                raise FuelExhausted("cata_r ran out of fuel")
-            return alg(map_r(code, lambda u: _cata_go(code, alg, u, fuel - 1), w))
+            return alg(map_r(code, lambda u: _cata_go(code, alg, u), w))
     raise MalformedValue(f"cata_r expects a rolled value: {print_value(v)}")
 
 

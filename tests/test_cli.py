@@ -122,25 +122,39 @@ def test_unknown_property_name_exits_two():
     assert out.stderr.startswith("error: ")
 
 
-def test_fuel_exhaustion_exits_three():
+def test_check_has_no_fuel_flag():
     out = run_cli(
-        "check", "--universe", "instant", "--code", "List⊤", "--env", "List⊤",
+        "check", "--universe", "instant", "--env", "List⊤", "--code", "List⊤",
         "--value", "aList", "--fuel", "1",
     )
-    assert out.returncode == 3
-    assert out.stderr.startswith("error: ")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.endswith("error: unrecognized arguments: --fuel 1\n")
 
 
-FUEL_CHECK = ("check", "--universe", "instant", "--env", "List⊤", "--code", "R List",
-              "--value", "rec in1 tt")
+@pytest.mark.parametrize("value", ["in2 (k nat#5 , rec in1 tt)", "in2 tt"])
+def test_size_rejects_a_value_that_does_not_conform(value):
+    out = run_cli("size", "--env", "List⊤", "--code", "List⊤", "--value", value)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == f"error: crush: value {value} does not conform to the code\n"
 
 
-def test_negative_fuel_is_a_usage_error():
-    out = run_cli(*FUEL_CHECK, "--fuel", "-1")
-    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: fuel must be at least 0\n")
-    out = run_cli(*FUEL_CHECK, "--fuel", "0")
-    assert out.returncode == 3
-    assert out.stderr.startswith("error: conform_ig: no fuel")
+DEEP_CODE = "(" * 1500 + "U" + ")" * 1500
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--universe", "regular", "--code", DEEP_CODE),
+        ("--universe", "instant", "--env", f"A = {DEEP_CODE}", "--code", "A"),
+    ],
+    ids=["code", "env"],
+)
+def test_a_deep_code_is_a_parse_error(args):
+    out = run_cli("enum", *args, "--max-size", "3")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: code nests too deeply for the recursion limit\n"
+    )
 
 
 DEEP_NUMERAL = "<in2 " * 1500 + "<in1 tt>" + ">" * 1500

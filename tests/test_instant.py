@@ -1,7 +1,6 @@
 import pytest
 
 from genrep import (
-    FuelExhausted,
     In1,
     In2,
     Konst,
@@ -32,6 +31,8 @@ from genrep.instant import (
 )
 from genrep.oracle import EnumBudget, enum_instant
 
+from helpers import all_trees_upto
+
 LIST_CODE = R(LIST_TOP_NAME)
 
 
@@ -44,12 +45,6 @@ def test_a_list_conforms():
     assert conform_ig(LIST_TOP_ENV, LIST_TOP_ENV[LIST_TOP_NAME], A_LIST)
     assert conform_ig(LIST_TOP_ENV, LIST_CODE, RecV(A_LIST))
     assert not conform_ig(LIST_TOP_ENV, LIST_CODE, A_LIST)
-
-
-def test_conformance_needs_fuel_per_unfold():
-    with pytest.raises(FuelExhausted):
-        conform_ig(LIST_TOP_ENV, LIST_TOP_ENV[LIST_TOP_NAME], A_LIST, fuel=1)
-    assert conform_ig(LIST_TOP_ENV, LIST_TOP_ENV[LIST_TOP_NAME], A_LIST, fuel=2)
 
 
 def test_constant_sets():
@@ -86,6 +81,38 @@ def test_nat_add_rejects_non_naturals():
 def test_crush_rejects_mismatched_shape():
     with pytest.raises(MalformedValue):
         crush(LIST_TOP_ENV, LIST_CODE, SIZE_SPEC, TT())
+    # the shape fits, but the constant is not a ⊤ token
+    with pytest.raises(MalformedValue, match="does not conform to the code"):
+        size_ig(LIST_TOP_ENV, LIST_TOP_ENV[LIST_TOP_NAME],
+                In2(Pair(Konst(payload("nat", 5)), RecV(In1(TT())))))
+
+
+# Environments whose references lead back into themselves; only List⊤ has
+# finite inhabitants.
+SELF_REFERENTIAL_ENVS = {
+    "list": LIST_TOP_ENV,  # List⊤ = U + K ⊤ * R List⊤
+    "rec-self": {"A": R("A")},  # A = R A
+    "const-self": {"A": K(OfCode("A"))},  # A = K@A
+    "cycle": {"A": K(OfCode("B")), "B": Sum(K(OfCode("A")), R("A"))},  # A = K@B; B = K@A + R A
+}
+
+
+@pytest.mark.parametrize("env", SELF_REFERENTIAL_ENVS.values(), ids=SELF_REFERENTIAL_ENVS)
+def test_walks_end_on_every_small_tree(env):
+    """Every unfold consumes a rec or k node of the value, so conformance and
+    size end on every tree with no budget, and size folds exactly the trees
+    that conform."""
+    codes = {env[name] for name in env} | {R(name) for name in env}
+    for code in codes:
+        for t in all_trees_upto(6):
+            ok = conform_ig(env, code, t)
+            assert isinstance(ok, bool)
+            try:
+                size = size_ig(env, code, t)
+            except MalformedValue:
+                assert not ok, (code, t)
+            else:
+                assert ok and isinstance(size, int), (code, t)
 
 
 # "A" refers on to "B", which no entry defines: once through a recursive

@@ -25,7 +25,7 @@ from genrep.corpus import (
     REGULAR_CODES,
     ZIG_ZAG_C,
 )
-from genrep.gvalue import FuelExhausted, IndexNotInSet, PayloadSlot, Refl, Roll
+from genrep.gvalue import IndexNotInSet, PayloadSlot, Refl, Roll
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
 from genrep.multirec import MultirecCode, Tag, conform_mu_m
@@ -52,13 +52,7 @@ TOP = PayloadSlot("⊤")
 
 
 def _accepted(check, limit):
-    kept = []
-    for t in all_trees_upto(limit):
-        try:
-            if check(t):
-                kept.append(t)
-        except FuelExhausted:
-            pass
+    kept = [t for t in all_trees_upto(limit) if check(t)]
     return sorted(set(kept), key=lambda v: (value_size(v), print_value(v)))
 
 
@@ -88,7 +82,7 @@ def test_brute_force_agrees_indexed():
 
 def test_brute_force_agrees_instant():
     body = LIST_TOP_ENV[LIST_TOP_NAME]
-    brute = _accepted(lambda t: conform_ig(LIST_TOP_ENV, body, t, fuel=7), 7)
+    brute = _accepted(lambda t: conform_ig(LIST_TOP_ENV, body, t), 7)
     assert enum_instant(LIST_TOP_ENV, body, EnumBudget(max_size=7)) == brute
     assert len(brute) == 2
 
@@ -129,7 +123,7 @@ def _corpus_cases():
     for name, code in INSTANT_CODES.items():
         env = INSTANT_ENVS[name]
         yield pytest.param(
-            partial(conform_ig, env, code, fuel=BRUTE_CEILING),
+            partial(conform_ig, env, code),
             partial(enum_instant, env, code, budget),
             id=f"instant-{name}",
         )

@@ -1,7 +1,6 @@
 import pytest
 
 from genrep import (
-    FuelExhausted,
     In1,
     In2,
     MalformedValue,
@@ -67,11 +66,6 @@ def test_cata_with_re_roll_is_identity():
 def test_cata_rejects_non_conforming_input():
     with pytest.raises(MalformedValue):
         cata_r(NAT_C, to_nat_alg, Roll(TT()))
-
-
-def test_cata_fuel_runs_out():
-    with pytest.raises(FuelExhausted):
-        cata_r(NAT_C, to_nat_alg, numeral(4), fuel=2)
 
 
 def test_map_r_applies_at_identity_positions():

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from helpers import ROOT, child_env
 
 
@@ -46,3 +48,19 @@ def test_run_properties_passes_every_suite():
     lines = out.stdout.splitlines()
     assert len(lines) == 24
     assert all(line.startswith("ok ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("run_properties.py", ("--max-size", "0"), "max_size must be at least 1"),
+        ("run_properties.py", ("nosuch",), "unknown property: nosuch"),
+        ("enum_corpus.py", ("--max-size", "0"), "max_size must be at least 1"),
+    ],
+    ids=["run_properties-max-size", "run_properties-name", "enum_corpus-max-size"],
+)
+def test_bad_arguments_are_one_error_line(name, args, message):
+    out = run_script(name, *args)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.endswith(f"{name}: error: {message}\n")
+    assert out.stderr.count("error:") == 1 and "Traceback" not in out.stderr
