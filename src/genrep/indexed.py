@@ -164,23 +164,39 @@ def check_output(code: IndexedCode, at: IndexLabel) -> None:
 
 def slot_at(assign: SlotTable, lbl: IndexLabel) -> IndexedSlot:
     """The slot ``assign`` gives ``lbl``, which it must have."""
-    if lbl not in assign:
+    slot = assign.get(lbl)
+    if slot is None:
         raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
-    return assign[lbl]
+    return slot
+
+
+def _table(tables: dict, node: IndexedBody, outer: Mapping, build: Callable[[], T]) -> T:
+    """The table ``build()`` makes for ``node`` under the table ``outer``, made
+    once per walk. ``tables`` lives for one walk and holds every table it
+    makes, so ``outer``, the caller's table or one of those, outlives it and
+    its ``id`` names it."""
+    key = (id(node), id(outer))
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
 
 
 def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
+    return _slot_accepts_i({}, slot, v)
+
+
+def _slot_accepts_i(tables: dict, slot: IndexedSlot, v: GenericValue) -> bool:
     match slot:
         case PayloadSlot():
             return payload_slot_accepts(slot, v)
         case EmptySlot():
             return False
         case InterpSlot(code, assign, at):
-            return conform_i(code, assign, at, v)
+            return _conform_i(tables, code, assign, at, v)
         case MuSlot(inner, under, at):
             match v:
                 case Roll(w):
-                    return conform_i(inner, under, at, w)
+                    return _conform_i(tables, inner, under, at, w)
             return False
     raise TypeError(f"not an indexed slot: {slot!r}")
 
@@ -188,23 +204,34 @@ def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
 def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` under ``assign`` at ``at``?
 
-    Assumes ``wellformed_i(code)``.
+    Assumes ``wellformed_i(code)``. Each ``Comp`` node's middle assignment
+    and each ``Fix`` node's table is built once per assignment it sits
+    under, however many layers of the value pass through it.
     """
+    return _conform_i({}, code, assign, at, v)
+
+
+def _conform_i(
+    tables: dict, code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue
+) -> bool:
     check_output(code, at)
 
     def atom(node: IndexedBody, w: GenericValue) -> bool:
         match node:
             case Id(lbl):
-                return slot_accepts_i(slot_at(assign, lbl), w)
+                return _slot_accepts_i(tables, slot_at(assign, lbl), w)
             case Tag(lbl):
                 return w == Refl() and at == lbl
             case Comp(f, g):
-                middle = {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
-                return conform_i(f, middle, at, w)
+                middle = _table(
+                    tables, node, assign, lambda: {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
+                )
+                return _conform_i(tables, f, middle, at, w)
             case Fix(f):
                 match w:
                     case Roll(x):
-                        return conform_i(f, mu_assign(f, assign), at, x)
+                        under = _table(tables, node, assign, lambda: mu_assign(f, assign))
+                        return _conform_i(tables, f, under, at, x)
                 return False
         raise TypeError(f"not an indexed body: {node!r}")
 
@@ -223,39 +250,53 @@ def map_i(
     """Apply a per-index transformer family at every identity position.
 
     Mapping through a fixed point unrolls it, one ``Roll`` of the value per
-    layer.
+    layer. Each ``Comp`` node's middle family and each ``Fix`` node's table
+    is built once per family it sits under.
     """
+    return _map_i({}, code, fam, at, v)
+
+
+def _map_i(
+    tables: dict, code: IndexedCode, fam: IxTransform, at: IndexLabel, v: GenericValue
+) -> GenericValue:
     check_output(code, at)
-    return spine.map(code.body, v, partial(_map_atom, fam, at))
+    return spine.map(code.body, v, partial(_map_atom, tables, fam, at))
 
 
 def _map_atom(
-    fam: IxTransform, at: IndexLabel, node: IndexedBody, v: GenericValue
+    tables: dict, fam: IxTransform, at: IndexLabel, node: IndexedBody, v: GenericValue
 ) -> GenericValue:
     match node:
         case Id(lbl):
-            if lbl not in fam:
+            transform = fam.get(lbl)
+            if transform is None:
                 raise IndexNotInSet(f"no transformer for index {print_label(lbl)}")
-            return fam[lbl](v)
+            return transform(v)
         case Tag(_):
             if v != Refl():
                 raise MalformedValue(f"tag position is not refl: {print_value(v)}")
             return v
         case Comp(f, g):
-            middle = {lbl: (lambda w, lbl=lbl: map_i(g, fam, lbl, w)) for lbl in f.ins}
-            return map_i(f, middle, at, v)
+            middle = _table(
+                tables,
+                node,
+                fam,
+                lambda: {lbl: partial(_map_i, tables, g, fam, lbl) for lbl in f.ins},
+            )
+            return _map_i(tables, f, middle, at, v)
         case Fix(f):
-            under = under_fix(f, fam, lambda table, lbl: partial(_map_layer, f, table, lbl))
-            return _map_layer(f, under, at, v)
+            layer = lambda table, lbl: partial(_map_layer, tables, f, table, lbl)
+            under = _table(tables, node, fam, lambda: under_fix(f, fam, layer))
+            return _map_layer(tables, f, under, at, v)
     raise TypeError(f"not an indexed body: {node!r}")
 
 
 def _map_layer(
-    inner: IndexedCode, under: IxTransform, at: IndexLabel, v: GenericValue
+    tables: dict, inner: IndexedCode, under: IxTransform, at: IndexLabel, v: GenericValue
 ) -> GenericValue:
     """Map one layer of ``Fix(inner)`` under its table ``under``, whose Right
     transformers map the next layer the same way."""
     match v:
         case Roll(w):
-            return Roll(map_i(inner, under, at, w))
+            return Roll(_map_i(tables, inner, under, at, w))
     raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")

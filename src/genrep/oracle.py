@@ -4,6 +4,12 @@ Enumeration is the independent oracle: generators build exactly the values
 that conform, every emitted value is re-checked inline, and the ordering
 (size, then printed form) is deterministic so failure witnesses are stable.
 
+Generators work at exact sizes. One top-level call keeps one memo, in which
+the values of each recursion point (a fixed point, an interpreted slot, a
+named instant code) at each size are built once and then shared as subtrees
+of every larger value. So no value is built twice or repeated, and the
+result is each size from 1 to ``max_size`` in turn, sorted by printed form.
+
 Payload sorts admit infinitely many tokens, so enumeration restricts token
 identifiers to 0 and 1 per sort; size bounds then give finite universes.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
 from .embed import STAR, ConversionReport, PathContext, standard_table
@@ -35,8 +41,10 @@ from .gvalue import (
     identity,
     payload,
     print_value,
-    value_size,
+    right,
 )
+
+T = TypeVar("T")
 
 
 class UnknownProperty(Exception):
@@ -52,9 +60,18 @@ class EnumBudget:
             raise ValueError("max_size must be at least 1")
 
 
-def _finish(values: Iterable[GenericValue]) -> list[GenericValue]:
-    unique = set(values)
-    return sorted(unique, key=lambda v: (value_size(v), print_value(v)))
+def _finish(
+    gen: Callable[[int, dict], list[GenericValue]], max_size: int
+) -> list[GenericValue]:
+    """The values ``gen(n, memo)`` gives for each size ``n`` from 1 to
+    ``max_size``, ordered by size and then by printed form, with one memo
+    for them all. ``gen`` gives every value of exactly ``n`` nodes once, so
+    nothing repeats."""
+    memo: dict = {}
+    values: list[GenericValue] = []
+    for n in range(1, max_size + 1):
+        values += sorted(gen(n, memo), key=print_value)
+    return values
 
 
 def _rechecked(
@@ -67,9 +84,29 @@ def _rechecked(
     return values
 
 
+# One top-level enumeration shares one memo, a dict that ``_finish`` makes
+# and every generator below takes last. Each key starts with a tag for what
+# it holds:
+# - "walk": per code walked in one context (its slots, assignment or index),
+#   the dict in which ``spine.gen`` keeps that walk's values by node and size;
+# - "mu", and "atom" for instant: per recursion point and exact size, its
+#   values, so that every larger value shares them as subtrees;
+# - any other tag: a slot or table built from a code node and a table, built
+#   once so that its ``id`` names it in the keys above.
+# Keys name codes, slots and tables by ``id``: each is part of the top-level
+# code or context, or held by the memo, so it outlives the memo and its
+# ``id`` is not reused. Index labels and instant atoms compare by value, so
+# equal ones share their entries.
+def _once(memo: dict, key: tuple, build: Callable[[], T]) -> T:
+    """``memo[key]``, built by ``build()`` on the first request."""
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def _gen_payload(sort: str, n: int) -> list[GenericValue]:
     """Tokens 0 and 1 of a sort, or ``tt`` for ``⊤``: one node each."""
-    if n < 1:
+    if n != 1:
         return []
     if sort == TOP_SORT:
         return [TT()]
@@ -80,40 +117,44 @@ def _gen_payload(sort: str, n: int) -> list[GenericValue]:
 # regular
 
 
-def _gen_slot_r(slot: regular.RegularSlot, n: int) -> list[GenericValue]:
+def _gen_slot_r(slot: regular.RegularSlot, n: int, memo: dict) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
             return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case regular.MuSlot(code):
-            return _gen_mu_r(code, n)
+            return _gen_mu_r(code, n, memo)
     raise TypeError(f"not a regular slot: {slot!r}")
 
 
-def _gen_r(code: regular.RegularCode, slot: regular.RegularSlot, n: int):
+def _gen_r(code: regular.RegularCode, slot: regular.RegularSlot, n: int, memo: dict):
     def atom(node: regular.RegularCode, m: int) -> list[GenericValue]:
         match node:
             case regular.Id():
-                return _gen_slot_r(slot, m)
+                return _gen_slot_r(slot, m, memo)
         raise TypeError(f"not a regular code: {node!r}")
 
-    return spine.gen(code, n, atom)
+    return spine.gen(code, n, atom, _once(memo, ("walk", id(code), id(slot)), dict))
 
 
-def _gen_mu_r(code: regular.RegularCode, n: int) -> list[GenericValue]:
-    return [Roll(w) for w in _gen_r(code, regular.MuSlot(code), n - 1)]
+def _gen_mu_r(code: regular.RegularCode, n: int, memo: dict) -> list[GenericValue]:
+    def build() -> list[GenericValue]:
+        slot = _once(memo, ("slot", id(code)), lambda: regular.MuSlot(code))
+        return [Roll(w) for w in _gen_r(code, slot, n - 1, memo)]
+
+    return _once(memo, ("mu", id(code), n), build)
 
 
 def enum_regular(
     code: regular.RegularCode, slot: regular.RegularSlot, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(_gen_r(code, slot, budget.max_size))
+    values = _finish(partial(_gen_r, code, slot), budget.max_size)
     return _rechecked(values, partial(regular.conform_r, code, slot))
 
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
-    values = _finish(_gen_mu_r(code, budget.max_size))
+    values = _finish(partial(_gen_mu_r, code), budget.max_size)
     return _rechecked(values, partial(regular.conform_mu_r, code))
 
 
@@ -121,51 +162,61 @@ def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[Gener
 # polyp
 
 
-def _gen_slot_p(slot: polyp.PolyPSlot, n: int) -> list[GenericValue]:
+def _gen_slot_p(slot: polyp.PolyPSlot, n: int, memo: dict) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
             return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case polyp.MuSlot(code, param):
-            return _gen_mu_p(code, param, n)
+            return _gen_mu_p(code, param, n, memo)
         case polyp.InterpSlot(code, slots):
-            return _gen_p(code, slots, n)
+            return _gen_p(code, slots, n, memo)
     raise TypeError(f"not a polyp slot: {slot!r}")
 
 
-def _gen_p(code: polyp.PolyPCode, slots: polyp.SlotPair, n: int):
+def _gen_p(code: polyp.PolyPCode, slots: polyp.SlotPair, n: int, memo: dict):
     def atom(node: polyp.PolyPCode, m: int) -> list[GenericValue]:
         match node:
             case polyp.Par():
-                return _gen_slot_p(slots.param, m)
+                return _gen_slot_p(slots.param, m, memo)
             case polyp.Id():
-                return _gen_slot_p(slots.rec, m)
+                return _gen_slot_p(slots.rec, m, memo)
             case polyp.Comp(f, g):
-                return _gen_mu_p(f, polyp.InterpSlot(g, slots), m)
+                param = _once(
+                    memo, ("comp", id(node), id(slots)), lambda: polyp.InterpSlot(g, slots)
+                )
+                return _gen_mu_p(f, param, m, memo)
         raise TypeError(f"not a polyp code: {node!r}")
 
-    return spine.gen(code, n, atom)
+    return spine.gen(code, n, atom, _once(memo, ("walk", id(code), id(slots)), dict))
 
 
 def _gen_mu_p(
-    code: polyp.PolyPCode, param: polyp.PolyPSlot, n: int
+    code: polyp.PolyPCode, param: polyp.PolyPSlot, n: int, memo: dict
 ) -> list[GenericValue]:
-    slots = polyp.SlotPair(param, polyp.MuSlot(code, param))
-    return [Roll(w) for w in _gen_p(code, slots, n - 1)]
+    def build() -> list[GenericValue]:
+        slots = _once(
+            memo,
+            ("slots", id(code), id(param)),
+            lambda: polyp.SlotPair(param, polyp.MuSlot(code, param)),
+        )
+        return [Roll(w) for w in _gen_p(code, slots, n - 1, memo)]
+
+    return _once(memo, ("mu", id(code), id(param), n), build)
 
 
 def enum_polyp(
     code: polyp.PolyPCode, slots: polyp.SlotPair, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(_gen_p(code, slots, budget.max_size))
+    values = _finish(partial(_gen_p, code, slots), budget.max_size)
     return _rechecked(values, partial(polyp.conform_p, code, slots))
 
 
 def enum_mu_polyp(
     code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(_gen_mu_p(code, param, budget.max_size))
+    values = _finish(partial(_gen_mu_p, code, param), budget.max_size)
     return _rechecked(values, partial(polyp.conform_mu_p, code, param))
 
 
@@ -174,7 +225,7 @@ def enum_mu_polyp(
 
 
 def _gen_slot_m(
-    slot: multirec.MultirecSlot, at: IndexLabel, n: int
+    slot: multirec.MultirecSlot, at: IndexLabel, n: int, memo: dict
 ) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
@@ -182,30 +233,38 @@ def _gen_slot_m(
         case EmptySlot():
             return []
         case multirec.MuSlot(code):
-            return _gen_mu_m(code, at, n)
+            return _gen_mu_m(code, at, n, memo)
     raise TypeError(f"not a multirec slot: {slot!r}")
 
 
 def _gen_body_m(
-    code: multirec.MultirecCode, assign: multirec.Assignment, at: IndexLabel, n: int
+    code: multirec.MultirecCode,
+    assign: multirec.Assignment,
+    at: IndexLabel,
+    n: int,
+    memo: dict,
 ):
     multirec.check_index(code, at)
 
     def atom(node: multirec.MultirecBody, m: int) -> list[GenericValue]:
         match node:
             case multirec.Id(lbl):
-                return _gen_slot_m(multirec.at_index(code, assign, lbl), lbl, m)
+                return _gen_slot_m(multirec.at_index(code, assign, lbl), lbl, m, memo)
             case multirec.Tag(lbl):
                 multirec.check_index(code, lbl)
-                return [Refl()] if at == lbl else []
+                return [Refl()] if m == 1 and at == lbl else []
         raise TypeError(f"not a multirec body: {node!r}")
 
-    return spine.gen(code.body, n, atom)
+    walk = _once(memo, ("walk", id(code), id(assign), at), dict)
+    return spine.gen(code.body, n, atom, walk)
 
 
-def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int):
-    assign = multirec.mu_assignment(code)
-    return [Roll(w) for w in _gen_body_m(code, assign, at, n - 1)]
+def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int, memo: dict):
+    def build() -> list[GenericValue]:
+        assign = _once(memo, ("assign", id(code)), lambda: multirec.mu_assignment(code))
+        return [Roll(w) for w in _gen_body_m(code, assign, at, n - 1, memo)]
+
+    return _once(memo, ("mu", id(code), at, n), build)
 
 
 def enum_multirec(
@@ -214,14 +273,14 @@ def enum_multirec(
     at: IndexLabel,
     budget: EnumBudget,
 ) -> list[GenericValue]:
-    values = _finish(_gen_body_m(code, assign, at, budget.max_size))
+    values = _finish(partial(_gen_body_m, code, assign, at), budget.max_size)
     return _rechecked(values, partial(multirec.conform_m, code, assign, at))
 
 
 def enum_mu_multirec(
     code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(_gen_mu_m(code, at, budget.max_size))
+    values = _finish(partial(_gen_mu_m, code, at), budget.max_size)
     return _rechecked(values, partial(multirec.conform_mu_m, code, at))
 
 
@@ -229,42 +288,59 @@ def enum_mu_multirec(
 # indexed
 
 
-def _gen_slot_i(slot: indexed.IndexedSlot, n: int) -> list[GenericValue]:
+def _gen_slot_i(slot: indexed.IndexedSlot, n: int, memo: dict) -> list[GenericValue]:
     match slot:
         case PayloadSlot(sort):
             return _gen_payload(sort, n)
         case EmptySlot():
             return []
         case indexed.InterpSlot(code, assign, at):
-            return _gen_i(code, assign, at, n)
+            return _gen_i(code, assign, at, n, memo)
         case indexed.MuSlot(inner, under, at):
-            return [Roll(w) for w in _gen_i(inner, under, at, n - 1)]
+            return _once(
+                memo,
+                ("mu", id(slot), n),
+                lambda: [Roll(w) for w in _gen_i(inner, under, at, n - 1, memo)],
+            )
     raise TypeError(f"not an indexed slot: {slot!r}")
 
 
 def _gen_i(
-    code: indexed.IndexedCode, assign: indexed.SlotTable, at: IndexLabel, n: int
+    code: indexed.IndexedCode,
+    assign: indexed.SlotTable,
+    at: IndexLabel,
+    n: int,
+    memo: dict,
 ) -> list[GenericValue]:
+    """The values of ``code`` under ``assign`` at ``at`` with exactly ``n``
+    nodes. A ``Comp`` node's middle assignment and a ``Fix`` node's table
+    are built once per assignment they sit under; a ``Fix`` node's values
+    are those of the fixed-point slot its table holds at ``R.at``, which
+    every deeper layer reads too."""
     indexed.check_output(code, at)
-    # id(Fix node) -> the assignment under it, built at the node's first visit
-    under: dict[int, indexed.SlotTable] = {}
 
     def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
         match node:
             case indexed.Id(lbl):
-                return _gen_slot_i(indexed.slot_at(assign, lbl), m)
+                return _gen_slot_i(indexed.slot_at(assign, lbl), m, memo)
             case indexed.Tag(lbl):
-                return [Refl()] if at == lbl else []
+                return [Refl()] if m == 1 and at == lbl else []
             case indexed.Comp(f, g):
-                middle = {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins}
-                return _gen_i(f, middle, at, m)
+                middle = _once(
+                    memo,
+                    ("table", id(node), id(assign)),
+                    lambda: {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins},
+                )
+                return _gen_i(f, middle, at, m, memo)
             case indexed.Fix(f):
-                if id(node) not in under:
-                    under[id(node)] = indexed.mu_assign(f, assign)
-                return [Roll(w) for w in _gen_i(f, under[id(node)], at, m - 1)]
+                under = _once(
+                    memo, ("table", id(node), id(assign)), lambda: indexed.mu_assign(f, assign)
+                )
+                return _gen_slot_i(indexed.slot_at(under, right(at)), m, memo)
         raise TypeError(f"not an indexed body: {node!r}")
 
-    return spine.gen(code.body, n, atom)
+    walk = _once(memo, ("walk", id(code), id(assign), at), dict)
+    return spine.gen(code.body, n, atom, walk)
 
 
 def enum_indexed(
@@ -273,7 +349,7 @@ def enum_indexed(
     at: IndexLabel,
     budget: EnumBudget,
 ) -> list[GenericValue]:
-    values = _finish(_gen_i(code, assign, at, budget.max_size))
+    values = _finish(partial(_gen_i, code, assign, at), budget.max_size)
     return _rechecked(values, partial(indexed.conform_i, code, assign, at))
 
 
@@ -281,33 +357,46 @@ def enum_indexed(
 # instant
 
 
-def _gen_kset(env: instant.CodeEnv, kset: instant.KSet, n: int) -> list[GenericValue]:
+def _gen_kset(
+    env: instant.CodeEnv, kset: instant.KSet, n: int, memo: dict
+) -> list[GenericValue]:
     match kset:
         case instant.Prim(sort):
             return _gen_payload(sort, n)
         case instant.EqWitness(a, b):
-            return [Refl()] if a == b and n >= 1 else []
+            return [Refl()] if n == 1 and a == b else []
         case instant.OfCode(ref):
-            return _gen_ig(env, instant.resolve(env, ref), n)
+            return _gen_ig(env, instant.resolve(env, ref), n, memo)
     raise TypeError(f"not a constant set: {kset!r}")
 
 
-def _gen_ig(env: instant.CodeEnv, code: instant.InstantCode, n: int):
+def _gen_ig(env: instant.CodeEnv, code: instant.InstantCode, n: int, memo: dict):
+    """The values of ``code`` with exactly ``n`` nodes; every ``K`` and ``R``
+    node with the same constant set or reference shares one list per size."""
+
     def atom(node: instant.InstantCode, m: int) -> list[GenericValue]:
         match node:
             case instant.K(kset):
-                return [Konst(w) for w in _gen_kset(env, kset, m - 1)]
+                return _once(
+                    memo,
+                    ("atom", node, m),
+                    lambda: [Konst(w) for w in _gen_kset(env, kset, m - 1, memo)],
+                )
             case instant.R(ref):
-                return [RecV(w) for w in _gen_ig(env, instant.resolve(env, ref), m - 1)]
+                return _once(
+                    memo,
+                    ("atom", node, m),
+                    lambda: [RecV(w) for w in _gen_ig(env, instant.resolve(env, ref), m - 1, memo)],
+                )
         raise TypeError(f"not an instant code: {node!r}")
 
-    return spine.gen(code, n, atom)
+    return spine.gen(code, n, atom, _once(memo, ("walk", id(code)), dict))
 
 
 def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(_gen_ig(env, code, budget.max_size))
+    values = _finish(partial(_gen_ig, env, code), budget.max_size)
     return _rechecked(values, partial(instant.conform_ig, env, code))
 
 

@@ -29,7 +29,6 @@ from .gvalue import (
     Pair,
     TT,
     print_value,
-    value_size,
 )
 
 
@@ -115,29 +114,50 @@ def map(
 
 
 def gen(
-    code, n: int, atom: Callable[[object, int], list[GenericValue]]
+    code,
+    n: int,
+    atom: Callable[[object, int], list[GenericValue]],
+    memo: dict[int, list[list[GenericValue]]],
 ) -> list[GenericValue]:
-    """Every inhabitant of ``code`` with at most ``n`` nodes, possibly with
-    repeats; ``atom(node, n)`` is called with ``n >= 1`` only."""
-    if n < 1:
-        return []
+    """Every inhabitant of ``code`` with exactly ``n`` nodes, each once.
+
+    ``atom(node, m)`` is called with ``m >= 1`` only and must give every
+    inhabitant of the atom with exactly ``m`` nodes once. ``memo`` maps the
+    ``id`` of each node of ``code`` to its values by size, ``memo[id(node)][m]``
+    holding those with exactly ``m`` nodes, so no list is built twice; give
+    one dict per meaning of ``atom``.
+    """
+    return _upto(code, n, atom, memo)[n] if n >= 1 else []
+
+
+def _upto(code, n: int, atom, memo) -> list[list[GenericValue]]:
+    """``code``'s values by size in ``memo``, filled at least to size ``n``."""
+    parts = memo.get(id(code))
+    if parts is None:
+        parts = memo[id(code)] = [[]]
     kind = type(code)
-    if kind is Sum:
-        return [In1(w) for w in gen(code.left, n - 1, atom)] + [
-            In2(w) for w in gen(code.right, n - 1, atom)
-        ]
-    if kind is Prod:
-        out = []
-        rights: dict[int, list[GenericValue]] = {}  # remaining budget -> right values
-        for a in gen(code.left, n - 2, atom):
-            budget = n - 1 - value_size(a)
-            if budget not in rights:
-                rights[budget] = gen(code.right, budget, atom)
-            out += [Pair(a, b) for b in rights[budget]]
-        return out
-    if kind is Unit:
-        return [TT()]
-    return atom(code, n)
+    while len(parts) <= n:
+        m = len(parts)
+        if kind is Sum:
+            values = [In1(w) for w in _upto(code.left, m - 1, atom, memo)[m - 1]] + [
+                In2(w) for w in _upto(code.right, m - 1, atom, memo)[m - 1]
+            ]
+        elif kind is Prod:
+            # The pair takes one node and splits the rest between its
+            # operands; a split whose left operand has no value of its
+            # share is skipped.
+            lefts = _upto(code.left, m - 2, atom, memo)
+            values = []
+            for k in range(1, m - 1):
+                if lefts[k]:
+                    rights = _upto(code.right, m - 1 - k, atom, memo)[m - 1 - k]
+                    values += [Pair(a, b) for a in lefts[k] for b in rights]
+        elif kind is Unit:
+            values = [TT()] if m == 1 else []
+        else:
+            values = atom(code, m)
+        parts.append(values)
+    return parts
 
 
 def lift(code, atom: Callable[[object], object]):

@@ -93,25 +93,40 @@ def _count_tagging(monkeypatch):
     return calls
 
 
+def _rose(depth):
+    """A rose of the given depth whose every inner node has two children."""
+    out = Roll(Pair(TT(), _ilist([])))
+    for _ in range(depth):
+        out = Roll(Pair(TT(), _ilist([out, out])))
+    return out
+
+
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda v: conform_i(LIST_I, TOP_ASSIGN, STAR, v),
-        lambda v: map_i(LIST_I, {STAR: lambda w: w}, STAR, v),
+        lambda code, v: conform_i(code, TOP_ASSIGN, STAR, v),
+        lambda code, v: map_i(code, {STAR: lambda w: w}, STAR, v),
     ],
     ids=["conform_i", "map_i"],
 )
 def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
     """The table under a fixed point is built when the walk enters it, not
-    again at every layer, so the tagging work does not grow with depth."""
+    again at every layer, so the tagging work does not grow with depth. A
+    fixed point under a composition (the list inside each rose layer) is
+    entered at every layer of the outer one, and still builds its table
+    once per walk."""
     calls = _count_tagging(monkeypatch)
-    counts = []
-    for layers in (2, 120):
-        v = _ilist([TT()] * (layers - 1))
-        calls.clear()
-        assert walk(v)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    inputs = {
+        "ListI": (LIST_I, [_ilist([TT()] * (layers - 1)) for layers in (2, 120)]),
+        "RoseI": (ROSE_I, [_rose(1), _rose(5)]),
+    }
+    for name, (code, values) in inputs.items():
+        counts = []
+        for v in values:
+            calls.clear()
+            assert walk(code, v)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name
 
 
 def test_tagged_labels_are_interned():

@@ -10,7 +10,9 @@ from functools import partial
 import pytest
 
 from genrep import index_set, label, left, print_label, print_value, value_size
+from genrep import oracle
 from genrep.corpus import (
+    BIN_C,
     INDEXED_CODES,
     INSTANT_CODES,
     INSTANT_ENVS,
@@ -90,9 +92,10 @@ def test_brute_force_agrees_instant():
 BRUTE_CEILING = 6
 
 
-def _corpus_cases():
-    """(conformance check, enumerator) per corpus code and index or output."""
-    budget = EnumBudget(max_size=BRUTE_CEILING)
+def _corpus_cases(ceiling=BRUTE_CEILING):
+    """(conformance check, enumerator up to ``ceiling``) per corpus code and
+    index or output."""
+    budget = EnumBudget(max_size=ceiling)
     for name, code in REGULAR_CODES.items():
         yield pytest.param(
             partial(conform_mu_r, code),
@@ -134,11 +137,31 @@ def test_brute_force_agrees_on_every_corpus_code(conforms, enumerate_):
     assert enumerate_() == _accepted(conforms, BRUTE_CEILING)
 
 
-def test_enumeration_is_sorted_and_duplicate_free():
-    values = enum_mu_regular(NAT_C, EnumBudget(max_size=11))
+# Nothing removes repeats after enumeration: every value is built once by
+# construction, and this checks that on every corpus context.
+@pytest.mark.parametrize("conforms, enumerate_", list(_corpus_cases(14)))
+def test_enumeration_is_sorted_and_duplicate_free(conforms, enumerate_):
+    values = enumerate_()
     keys = [(value_size(v), print_value(v)) for v in values]
     assert keys == sorted(keys)
     assert len(set(values)) == len(values)
+
+
+@pytest.mark.parametrize(
+    "enumerate_",
+    [
+        lambda: enum_mu_regular(BIN_C, EnumBudget(max_size=16)),
+        lambda: enum_mu_polyp(LIST_C, TOP, EnumBudget(max_size=16)),
+    ],
+    ids=["regular-BinC", "polyp-ListC"],
+)
+def test_each_fixed_point_value_is_built_once(monkeypatch, enumerate_):
+    """One top-level enumeration builds each fixed-point value once and
+    shares it as a subtree of every larger value."""
+    built = []
+    monkeypatch.setattr(oracle, "Roll", lambda w: built.append(w) or Roll(w))
+    values = enumerate_()
+    assert len(built) == len(values)
 
 
 def test_nat_counts_follow_the_closed_form():

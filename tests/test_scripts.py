@@ -1,5 +1,6 @@
 """The demo scripts run end to end."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -39,6 +40,17 @@ def test_enum_corpus_lists_every_code_at_every_index():
         "-- indexed ZigZagI at R.⋆: 0 values",
         "-- instant List⊤: 1 values",
     ]
+
+
+# SHA-256 of the whole listing at max-size 12: the values and their order
+# are fixed, however the enumerators build them.
+ENUM_CORPUS_12_SHA256 = "a8dfbcc81c15a6c25a1d2a12144b8b8299a3bbf51551b29cd6f84d811bede05c"
+
+
+def test_enum_corpus_listing_is_pinned():
+    out = run_script("enum_corpus.py", "--max-size", "12")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == ENUM_CORPUS_12_SHA256
 
 
 def test_run_properties_passes_every_suite():
