@@ -632,8 +632,7 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
 
 
 def print_env(env: Mapping[str, instant.InstantCode]) -> str:
-    lines = [f"{name} = {print_code('instant', code)}" for name, code in env.items()]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {print_code('instant', code)}\n" for name, code in env.items())
 
 
 # ---------------------------------------------------------------------------

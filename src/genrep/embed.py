@@ -350,33 +350,6 @@ def _ensure_fix(
     return builder.ensure(("fix", fix_body, rho, o), build)
 
 
-class _ParamEntry:
-    """A parameter position: its contents become a constant."""
-
-
-@dataclass(eq=False)
-class _CompEntry:
-    """An input of a composition's left code, read in ``code`` at ``at``."""
-
-    code: indexed.IndexedCode
-    rho: _Entries
-    at: IndexLabel
-
-
-@dataclass(eq=False)
-class _FixEntry:
-    """A recursive position of ``Fix(inner)``; ``under`` holds this entry."""
-
-    inner: indexed.IndexedCode
-    under: _Entries
-    at: IndexLabel
-
-
-_ConvEntry = Union[_ParamEntry, _CompEntry, _FixEntry]
-
-_Entries = dict[IndexLabel, _ConvEntry]
-
-
 def convert_i_ig(
     code: indexed.IndexedCode,
     table: KSetTable,
@@ -385,13 +358,18 @@ def convert_i_ig(
     direction: Direction,
 ) -> GenericValue:
     """Forward: rolls become rec nodes, parameter and tag contents become
-    constants. Backward restores the original tree exactly."""
+    constants. Backward restores the original tree exactly.
+
+    Both directions read the code through the assignments of indexed
+    conformance (``indexed.inner_assign``), built once per walk: an
+    ``InterpSlot`` is an input of a composition's left code, a ``MuSlot`` a
+    recursive position of a fixed point, and any other entry, such as the
+    constant set ``table`` gives an input of ``code``, is a parameter."""
     _check_direction(direction)
     indexed.check_output(code, o)
-    rho = {lbl: _ParamEntry() for lbl, _ in _rho_from_table(code, table)}
-    if direction == "forward":
-        return _from_ig(code, rho, o, v)
-    return _to_ig(code, rho, o, v)
+    assign = dict(_rho_from_table(code, table))
+    walk = _from_ig if direction == "forward" else _to_ig
+    return walk({}, code, assign, o, v)
 
 
 def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
@@ -401,103 +379,80 @@ def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
         raise MalformedValue(f"refl under tag {print_label(lbl)} at index {print_label(o)}")
 
 
-def _conv_entry(rho: _Entries, lbl: IndexLabel) -> _ConvEntry:
-    if lbl not in rho:
-        raise MalformedValue(f"no conversion entry for index {print_label(lbl)}")
-    return rho[lbl]
-
-
-def _under_fix(inner: indexed.IndexedCode, rho: _Entries) -> _Entries:
-    """The entries one layer under ``Fix(inner)``, built once per fixed
-    point: Left inputs keep theirs, Right inputs re-enter the fixed point.
-    The walks unroll a fixed point's first layer as they unroll its
-    recursive positions, in the atom itself, adding no frame per layer."""
-    under = {left(lbl): entry for lbl, entry in rho.items()}
-    for out in inner.outs:
-        under[right(out)] = _FixEntry(inner, under, out)
-    return under
-
-
 def _from_ig(
-    code: indexed.IndexedCode, rho: _Entries, o: IndexLabel, v: GenericValue
+    tables: dict, code: indexed.IndexedCode, assign: Mapping, o: IndexLabel, v: GenericValue
 ) -> GenericValue:
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _conv_entry(rho, lbl)
+                slot = indexed.slot_at(assign, lbl)
             case indexed.Tag(lbl):
                 if w != Refl():
                     raise MalformedValue(f"tag position is not refl: {print_value(w)}")
                 _check_tag(lbl, o)
                 return Konst(w)
-            case indexed.Comp(f, g):
-                mid = {lbl: _CompEntry(g, rho, lbl) for lbl in f.ins}
-                return RecV(_from_ig(f, mid, o, w))
+            case indexed.Comp(f, _):
+                return RecV(_from_ig(tables, f, indexed.inner_assign(tables, node, assign), o, w))
             case indexed.Fix(f):
-                entry = _FixEntry(f, _under_fix(f, rho), o)
+                slot = indexed.MuSlot(f, indexed.inner_assign(tables, node, assign), o)
             case _:
                 raise TypeError(f"not an indexed body: {node!r}")
-        match entry:
-            case _ParamEntry():
-                return Konst(w)
-            case _CompEntry(inner, inner_rho, at):
-                return Konst(_from_ig(inner, inner_rho, at, w))
-            case _FixEntry(inner, under, at):
+        match slot:
+            case indexed.InterpSlot(inner, middle, at):
+                return Konst(_from_ig(tables, inner, middle, at, w))
+            case indexed.MuSlot(inner, under, at):
                 match w:
                     case Roll(x):
-                        return RecV(_from_ig(inner, under, at, x))
+                        return RecV(_from_ig(tables, inner, under, at, x))
                 raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
+        return Konst(w)
 
     return spine.map(code.body, v, atom)
 
 
 def _to_ig(
-    code: indexed.IndexedCode, rho: _Entries, o: IndexLabel, v: GenericValue
+    tables: dict, code: indexed.IndexedCode, assign: Mapping, o: IndexLabel, v: GenericValue
 ) -> GenericValue:
     def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
         match node:
             case indexed.Id(lbl):
-                entry = _conv_entry(rho, lbl)
+                slot = indexed.slot_at(assign, lbl)
             case indexed.Tag(lbl):
                 match w:
                     case Konst(Refl()):
                         _check_tag(lbl, o)
                         return Refl()
                 raise MalformedValue(f"tag position is not k refl: {print_value(w)}")
-            case indexed.Comp(f, g):
+            case indexed.Comp(f, _):
                 match w:
                     case RecV(x):
-                        mid = {lbl: _CompEntry(g, rho, lbl) for lbl in f.ins}
-                        return _to_ig(f, mid, o, x)
+                        return _to_ig(tables, f, indexed.inner_assign(tables, node, assign), o, x)
                 raise MalformedValue(
                     f"composition layer is not a rec node: {print_value(w)}"
                 )
             case indexed.Fix(f):
-                entry = _FixEntry(f, _under_fix(f, rho), o)
+                slot = indexed.MuSlot(f, indexed.inner_assign(tables, node, assign), o)
             case _:
                 raise TypeError(f"not an indexed body: {node!r}")
-        match entry:
-            case _ParamEntry():
+        match slot:
+            case indexed.InterpSlot(inner, middle, at):
                 match w:
                     case Konst(x):
-                        return x
-                raise MalformedValue(
-                    f"parameter position is not a constant: {print_value(w)}"
-                )
-            case _CompEntry(inner, inner_rho, at):
-                match w:
-                    case Konst(x):
-                        return _to_ig(inner, inner_rho, at, x)
+                        return _to_ig(tables, inner, middle, at, x)
                 raise MalformedValue(
                     f"composition argument is not a constant: {print_value(w)}"
                 )
-            case _FixEntry(inner, under, at):
+            case indexed.MuSlot(inner, under, at):
                 match w:
                     case RecV(x):
-                        return Roll(_to_ig(inner, under, at, x))
+                        return Roll(_to_ig(tables, inner, under, at, x))
                 raise MalformedValue(
                     f"fixed-point layer is not a rec node: {print_value(w)}"
                 )
+        match w:
+            case Konst(x):
+                return x
+        raise MalformedValue(f"parameter position is not a constant: {print_value(w)}")
 
     return spine.map(code.body, v, atom)
 

@@ -181,6 +181,27 @@ def _table(tables: dict, node: IndexedBody, outer: Mapping, build: Callable[[], 
     return tables[key]
 
 
+def inner_assign(tables: dict, node: Comp | Fix, assign: SlotTable) -> SlotTable:
+    """The assignment the inner code of ``node`` reads under ``assign``: a
+    composition's left inputs interpret its right code, and a fixed point's
+    Right inputs re-enter it (``mu_assign``). Conformance, enumeration and
+    the i→ig conversion all read a code through it. ``tables`` lives for one
+    walk and keeps, under ``(id(node), id(assign))``, each assignment it
+    builds, so each is built once per walk however many layers of a value
+    pass through ``node``; ``assign``, the walk's first assignment or one
+    kept there, outlives the walk, so its ``id`` names it."""
+    key = (id(node), id(assign))
+    table = tables.get(key)
+    if table is None:
+        match node:
+            case Comp(f, g):
+                table = {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
+            case Fix(f):
+                table = mu_assign(f, assign)
+        tables[key] = table
+    return table
+
+
 def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
     return _slot_accepts_i({}, slot, v)
 
@@ -222,16 +243,12 @@ def _conform_i(
                 return _slot_accepts_i(tables, slot_at(assign, lbl), w)
             case Tag(lbl):
                 return w == Refl() and at == lbl
-            case Comp(f, g):
-                middle = _table(
-                    tables, node, assign, lambda: {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
-                )
-                return _conform_i(tables, f, middle, at, w)
+            case Comp(f, _):
+                return _conform_i(tables, f, inner_assign(tables, node, assign), at, w)
             case Fix(f):
                 match w:
                     case Roll(x):
-                        under = _table(tables, node, assign, lambda: mu_assign(f, assign))
-                        return _conform_i(tables, f, under, at, x)
+                        return _conform_i(tables, f, inner_assign(tables, node, assign), at, x)
                 return False
         raise TypeError(f"not an indexed body: {node!r}")
 

@@ -85,14 +85,16 @@ def _rechecked(
 
 
 # One top-level enumeration shares one memo, a dict that ``_finish`` makes
-# and every generator below takes last. Each key starts with a tag for what
-# it holds:
+# and every generator below takes last. A key starts with a tag for what it
+# holds, or has none:
 # - "walk": per code walked in one context (its slots, assignment or index),
 #   the dict in which ``spine.gen`` keeps that walk's values by node and size;
 # - "mu", and "atom" for instant: per recursion point and exact size, its
 #   values, so that every larger value shares them as subtrees;
 # - any other tag: a slot or table built from a code node and a table, built
-#   once so that its ``id`` names it in the keys above.
+#   once so that its ``id`` names it in the keys above;
+# - no tag: an indexed code node's inner assignment, keyed by
+#   ``indexed.inner_assign`` with the ids of the node and its assignment.
 # Keys name codes, slots and tables by ``id``: each is part of the top-level
 # code or context, or held by the memo, so it outlives the memo and its
 # ``id`` is not reused. Index labels and instant atoms compare by value, so
@@ -325,17 +327,10 @@ def _gen_i(
                 return _gen_slot_i(indexed.slot_at(assign, lbl), m, memo)
             case indexed.Tag(lbl):
                 return [Refl()] if m == 1 and at == lbl else []
-            case indexed.Comp(f, g):
-                middle = _once(
-                    memo,
-                    ("table", id(node), id(assign)),
-                    lambda: {lbl: indexed.InterpSlot(g, assign, lbl) for lbl in f.ins},
-                )
-                return _gen_i(f, middle, at, m, memo)
-            case indexed.Fix(f):
-                under = _once(
-                    memo, ("table", id(node), id(assign)), lambda: indexed.mu_assign(f, assign)
-                )
+            case indexed.Comp(f, _):
+                return _gen_i(f, indexed.inner_assign(memo, node, assign), at, m, memo)
+            case indexed.Fix(_):
+                under = indexed.inner_assign(memo, node, assign)
                 return _gen_slot_i(indexed.slot_at(under, right(at)), m, memo)
         raise TypeError(f"not an indexed body: {node!r}")
 

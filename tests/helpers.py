@@ -4,7 +4,8 @@
 structural enumerators can be checked against an oracle that cannot share
 their blind spots.  `gvalues` is the hypothesis strategy used by the
 round-trip properties.  `child_env` is the environment every test that
-starts a Python process gives it.
+starts a Python process gives it.  `indexed_list` and `rose` build values
+of the indexed list and rose codes.
 """
 
 import os
@@ -35,6 +36,23 @@ def child_env() -> dict[str, str]:
     the tree under test."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def indexed_list(items) -> Roll:
+    """The value of ``ListI`` that holds ``items``."""
+    out = Roll(In1(TT()))
+    for item in reversed(items):
+        out = Roll(In2(Pair(item, out)))
+    return out
+
+
+def rose(depth: int) -> Roll:
+    """A value of ``RoseI`` of the given depth whose every inner node has two
+    children."""
+    out = Roll(Pair(TT(), indexed_list([])))
+    for _ in range(depth):
+        out = Roll(Pair(TT(), indexed_list([out, out])))
+    return out
 
 
 _LEAVES = (TT(), Refl(), payload("⊤", 0), payload("⊤", 1))

@@ -309,8 +309,9 @@ def test_dangling_reference_is_one_error_line(command):
          "in: L.⋆, R.⋆\nout: ⋆\nI@L.⋆ * fix (U + I@L.⋆ * I@R.⋆) @ I@R.⋆\n"),
         ("multirec", "indexed", "ZigZagC",
          "in: R.L.⋆, R.R.⋆\nout: L.⋆, R.⋆\n!L.⋆ * (I@R.R.⋆ + U) + !R.⋆ * I@R.L.⋆\n"),
+        ("indexed", "instant", "in: a\nout: b\nI@a", "out b = K ⊤\n"),
     ],
-    ids=["r-p", "p-i", "m-i"],
+    ids=["r-p", "p-i", "m-i", "i-ig-without-entries"],
 )
 def test_lift_prints_the_open_lifted_code(src, dst, code, expected):
     out = run_cli("lift", "--from", src, "--to", dst, "--code", code)

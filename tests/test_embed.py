@@ -1,6 +1,7 @@
 """Round-trip checks for every conversion pair, on golden values and on
 everything the enumerators produce at small sizes."""
 
+import re
 from functools import partial
 
 import pytest
@@ -20,7 +21,7 @@ from genrep import (
     payload,
     print_label,
 )
-from genrep import embed, parse_code
+from genrep import embed, indexed, parse_code
 from genrep.corpus import (
     A_LIST,
     A_NAT,
@@ -35,6 +36,7 @@ from genrep.corpus import (
     POLYP_CODES,
     REGULAR_CODES,
     ROSE_C,
+    ROSE_I,
     S_ROSE,
     ZIG_ZAG_C,
     ZIG_ZAG_END,
@@ -66,7 +68,7 @@ from genrep.embed import (
     regular_context,
 )
 from genrep.gvalue import EmptySlot, PayloadSlot
-from genrep.instant import EqWitness, Prim, R, conform_ig
+from genrep.instant import EqWitness, OfCode, Prim, R, conform_ig
 from genrep.indexed import conform_i
 from genrep.multirec import conform_mu_m
 from genrep.oracle import (
@@ -82,7 +84,7 @@ from genrep.oracle import (
 from genrep.polyp import conform_mu_p
 from genrep.regular import conform_mu_r
 
-from helpers import all_trees_upto
+from helpers import all_trees_upto, indexed_list, rose
 
 BUDGET = EnumBudget(max_size=8)
 TOP_TABLE = {STAR: Prim("⊤")}
@@ -172,28 +174,78 @@ def test_nested_compositions_convert_a_value_they_add_layers_to():
     assert convert_i_ig(code, table, x, image, "backward") == TT()
 
 
-def _indexed_list(layers):
-    v = Roll(In1(TT()))
-    for _ in range(layers - 1):
-        v = Roll(In2(Pair(TT(), v)))
-    return v
-
-
 def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
+    """i→ig reads a code through the assignments of indexed conformance,
+    each built once per walk, so the tagging work does not grow with depth,
+    also for the list under every layer of a rose."""
     calls = []
-    for name in ("left", "right"):
-        original = getattr(embed, name)
-        monkeypatch.setattr(
-            embed, name, lambda lbl, original=original: calls.append(lbl) or original(lbl)
-        )
-    counts = []
-    for layers in (2, 120):
-        v = _indexed_list(layers)
-        calls.clear()
-        image = convert_i_ig(LIST_I, TOP_TABLE, STAR, v, "forward")
-        convert_i_ig(LIST_I, TOP_TABLE, STAR, image, "backward")
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    for module in (embed, indexed):
+        for name in ("left", "right"):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda lbl, original=original: calls.append(lbl) or original(lbl)
+            )
+    inputs = {
+        "ListI": (LIST_I, [indexed_list([TT()] * (layers - 1)) for layers in (2, 120)]),
+        "RoseI": (ROSE_I, [rose(1), rose(5)]),
+    }
+    for name, (code, values) in inputs.items():
+        counts = []
+        for v in values:
+            calls.clear()
+            image = convert_i_ig(code, TOP_TABLE, STAR, v, "forward")
+            convert_i_ig(code, TOP_TABLE, STAR, image, "backward")
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name
+
+
+@pytest.mark.parametrize(
+    "direction, code, at, v, message",
+    [
+        ("forward", ZIG_ZAG_I, LSTAR, Roll(In1(Pair(TT(), In2(TT())))),
+         "tag position is not refl: tt"),
+        ("forward", NAT_I, STAR, In1(TT()), "fixed-point layer is not rolled: in1 tt"),
+        ("forward", LIST_I, STAR, Roll(In2(Pair(TT(), In1(TT())))),
+         "fixed-point layer is not rolled: in1 tt"),
+        ("backward", ZIG_ZAG_I, LSTAR, RecV(In1(Pair(Refl(), In2(TT())))),
+         "tag position is not k refl: refl"),
+        ("backward", ROSE_I, STAR, RecV(Pair(Konst(TT()), In1(TT()))),
+         "composition layer is not a rec node: in1 tt"),
+        ("backward", ROSE_I, STAR,
+         RecV(Pair(Konst(TT()), RecV(RecV(In2(Pair(TT(), RecV(In1(TT())))))))),
+         "composition argument is not a constant: tt"),
+        ("backward", NAT_I, STAR, In1(TT()), "fixed-point layer is not a rec node: in1 tt"),
+        ("backward", LIST_I, STAR, RecV(In2(Pair(Konst(TT()), In1(TT())))),
+         "fixed-point layer is not a rec node: in1 tt"),
+        ("backward", LIST_I, STAR, RecV(In2(Pair(TT(), RecV(In1(TT()))))),
+         "parameter position is not a constant: tt"),
+    ],
+    ids=[
+        "fwd-tag",
+        "fwd-fix",
+        "fwd-fix-inner",
+        "bwd-tag",
+        "bwd-comp-layer",
+        "bwd-comp-argument",
+        "bwd-fix",
+        "bwd-fix-inner",
+        "bwd-parameter",
+    ],
+)
+def test_i_ig_names_what_is_malformed(direction, code, at, v, message):
+    with pytest.raises(MalformedValue, match=f"^{re.escape(message)}$"):
+        convert_i_ig(code, standard_table(code), at, v, direction)
+
+
+@pytest.mark.parametrize(
+    "kset", [OfCode("List⊤"), EqWitness(STAR, STAR)], ids=["of-code", "eq-witness"]
+)
+def test_i_ig_reads_any_constant_set_as_a_parameter(kset):
+    """Whatever constant set an input has, its contents become constants."""
+    v = indexed_list([TT()])
+    image = convert_i_ig(LIST_I, {STAR: kset}, STAR, v, "forward")
+    assert image == RecV(In2(Pair(Konst(TT()), RecV(In1(TT())))))
+    assert convert_i_ig(LIST_I, {STAR: kset}, STAR, image, "backward") == v
 
 
 def test_map_commutes_with_the_polyp_lift():

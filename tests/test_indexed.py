@@ -18,17 +18,11 @@ from genrep.indexed import (
     split_tables,
     wellformed_i,
 )
+from helpers import indexed_list, rose
 
 STAR = label("⋆")
 TOP_ASSIGN = {STAR: PayloadSlot("⊤")}
 NAT_ASSIGN = {STAR: PayloadSlot("nat")}
-
-
-def _ilist(items):
-    out = Roll(In1(TT()))
-    for item in reversed(items):
-        out = Roll(In2(Pair(item, out)))
-    return out
 
 
 @pytest.mark.parametrize("code", [NAT_I, BIN_I, LIST_I, ROSE_I, ZIG_ZAG_I])
@@ -43,10 +37,10 @@ def test_nat_values_conform():
 
 
 def test_list_parameter_slot_is_respected():
-    nats = _ilist([payload("nat", 0), payload("nat", 1)])
+    nats = indexed_list([payload("nat", 0), payload("nat", 1)])
     assert conform_i(LIST_I, NAT_ASSIGN, STAR, nats)
     assert not conform_i(LIST_I, TOP_ASSIGN, STAR, nats)
-    assert conform_i(LIST_I, TOP_ASSIGN, STAR, _ilist([TT()]))
+    assert conform_i(LIST_I, TOP_ASSIGN, STAR, indexed_list([TT()]))
 
 
 def test_zig_zag_conforms_per_output_index():
@@ -61,8 +55,8 @@ def test_conform_rejects_index_outside_outputs():
 
 def test_map_reaches_parameters_under_the_fixed_point():
     bump = lambda v: payload("nat", v.token.ident + 1)
-    nats = _ilist([payload("nat", 0), payload("nat", 4)])
-    assert map_i(LIST_I, {STAR: bump}, STAR, nats) == _ilist(
+    nats = indexed_list([payload("nat", 0), payload("nat", 4)])
+    assert map_i(LIST_I, {STAR: bump}, STAR, nats) == indexed_list(
         [payload("nat", 1), payload("nat", 5)]
     )
 
@@ -93,14 +87,6 @@ def _count_tagging(monkeypatch):
     return calls
 
 
-def _rose(depth):
-    """A rose of the given depth whose every inner node has two children."""
-    out = Roll(Pair(TT(), _ilist([])))
-    for _ in range(depth):
-        out = Roll(Pair(TT(), _ilist([out, out])))
-    return out
-
-
 @pytest.mark.parametrize(
     "walk",
     [
@@ -117,8 +103,8 @@ def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
     once per walk."""
     calls = _count_tagging(monkeypatch)
     inputs = {
-        "ListI": (LIST_I, [_ilist([TT()] * (layers - 1)) for layers in (2, 120)]),
-        "RoseI": (ROSE_I, [_rose(1), _rose(5)]),
+        "ListI": (LIST_I, [indexed_list([TT()] * (layers - 1)) for layers in (2, 120)]),
+        "RoseI": (ROSE_I, [rose(1), rose(5)]),
     }
     for name, (code, values) in inputs.items():
         counts = []
