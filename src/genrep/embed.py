@@ -36,6 +36,7 @@ from .gvalue import (
     index_set,
     label,
     left,
+    payload_slot_accepts,
     print_label,
     print_value,
     right,
@@ -363,11 +364,14 @@ def convert_i_ig(
     Both directions read the code through the assignments of indexed
     conformance (``indexed.inner_assign``), built once per walk: an
     ``InterpSlot`` is an input of a composition's left code, a ``MuSlot`` a
-    recursive position of a fixed point, and any other entry, such as the
-    constant set ``table`` gives an input of ``code``, is a parameter."""
+    recursive position of a fixed point, and any other entry is a parameter:
+    a ``Prim(sort)`` input of ``table`` is that sort's payload slot, which
+    checks its contents; other constant sets need an environment, which the
+    arrow lacks, so their contents pass unchecked."""
     _check_direction(direction)
     indexed.check_output(code, o)
-    assign = dict(_rho_from_table(code, table))
+    rho = _rho_from_table(code, table)
+    assign = {lbl: PayloadSlot(k.sort) if type(k) is instant.Prim else k for lbl, k in rho}
     walk = _from_ig if direction == "forward" else _to_ig
     return walk({}, code, assign, o, v)
 
@@ -377,6 +381,12 @@ def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
     leaves the tag uninhabited."""
     if lbl != o:
         raise MalformedValue(f"refl under tag {print_label(lbl)} at index {print_label(o)}")
+
+
+def _check_parameter(slot: object, v: GenericValue) -> None:
+    """A parameter read as a payload slot holds a content of its sort."""
+    if type(slot) is PayloadSlot and not payload_slot_accepts(slot, v):
+        raise MalformedValue(f"parameter position does not inhabit K {slot.sort}: {print_value(v)}")
 
 
 def _from_ig(
@@ -405,6 +415,7 @@ def _from_ig(
                     case Roll(x):
                         return RecV(_from_ig(tables, inner, under, at, x))
                 raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
+        _check_parameter(slot, w)
         return Konst(w)
 
     return spine.map(code.body, v, atom)
@@ -451,6 +462,7 @@ def _to_ig(
                 )
         match w:
             case Konst(x):
+                _check_parameter(slot, x)
                 return x
         raise MalformedValue(f"parameter position is not a constant: {print_value(w)}")
 
@@ -513,7 +525,9 @@ def contexts(
 ) -> list[PathContext]:
     """One context per index of the code's family, or the one context at
     ``at``; universes without indices give one context and ignore ``at``.
-    ``env`` is the environment of an instant code."""
+    ``env`` is the environment of an instant code, which it needs."""
+    if universe == "instant" and env is None:
+        raise ValueError("an instant context needs an environment")
     labels = family(universe, code)
     if labels is None:
         return [PathContext(universe, code, env=env)]

@@ -9,8 +9,7 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Mapping, TypeVar, Union
 
 from . import spine
 from .gvalue import (
@@ -136,28 +135,20 @@ def split_tables(
     return joined
 
 
-def under_fix(
-    inner: IndexedCode,
-    outer: Mapping[IndexLabel, T],
-    recur: Callable[[dict[IndexLabel, T], IndexLabel], T],
-) -> dict[IndexLabel, T]:
-    """The table one layer under ``Fix(inner)``: Left inputs keep their
-    entries in ``outer``, and each Right input ``lbl`` holds
-    ``recur(under, lbl)``, which may keep ``under``, this very table, so that
-    every deeper layer of the fixed point reuses it."""
-    under: dict[IndexLabel, T] = {}
-    under.update(split_tables(outer, {lbl: recur(under, lbl) for lbl in inner.outs}))
+def mu_assign(inner: IndexedCode, assign: Mapping[IndexLabel, T]) -> dict[IndexLabel, T | MuSlot]:
+    """The assignment one layer under ``Fix(inner)``: Left inputs keep their
+    entries in ``assign``, slots or transformers, and each Right input
+    ``lbl`` holds ``MuSlot(inner, under, lbl)``, whose ``under`` is this very
+    table, so that every deeper layer of the fixed point reuses it."""
+    under: dict[IndexLabel, T | MuSlot] = {}
+    under.update(split_tables(assign, {lbl: MuSlot(inner, under, lbl) for lbl in inner.outs}))
     return under
 
 
-def mu_assign(inner: IndexedCode, assign: SlotTable) -> dict[IndexLabel, IndexedSlot]:
-    """The assignment one layer under a fixed point: Left inputs keep their
-    slots in ``assign``, Right inputs hold the fixed point of ``inner``."""
-    return under_fix(inner, assign, partial(MuSlot, inner))
-
-
 def check_output(code: IndexedCode, at: IndexLabel) -> None:
-    """Conformance, map and enumeration all reject an index outside the outputs."""
+    """Conformance, map, enumeration and i→ig reject an index outside the
+    outputs, once per call: in a well-formed code every inner walk's index
+    is an output of the code it walks."""
     if at not in code.outs:
         raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
 
@@ -170,23 +161,14 @@ def slot_at(assign: SlotTable, lbl: IndexLabel) -> IndexedSlot:
     return slot
 
 
-def _table(tables: dict, node: IndexedBody, outer: Mapping, build: Callable[[], T]) -> T:
-    """The table ``build()`` makes for ``node`` under the table ``outer``, made
-    once per walk. ``tables`` lives for one walk and holds every table it
-    makes, so ``outer``, the caller's table or one of those, outlives it and
-    its ``id`` names it."""
-    key = (id(node), id(outer))
-    if key not in tables:
-        tables[key] = build()
-    return tables[key]
-
-
-def inner_assign(tables: dict, node: Comp | Fix, assign: SlotTable) -> SlotTable:
+def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T]) -> Mapping:
     """The assignment the inner code of ``node`` reads under ``assign``: a
-    composition's left inputs interpret its right code, and a fixed point's
-    Right inputs re-enter it (``mu_assign``). Conformance, enumeration and
-    the i→ig conversion all read a code through it. ``tables`` lives for one
-    walk and keeps, under ``(id(node), id(assign))``, each assignment it
+    composition's left inputs interpret its right code (``InterpSlot``), and
+    a fixed point's Right inputs re-enter it (``mu_assign``). Conformance,
+    enumeration, map and both i→ig directions read a code through it, so its
+    entries other than these two slots are whatever the walk's own entries
+    are: payload slots, constant sets or transformers. ``tables`` lives for
+    one walk and keeps, under ``(id(node), id(assign))``, each assignment it
     builds, so each is built once per walk however many layers of a value
     pass through ``node``; ``assign``, the walk's first assignment or one
     kept there, outlives the walk, so its ``id`` names it."""
@@ -200,10 +182,6 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: SlotTable) -> SlotTable
                 table = mu_assign(f, assign)
         tables[key] = table
     return table
-
-
-def slot_accepts_i(slot: IndexedSlot, v: GenericValue) -> bool:
-    return _slot_accepts_i({}, slot, v)
 
 
 def _slot_accepts_i(tables: dict, slot: IndexedSlot, v: GenericValue) -> bool:
@@ -229,14 +207,13 @@ def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericVa
     and each ``Fix`` node's table is built once per assignment it sits
     under, however many layers of the value pass through it.
     """
+    check_output(code, at)
     return _conform_i({}, code, assign, at, v)
 
 
 def _conform_i(
     tables: dict, code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue
 ) -> bool:
-    check_output(code, at)
-
     def atom(node: IndexedBody, w: GenericValue) -> bool:
         match node:
             case Id(lbl):
@@ -266,54 +243,50 @@ def map_i(
 ) -> GenericValue:
     """Apply a per-index transformer family at every identity position.
 
-    Mapping through a fixed point unrolls it, one ``Roll`` of the value per
-    layer. Each ``Comp`` node's middle family and each ``Fix`` node's table
-    is built once per family it sits under.
+    ``fam`` is read as an assignment, the way ``conform_i`` reads its slots:
+    a composition's inputs map its right code (``InterpSlot``), and a fixed
+    point's Right inputs map one more layer (``MuSlot``), one ``Roll`` of
+    the value each; any other entry is a transformer of ``fam`` and is
+    applied. Each table is built once per walk by ``inner_assign``.
     """
+    check_output(code, at)
     return _map_i({}, code, fam, at, v)
 
 
 def _map_i(
-    tables: dict, code: IndexedCode, fam: IxTransform, at: IndexLabel, v: GenericValue
+    tables: dict, code: IndexedCode, assign: Mapping, at: IndexLabel, v: GenericValue
 ) -> GenericValue:
-    check_output(code, at)
-    return spine.map(code.body, v, partial(_map_atom, tables, fam, at))
+    # The hot walk of the sweep: dispatch on the exact class, as spine does.
+    def atom(node: IndexedBody, w: GenericValue) -> GenericValue:
+        kind = type(node)
+        if kind is Id:
+            entry = assign.get(node.label)
+            if entry is None:
+                raise IndexNotInSet(f"no transformer for index {print_label(node.label)}")
+            kind = type(entry)
+            if kind is InterpSlot:
+                return _map_i(tables, entry.code, entry.assign, entry.at, w)
+            if kind is MuSlot:
+                return _map_layer(tables, entry.inner, entry.under, entry.at, w)
+            return entry(w)
+        if kind is Tag:
+            if w != Refl():
+                raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+            return w
+        if kind is Comp:
+            return _map_i(tables, node.left, inner_assign(tables, node, assign), at, w)
+        if kind is Fix:
+            return _map_layer(tables, node.inner, inner_assign(tables, node, assign), at, w)
+        raise TypeError(f"not an indexed body: {node!r}")
 
-
-def _map_atom(
-    tables: dict, fam: IxTransform, at: IndexLabel, node: IndexedBody, v: GenericValue
-) -> GenericValue:
-    match node:
-        case Id(lbl):
-            transform = fam.get(lbl)
-            if transform is None:
-                raise IndexNotInSet(f"no transformer for index {print_label(lbl)}")
-            return transform(v)
-        case Tag(_):
-            if v != Refl():
-                raise MalformedValue(f"tag position is not refl: {print_value(v)}")
-            return v
-        case Comp(f, g):
-            middle = _table(
-                tables,
-                node,
-                fam,
-                lambda: {lbl: partial(_map_i, tables, g, fam, lbl) for lbl in f.ins},
-            )
-            return _map_i(tables, f, middle, at, v)
-        case Fix(f):
-            layer = lambda table, lbl: partial(_map_layer, tables, f, table, lbl)
-            under = _table(tables, node, fam, lambda: under_fix(f, fam, layer))
-            return _map_layer(tables, f, under, at, v)
-    raise TypeError(f"not an indexed body: {node!r}")
+    return spine.map(code.body, v, atom)
 
 
 def _map_layer(
-    tables: dict, inner: IndexedCode, under: IxTransform, at: IndexLabel, v: GenericValue
+    tables: dict, inner: IndexedCode, under: Mapping, at: IndexLabel, v: GenericValue
 ) -> GenericValue:
     """Map one layer of ``Fix(inner)`` under its table ``under``, whose Right
-    transformers map the next layer the same way."""
-    match v:
-        case Roll(w):
-            return Roll(_map_i(tables, inner, under, at, w))
+    entries map the next layer the same way."""
+    if type(v) is Roll:
+        return Roll(_map_i(tables, inner, under, at, v.inner))
     raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")

@@ -89,11 +89,6 @@ def _refs(code: InstantCode) -> Iterator[str]:
                 raise TypeError(f"not an instant code: {node!r}")
 
 
-def env_check(env: CodeEnv) -> bool:
-    """True iff every R and OfCode reference resolves inside the environment."""
-    return all(ref in env for code in env.values() for ref in _refs(code))
-
-
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
 

@@ -319,7 +319,6 @@ def _gen_i(
     are built once per assignment they sit under; a ``Fix`` node's values
     are those of the fixed-point slot its table holds at ``R.at``, which
     every deeper layer reads too."""
-    indexed.check_output(code, at)
 
     def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
         match node:
@@ -344,6 +343,7 @@ def enum_indexed(
     at: IndexLabel,
     budget: EnumBudget,
 ) -> list[GenericValue]:
+    indexed.check_output(code, at)
     values = _finish(partial(_gen_i, code, assign, at), budget.max_size)
     return _rechecked(values, partial(indexed.conform_i, code, assign, at))
 

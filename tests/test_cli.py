@@ -333,8 +333,12 @@ def test_lift_prints_the_open_lifted_code(src, dst, code, expected):
         (("--code", "ZigZagI", "--value", "rec in2 (k refl , rec in1 (k refl , in2 tt))",
           "--dir", "bwd"),
          1, "refl under tag R.⋆ at index L.⋆"),
+        (("--code", "ListI", "--value", "<in2 (nat#0 , <in1 tt>)>", "--dir", "fwd"),
+         1, "parameter position does not inhabit K ⊤: nat#0"),
+        (("--code", "ListI", "--value", "rec in2 (k nat#0 , rec in1 tt)", "--dir", "bwd"),
+         1, "parameter position does not inhabit K ⊤: nat#0"),
     ],
-    ids=["index-fwd", "index-bwd", "tag-fwd", "tag-bwd"],
+    ids=["index-fwd", "index-bwd", "tag-fwd", "tag-bwd", "parameter-fwd", "parameter-bwd"],
 )
 def test_convert_to_instant_checks_the_index_and_the_tags(args, exit_code, message):
     out = run_cli("convert", "--from", "indexed", "--to", "instant", *args)

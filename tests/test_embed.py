@@ -219,6 +219,10 @@ def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
          "fixed-point layer is not a rec node: in1 tt"),
         ("backward", LIST_I, STAR, RecV(In2(Pair(TT(), RecV(In1(TT()))))),
          "parameter position is not a constant: tt"),
+        ("forward", LIST_I, STAR, Roll(In2(Pair(payload("nat", 0), Roll(In1(TT()))))),
+         "parameter position does not inhabit K ⊤: nat#0"),
+        ("backward", LIST_I, STAR, RecV(In2(Pair(Konst(payload("nat", 0)), RecV(In1(TT()))))),
+         "parameter position does not inhabit K ⊤: nat#0"),
     ],
     ids=[
         "fwd-tag",
@@ -230,6 +234,8 @@ def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
         "bwd-fix",
         "bwd-fix-inner",
         "bwd-parameter",
+        "fwd-parameter-content",
+        "bwd-parameter-content",
     ],
 )
 def test_i_ig_names_what_is_malformed(direction, code, at, v, message):
@@ -423,6 +429,18 @@ def test_contexts_read_a_family_at_each_index_or_at_one():
         indexed_context(LIST_I, standard_table(LIST_I), STAR)
     ]
     assert contexts("regular", NAT_C, at=STAR) == [regular_context(NAT_C)]
+
+
+def test_an_instant_context_needs_an_environment():
+    """Without one, neither conformance nor enumeration could resolve the
+    code's references, so the context is not built."""
+    code = CODES["instant"]["List⊤"]
+    with pytest.raises(ValueError, match="^an instant context needs an environment$"):
+        contexts("instant", code)
+    [ctx] = contexts("instant", code, INSTANT_ENVS["List⊤"])
+    assert conforms(ctx, A_LIST)
+    one = In2(Pair(Konst(TT()), RecV(In1(TT()))))
+    assert enum_context(ctx, EnumBudget(max_size=7)) == [In1(TT()), one]
 
 
 @pytest.mark.parametrize("universe", list(CODES))

@@ -1,16 +1,20 @@
+import re
+
 import pytest
 
 from genrep import indexed
-from genrep import In1, In2, Pair, Roll, TT, label, left, payload, right
+from genrep import In1, In2, Pair, Refl, Roll, TT, label, left, payload, right
 from genrep.corpus import (
+    BIN_C,
     BIN_I,
     LIST_I,
+    NAT_C,
     NAT_I,
     ROSE_I,
     ZIG_ZAG_I,
     ZIG_ZAG_END,
 )
-from genrep.gvalue import IndexNotInSet, PayloadSlot
+from genrep.gvalue import IndexNotInSet, MalformedValue, PayloadSlot, identity
 from genrep.indexed import (
     conform_i,
     map_i,
@@ -18,6 +22,7 @@ from genrep.indexed import (
     split_tables,
     wellformed_i,
 )
+from genrep.regular import map_r
 from helpers import indexed_list, rose
 
 STAR = label("⋆")
@@ -113,6 +118,57 @@ def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
             assert walk(code, v)
             counts.append(len(calls))
         assert counts[0] == counts[1], name
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda v: conform_i(LIST_I, TOP_ASSIGN, STAR, v),
+        lambda v: map_i(LIST_I, {STAR: lambda w: w}, STAR, v),
+    ],
+    ids=["conform_i", "map_i"],
+)
+def test_walks_check_the_output_index_once(monkeypatch, walk):
+    """Only the index a caller gives can lie outside the outputs: in a
+    well-formed code every inner walk's index is an output of its code."""
+    calls = []
+    original = indexed.check_output
+    monkeypatch.setattr(
+        indexed, "check_output", lambda *args: calls.append(args) or original(*args)
+    )
+    counts = []
+    for layers in (2, 120):
+        calls.clear()
+        assert walk(indexed_list([TT()] * (layers - 1)))
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "walk, message, error",
+    [
+        (lambda: map_i(LIST_I, {STAR: identity}, STAR, In1(TT())),
+         "fixed-point layer is not rolled: in1 tt", MalformedValue),
+        (lambda: map_i(LIST_I, {STAR: identity}, STAR, Roll(In2(Pair(TT(), In1(TT()))))),
+         "fixed-point layer is not rolled: in1 tt", MalformedValue),
+        (lambda: map_i(ZIG_ZAG_I, {}, left(STAR), Roll(In1(Pair(TT(), In2(TT()))))),
+         "tag position is not refl: tt", MalformedValue),
+        (lambda: map_i(LIST_I, {}, STAR, indexed_list([TT()])),
+         "no transformer for index L.⋆", IndexNotInSet),
+        (lambda: map_i(NAT_I, {STAR: identity}, label("nosuch"), Roll(In1(TT()))),
+         "index nosuch is not an output of the code", IndexNotInSet),
+        (lambda: map_r(NAT_C, identity, TT()),
+         "sum layer is not an injection: tt", MalformedValue),
+        (lambda: map_r(BIN_C, identity, In2(TT())),
+         "product layer is not a pair: tt", MalformedValue),
+        (lambda: map_r(BIN_C, identity, In1(Refl())),
+         "unit layer is not tt: refl", MalformedValue),
+    ],
+    ids=["fix", "fix-inner", "tag", "no-transformer", "index", "sum", "product", "unit"],
+)
+def test_maps_name_what_is_malformed(walk, message, error):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        walk()
 
 
 def test_tagged_labels_are_interned():

@@ -25,7 +25,6 @@ from genrep.instant import (
     Unit,
     conform_ig,
     crush,
-    env_check,
     nat_add,
     size_ig,
 )
@@ -34,11 +33,6 @@ from genrep.oracle import EnumBudget, enum_instant
 from helpers import all_trees_upto
 
 LIST_CODE = R(LIST_TOP_NAME)
-
-
-def test_env_is_closed():
-    assert env_check(LIST_TOP_ENV)
-    assert not env_check({"a": R("missing")})
 
 
 def test_a_list_conforms():
