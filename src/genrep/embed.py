@@ -16,6 +16,7 @@ composition or fixed point becomes a named environment entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence, Union
 
 from . import indexed, instant, multirec, polyp, regular, spine
@@ -81,8 +82,13 @@ def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
     return spine.lift(code, atom)
 
 
-def _conforming(conforms: bool, v: GenericValue) -> GenericValue:
-    if not conforms:
+def _same_tree(
+    conforms: Callable[[GenericValue], bool], v: GenericValue, direction: Direction
+) -> GenericValue:
+    """An arrow that keeps the tree: both directions check ``v`` with the
+    source's conformance and return it."""
+    _check_direction(direction)
+    if not conforms(v):
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
     return v
 
@@ -92,8 +98,7 @@ def convert_r_p(
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``: the lift
     is structural, so the polyp tree and the regular tree are the same."""
-    _check_direction(direction)
-    return _conforming(regular.conform_mu_r(code, v), v)
+    return _same_tree(partial(regular.conform_mu_r, code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +124,7 @@ def convert_r_m(
     code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``."""
-    _check_direction(direction)
-    return _conforming(regular.conform_mu_r(code, v), v)
+    return _same_tree(partial(regular.conform_mu_r, code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +170,7 @@ def convert_p_i(
 ) -> GenericValue:
     """Both directions check polyp conformance at the ``⊤`` parameter slot
     and return ``v``."""
-    _check_direction(direction)
-    return _conforming(polyp.conform_mu_p(code, TOP_SLOT, v), v)
+    return _same_tree(partial(polyp.conform_mu_p, code, TOP_SLOT), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +215,7 @@ def convert_m_i(
 ) -> GenericValue:
     """Both directions check multirec conformance at ``at`` and return ``v``;
     Refl witnesses must sit under the tag of ``at``."""
-    _check_direction(direction)
-    return _conforming(multirec.conform_mu_m(code, at, v), v)
+    return _same_tree(partial(multirec.conform_mu_m, code, at), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def _from_ig(
             case indexed.Id(lbl):
                 slot = indexed.slot_at(assign, lbl)
             case indexed.Tag(lbl):
-                if w != Refl():
+                if type(w) is not Refl:
                     raise MalformedValue(f"tag position is not refl: {print_value(w)}")
                 _check_tag(lbl, o)
                 return Konst(w)
@@ -547,20 +549,27 @@ def payload_slots(table: KSetTable) -> dict[IndexLabel, indexed.IndexedSlot]:
     return {lbl: PayloadSlot(kset.sort) for lbl, kset in table.items()}
 
 
-def conforms(ctx: PathContext, v: GenericValue) -> bool:
-    """Does ``v`` conform where ``ctx`` says it lives?"""
+def conformer(ctx: PathContext) -> Callable[[GenericValue], bool]:
+    """Conformance where ``ctx`` says a value lives, for as many values as
+    it is asked about: one conformer of the context's universe, whose memo
+    judges each shared subtree once and lives as long as the result."""
     match ctx.universe:
         case "regular":
-            return regular.conform_mu_r(ctx.code, v)
+            return regular.Conformer(regular.MuSlot(ctx.code))
         case "polyp":
-            return polyp.conform_mu_p(ctx.code, TOP_SLOT, v)
+            return polyp.Conformer(polyp.MuSlot(ctx.code, TOP_SLOT))
         case "multirec":
-            return multirec.conform_mu_m(ctx.code, ctx.at, v)
+            return partial(multirec.Conformer(ctx.code, multirec.mu_assignment(ctx.code)), ctx.at)
         case "indexed":
-            return indexed.conform_i(ctx.code, payload_slots(ctx.table), ctx.at, v)
+            return indexed.Conformer(ctx.code, payload_slots(ctx.table), ctx.at)
         case "instant":
-            return instant.conform_ig(ctx.env, ctx.code, v)
+            return instant.Conformer(ctx.env, ctx.code)
     raise ValueError(f"unknown universe: {ctx.universe!r}")
+
+
+def conforms(ctx: PathContext, v: GenericValue) -> bool:
+    """Does ``v`` conform where ``ctx`` says it lives?"""
+    return conformer(ctx)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +618,21 @@ STEPS = {
                  _instant_target,
                  lambda ctx, v, d: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d)),
 }
+
+
+# The arrows that leave the value tree unchanged: converting along one is a
+# conformance check in its source context.
+_SAME_TREE = frozenset({"r-p", "r-m", "p-i", "m-i"})
+
+
+def converter(step: str, ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
+    """``STEPS[step].convert`` out of ``ctx``, for as many values as it is
+    given: an arrow in ``_SAME_TREE`` checks them all with one ``conformer``
+    of ``ctx``, so a round trip or a subtree that many values share is
+    judged once."""
+    if step in _SAME_TREE:
+        return partial(_same_tree, conformer(ctx))
+    return partial(STEPS[step].convert, ctx)
 
 
 def compose_path(

@@ -47,7 +47,10 @@ def valid_name(text: str) -> bool:
 
 @dataclass(frozen=True)
 class IndexLabel:
-    """A named index; ``tags`` records Left/Right wrapping, outermost first."""
+    """A named index; ``tags`` records Left/Right wrapping, outermost first.
+
+    Labels key slot tables and memos, so the hash is computed once, here;
+    equality and hashing stay by value."""
 
     name: str
     tags: tuple[str, ...] = ()
@@ -57,6 +60,10 @@ class IndexLabel:
             raise ValueError(f"bad index label name: {self.name!r}")
         if any(tag not in ("L", "R") for tag in self.tags):
             raise ValueError(f"bad index label tags: {self.tags!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.tags)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def label(name: str) -> IndexLabel:
@@ -255,7 +262,7 @@ class EmptySlot:
 
 def payload_slot_accepts(slot: PayloadSlot, v: GenericValue) -> bool:
     if slot.sort == TOP_SORT:
-        return v == TT()
+        return type(v) is TT
     return isinstance(v, Payload) and v.token.sort == slot.sort
 
 

@@ -8,6 +8,7 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, TypeVar, Union
 
@@ -168,10 +169,11 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     enumeration, map and both i→ig directions read a code through it, so its
     entries other than these two slots are whatever the walk's own entries
     are: payload slots, constant sets or transformers. ``tables`` lives for
-    one walk and keeps, under ``(id(node), id(assign))``, each assignment it
-    builds, so each is built once per walk however many layers of a value
-    pass through ``node``; ``assign``, the walk's first assignment or one
-    kept there, outlives the walk, so its ``id`` names it."""
+    one walk, or one conformer or mapper, and keeps, under
+    ``(id(node), id(assign))``, each assignment it builds, so each is built
+    once however many layers of a value pass through ``node``; ``assign``,
+    the walk's first assignment or one kept there, outlives ``tables``, so
+    its ``id`` names it."""
     key = (id(node), id(assign))
     table = tables.get(key)
     if table is None:
@@ -184,55 +186,146 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     return table
 
 
-def _slot_accepts_i(tables: dict, slot: IndexedSlot, v: GenericValue) -> bool:
-    match slot:
-        case PayloadSlot():
-            return payload_slot_accepts(slot, v)
-        case EmptySlot():
-            return False
-        case InterpSlot(code, assign, at):
-            return _conform_i(tables, code, assign, at, v)
-        case MuSlot(inner, under, at):
-            match v:
-                case Roll(w):
-                    return _conform_i(tables, inner, under, at, w)
-            return False
-    raise TypeError(f"not an indexed slot: {slot!r}")
+class _Walk:
+    """A walk of ``code`` under ``assign`` at ``at``, for as many values as
+    it is given.
+
+    Its recursion points are the slots it meets below the top layer: a
+    ``MuSlot`` (one fixed-point layer, also where the walk enters a ``Fix``
+    node) and an ``InterpSlot`` (one layer of a composition's right code).
+    The memo keeps, under ``id(slot)`` and then ``id(v)``, the walk's result
+    for each value ``v`` a slot was given, so each slot walks a shared
+    subtree once for the life of the object. Every slot is an entry of
+    ``assign`` or one kept in ``tables``, and ``pins`` holds every ``v``, so
+    no ``id`` in the memo is reused while it lives.
+    """
+
+    def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
+        check_output(code, at)
+        self.code, self.assign, self.at = code, assign, at
+        self.tables: dict = {}
+        self.fixes: dict[tuple[int, IndexLabel], MuSlot] = {}
+        self.memo: defaultdict[int, dict] = defaultdict(dict)
+        self.pins: list[GenericValue] = []
+
+    def __call__(self, v: GenericValue):
+        return self._walk(self.code, self.assign, self.at, v)
+
+    def _entry(self, slot, v: GenericValue):
+        kind = type(slot)
+        if kind is MuSlot or kind is InterpSlot:
+            seen = self.memo[id(slot)]
+            hit = seen.get(id(v))
+            if hit is None:
+                self.pins.append(v)
+                hit = seen[id(v)] = self._point(slot, v)
+            return hit
+        return self._leaf(slot, v)
+
+    def _fix(self, node: Fix, assign: Mapping, at: IndexLabel) -> MuSlot:
+        """The slot of ``node``'s fixed point at ``at``: its table's Right
+        entry for ``at``, looked up once per table and index."""
+        under = inner_assign(self.tables, node, assign)
+        key = (id(under), at)
+        slot = self.fixes.get(key)
+        if slot is None:
+            slot = self.fixes[key] = slot_at(under, right(at))
+        return slot
+
+    def _walk(self, code: IndexedCode, assign: Mapping, at: IndexLabel, v: GenericValue):
+        # The hot walk of the sweep: dispatch on the exact class, as spine does.
+        def atom(node: IndexedBody, w: GenericValue):
+            kind = type(node)
+            if kind is Id:
+                entry = assign.get(node.label)
+                if entry is None:
+                    raise IndexNotInSet(f"no {self._entries} for index {print_label(node.label)}")
+                return self._entry(entry, w)
+            if kind is Tag:
+                return self._tag(node.label, at, w)
+            if kind is Comp:
+                return self._walk(node.left, inner_assign(self.tables, node, assign), at, w)
+            if kind is Fix:
+                # A value that is not a layer never builds the table.
+                if type(w) is not Roll:
+                    return self._unrolled(w)
+                return self._entry(self._fix(node, assign, at), w)
+            raise TypeError(f"not an indexed body: {node!r}")
+
+        return self._spine(code.body, v, atom)
 
 
-def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` under ``assign`` at ``at``?
+class Conformer(_Walk):
+    """Does a value inhabit the interpretation of ``code`` under ``assign``
+    at ``at``?
 
     Assumes ``wellformed_i(code)``. Each ``Comp`` node's middle assignment
     and each ``Fix`` node's table is built once per assignment it sits
-    under, however many layers of the value pass through it.
+    under, however many layers of the values pass through it.
     """
-    check_output(code, at)
-    return _conform_i({}, code, assign, at, v)
+
+    _spine = staticmethod(spine.conform)
+    _entries = "slot"
+
+    def _point(self, slot: InterpSlot | MuSlot, v: GenericValue) -> bool:
+        if type(slot) is InterpSlot:
+            return self._walk(slot.code, slot.assign, slot.at, v)
+        return type(v) is Roll and self._walk(slot.inner, slot.under, slot.at, v.inner)
+
+    def _unrolled(self, v: GenericValue) -> bool:
+        return False
+
+    def _leaf(self, slot: IndexedSlot, v: GenericValue) -> bool:
+        kind = type(slot)
+        if kind is PayloadSlot:
+            return payload_slot_accepts(slot, v)
+        if kind is EmptySlot:
+            return False
+        raise TypeError(f"not an indexed slot: {slot!r}")
+
+    def _tag(self, lbl: IndexLabel, at: IndexLabel, w: GenericValue) -> bool:
+        return type(w) is Refl and at == lbl
 
 
-def _conform_i(
-    tables: dict, code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue
-) -> bool:
-    def atom(node: IndexedBody, w: GenericValue) -> bool:
-        match node:
-            case Id(lbl):
-                return _slot_accepts_i(tables, slot_at(assign, lbl), w)
-            case Tag(lbl):
-                return w == Refl() and at == lbl
-            case Comp(f, _):
-                return _conform_i(tables, f, inner_assign(tables, node, assign), at, w)
-            case Fix(f):
-                match w:
-                    case Roll(x):
-                        return _conform_i(tables, f, inner_assign(tables, node, assign), at, x)
-                return False
-        raise TypeError(f"not an indexed body: {node!r}")
-
-    return spine.conform(code.body, v, atom)
+def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue) -> bool:
+    """Does ``v`` inhabit the interpretation of ``code`` under ``assign`` at ``at``?"""
+    return Conformer(code, assign, at)(v)
 
 
 IxTransform = Mapping[IndexLabel, Transformer]
+
+
+class Mapper(_Walk):
+    """Apply a per-index transformer family at every identity position.
+
+    The family is read as an assignment, the way ``Conformer`` reads its
+    slots: a composition's inputs map its right code (``InterpSlot``), and
+    a fixed point's Right inputs map one more layer (``MuSlot``), one
+    ``Roll`` of the value each; any other entry is a transformer of the
+    family and is applied. Transformers must be pure: the memo reuses one
+    result for every position that holds the same subtree.
+    """
+
+    _spine = staticmethod(spine.map)
+    _entries = "transformer"
+
+    def _point(self, slot: InterpSlot | MuSlot, v: GenericValue) -> GenericValue:
+        if type(slot) is InterpSlot:
+            return self._walk(slot.code, slot.assign, slot.at, v)
+        if type(v) is not Roll:
+            return self._unrolled(v)
+        return Roll(self._walk(slot.inner, slot.under, slot.at, v.inner))
+
+    def _unrolled(self, v: GenericValue) -> GenericValue:
+        raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+
+    def _leaf(self, f: Transformer, v: GenericValue) -> GenericValue:
+        return f(v)
+
+    def _tag(self, lbl: IndexLabel, at: IndexLabel, w: GenericValue) -> GenericValue:
+        if type(w) is not Refl:
+            raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+        return w
 
 
 def map_i(
@@ -241,52 +334,6 @@ def map_i(
     at: IndexLabel,
     v: GenericValue,
 ) -> GenericValue:
-    """Apply a per-index transformer family at every identity position.
-
-    ``fam`` is read as an assignment, the way ``conform_i`` reads its slots:
-    a composition's inputs map its right code (``InterpSlot``), and a fixed
-    point's Right inputs map one more layer (``MuSlot``), one ``Roll`` of
-    the value each; any other entry is a transformer of ``fam`` and is
-    applied. Each table is built once per walk by ``inner_assign``.
-    """
-    check_output(code, at)
-    return _map_i({}, code, fam, at, v)
-
-
-def _map_i(
-    tables: dict, code: IndexedCode, assign: Mapping, at: IndexLabel, v: GenericValue
-) -> GenericValue:
-    # The hot walk of the sweep: dispatch on the exact class, as spine does.
-    def atom(node: IndexedBody, w: GenericValue) -> GenericValue:
-        kind = type(node)
-        if kind is Id:
-            entry = assign.get(node.label)
-            if entry is None:
-                raise IndexNotInSet(f"no transformer for index {print_label(node.label)}")
-            kind = type(entry)
-            if kind is InterpSlot:
-                return _map_i(tables, entry.code, entry.assign, entry.at, w)
-            if kind is MuSlot:
-                return _map_layer(tables, entry.inner, entry.under, entry.at, w)
-            return entry(w)
-        if kind is Tag:
-            if w != Refl():
-                raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-            return w
-        if kind is Comp:
-            return _map_i(tables, node.left, inner_assign(tables, node, assign), at, w)
-        if kind is Fix:
-            return _map_layer(tables, node.inner, inner_assign(tables, node, assign), at, w)
-        raise TypeError(f"not an indexed body: {node!r}")
-
-    return spine.map(code.body, v, atom)
-
-
-def _map_layer(
-    tables: dict, inner: IndexedCode, under: Mapping, at: IndexLabel, v: GenericValue
-) -> GenericValue:
-    """Map one layer of ``Fix(inner)`` under its table ``under``, whose Right
-    entries map the next layer the same way."""
-    if type(v) is Roll:
-        return Roll(_map_i(tables, inner, under, at, v.inner))
-    raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+    """Apply a per-index transformer family at every identity position; see
+    ``Mapper``."""
+    return Mapper(code, fam, at)(v)

@@ -8,6 +8,7 @@ constant a ``k`` node, so every walk over a finite value ends.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
@@ -89,35 +90,56 @@ def _refs(code: InstantCode) -> Iterator[str]:
                 raise TypeError(f"not an instant code: {node!r}")
 
 
-def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
+class Conformer:
+    """Does a value inhabit the interpretation of ``code`` in ``env``? For
+    as many values as it is asked about.
 
-    def atom(node: InstantCode, w: GenericValue) -> bool:
-        match node:
-            case K(kset):
-                match w:
-                    case Konst(x):
-                        return _kset_accepts(env, kset, x)
-                return False
-            case R(ref):
-                match w:
-                    case RecV(x):
-                        return conform_ig(env, resolve(env, ref), x)
-                return False
+    Its recursion points are the named codes: an ``R`` reference and a
+    ``K`` constant of ``OfCode``. The memo keeps, under ``ref`` and then
+    ``id(v)``, the answer for each value ``v`` a named code was asked about,
+    so each is judged once for the life of the object, however many values
+    share it; ``pins`` holds every ``v``, so no ``id`` in the memo is
+    reused.
+    """
+
+    def __init__(self, env: CodeEnv, code: InstantCode):
+        self.env, self.code = env, code
+        self.memo: defaultdict[str, dict[int, bool]] = defaultdict(dict)
+        self.pins: list[GenericValue] = []
+
+    def __call__(self, v: GenericValue) -> bool:
+        return spine.conform(self.code, v, self._atom)
+
+    def _named(self, ref: str, v: GenericValue) -> bool:
+        seen = self.memo[ref]
+        hit = seen.get(id(v))
+        if hit is None:
+            self.pins.append(v)
+            hit = seen[id(v)] = spine.conform(resolve(self.env, ref), v, self._atom)
+        return hit
+
+    def _atom(self, node: InstantCode, w: GenericValue) -> bool:
+        kind = type(node)
+        if kind is K:
+            return type(w) is Konst and self._kset(node.payload, w.inner)
+        if kind is R:
+            return type(w) is RecV and self._named(node.ref, w.inner)
         raise TypeError(f"not an instant code: {node!r}")
 
-    return spine.conform(code, v, atom)
+    def _kset(self, kset: KSet, v: GenericValue) -> bool:
+        kind = type(kset)
+        if kind is Prim:
+            return payload_slot_accepts(PayloadSlot(kset.sort), v)
+        if kind is EqWitness:
+            return type(v) is Refl and kset.a == kset.b
+        if kind is OfCode:
+            return self._named(kset.ref, v)
+        raise TypeError(f"not a constant set: {kset!r}")
 
 
-def _kset_accepts(env: CodeEnv, kset: KSet, v: GenericValue) -> bool:
-    match kset:
-        case Prim(sort):
-            return payload_slot_accepts(PayloadSlot(sort), v)
-        case EqWitness(a, b):
-            return v == Refl() and a == b
-        case OfCode(ref):
-            return conform_ig(env, resolve(env, ref), v)
-    raise TypeError(f"not a constant set: {kset!r}")
+def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
+    """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
+    return Conformer(env, code)(v)
 
 
 @dataclass(frozen=True)

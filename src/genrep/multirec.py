@@ -7,6 +7,7 @@ a tag is inhabited by the equality witness exactly at its own index.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, TypeVar, Union
 
@@ -64,7 +65,7 @@ T = TypeVar("T")
 
 def mu_assignment(code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
     """The total assignment that ties every index back to the fixed point."""
-    return {lbl: MuSlot(code) for lbl in code.indices}
+    return dict.fromkeys(code.indices, MuSlot(code))
 
 
 def check_index(code: MultirecCode, lbl: IndexLabel) -> None:
@@ -81,15 +82,73 @@ def at_index(code: MultirecCode, table: Mapping[IndexLabel, T], lbl: IndexLabel)
     return table[lbl]
 
 
-def slot_accepts_m(slot: MultirecSlot, lbl: IndexLabel, v: GenericValue) -> bool:
-    match slot:
-        case PayloadSlot():
+class Conformer:
+    """Conformance under one assignment of ``code``, for as many values as
+    it is asked about.
+
+    ``conformer(at, v)`` tells whether ``v`` inhabits the slot ``assign``
+    gives ``at``, and ``conformer.layer(at, v)`` whether ``v`` is one layer
+    of ``code`` at ``at`` under ``assign``. The layers of a ``MuSlot(c)``
+    read ``mu_assignment(c)``, built once per object in ``tables``. The
+    memo keeps, under ``(id(c), lbl)`` and then ``id(w)``, the answer for
+    every value ``w`` a fixed point of ``c`` was asked about at ``lbl``, so
+    each fixed-point layer is judged once for the life of the object;
+    ``pins`` holds every ``w``, so no ``id`` in the memo is reused.
+    """
+
+    def __init__(self, code: MultirecCode, assign: Assignment):
+        self.code, self.assign = code, assign
+        self.tables: dict[int, dict[IndexLabel, MultirecSlot]] = {}
+        self.memo: defaultdict[tuple, dict[int, bool]] = defaultdict(dict)
+        self.pins: list[GenericValue] = []
+
+    def __call__(self, at: IndexLabel, v: GenericValue) -> bool:
+        return self._accepts(at_index(self.code, self.assign, at), at, v)
+
+    def layer(self, at: IndexLabel, v: GenericValue) -> bool:
+        check_index(self.code, at)
+        return self._layer(self.code, self.assign, at, v)
+
+    def _accepts(self, slot: MultirecSlot, lbl: IndexLabel, v: GenericValue) -> bool:
+        kind = type(slot)
+        if kind is MuSlot:
+            code = slot.code
+            seen = self.memo[id(code), lbl]
+            hit = seen.get(id(v))
+            if hit is None:
+                # Whatever the value; a hit was checked when it was stored.
+                check_index(code, lbl)
+                self.pins.append(v)
+                hit = seen[id(v)] = type(v) is Roll and self._layer(
+                    code, self._mu(code), lbl, v.inner
+                )
+            return hit
+        if kind is PayloadSlot:
             return payload_slot_accepts(slot, v)
-        case MuSlot(code):
-            return conform_mu_m(code, lbl, v)
-        case EmptySlot():
+        if kind is EmptySlot:
             return False
-    raise TypeError(f"not a multirec slot: {slot!r}")
+        raise TypeError(f"not a multirec slot: {slot!r}")
+
+    def _mu(self, code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
+        assign = self.tables.get(id(code))
+        if assign is None:
+            assign = self.tables[id(code)] = mu_assignment(code)
+        return assign
+
+    def _layer(
+        self, code: MultirecCode, assign: Assignment, at: IndexLabel, v: GenericValue
+    ) -> bool:
+        def atom(node: MultirecBody, w: GenericValue) -> bool:
+            kind = type(node)
+            if kind is Id:
+                lbl = node.label
+                return self._accepts(at_index(code, assign, lbl), lbl, w)
+            if kind is Tag:
+                check_index(code, node.label)
+                return type(w) is Refl and at == node.label
+            raise TypeError(f"not a multirec body: {node!r}")
+
+        return spine.conform(code.body, v, atom)
 
 
 def conform_m(
@@ -99,28 +158,13 @@ def conform_m(
     v: GenericValue,
 ) -> bool:
     """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    check_index(code, at)
-
-    def atom(node: MultirecBody, w: GenericValue) -> bool:
-        match node:
-            case Id(lbl):
-                return slot_accepts_m(at_index(code, assign, lbl), lbl, w)
-            case Tag(lbl):
-                check_index(code, lbl)
-                return w == Refl() and at == lbl
-        raise TypeError(f"not a multirec body: {node!r}")
-
-    return spine.conform(code.body, v, atom)
+    return Conformer(code, assign).layer(at, v)
 
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
     """Fixed-point conformance at index ``at``, which must be in the code's
     index set whatever the value."""
-    check_index(code, at)
-    match v:
-        case Roll(w):
-            return conform_m(code, mu_assignment(code), at, w)
-    return False
+    return Conformer(code, mu_assignment(code))(at, v)
 
 
 def map_m(
@@ -137,7 +181,7 @@ def map_m(
             case Id(lbl):
                 return at_index(code, fam, lbl)(w)
             case Tag(_):
-                if w != Refl():
+                if type(w) is not Refl:
                     raise MalformedValue(f"tag position is not refl: {print_value(w)}")
                 return w
         raise TypeError(f"not a multirec body: {node!r}")

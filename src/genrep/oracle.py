@@ -17,7 +17,7 @@ identifiers to 0 and 1 per sort; size bounds then give finite universes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -77,7 +77,9 @@ def _finish(
 def _rechecked(
     values: list[GenericValue], conforms: Callable[[GenericValue], bool]
 ) -> list[GenericValue]:
-    """The inline re-check of every emitted value; it also runs under -O."""
+    """The inline re-check of every emitted value; it also runs under -O.
+    ``conforms`` is one conformer, whose memo judges each subtree the values
+    share once."""
     for v in values:
         if not conforms(v):
             raise RuntimeError(f"enumerator emitted a non-conforming value: {print_value(v)}")
@@ -152,12 +154,12 @@ def enum_regular(
     code: regular.RegularCode, slot: regular.RegularSlot, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_r, code, slot), budget.max_size)
-    return _rechecked(values, partial(regular.conform_r, code, slot))
+    return _rechecked(values, partial(regular.Conformer(slot).layer, code))
 
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_r, code), budget.max_size)
-    return _rechecked(values, partial(regular.conform_mu_r, code))
+    return _rechecked(values, regular.Conformer(regular.MuSlot(code)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +214,14 @@ def enum_polyp(
     code: polyp.PolyPCode, slots: polyp.SlotPair, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_p, code, slots), budget.max_size)
-    return _rechecked(values, partial(polyp.conform_p, code, slots))
+    return _rechecked(values, polyp.Conformer(polyp.InterpSlot(code, slots)))
 
 
 def enum_mu_polyp(
     code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_p, code, param), budget.max_size)
-    return _rechecked(values, partial(polyp.conform_mu_p, code, param))
+    return _rechecked(values, polyp.Conformer(polyp.MuSlot(code, param)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +278,15 @@ def enum_multirec(
     budget: EnumBudget,
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_body_m, code, assign, at), budget.max_size)
-    return _rechecked(values, partial(multirec.conform_m, code, assign, at))
+    return _rechecked(values, partial(multirec.Conformer(code, assign).layer, at))
 
 
 def enum_mu_multirec(
     code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_m, code, at), budget.max_size)
-    return _rechecked(values, partial(multirec.conform_mu_m, code, at))
+    conformer = multirec.Conformer(code, multirec.mu_assignment(code))
+    return _rechecked(values, partial(conformer, at))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def enum_indexed(
 ) -> list[GenericValue]:
     indexed.check_output(code, at)
     values = _finish(partial(_gen_i, code, assign, at), budget.max_size)
-    return _rechecked(values, partial(indexed.conform_i, code, assign, at))
+    return _rechecked(values, indexed.Conformer(code, assign, at))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +395,7 @@ def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_ig, env, code), budget.max_size)
-    return _rechecked(values, partial(instant.conform_ig, env, code))
+    return _rechecked(values, instant.Conformer(env, code))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +459,12 @@ def _round_trip(
 
 def _arrows(step: str, codes):
     """Per code and index of the step's source family: the source context,
-    the step's target context and the conversion between them."""
+    the step's target context and the conversion out of the source, which
+    serves all of the context's values."""
     row = embed.STEPS[step]
     for code in codes.values():
         for ctx in embed.contexts(row.source, code):
-            yield ctx, row.context(ctx), partial(row.convert, ctx)
+            yield ctx, row.context(ctx), embed.converter(step, ctx)
 
 
 # step -> its default codes, those of the step's source universe
@@ -481,10 +485,11 @@ def _transport(step: str, codes, budget: EnumBudget) -> ConversionReport:
     the target is never enumerated."""
     pairs = []
     for source, target, convert in _arrows(step, codes):
+        conforms = embed.conformer(target)
         for v in enum_context(source, budget):
             try:
                 w = convert(v, "forward")
-                ok = embed.conforms(target, w)
+                ok = conforms(w)
             except Exception as err:
                 pairs.append((v, "forward", f"{type(err).__name__}: {err}"))
                 continue
@@ -508,7 +513,7 @@ def _functors_r(codes, budget: EnumBudget):
 
 def _functors_p(codes, budget: EnumBudget):
     for code in codes.values():
-        fmap = lambda fs, code=code: partial(polyp.pmap, code, *fs)
+        fmap = lambda fs, code=code: polyp.Mapper(polyp.MuSlot(code, *fs))
         yield partial(enum_context, embed.polyp_context(code), budget), fmap
 
 
@@ -525,8 +530,8 @@ def _functors_m(codes, budget: EnumBudget):
 def _functors_i(codes, budget: EnumBudget):
     for code in codes.values():
         for ctx in embed.contexts("indexed", code):
-            fmap = lambda fs, code=code, at=ctx.at: partial(
-                indexed.map_i, code, dict.fromkeys(code.ins, *fs), at
+            fmap = lambda fs, code=code, at=ctx.at: indexed.Mapper(
+                code, dict.fromkeys(code.ins, *fs), at
             )
             yield partial(enum_context, ctx, budget), fmap
 
@@ -537,7 +542,9 @@ def _functors_r_p(codes, budget: EnumBudget):
     for code in codes.values():
         lifted = embed.lift_r_to_p(code)
         fmap = lambda fs, code=code, lifted=lifted: (
-            partial(polyp.map_p, lifted, *fs) if len(fs) == 2 else partial(regular.map_r, code, *fs)
+            polyp.Mapper(polyp.InterpSlot(lifted, polyp.SlotPair(*fs)))
+            if len(fs) == 2
+            else partial(regular.map_r, code, *fs)
         )
         yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
 
@@ -547,8 +554,8 @@ def _functors_p_i(codes, budget: EnumBudget):
     assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
-        fmap = lambda fs, lifted=lifted: partial(
-            indexed.map_i, lifted, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), STAR
+        fmap = lambda fs, lifted=lifted: indexed.Mapper(
+            lifted, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), STAR
         )
         yield partial(enum_indexed, lifted, assign, STAR, budget), fmap
 
@@ -556,7 +563,8 @@ def _functors_p_i(codes, budget: EnumBudget):
 # functor key -> (default codes, functors). Functors yield, per code and
 # index, a thunk of its values and an ``fmap`` that takes a transformer
 # family, a tuple of one function per parameter, and returns the map the
-# family induces, so each family's table is built once.
+# family induces: a mapper, whose tables and memo serve every value it maps
+# (``map_r`` and ``map_m`` map one layer, which has no recursion point).
 _FUNCTORS = {
     "regular": (corpus.REGULAR_CODES, _functors_r),
     "polyp": (corpus.POLYP_CODES, _functors_p),
@@ -593,11 +601,13 @@ def _congruence(one, two):
 
 def _laws(functors, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
     """Check every pair of ``law`` on every value of every functor; a failure
-    shows the left map's result."""
+    shows the left map's result. Each family gets one map per functor, so
+    its memo walks each subtree the values share once; the maps die with
+    the suite."""
     pairs = []
     for enumerate_, fmap in functors(codes, budget):
         values = enumerate_()
-        for lhs, rhs in law(fmap):
+        for lhs, rhs in law(cache(fmap)):
             for v in values:
                 w = lhs(v)
                 pairs.append((v, label, None if w == rhs(v) else print_value(w)))

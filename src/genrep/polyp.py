@@ -9,6 +9,7 @@ container codes is usually not the container-of-containers code.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
 
@@ -70,41 +71,126 @@ class SlotPair:
     rec: PolyPSlot
 
 
-def slot_accepts_p(slot: PolyPSlot, v: GenericValue) -> bool:
-    match slot:
-        case PayloadSlot():
-            return payload_slot_accepts(slot, v)
-        case EmptySlot():
+def _layer_slots(tables: dict, slot: MuSlot) -> SlotPair:
+    """The slots of one layer of ``slot``'s fixed point: parameters at
+    ``slot.param`` and recursive positions at ``slot`` itself. Built once
+    per ``tables``, which lives as long as its walk, so every layer reuses
+    it."""
+    pair = tables.get(id(slot))
+    if pair is None:
+        pair = tables[id(slot)] = SlotPair(slot.param, slot)
+    return pair
+
+
+def _comp_slot(tables: dict, node: Comp, slots: SlotPair) -> MuSlot:
+    """The interpretation equation: values of ``Comp(F, G)`` at ``slots``
+    are fixed-point values of F whose parameters interpret G at ``slots``.
+    Built once per node and slot pair in ``tables``."""
+    key = (id(node), id(slots))
+    slot = tables.get(key)
+    if slot is None:
+        slot = tables[key] = MuSlot(node.left, InterpSlot(node.right, slots))
+    return slot
+
+
+class _Walk:
+    """A walk from one slot, for as many values as it is given.
+
+    Its recursion points are the ``MuSlot`` entries (one fixed-point layer
+    each) and the ``InterpSlot`` entries (one layer of a composition's right
+    code). The memo keeps, under ``id(slot)`` and then ``id(v)``, the walk's
+    result for each value ``v`` a point was given, so each point walks a
+    shared subtree once for the life of the object. Every slot is the root
+    slot or one kept in ``tables``, and ``pins`` holds every ``v``, so no
+    ``id`` in the memo is reused while it lives.
+    """
+
+    def __init__(self, slot: PolyPSlot):
+        self.slot = slot
+        self.tables: dict = {}
+        self.memo: defaultdict[int, dict] = defaultdict(dict)
+        self.pins: list[GenericValue] = []
+
+    def __call__(self, v: GenericValue):
+        return self._entry(self.slot, v)
+
+    def _entry(self, slot, v: GenericValue):
+        kind = type(slot)
+        if kind is MuSlot or kind is InterpSlot:
+            seen = self.memo[id(slot)]
+            hit = seen.get(id(v))
+            if hit is None:
+                self.pins.append(v)
+                hit = seen[id(v)] = self._point(slot, v)
+            return hit
+        return self._leaf(slot, v)
+
+    def _layer(self, code: PolyPCode, slots: SlotPair, v: GenericValue):
+        def atom(node: PolyPCode, w: GenericValue):
+            kind = type(node)
+            if kind is Par:
+                return self._entry(slots.param, w)
+            if kind is Id:
+                return self._entry(slots.rec, w)
+            if kind is Comp:
+                return self._entry(_comp_slot(self.tables, node, slots), w)
+            raise TypeError(f"not a polyp code: {node!r}")
+
+        return self._spine(code, v, atom)
+
+
+class Conformer(_Walk):
+    """Does a value inhabit the slot? ``Conformer(MuSlot(code, param))``
+    judges fixed-point values and ``Conformer(InterpSlot(code, slots))``
+    one layer."""
+
+    _spine = staticmethod(spine.conform)
+
+    def _point(self, slot: MuSlot | InterpSlot, v: GenericValue) -> bool:
+        if type(slot) is InterpSlot:
+            return self._layer(slot.code, slot.slots, v)
+        if type(v) is not Roll:
             return False
-        case MuSlot(code, param):
-            return conform_mu_p(code, param, v)
-        case InterpSlot(code, slots):
-            return conform_p(code, slots, v)
-    raise TypeError(f"not a polyp slot: {slot!r}")
+        return self._layer(slot.code, _layer_slots(self.tables, slot), v.inner)
+
+    def _leaf(self, slot: PolyPSlot, v: GenericValue) -> bool:
+        kind = type(slot)
+        if kind is PayloadSlot:
+            return payload_slot_accepts(slot, v)
+        if kind is EmptySlot:
+            return False
+        raise TypeError(f"not a polyp slot: {slot!r}")
 
 
 def conform_p(code: PolyPCode, slots: SlotPair, v: GenericValue) -> bool:
-    def atom(node: PolyPCode, w: GenericValue) -> bool:
-        match node:
-            case Par():
-                return slot_accepts_p(slots.param, w)
-            case Id():
-                return slot_accepts_p(slots.rec, w)
-            case Comp(f, g):
-                # The interpretation equation: values of Comp(F, G) at (A, R)
-                # are fixed-point values of F whose parameters interpret G at
-                # (A, R).
-                return conform_mu_p(f, InterpSlot(g, slots), w)
-        raise TypeError(f"not a polyp code: {node!r}")
-
-    return spine.conform(code, v, atom)
+    return Conformer(InterpSlot(code, slots))(v)
 
 
 def conform_mu_p(code: PolyPCode, param: PolyPSlot, v: GenericValue) -> bool:
-    match v:
-        case Roll(w):
-            return conform_p(code, SlotPair(param, MuSlot(code, param)), w)
-    return False
+    return Conformer(MuSlot(code, param))(v)
+
+
+class Mapper(_Walk):
+    """Map a value at the slot, read as a transformer family: a ``MuSlot``
+    maps one more fixed-point layer, one ``Roll`` of the value, an
+    ``InterpSlot`` maps one layer of its code, and any other entry is a
+    transformer, which is applied. Transformers must be pure: the memo
+    reuses one result for every position that holds the same subtree."""
+
+    _spine = staticmethod(spine.map)
+
+    def _point(self, slot: MuSlot | InterpSlot, v: GenericValue) -> GenericValue:
+        if type(slot) is InterpSlot:
+            return self._layer(slot.code, slot.slots, v)
+        if type(v) is not Roll:
+            # The root is ``pmap``'s own fixed point; the others are compositions'.
+            if slot is self.slot:
+                raise MalformedValue(f"pmap expects a rolled value: {print_value(v)}")
+            raise MalformedValue(f"composition layer is not rolled: {print_value(v)}")
+        return Roll(self._layer(slot.code, _layer_slots(self.tables, slot), v.inner))
+
+    def _leaf(self, f: Transformer, v: GenericValue) -> GenericValue:
+        return f(v)
 
 
 def map_p(
@@ -118,28 +204,7 @@ def map_p(
     Composition layers hide a fixed point, so mapping through them unrolls
     it, one ``Roll`` of the value per layer.
     """
-
-    def atom(node: PolyPCode, w: GenericValue) -> GenericValue:
-        match node:
-            case Par():
-                return f(w)
-            case Id():
-                return g(w)
-            case Comp(c, d):
-                match w:
-                    case Roll(x):
-                        return Roll(
-                            map_p(
-                                c,
-                                lambda u: map_p(d, f, g, u),
-                                lambda u: map_p(node, f, g, u),
-                                x,
-                            )
-                        )
-                raise MalformedValue(f"composition layer is not rolled: {print_value(w)}")
-        raise TypeError(f"not a polyp code: {node!r}")
-
-    return spine.map(code, v, atom)
+    return Mapper(InterpSlot(code, SlotPair(f, g)))(v)
 
 
 def pmap(
@@ -148,7 +213,4 @@ def pmap(
     v: GenericValue,
 ) -> GenericValue:
     """Map ``f`` over the parameters of a whole fixed-point value."""
-    match v:
-        case Roll(w):
-            return Roll(map_p(code, f, lambda u: pmap(code, f, u), w))
-    raise MalformedValue(f"pmap expects a rolled value: {print_value(v)}")
+    return Mapper(MuSlot(code, f))(v)

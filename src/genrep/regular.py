@@ -48,35 +48,57 @@ class MuSlot:
 RegularSlot = Union[PayloadSlot, MuSlot, EmptySlot]
 
 
-def slot_accepts_r(slot: RegularSlot, v: GenericValue) -> bool:
-    match slot:
-        case PayloadSlot():
+class Conformer:
+    """Conformance at one slot, for as many values as it is asked about.
+
+    ``conformer(v)`` tells whether ``v`` inhabits ``slot``, and
+    ``conformer.layer(code, v)`` whether ``v`` is one layer of ``code`` whose
+    identity positions hold ``slot``. A regular walk meets one slot only, so
+    when it is a ``MuSlot`` the memo keeps, under ``id(w)``, the answer for
+    every value ``w`` the slot was asked about: each fixed-point layer is
+    judged once for the life of the object, however many values share it.
+    ``pins`` holds every ``w``, so no ``id`` in the memo is reused.
+    """
+
+    def __init__(self, slot: RegularSlot):
+        self.slot = slot
+        self.memo: dict[int, bool] = {}
+        self.pins: list[GenericValue] = []
+
+    def __call__(self, v: GenericValue) -> bool:
+        slot = self.slot
+        kind = type(slot)
+        if kind is MuSlot:
+            hit = self.memo.get(id(v))
+            if hit is None:
+                self.pins.append(v)
+                hit = self.memo[id(v)] = type(v) is Roll and spine.conform(
+                    slot.code, v.inner, self._atom
+                )
+            return hit
+        if kind is PayloadSlot:
             return payload_slot_accepts(slot, v)
-        case MuSlot(code):
-            return conform_mu_r(code, v)
-        case EmptySlot():
+        if kind is EmptySlot:
             return False
-    raise TypeError(f"not a regular slot: {slot!r}")
+        raise TypeError(f"not a regular slot: {slot!r}")
+
+    def layer(self, code: RegularCode, v: GenericValue) -> bool:
+        return spine.conform(code, v, self._atom)
+
+    def _atom(self, node: RegularCode, w: GenericValue) -> bool:
+        if type(node) is Id:
+            return self(w)
+        raise TypeError(f"not a regular code: {node!r}")
 
 
 def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` at ``slot``?"""
-
-    def atom(node: RegularCode, w: GenericValue) -> bool:
-        match node:
-            case Id():
-                return slot_accepts_r(slot, w)
-        raise TypeError(f"not a regular code: {node!r}")
-
-    return spine.conform(code, v, atom)
+    return Conformer(slot).layer(code, v)
 
 
 def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
     """Fixed-point conformance: one roll, then a layer at the mu slot."""
-    match v:
-        case Roll(w):
-            return conform_r(code, MuSlot(code), w)
-    return False
+    return Conformer(MuSlot(code))(v)
 
 
 def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:

@@ -73,7 +73,7 @@ def conform(code, v: GenericValue, atom: Callable[[object, GenericValue], bool])
                 return False
             code, v = code.right, v.second
         elif kind is Unit:
-            return v == TT()
+            return type(v) is TT
         else:
             return atom(code, v)
 
@@ -102,7 +102,7 @@ def map(
             wraps.append(partial(Pair, map(code.left, v.first, atom)))
             code, v = code.right, v.second
         elif kind is Unit:
-            if v != TT():
+            if type(v) is not TT:
                 raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
             break
         else:

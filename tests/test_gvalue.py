@@ -4,6 +4,7 @@ import pytest
 from genrep import (
     In1,
     In2,
+    IndexLabel,
     Konst,
     MalformedValue,
     Pair,
@@ -71,6 +72,19 @@ def test_labels_print_outside_in():
     assert print_label(STAR) == "⋆"
     assert print_label(left(STAR)) == "L.⋆"
     assert print_label(right(left(STAR))) == "R.L.⋆"
+
+
+def test_labels_compare_and_hash_by_value():
+    """A label built directly equals its interned ``left``/``right`` copy and
+    hashes the same, so either finds the other's entry in a table."""
+    for tagged, tag in ((left(STAR), "L"), (right(STAR), "R"), (right(left(STAR)), "R")):
+        direct = IndexLabel(tagged.name, tagged.tags)
+        assert direct is not tagged
+        assert direct == tagged and hash(direct) == hash(tagged)
+        assert {tagged: 1}[direct] == 1
+        assert direct.tags[0] == tag
+    assert IndexLabel("⋆", ("L",)) != IndexLabel("⋆", ("R",))
+    assert label("a") != label("b") and hash(label("a")) == hash(label("a"))
 
 
 def test_label_rejects_reserved_characters():

@@ -216,6 +216,25 @@ def test_checked_counts_are_pinned_at_size_ten(name):
     assert report.checked_count == CHECKED_AT_10[name]
 
 
+# The same at max_size 32, the benchmark's sweep size: 3,244 checks in all.
+CHECKED_AT_32 = {
+    "iso-i-ig": 109, "iso-m-i": 12, "iso-p-i": 378, "iso-r-m": 76, "iso-r-p": 76,
+    "isoMu-r-p": 76, "map-commute-r-p": 81, "map-comp-i": 56, "map-comp-m": 7,
+    "map-comp-p": 189, "map-comp-r": 81, "map-id-i": 56, "map-id-m": 7, "map-id-p": 189,
+    "map-id-r": 81, "par-comp": 1179, "par-cong": 131, "par-id": 131, "pitfall-comp": 2,
+    "transport-i-ig": 56, "transport-m-i": 6, "transport-p-i": 189, "transport-r-m": 38,
+    "transport-r-p": 38,
+}
+
+
+@pytest.mark.parametrize("name", property_names())
+def test_checked_counts_are_pinned_at_size_thirty_two(name):
+    assert sum(CHECKED_AT_32.values()) == 3244
+    report = run_property(name, budget=EnumBudget(max_size=32))
+    assert report.failures == []
+    assert report.checked_count == CHECKED_AT_32[name]
+
+
 def test_missing_indexed_slot_is_reported_as_in_conformance():
     with pytest.raises(IndexNotInSet, match=r"^no slot for index L\.⋆$"):
         enum_indexed(LIST_I, {}, STAR, EnumBudget(max_size=6))
