@@ -85,8 +85,8 @@ def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
 def _same_tree(
     conforms: Callable[[GenericValue], bool], v: GenericValue, direction: Direction
 ) -> GenericValue:
-    """An arrow that keeps the tree: both directions check ``v`` with the
-    source's conformance and return it."""
+    """An arrow that keeps the tree: both directions check ``v`` with a
+    conformer of the source context and return it."""
     _check_direction(direction)
     if not conforms(v):
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
@@ -98,7 +98,7 @@ def convert_r_p(
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``: the lift
     is structural, so the polyp tree and the regular tree are the same."""
-    return _same_tree(partial(regular.conform_mu_r, code), v, direction)
+    return STEPS["r-p"].converter(regular_context(code))(v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def convert_r_m(
     code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``."""
-    return _same_tree(partial(regular.conform_mu_r, code), v, direction)
+    return STEPS["r-m"].converter(regular_context(code))(v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def convert_p_i(
 ) -> GenericValue:
     """Both directions check polyp conformance at the ``⊤`` parameter slot
     and return ``v``."""
-    return _same_tree(partial(polyp.conform_mu_p, code, TOP_SLOT), v, direction)
+    return STEPS["p-i"].converter(polyp_context(code))(v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def convert_m_i(
 ) -> GenericValue:
     """Both directions check multirec conformance at ``at`` and return ``v``;
     Refl witnesses must sit under the tag of ``at``."""
-    return _same_tree(partial(multirec.conform_mu_m, code, at), v, direction)
+    return STEPS["m-i"].converter(multirec_context(code, at))(v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +559,7 @@ def conformer(ctx: PathContext) -> Callable[[GenericValue], bool]:
         case "polyp":
             return polyp.Conformer(polyp.MuSlot(ctx.code, TOP_SLOT))
         case "multirec":
-            return partial(multirec.Conformer(ctx.code, multirec.mu_assignment(ctx.code)), ctx.at)
+            return multirec.Conformer(ctx.code, multirec.mu_assignment(ctx.code), ctx.at)
         case "indexed":
             return indexed.Conformer(ctx.code, payload_slots(ctx.table), ctx.at)
         case "instant":
@@ -584,55 +584,49 @@ def _instant_target(ctx: PathContext) -> PathContext:
 
 
 class Step(NamedTuple):
-    """One arrow. ``lift`` takes a source code; ``context`` and ``convert``
-    take the source context, and ``context`` gives the target's."""
+    """One arrow. ``lift`` takes a source code; ``context`` and
+    ``converter`` take the source context: ``context`` gives the target's,
+    and ``converter`` the conversion ``(v, direction)`` out of it, for as
+    many of the context's values as it is given."""
 
     source: str
     target: str
     lift: Callable
     context: Callable[[PathContext], PathContext]
-    convert: Callable[[PathContext, GenericValue, str], GenericValue]
+    converter: Callable[[PathContext], Callable[[GenericValue, str], GenericValue]]
 
 
-# The rows call the conversions by their module names, so the functions a
-# caller re-binds in this module are the ones that run.
+def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
+    """The four arrows that keep the tree check every value with one
+    ``conformer`` of the source context, so the subtrees that a round trip
+    or many values share are judged once."""
+    return partial(_same_tree, conformer(ctx))
+
+
+# The i-ig row calls its conversion by its module name, so the function a
+# caller re-binds in this module is the one that runs.
 STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
                 lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-                lambda ctx, v, d: convert_r_p(ctx.code, v, d)),
+                _same_tree_converter),
     "r-m": Step("regular", "multirec",
                 lambda code: lift_r_to_m(code),
                 lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-                lambda ctx, v, d: convert_r_m(ctx.code, v, d)),
+                _same_tree_converter),
     "p-i": Step("polyp", "indexed",
                 lambda code: lift_p_to_i(code),
                 lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-                lambda ctx, v, d: convert_p_i(ctx.code, v, d)),
+                _same_tree_converter),
     "m-i": Step("multirec", "indexed",
                 lambda code: lift_m_to_i(code),
                 lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-                lambda ctx, v, d: convert_m_i(ctx.code, ctx.at, v, d)),
+                _same_tree_converter),
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 lambda ctx, v, d: convert_i_ig(ctx.code, dict(ctx.table), ctx.at, v, d)),
+                 lambda ctx: partial(convert_i_ig, ctx.code, dict(ctx.table), ctx.at)),
 }
-
-
-# The arrows that leave the value tree unchanged: converting along one is a
-# conformance check in its source context.
-_SAME_TREE = frozenset({"r-p", "r-m", "p-i", "m-i"})
-
-
-def converter(step: str, ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
-    """``STEPS[step].convert`` out of ``ctx``, for as many values as it is
-    given: an arrow in ``_SAME_TREE`` checks them all with one ``conformer``
-    of ``ctx``, so a round trip or a subtree that many values share is
-    judged once."""
-    if step in _SAME_TREE:
-        return partial(_same_tree, conformer(ctx))
-    return partial(STEPS[step].convert, ctx)
 
 
 def compose_path(
@@ -659,5 +653,5 @@ def compose_path(
     if direction == "backward":
         walk.reverse()
     for step, ctx in walk:
-        v = STEPS[step].convert(ctx, v, direction)
+        v = STEPS[step].converter(ctx)(v, direction)
     return v

@@ -8,7 +8,6 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, TypeVar, Union
 
@@ -192,12 +191,11 @@ class _Walk:
 
     Its recursion points are the slots it meets below the top layer: a
     ``MuSlot`` (one fixed-point layer, also where the walk enters a ``Fix``
-    node) and an ``InterpSlot`` (one layer of a composition's right code).
-    The memo keeps, under ``id(slot)`` and then ``id(v)``, the walk's result
-    for each value ``v`` a slot was given, so each slot walks a shared
-    subtree once for the life of the object. Every slot is an entry of
-    ``assign`` or one kept in ``tables``, and ``pins`` holds every ``v``, so
-    no ``id`` in the memo is reused while it lives.
+    node) and an ``InterpSlot`` (one layer of a composition's right code),
+    each an entry of ``assign`` or one kept in ``tables``; the memo
+    (``spine.memoized``) keeps the walk's result for each value a point was
+    given, so each point walks a shared subtree once for the life of the
+    object.
     """
 
     def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
@@ -205,22 +203,10 @@ class _Walk:
         self.code, self.assign, self.at = code, assign, at
         self.tables: dict = {}
         self.fixes: dict[tuple[int, IndexLabel], MuSlot] = {}
-        self.memo: defaultdict[int, dict] = defaultdict(dict)
-        self.pins: list[GenericValue] = []
+        self.memo: dict = {}
 
     def __call__(self, v: GenericValue):
         return self._walk(self.code, self.assign, self.at, v)
-
-    def _entry(self, slot, v: GenericValue):
-        kind = type(slot)
-        if kind is MuSlot or kind is InterpSlot:
-            seen = self.memo[id(slot)]
-            hit = seen.get(id(v))
-            if hit is None:
-                self.pins.append(v)
-                hit = seen[id(v)] = self._point(slot, v)
-            return hit
-        return self._leaf(slot, v)
 
     def _fix(self, node: Fix, assign: Mapping, at: IndexLabel) -> MuSlot:
         """The slot of ``node``'s fixed point at ``at``: its table's Right
@@ -240,7 +226,10 @@ class _Walk:
                 entry = assign.get(node.label)
                 if entry is None:
                     raise IndexNotInSet(f"no {self._entries} for index {print_label(node.label)}")
-                return self._entry(entry, w)
+                kind = type(entry)
+                if kind is MuSlot or kind is InterpSlot:
+                    return spine.memoized(self.memo, entry, w, self._point)
+                return self._leaf(entry, w)
             if kind is Tag:
                 return self._tag(node.label, at, w)
             if kind is Comp:
@@ -249,7 +238,7 @@ class _Walk:
                 # A value that is not a layer never builds the table.
                 if type(w) is not Roll:
                     return self._unrolled(w)
-                return self._entry(self._fix(node, assign, at), w)
+                return spine.memoized(self.memo, self._fix(node, assign, at), w, self._point)
             raise TypeError(f"not an indexed body: {node!r}")
 
         return self._spine(code.body, v, atom)

@@ -8,7 +8,6 @@ constant a ``k`` node, so every walk over a finite value ends.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
@@ -94,36 +93,31 @@ class Conformer:
     """Does a value inhabit the interpretation of ``code`` in ``env``? For
     as many values as it is asked about.
 
-    Its recursion points are the named codes: an ``R`` reference and a
-    ``K`` constant of ``OfCode``. The memo keeps, under ``ref`` and then
-    ``id(v)``, the answer for each value ``v`` a named code was asked about,
-    so each is judged once for the life of the object, however many values
-    share it; ``pins`` holds every ``v``, so no ``id`` in the memo is
-    reused.
+    Its recursion points are the named codes, which an ``R`` reference and
+    a ``K`` constant of ``OfCode`` enter, each the code ``env`` holds for
+    the name: the memo (``spine.memoized``) keeps the answer for each value
+    a point was asked about, so each is judged once for the life of the
+    object, however many values share it.
     """
 
     def __init__(self, env: CodeEnv, code: InstantCode):
         self.env, self.code = env, code
-        self.memo: defaultdict[str, dict[int, bool]] = defaultdict(dict)
-        self.pins: list[GenericValue] = []
+        self.memo: dict = {}
 
     def __call__(self, v: GenericValue) -> bool:
-        return spine.conform(self.code, v, self._atom)
+        return self._layer(self.code, v)
 
-    def _named(self, ref: str, v: GenericValue) -> bool:
-        seen = self.memo[ref]
-        hit = seen.get(id(v))
-        if hit is None:
-            self.pins.append(v)
-            hit = seen[id(v)] = spine.conform(resolve(self.env, ref), v, self._atom)
-        return hit
+    def _layer(self, code: InstantCode, v: GenericValue) -> bool:
+        return spine.conform(code, v, self._atom)
 
     def _atom(self, node: InstantCode, w: GenericValue) -> bool:
         kind = type(node)
         if kind is K:
             return type(w) is Konst and self._kset(node.payload, w.inner)
         if kind is R:
-            return type(w) is RecV and self._named(node.ref, w.inner)
+            return type(w) is RecV and spine.memoized(
+                self.memo, resolve(self.env, node.ref), w.inner, self._layer
+            )
         raise TypeError(f"not an instant code: {node!r}")
 
     def _kset(self, kset: KSet, v: GenericValue) -> bool:
@@ -133,7 +127,7 @@ class Conformer:
         if kind is EqWitness:
             return type(v) is Refl and kset.a == kset.b
         if kind is OfCode:
-            return self._named(kset.ref, v)
+            return spine.memoized(self.memo, resolve(self.env, kset.ref), v, self._layer)
         raise TypeError(f"not a constant set: {kset!r}")
 
 

@@ -7,7 +7,6 @@ a tag is inhabited by the equality witness exactly at its own index.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, TypeVar, Union
 
@@ -83,57 +82,59 @@ def at_index(code: MultirecCode, table: Mapping[IndexLabel, T], lbl: IndexLabel)
 
 
 class Conformer:
-    """Conformance under one assignment of ``code``, for as many values as
-    it is asked about.
+    """Conformance at index ``at`` of ``code`` under ``assign``, for as many
+    values as it is asked about.
 
-    ``conformer(at, v)`` tells whether ``v`` inhabits the slot ``assign``
-    gives ``at``, and ``conformer.layer(at, v)`` whether ``v`` is one layer
-    of ``code`` at ``at`` under ``assign``. The layers of a ``MuSlot(c)``
-    read ``mu_assignment(c)``, built once per object in ``tables``. The
-    memo keeps, under ``(id(c), lbl)`` and then ``id(w)``, the answer for
-    every value ``w`` a fixed point of ``c`` was asked about at ``lbl``, so
-    each fixed-point layer is judged once for the life of the object;
-    ``pins`` holds every ``w``, so no ``id`` in the memo is reused.
+    ``conformer(v)`` tells whether ``v`` inhabits the slot ``assign`` gives
+    ``at``, and ``conformer.layer(v)`` whether ``v`` is one layer of
+    ``code`` at ``at`` under ``assign``. Its recursion points are the fixed
+    points of each ``MuSlot(c)`` at each index of ``c`` that it meets below
+    the top of a value, kept in ``tables`` once per object together with
+    ``mu_assignment(c)``, which their layers read; the memo
+    (``spine.memoized``) keeps the answer for each value a point was asked
+    about, so each fixed-point layer is judged once for the life of the
+    object.
     """
 
-    def __init__(self, code: MultirecCode, assign: Assignment):
-        self.code, self.assign = code, assign
-        self.tables: dict[int, dict[IndexLabel, MultirecSlot]] = {}
-        self.memo: defaultdict[tuple, dict[int, bool]] = defaultdict(dict)
-        self.pins: list[GenericValue] = []
+    def __init__(self, code: MultirecCode, assign: Assignment, at: IndexLabel):
+        self.code, self.assign, self.at = code, assign, at
+        self.tables: dict[int, dict[IndexLabel, tuple]] = {}
+        self.memo: dict = {}
 
-    def __call__(self, at: IndexLabel, v: GenericValue) -> bool:
-        return self._accepts(at_index(self.code, self.assign, at), at, v)
+    def __call__(self, v: GenericValue) -> bool:
+        at = self.at
+        slot = at_index(self.code, self.assign, at)
+        if type(slot) is MuSlot:
+            return self._rolled(self._point(slot.code, at), v)
+        return self._leaf(slot, v)
 
-    def layer(self, at: IndexLabel, v: GenericValue) -> bool:
-        check_index(self.code, at)
-        return self._layer(self.code, self.assign, at, v)
+    def layer(self, v: GenericValue) -> bool:
+        check_index(self.code, self.at)
+        return self._layer(self.code, self.assign, self.at, v)
 
-    def _accepts(self, slot: MultirecSlot, lbl: IndexLabel, v: GenericValue) -> bool:
+    def _leaf(self, slot: MultirecSlot, v: GenericValue) -> bool:
         kind = type(slot)
-        if kind is MuSlot:
-            code = slot.code
-            seen = self.memo[id(code), lbl]
-            hit = seen.get(id(v))
-            if hit is None:
-                # Whatever the value; a hit was checked when it was stored.
-                check_index(code, lbl)
-                self.pins.append(v)
-                hit = seen[id(v)] = type(v) is Roll and self._layer(
-                    code, self._mu(code), lbl, v.inner
-                )
-            return hit
         if kind is PayloadSlot:
             return payload_slot_accepts(slot, v)
         if kind is EmptySlot:
             return False
         raise TypeError(f"not a multirec slot: {slot!r}")
 
-    def _mu(self, code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
-        assign = self.tables.get(id(code))
-        if assign is None:
-            assign = self.tables[id(code)] = mu_assignment(code)
-        return assign
+    def _point(self, code: MultirecCode, lbl: IndexLabel) -> tuple:
+        """The fixed point of ``code`` at ``lbl``, which must be in the
+        code's index set whatever the value."""
+        points = self.tables.get(id(code))
+        if points is None:
+            assign = mu_assignment(code)
+            points = self.tables[id(code)] = {i: (code, assign, i) for i in code.indices}
+        point = points.get(lbl)
+        if point is None:
+            check_index(code, lbl)
+        return point
+
+    def _rolled(self, point: tuple, v: GenericValue) -> bool:
+        code, assign, lbl = point
+        return type(v) is Roll and self._layer(code, assign, lbl, v.inner)
 
     def _layer(
         self, code: MultirecCode, assign: Assignment, at: IndexLabel, v: GenericValue
@@ -142,7 +143,10 @@ class Conformer:
             kind = type(node)
             if kind is Id:
                 lbl = node.label
-                return self._accepts(at_index(code, assign, lbl), lbl, w)
+                slot = at_index(code, assign, lbl)
+                if type(slot) is MuSlot:
+                    return spine.memoized(self.memo, self._point(slot.code, lbl), w, self._rolled)
+                return self._leaf(slot, w)
             if kind is Tag:
                 check_index(code, node.label)
                 return type(w) is Refl and at == node.label
@@ -158,13 +162,15 @@ def conform_m(
     v: GenericValue,
 ) -> bool:
     """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    return Conformer(code, assign).layer(at, v)
+    return Conformer(code, assign, at).layer(v)
 
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
     """Fixed-point conformance at index ``at``, which must be in the code's
-    index set whatever the value."""
-    return Conformer(code, mu_assignment(code))(at, v)
+    index set whatever the value. A value that is not rolled builds no
+    conformer."""
+    check_index(code, at)
+    return type(v) is Roll and Conformer(code, mu_assignment(code), at)(v)
 
 
 def map_m(

@@ -278,15 +278,14 @@ def enum_multirec(
     budget: EnumBudget,
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_body_m, code, assign, at), budget.max_size)
-    return _rechecked(values, partial(multirec.Conformer(code, assign).layer, at))
+    return _rechecked(values, multirec.Conformer(code, assign, at).layer)
 
 
 def enum_mu_multirec(
     code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_m, code, at), budget.max_size)
-    conformer = multirec.Conformer(code, multirec.mu_assignment(code))
-    return _rechecked(values, partial(conformer, at))
+    return _rechecked(values, multirec.Conformer(code, multirec.mu_assignment(code), at))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +463,7 @@ def _arrows(step: str, codes):
     row = embed.STEPS[step]
     for code in codes.values():
         for ctx in embed.contexts(row.source, code):
-            yield ctx, row.context(ctx), embed.converter(step, ctx)
+            yield ctx, row.context(ctx), row.converter(ctx)
 
 
 # step -> its default codes, those of the step's source universe

@@ -9,7 +9,6 @@ container codes is usually not the container-of-containers code.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
 
@@ -98,43 +97,39 @@ class _Walk:
 
     Its recursion points are the ``MuSlot`` entries (one fixed-point layer
     each) and the ``InterpSlot`` entries (one layer of a composition's right
-    code). The memo keeps, under ``id(slot)`` and then ``id(v)``, the walk's
-    result for each value ``v`` a point was given, so each point walks a
-    shared subtree once for the life of the object. Every slot is the root
-    slot or one kept in ``tables``, and ``pins`` holds every ``v``, so no
-    ``id`` in the memo is reused while it lives.
+    code) that it meets below the top of a value, each the root slot or one
+    kept in ``tables``; the memo (``spine.memoized``) keeps the walk's
+    result for each value a point was given, so each point walks a shared
+    subtree once for the life of the object.
     """
 
     def __init__(self, slot: PolyPSlot):
         self.slot = slot
         self.tables: dict = {}
-        self.memo: defaultdict[int, dict] = defaultdict(dict)
-        self.pins: list[GenericValue] = []
+        self.memo: dict = {}
 
     def __call__(self, v: GenericValue):
-        return self._entry(self.slot, v)
-
-    def _entry(self, slot, v: GenericValue):
+        slot = self.slot
         kind = type(slot)
         if kind is MuSlot or kind is InterpSlot:
-            seen = self.memo[id(slot)]
-            hit = seen.get(id(v))
-            if hit is None:
-                self.pins.append(v)
-                hit = seen[id(v)] = self._point(slot, v)
-            return hit
+            return self._point(slot, v)
         return self._leaf(slot, v)
 
     def _layer(self, code: PolyPCode, slots: SlotPair, v: GenericValue):
         def atom(node: PolyPCode, w: GenericValue):
             kind = type(node)
             if kind is Par:
-                return self._entry(slots.param, w)
-            if kind is Id:
-                return self._entry(slots.rec, w)
-            if kind is Comp:
-                return self._entry(_comp_slot(self.tables, node, slots), w)
-            raise TypeError(f"not a polyp code: {node!r}")
+                slot = slots.param
+            elif kind is Id:
+                slot = slots.rec
+            elif kind is Comp:
+                slot = _comp_slot(self.tables, node, slots)
+            else:
+                raise TypeError(f"not a polyp code: {node!r}")
+            kind = type(slot)
+            if kind is MuSlot or kind is InterpSlot:
+                return spine.memoized(self.memo, slot, w, self._point)
+            return self._leaf(slot, w)
 
         return self._spine(code, v, atom)
 
@@ -167,7 +162,9 @@ def conform_p(code: PolyPCode, slots: SlotPair, v: GenericValue) -> bool:
 
 
 def conform_mu_p(code: PolyPCode, param: PolyPSlot, v: GenericValue) -> bool:
-    return Conformer(MuSlot(code, param))(v)
+    """Fixed-point conformance with parameters at ``param``; a value that is
+    not rolled builds no conformer."""
+    return type(v) is Roll and Conformer(MuSlot(code, param))(v)
 
 
 class Mapper(_Walk):

@@ -53,29 +53,22 @@ class Conformer:
 
     ``conformer(v)`` tells whether ``v`` inhabits ``slot``, and
     ``conformer.layer(code, v)`` whether ``v`` is one layer of ``code`` whose
-    identity positions hold ``slot``. A regular walk meets one slot only, so
-    when it is a ``MuSlot`` the memo keeps, under ``id(w)``, the answer for
-    every value ``w`` the slot was asked about: each fixed-point layer is
-    judged once for the life of the object, however many values share it.
-    ``pins`` holds every ``w``, so no ``id`` in the memo is reused.
+    identity positions hold ``slot``. A regular walk meets one slot only;
+    when it is a ``MuSlot``, every identity position below the top of a
+    value enters it, and the memo (``spine.memoized``) keeps the answer for
+    each value it was given there, so each fixed-point layer is judged once
+    for the life of the object, however many values share it.
     """
 
     def __init__(self, slot: RegularSlot):
         self.slot = slot
-        self.memo: dict[int, bool] = {}
-        self.pins: list[GenericValue] = []
+        self.memo: dict = {}
 
     def __call__(self, v: GenericValue) -> bool:
         slot = self.slot
         kind = type(slot)
         if kind is MuSlot:
-            hit = self.memo.get(id(v))
-            if hit is None:
-                self.pins.append(v)
-                hit = self.memo[id(v)] = type(v) is Roll and spine.conform(
-                    slot.code, v.inner, self._atom
-                )
-            return hit
+            return self._rolled(slot, v)
         if kind is PayloadSlot:
             return payload_slot_accepts(slot, v)
         if kind is EmptySlot:
@@ -85,10 +78,15 @@ class Conformer:
     def layer(self, code: RegularCode, v: GenericValue) -> bool:
         return spine.conform(code, v, self._atom)
 
+    def _rolled(self, slot: MuSlot, v: GenericValue) -> bool:
+        return type(v) is Roll and spine.conform(slot.code, v.inner, self._atom)
+
     def _atom(self, node: RegularCode, w: GenericValue) -> bool:
-        if type(node) is Id:
-            return self(w)
-        raise TypeError(f"not a regular code: {node!r}")
+        if type(node) is not Id:
+            raise TypeError(f"not a regular code: {node!r}")
+        if type(self.slot) is MuSlot:
+            return spine.memoized(self.memo, self.slot, w, self._rolled)
+        return self(w)
 
 
 def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
@@ -97,8 +95,9 @@ def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
 
 
 def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
-    """Fixed-point conformance: one roll, then a layer at the mu slot."""
-    return Conformer(MuSlot(code))(v)
+    """Fixed-point conformance: one roll, then a layer at the mu slot. A
+    value that is not rolled builds no conformer."""
+    return type(v) is Roll and Conformer(MuSlot(code)).layer(code, v.inner)
 
 
 def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:

@@ -113,6 +113,30 @@ def map(
     return v
 
 
+def memoized(
+    memo: dict, point, v: GenericValue, compute: Callable[[object, GenericValue], object]
+):
+    """``compute(point, v)``, computed once per recursion point and value
+    for as long as ``memo`` lives: one conformer or mapper holds one memo.
+
+    A recursion point is where a walk enters a fixed-point layer, a
+    composition's code or a named code below the top of the value; each
+    universe says which, and with what object. The memo is keyed by
+    ``id(point)`` and then ``id(v)``, and each entry keeps ``v``, so no
+    ``id`` is reused while the memo lives; the walk must keep every
+    ``point`` as long. The
+    answer may depend on the point and the value only, which holds for
+    conformance and for maps whose transformers are pure.
+    """
+    seen = memo.get(id(point))
+    if seen is None:
+        seen = memo[id(point)] = {}
+    hit = seen.get(id(v))
+    if hit is None:
+        hit = seen[id(v)] = (v, compute(point, v))
+    return hit[1]
+
+
 def gen(
     code,
     n: int,

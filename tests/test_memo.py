@@ -5,6 +5,7 @@ of one family, and after values die and their ids are reused."""
 
 import random
 from functools import partial
+from itertools import permutations
 
 import pytest
 
@@ -85,23 +86,26 @@ def _outcome(walk, v):
 
 def test_a_shared_subtree_is_judged_per_point():
     """One object sits at two recursion points of a rose: as an element of
-    its list, where it is not a rose, and as the list's tail, where it is
-    the empty list. The memo keeps the two answers apart, in either order,
-    in polyp and in indexed conformance and in the indexed map."""
+    its list and as the list's tail, or as a whole rose and as its list.
+    ``empty`` is the empty list and no rose; ``leaf`` is a rose and no
+    list. The memo keeps the answers apart, in every order, in polyp and in
+    indexed conformance and in the indexed map."""
     empty = Roll(In1(TT()))
-    good = Roll(Pair(TT(), empty))
+    leaf = Roll(Pair(TT(), empty))
     bad = Roll(Pair(TT(), Roll(In2(Pair(empty, empty)))))
+    twice = Roll(Pair(TT(), Roll(In2(Pair(leaf, leaf)))))
     rose_i = embed.contexts("indexed", corpus.ROSE_I)[0]
     top = {embed.STAR: identity}
-    for order in ([good, bad], [bad, good]):
+    for order in permutations([leaf, bad, twice, empty]):
         for ctx in (embed.polyp_context(corpus.ROSE_C), rose_i):
             conforms = embed.conformer(ctx)
-            assert [conforms(v) for v in order] == [v is good for v in order]
-            assert [embed.conforms(ctx, v) for v in order] == [v is good for v in order]
+            assert [conforms(v) for v in order] == [v is leaf for v in order]
+            assert [embed.conforms(ctx, v) for v in order] == [v is leaf for v in order]
         mapper = indexed.Mapper(corpus.ROSE_I, top, embed.STAR)
         fresh = partial(indexed.map_i, corpus.ROSE_I, top, embed.STAR)
         assert [_outcome(mapper, v) for v in order] == [_outcome(fresh, v) for v in order]
-        assert _outcome(fresh, bad) == "product layer is not a pair: in1 tt"
+    assert _outcome(fresh, bad) == "product layer is not a pair: in1 tt"
+    assert _outcome(fresh, twice) == "sum layer is not an injection: (tt , <in1 tt>)"
 
 
 def test_a_shared_subtree_is_judged_per_named_code():
@@ -121,18 +125,27 @@ def test_a_shared_subtree_is_judged_per_named_code():
 
 
 def test_one_family_conformer_keeps_its_indices_apart():
-    """One multirec conformer serves both indices of the zig-zag family: a
-    value of one index is no value of the other, and the answers for a
-    subtree at one index do not leak to the other."""
+    """One object ``x``, a zig-zag value at R, sits below the top of one
+    value at index R, where it belongs, and of another at index L, where it
+    does not. A conformer at L keeps the two answers apart, in either
+    order."""
     code = corpus.ZIG_ZAG_C
-    conforms = multirec.Conformer(code, multirec.mu_assignment(code))
-    values = {
-        at: oracle.enum_mu_multirec(code, at, EnumBudget(max_size=MUTATION_SIZE))
-        for at in code.indices
-    }
-    for v in values[embed.LSTAR] + values[embed.RSTAR]:
-        for at in code.indices:
-            assert conforms(at, v) == multirec.conform_mu_m(code, at, v) == (v in values[at])
+
+    def at_left(w):
+        return Roll(In1(Pair(Refl(), w)))
+
+    def at_right(w):
+        return Roll(In2(Pair(Refl(), w)))
+
+    x = at_right(at_left(In2(TT())))
+    holds = at_left(In1(x))
+    misplaces = at_left(In1(at_right(x)))
+    for order in ([holds, misplaces], [misplaces, holds]):
+        conforms = multirec.Conformer(code, multirec.mu_assignment(code), embed.LSTAR)
+        assert [conforms(v) for v in order] == [v is holds for v in order]
+        assert [multirec.conform_mu_m(code, embed.LSTAR, v) for v in order] == [
+            v is holds for v in order
+        ]
 
 
 # Each builds a new object, so a dropped item's id can come back.
