@@ -10,12 +10,23 @@ named instant code) at each size are built once and then shared as subtrees
 of every larger value. So no value is built twice or repeated, and the
 result is each size from 1 to ``max_size`` in turn, sorted by printed form.
 
+``enum_context`` keeps one table for the life of the process, with at most
+one entry per context value: keyed by the universe, code and index and the
+items of the constant table and environment, by value and never by ``id``,
+it holds the values up to the largest ``max_size`` asked for so far. An
+entry is stored only once its values are rechecked, so the recheck runs
+once per entry and a broken generator raises on every call; a smaller
+budget is served from the front of the entry, a larger one enumerates
+afresh and replaces it, and every call returns a fresh list. Nothing in
+the table can be tuned. The ``enum_*`` functions keep no table.
+
 Payload sorts admit infinitely many tokens, so enumeration restricts token
 identifiers to 0 and 1 per sort; size bounds then give finite universes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
@@ -42,6 +53,7 @@ from .gvalue import (
     payload,
     print_value,
     right,
+    value_size,
 )
 
 T = TypeVar("T")
@@ -401,9 +413,8 @@ def enum_instant(
 # dispatch over the enumerators by context
 
 
-def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
-    """Every value of at most ``budget.max_size`` nodes where ``ctx`` says a
-    fixed-point value lives; see ``embed.contexts``."""
+def _enumerate(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
+    """The enumerator of ``ctx``'s universe, run afresh."""
     match ctx.universe:
         case "regular":
             return enum_mu_regular(ctx.code, budget)
@@ -416,6 +427,31 @@ def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
         case "instant":
             return enum_instant(ctx.env, ctx.code, budget)
     raise ValueError(f"unknown universe: {ctx.universe!r}")
+
+
+def _context_key(ctx: PathContext) -> tuple:
+    """``ctx`` by value: the suites build equal codes and contexts afresh."""
+    items = lambda table: None if table is None else frozenset(table.items())
+    return (ctx.universe, ctx.code, ctx.at, items(ctx.table), items(ctx.env))
+
+
+# context key -> (the largest max_size asked for, the values up to it)
+_ENUMERATED: dict[tuple, tuple[int, list[GenericValue]]] = {}
+
+
+def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
+    """Every value of at most ``budget.max_size`` nodes where ``ctx`` says a
+    fixed-point value lives (see ``embed.contexts``), as a fresh list. Each
+    context value is enumerated and rechecked once per largest budget; a
+    smaller budget is served from the front of the values kept for it."""
+    key = _context_key(ctx)
+    max_size, values = _ENUMERATED.get(key, (0, []))
+    if max_size < budget.max_size:
+        values = _enumerate(ctx, budget)
+        _ENUMERATED[key] = (budget.max_size, values)
+    elif max_size > budget.max_size:
+        return values[: bisect_right(values, budget.max_size, key=value_size)]
+    return values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +585,15 @@ def _functors_r_p(codes, budget: EnumBudget):
 
 
 def _functors_p_i(codes, budget: EnumBudget):
-    """The open p→i lift under split families (parameter, recursion)."""
-    assign = indexed.split_tables({STAR: TOP_SLOT}, {STAR: TOP_SLOT})
+    """The open p→i lift under split families (parameter, recursion); its
+    standard table gives both inputs the ``⊤`` slot."""
     for code in codes.values():
         lifted = embed.lift_p_to_i(code)
+        [ctx] = embed.contexts("indexed", lifted, at=STAR)
         fmap = lambda fs, lifted=lifted: indexed.Mapper(
             lifted, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), STAR
         )
-        yield partial(enum_indexed, lifted, assign, STAR, budget), fmap
+        yield partial(enum_context, ctx, budget), fmap
 
 
 # functor key -> (default codes, functors). Functors yield, per code and
@@ -575,7 +612,8 @@ _FUNCTORS = {
 
 
 # A law takes a functor's fmap and gives the (left, right) pairs of maps
-# that must agree on every value.
+# that must agree on every value. ``_laws`` takes them one at a time, so a
+# law that builds them lazily lets a map that serves one pair die with it.
 
 
 def _identity(arity: int):
@@ -584,11 +622,16 @@ def _identity(arity: int):
 
 def _composition(pairs):
     """Per (outer, inner) pair of families: mapping the composed family
-    equals mapping the inner family, then the outer one."""
-    return lambda fmap: [
-        (fmap(tuple(map(compose, outer, inner))), compose(fmap(outer), fmap(inner)))
-        for outer, inner in pairs
-    ]
+    equals mapping the inner family, then the outer one. The outer and
+    inner families serve several pairs, so each gets one map per functor;
+    a composed family serves its pair only."""
+
+    def law(fmap):
+        shared = cache(fmap)
+        for outer, inner in pairs:
+            yield fmap(tuple(map(compose, outer, inner))), compose(shared(outer), shared(inner))
+
+    return law
 
 
 def _congruence(one, two):
@@ -600,13 +643,13 @@ def _congruence(one, two):
 
 def _laws(functors, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
     """Check every pair of ``law`` on every value of every functor; a failure
-    shows the left map's result. Each family gets one map per functor, so
-    its memo walks each subtree the values share once; the maps die with
-    the suite."""
+    shows the left map's result. A map's memo walks each subtree the values
+    share once; the maps die with their pair or, when several pairs share
+    them, with the functor."""
     pairs = []
     for enumerate_, fmap in functors(codes, budget):
         values = enumerate_()
-        for lhs, rhs in law(cache(fmap)):
+        for lhs, rhs in law(fmap):
             for v in values:
                 w = lhs(v)
                 pairs.append((v, label, None if w == rhs(v) else print_value(w)))

@@ -4,8 +4,9 @@
 structural enumerators can be checked against an oracle that cannot share
 their blind spots.  `gvalues` is the hypothesis strategy used by the
 round-trip properties.  `child_env` is the environment every test that
-starts a Python process gives it.  `indexed_list` and `rose` build values
-of the indexed list and rose codes.
+starts a Python process gives it.  `corpus_contexts` lists every corpus
+context.  `indexed_list` and `rose` build values of the indexed list and
+rose codes.
 """
 
 import os
@@ -13,7 +14,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
+from genrep import corpus, embed
 from genrep import (
     In1,
     In2,
@@ -36,6 +39,19 @@ def child_env() -> dict[str, str]:
     the tree under test."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def corpus_contexts():
+    """Every corpus context, and the instant image of every indexed one,
+    whose environment names several codes, as pytest parameters."""
+    for universe, codes in corpus.CODES.items():
+        for name, code in codes.items():
+            for ctx in embed.contexts(universe, code, corpus.INSTANT_ENVS.get(name)):
+                label = "" if ctx.at is None else f"@{ctx.at.tags}"
+                yield pytest.param(ctx, id=f"{universe}-{name}{label}")
+                if universe == "indexed":
+                    image = embed.STEPS["i-ig"].context(ctx)
+                    yield pytest.param(image, id=f"instant-of-{name}{label}")
 
 
 def indexed_list(items) -> Roll:

@@ -14,22 +14,9 @@ from genrep import corpus, embed, indexed, multirec, oracle, print_value
 from genrep.gvalue import identity
 from genrep.oracle import EnumBudget
 
-from helpers import indexed_list
+from helpers import corpus_contexts, indexed_list
 
 MUTATION_SIZE = 14
-
-
-def _contexts():
-    """Every corpus context, and the instant image of every indexed one,
-    whose environment names several codes."""
-    for universe, codes in corpus.CODES.items():
-        for name, code in codes.items():
-            for ctx in embed.contexts(universe, code, corpus.INSTANT_ENVS.get(name)):
-                label = "" if ctx.at is None else f"@{ctx.at.tags}"
-                yield pytest.param(ctx, id=f"{universe}-{name}{label}")
-                if universe == "indexed":
-                    image = embed.STEPS["i-ig"].context(ctx)
-                    yield pytest.param(image, id=f"instant-of-{name}{label}")
 
 
 def _mutants(v):
@@ -61,7 +48,7 @@ def _mutants(v):
             yield from (Pair(a, m) for m in _mutants(b))
 
 
-@pytest.mark.parametrize("ctx", list(_contexts()))
+@pytest.mark.parametrize("ctx", list(corpus_contexts()))
 def test_one_conformer_answers_as_fresh_calls(ctx):
     """Every enumerated value and each of its one-node mutants, in turn,
     through one conformer of the context and through a fresh one each."""

@@ -2,6 +2,7 @@
 against a generator that shares none of their structure: build every tree
 over the value alphabet and keep the ones the conformance checkers accept."""
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from functools import partial
 import pytest
 
 from genrep import index_set, label, left, print_label, print_value, value_size
-from genrep import oracle
+from genrep import embed, oracle, regular
 from genrep.corpus import (
     BIN_C,
     INDEXED_CODES,
@@ -25,6 +26,7 @@ from genrep.corpus import (
     NAT_I,
     POLYP_CODES,
     REGULAR_CODES,
+    ROSE_C,
     ZIG_ZAG_C,
 )
 from genrep.gvalue import IndexNotInSet, PayloadSlot, Refl, Roll
@@ -34,6 +36,7 @@ from genrep.multirec import MultirecCode, Tag, conform_mu_m
 from genrep.oracle import (
     EnumBudget,
     UnknownProperty,
+    enum_context,
     enum_indexed,
     enum_instant,
     enum_mu_multirec,
@@ -46,7 +49,7 @@ from genrep.oracle import (
 from genrep.polyp import conform_mu_p
 from genrep.regular import conform_mu_r
 
-from helpers import all_trees_upto, child_env
+from helpers import all_trees_upto, child_env, corpus_contexts
 
 STAR = label("⋆")
 LSTAR = left(STAR)
@@ -354,3 +357,138 @@ def test_one_layer_rechecks_survive_optimized_mode():
         f"{name} raised enumerator emitted a non-conforming value: refl"
         for name in ("_gen_r", "_gen_p", "_gen_body_m")
     ]
+
+
+# ---------------------------------------------------------------------------
+# the table of enum_context: one enumeration per context value
+
+
+def _cold_code():
+    """A regular code that no other test enumerates, so its table entry
+    starts cold; built afresh on every call, as the suites build codes."""
+    rest = regular.Sum(regular.Id(), regular.Prod(regular.Id(), regular.Unit()))
+    return regular.Sum(regular.Unit(), rest)
+
+
+def _count_finish(monkeypatch) -> list:
+    """Record every ``_finish`` call, that is every generator run."""
+    calls = []
+    finish = oracle._finish
+    monkeypatch.setattr(oracle, "_finish", lambda *args: calls.append(args) or finish(*args))
+    return calls
+
+
+def test_equal_contexts_share_one_enumeration(monkeypatch):
+    calls = _count_finish(monkeypatch)
+    first, second = embed.regular_context(_cold_code()), embed.regular_context(_cold_code())
+    assert first.code is not second.code
+    values = enum_context(first, EnumBudget(max_size=9))
+    assert len(calls) == 1
+    assert enum_context(second, EnumBudget(max_size=9)) == values
+    assert enum_context(second, EnumBudget(max_size=5)) == [v for v in values if value_size(v) <= 5]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ctx", list(corpus_contexts()))
+@pytest.mark.parametrize("sizes, runs", [((14, 10), 1), ((10, 14), 2)], ids=["down", "up"])
+def test_the_table_serves_each_budget_as_a_fresh_enumeration(monkeypatch, ctx, sizes, runs):
+    """From a cold table, a smaller budget after a larger one is served
+    from the entry; a larger one after a smaller one enumerates again."""
+    uncached = {n: oracle._enumerate(ctx, EnumBudget(max_size=n)) for n in sizes}
+    monkeypatch.setattr(oracle, "_ENUMERATED", {})
+    calls = _count_finish(monkeypatch)
+    for n in sizes:
+        assert enum_context(ctx, EnumBudget(max_size=n)) == uncached[n]
+    assert len(calls) == runs
+
+
+def test_a_returned_list_is_the_callers_own():
+    ctx = embed.polyp_context(ROSE_C)
+    for n in (12, 9, 12):
+        values = enum_context(ctx, EnumBudget(max_size=n))
+        kept = list(values)
+        values.reverse()
+        values.pop()
+        values.append(Refl())
+        assert enum_context(ctx, EnumBudget(max_size=n)) == kept
+
+
+# The child breaks each generator in turn and asks enum_context twice for a
+# context it reaches: no entry is stored, so both calls recheck and raise.
+_BROKEN_CONTEXT_GENERATORS = textwrap.dedent(
+    """
+    from genrep import Refl, corpus, embed, oracle
+
+    budget = oracle.EnumBudget(max_size=6)
+    list_top = corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME]
+    cases = {
+        "_gen_mu_r": embed.regular_context(corpus.NAT_C),
+        "_gen_mu_p": embed.polyp_context(corpus.LIST_C),
+        "_gen_mu_m": embed.multirec_context(corpus.ZIG_ZAG_C, embed.LSTAR),
+        "_gen_i": embed.contexts("indexed", corpus.NAT_I)[0],
+        "_gen_ig": embed.contexts("instant", list_top, corpus.LIST_TOP_ENV)[0],
+    }
+    for name, ctx in cases.items():
+        setattr(oracle, name, lambda *args: [Refl()])
+        for call in (1, 2):
+            try:
+                print(name, call, "returned", oracle.enum_context(ctx, budget))
+            except RuntimeError as err:
+                print(name, call, "raised", err)
+    """
+)
+
+
+def test_a_broken_generator_raises_on_every_context_call():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_CONTEXT_GENERATORS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} {call} raised enumerator emitted a non-conforming value: refl"
+        for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
+        for call in (1, 2)
+    ]
+
+
+# The child runs all 24 suites at max_size 12 in the order given and prints
+# each suite's checked count and failures.
+_SUITES_IN_ORDER = textwrap.dedent(
+    """
+    import json, sys
+    from genrep import oracle, print_value
+
+    names = oracle.property_names()
+    if sys.argv[1] == "reversed":
+        names.reverse()
+    out = {}
+    for name in names:
+        report = oracle.run_property(name, budget=oracle.EnumBudget(max_size=12))
+        failures = [[print_value(v), d, m] for v, d, m in report.failures]
+        out[name] = [report.checked_count, failures]
+    print(json.dumps(out))
+    """
+)
+
+
+def test_suite_reports_do_not_depend_on_the_order_suites_run_in():
+    reports = []
+    for order in ("sorted", "reversed"):
+        out = subprocess.run(
+            [sys.executable, "-c", _SUITES_IN_ORDER, order],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        reports.append(json.loads(out.stdout))
+    assert list(reports[0]) == property_names()
+    assert list(reports[1]) == property_names()[::-1]
+    for name in property_names():
+        assert reports[0][name] == reports[1][name], name
+        assert reports[0][name][0] > 0
