@@ -130,13 +130,7 @@ class _Stream:
     def expect(self, kind: str, expected: frozenset[str] | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            wanted = expected if expected is not None else frozenset({kind})
-            raise ParseError(
-                f"expected {_describe(wanted)}, got {_show(tok)}",
-                tok.line,
-                tok.col,
-                wanted,
-            )
+            raise self.fail(expected or frozenset({kind}))
         return self.advance()
 
     def fail(self, wanted: frozenset[str]) -> ParseError:

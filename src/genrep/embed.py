@@ -361,21 +361,11 @@ def convert_i_ig(
     direction: Direction,
 ) -> GenericValue:
     """Forward: rolls become rec nodes, parameter and tag contents become
-    constants. Backward restores the original tree exactly.
-
-    Both directions read the code through the assignments of indexed
-    conformance (``indexed.inner_assign``), built once per walk: an
-    ``InterpSlot`` is an input of a composition's left code, a ``MuSlot`` a
-    recursive position of a fixed point, and any other entry is a parameter:
-    a ``Prim(sort)`` input of ``table`` is that sort's payload slot, which
-    checks its contents; other constant sets need an environment, which the
-    arrow lacks, so their contents pass unchecked."""
+    constants. Backward restores the original tree exactly. Both directions
+    are ``indexed.Walk``s of the ``i-ig`` step's converter; the direction is
+    checked first, then the output index, then ``table``."""
     _check_direction(direction)
-    indexed.check_output(code, o)
-    rho = _rho_from_table(code, table)
-    assign = {lbl: PayloadSlot(k.sort) if type(k) is instant.Prim else k for lbl, k in rho}
-    walk = _from_ig if direction == "forward" else _to_ig
-    return walk({}, code, assign, o, v)
+    return STEPS["i-ig"].converter(indexed_context(code, table, o))(v, direction)
 
 
 def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
@@ -391,84 +381,71 @@ def _check_parameter(slot: object, v: GenericValue) -> None:
         raise MalformedValue(f"parameter position does not inhabit K {slot.sort}: {print_value(v)}")
 
 
-def _from_ig(
-    tables: dict, code: indexed.IndexedCode, assign: Mapping, o: IndexLabel, v: GenericValue
-) -> GenericValue:
-    def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
-        match node:
-            case indexed.Id(lbl):
-                slot = indexed.slot_at(assign, lbl)
-            case indexed.Tag(lbl):
-                if type(w) is not Refl:
-                    raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-                _check_tag(lbl, o)
-                return Konst(w)
-            case indexed.Comp(f, _):
-                return RecV(_from_ig(tables, f, indexed.inner_assign(tables, node, assign), o, w))
-            case indexed.Fix(f):
-                slot = indexed.MuSlot(f, indexed.inner_assign(tables, node, assign), o)
-            case _:
-                raise TypeError(f"not an indexed body: {node!r}")
-        match slot:
-            case indexed.InterpSlot(inner, middle, at):
-                return Konst(_from_ig(tables, inner, middle, at, w))
-            case indexed.MuSlot(inner, under, at):
-                match w:
-                    case Roll(x):
-                        return RecV(_from_ig(tables, inner, under, at, x))
-                raise MalformedValue(f"fixed-point layer is not rolled: {print_value(w)}")
-        _check_parameter(slot, w)
-        return Konst(w)
+class _ToInstant(indexed.Walk):
+    """i→ig forward: each layer of a fixed point or a composition becomes a
+    rec node, and each parameter, tag and composition argument a
+    constant."""
 
-    return spine.map(code.body, v, atom)
+    _spine = staticmethod(spine.map)
+
+    def _point(self, slot, v: GenericValue) -> GenericValue:
+        if type(slot) is indexed.InterpSlot:
+            return Konst(self._walk(slot.code, slot.assign, slot.at, v))
+        if type(v) is not Roll:
+            return self._unrolled(v)
+        return RecV(self._walk(slot.inner, slot.under, slot.at, v.inner))
+
+    def _unrolled(self, v: GenericValue) -> GenericValue:
+        raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+
+    def _leaf(self, slot, v: GenericValue) -> GenericValue:
+        _check_parameter(slot, v)
+        return Konst(v)
+
+    def _tag(self, lbl: IndexLabel, at: IndexLabel, v: GenericValue) -> GenericValue:
+        if type(v) is not Refl:
+            raise MalformedValue(f"tag position is not refl: {print_value(v)}")
+        _check_tag(lbl, at)
+        return Konst(v)
+
+    def _comp(self, code, assign, at: IndexLabel, v: GenericValue) -> GenericValue:
+        return RecV(self._walk(code, assign, at, v))
 
 
-def _to_ig(
-    tables: dict, code: indexed.IndexedCode, assign: Mapping, o: IndexLabel, v: GenericValue
-) -> GenericValue:
-    def atom(node: indexed.IndexedBody, w: GenericValue) -> GenericValue:
-        match node:
-            case indexed.Id(lbl):
-                slot = indexed.slot_at(assign, lbl)
-            case indexed.Tag(lbl):
-                match w:
-                    case Konst(Refl()):
-                        _check_tag(lbl, o)
-                        return Refl()
-                raise MalformedValue(f"tag position is not k refl: {print_value(w)}")
-            case indexed.Comp(f, _):
-                match w:
-                    case RecV(x):
-                        return _to_ig(tables, f, indexed.inner_assign(tables, node, assign), o, x)
-                raise MalformedValue(
-                    f"composition layer is not a rec node: {print_value(w)}"
-                )
-            case indexed.Fix(f):
-                slot = indexed.MuSlot(f, indexed.inner_assign(tables, node, assign), o)
-            case _:
-                raise TypeError(f"not an indexed body: {node!r}")
-        match slot:
-            case indexed.InterpSlot(inner, middle, at):
-                match w:
-                    case Konst(x):
-                        return _to_ig(tables, inner, middle, at, x)
-                raise MalformedValue(
-                    f"composition argument is not a constant: {print_value(w)}"
-                )
-            case indexed.MuSlot(inner, under, at):
-                match w:
-                    case RecV(x):
-                        return Roll(_to_ig(tables, inner, under, at, x))
-                raise MalformedValue(
-                    f"fixed-point layer is not a rec node: {print_value(w)}"
-                )
-        match w:
-            case Konst(x):
-                _check_parameter(slot, x)
-                return x
-        raise MalformedValue(f"parameter position is not a constant: {print_value(w)}")
+class _FromInstant(indexed.Walk):
+    """i→ig backward: unwraps what ``_ToInstant`` wraps; its layers are rec nodes."""
 
-    return spine.map(code.body, v, atom)
+    _spine = staticmethod(spine.map)
+    _layer = RecV
+
+    def _point(self, slot, v: GenericValue) -> GenericValue:
+        if type(slot) is indexed.InterpSlot:
+            if type(v) is not Konst:
+                raise MalformedValue(f"composition argument is not a constant: {print_value(v)}")
+            return self._walk(slot.code, slot.assign, slot.at, v.inner)
+        if type(v) is not RecV:
+            return self._unrolled(v)
+        return Roll(self._walk(slot.inner, slot.under, slot.at, v.inner))
+
+    def _unrolled(self, v: GenericValue) -> GenericValue:
+        raise MalformedValue(f"fixed-point layer is not a rec node: {print_value(v)}")
+
+    def _leaf(self, slot, v: GenericValue) -> GenericValue:
+        if type(v) is not Konst:
+            raise MalformedValue(f"parameter position is not a constant: {print_value(v)}")
+        _check_parameter(slot, v.inner)
+        return v.inner
+
+    def _tag(self, lbl: IndexLabel, at: IndexLabel, v: GenericValue) -> GenericValue:
+        if type(v) is not Konst or type(v.inner) is not Refl:
+            raise MalformedValue(f"tag position is not k refl: {print_value(v)}")
+        _check_tag(lbl, at)
+        return v.inner
+
+    def _comp(self, code, assign, at: IndexLabel, v: GenericValue) -> GenericValue:
+        if type(v) is not RecV:
+            raise MalformedValue(f"composition layer is not a rec node: {print_value(v)}")
+        return self._walk(code, assign, at, v.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +580,24 @@ def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], Gene
     return partial(_same_tree, conformer(ctx))
 
 
-# The i-ig row calls its conversion by its module name, so the function a
-# caller re-binds in this module is the one that runs.
+def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
+    """One memoized walk per direction for all of the context's values, so a
+    shared subtree converts once to a shared image. An input of constant set
+    ``Prim(sort)`` reads as that sort's payload slot, which checks its
+    contents; other sets need an environment, so their contents pass unchecked."""
+    indexed.check_output(ctx.code, ctx.at)
+    rho = _rho_from_table(ctx.code, ctx.table)
+    assign = {lbl: PayloadSlot(k.sort) if type(k) is instant.Prim else k for lbl, k in rho}
+    walks = {"forward": _ToInstant(ctx.code, assign, ctx.at),
+             "backward": _FromInstant(ctx.code, assign, ctx.at)}
+
+    def convert(v: GenericValue, direction: str) -> GenericValue:
+        _check_direction(direction)
+        return walks[direction](v)
+
+    return convert
+
+
 STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
@@ -625,7 +618,7 @@ STEPS = {
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 lambda ctx: partial(convert_i_ig, ctx.code, dict(ctx.table), ctx.at)),
+                 _i_ig_converter),
 }
 
 

@@ -164,15 +164,15 @@ def slot_at(assign: SlotTable, lbl: IndexLabel) -> IndexedSlot:
 def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T]) -> Mapping:
     """The assignment the inner code of ``node`` reads under ``assign``: a
     composition's left inputs interpret its right code (``InterpSlot``), and
-    a fixed point's Right inputs re-enter it (``mu_assign``). Conformance,
-    enumeration, map and both i→ig directions read a code through it, so its
-    entries other than these two slots are whatever the walk's own entries
-    are: payload slots, constant sets or transformers. ``tables`` lives for
-    one walk, or one conformer or mapper, and keeps, under
-    ``(id(node), id(assign))``, each assignment it builds, so each is built
-    once however many layers of a value pass through ``node``; ``assign``,
-    the walk's first assignment or one kept there, outlives ``tables``, so
-    its ``id`` names it."""
+    a fixed point's Right inputs re-enter it (``mu_assign``). Enumeration
+    and every ``Walk`` (conformance, map and both i→ig directions) read a
+    code through it, so its entries other than these two slots are whatever
+    the walk's own entries are: payload slots, constant sets or
+    transformers. ``tables`` lives for one enumeration or one walk, and
+    keeps, under ``(id(node), id(assign))``, each assignment it builds, so
+    each is built once however many layers of a value pass through
+    ``node``; ``assign``, the first assignment or one kept there, outlives
+    ``tables``, so its ``id`` names it."""
     key = (id(node), id(assign))
     table = tables.get(key)
     if table is None:
@@ -185,7 +185,7 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     return table
 
 
-class _Walk:
+class Walk:
     """A walk of ``code`` under ``assign`` at ``at``, for as many values as
     it is given.
 
@@ -196,7 +196,19 @@ class _Walk:
     (``spine.memoized``) keeps the walk's result for each value a point was
     given, so each point walks a shared subtree once for the life of the
     object.
+
+    A subclass gives ``_spine`` (``spine.conform`` or ``spine.map``) and
+    the hooks: ``_point(slot, v)`` at a recursion point, ``_leaf(entry, v)``
+    at any other entry, ``_tag(lbl, at, v)`` under a tag, ``_comp(code,
+    assign, at, v)`` at a composition layer (by default a walk of its left
+    code ``code``), and ``_unrolled(v)`` at a ``Fix`` node whose value is
+    not of the layer class ``_layer`` (by default ``Roll``), before the
+    node's table is built. ``_entries`` names an entry in the error for a
+    missing one.
     """
+
+    _layer = Roll
+    _entries = "slot"
 
     def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
         check_output(code, at)
@@ -233,18 +245,20 @@ class _Walk:
             if kind is Tag:
                 return self._tag(node.label, at, w)
             if kind is Comp:
-                return self._walk(node.left, inner_assign(self.tables, node, assign), at, w)
+                return self._comp(node.left, inner_assign(self.tables, node, assign), at, w)
             if kind is Fix:
                 # A value that is not a layer never builds the table.
-                if type(w) is not Roll:
+                if type(w) is not self._layer:
                     return self._unrolled(w)
                 return spine.memoized(self.memo, self._fix(node, assign, at), w, self._point)
             raise TypeError(f"not an indexed body: {node!r}")
 
         return self._spine(code.body, v, atom)
 
+    _comp = _walk
 
-class Conformer(_Walk):
+
+class Conformer(Walk):
     """Does a value inhabit the interpretation of ``code`` under ``assign``
     at ``at``?
 
@@ -254,7 +268,6 @@ class Conformer(_Walk):
     """
 
     _spine = staticmethod(spine.conform)
-    _entries = "slot"
 
     def _point(self, slot: InterpSlot | MuSlot, v: GenericValue) -> bool:
         if type(slot) is InterpSlot:
@@ -284,7 +297,7 @@ def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericVa
 IxTransform = Mapping[IndexLabel, Transformer]
 
 
-class Mapper(_Walk):
+class Mapper(Walk):
     """Apply a per-index transformer family at every identity position.
 
     The family is read as an assignment, the way ``Conformer`` reads its

@@ -71,6 +71,67 @@ def _outcome(walk, v):
         return str(err)
 
 
+@pytest.mark.parametrize(
+    "ctx", [p for p in corpus_contexts() if p.values[0].universe == "indexed"]
+)
+def test_one_i_ig_converter_answers_as_fresh_calls(ctx):
+    """Forward on every enumerated value and each of its one-node mutants,
+    backward on every image and each of its mutants: one converter of the
+    context gives the image, or the error text, of a fresh call."""
+    convert = embed.STEPS["i-ig"].converter(ctx)
+    values = oracle.enum_context(ctx, EnumBudget(max_size=MUTATION_SIZE))
+    images = [convert(v, "forward") for v in values]
+    for direction, subjects in (("forward", values), ("backward", images)):
+        fresh = partial(embed.convert_i_ig, ctx.code, ctx.table, ctx.at, direction=direction)
+        held = partial(convert, direction=direction)
+        for v in subjects:
+            for w in [v, *_mutants(v)]:
+                assert _outcome(held, w) == _outcome(fresh, w), print_value(w)
+
+
+_EMPTY, _E = Roll(In1(TT())), RecV(In1(TT()))
+
+
+@pytest.mark.parametrize(
+    "direction, accepted, rejected",
+    [
+        ("forward", Roll(Pair(TT(), _EMPTY)), Roll(Pair(TT(), Roll(In2(Pair(_EMPTY, _EMPTY)))))),
+        ("backward", RecV(Pair(Konst(TT()), RecV(_E))),
+         RecV(Pair(Konst(TT()), RecV(RecV(In2(Pair(Konst(_E), _E))))))),
+    ],
+    ids=["forward", "backward"],
+)
+def test_one_i_ig_converter_keeps_the_points_of_a_subtree_apart(direction, accepted, rejected):
+    """The empty list and its image are a rose's list and no rose; after a
+    value puts one in the memo as a list, a value that holds it as an
+    element of a rose's list is still rejected, in either order, as by
+    fresh calls."""
+    [ctx] = embed.contexts("indexed", corpus.ROSE_I)
+    fresh = partial(embed.convert_i_ig, ctx.code, ctx.table, ctx.at, direction=direction)
+    for order in ([accepted, rejected], [rejected, accepted]):
+        held = partial(embed.STEPS["i-ig"].converter(ctx), direction=direction)
+        outcomes = [_outcome(held, v) for v in order]
+        assert outcomes == [_outcome(fresh, v) for v in order]
+        assert [type(o) is str for o in outcomes] == [v is rejected for v in order]
+
+
+def test_i_ig_keeps_a_shared_child_shared():
+    """A tree whose two children are one object converts to an image whose
+    two children are one object, and an image whose two children are one
+    object converts back to such a tree."""
+    [ctx] = embed.contexts("indexed", corpus.BIN_I)
+    convert = embed.STEPS["i-ig"].converter(ctx)
+    leaf = Roll(In1(TT()))
+    tree = Roll(In2(Pair(leaf, leaf)))
+    image = convert(tree, "forward")
+    assert image == embed.convert_i_ig(ctx.code, ctx.table, ctx.at, tree, "forward")
+    assert image.inner.value.first is image.inner.value.second
+    child = RecV(In1(TT()))
+    back = convert(RecV(In2(Pair(child, child))), "backward")
+    assert back == tree
+    assert back.inner.value.first is back.inner.value.second
+
+
 def test_a_shared_subtree_is_judged_per_point():
     """One object sits at two recursion points of a rose: as an element of
     its list and as the list's tail, or as a whole rose and as its list.

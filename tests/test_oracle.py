@@ -238,6 +238,25 @@ def test_checked_counts_are_pinned_at_size_thirty_two(name):
     assert report.checked_count == CHECKED_AT_32[name]
 
 
+# And at max_size 40: 14,885 checks in all.
+CHECKED_AT_40 = {
+    "iso-i-ig": 478, "iso-m-i": 16, "iso-p-i": 1854, "iso-r-m": 432, "iso-r-p": 432,
+    "isoMu-r-p": 432, "map-commute-r-p": 217, "map-comp-i": 243, "map-comp-m": 8,
+    "map-comp-p": 927, "map-comp-r": 217, "map-id-i": 243, "map-id-m": 8,
+    "map-id-p": 927, "map-id-r": 217, "par-comp": 5418, "par-cong": 602, "par-id": 602,
+    "pitfall-comp": 2, "transport-i-ig": 243, "transport-m-i": 8, "transport-p-i": 927,
+    "transport-r-m": 216, "transport-r-p": 216,
+}
+
+
+@pytest.mark.parametrize("name", property_names())
+def test_checked_counts_are_pinned_at_size_forty(name):
+    assert sum(CHECKED_AT_40.values()) == 14885
+    report = run_property(name, budget=EnumBudget(max_size=40))
+    assert report.failures == []
+    assert report.checked_count == CHECKED_AT_40[name]
+
+
 def test_missing_indexed_slot_is_reported_as_in_conformance():
     with pytest.raises(IndexNotInSet, match=r"^no slot for index L\.⋆$"):
         enum_indexed(LIST_I, {}, STAR, EnumBudget(max_size=6))
