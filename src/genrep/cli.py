@@ -4,6 +4,8 @@ Exit codes: 0 success (or "conforms"), 1 non-conformance, property failures,
 malformed values, or values nested too deeply for Python's recursion limit,
 2 usage and parse errors (including unknown indices and code or env text
 nested too deeply). Every error writes one stderr line prefixed "error:".
+Values parse and print in loops; conformance, maps, conversions, == and hash
+recurse per layer, as does the code parser, so those meet the limit.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ _EXIT_CODES = {
 
 def _message(err: Exception) -> str:
     # A RecursionError names no input. Code text reports its own nesting
-    # (_parse_code_text), so this one came from parsing or walking a value.
+    # (_parse_code_text), so this one came from walking a value.
     if isinstance(err, RecursionError):
         return "value nests too deeply for the recursion limit"
     return str(err)

@@ -15,6 +15,7 @@ entry, UTF-8 with LF endings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,50 +67,54 @@ class ParseError(Exception):
 # tokens
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _PUNCT = "()<>,#@!*+=."
+_STRAY = ':;"'
+_SYMBOLS = re.escape(_PUNCT + _STRAY)
+
+# A token is one punctuation or stray character, or a word: a run of
+# anything else but whitespace. What no match covers is whitespace, exactly
+# the characters for which str.isspace() holds.
+_TOKEN = re.compile(f"[{_SYMBOLS}]|[^\\s{_SYMBOLS}]+")
 
 
 def _lex(text: str, line: int = 1, col: int = 1) -> list[_Token]:
+    """The tokens of ``text``, which starts at ``line`` and ``col``, then an
+    eof token; only a line feed starts a line, and a stray character is an
+    error."""
+    base = -col  # the offset just before the current line's first column
+    seen = 0  # the newlines before this offset are counted in ``line``
+
+    def position(offset: int) -> tuple[int, int]:
+        nonlocal line, base, seen
+        newlines = text.count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            base = text.rfind("\n", seen, offset)
+        seen = offset
+        return line, offset - base
+
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch in ':;"':
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        start = i
-        start_col = col
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace() or ch in _PUNCT or ch in ':;"':
-                break
-            i += 1
-            col += 1
-        word = text[start:i]
-        kind = "nat" if word.isdigit() else "ident"
-        tokens.append(_Token(kind, word, line, start_col))
-    tokens.append(_Token("eof", "", line, col))
+    for match in _TOKEN.finditer(text):
+        word = match.group()
+        at_line, at_col = position(match.start())
+        if word in _STRAY:
+            raise ParseError(f"unexpected character {word!r}", at_line, at_col)
+        if word in _PUNCT:
+            kind = word
+        else:
+            kind = "nat" if word.isdecimal() else "ident"
+        tokens.append(_Token(kind, word, at_line, at_col))
+    tokens.append(_Token("eof", "", *position(len(text))))
     return tokens
 
 
@@ -134,23 +139,20 @@ class _Stream:
         return self.advance()
 
     def fail(self, wanted: frozenset[str]) -> ParseError:
-        tok = self.peek()
-        return ParseError(
-            f"expected {_describe(wanted)}, got {_show(tok)}",
-            tok.line,
-            tok.col,
-            wanted,
-        )
+        return _expected(self.peek(), wanted)
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(
-                f"expected end of input, got {_show(tok)}",
-                tok.line,
-                tok.col,
-                frozenset({"eof"}),
-            )
+        if self.peek().kind != "eof":
+            raise self.fail(_EOF)
+
+
+_EOF = frozenset({"eof"})
+
+
+def _expected(tok: _Token, wanted: frozenset[str]) -> ParseError:
+    return ParseError(
+        f"expected {_describe(wanted)}, got {_show(tok)}", tok.line, tok.col, wanted
+    )
 
 
 def _show(tok: _Token) -> str:
@@ -160,6 +162,8 @@ def _show(tok: _Token) -> str:
 
 
 def _describe(wanted: frozenset[str]) -> str:
+    if wanted == _EOF:
+        return "end of input"
     names = sorted(wanted)
     if len(names) == 1:
         return names[0]
@@ -169,50 +173,78 @@ def _describe(wanted: frozenset[str]) -> str:
 # ---------------------------------------------------------------------------
 # values
 
-
-def parse_value(text: str) -> GenericValue:
-    stream = _Stream(_lex(text))
-    v = _parse_value(stream)
-    stream.done()
-    return v
-
-
 _VALUE_EXPECTED = frozenset({"tt", "refl", "in1", "in2", "k", "rec", "<", "(", "token"})
 
+# Pending constructors on parse_value's stack, besides In1, In2, Konst and
+# RecV: "<" waits for its value and ">", "(" for its first value and ",",
+# and "(a ," sits above its first value a, waiting for the second and ")".
+_ROLL, _FIRST, _SECOND = "<", "(", "(a ,"
+_OPENERS = {"in1": In1, "in2": In2, "k": Konst, "rec": RecV, "<": _ROLL, "(": _FIRST}
+_LEAVES = {"tt": TT, "refl": Refl}
+_END = " "  # after the last token; no token is whitespace
+_NOT_A_NAME = frozenset(_PUNCT + _STRAY + _END)
 
-def _parse_value(stream: _Stream) -> GenericValue:
-    tok = stream.peek()
-    if tok.kind == "ident":
-        stream.advance()
-        match tok.text:
-            case "tt":
-                return TT()
-            case "refl":
-                return Refl()
-            case "in1":
-                return In1(_parse_value(stream))
-            case "in2":
-                return In2(_parse_value(stream))
-            case "k":
-                return Konst(_parse_value(stream))
-            case "rec":
-                return RecV(_parse_value(stream))
-        stream.expect("#")
-        nat = stream.expect("nat")
-        return payload(tok.text, int(nat.text))
-    if tok.kind == "<":
-        stream.advance()
-        inner = _parse_value(stream)
-        stream.expect(">")
-        return Roll(inner)
-    if tok.kind == "(":
-        stream.advance()
-        first = _parse_value(stream)
-        stream.expect(",")
-        second = _parse_value(stream)
-        stream.expect(")")
-        return Pair(first, second)
-    raise stream.fail(_VALUE_EXPECTED)
+
+def parse_value(text: str) -> GenericValue:
+    """Parse a value by shift and reduce over the tokens, with no recursion,
+    so depth is bounded by memory."""
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    stack: list = []
+    i = 0
+    while True:
+        # shift the constructors in front of a leaf, then the leaf
+        tok = toks[i]
+        i += 1
+        opener = _OPENERS.get(tok)
+        if opener is not None:
+            stack.append(opener)
+            continue
+        leaf = _LEAVES.get(tok)
+        if leaf is not None:
+            v = leaf()
+        elif tok in _NOT_A_NAME or tok.isdecimal():
+            raise _value_error(text, i - 1, _VALUE_EXPECTED)
+        elif toks[i] != "#":
+            raise _value_error(text, i, frozenset({"#"}))
+        elif not toks[i + 1].isdecimal():
+            raise _value_error(text, i + 1, frozenset({"nat"}))
+        else:
+            v = payload(tok, int(toks[i + 1]))
+            i += 2
+        # reduce every constructor that the value completes
+        while stack:
+            top = stack.pop()
+            if top is _ROLL:
+                if toks[i] != ">":
+                    raise _value_error(text, i, frozenset({">"}))
+                i += 1
+                v = Roll(v)
+            elif top is _FIRST:
+                if toks[i] != ",":
+                    raise _value_error(text, i, frozenset({","}))
+                i += 1
+                stack.append(v)
+                stack.append(_SECOND)
+                break
+            elif top is _SECOND:
+                if toks[i] != ")":
+                    raise _value_error(text, i, frozenset({")"}))
+                i += 1
+                v = Pair(stack.pop(), v)
+            else:
+                v = top(v)
+        else:
+            if toks[i] != _END:
+                raise _value_error(text, i, _EOF)
+            return v
+
+
+def _value_error(text: str, i: int, wanted: frozenset[str]) -> ParseError:
+    """The error at parse_value's token ``i``. Lexing the text again places
+    the token, and raises first at a stray character anywhere in the text,
+    since the lexer reads the whole text before the parser starts."""
+    return _expected(_lex(text)[i], wanted)
 
 
 # ---------------------------------------------------------------------------

@@ -203,39 +203,93 @@ def payload(sort: str, ident: int) -> Payload:
 
 
 def value_size(v: GenericValue) -> int:
-    """Number of nodes in the tree; every constructor counts one."""
-    match v:
-        case TT() | Refl() | Payload():
-            return 1
-        case In1(w) | In2(w) | Roll(w) | Konst(w) | RecV(w):
-            return 1 + value_size(w)
-        case Pair(a, b):
-            return 1 + value_size(a) + value_size(b)
-    raise MalformedValue(f"not a generic value: {v!r}")
+    """Number of nodes in the tree; every constructor counts one.
+
+    A loop over an explicit stack, so depth is bounded by memory."""
+    count = 0
+    pending = [v]
+    while pending:
+        v = pending.pop()
+        while True:  # down the leftmost path, putting second children aside
+            count += 1
+            t = type(v)
+            if t is Roll or t is Konst or t is RecV:
+                v = v.inner
+            elif t is In1 or t is In2:
+                v = v.value
+            elif t is Pair:
+                pending.append(v.second)
+                v = v.first
+            elif t is TT or t is Refl or t is Payload:
+                break
+            else:
+                raise MalformedValue(f"not a generic value: {v!r}")
+    return count
+
+
+class _Closer(str):
+    """Text that print_value emits once the subtree above it is printed;
+    its own type keeps it apart from a value on the stack."""
+
+    __slots__ = ()
+
+
+_ROLL_END, _PAIR_SEP, _PAIR_END = _Closer(">"), _Closer(" , "), _Closer(")")
 
 
 def print_value(v: GenericValue) -> str:
-    """Canonical concrete syntax: single spaces, minimal brackets."""
-    match v:
-        case TT():
-            return "tt"
-        case Refl():
-            return "refl"
-        case In1(w):
-            return f"in1 {print_value(w)}"
-        case In2(w):
-            return f"in2 {print_value(w)}"
-        case Konst(w):
-            return f"k {print_value(w)}"
-        case RecV(w):
-            return f"rec {print_value(w)}"
-        case Roll(w):
-            return f"<{print_value(w)}>"
-        case Pair(a, b):
-            return f"({print_value(a)} , {print_value(b)})"
-        case Payload(token):
-            return f"{token.sort}#{token.ident}"
-    raise MalformedValue(f"not a generic value: {v!r}")
+    """Canonical concrete syntax: single spaces, minimal brackets.
+
+    A loop over an explicit stack of closers and second children, which
+    appends fragments and joins them once: linear time, and depth bounded by
+    memory."""
+    out: list[str] = []
+    emit = out.append
+    pending: list = []
+    while True:
+        t = type(v)
+        if t is Roll:
+            emit("<")
+            pending.append(_ROLL_END)
+            v = v.inner
+            continue
+        if t is In2:
+            emit("in2 ")
+            v = v.value
+            continue
+        if t is In1:
+            emit("in1 ")
+            v = v.value
+            continue
+        if t is Pair:
+            emit("(")
+            pending += (_PAIR_END, v.second, _PAIR_SEP)
+            v = v.first
+            continue
+        if t is Konst:
+            emit("k ")
+            v = v.inner
+            continue
+        if t is RecV:
+            emit("rec ")
+            v = v.inner
+            continue
+        if t is TT:
+            emit("tt")
+        elif t is Refl:
+            emit("refl")
+        elif t is Payload:
+            emit(f"{v.token.sort}#{v.token.ident}")
+        else:
+            raise MalformedValue(f"not a generic value: {v!r}")
+        # a leaf is out: emit the closers down to the next second child
+        while pending:
+            v = pending.pop()
+            if type(v) is not _Closer:
+                break
+            emit(v)
+        else:
+            return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ their blind spots.  `gvalues` is the hypothesis strategy used by the
 round-trip properties.  `child_env` is the environment every test that
 starts a Python process gives it.  `corpus_contexts` lists every corpus
 context.  `indexed_list` and `rose` build values of the indexed list and
-rose codes.
+rose codes.  `same_tree` compares two trees of any depth.
 """
 
 import os
@@ -52,6 +52,24 @@ def corpus_contexts():
                 if universe == "indexed":
                     image = embed.STEPS["i-ig"].context(ctx)
                     yield pytest.param(image, id=f"instant-of-{name}{label}")
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality by an explicit stack, since ``==`` recurses."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Pair):
+            stack += [(x.first, y.first), (x.second, y.second)]
+        elif isinstance(x, (In1, In2)):
+            stack.append((x.value, y.value))
+        elif isinstance(x, (Roll, Konst, RecV)):
+            stack.append((x.inner, y.inner))
+        elif isinstance(x, Payload) and x.token != y.token:
+            return False
+    return True
 
 
 def indexed_list(items) -> Roll:

@@ -116,6 +116,13 @@ def test_parse_errors_exit_two():
     assert out.stderr.startswith("error: 1:4:")
 
 
+def test_a_digit_that_int_does_not_read_is_a_parse_error():
+    out = run_cli("check", "--universe", "polyp", "--code", "ListC", "--value", "a#²")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: 1:3: expected nat, got '²'\n"
+    )
+
+
 def test_unknown_property_name_exits_two():
     out = run_cli("laws", "--universe", "instant", "--code", "List⊤", "--max-size", "6")
     assert out.returncode == 2

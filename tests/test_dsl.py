@@ -1,7 +1,11 @@
+import sys
+from functools import partial
+
 from hypothesis import given
 import pytest
 
-from genrep import MalformedValue, index_set, label, left, print_value, right
+from genrep import In1, In2, MalformedValue, Pair, Roll, TT, index_set, label, left
+from genrep import payload, print_value, right, value_size
 from genrep.corpus import (
     INDEXED_CODES,
     INSTANT_CODES,
@@ -13,6 +17,7 @@ from genrep.corpus import (
     VALUES,
 )
 from genrep.dsl import (
+    _TOKEN,
     ParseError,
     parse_code,
     parse_env,
@@ -24,7 +29,7 @@ from genrep.dsl import (
 from genrep import indexed, polyp, regular
 from genrep.oracle import EnumBudget, enum_mu_regular
 
-from helpers import gvalues
+from helpers import gvalues, same_tree
 
 CANONICAL = {
     ("regular", "NatC"): "U + I",
@@ -189,3 +194,94 @@ def test_env_rejects_duplicates_and_dangling_references():
     assert "missing" in err.value.message
     with pytest.raises(ParseError):
         parse_env("a = U\na = U\n")
+
+
+DEEP = 100_000
+
+
+def _numeral(layers):
+    """The NatC numeral with ``layers`` rolls, its text and its node count."""
+    v = Roll(In1(TT()))
+    for _ in range(layers - 1):
+        v = Roll(In2(v))
+    return v, "<in2 " * (layers - 1) + "<in1 tt>" + ">" * (layers - 1), 2 * layers + 1
+
+
+def _top_list(length):
+    """The ListC list of ``length`` tt's, its text and its node count."""
+    v = Roll(In1(TT()))
+    for _ in range(length):
+        v = Roll(In2(Pair(TT(), v)))
+    return v, "<in2 (tt , " * length + "<in1 tt>" + ")>" * length, 4 * length + 3
+
+
+@pytest.mark.parametrize("build", [_numeral, _top_list], ids=["NatC", "ListC"])
+def test_values_far_deeper_than_the_recursion_limit_parse_and_print(build):
+    v, text, nodes = build(DEEP)
+    assert print_value(v) == text
+    parsed = parse_value(text)
+    assert same_tree(parsed, v)
+    assert print_value(parsed) == text
+    assert value_size(parsed) == value_size(v) == nodes
+
+
+# (parser, text, message, line, col, expected), each taken from the
+# recursive parser that these loops replaced
+PARSE_ERRORS = [
+    ('value', 'in1 ;', "unexpected character ';'", 1, 5, set()),
+    ('value', 'tt tt', "expected end of input, got 'tt'", 1, 4, {'eof'}),
+    ('value', 'x#', 'expected nat, got end of input', 1, 3, {'nat'}),
+    ('value', 'in1 (tt , tt', 'expected ), got end of input', 1, 13, {')'}),
+    ('value', '<tt', 'expected >, got end of input', 1, 4, {'>'}),
+    ('value', 'bad name#1', "expected #, got 'name'", 1, 5, {'#'}),
+    ('value', 'tt\n  ,', "expected end of input, got ','", 2, 3, {'eof'}),
+    ('value', '@#1', "expected one of (, <, in1, in2, k, rec, refl, token, tt, got '@'", 1, 1, {'(', '<', 'in1', 'in2', 'k', 'rec', 'refl', 'token', 'tt'}),
+    ('value', 'a#1x', "expected nat, got '1x'", 1, 3, {'nat'}),
+    ('value', 'Tt', 'expected #, got end of input', 1, 3, {'#'}),
+    ('value', '', 'expected one of (, <, in1, in2, k, rec, refl, token, tt, got end of input', 1, 1, {'(', '<', 'in1', 'in2', 'k', 'rec', 'refl', 'token', 'tt'}),
+    ('value', '(tt ; tt', "unexpected character ';'", 1, 5, set()),
+    ('value', 'in1 (tt , tt\r\n\t)>', "expected end of input, got '>'", 2, 3, {'eof'}),
+    ('value', '<in2 <in1 tt> tt>', "expected >, got 'tt'", 1, 15, {'>'}),
+    ('value', '12', "expected one of (, <, in1, in2, k, rec, refl, token, tt, got '12'", 1, 1, {'(', '<', 'in1', 'in2', 'k', 'rec', 'refl', 'token', 'tt'}),
+    ('value', 'tt , ;', "unexpected character ';'", 1, 6, set()),
+    ('value', '@\n<tt ;>', "unexpected character ';'", 2, 5, set()),
+    ('value', 'in1\n\n  <tt , tt>', "expected >, got ','", 3, 7, {'>'}),
+    ('regular', 'U ; I', "unexpected character ';'", 1, 3, set()),
+    ('regular', 'U +', 'expected one of (, I, U, got end of input', 1, 4, {'(', 'I', 'U'}),
+    ('polyp', 'P @', 'expected one of (, I, P, U, got end of input', 1, 4, {'(', 'I', 'P', 'U'}),
+    ('regular', 'U\n+ (I *\n  ;)', "unexpected character ';'", 3, 3, set()),
+    ('env', 'A = U + K ⊤ * R A\nB = U\nC = K ⊤ * "x"', 'unexpected character \'"\'', 3, 11, set()),
+    ('env', 'A = U\n\nB = R A * K\n', 'expected one of !, @, sort, got end of input', 3, 12, {'!', '@', 'sort'}),
+    ('label', 'L.⋆.', 'expected label, got end of input', 1, 5, {'label'}),
+    ('indexed', 'in: ⋆\nout: ⋆\nfix (U + I@R.⋆', 'expected ), got end of input', 3, 15, {')'}),
+]
+
+_PARSERS = {"value": parse_value, "env": parse_env, "label": parse_label}
+
+
+@pytest.mark.parametrize(
+    "kind, text, message, line, col, expected",
+    PARSE_ERRORS,
+    ids=[f"{row[0]}-{n}" for n, row in enumerate(PARSE_ERRORS)],
+)
+def test_parse_errors_are_pinned(kind, text, message, line, col, expected):
+    parse = _PARSERS.get(kind, partial(parse_code, kind))
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    got = err.value
+    assert (got.message, got.line, got.col, got.expected) == (message, line, col, expected)
+    assert str(got) == f"{line}:{col}: {message}"
+
+
+def test_a_digit_that_int_does_not_read_is_no_nat():
+    with pytest.raises(ParseError) as err:
+        parse_value("a#²")
+    assert (err.value.message, err.value.line, err.value.col) == ("expected nat, got '²'", 1, 3)
+    assert parse_value("a#٣") == payload("a", 3)
+
+
+def test_the_lexer_skips_exactly_the_whitespace():
+    """Over every code point, what no token covers is what str.isspace()
+    calls whitespace."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _TOKEN.sub("", text) == "".join(filter(str.isspace, text))

@@ -16,7 +16,10 @@ from genrep.oracle import EnumBudget
 
 from helpers import corpus_contexts, indexed_list
 
-MUTATION_SIZE = 14
+# From 18 on, RoseI enumerates a rose with a child, where one empty-list
+# object is both the child's list and the tail of the outer list; its
+# mutants put that object at a rose's point too.
+MUTATION_SIZE = 18
 
 
 def _mutants(v):
