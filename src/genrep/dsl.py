@@ -175,11 +175,10 @@ def _describe(wanted: frozenset[str]) -> str:
 
 _VALUE_EXPECTED = frozenset({"tt", "refl", "in1", "in2", "k", "rec", "<", "(", "token"})
 
-# Pending constructors on parse_value's stack, besides In1, In2, Konst and
-# RecV: "<" waits for its value and ">", "(" for its first value and ",",
-# and "(a ," sits above its first value a, waiting for the second and ")".
-_ROLL, _FIRST, _SECOND = "<", "(", "(a ,"
-_OPENERS = {"in1": In1, "in2": In2, "k": Konst, "rec": RecV, "<": _ROLL, "(": _FIRST}
+# parse_value's stack holds the pending constructors In1, In2, Konst and
+# RecV, and for each open bracket the token it waits for: ">" to close a
+# roll, "," after a pair's first value, and ")" above that first value.
+_OPENERS = {"in1": In1, "in2": In2, "k": Konst, "rec": RecV, "<": ">", "(": ","}
 _LEAVES = {"tt": TT, "refl": Refl}
 _END = " "  # after the last token; no token is whitespace
 _NOT_A_NAME = frozenset(_PUNCT + _STRAY + _END)
@@ -215,25 +214,20 @@ def parse_value(text: str) -> GenericValue:
         # reduce every constructor that the value completes
         while stack:
             top = stack.pop()
-            if top is _ROLL:
-                if toks[i] != ">":
-                    raise _value_error(text, i, frozenset({">"}))
-                i += 1
-                v = Roll(v)
-            elif top is _FIRST:
-                if toks[i] != ",":
-                    raise _value_error(text, i, frozenset({","}))
-                i += 1
-                stack.append(v)
-                stack.append(_SECOND)
-                break
-            elif top is _SECOND:
-                if toks[i] != ")":
-                    raise _value_error(text, i, frozenset({")"}))
-                i += 1
-                v = Pair(stack.pop(), v)
-            else:
+            if type(top) is not str:
                 v = top(v)
+                continue
+            if toks[i] != top:
+                raise _value_error(text, i, frozenset({top}))
+            i += 1
+            if top == ">":
+                v = Roll(v)
+            elif top == ",":
+                stack.append(v)
+                stack.append(")")
+                break
+            else:
+                v = Pair(stack.pop(), v)
         else:
             if toks[i] != _END:
                 raise _value_error(text, i, _EOF)
