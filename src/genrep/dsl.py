@@ -16,6 +16,7 @@ entry, UTF-8 with LF endings.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -209,7 +210,13 @@ def parse_value(text: str) -> GenericValue:
         elif not toks[i + 1].isdecimal():
             raise _value_error(text, i + 1, frozenset({"nat"}))
         else:
-            v = payload(tok, int(toks[i + 1]))
+            try:
+                ident = int(toks[i + 1])
+            except ValueError:  # more digits than Python reads as an int
+                nat = _lex(text)[i + 1]
+                limit = f"{sys.get_int_max_str_digits()} digits"
+                raise ParseError(f"nat has more than {limit}", nat.line, nat.col) from None
+            v = payload(tok, ident)
             i += 2
         # reduce every constructor that the value completes
         while stack:

@@ -368,17 +368,26 @@ def convert_i_ig(
     return STEPS["i-ig"].converter(indexed_context(code, table, o))(v, direction)
 
 
-def _check_tag(lbl: IndexLabel, o: IndexLabel) -> None:
-    """A refl under ``Tag(lbl)`` witnesses ``lbl == o``; any other index
-    leaves the tag uninhabited."""
+def _check_tag(lbl: IndexLabel, o: IndexLabel, v: GenericValue) -> GenericValue:
+    """A refl ``v`` under ``Tag(lbl)`` witnesses ``lbl == o``; any other
+    index leaves the tag uninhabited."""
     if lbl != o:
         raise MalformedValue(f"refl under tag {print_label(lbl)} at index {print_label(o)}")
+    return v
 
 
-def _check_parameter(slot: object, v: GenericValue) -> None:
+def _check_parameter(slot: object, v: GenericValue) -> GenericValue:
     """A parameter read as a payload slot holds a content of its sort."""
     if type(slot) is PayloadSlot and not payload_slot_accepts(slot, v):
         raise MalformedValue(f"parameter position does not inhabit K {slot.sort}: {print_value(v)}")
+    return v
+
+
+def _unwrap(v: GenericValue, wrapper: type, what: str) -> GenericValue:
+    """The content of ``v``, which must be a ``wrapper`` node."""
+    if type(v) is not wrapper:
+        raise MalformedValue(f"{what}: {print_value(v)}")
+    return v.inner
 
 
 class _ToInstant(indexed.Walk):
@@ -386,66 +395,57 @@ class _ToInstant(indexed.Walk):
     rec node, and each parameter, tag and composition argument a
     constant."""
 
-    _spine = staticmethod(spine.map)
+    _spine = staticmethod(spine.mapper)
+    _unrolled = staticmethod(indexed.Mapper._unrolled)
 
-    def _point(self, slot, v: GenericValue) -> GenericValue:
+    def _point(self, slot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is indexed.InterpSlot:
-            return Konst(self._walk(slot.code, slot.assign, slot.at, v))
-        if type(v) is not Roll:
-            return self._unrolled(v)
-        return RecV(self._walk(slot.inner, slot.under, slot.at, v.inner))
+            layer = self._walk(slot.code, slot.assign, slot.at)
+            return lambda v: Konst(layer(v))
+        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+        return lambda v: RecV(layer(v.inner)) if type(v) is Roll else unrolled(v)
 
-    def _unrolled(self, v: GenericValue) -> GenericValue:
-        raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
+    def _leaf(self, slot) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: Konst(_check_parameter(slot, v))
 
-    def _leaf(self, slot, v: GenericValue) -> GenericValue:
-        _check_parameter(slot, v)
-        return Konst(v)
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: Konst(_check_tag(lbl, at, indexed.map_tag(v)))
 
-    def _tag(self, lbl: IndexLabel, at: IndexLabel, v: GenericValue) -> GenericValue:
-        if type(v) is not Refl:
-            raise MalformedValue(f"tag position is not refl: {print_value(v)}")
-        _check_tag(lbl, at)
-        return Konst(v)
-
-    def _comp(self, code, assign, at: IndexLabel, v: GenericValue) -> GenericValue:
-        return RecV(self._walk(code, assign, at, v))
+    def _comp(self, layer) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: RecV(layer(v))
 
 
 class _FromInstant(indexed.Walk):
     """i→ig backward: unwraps what ``_ToInstant`` wraps; its layers are rec nodes."""
 
-    _spine = staticmethod(spine.map)
+    _spine = staticmethod(spine.mapper)
     _layer = RecV
 
-    def _point(self, slot, v: GenericValue) -> GenericValue:
+    def _point(self, slot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is indexed.InterpSlot:
-            if type(v) is not Konst:
-                raise MalformedValue(f"composition argument is not a constant: {print_value(v)}")
-            return self._walk(slot.code, slot.assign, slot.at, v.inner)
-        if type(v) is not RecV:
-            return self._unrolled(v)
-        return Roll(self._walk(slot.inner, slot.under, slot.at, v.inner))
+            layer = self._walk(slot.code, slot.assign, slot.at)
+            return lambda v: layer(_unwrap(v, Konst, "composition argument is not a constant"))
+        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+        return lambda v: Roll(layer(v.inner)) if type(v) is RecV else unrolled(v)
 
-    def _unrolled(self, v: GenericValue) -> GenericValue:
+    @staticmethod
+    def _unrolled(v: GenericValue) -> GenericValue:
         raise MalformedValue(f"fixed-point layer is not a rec node: {print_value(v)}")
 
-    def _leaf(self, slot, v: GenericValue) -> GenericValue:
-        if type(v) is not Konst:
-            raise MalformedValue(f"parameter position is not a constant: {print_value(v)}")
-        _check_parameter(slot, v.inner)
-        return v.inner
+    def _leaf(self, slot) -> Callable[[GenericValue], GenericValue]:
+        what = "parameter position is not a constant"
+        return lambda v: _check_parameter(slot, _unwrap(v, Konst, what))
 
-    def _tag(self, lbl: IndexLabel, at: IndexLabel, v: GenericValue) -> GenericValue:
-        if type(v) is not Konst or type(v.inner) is not Refl:
-            raise MalformedValue(f"tag position is not k refl: {print_value(v)}")
-        _check_tag(lbl, at)
-        return v.inner
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
+        def from_konst(v: GenericValue) -> GenericValue:
+            if type(v) is not Konst or type(v.inner) is not Refl:
+                raise MalformedValue(f"tag position is not k refl: {print_value(v)}")
+            return _check_tag(lbl, at, v.inner)
 
-    def _comp(self, code, assign, at: IndexLabel, v: GenericValue) -> GenericValue:
-        if type(v) is not RecV:
-            raise MalformedValue(f"composition layer is not a rec node: {print_value(v)}")
-        return self._walk(code, assign, at, v.inner)
+        return from_konst
+
+    def _comp(self, layer) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: layer(_unwrap(v, RecV, "composition layer is not a rec node"))
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +532,15 @@ def conformer(ctx: PathContext) -> Callable[[GenericValue], bool]:
     judges each shared subtree once and lives as long as the result."""
     match ctx.universe:
         case "regular":
-            return regular.Conformer(regular.MuSlot(ctx.code))
+            return regular.mu_conformer(ctx.code)
         case "polyp":
             return polyp.Conformer(polyp.MuSlot(ctx.code, TOP_SLOT))
         case "multirec":
-            return multirec.Conformer(ctx.code, multirec.mu_assignment(ctx.code), ctx.at)
+            return multirec.mu_conformer(ctx.code, ctx.at)
         case "indexed":
             return indexed.Conformer(ctx.code, payload_slots(ctx.table), ctx.at)
         case "instant":
-            return instant.Conformer(ctx.env, ctx.code)
+            return instant.conformer(ctx.env, ctx.code)
     raise ValueError(f"unknown universe: {ctx.universe!r}")
 
 

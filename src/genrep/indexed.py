@@ -9,7 +9,7 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, TypeVar, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from . import spine
 from .gvalue import (
@@ -25,7 +25,6 @@ from .gvalue import (
     Transformer,
     disjoint_union,
     left,
-    payload_slot_accepts,
     print_label,
     print_value,
     right,
@@ -185,77 +184,75 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     return table
 
 
-class Walk:
-    """A walk of ``code`` under ``assign`` at ``at``, for as many values as
-    it is given.
+class Walk(spine.Walk):
+    """A walk of ``code`` under ``assign`` at ``at``, compiled into closures
+    when it is built. Its recursion points are the slots it meets below the
+    top layer, each an entry of ``assign`` or one kept in ``tables`` and
+    each one ``spine.point`` (``enter``): a ``MuSlot`` (one fixed-point
+    layer, also where the walk enters a ``Fix`` node) and an ``InterpSlot``
+    (one layer of a composition's right code).
 
-    Its recursion points are the slots it meets below the top layer: a
-    ``MuSlot`` (one fixed-point layer, also where the walk enters a ``Fix``
-    node) and an ``InterpSlot`` (one layer of a composition's right code),
-    each an entry of ``assign`` or one kept in ``tables``; the memo
-    (``spine.memoized``) keeps the walk's result for each value a point was
-    given, so each point walks a shared subtree once for the life of the
-    object.
-
-    A subclass gives ``_spine`` (``spine.conform`` or ``spine.map``) and
-    the hooks: ``_point(slot, v)`` at a recursion point, ``_leaf(entry, v)``
-    at any other entry, ``_tag(lbl, at, v)`` under a tag, ``_comp(code,
-    assign, at, v)`` at a composition layer (by default a walk of its left
-    code ``code``), and ``_unrolled(v)`` at a ``Fix`` node whose value is
-    not of the layer class ``_layer`` (by default ``Roll``), before the
-    node's table is built. ``_entries`` names an entry in the error for a
-    missing one.
+    A subclass gives ``_spine`` (``spine.conformer`` or ``spine.mapper``)
+    and hooks that compile one position each: ``_point(slot)`` the body of
+    a recursion point, ``_leaf(entry)`` any other entry, ``_tag(lbl, at)``
+    a tag and ``_comp(layer)`` a composition whose left code compiles to
+    ``layer`` (by default ``layer`` itself). The static ``_unrolled(v)``
+    answers at a ``Fix`` node for a value not of the layer class ``_layer``
+    (by default ``Roll``), before the node's table is built. ``_entries``
+    names an entry in the error for a missing one.
     """
 
     _layer = Roll
     _entries = "slot"
 
     def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
+        super().__init__()
         check_output(code, at)
-        self.code, self.assign, self.at = code, assign, at
         self.tables: dict = {}
-        self.fixes: dict[tuple[int, IndexLabel], MuSlot] = {}
-        self.memo: dict = {}
+        self.top = self._walk(code, assign, at)
 
-    def __call__(self, v: GenericValue):
-        return self._walk(self.code, self.assign, self.at, v)
+    def _walk(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
+        ref = self.ref
 
-    def _fix(self, node: Fix, assign: Mapping, at: IndexLabel) -> MuSlot:
-        """The slot of ``node``'s fixed point at ``at``: its table's Right
-        entry for ``at``, looked up once per table and index."""
-        under = inner_assign(self.tables, node, assign)
-        key = (id(under), at)
-        slot = self.fixes.get(key)
-        if slot is None:
-            slot = self.fixes[key] = slot_at(under, right(at))
-        return slot
-
-    def _walk(self, code: IndexedCode, assign: Mapping, at: IndexLabel, v: GenericValue):
-        # The hot walk of the sweep: dispatch on the exact class, as spine does.
-        def atom(node: IndexedBody, w: GenericValue):
-            kind = type(node)
+        def atom(node: IndexedBody):
+            walk, kind = ref(), type(node)
             if kind is Id:
                 entry = assign.get(node.label)
                 if entry is None:
-                    raise IndexNotInSet(f"no {self._entries} for index {print_label(node.label)}")
+                    missing = f"no {walk._entries} for index {print_label(node.label)}"
+                    return spine.raising(IndexNotInSet, missing)
                 kind = type(entry)
                 if kind is MuSlot or kind is InterpSlot:
-                    return spine.memoized(self.memo, entry, w, self._point)
-                return self._leaf(entry, w)
+                    return walk.enter(entry)
+                return walk._leaf(entry)
             if kind is Tag:
-                return self._tag(node.label, at, w)
+                return walk._tag(node.label, at)
             if kind is Comp:
-                return self._comp(node.left, inner_assign(self.tables, node, assign), at, w)
+                inner = inner_assign(walk.tables, node, assign)
+                return walk._comp(walk._walk(node.left, inner, at))
             if kind is Fix:
-                # A value that is not a layer never builds the table.
-                if type(w) is not self._layer:
-                    return self._unrolled(w)
-                return spine.memoized(self.memo, self._fix(node, assign, at), w, self._point)
-            raise TypeError(f"not an indexed body: {node!r}")
+                return walk._fix(node, assign, at)
+            return spine.raising(TypeError, f"not an indexed body: {node!r}")
 
-        return self._spine(code.body, v, atom)
+        return self._spine(code.body, atom)
 
-    _comp = _walk
+    def _fix(self, node: Fix, assign: Mapping, at: IndexLabel):
+        # A value of the layer class enters the fixed point; the first builds its table.
+        ref, layer, unrolled = self.ref, self._layer, self._unrolled
+        enter = None
+
+        def fix(w: GenericValue):
+            nonlocal enter
+            if type(w) is not layer:
+                return unrolled(w)
+            if enter is None:
+                enter = ref().enter(slot_at(inner_assign(ref().tables, node, assign), right(at)))
+            return enter(w)
+
+        return fix
+
+    def _comp(self, layer):
+        return layer
 
 
 class Conformer(Walk):
@@ -267,26 +264,19 @@ class Conformer(Walk):
     under, however many layers of the values pass through it.
     """
 
-    _spine = staticmethod(spine.conform)
+    _spine = staticmethod(spine.conformer)
+    _unrolled = staticmethod(spine.never)
 
-    def _point(self, slot: InterpSlot | MuSlot, v: GenericValue) -> bool:
+    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[GenericValue], bool]:
         if type(slot) is InterpSlot:
-            return self._walk(slot.code, slot.assign, slot.at, v)
-        return type(v) is Roll and self._walk(slot.inner, slot.under, slot.at, v.inner)
+            return self._walk(slot.code, slot.assign, slot.at)
+        return spine.rolled(self._walk(slot.inner, slot.under, slot.at))
 
-    def _unrolled(self, v: GenericValue) -> bool:
-        return False
+    def _leaf(self, slot: IndexedSlot) -> Callable[[GenericValue], bool]:
+        return spine.leaf(slot, "an indexed")
 
-    def _leaf(self, slot: IndexedSlot, v: GenericValue) -> bool:
-        kind = type(slot)
-        if kind is PayloadSlot:
-            return payload_slot_accepts(slot, v)
-        if kind is EmptySlot:
-            return False
-        raise TypeError(f"not an indexed slot: {slot!r}")
-
-    def _tag(self, lbl: IndexLabel, at: IndexLabel, w: GenericValue) -> bool:
-        return type(w) is Refl and at == lbl
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], bool]:
+        return spine.is_refl if at == lbl else spine.never
 
 
 def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue) -> bool:
@@ -308,26 +298,31 @@ class Mapper(Walk):
     result for every position that holds the same subtree.
     """
 
-    _spine = staticmethod(spine.map)
+    _spine = staticmethod(spine.mapper)
     _entries = "transformer"
 
-    def _point(self, slot: InterpSlot | MuSlot, v: GenericValue) -> GenericValue:
+    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is InterpSlot:
-            return self._walk(slot.code, slot.assign, slot.at, v)
-        if type(v) is not Roll:
-            return self._unrolled(v)
-        return Roll(self._walk(slot.inner, slot.under, slot.at, v.inner))
+            return self._walk(slot.code, slot.assign, slot.at)
+        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+        return lambda v: Roll(layer(v.inner)) if type(v) is Roll else unrolled(v)
 
-    def _unrolled(self, v: GenericValue) -> GenericValue:
+    @staticmethod
+    def _unrolled(v: GenericValue) -> GenericValue:
         raise MalformedValue(f"fixed-point layer is not rolled: {print_value(v)}")
 
-    def _leaf(self, f: Transformer, v: GenericValue) -> GenericValue:
-        return f(v)
+    def _leaf(self, f: Transformer) -> Transformer:
+        return f
 
-    def _tag(self, lbl: IndexLabel, at: IndexLabel, w: GenericValue) -> GenericValue:
-        if type(w) is not Refl:
-            raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-        return w
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
+        return map_tag
+
+
+def map_tag(w: GenericValue) -> GenericValue:
+    """A tag position holds ``refl``, which a map keeps."""
+    if type(w) is not Refl:
+        raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+    return w
 
 
 def map_i(

@@ -25,10 +25,8 @@ from .gvalue import (
     PayloadSlot,
     PayloadToken,
     RecV,
-    Refl,
     TT,
     payload,
-    payload_slot_accepts,
     print_value,
     token_successor,
 )
@@ -89,51 +87,50 @@ def _refs(code: InstantCode) -> Iterator[str]:
                 raise TypeError(f"not an instant code: {node!r}")
 
 
-class Conformer:
-    """Does a value inhabit the interpretation of ``code`` in ``env``? For
-    as many values as it is asked about.
+def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
+    """Does a value inhabit the interpretation of ``code`` in ``env``?
+    Compiled once for as many values as it is asked about. Its recursion
+    points are the named codes, which an ``R`` reference and a ``K``
+    constant of ``OfCode`` enter: one ``spine.point`` per name, which
+    resolves the name when a value first reaches it."""
+    walk = spine.Walk()
+    memos = walk.memos
+    named: dict[str, Callable[[GenericValue], bool]] = {}
 
-    Its recursion points are the named codes, which an ``R`` reference and
-    a ``K`` constant of ``OfCode`` enter, each the code ``env`` holds for
-    the name: the memo (``spine.memoized``) keeps the answer for each value
-    a point was asked about, so each is judged once for the life of the
-    object, however many values share it.
-    """
+    def enter(ref: str) -> Callable[[GenericValue], bool]:
+        point = named.get(ref)
+        if point is None:
+            build = lambda: spine.conformer(resolve(env, ref), atom)
+            point = named[ref] = spine.point(build, memos)
+        return point
 
-    def __init__(self, env: CodeEnv, code: InstantCode):
-        self.env, self.code = env, code
-        self.memo: dict = {}
-
-    def __call__(self, v: GenericValue) -> bool:
-        return self._layer(self.code, v)
-
-    def _layer(self, code: InstantCode, v: GenericValue) -> bool:
-        return spine.conform(code, v, self._atom)
-
-    def _atom(self, node: InstantCode, w: GenericValue) -> bool:
+    def atom(node: InstantCode) -> Callable[[GenericValue], bool]:
         kind = type(node)
         if kind is K:
-            return type(w) is Konst and self._kset(node.payload, w.inner)
-        if kind is R:
-            return type(w) is RecV and spine.memoized(
-                self.memo, resolve(self.env, node.ref), w.inner, self._layer
-            )
-        raise TypeError(f"not an instant code: {node!r}")
+            inner, wrapper = kset(node.payload), Konst
+        elif kind is R:
+            inner, wrapper = enter(node.ref), RecV
+        else:
+            return spine.raising(TypeError, f"not an instant code: {node!r}")
+        return lambda w: type(w) is wrapper and inner(w.inner)
 
-    def _kset(self, kset: KSet, v: GenericValue) -> bool:
-        kind = type(kset)
+    def kset(payload: KSet) -> Callable[[GenericValue], bool]:
+        kind = type(payload)
         if kind is Prim:
-            return payload_slot_accepts(PayloadSlot(kset.sort), v)
+            return spine.leaf(PayloadSlot(payload.sort), "an instant")
         if kind is EqWitness:
-            return type(v) is Refl and kset.a == kset.b
+            return spine.is_refl if payload.a == payload.b else spine.never
         if kind is OfCode:
-            return spine.memoized(self.memo, resolve(self.env, kset.ref), v, self._layer)
-        raise TypeError(f"not a constant set: {kset!r}")
+            return enter(payload.ref)
+        return spine.raising(TypeError, f"not a constant set: {payload!r}")
+
+    walk.top = spine.conformer(code, atom)
+    return walk
 
 
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
-    return Conformer(env, code)(v)
+    return conformer(env, code)(v)
 
 
 @dataclass(frozen=True)

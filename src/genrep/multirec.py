@@ -8,7 +8,7 @@ a tag is inhabited by the equality witness exactly at its own index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, TypeVar, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from . import spine
 from .gvalue import (
@@ -22,7 +22,6 @@ from .gvalue import (
     Refl,
     Roll,
     Transformer,
-    payload_slot_accepts,
     print_label,
     print_value,
 )
@@ -81,78 +80,56 @@ def at_index(code: MultirecCode, table: Mapping[IndexLabel, T], lbl: IndexLabel)
     return table[lbl]
 
 
-class Conformer:
-    """Conformance at index ``at`` of ``code`` under ``assign``, for as many
-    values as it is asked about.
+def conformer(code: MultirecCode, assign: Assignment, at: IndexLabel) -> spine.Walk:
+    """Does a value inhabit one layer of ``code`` at index ``at`` under
+    ``assign``? Compiled once for as many values as it is asked about; the
+    index must be in the code's index set whatever the value."""
+    check_index(code, at)
+    return spine.Walk(lambda memos: _walk(memos)[0](code, assign, at))
 
-    ``conformer(v)`` tells whether ``v`` inhabits the slot ``assign`` gives
-    ``at``, and ``conformer.layer(v)`` whether ``v`` is one layer of
-    ``code`` at ``at`` under ``assign``. Its recursion points are the fixed
-    points of each ``MuSlot(c)`` at each index of ``c`` that it meets below
-    the top of a value, kept in ``tables`` once per object together with
-    ``mu_assignment(c)``, which their layers read; the memo
-    (``spine.memoized``) keeps the answer for each value a point was asked
-    about, so each fixed-point layer is judged once for the life of the
-    object.
-    """
 
-    def __init__(self, code: MultirecCode, assign: Assignment, at: IndexLabel):
-        self.code, self.assign, self.at = code, assign, at
-        self.tables: dict[int, dict[IndexLabel, tuple]] = {}
-        self.memo: dict = {}
+def mu_conformer(code: MultirecCode, at: IndexLabel) -> spine.Walk:
+    """Does a value inhabit the fixed point of ``code`` at index ``at``,
+    which must be in the code's index set whatever the value?"""
+    check_index(code, at)
+    return spine.Walk(lambda memos: _walk(memos)[1](code, at))
 
-    def __call__(self, v: GenericValue) -> bool:
-        at = self.at
-        slot = at_index(self.code, self.assign, at)
-        if type(slot) is MuSlot:
-            return self._rolled(self._point(slot.code, at), v)
-        return self._leaf(slot, v)
 
-    def layer(self, v: GenericValue) -> bool:
-        check_index(self.code, self.at)
-        return self._layer(self.code, self.assign, self.at, v)
+def _walk(memos: list[dict]):
+    """The builders of one conformance walk's layers and fixed points. The
+    fixed points are its recursion points, one ``spine.point`` per code and
+    index, whose layers read ``mu_assignment`` of the code."""
+    points: dict = {}
 
-    def _leaf(self, slot: MultirecSlot, v: GenericValue) -> bool:
-        kind = type(slot)
-        if kind is PayloadSlot:
-            return payload_slot_accepts(slot, v)
-        if kind is EmptySlot:
-            return False
-        raise TypeError(f"not a multirec slot: {slot!r}")
+    def fixed_point(code: MultirecCode, lbl: IndexLabel) -> Callable[[GenericValue], bool]:
+        hit = points.get((id(code), lbl))  # which holds ``code``, so its id stays its own
+        if hit is None:
+            build = lambda: spine.rolled(layer(code, mu_assignment(code), lbl))
+            hit = points[id(code), lbl] = (code, spine.point(build, memos))
+        return hit[1]
 
-    def _point(self, code: MultirecCode, lbl: IndexLabel) -> tuple:
-        """The fixed point of ``code`` at ``lbl``, which must be in the
-        code's index set whatever the value."""
-        points = self.tables.get(id(code))
-        if points is None:
-            assign = mu_assignment(code)
-            points = self.tables[id(code)] = {i: (code, assign, i) for i in code.indices}
-        point = points.get(lbl)
-        if point is None:
-            check_index(code, lbl)
-        return point
-
-    def _rolled(self, point: tuple, v: GenericValue) -> bool:
-        code, assign, lbl = point
-        return type(v) is Roll and self._layer(code, assign, lbl, v.inner)
-
-    def _layer(
-        self, code: MultirecCode, assign: Assignment, at: IndexLabel, v: GenericValue
-    ) -> bool:
-        def atom(node: MultirecBody, w: GenericValue) -> bool:
+    def layer(code: MultirecCode, assign: Assignment, at: IndexLabel):
+        def atom(node: MultirecBody) -> Callable[[GenericValue], bool]:
             kind = type(node)
+            if kind is not Id and kind is not Tag:
+                return spine.raising(TypeError, f"not a multirec body: {node!r}")
+            lbl = node.label
             if kind is Id:
-                lbl = node.label
-                slot = at_index(code, assign, lbl)
-                if type(slot) is MuSlot:
-                    return spine.memoized(self.memo, self._point(slot.code, lbl), w, self._rolled)
-                return self._leaf(slot, w)
-            if kind is Tag:
-                check_index(code, node.label)
-                return type(w) is Refl and at == node.label
-            raise TypeError(f"not a multirec body: {node!r}")
+                if lbl not in code.indices or lbl not in assign:
+                    return lambda w: at_index(code, assign, lbl)
+                slot = assign[lbl]
+                if type(slot) is not MuSlot:
+                    return spine.leaf(slot, "a multirec")
+                if lbl not in slot.code.indices:
+                    return lambda w: check_index(slot.code, lbl)
+                return fixed_point(slot.code, lbl)
+            if lbl not in code.indices:
+                return lambda w: check_index(code, lbl)
+            return spine.never if at != lbl else spine.is_refl
 
-        return spine.conform(code.body, v, atom)
+        return spine.conformer(code.body, atom)
+
+    return layer, fixed_point
 
 
 def conform_m(
@@ -162,7 +139,7 @@ def conform_m(
     v: GenericValue,
 ) -> bool:
     """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    return Conformer(code, assign, at).layer(v)
+    return conformer(code, assign, at)(v)
 
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
@@ -170,7 +147,34 @@ def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
     index set whatever the value. A value that is not rolled builds no
     conformer."""
     check_index(code, at)
-    return type(v) is Roll and Conformer(code, mu_assignment(code), at)(v)
+    return type(v) is Roll and mu_conformer(code, at)(v)
+
+
+def mapper(
+    code: MultirecCode, fam: Mapping[IndexLabel, Transformer], at: IndexLabel
+) -> Callable[[GenericValue], GenericValue]:
+    """Apply the per-index family at identity positions of one layer at
+    ``at``; tags pass through. Compiled once for as many values as it is
+    given."""
+    check_index(code, at)
+
+    def atom(node: MultirecBody) -> Callable[[GenericValue], GenericValue]:
+        kind = type(node)
+        if kind is Id:
+            if node.label in code.indices and node.label in fam:
+                return fam[node.label]
+            return lambda w: at_index(code, fam, node.label)
+        if kind is Tag:
+            return _map_tag
+        return spine.raising(TypeError, f"not a multirec body: {node!r}")
+
+    return spine.mapper(code.body, atom)
+
+
+def _map_tag(w: GenericValue) -> GenericValue:
+    if type(w) is not Refl:
+        raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+    return w
 
 
 def map_m(
@@ -180,16 +184,4 @@ def map_m(
     v: GenericValue,
 ) -> GenericValue:
     """Apply the per-index family at identity positions; tags pass through."""
-    check_index(code, at)
-
-    def atom(node: MultirecBody, w: GenericValue) -> GenericValue:
-        match node:
-            case Id(lbl):
-                return at_index(code, fam, lbl)(w)
-            case Tag(_):
-                if type(w) is not Refl:
-                    raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-                return w
-        raise TypeError(f"not a multirec body: {node!r}")
-
-    return spine.map(code.body, v, atom)
+    return mapper(code, fam, at)(v)

@@ -166,12 +166,12 @@ def enum_regular(
     code: regular.RegularCode, slot: regular.RegularSlot, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_r, code, slot), budget.max_size)
-    return _rechecked(values, partial(regular.Conformer(slot).layer, code))
+    return _rechecked(values, regular.conformer(code, slot))
 
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_r, code), budget.max_size)
-    return _rechecked(values, regular.Conformer(regular.MuSlot(code)))
+    return _rechecked(values, regular.mu_conformer(code))
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +290,14 @@ def enum_multirec(
     budget: EnumBudget,
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_body_m, code, assign, at), budget.max_size)
-    return _rechecked(values, multirec.Conformer(code, assign, at).layer)
+    return _rechecked(values, multirec.conformer(code, assign, at))
 
 
 def enum_mu_multirec(
     code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_mu_m, code, at), budget.max_size)
-    return _rechecked(values, multirec.Conformer(code, multirec.mu_assignment(code), at))
+    return _rechecked(values, multirec.mu_conformer(code, at))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
     values = _finish(partial(_gen_ig, env, code), budget.max_size)
-    return _rechecked(values, instant.Conformer(env, code))
+    return _rechecked(values, instant.conformer(env, code))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,7 @@ def _wrap_in1(v: GenericValue) -> GenericValue:
 
 def _functors_r(codes, budget: EnumBudget):
     for code in codes.values():
-        fmap = lambda fs, code=code: partial(regular.map_r, code, *fs)
+        fmap = lambda fs, code=code: regular.mapper(code, *fs)
         yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
 
 
@@ -556,8 +556,8 @@ def _functors_m(codes, budget: EnumBudget):
     for code in codes.values():
         assign = multirec.mu_assignment(code)
         for at in code.indices:
-            fmap = lambda fs, code=code, at=at: partial(
-                multirec.map_m, code, dict.fromkeys(code.indices, *fs), at
+            fmap = lambda fs, code=code, at=at: multirec.mapper(
+                code, dict.fromkeys(code.indices, *fs), at
             )
             yield partial(enum_multirec, code, assign, at, budget), fmap
 
@@ -579,7 +579,7 @@ def _functors_r_p(codes, budget: EnumBudget):
         fmap = lambda fs, code=code, lifted=lifted: (
             polyp.Mapper(polyp.InterpSlot(lifted, polyp.SlotPair(*fs)))
             if len(fs) == 2
-            else partial(regular.map_r, code, *fs)
+            else regular.mapper(code, *fs)
         )
         yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
 
@@ -599,8 +599,8 @@ def _functors_p_i(codes, budget: EnumBudget):
 # functor key -> (default codes, functors). Functors yield, per code and
 # index, a thunk of its values and an ``fmap`` that takes a transformer
 # family, a tuple of one function per parameter, and returns the map the
-# family induces: a mapper, whose tables and memo serve every value it maps
-# (``map_r`` and ``map_m`` map one layer, which has no recursion point).
+# family induces: a mapper, compiled once to serve every value it maps (a
+# regular or multirec mapper maps one layer, which has no recursion point).
 _FUNCTORS = {
     "regular": (corpus.REGULAR_CODES, _functors_r),
     "polyp": (corpus.POLYP_CODES, _functors_p),

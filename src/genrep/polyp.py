@@ -10,7 +10,7 @@ container codes is usually not the container-of-containers code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import spine
 from .gvalue import (
@@ -20,7 +20,6 @@ from .gvalue import (
     PayloadSlot,
     Roll,
     Transformer,
-    payload_slot_accepts,
     print_value,
 )
 from .spine import Prod, Sum, Unit
@@ -92,46 +91,40 @@ def _comp_slot(tables: dict, node: Comp, slots: SlotPair) -> MuSlot:
     return slot
 
 
-class _Walk:
-    """A walk from one slot, for as many values as it is given.
+class _Walk(spine.Walk):
+    """A walk from one slot, compiled into closures when it is built.
 
     Its recursion points are the ``MuSlot`` entries (one fixed-point layer
     each) and the ``InterpSlot`` entries (one layer of a composition's right
-    code) that it meets below the top of a value, each the root slot or one
-    kept in ``tables``; the memo (``spine.memoized``) keeps the walk's
-    result for each value a point was given, so each point walks a shared
-    subtree once for the life of the object.
+    code) that it meets, each the root slot or one kept in ``tables``, and
+    each one ``spine.point`` (``enter``) whose body is ``_point(slot)``. Any
+    other entry compiles to ``_leaf(slot)``.
     """
 
     def __init__(self, slot: PolyPSlot):
+        super().__init__()
         self.slot = slot
         self.tables: dict = {}
-        self.memo: dict = {}
+        self.top = self._entry(slot)
 
-    def __call__(self, v: GenericValue):
-        slot = self.slot
-        kind = type(slot)
-        if kind is MuSlot or kind is InterpSlot:
-            return self._point(slot, v)
-        return self._leaf(slot, v)
+    def _layer(self, code: PolyPCode, slots: SlotPair):
+        ref = self.ref
 
-    def _layer(self, code: PolyPCode, slots: SlotPair, v: GenericValue):
-        def atom(node: PolyPCode, w: GenericValue):
-            kind = type(node)
+        def atom(node: PolyPCode):
+            walk, kind = ref(), type(node)
             if kind is Par:
-                slot = slots.param
-            elif kind is Id:
-                slot = slots.rec
-            elif kind is Comp:
-                slot = _comp_slot(self.tables, node, slots)
-            else:
-                raise TypeError(f"not a polyp code: {node!r}")
-            kind = type(slot)
-            if kind is MuSlot or kind is InterpSlot:
-                return spine.memoized(self.memo, slot, w, self._point)
-            return self._leaf(slot, w)
+                return walk._entry(slots.param)
+            if kind is Id:
+                return walk._entry(slots.rec)
+            if kind is Comp:
+                return walk._entry(_comp_slot(walk.tables, node, slots))
+            return spine.raising(TypeError, f"not a polyp code: {node!r}")
 
-        return self._spine(code, v, atom)
+        return self._spine(code, atom)
+
+    def _entry(self, slot: PolyPSlot):
+        kind = type(slot)
+        return self.enter(slot) if kind is MuSlot or kind is InterpSlot else self._leaf(slot)
 
 
 class Conformer(_Walk):
@@ -139,22 +132,15 @@ class Conformer(_Walk):
     judges fixed-point values and ``Conformer(InterpSlot(code, slots))``
     one layer."""
 
-    _spine = staticmethod(spine.conform)
+    _spine = staticmethod(spine.conformer)
 
-    def _point(self, slot: MuSlot | InterpSlot, v: GenericValue) -> bool:
+    def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], bool]:
         if type(slot) is InterpSlot:
-            return self._layer(slot.code, slot.slots, v)
-        if type(v) is not Roll:
-            return False
-        return self._layer(slot.code, _layer_slots(self.tables, slot), v.inner)
+            return self._layer(slot.code, slot.slots)
+        return spine.rolled(self._layer(slot.code, _layer_slots(self.tables, slot)))
 
-    def _leaf(self, slot: PolyPSlot, v: GenericValue) -> bool:
-        kind = type(slot)
-        if kind is PayloadSlot:
-            return payload_slot_accepts(slot, v)
-        if kind is EmptySlot:
-            return False
-        raise TypeError(f"not a polyp slot: {slot!r}")
+    def _leaf(self, slot: PolyPSlot) -> Callable[[GenericValue], bool]:
+        return spine.leaf(slot, "a polyp")
 
 
 def conform_p(code: PolyPCode, slots: SlotPair, v: GenericValue) -> bool:
@@ -174,20 +160,25 @@ class Mapper(_Walk):
     transformer, which is applied. Transformers must be pure: the memo
     reuses one result for every position that holds the same subtree."""
 
-    _spine = staticmethod(spine.map)
+    _spine = staticmethod(spine.mapper)
 
-    def _point(self, slot: MuSlot | InterpSlot, v: GenericValue) -> GenericValue:
+    def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is InterpSlot:
-            return self._layer(slot.code, slot.slots, v)
-        if type(v) is not Roll:
-            # The root is ``pmap``'s own fixed point; the others are compositions'.
-            if slot is self.slot:
-                raise MalformedValue(f"pmap expects a rolled value: {print_value(v)}")
-            raise MalformedValue(f"composition layer is not rolled: {print_value(v)}")
-        return Roll(self._layer(slot.code, _layer_slots(self.tables, slot), v.inner))
+            return self._layer(slot.code, slot.slots)
+        layer = self._layer(slot.code, _layer_slots(self.tables, slot))
+        what = "composition layer is not rolled"
+        if slot is self.slot:  # ``pmap``'s own fixed point; the others are compositions'
+            what = "pmap expects a rolled value"
 
-    def _leaf(self, f: Transformer, v: GenericValue) -> GenericValue:
-        return f(v)
+        def map_rolled(v: GenericValue) -> GenericValue:
+            if type(v) is not Roll:
+                raise MalformedValue(f"{what}: {print_value(v)}")
+            return Roll(layer(v.inner))
+
+        return map_rolled
+
+    def _leaf(self, f: Transformer) -> Transformer:
+        return f
 
 
 def map_p(

@@ -24,7 +24,6 @@ from .gvalue import (
     Roll,
     TT,
     Transformer,
-    payload_slot_accepts,
     print_value,
 )
 from .spine import Prod, Sum, Unit
@@ -48,68 +47,52 @@ class MuSlot:
 RegularSlot = Union[PayloadSlot, MuSlot, EmptySlot]
 
 
-class Conformer:
-    """Conformance at one slot, for as many values as it is asked about.
+def conformer(code: RegularCode, slot: RegularSlot) -> spine.Walk:
+    """Does a value inhabit one layer of ``code`` whose identity positions
+    hold ``slot``? A regular walk meets one slot only; a ``MuSlot`` is its
+    one recursion point (``spine.point``)."""
+    return spine.Walk(lambda memos: spine.conformer(code, _identity(_slot(slot, memos))))
 
-    ``conformer(v)`` tells whether ``v`` inhabits ``slot``, and
-    ``conformer.layer(code, v)`` whether ``v`` is one layer of ``code`` whose
-    identity positions hold ``slot``. A regular walk meets one slot only;
-    when it is a ``MuSlot``, every identity position below the top of a
-    value enters it, and the memo (``spine.memoized``) keeps the answer for
-    each value it was given there, so each fixed-point layer is judged once
-    for the life of the object, however many values share it.
-    """
 
-    def __init__(self, slot: RegularSlot):
-        self.slot = slot
-        self.memo: dict = {}
+def mu_conformer(code: RegularCode) -> spine.Walk:
+    """Does a value inhabit the fixed point of ``code``?"""
+    return spine.Walk(lambda memos: _slot(MuSlot(code), memos))
 
-    def __call__(self, v: GenericValue) -> bool:
-        slot = self.slot
-        kind = type(slot)
-        if kind is MuSlot:
-            return self._rolled(slot, v)
-        if kind is PayloadSlot:
-            return payload_slot_accepts(slot, v)
-        if kind is EmptySlot:
-            return False
-        raise TypeError(f"not a regular slot: {slot!r}")
 
-    def layer(self, code: RegularCode, v: GenericValue) -> bool:
-        return spine.conform(code, v, self._atom)
+def _slot(slot: RegularSlot, memos: list[dict]) -> Callable[[GenericValue], bool]:
+    if type(slot) is not MuSlot:
+        return spine.leaf(slot, "a regular")
+    enter = spine.point(lambda: spine.rolled(spine.conformer(slot.code, _identity(enter))), memos)
+    return enter
 
-    def _rolled(self, slot: MuSlot, v: GenericValue) -> bool:
-        return type(v) is Roll and spine.conform(slot.code, v.inner, self._atom)
 
-    def _atom(self, node: RegularCode, w: GenericValue) -> bool:
-        if type(node) is not Id:
-            raise TypeError(f"not a regular code: {node!r}")
-        if type(self.slot) is MuSlot:
-            return spine.memoized(self.memo, self.slot, w, self._rolled)
-        return self(w)
+def _identity(inner: Callable) -> Callable[[RegularCode], Callable]:
+    """The atom function that gives every identity position ``inner``."""
+    return lambda node: inner if type(node) is Id else spine.raising(
+        TypeError, f"not a regular code: {node!r}"
+    )
 
 
 def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
     """Does ``v`` inhabit the interpretation of ``code`` at ``slot``?"""
-    return Conformer(slot).layer(code, v)
+    return conformer(code, slot)(v)
 
 
 def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
-    """Fixed-point conformance: one roll, then a layer at the mu slot. A
-    value that is not rolled builds no conformer."""
-    return type(v) is Roll and Conformer(MuSlot(code)).layer(code, v.inner)
+    """Fixed-point conformance; a value that is not rolled builds no
+    conformer."""
+    return type(v) is Roll and mu_conformer(code)(v)
+
+
+def mapper(code: RegularCode, f: Transformer) -> Callable[[GenericValue], GenericValue]:
+    """Apply ``f`` at every identity position of one layer, compiled once
+    for as many values as it is given."""
+    return spine.mapper(code, _identity(f))
 
 
 def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:
     """Apply ``f`` at every identity position of one layer."""
-
-    def atom(node: RegularCode, w: GenericValue) -> GenericValue:
-        match node:
-            case Id():
-                return f(w)
-        raise TypeError(f"not a regular code: {node!r}")
-
-    return spine.map(code, v, atom)
+    return mapper(code, f)(v)
 
 
 RegularAlgebra = Callable[[GenericValue], GenericValue]
@@ -122,14 +105,14 @@ def cata_r(code: RegularCode, alg: RegularAlgebra, v: GenericValue) -> GenericVa
     """
     if not conform_mu_r(code, v):
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
-    return _cata_go(code, alg, v)
 
+    def fold(u: GenericValue) -> GenericValue:
+        if type(u) is not Roll:
+            raise MalformedValue(f"cata_r expects a rolled value: {print_value(u)}")
+        return alg(layer(u.inner))
 
-def _cata_go(code: RegularCode, alg: RegularAlgebra, v: GenericValue) -> GenericValue:
-    match v:
-        case Roll(w):
-            return alg(map_r(code, lambda u: _cata_go(code, alg, u), w))
-    raise MalformedValue(f"cata_r expects a rolled value: {print_value(v)}")
+    layer = mapper(code, fold)
+    return fold(v)
 
 
 def to_nat_alg(v: GenericValue) -> GenericValue:

@@ -3,31 +3,38 @@
 All five universes build their codes from the same three connectives, and
 these mean the same thing everywhere: ``U`` is inhabited by ``tt``, a sum
 by an injection and a product by a pair. So the connectives are defined
-once here, together with one walk per job, and ``regular.Sum`` is the same
-class as ``instant.Sum``.
+once here, together with one builder or walk per job, and ``regular.Sum``
+is the same class as ``instant.Sum``.
 
 What the universes do not share are their atoms: identity positions,
 parameters, tags, constants, references, composition and fixed points.
-Each walk handles the spine itself and hands every other node to an atom
-function supplied by the caller, which gives that node its universe's
-meaning and raises the universe's own ``TypeError`` for a node it does not
-know. Keeping the atoms apart keeps the universes independent
+``conformer`` and ``mapper`` compile a code into closures once per walk:
+they handle the spine and ask an atom function supplied by the caller for
+each atom node's closure, which gives that node its universe's meaning (a
+node it does not know raises the universe's own ``TypeError`` when a value
+reaches it). Keeping the atoms apart keeps the universes independent
 interpreters, which the cross-universe checks depend on.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
 from .gvalue import (
+    EmptySlot,
     GenericValue,
     In1,
     In2,
     MalformedValue,
     Pair,
+    PayloadSlot,
+    Refl,
+    Roll,
     TT,
+    payload_slot_accepts,
     print_value,
 )
 
@@ -49,92 +56,178 @@ class Prod:
     right: object
 
 
-# The value walks below are the inner loop of every universe. They dispatch
-# on the exact class rather than through ``match``, which measured about 10%
-# slower on large values; no class here or in gvalue is subclassed. Sums and
-# the right operand of a product loop instead of recursing, so only left
-# operands and atoms take a Python stack frame: each frame the kernel adds
-# per layer lowers the value depth that fits under the recursion limit.
+# The closures are the inner loop of every universe. Each spine node becomes
+# one closure that dispatches on the exact class of its value (faster than
+# ``match``; no class here or in gvalue is subclassed), and compiles its
+# operands when a value first reaches them. Each frame a layer takes lowers
+# the depth that fits under the recursion limit: a regular numeral takes
+# three per layer (point, roll, sum), a list four.
 
 
-def conform(code, v: GenericValue, atom: Callable[[object, GenericValue], bool]) -> bool:
-    """Does ``v`` inhabit ``code``? ``atom(node, w)`` judges the atoms."""
-    while True:
-        kind = type(code)
-        if kind is Sum:
-            if type(v) is In1:
-                code, v = code.left, v.value
-            elif type(v) is In2:
-                code, v = code.right, v.value
-            else:
-                return False
-        elif kind is Prod:
-            if type(v) is not Pair or not conform(code.left, v.first, atom):
-                return False
-            code, v = code.right, v.second
-        elif kind is Unit:
-            return type(v) is TT
-        else:
-            return atom(code, v)
+def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue], bool]:
+    """``v -> bool``: does ``v`` inhabit ``code``? ``atom(node)`` is called
+    once per atom node, and gives the closure that judges that atom."""
+    kind = type(code)
+    if kind is Unit:
+        return _is_tt
+    if kind is not Sum and kind is not Prod:
+        return atom(code)
+    ops = _operands(conformer, code, atom)
+    if kind is Sum:
+
+        def conform_sum(v: GenericValue) -> bool:
+            kind = type(v)
+            if kind is In1:
+                return ops[0](v.value)
+            return kind is In2 and ops[1](v.value)
+
+        return conform_sum
+
+    def conform_prod(v: GenericValue) -> bool:
+        return type(v) is Pair and ops[0](v.first) and ops[1](v.second)
+
+    return conform_prod
 
 
-def map(
-    code, v: GenericValue, atom: Callable[[object, GenericValue], GenericValue]
-) -> GenericValue:
-    """Rebuild ``v`` along ``code``, replacing each atom position ``w`` by
-    ``atom(node, w)``; a layer of the wrong shape is a ``MalformedValue``.
-    Positions are visited left to right."""
-    wraps: list[Callable[[GenericValue], GenericValue]] = []
-    while True:
-        kind = type(code)
-        if kind is Sum:
-            if type(v) is In1:
-                wraps.append(In1)
-                code, v = code.left, v.value
-            elif type(v) is In2:
-                wraps.append(In2)
-                code, v = code.right, v.value
-            else:
-                raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
-        elif kind is Prod:
-            if type(v) is not Pair:
-                raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-            wraps.append(partial(Pair, map(code.left, v.first, atom)))
-            code, v = code.right, v.second
-        elif kind is Unit:
-            if type(v) is not TT:
-                raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
-            break
-        else:
-            v = atom(code, v)
-            break
-    for wrap in reversed(wraps):
-        v = wrap(v)
+def _operands(build: Callable, code: Sum | Prod, atom: Callable) -> list[Callable]:
+    """The closures of ``code``'s two operands, each built by ``build`` in
+    place when a value first reaches it."""
+
+    def left(v: GenericValue):
+        ops[0] = build(code.left, atom)
+        return ops[0](v)
+
+    def right(v: GenericValue):
+        ops[1] = build(code.right, atom)
+        return ops[1](v)
+
+    ops = [left, right]
+    return ops
+
+
+def _is_tt(v: GenericValue) -> bool:
+    return type(v) is TT
+
+
+def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue], GenericValue]:
+    """``v -> value``: rebuild ``v`` along ``code``, replacing each atom
+    position ``w`` by ``atom(node)(w)``, with ``atom`` called once per atom
+    node; a layer of the wrong shape is a ``MalformedValue``. Positions are
+    visited left to right."""
+    kind = type(code)
+    if kind is Unit:
+        return _map_unit
+    if kind is not Sum and kind is not Prod:
+        return atom(code)
+    ops = _operands(mapper, code, atom)
+    if kind is Sum:
+
+        def map_sum(v: GenericValue) -> GenericValue:
+            kind = type(v)
+            if kind is In1:
+                return In1(ops[0](v.value))
+            if kind is In2:
+                return In2(ops[1](v.value))
+            raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
+
+        return map_sum
+
+    def map_prod(v: GenericValue) -> GenericValue:
+        if type(v) is not Pair:
+            raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
+        return Pair(ops[0](v.first), ops[1](v.second))
+
+    return map_prod
+
+
+def _map_unit(v: GenericValue) -> GenericValue:
+    if type(v) is not TT:
+        raise MalformedValue(f"unit layer is not tt: {print_value(v)}")
     return v
 
 
-def memoized(
-    memo: dict, point, v: GenericValue, compute: Callable[[object, GenericValue], object]
-):
-    """``compute(point, v)``, computed once per recursion point and value
-    for as long as ``memo`` lives: one conformer or mapper holds one memo.
+class Walk:
+    """A compiled walk, for as many values as it is given: ``walk(v)`` runs
+    its top closure ``walk.top``. The closures of a recursive code refer to
+    each other in cycles, which only the cyclic collector frees, so the
+    walk owns the memos of its recursion points (``memos``) and empties
+    them when it dies, and no closure refers to the walk itself: one that
+    needs it, as a lazy build does, holds the weak reference ``ref``."""
 
-    A recursion point is where a walk enters a fixed-point layer, a
-    composition's code or a named code below the top of the value; each
-    universe says which, and with what object. The memo is keyed by
-    ``id(point)`` and then ``id(v)``, and each entry keeps ``v``, so no
-    ``id`` is reused while the memo lives; the walk must keep every
-    ``point`` as long. The
-    answer may depend on the point and the value only, which holds for
-    conformance and for maps whose transformers are pure.
-    """
-    seen = memo.get(id(point))
-    if seen is None:
-        seen = memo[id(point)] = {}
-    hit = seen.get(id(v))
-    if hit is None:
-        hit = seen[id(v)] = (v, compute(point, v))
-    return hit[1]
+    def __init__(self, top: Callable[[list[dict]], Callable] | None = None):
+        self.memos: list[dict] = []
+        self.points: dict[int, Callable] = {}
+        self.ref = weakref.ref(self)
+        if top is not None:
+            self.top = top(self.memos)
+
+    def __call__(self, v: GenericValue):
+        return self.top(v)
+
+    def __del__(self) -> None:
+        for memo in self.memos:
+            memo.clear()
+
+    def enter(self, slot) -> Callable:
+        """The recursion point of ``slot``, whose body is ``_point(slot)``."""
+        enter = self.points.get(id(slot))
+        if enter is None:
+            ref = self.ref
+            enter = self.points[id(slot)] = point(lambda: ref()._point(slot), self.memos)
+        return enter
+
+
+def point(build: Callable[[], Callable], memos: list[dict]) -> Callable:
+    """A recursion point: the closure that computes ``build()(v)`` once per
+    value ``v``, where a walk enters a fixed-point layer, a composition's
+    code or a named code. Its memo, one of the walk's ``memos``, is keyed by
+    ``id(v)`` and keeps ``v``, which is right for conformance and for maps
+    whose transformers are pure. The body is built on the first call, so a
+    fixed point that reaches itself builds lazily."""
+    memo: dict[int, tuple] = {}
+    memos.append(memo)
+    body = None
+
+    def enter(v: GenericValue):
+        nonlocal body
+        hit = memo.get(id(v))
+        if hit is None:
+            if body is None:
+                body = build()
+            hit = memo[id(v)] = (v, body(v))
+        return hit[1]
+
+    return enter
+
+
+def rolled(layer: Callable[[GenericValue], bool]) -> Callable[[GenericValue], bool]:
+    """``v -> bool``: is ``v`` a ``Roll`` whose layer ``layer`` accepts?"""
+    return lambda v: type(v) is Roll and layer(v.inner)
+
+
+def leaf(slot, universe: str) -> Callable[[GenericValue], bool]:
+    """The conformer of a payload or empty slot of ``universe`` ("a polyp")."""
+    if type(slot) is PayloadSlot:
+        return partial(payload_slot_accepts, slot)
+    return never if type(slot) is EmptySlot else raising(TypeError, f"not {universe} slot: {slot!r}")
+
+
+def never(v: GenericValue) -> bool:
+    return False
+
+
+def is_refl(v: GenericValue) -> bool:
+    return type(v) is Refl
+
+
+def raising(error: type[Exception], message: str) -> Callable[[GenericValue], object]:
+    """The closure of a node that no value can pass: it raises
+    ``error(message)`` when a value reaches it, never when it is built."""
+
+    def fail(v: GenericValue) -> object:
+        raise error(message)
+
+    return fail
 
 
 def gen(

@@ -123,6 +123,14 @@ def test_a_digit_that_int_does_not_read_is_a_parse_error():
     )
 
 
+def test_a_nat_longer_than_int_reads_is_one_error_line():
+    digits = sys.get_int_max_str_digits()
+    out = run_cli("check", "--universe", "polyp", "--code", "ListC", "--value", "a#" + "1" * 5000)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", f"error: 1:3: nat has more than {digits} digits\n"
+    )
+
+
 def test_unknown_property_name_exits_two():
     out = run_cli("laws", "--universe", "instant", "--code", "List⊤", "--max-size", "6")
     assert out.returncode == 2

@@ -256,6 +256,14 @@ PARSE_ERRORS = [
     ('indexed', 'in: ⋆\nout: ⋆\nfix (U + I@R.⋆', 'expected ), got end of input', 3, 15, {')'}),
 ]
 
+# A nat with more digits than ``int`` reads is a parse error at its token.
+_DIGITS = sys.get_int_max_str_digits()
+PARSE_ERRORS += [
+    ('value', 'a#' + '1' * (_DIGITS + 1), f'nat has more than {_DIGITS} digits', 1, 3, set()),
+    ('value', 'in2\n (a#' + '9' * 5000 + ' , tt)', f'nat has more than {_DIGITS} digits', 2, 5, set()),
+    ('value', '(a#' + '1' * 5000 + ' ; tt)', "unexpected character ';'", 1, 5005, set()),
+]
+
 _PARSERS = {"value": parse_value, "env": parse_env, "label": parse_label}
 
 
@@ -271,6 +279,10 @@ def test_parse_errors_are_pinned(kind, text, message, line, col, expected):
     got = err.value
     assert (got.message, got.line, got.col, got.expected) == (message, line, col, expected)
     assert str(got) == f"{line}:{col}: {message}"
+
+
+def test_a_nat_of_as_many_digits_as_int_reads_parses():
+    assert parse_value("a#" + "7" * _DIGITS) == payload("a", int("7" * _DIGITS))
 
 
 def test_a_digit_that_int_does_not_read_is_no_nat():

@@ -192,7 +192,7 @@ def test_one_family_conformer_keeps_its_indices_apart():
     holds = at_left(In1(x))
     misplaces = at_left(In1(at_right(x)))
     for order in ([holds, misplaces], [misplaces, holds]):
-        conforms = multirec.Conformer(code, multirec.mu_assignment(code), embed.LSTAR)
+        conforms = embed.conformer(embed.multirec_context(code, embed.LSTAR))
         assert [conforms(v) for v in order] == [v is holds for v in order]
         assert [multirec.conform_mu_m(code, embed.LSTAR, v) for v in order] == [
             v is holds for v in order
