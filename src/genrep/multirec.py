@@ -102,7 +102,7 @@ def _walk(memos: list[dict]):
     points: dict = {}
 
     def fixed_point(code: MultirecCode, lbl: IndexLabel) -> Callable[[GenericValue], bool]:
-        hit = points.get((id(code), lbl))  # which holds ``code``, so its id stays its own
+        hit = points.get((id(code), lbl))  # the entry keeps ``code``, so no other takes its id
         if hit is None:
             build = lambda: spine.rolled(layer(code, mu_assignment(code), lbl))
             hit = points[id(code), lbl] = (code, spine.point(build, memos))

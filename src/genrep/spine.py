@@ -58,10 +58,11 @@ class Prod:
 
 # The closures are the inner loop of every universe. Each spine node becomes
 # one closure that dispatches on the exact class of its value (faster than
-# ``match``; no class here or in gvalue is subclassed), and compiles its
-# operands when a value first reaches them. Each frame a layer takes lowers
-# the depth that fits under the recursion limit: a regular numeral takes
-# three per layer (point, roll, sum), a list four.
+# ``match``; no class here or in gvalue is subclassed), and compiles each
+# operand when a value first reaches it, so a walk built for one small value
+# compiles little more than that value's path. Each frame a layer takes
+# lowers the depth that fits under the recursion limit: a regular numeral
+# takes three per layer (point, roll, sum), a list four.
 
 
 def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue], bool]:
@@ -72,37 +73,32 @@ def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValu
         return _is_tt
     if kind is not Sum and kind is not Prod:
         return atom(code)
-    ops = _operands(conformer, code, atom)
+    ops: list = [None, None]
     if kind is Sum:
 
         def conform_sum(v: GenericValue) -> bool:
             kind = type(v)
             if kind is In1:
-                return ops[0](v.value)
-            return kind is In2 and ops[1](v.value)
+                return (ops[0] or _operand(ops, 0, code, atom, conformer))(v.value)
+            return kind is In2 and (ops[1] or _operand(ops, 1, code, atom, conformer))(v.value)
 
         return conform_sum
 
     def conform_prod(v: GenericValue) -> bool:
-        return type(v) is Pair and ops[0](v.first) and ops[1](v.second)
+        return (
+            type(v) is Pair
+            and (ops[0] or _operand(ops, 0, code, atom, conformer))(v.first)
+            and (ops[1] or _operand(ops, 1, code, atom, conformer))(v.second)
+        )
 
     return conform_prod
 
 
-def _operands(build: Callable, code: Sum | Prod, atom: Callable) -> list[Callable]:
-    """The closures of ``code``'s two operands, each built by ``build`` in
-    place when a value first reaches it."""
-
-    def left(v: GenericValue):
-        ops[0] = build(code.left, atom)
-        return ops[0](v)
-
-    def right(v: GenericValue):
-        ops[1] = build(code.right, atom)
-        return ops[1](v)
-
-    ops = [left, right]
-    return ops
+def _operand(ops: list, i: int, code: Sum | Prod, atom: Callable, build: Callable) -> Callable:
+    """The closure of operand ``i`` of ``code``, built into ``ops`` when a
+    value first reaches it."""
+    ops[i] = build(code.right if i else code.left, atom)
+    return ops[i]
 
 
 def _is_tt(v: GenericValue) -> bool:
@@ -119,15 +115,15 @@ def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue],
         return _map_unit
     if kind is not Sum and kind is not Prod:
         return atom(code)
-    ops = _operands(mapper, code, atom)
+    ops: list = [None, None]
     if kind is Sum:
 
         def map_sum(v: GenericValue) -> GenericValue:
             kind = type(v)
             if kind is In1:
-                return In1(ops[0](v.value))
+                return In1((ops[0] or _operand(ops, 0, code, atom, mapper))(v.value))
             if kind is In2:
-                return In2(ops[1](v.value))
+                return In2((ops[1] or _operand(ops, 1, code, atom, mapper))(v.value))
             raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
 
         return map_sum
@@ -135,7 +131,8 @@ def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue],
     def map_prod(v: GenericValue) -> GenericValue:
         if type(v) is not Pair:
             raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        return Pair(ops[0](v.first), ops[1](v.second))
+        first = (ops[0] or _operand(ops, 0, code, atom, mapper))(v.first)
+        return Pair(first, (ops[1] or _operand(ops, 1, code, atom, mapper))(v.second))
 
     return map_prod
 
@@ -209,7 +206,9 @@ def leaf(slot, universe: str) -> Callable[[GenericValue], bool]:
     """The conformer of a payload or empty slot of ``universe`` ("a polyp")."""
     if type(slot) is PayloadSlot:
         return partial(payload_slot_accepts, slot)
-    return never if type(slot) is EmptySlot else raising(TypeError, f"not {universe} slot: {slot!r}")
+    if type(slot) is EmptySlot:
+        return never
+    return raising(TypeError, f"not {universe} slot: {slot!r}")
 
 
 def never(v: GenericValue) -> bool:
