@@ -210,8 +210,8 @@ NAT_M = embed.lift_r_to_m(corpus.NAT_C)
 TOP_TABLE = {STAR: instant.Prim("⊤")}
 
 # walk -> (value of the given number of layers, a run that must complete, depth)
-# The depths are the probe's (perfbench/depth.py), rounded down to 50; at the
-# parent of the compiled walks they were 249, 199, 248, 248, 198, 198, 197.
+# The depths are the probe's (perfbench/depth.py), rounded down to 50; before
+# the walks were compiled they were 249, 199, 248, 248, 198, 198, 197.
 DEEP = {
     "conform_mu_r": (_numeral, lambda v: regular.conform_mu_r(corpus.NAT_C, v), 300),
     "conform_mu_p": (_list, lambda v: polyp.conform_mu_p(corpus.LIST_C, PayloadSlot("⊤"), v), 200),
