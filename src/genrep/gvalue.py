@@ -4,14 +4,17 @@ that every code universe interprets into.
 Values carry no type information of their own. Each universe contributes a
 conformance judgment that decides which trees inhabit the interpretation of
 which code; the same tree may conform in several universes at once, which is
-what makes cross-universe conversion meaningful.
+what makes cross-universe conversion meaningful. Values are hash-consed:
+structurally equal values are one object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
-from typing import Callable, Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 
 class MalformedValue(Exception):
@@ -143,57 +146,186 @@ class PayloadToken:
             raise ValueError(f"bad token ident: {self.ident!r}")
 
 
-@dataclass(frozen=True)
-class TT:
-    """The unit value."""
+# The value classes are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+# Hash-Consing", ML Workshop 2006): every node is built through its class's
+# intern table, keyed by its children (which hash and compare by identity)
+# or by a payload's token, so structurally equal values are one object,
+# ``==`` and ``hash`` are the identity ones, and a memo keyed by ``id`` hits
+# on every copy of a subtree. A table holds its nodes weakly: a node drops
+# its entry in ``__del__``, as soon as its refcount reaches zero. The
+# cyclic collector clears a dead node's weak reference before it runs
+# ``__del__``, and a node built with the same key in between owns the
+# entry, so ``__del__`` drops the entry only if it is dead or its own.
 
 
-@dataclass(frozen=True)
-class In1:
+class _Node:
+    """A value node: immutable, compared and hashed by identity, printed as
+    a dataclass is."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+_new_node = object.__new__
+
+
+class _Interned(_Node):
+    """A node built through its class's intern table ``_table``, which maps
+    its key ``_key`` to a weak reference to it."""
+
+    __slots__ = ()
+    _table: dict
+    _key: Any
+
+    def __del__(self) -> None:
+        table, key = self._table, self._key
+        ref = table.get(key)
+        if ref is not None:
+            owner = ref()
+            if owner is None or owner is self:
+                del table[key]
+
+
+class _Unary(_Interned):
+    """A node with one child, which is its key. Each subclass names its
+    field in ``__match_args__``; ``_key`` is that field's slot under one name
+    for all of them."""
+
+    __slots__ = ()
+
+    def __new__(cls, child: GenericValue):
+        ref = cls._table.get(child)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new_node(cls)
+        cls._key.__set__(node, child)
+        cls._table[child] = weakref.ref(node)
+        return node
+
+
+class TT(_Node):
+    """The unit value: one object."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "TT":
+        return _TT
+
+
+class Refl(_Node):
+    """The sole witness of an index equality: one object."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Refl":
+        return _REFL
+
+
+_TT = _new_node(TT)
+_REFL = _new_node(Refl)
+
+
+class In1(_Unary):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
     value: "GenericValue"
 
 
-@dataclass(frozen=True)
-class In2:
+class In2(_Unary):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
     value: "GenericValue"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Roll(_Unary):
+    """One layer of a fixed point."""
+
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+    inner: "GenericValue"
+
+
+class Konst(_Unary):
+    """A constant-set inhabitant in the named-code universe."""
+
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+    inner: "GenericValue"
+
+
+class RecV(_Unary):
+    """A recursive-reference inhabitant in the named-code universe."""
+
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+    inner: "GenericValue"
+
+
+class Pair(_Interned):
+    """Keyed by the tuple of its children, which it keeps."""
+
+    __slots__ = ("first", "second", "_key")
+    __match_args__ = ("first", "second")
     first: "GenericValue"
     second: "GenericValue"
 
+    def __new__(cls, first: GenericValue, second: GenericValue) -> "Pair":
+        key = (first, second)
+        ref = _PAIRS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new_node(cls)
+        _set_first(node, first)
+        _set_second(node, second)
+        _set_pair_key(node, key)
+        _PAIRS[key] = weakref.ref(node)
+        return node
 
-@dataclass(frozen=True)
-class Roll:
-    """One layer of a fixed point."""
 
-    inner: "GenericValue"
+class Payload(_Interned):
+    """Keyed by its token's value."""
 
-
-@dataclass(frozen=True)
-class Payload:
+    __slots__ = ("token",)
+    __match_args__ = ("token",)
     token: PayloadToken
 
+    def __new__(cls, token: PayloadToken) -> "Payload":
+        ref = _PAYLOADS.get(token)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new_node(cls)
+        _set_token(node, token)
+        _PAYLOADS[token] = weakref.ref(node)
+        return node
 
-@dataclass(frozen=True)
-class Refl:
-    """The sole witness of an index equality."""
 
-
-@dataclass(frozen=True)
-class Konst:
-    """A constant-set inhabitant in the named-code universe."""
-
-    inner: "GenericValue"
-
-
-@dataclass(frozen=True)
-class RecV:
-    """A recursive-reference inhabitant in the named-code universe."""
-
-    inner: "GenericValue"
-
+for _cls in (In1, In2, Roll, Konst, RecV, Payload):
+    _cls._key = _cls.__dict__[_cls.__match_args__[0]]
+for _cls in (In1, In2, Roll, Konst, RecV, Pair, Payload):
+    _cls._table = {}
+_PAIRS, _PAYLOADS = Pair._table, Payload._table
+_set_first, _set_second, _set_pair_key = (Pair.first.__set__, Pair.second.__set__,
+                                          Pair.__dict__["_key"].__set__)
+_set_token = Payload.token.__set__
 
 GenericValue = Union[TT, In1, In2, Pair, Roll, Payload, Refl, Konst, RecV]
 
@@ -279,7 +411,12 @@ def print_value(v: GenericValue) -> str:
         elif t is Refl:
             emit("refl")
         elif t is Payload:
-            emit(f"{v.token.sort}#{v.token.ident}")
+            token = v.token
+            try:
+                emit(f"{token.sort}#{token.ident}")
+            except ValueError:  # more digits than Python writes from an int
+                limit = f"{sys.get_int_max_str_digits()} digits"
+                raise MalformedValue(f"token {token.sort}# has a nat of more than {limit}") from None
         else:
             raise MalformedValue(f"not a generic value: {v!r}")
         # a leaf is out: emit the closers down to the next second child

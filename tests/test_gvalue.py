@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import sys
+import weakref
+from dataclasses import FrozenInstanceError
+
 from hypothesis import given
 import pytest
 
@@ -8,13 +15,20 @@ from genrep import (
     Konst,
     MalformedValue,
     Pair,
+    Payload,
+    PayloadToken,
+    RecV,
     Refl,
     Roll,
     TT,
+    compose_path,
+    corpus,
+    embed,
     disjoint_union,
     index_set,
     label,
     left,
+    parse_value,
     payload,
     print_label,
     print_value,
@@ -30,7 +44,7 @@ from genrep.gvalue import (
     valid_name,
 )
 
-from helpers import gvalues
+from helpers import gvalues, indexed_list
 
 STAR = label("⋆")
 
@@ -121,3 +135,99 @@ def test_compose_and_identity():
     succ2 = compose(token_successor, token_successor)
     assert succ2(payload("nat", 0)) == payload("nat", 2)
     assert identity(Refl()) == Refl()
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: equal values are one object
+
+
+def _interned():
+    """The number of nodes in the intern tables."""
+    return sum(len(cls._table) for cls in (In1, In2, Roll, Konst, RecV, Pair, Payload))
+
+
+def test_equal_values_are_one_object():
+    """Constructors, the parser and a backward conversion all build through
+    the intern tables."""
+    assert TT() is TT() and Refl() is Refl()
+    assert payload("nat", 3) is Payload(PayloadToken("nat", 3))
+    built = Roll(In2(Pair(payload("nat", 3), Roll(In1(TT())))))
+    assert Roll(In2(Pair(payload("nat", 3), Roll(In1(TT()))))) is built
+    assert parse_value("<in2 (nat#3 , <in1 tt>)>") is built
+    assert parse_value(print_value(corpus.L_ROSE)) is corpus.L_ROSE
+    assert copy.deepcopy(built) is built and pickle.loads(pickle.dumps(built)) is built
+    steps = ["r-p", "p-i", "i-ig"]
+    start = embed.regular_context(corpus.NAT_C)
+    v = corpus.numeral(4)
+    image = compose_path(steps, start, v, "forward")
+    assert image is not v
+    assert compose_path(steps, start, image, "backward") is v
+    assert compose_path(steps, start, parse_value(print_value(image)), "backward") is v
+
+
+def test_a_dropped_value_leaves_the_tables_without_the_collector():
+    gc.disable()
+    try:
+        before = _interned()
+        v = parse_value("<in2 (k fresh#918273 , rec in1 fresh#918273)>")
+        assert _interned() == before + 7  # every node holds the fresh token once
+        nodes = [weakref.ref(node) for node in (v, v.inner, v.inner.value)]
+        del v
+        assert all(ref() is None for ref in nodes)
+        assert _interned() == before
+    finally:
+        gc.enable()
+
+
+def test_values_are_immutable():
+    v = Pair(TT(), Roll(In1(Refl())))
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'first'"):
+        v.first = Refl()
+    with pytest.raises(FrozenInstanceError):
+        del v.second.inner
+    with pytest.raises(FrozenInstanceError):
+        TT().value = Refl()
+    assert v.first is TT() and v.second.inner.value is Refl()
+
+
+def test_repr_is_the_dataclass_one():
+    v = Roll(In2(Pair(payload("nat", 3), RecV(Konst(In1(Refl()))))))
+    assert repr(v) == (
+        "Roll(inner=In2(value=Pair(first=Payload(token=PayloadToken(sort='nat', ident=3)), "
+        "second=RecV(inner=Konst(inner=In1(value=Refl()))))))"
+    )
+    assert (repr(TT()), repr(Refl())) == ("TT()", "Refl()")
+
+
+def test_class_patterns_bind():
+    match Roll(In2(Pair(payload("nat", 3), RecV(Konst(In1(TT())))))):
+        case Roll(In2(Pair(Payload(PayloadToken(sort, n)), RecV(Konst(In1(leaf)))))):
+            assert (sort, n, leaf) == ("nat", 3, TT())
+        case _:
+            pytest.fail("no case bound")
+    match In1(Refl()):
+        case In2(_) | Roll(_):
+            pytest.fail("a wrong class bound")
+        case In1(Refl()):
+            pass
+        case _:
+            pytest.fail("no case bound")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: corpus.numeral(100_000),
+    lambda: indexed_list([TT()] * 100_000),
+], ids=["numeral", "ListI"])
+def test_eq_and_hash_do_not_recurse(build):
+    a, b = build(), build()
+    assert a == b and a is b
+    assert hash(a) == hash(b)
+    assert a != In1(a) and {a: 1}[b] == 1
+
+
+def test_print_value_refuses_a_nat_longer_than_int_writes():
+    limit = sys.get_int_max_str_digits()
+    assert print_value(payload("a", 10 ** (limit - 1))) == "a#1" + "0" * (limit - 1)
+    with pytest.raises(MalformedValue) as err:
+        print_value(Pair(TT(), payload("a", 10 ** limit)))
+    assert str(err.value) == f"token a# has a nat of more than {limit} digits"
