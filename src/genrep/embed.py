@@ -582,18 +582,22 @@ def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], Gene
 
 def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
     """One memoized walk per direction for all of the context's values, so a
-    shared subtree converts once to a shared image. An input of constant set
-    ``Prim(sort)`` reads as that sort's payload slot, which checks its
-    contents; other sets need an environment, so their contents pass unchecked."""
+    shared subtree converts once to a shared image; each is built on its
+    direction's first call. An input of constant set ``Prim(sort)`` reads as
+    that sort's payload slot, which checks its contents; other sets need an
+    environment, so their contents pass unchecked."""
     indexed.check_output(ctx.code, ctx.at)
     rho = _rho_from_table(ctx.code, ctx.table)
     assign = {lbl: PayloadSlot(k.sort) if type(k) is instant.Prim else k for lbl, k in rho}
-    walks = {"forward": _ToInstant(ctx.code, assign, ctx.at),
-             "backward": _FromInstant(ctx.code, assign, ctx.at)}
+    walks: dict[str, indexed.Walk] = {}
 
     def convert(v: GenericValue, direction: str) -> GenericValue:
         _check_direction(direction)
-        return walks[direction](v)
+        walk = walks.get(direction)
+        if walk is None:
+            build = _ToInstant if direction == "forward" else _FromInstant
+            walk = walks[direction] = build(ctx.code, assign, ctx.at)
+        return walk(v)
 
     return convert
 
