@@ -200,21 +200,21 @@ class _Interned(_Node):
 
 
 class _Unary(_Interned):
-    """A node with one child, which is its key. Each subclass names its
+    """A node with one field, which is its key. Each subclass names the
     field in ``__match_args__``; ``_key`` is that field's slot under one name
     for all of them."""
 
     __slots__ = ()
 
-    def __new__(cls, child: GenericValue):
-        ref = cls._table.get(child)
+    def __new__(cls, field: GenericValue | PayloadToken):
+        ref = cls._table.get(field)
         if ref is not None:
             node = ref()
             if node is not None:
                 return node
         node = _new_node(cls)
-        cls._key.__set__(node, child)
-        cls._table[child] = weakref.ref(node)
+        cls._key.__set__(node, field)
+        cls._table[field] = weakref.ref(node)
         return node
 
 
@@ -299,33 +299,20 @@ class Pair(_Interned):
         return node
 
 
-class Payload(_Interned):
-    """Keyed by its token's value."""
+class Payload(_Unary):
+    """Keyed by its token, which compares by value."""
 
     __slots__ = ("token",)
     __match_args__ = ("token",)
     token: PayloadToken
 
-    def __new__(cls, token: PayloadToken) -> "Payload":
-        ref = _PAYLOADS.get(token)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = _new_node(cls)
-        _set_token(node, token)
-        _PAYLOADS[token] = weakref.ref(node)
-        return node
-
 
 for _cls in (In1, In2, Roll, Konst, RecV, Payload):
     _cls._key = _cls.__dict__[_cls.__match_args__[0]]
-for _cls in (In1, In2, Roll, Konst, RecV, Pair, Payload):
     _cls._table = {}
-_PAIRS, _PAYLOADS = Pair._table, Payload._table
+Pair._table = _PAIRS = {}
 _set_first, _set_second, _set_pair_key = (Pair.first.__set__, Pair.second.__set__,
                                           Pair.__dict__["_key"].__set__)
-_set_token = Payload.token.__set__
 
 GenericValue = Union[TT, In1, In2, Pair, Roll, Payload, Refl, Konst, RecV]
 
