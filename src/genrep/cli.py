@@ -4,8 +4,9 @@ Exit codes: 0 success (or "conforms"), 1 non-conformance, property failures,
 malformed values, or values nested too deeply for Python's recursion limit,
 2 usage and parse errors (including unknown indices and code or env text
 nested too deeply). Every error writes one stderr line prefixed "error:".
-Values parse and print in loops; conformance, maps, conversions, == and hash
-recurse per layer, as does the code parser, so those meet the limit.
+Values parse and print in loops, and == and hash compare identities, since
+equal values are one object; conformance, maps and conversions recurse per
+layer, as does the code parser, so those meet the limit.
 """
 
 from __future__ import annotations
