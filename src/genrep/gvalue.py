@@ -11,7 +11,9 @@ structurally equal values are one object.
 from __future__ import annotations
 
 import sys
+import types
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from typing import Any, Callable, Iterator, Union
@@ -151,11 +153,33 @@ class PayloadToken:
 # intern table, keyed by its children (which hash and compare by identity)
 # or by a payload's token, so structurally equal values are one object,
 # ``==`` and ``hash`` are the identity ones, and a memo keyed by ``id`` hits
-# on every copy of a subtree. A table holds its nodes weakly: a node drops
-# its entry in ``__del__``, as soon as its refcount reaches zero. The
-# cyclic collector clears a dead node's weak reference before it runs
-# ``__del__``, and a node built with the same key in between owns the
-# entry, so ``__del__`` drops the entry only if it is dead or its own.
+# on every copy of a subtree. A table holds its nodes weakly, as
+# ``weakref.WeakValueDictionary`` does: each entry is a weak reference that
+# carries its key, and its callback drops the entry as soon as the node's
+# refcount reaches zero, unless a node built since under the same key owns
+# it by then.
+
+
+class _Entry(weakref.ref):
+    """An intern table's weak reference to a node, carrying the node's key."""
+
+    __slots__ = ("key",)
+
+
+# ``weakref.KeyedRef`` would do, but its constructor runs in Python on every
+# new node; this builds the reference in C and sets the key through its slot.
+_new_entry = weakref.ref.__new__
+_set_entry_key = _Entry.key.__set__
+
+
+def _intern_table() -> tuple[dict, Callable[[_Entry], None]]:
+    """An empty table and the callback that drops a dead entry from it."""
+    table: dict = {}
+
+    def drop(entry: _Entry, remove=_remove_dead_weakref) -> None:
+        remove(table, entry.key)
+
+    return table, drop
 
 
 class _Node:
@@ -182,39 +206,27 @@ class _Node:
 _new_node = object.__new__
 
 
-class _Interned(_Node):
-    """A node built through its class's intern table ``_table``, which maps
-    its key ``_key`` to a weak reference to it."""
-
-    __slots__ = ()
-    _table: dict
-    _key: Any
-
-    def __del__(self) -> None:
-        table, key = self._table, self._key
-        ref = table.get(key)
-        if ref is not None:
-            owner = ref()
-            if owner is None or owner is self:
-                del table[key]
-
-
-class _Unary(_Interned):
+class _Unary(_Node):
     """A node with one field, which is its key. Each subclass names the
-    field in ``__match_args__``; ``_key`` is that field's slot under one name
-    for all of them."""
+    field in ``__match_args__``; ``_field`` is that field's slot, ``_table``
+    and ``_drop`` its class's intern table and callback."""
 
     __slots__ = ()
+    _field: Any
+    _table: dict
+    _drop: Callable[[_Entry], None]
 
     def __new__(cls, field: GenericValue | PayloadToken):
-        ref = cls._table.get(field)
-        if ref is not None:
-            node = ref()
+        entry = cls._table.get(field)
+        if entry is not None:
+            node = entry()
             if node is not None:
                 return node
         node = _new_node(cls)
-        cls._key.__set__(node, field)
-        cls._table[field] = weakref.ref(node)
+        cls._field.__set__(node, field)
+        entry = _new_entry(_Entry, node, cls._drop)
+        _set_entry_key(entry, field)
+        cls._table[field] = entry
         return node
 
 
@@ -276,26 +288,27 @@ class RecV(_Unary):
     inner: "GenericValue"
 
 
-class Pair(_Interned):
-    """Keyed by the tuple of its children, which it keeps."""
+class Pair(_Node):
+    """Keyed by the tuple of its children."""
 
-    __slots__ = ("first", "second", "_key")
+    __slots__ = ("first", "second")
     __match_args__ = ("first", "second")
     first: "GenericValue"
     second: "GenericValue"
 
     def __new__(cls, first: GenericValue, second: GenericValue) -> "Pair":
         key = (first, second)
-        ref = _PAIRS.get(key)
-        if ref is not None:
-            node = ref()
+        entry = _PAIRS.get(key)
+        if entry is not None:
+            node = entry()
             if node is not None:
                 return node
         node = _new_node(cls)
         _set_first(node, first)
         _set_second(node, second)
-        _set_pair_key(node, key)
-        _PAIRS[key] = weakref.ref(node)
+        entry = _new_entry(_Entry, node, _drop_pair)
+        _set_entry_key(entry, key)
+        _PAIRS[key] = entry
         return node
 
 
@@ -307,12 +320,23 @@ class Payload(_Unary):
     token: PayloadToken
 
 
+def _new_with_parameter(cls: type, name: str):
+    """``_Unary.__new__`` with its field parameter called ``name``, so that
+    ``Roll(inner=x)`` works as the keyword form that ``repr`` prints."""
+    code = _Unary.__new__.__code__
+    code = code.replace(co_varnames=("cls", name) + code.co_varnames[2:],
+                        co_qualname=f"{cls.__qualname__}.__new__")
+    return staticmethod(types.FunctionType(code, globals(), "__new__"))
+
+
 for _cls in (In1, In2, Roll, Konst, RecV, Payload):
-    _cls._key = _cls.__dict__[_cls.__match_args__[0]]
-    _cls._table = {}
-Pair._table = _PAIRS = {}
-_set_first, _set_second, _set_pair_key = (Pair.first.__set__, Pair.second.__set__,
-                                          Pair.__dict__["_key"].__set__)
+    _name = _cls.__match_args__[0]
+    _cls._field = _cls.__dict__[_name]
+    _cls._table, _cls._drop = _intern_table()
+    _cls.__new__ = _new_with_parameter(_cls, _name)
+_PAIRS, _drop_pair = _intern_table()
+Pair._table = _PAIRS
+_set_first, _set_second = Pair.first.__set__, Pair.second.__set__
 
 GenericValue = Union[TT, In1, In2, Pair, Roll, Payload, Refl, Konst, RecV]
 

@@ -199,6 +199,16 @@ def test_repr_is_the_dataclass_one():
     assert (repr(TT()), repr(Refl())) == ("TT()", "Refl()")
 
 
+def test_fields_pass_by_keyword_as_repr_prints_them():
+    v = Roll(In2(Pair(payload("nat", 3), RecV(Konst(In1(Refl()))))))
+    assert eval(repr(v)) is v
+    assert Roll(inner=TT()) is Roll(TT()) and In2(value=TT()) is In2(TT())
+    assert Pair(first=TT(), second=Refl()) is Pair(TT(), Refl())
+    assert Payload(token=PayloadToken("nat", 3)) is payload("nat", 3)
+    with pytest.raises(TypeError, match=r"Roll.__new__\(\) got an unexpected keyword argument 'value'"):
+        Roll(value=TT())
+
+
 def test_class_patterns_bind():
     match Roll(In2(Pair(payload("nat", 3), RecV(Konst(In1(TT())))))):
         case Roll(In2(Pair(Payload(PayloadToken(sort, n)), RecV(Konst(In1(leaf)))))):
