@@ -161,15 +161,12 @@ class PayloadToken:
 
 
 class _Entry(weakref.ref):
-    """An intern table's weak reference to a node, carrying the node's key."""
+    """An intern table's weak reference to a node, carrying the node's key.
+
+    ``weakref.KeyedRef`` would do, but its constructor runs in Python on
+    every new node; this one is built in C and given its key after."""
 
     __slots__ = ("key",)
-
-
-# ``weakref.KeyedRef`` would do, but its constructor runs in Python on every
-# new node; this builds the reference in C and sets the key through its slot.
-_new_entry = weakref.ref.__new__
-_set_entry_key = _Entry.key.__set__
 
 
 def _intern_table() -> tuple[dict, Callable[[_Entry], None]]:
@@ -224,8 +221,8 @@ class _Unary(_Node):
                 return node
         node = _new_node(cls)
         cls._field.__set__(node, field)
-        entry = _new_entry(_Entry, node, cls._drop)
-        _set_entry_key(entry, field)
+        entry = _Entry(node, cls._drop)
+        entry.key = field
         cls._table[field] = entry
         return node
 
@@ -306,8 +303,8 @@ class Pair(_Node):
         node = _new_node(cls)
         _set_first(node, first)
         _set_second(node, second)
-        entry = _new_entry(_Entry, node, _drop_pair)
-        _set_entry_key(entry, key)
+        entry = _Entry(node, _drop_pair)
+        entry.key = key
         _PAIRS[key] = entry
         return node
 
