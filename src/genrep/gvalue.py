@@ -179,6 +179,25 @@ def _intern_table() -> tuple[dict, Callable[[_Entry], None]]:
     return table, drop
 
 
+def _enter(table: dict, key: Any, node: _Node, drop: Callable[[_Entry], None]) -> _Node:
+    """Enter ``node`` in ``table`` under ``key`` and return it, or return
+    the live node that another thread entered under ``key`` first.
+
+    ``dict.setdefault`` looks up and inserts in one step, so two threads
+    building equal values enter one node without a lock. An entry whose
+    node has died but whose callback has not run yet is removed first."""
+    entry = _Entry(node, drop)
+    entry.key = key
+    while True:
+        winner = table.setdefault(key, entry)
+        if winner is entry:
+            return node
+        other = winner()
+        if other is not None:
+            return other
+        _remove_dead_weakref(table, key)
+
+
 class _Node:
     """A value node: immutable, compared and hashed by identity, printed as
     a dataclass is."""
@@ -221,10 +240,7 @@ class _Unary(_Node):
                 return node
         node = _new_node(cls)
         cls._field.__set__(node, field)
-        entry = _Entry(node, cls._drop)
-        entry.key = field
-        cls._table[field] = entry
-        return node
+        return _enter(cls._table, field, node, cls._drop)
 
 
 class TT(_Node):
@@ -303,10 +319,7 @@ class Pair(_Node):
         node = _new_node(cls)
         _set_first(node, first)
         _set_second(node, second)
-        entry = _Entry(node, _drop_pair)
-        entry.key = key
-        _PAIRS[key] = entry
-        return node
+        return _enter(_PAIRS, key, node, _drop_pair)
 
 
 class Payload(_Unary):

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import sys
+import threading
 import weakref
 from dataclasses import FrozenInstanceError
 
@@ -177,6 +178,28 @@ def test_a_dropped_value_leaves_the_tables_without_the_collector():
         assert _interned() == before
     finally:
         gc.enable()
+
+
+def test_threads_building_equal_values_build_one_object():
+    """Four threads build the same fresh values at once, switching as often
+    as the interpreter allows; each value is still one object."""
+    built: list = [None] * 4
+
+    def build(i):
+        built[i] = [Roll(In1(payload("race", k))) for k in range(10_000)]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(values[k] is built[0][k] for values in built for k in range(10_000))
 
 
 def test_values_are_immutable():
