@@ -237,26 +237,18 @@ KSetTable = Mapping[IndexLabel, instant.KSet]
 
 
 class _EnvBuilder:
-    """Accumulates named entries; registration happens before the body is
-    computed so self-referential and mutually recursive codes terminate."""
+    """Accumulates named entries, ``ig0``, ``ig1``, … in the order they are
+    first asked for; registration happens before the body is computed so
+    self-referential and mutually recursive codes terminate."""
 
-    def __init__(self, seed: instant.CodeEnv):
-        self.entries: dict[str, instant.InstantCode | None] = dict(seed)
+    def __init__(self):
+        self.entries: dict[str, instant.InstantCode | None] = {}
         self.memo: dict[object, str] = {}
-        self.counter = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"ig{self.counter}"
-            self.counter += 1
-            if name not in self.entries:
-                return name
 
     def ensure(self, key: object, build) -> str:
         if key in self.memo:
             return self.memo[key]
-        name = self.fresh()
-        self.memo[key] = name
+        name = self.memo[key] = f"ig{len(self.entries)}"
         self.entries[name] = None
         self.entries[name] = build()
         return name
@@ -292,7 +284,7 @@ def lift_i_to_ig(
     Entry names are an ig-prefixed counter in traversal order, so repeated
     runs yield byte-identical environments.
     """
-    builder = _EnvBuilder({})
+    builder = _EnvBuilder()
     rho = _rho_from_table(code, table)
     out = {o: _lift_body_ig(code.body, rho, o, builder) for o in code.outs}
     return out, builder.finished()
@@ -409,7 +401,7 @@ class _ToInstant(indexed.Walk):
         return lambda v: Konst(_check_parameter(slot, v))
 
     def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
-        return lambda v: Konst(_check_tag(lbl, at, indexed.map_tag(v)))
+        return lambda v: Konst(_check_tag(lbl, at, spine.map_tag(v)))
 
     def _comp(self, layer) -> Callable[[GenericValue], GenericValue]:
         return lambda v: RecV(layer(v))

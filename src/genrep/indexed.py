@@ -20,7 +20,6 @@ from .gvalue import (
     IndexSet,
     MalformedValue,
     PayloadSlot,
-    Refl,
     Roll,
     Transformer,
     disjoint_union,
@@ -168,27 +167,26 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     code through it, so its entries other than these two slots are whatever
     the walk's own entries are: payload slots, constant sets or
     transformers. ``tables`` lives for one enumeration or one walk, and
-    keeps, under ``(id(node), id(assign))``, each assignment it builds, so
-    each is built once however many layers of a value pass through
-    ``node``; ``assign``, the first assignment or one kept there, outlives
-    ``tables``, so its ``id`` names it."""
-    key = (id(node), id(assign))
-    table = tables.get(key)
-    if table is None:
+    keeps, under ``(id(node), id(assign))`` (``spine.once``), each
+    assignment it builds, so each is built once however many layers of a
+    value pass through ``node``; ``assign``, the first assignment or one
+    kept there, outlives ``tables``, so its ``id`` names it."""
+
+    def build() -> Mapping:
         match node:
             case Comp(f, g):
-                table = {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
+                return {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}
             case Fix(f):
-                table = mu_assign(f, assign)
-        tables[key] = table
-    return table
+                return mu_assign(f, assign)
+
+    return spine.once(tables, (id(node), id(assign)), build)
 
 
 class Walk(spine.Walk):
     """A walk of ``code`` under ``assign`` at ``at``, compiled into closures
     when it is built. Its recursion points are the slots it meets below the
     top layer, each an entry of ``assign`` or one kept in ``tables`` and
-    each one ``spine.point`` (``enter``): a ``MuSlot`` (one fixed-point
+    each one ``Walk.point`` (``enter``): a ``MuSlot`` (one fixed-point
     layer, also where the walk enters a ``Fix`` node) and an ``InterpSlot``
     (one layer of a composition's right code).
 
@@ -208,7 +206,6 @@ class Walk(spine.Walk):
     def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
         super().__init__()
         check_output(code, at)
-        self.tables: dict = {}
         self.top = self._walk(code, assign, at)
 
     def _walk(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
@@ -315,14 +312,7 @@ class Mapper(Walk):
         return f
 
     def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
-        return map_tag
-
-
-def map_tag(w: GenericValue) -> GenericValue:
-    """A tag position holds ``refl``, which a map keeps."""
-    if type(w) is not Refl:
-        raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-    return w
+        return spine.map_tag
 
 
 def map_i(

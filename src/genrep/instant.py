@@ -91,18 +91,16 @@ def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
     """Does a value inhabit the interpretation of ``code`` in ``env``?
     Compiled once for as many values as it is asked about. Its recursion
     points are the named codes, which an ``R`` reference and a ``K``
-    constant of ``OfCode`` enter: one ``spine.point`` per name, which
+    constant of ``OfCode`` enter: one ``Walk.point`` per name, which
     resolves the name when a value first reaches it."""
-    walk = spine.Walk()
-    memos = walk.memos
-    named: dict[str, Callable[[GenericValue], bool]] = {}
+    return spine.Walk(lambda walk: spine.conformer(code, _atom(env, walk.ref)))
 
-    def enter(ref: str) -> Callable[[GenericValue], bool]:
-        point = named.get(ref)
-        if point is None:
-            build = lambda: spine.conformer(resolve(env, ref), atom)
-            point = named[ref] = spine.point(build, memos)
-        return point
+
+def _atom(env: CodeEnv, ref) -> Callable[[InstantCode], Callable[[GenericValue], bool]]:
+    """The atom function of the conformance walk ``ref`` in ``env``."""
+
+    def enter(name: str) -> Callable[[GenericValue], bool]:
+        return ref().point(name, lambda: spine.conformer(resolve(env, name), atom))
 
     def atom(node: InstantCode) -> Callable[[GenericValue], bool]:
         kind = type(node)
@@ -124,8 +122,7 @@ def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
             return enter(payload.ref)
         return spine.raising(TypeError, f"not a constant set: {payload!r}")
 
-    walk.top = spine.conformer(code, atom)
-    return walk
+    return atom
 
 
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:

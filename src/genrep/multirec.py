@@ -17,13 +17,10 @@ from .gvalue import (
     IndexLabel,
     IndexNotInSet,
     IndexSet,
-    MalformedValue,
     PayloadSlot,
-    Refl,
     Roll,
     Transformer,
     print_label,
-    print_value,
 )
 from .spine import Prod, Sum, Unit
 
@@ -85,51 +82,46 @@ def conformer(code: MultirecCode, assign: Assignment, at: IndexLabel) -> spine.W
     ``assign``? Compiled once for as many values as it is asked about; the
     index must be in the code's index set whatever the value."""
     check_index(code, at)
-    return spine.Walk(lambda memos: _walk(memos)[0](code, assign, at))
+    return spine.Walk(lambda walk: _layer(walk.ref, code, assign, at))
 
 
 def mu_conformer(code: MultirecCode, at: IndexLabel) -> spine.Walk:
     """Does a value inhabit the fixed point of ``code`` at index ``at``,
     which must be in the code's index set whatever the value?"""
     check_index(code, at)
-    return spine.Walk(lambda memos: _walk(memos)[1](code, at))
+    return spine.Walk(lambda walk: _fixed_point(walk.ref, code, at))
 
 
-def _walk(memos: list[dict]):
-    """The builders of one conformance walk's layers and fixed points. The
-    fixed points are its recursion points, one ``spine.point`` per code and
-    index, whose layers read ``mu_assignment`` of the code."""
-    points: dict = {}
+def _fixed_point(ref, code: MultirecCode, lbl: IndexLabel) -> Callable[[GenericValue], bool]:
+    """The fixed point of ``code`` at ``lbl`` in the walk ``ref``: one
+    ``Walk.point`` per code and index, whose layers read ``mu_assignment``
+    of the code. The point keeps ``code``, so its ``id`` names it."""
+    build = lambda: spine.rolled(_layer(ref, code, mu_assignment(code), lbl))
+    return ref().point((id(code), lbl), build)
 
-    def fixed_point(code: MultirecCode, lbl: IndexLabel) -> Callable[[GenericValue], bool]:
-        hit = points.get((id(code), lbl))  # the entry keeps ``code``, so no other takes its id
-        if hit is None:
-            build = lambda: spine.rolled(layer(code, mu_assignment(code), lbl))
-            hit = points[id(code), lbl] = (code, spine.point(build, memos))
-        return hit[1]
 
-    def layer(code: MultirecCode, assign: Assignment, at: IndexLabel):
-        def atom(node: MultirecBody) -> Callable[[GenericValue], bool]:
-            kind = type(node)
-            if kind is not Id and kind is not Tag:
-                return spine.raising(TypeError, f"not a multirec body: {node!r}")
-            lbl = node.label
-            if kind is Id:
-                if lbl not in code.indices or lbl not in assign:
-                    return lambda w: at_index(code, assign, lbl)
-                slot = assign[lbl]
-                if type(slot) is not MuSlot:
-                    return spine.leaf(slot, "a multirec")
-                if lbl not in slot.code.indices:
-                    return lambda w: check_index(slot.code, lbl)
-                return fixed_point(slot.code, lbl)
-            if lbl not in code.indices:
-                return lambda w: check_index(code, lbl)
-            return spine.never if at != lbl else spine.is_refl
+def _layer(ref, code: MultirecCode, assign: Assignment, at: IndexLabel):
+    """One layer of ``code`` at ``at`` under ``assign`` in the walk ``ref``."""
 
-        return spine.conformer(code.body, atom)
+    def atom(node: MultirecBody) -> Callable[[GenericValue], bool]:
+        kind = type(node)
+        if kind is not Id and kind is not Tag:
+            return spine.raising(TypeError, f"not a multirec body: {node!r}")
+        lbl = node.label
+        if kind is Id:
+            if lbl not in code.indices or lbl not in assign:
+                return lambda w: at_index(code, assign, lbl)
+            slot = assign[lbl]
+            if type(slot) is not MuSlot:
+                return spine.leaf(slot, "a multirec")
+            if lbl not in slot.code.indices:
+                return lambda w: check_index(slot.code, lbl)
+            return _fixed_point(ref, slot.code, lbl)
+        if lbl not in code.indices:
+            return lambda w: check_index(code, lbl)
+        return spine.never if at != lbl else spine.is_refl
 
-    return layer, fixed_point
+    return spine.conformer(code.body, atom)
 
 
 def conform_m(
@@ -165,16 +157,10 @@ def mapper(
                 return fam[node.label]
             return lambda w: at_index(code, fam, node.label)
         if kind is Tag:
-            return _map_tag
+            return spine.map_tag
         return spine.raising(TypeError, f"not a multirec body: {node!r}")
 
     return spine.mapper(code.body, atom)
-
-
-def _map_tag(w: GenericValue) -> GenericValue:
-    if type(w) is not Refl:
-        raise MalformedValue(f"tag position is not refl: {print_value(w)}")
-    return w
 
 
 def map_m(

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
 from .embed import STAR, ConversionReport, PathContext, standard_table
@@ -55,8 +55,6 @@ from .gvalue import (
     right,
     value_size,
 )
-
-T = TypeVar("T")
 
 
 class UnknownProperty(Exception):
@@ -99,8 +97,9 @@ def _rechecked(
 
 
 # One top-level enumeration shares one memo, a dict that ``_finish`` makes
-# and every generator below takes last. A key starts with a tag for what it
-# holds, or has none:
+# and every generator below takes last, and whose entries are each built
+# once through ``spine.once``. A key starts with a tag for what it holds,
+# or has none:
 # - "walk": per code walked in one context (its slots, assignment or index),
 #   the dict in which ``spine.gen`` keeps that walk's values by node and size;
 # - "mu", and "atom" for instant: per recursion point and exact size, its
@@ -113,11 +112,6 @@ def _rechecked(
 # code or context, or held by the memo, so it outlives the memo and its
 # ``id`` is not reused. Index labels and instant atoms compare by value, so
 # equal ones share their entries.
-def _once(memo: dict, key: tuple, build: Callable[[], T]) -> T:
-    """``memo[key]``, built by ``build()`` on the first request."""
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
 
 
 def _gen_payload(sort: str, n: int) -> list[GenericValue]:
@@ -151,15 +145,15 @@ def _gen_r(code: regular.RegularCode, slot: regular.RegularSlot, n: int, memo: d
                 return _gen_slot_r(slot, m, memo)
         raise TypeError(f"not a regular code: {node!r}")
 
-    return spine.gen(code, n, atom, _once(memo, ("walk", id(code), id(slot)), dict))
+    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code), id(slot)), dict))
 
 
 def _gen_mu_r(code: regular.RegularCode, n: int, memo: dict) -> list[GenericValue]:
     def build() -> list[GenericValue]:
-        slot = _once(memo, ("slot", id(code)), lambda: regular.MuSlot(code))
+        slot = spine.once(memo, ("slot", id(code)), lambda: regular.MuSlot(code))
         return [Roll(w) for w in _gen_r(code, slot, n - 1, memo)]
 
-    return _once(memo, ("mu", id(code), n), build)
+    return spine.once(memo, ("mu", id(code), n), build)
 
 
 def enum_regular(
@@ -199,27 +193,27 @@ def _gen_p(code: polyp.PolyPCode, slots: polyp.SlotPair, n: int, memo: dict):
             case polyp.Id():
                 return _gen_slot_p(slots.rec, m, memo)
             case polyp.Comp(f, g):
-                param = _once(
+                param = spine.once(
                     memo, ("comp", id(node), id(slots)), lambda: polyp.InterpSlot(g, slots)
                 )
                 return _gen_mu_p(f, param, m, memo)
         raise TypeError(f"not a polyp code: {node!r}")
 
-    return spine.gen(code, n, atom, _once(memo, ("walk", id(code), id(slots)), dict))
+    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code), id(slots)), dict))
 
 
 def _gen_mu_p(
     code: polyp.PolyPCode, param: polyp.PolyPSlot, n: int, memo: dict
 ) -> list[GenericValue]:
     def build() -> list[GenericValue]:
-        slots = _once(
+        slots = spine.once(
             memo,
             ("slots", id(code), id(param)),
             lambda: polyp.SlotPair(param, polyp.MuSlot(code, param)),
         )
         return [Roll(w) for w in _gen_p(code, slots, n - 1, memo)]
 
-    return _once(memo, ("mu", id(code), id(param), n), build)
+    return spine.once(memo, ("mu", id(code), id(param), n), build)
 
 
 def enum_polyp(
@@ -271,16 +265,16 @@ def _gen_body_m(
                 return [Refl()] if m == 1 and at == lbl else []
         raise TypeError(f"not a multirec body: {node!r}")
 
-    walk = _once(memo, ("walk", id(code), id(assign), at), dict)
+    walk = spine.once(memo, ("walk", id(code), id(assign), at), dict)
     return spine.gen(code.body, n, atom, walk)
 
 
 def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int, memo: dict):
     def build() -> list[GenericValue]:
-        assign = _once(memo, ("assign", id(code)), lambda: multirec.mu_assignment(code))
+        assign = spine.once(memo, ("assign", id(code)), lambda: multirec.mu_assignment(code))
         return [Roll(w) for w in _gen_body_m(code, assign, at, n - 1, memo)]
 
-    return _once(memo, ("mu", id(code), at, n), build)
+    return spine.once(memo, ("mu", id(code), at, n), build)
 
 
 def enum_multirec(
@@ -313,7 +307,7 @@ def _gen_slot_i(slot: indexed.IndexedSlot, n: int, memo: dict) -> list[GenericVa
         case indexed.InterpSlot(code, assign, at):
             return _gen_i(code, assign, at, n, memo)
         case indexed.MuSlot(inner, under, at):
-            return _once(
+            return spine.once(
                 memo,
                 ("mu", id(slot), n),
                 lambda: [Roll(w) for w in _gen_i(inner, under, at, n - 1, memo)],
@@ -347,7 +341,7 @@ def _gen_i(
                 return _gen_slot_i(indexed.slot_at(under, right(at)), m, memo)
         raise TypeError(f"not an indexed body: {node!r}")
 
-    walk = _once(memo, ("walk", id(code), id(assign), at), dict)
+    walk = spine.once(memo, ("walk", id(code), id(assign), at), dict)
     return spine.gen(code.body, n, atom, walk)
 
 
@@ -386,20 +380,20 @@ def _gen_ig(env: instant.CodeEnv, code: instant.InstantCode, n: int, memo: dict)
     def atom(node: instant.InstantCode, m: int) -> list[GenericValue]:
         match node:
             case instant.K(kset):
-                return _once(
+                return spine.once(
                     memo,
                     ("atom", node, m),
                     lambda: [Konst(w) for w in _gen_kset(env, kset, m - 1, memo)],
                 )
             case instant.R(ref):
-                return _once(
+                return spine.once(
                     memo,
                     ("atom", node, m),
                     lambda: [RecV(w) for w in _gen_ig(env, instant.resolve(env, ref), m - 1, memo)],
                 )
         raise TypeError(f"not an instant code: {node!r}")
 
-    return spine.gen(code, n, atom, _once(memo, ("walk", id(code)), dict))
+    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code)), dict))
 
 
 def enum_instant(

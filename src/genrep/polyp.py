@@ -69,42 +69,22 @@ class SlotPair:
     rec: PolyPSlot
 
 
-def _layer_slots(tables: dict, slot: MuSlot) -> SlotPair:
-    """The slots of one layer of ``slot``'s fixed point: parameters at
-    ``slot.param`` and recursive positions at ``slot`` itself. Built once
-    per ``tables``, which lives as long as its walk, so every layer reuses
-    it."""
-    pair = tables.get(id(slot))
-    if pair is None:
-        pair = tables[id(slot)] = SlotPair(slot.param, slot)
-    return pair
-
-
-def _comp_slot(tables: dict, node: Comp, slots: SlotPair) -> MuSlot:
-    """The interpretation equation: values of ``Comp(F, G)`` at ``slots``
-    are fixed-point values of F whose parameters interpret G at ``slots``.
-    Built once per node and slot pair in ``tables``."""
-    key = (id(node), id(slots))
-    slot = tables.get(key)
-    if slot is None:
-        slot = tables[key] = MuSlot(node.left, InterpSlot(node.right, slots))
-    return slot
-
-
 class _Walk(spine.Walk):
     """A walk from one slot, compiled into closures when it is built.
 
     Its recursion points are the ``MuSlot`` entries (one fixed-point layer
-    each) and the ``InterpSlot`` entries (one layer of a composition's right
-    code) that it meets, each the root slot or one kept in ``tables``, and
-    each one ``spine.point`` (``enter``) whose body is ``_point(slot)``. Any
-    other entry compiles to ``_leaf(slot)``.
+    each, whose layer slots its body builds) and the ``InterpSlot`` entries
+    (one layer of a composition's right code) that it meets, each one
+    ``Walk.point`` (``enter``) whose body is ``_point(slot)``. Any other
+    entry compiles to ``_leaf(slot)``. The interpretation equation: values
+    of ``Comp(F, G)`` at ``slots`` are fixed-point values of F whose
+    parameters interpret G at ``slots``, a ``MuSlot`` built once per node
+    and slot pair (``spine.once`` in ``tables``).
     """
 
     def __init__(self, slot: PolyPSlot):
         super().__init__()
         self.slot = slot
-        self.tables: dict = {}
         self.top = self._entry(slot)
 
     def _layer(self, code: PolyPCode, slots: SlotPair):
@@ -117,7 +97,8 @@ class _Walk(spine.Walk):
             if kind is Id:
                 return walk._entry(slots.rec)
             if kind is Comp:
-                return walk._entry(_comp_slot(walk.tables, node, slots))
+                build = lambda: MuSlot(node.left, InterpSlot(node.right, slots))
+                return walk._entry(spine.once(walk.tables, (id(node), id(slots)), build))
             return spine.raising(TypeError, f"not a polyp code: {node!r}")
 
         return self._spine(code, atom)
@@ -137,7 +118,7 @@ class Conformer(_Walk):
     def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], bool]:
         if type(slot) is InterpSlot:
             return self._layer(slot.code, slot.slots)
-        return spine.rolled(self._layer(slot.code, _layer_slots(self.tables, slot)))
+        return spine.rolled(self._layer(slot.code, SlotPair(slot.param, slot)))
 
     def _leaf(self, slot: PolyPSlot) -> Callable[[GenericValue], bool]:
         return spine.leaf(slot, "a polyp")
@@ -165,7 +146,7 @@ class Mapper(_Walk):
     def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is InterpSlot:
             return self._layer(slot.code, slot.slots)
-        layer = self._layer(slot.code, _layer_slots(self.tables, slot))
+        layer = self._layer(slot.code, SlotPair(slot.param, slot))
         what = "composition layer is not rolled"
         if slot is self.slot:  # ``pmap``'s own fixed point; the others are compositions'
             what = "pmap expects a rolled value"

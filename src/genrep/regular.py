@@ -50,19 +50,20 @@ RegularSlot = Union[PayloadSlot, MuSlot, EmptySlot]
 def conformer(code: RegularCode, slot: RegularSlot) -> spine.Walk:
     """Does a value inhabit one layer of ``code`` whose identity positions
     hold ``slot``? A regular walk meets one slot only; a ``MuSlot`` is its
-    one recursion point (``spine.point``)."""
-    return spine.Walk(lambda memos: spine.conformer(code, _identity(_slot(slot, memos))))
+    one recursion point (``Walk.point``)."""
+    return spine.Walk(lambda walk: spine.conformer(code, _identity(_slot(slot, walk))))
 
 
 def mu_conformer(code: RegularCode) -> spine.Walk:
     """Does a value inhabit the fixed point of ``code``?"""
-    return spine.Walk(lambda memos: _slot(MuSlot(code), memos))
+    return spine.Walk(lambda walk: _slot(MuSlot(code), walk))
 
 
-def _slot(slot: RegularSlot, memos: list[dict]) -> Callable[[GenericValue], bool]:
+def _slot(slot: RegularSlot, walk: spine.Walk) -> Callable[[GenericValue], bool]:
     if type(slot) is not MuSlot:
         return spine.leaf(slot, "a regular")
-    enter = spine.point(lambda: spine.rolled(spine.conformer(slot.code, _identity(enter))), memos)
+    build = lambda: spine.rolled(spine.conformer(slot.code, _identity(enter)))
+    enter = walk.point(id(slot), build)
     return enter
 
 

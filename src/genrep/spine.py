@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .gvalue import (
     EmptySlot,
@@ -37,6 +37,8 @@ from .gvalue import (
     payload_slot_accepts,
     print_value,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -145,18 +147,22 @@ def _map_unit(v: GenericValue) -> GenericValue:
 
 class Walk:
     """A compiled walk, for as many values as it is given: ``walk(v)`` runs
-    its top closure ``walk.top``. The closures of a recursive code refer to
-    each other in cycles, which only the cyclic collector frees, so the
-    walk owns the memos of its recursion points (``memos``) and empties
-    them when it dies, and no closure refers to the walk itself: one that
-    needs it, as a lazy build does, holds the weak reference ``ref``."""
+    its top closure ``walk.top``, which ``Walk(top)`` builds as ``top(walk)``.
+    The walk keeps what its closures build once: its recursion points
+    (``point``) and the tables a universe builds through ``once``
+    (``tables``). The closures of a recursive code refer to each other in
+    cycles, which only the cyclic collector frees, so the walk owns the
+    memos of its recursion points (``memos``) and empties them when it
+    dies, and no closure refers to the walk itself: one that needs it, as a
+    lazy build does, holds the weak reference ``ref``."""
 
-    def __init__(self, top: Callable[[list[dict]], Callable] | None = None):
+    def __init__(self, top: Callable[[Walk], Callable] | None = None):
         self.memos: list[dict] = []
-        self.points: dict[int, Callable] = {}
+        self.points: dict = {}
+        self.tables: dict = {}
         self.ref = weakref.ref(self)
         if top is not None:
-            self.top = top(self.memos)
+            self.top = top(self)
 
     def __call__(self, v: GenericValue):
         return self.top(v)
@@ -165,36 +171,46 @@ class Walk:
         for memo in self.memos:
             memo.clear()
 
-    def enter(self, slot) -> Callable:
-        """The recursion point of ``slot``, whose body is ``_point(slot)``."""
-        enter = self.points.get(id(slot))
-        if enter is None:
-            ref = self.ref
-            enter = self.points[id(slot)] = point(lambda: ref()._point(slot), self.memos)
+    def point(self, key, build: Callable[[], Callable]) -> Callable:
+        """The recursion point named ``key``: the closure that computes
+        ``build()(v)`` once per value ``v``, where a walk enters a fixed-point
+        layer, a composition's code or a named code. Its memo, one of
+        ``memos``, is keyed by ``id(v)`` and keeps ``v``, which is right for
+        conformance and for maps whose transformers are pure. The body is
+        built on the first call, so a fixed point that reaches itself builds
+        lazily. The point keeps ``build``, so an object that ``build`` refers
+        to can be named in ``key`` by its ``id``."""
+        hit = self.points.get(key)
+        if hit is not None:
+            return hit
+        memo: dict[int, tuple] = {}
+        self.memos.append(memo)
+        body = None
+
+        def enter(v: GenericValue):
+            nonlocal body
+            hit = memo.get(id(v))
+            if hit is None:
+                if body is None:
+                    body = build()
+                hit = memo[id(v)] = (v, body(v))
+            return hit[1]
+
+        self.points[key] = enter
         return enter
 
+    def enter(self, slot) -> Callable:
+        """The recursion point of ``slot``, whose body is ``_point(slot)``."""
+        ref = self.ref
+        return self.point(id(slot), lambda: ref()._point(slot))
 
-def point(build: Callable[[], Callable], memos: list[dict]) -> Callable:
-    """A recursion point: the closure that computes ``build()(v)`` once per
-    value ``v``, where a walk enters a fixed-point layer, a composition's
-    code or a named code. Its memo, one of the walk's ``memos``, is keyed by
-    ``id(v)`` and keeps ``v``, which is right for conformance and for maps
-    whose transformers are pure. The body is built on the first call, so a
-    fixed point that reaches itself builds lazily."""
-    memo: dict[int, tuple] = {}
-    memos.append(memo)
-    body = None
 
-    def enter(v: GenericValue):
-        nonlocal body
-        hit = memo.get(id(v))
-        if hit is None:
-            if body is None:
-                body = build()
-            hit = memo[id(v)] = (v, body(v))
-        return hit[1]
-
-    return enter
+def once(table: dict, key, build: Callable[[], T]) -> T:
+    """``table[key]``, built by ``build()`` on the first request."""
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = build()
+    return hit
 
 
 def rolled(layer: Callable[[GenericValue], bool]) -> Callable[[GenericValue], bool]:
@@ -217,6 +233,13 @@ def never(v: GenericValue) -> bool:
 
 def is_refl(v: GenericValue) -> bool:
     return type(v) is Refl
+
+
+def map_tag(w: GenericValue) -> GenericValue:
+    """A tag position holds ``refl``, which a map keeps."""
+    if type(w) is not Refl:
+        raise MalformedValue(f"tag position is not refl: {print_value(w)}")
+    return w
 
 
 def raising(error: type[Exception], message: str) -> Callable[[GenericValue], object]:

@@ -310,7 +310,7 @@ _BROKEN_GENERATORS = textwrap.dedent(
             print(name, "returned", enumerate_())
         except RuntimeError as err:
             print(name, "raised", err)
-    builder = embed._EnvBuilder({})
+    builder = embed._EnvBuilder()
     builder.entries["ig0"] = None
     try:
         print("env returned", builder.finished())

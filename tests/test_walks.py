@@ -1,7 +1,8 @@
 """The compiled walks: every malformed layer named byte for byte, errors of
-a code node that fire only when a value reaches it, the depths the walks
-reach under the default recursion limit, and walks that free what they were
-given as soon as they die."""
+a code node that fire only when a value reaches it, an argument that is not
+a value, one recursion point per key, the depths the walks reach under the
+default recursion limit, and walks that free what they were given as soon
+as they die."""
 
 import gc
 import re
@@ -11,12 +12,13 @@ from functools import partial
 import pytest
 
 from genrep import In1, In2, Konst, MalformedValue, Pair, RecV, Refl, Roll, TT, label, payload
-from genrep import corpus, embed, indexed, instant, multirec, polyp, value_size
+from genrep import corpus, embed, indexed, instant, multirec, oracle, polyp, value_size
 from genrep import regular
 from genrep.gvalue import IndexNotInSet, PayloadSlot, identity, index_set
+from genrep.oracle import EnumBudget
 from genrep.spine import Prod, Sum, Unit
 
-from helpers import indexed_list, same_tree
+from helpers import corpus_contexts, indexed_list, same_tree
 
 STAR, LSTAR, RSTAR = embed.STAR, embed.LSTAR, embed.RSTAR
 ZIG_FAM = dict.fromkeys(corpus.ZIG_ZAG_C.indices, identity)
@@ -196,6 +198,76 @@ def test_i_ig_backward_of_a_bad_node_is_lazy_too():
     assert to_ig(In1(TT()), "backward") == In1(TT())
     with pytest.raises(IndexNotInSet, match="^no slot for index nowhere$"):
         to_ig(In2(Pair(Konst(Refl()), Konst(TT()))), "backward")
+
+
+def _non_value_walks():
+    """Every conformer, which answers ``False``, and a mapper or converter
+    of each kind, which raises ``MalformedValue``: (factory, answer)."""
+    for param in corpus_contexts():
+        yield pytest.param(partial(embed.conformer, *param.values), False, id=param.id)
+    yield pytest.param(
+        partial(regular.conformer, regular.Id(), regular.MuSlot(corpus.NAT_C)), False,
+        id="regular-MuSlot")
+    for name in ("pmap-ListC", "map_p", "map_i-ListI", "i-ig-ListI-forward",
+                 "i-ig-ListI-backward"):
+        yield pytest.param(WALKS[name][1], MalformedValue, id=name)
+    r_p = embed.STEPS["r-p"].converter
+    yield pytest.param(
+        lambda: partial(r_p(embed.regular_context(corpus.NAT_C)), direction="forward"),
+        MalformedValue, id="r-p")
+
+
+@pytest.mark.parametrize("v", [[], None], ids=["list", "None"])
+@pytest.mark.parametrize("build, answer", list(_non_value_walks()))
+def test_a_walk_given_a_non_value_says_so(build, answer, v):
+    """A walk's memos are keyed by the ``id`` of what it is given, so an
+    unhashable argument is no error of its own; a held walk, asked twice,
+    answers the same."""
+    walk, message = build(), f"not a generic value: {v!r}"
+    for _ in range(2):
+        if answer is False:
+            assert walk(v) is False
+        else:
+            with pytest.raises(MalformedValue, match=f"^{re.escape(message)}$"):
+                walk(v)
+
+
+POINT_SIZE = 12
+
+# context -> the recursion points of one conformer that has judged every
+# value of the context up to POINT_SIZE nodes
+POINTS = {
+    "regular-NatC": 1, "regular-BinC": 1,
+    "polyp-ListC": 1, "polyp-RoseC": 2, "polyp-TreeC": 1, "polyp-TreeListNaive": 3,
+    "polyp-TreeListProper": 3,
+    "multirec-ZigZagC@('L',)": 1, "multirec-ZigZagC@('R',)": 2,
+    "indexed-NatI@()": 1, "indexed-BinI@()": 1, "indexed-ListI@()": 1, "indexed-RoseI@()": 2,
+    "indexed-ZigZagI@('L',)": 1, "indexed-ZigZagI@('R',)": 2,
+    "instant-of-NatI@()": 1, "instant-of-BinI@()": 1, "instant-of-ListI@()": 1,
+    "instant-of-RoseI@()": 3, "instant-of-ZigZagI@('L',)": 1, "instant-of-ZigZagI@('R',)": 2,
+    "instant-List⊤": 1,
+}
+COMP = polyp.Comp(corpus.LIST_C, polyp.Par())
+
+
+@pytest.mark.parametrize(
+    "ctx, points",
+    [
+        *(pytest.param(*p.values, POINTS.get(p.id), id=p.id) for p in corpus_contexts()),
+        # one composition node in both operands of a sum: its fixed point
+        # and its parameter's layer are one point each, as for one operand
+        pytest.param(embed.polyp_context(Sum(COMP, COMP)), 3, id="polyp-comp-twice"),
+    ],
+)
+def test_a_walk_keeps_one_recursion_point_per_key(ctx, points):
+    """A walk that built a second point where its key should find the first
+    would still answer right, from duplicate points: the count shows it,
+    and a second pass over the same values adds none."""
+    conforms = embed.conformer(ctx)
+    values = oracle.enum_context(ctx, EnumBudget(max_size=POINT_SIZE))
+    for _ in range(2):
+        assert all(conforms(v) for v in values)
+        assert len(conforms.memos) == points
 
 
 def _numeral(depth):
