@@ -1,10 +1,14 @@
 """Concrete syntax for codes, values, and code environments.
 
-One token stream serves every universe; the parser builds the shared
-unit/sum/product spine around neutral surface atoms, and a per-universe
-elaborator lifts those atoms into codes. Operator precedence
-is "@" above "*" above "+", all right-associative, and "fix" binds tighter
-than any operator, so its argument is an atom unless parenthesized.
+One token stream serves every universe. Each universe's grammar maps the
+first token of an atom to a reader that builds the universe's own code node,
+and the parser builds the unit/sum/product spine that all of them share, so
+regular, polyp and instant codes come out of the parser finished. Multirec
+and indexed atoms name labels that must lie in the header's index sets;
+those are checked once the whole body has parsed, so a syntax error anywhere
+is reported first. Operator precedence is "@" above "*" above "+", all
+right-associative, and "fix" binds tighter than any operator, so its
+argument is an atom unless parenthesized.
 
 Multirec and indexed codes carry header lines ("indices:", "in:", "out:",
 and optionally "mid:") before the body expression. A composition body splits
@@ -17,8 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
@@ -291,156 +294,64 @@ def _parse_label_list(text: str, line: int, col: int) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# surface atoms, shared by every code grammar; U, + and * parse straight to
-# spine nodes, which need no position because every universe accepts them
+# code grammars: a grammar maps the first token of each of its atoms to a
+# reader, which is called after that token and gives the universe's own node;
+# U, + and * build the spine nodes that every universe shares
+
+_Reader = Callable[[_Stream, _Token], object]
 
 
-@dataclass(frozen=True)
-class _SNode:
-    line: int
-    col: int
+class _Grammar(NamedTuple):
+    """The atoms of one universe's codes, what may start one (``expected``),
+    and the constructors of ``@`` and ``fix`` where the universe has them."""
+
+    atoms: dict[str, _Reader]
+    expected: frozenset[str]
+    comp: Callable[[object, object], object] | None = None
+    fix: Callable[[object], object] | None = None
 
 
-@dataclass(frozen=True)
-class _SPar(_SNode):
-    pass
+class _At(NamedTuple):
+    """A multirec or indexed ``Id`` or ``Tag`` node and the token of its
+    atom, until its label is checked: only once the whole body has parsed,
+    so that a syntax error anywhere is reported first."""
+
+    node: multirec.Id | multirec.Tag | indexed.Id | indexed.Tag
+    tok: _Token
 
 
-@dataclass(frozen=True)
-class _SId(_SNode):
-    lbl: IndexLabel | None
+class _Comp(NamedTuple):
+    """An indexed ``left @ right`` as parsed: the parser reads ``left``
+    before the ``@`` that makes it read its inputs from the ``mid:`` set."""
+
+    left: object
+    right: object
 
 
-@dataclass(frozen=True)
-class _STag(_SNode):
-    lbl: IndexLabel
+class _Fix(NamedTuple):
+    """An indexed ``fix inner`` as parsed; ``inner`` reads its inputs from
+    the disjoint union of the outer inputs and outputs."""
+
+    inner: object
 
 
-@dataclass(frozen=True)
-class _SPrim(_SNode):
-    sort: str
+def _leaf(make: Callable[[], object]) -> _Reader:
+    return lambda stream, tok: make()
 
 
-@dataclass(frozen=True)
-class _SEq(_SNode):
-    a: IndexLabel
-    b: IndexLabel
+def _labelled(make: Callable[[IndexLabel], object], at: bool) -> _Reader:
+    """The reader of ``I@label`` (``at``) or ``!label``: ``make(label)`` at
+    the atom's token."""
 
-
-@dataclass(frozen=True)
-class _SOf(_SNode):
-    ref: str
-
-
-@dataclass(frozen=True)
-class _SRec(_SNode):
-    ref: str
-
-
-@dataclass(frozen=True)
-class _SComp(_SNode):
-    left: "_SExpr"
-    right: "_SExpr"
-
-
-@dataclass(frozen=True)
-class _SFix(_SNode):
-    inner: "_SExpr"
-
-
-_SExpr = object
-
-
-@dataclass(frozen=True)
-class _Grammar:
-    atoms: frozenset[str]
-    comp_op: bool = False
-    fix_op: bool = False
-
-    def expected_atoms(self) -> frozenset[str]:
-        extras = frozenset({"fix"}) if self.fix_op else frozenset()
-        return self.atoms | extras | frozenset({"("})
-
-
-_GRAMMARS: dict[str, _Grammar] = {
-    "regular": _Grammar(frozenset({"U", "I"})),
-    "polyp": _Grammar(frozenset({"U", "P", "I"}), comp_op=True),
-    "multirec": _Grammar(frozenset({"U", "I@label", "!label"})),
-    "indexed": _Grammar(frozenset({"U", "I@label", "!label"}), comp_op=True, fix_op=True),
-    "instant": _Grammar(frozenset({"U", "K", "R"})),
-}
-
-
-def _parse_sum(stream: _Stream, g: _Grammar) -> _SExpr:
-    left = _parse_prod(stream, g)
-    if stream.peek().kind == "+":
-        stream.advance()
-        return spine.Sum(left, _parse_sum(stream, g))
-    return left
-
-
-def _parse_prod(stream: _Stream, g: _Grammar) -> _SExpr:
-    left = _parse_comp(stream, g)
-    if stream.peek().kind == "*":
-        stream.advance()
-        return spine.Prod(left, _parse_prod(stream, g))
-    return left
-
-
-def _parse_comp(stream: _Stream, g: _Grammar) -> _SExpr:
-    left = _parse_unary(stream, g)
-    if g.comp_op and stream.peek().kind == "@":
-        tok = stream.advance()
-        right = _parse_comp(stream, g)
-        return _SComp(tok.line, tok.col, left, right)
-    return left
-
-
-def _parse_unary(stream: _Stream, g: _Grammar) -> _SExpr:
-    tok = stream.peek()
-    if g.fix_op and tok.kind == "ident" and tok.text == "fix":
-        stream.advance()
-        return _SFix(tok.line, tok.col, _parse_unary(stream, g))
-    return _parse_atom(stream, g)
-
-
-def _parse_atom(stream: _Stream, g: _Grammar) -> _SExpr:
-    tok = stream.peek()
-    if tok.kind == "(":
-        stream.advance()
-        inner = _parse_sum(stream, g)
-        stream.expect(")")
-        return inner
-    if tok.kind == "!" and "!label" in g.atoms:
-        stream.advance()
-        lbl = _parse_label(stream)
-        return _STag(tok.line, tok.col, lbl)
-    if tok.kind == "ident":
-        if tok.text == "U" and "U" in g.atoms:
-            stream.advance()
-            return spine.Unit()
-        if tok.text == "P" and "P" in g.atoms:
-            stream.advance()
-            return _SPar(tok.line, tok.col)
-        if tok.text == "I" and "I" in g.atoms:
-            stream.advance()
-            return _SId(tok.line, tok.col, None)
-        if tok.text == "I" and "I@label" in g.atoms:
-            stream.advance()
+    def read(stream: _Stream, tok: _Token) -> _At:
+        if at:
             stream.expect("@")
-            lbl = _parse_label(stream)
-            return _SId(tok.line, tok.col, lbl)
-        if tok.text == "K" and "K" in g.atoms:
-            stream.advance()
-            return _parse_konst(stream, tok)
-        if tok.text == "R" and "R" in g.atoms:
-            stream.advance()
-            name = stream.expect("ident", frozenset({"name"}))
-            return _SRec(tok.line, tok.col, name.text)
-    raise stream.fail(g.expected_atoms())
+        return _At(make(_parse_label(stream)), tok)
+
+    return read
 
 
-def _parse_konst(stream: _Stream, at: _Token) -> _SExpr:
+def _read_konst(stream: _Stream, at: _Token) -> instant.K:
     tok = stream.peek()
     if tok.kind == "!":
         stream.advance()
@@ -449,15 +360,89 @@ def _parse_konst(stream: _Stream, at: _Token) -> _SExpr:
         stream.expect(",")
         b = _parse_label(stream)
         stream.expect(")")
-        return _SEq(at.line, at.col, a, b)
+        return instant.K(instant.EqWitness(a, b))
     if tok.kind == "@":
         stream.advance()
-        name = stream.expect("ident", frozenset({"name"}))
-        return _SOf(at.line, at.col, name.text)
+        return instant.K(instant.OfCode(stream.expect("ident", frozenset({"name"})).text))
     if tok.kind == "ident":
         stream.advance()
-        return _SPrim(at.line, at.col, tok.text)
+        return instant.K(instant.Prim(tok.text))
     raise stream.fail(frozenset({"sort", "!", "@"}))
+
+
+def _read_rec(stream: _Stream, tok: _Token) -> instant.R:
+    return instant.R(stream.expect("ident", frozenset({"name"})).text)
+
+
+_UNIT = _leaf(spine.Unit)
+
+_GRAMMARS: dict[str, _Grammar] = {
+    "regular": _Grammar({"U": _UNIT, "I": _leaf(regular.Id)}, frozenset({"(", "U", "I"})),
+    "polyp": _Grammar(
+        {"U": _UNIT, "P": _leaf(polyp.Par), "I": _leaf(polyp.Id)},
+        frozenset({"(", "U", "P", "I"}),
+        comp=polyp.Comp,
+    ),
+    "multirec": _Grammar(
+        {"U": _UNIT, "I": _labelled(multirec.Id, True), "!": _labelled(multirec.Tag, False)},
+        frozenset({"(", "U", "I@label", "!label"}),
+    ),
+    "indexed": _Grammar(
+        {"U": _UNIT, "I": _labelled(indexed.Id, True), "!": _labelled(indexed.Tag, False)},
+        frozenset({"(", "U", "I@label", "!label", "fix"}),
+        comp=_Comp,
+        fix=_Fix,
+    ),
+    "instant": _Grammar(
+        {"U": _UNIT, "K": _read_konst, "R": _read_rec},
+        frozenset({"(", "U", "K", "R"}),
+    ),
+}
+
+
+def _parse_sum(stream: _Stream, g: _Grammar) -> object:
+    left = _parse_prod(stream, g)
+    if stream.peek().kind == "+":
+        stream.advance()
+        return spine.Sum(left, _parse_sum(stream, g))
+    return left
+
+
+def _parse_prod(stream: _Stream, g: _Grammar) -> object:
+    left = _parse_comp(stream, g)
+    if stream.peek().kind == "*":
+        stream.advance()
+        return spine.Prod(left, _parse_prod(stream, g))
+    return left
+
+
+def _parse_comp(stream: _Stream, g: _Grammar) -> object:
+    left = _parse_unary(stream, g)
+    if g.comp is not None and stream.peek().kind == "@":
+        stream.advance()
+        return g.comp(left, _parse_comp(stream, g))
+    return left
+
+
+def _parse_unary(stream: _Stream, g: _Grammar) -> object:
+    if g.fix is not None and stream.peek().text == "fix":
+        stream.advance()
+        return g.fix(_parse_unary(stream, g))
+    return _parse_atom(stream, g)
+
+
+def _parse_atom(stream: _Stream, g: _Grammar) -> object:
+    tok = stream.peek()
+    if tok.kind == "(":
+        stream.advance()
+        inner = _parse_sum(stream, g)
+        stream.expect(")")
+        return inner
+    read = g.atoms.get(tok.text)
+    if read is None:
+        raise stream.fail(g.expected)
+    stream.advance()
+    return read(stream, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -498,89 +483,33 @@ def _header_labels(
 
 
 # ---------------------------------------------------------------------------
-# elaboration into the universes
+# elaboration of multirec and indexed bodies: the label checks
 
 
-def _elab_regular(node: _SExpr) -> regular.RegularCode:
-    def atom(node: _SExpr) -> regular.RegularCode:
-        match node:
-            case _SId(lbl=None):
-                return regular.Id()
-        raise ParseError("not a regular code", node.line, node.col)
-
-    return spine.lift(node, atom)
-
-
-def _elab_polyp(node: _SExpr) -> polyp.PolyPCode:
-    def atom(node: _SExpr) -> polyp.PolyPCode:
-        match node:
-            case _SPar():
-                return polyp.Par()
-            case _SId(lbl=None):
-                return polyp.Id()
-            case _SComp(left=l, right=r):
-                return polyp.Comp(_elab_polyp(l), _elab_polyp(r))
-        raise ParseError("not a polyp code", node.line, node.col)
-
-    return spine.lift(node, atom)
-
-
-def _member(lbl: IndexLabel, labels: IndexSet, what: str, node: _SNode) -> IndexLabel:
+def _member(at: _At, labels: IndexSet, what: str):
+    """``at``'s node, once its label is found in ``labels``."""
+    lbl = at.node.label
     if lbl not in labels:
-        raise ParseError(
-            f"label {print_label(lbl)} is not in the {what}", node.line, node.col
-        )
-    return lbl
+        raise ParseError(f"label {print_label(lbl)} is not in the {what}", at.tok.line, at.tok.col)
+    return at.node
 
 
-def _elab_multirec(node: _SExpr, indices: IndexSet) -> multirec.MultirecBody:
-    def atom(node: _SExpr) -> multirec.MultirecBody:
+def _elab_indexed(body, ins: IndexSet, outs: IndexSet, mid: IndexSet) -> indexed.IndexedBody:
+    def atom(node) -> indexed.IndexedBody:
         match node:
-            case _SId(lbl=lbl) if lbl is not None:
-                return multirec.Id(_member(lbl, indices, "index set", node))
-            case _STag(lbl=lbl):
-                return multirec.Tag(_member(lbl, indices, "index set", node))
-        raise ParseError("not a multirec body", node.line, node.col)
-
-    return spine.lift(node, atom)
-
-
-def _elab_indexed(
-    node: _SExpr, ins: IndexSet, outs: IndexSet, mid: IndexSet
-) -> indexed.IndexedBody:
-    def atom(node: _SExpr) -> indexed.IndexedBody:
-        match node:
-            case _SId(lbl=lbl) if lbl is not None:
-                return indexed.Id(_member(lbl, ins, "input set", node))
-            case _STag(lbl=lbl):
-                return indexed.Tag(_member(lbl, outs, "output set", node))
-            case _SComp(left=l, right=r):
+            case _Comp(l, r):
                 f = indexed.IndexedCode(mid, outs, _elab_indexed(l, mid, outs, mid))
                 g = indexed.IndexedCode(ins, mid, _elab_indexed(r, ins, mid, mid))
                 return indexed.Comp(f, g)
-            case _SFix(inner=inner):
+            case _Fix(inner):
                 inner_ins = disjoint_union(ins, outs)
                 body = _elab_indexed(inner, inner_ins, outs, mid)
                 return indexed.Fix(indexed.IndexedCode(inner_ins, outs, body))
-        raise ParseError("not an indexed body", node.line, node.col)
+            case _At(indexed.Id()):
+                return _member(node, ins, "input set")
+        return _member(node, outs, "output set")
 
-    return spine.lift(node, atom)
-
-
-def _elab_instant(node: _SExpr) -> instant.InstantCode:
-    def atom(node: _SExpr) -> instant.InstantCode:
-        match node:
-            case _SPrim(sort=sort):
-                return instant.K(instant.Prim(sort))
-            case _SEq(a=a, b=b):
-                return instant.K(instant.EqWitness(a, b))
-            case _SOf(ref=ref):
-                return instant.K(instant.OfCode(ref))
-            case _SRec(ref=ref):
-                return instant.R(ref)
-        raise ParseError("not an instant code", node.line, node.col)
-
-    return spine.lift(node, atom)
+    return spine.lift(body, atom)
 
 
 def parse_code(universe: str, text: str):
@@ -593,8 +522,8 @@ def parse_code(universe: str, text: str):
         indices = _header_labels(headers, "indices")
         if indices is None:
             raise ParseError("missing header indices:", 1, 1)
-        node = _parse_body(body_text, g)
-        return multirec.MultirecCode(indices, _elab_multirec(node, indices))
+        body = spine.lift(_parse_body(body_text, g), lambda at: _member(at, indices, "index set"))
+        return multirec.MultirecCode(indices, body)
     if universe == "indexed":
         headers, body_text = _split_headers(text, ("in", "out", "mid"))
         ins = _header_labels(headers, "in")
@@ -606,17 +535,12 @@ def parse_code(universe: str, text: str):
         mid = _header_labels(headers, "mid")
         if mid is None:
             mid = outs
-        node = _parse_body(body_text, g)
-        return indexed.IndexedCode(ins, outs, _elab_indexed(node, ins, outs, mid))
-    node = _parse_body(text, g)
-    if universe == "regular":
-        return _elab_regular(node)
-    if universe == "polyp":
-        return _elab_polyp(node)
-    return _elab_instant(node)
+        body = _parse_body(body_text, g)
+        return indexed.IndexedCode(ins, outs, _elab_indexed(body, ins, outs, mid))
+    return _parse_body(text, g)
 
 
-def _parse_body(text: str, g: _Grammar) -> _SExpr:
+def _parse_body(text: str, g: _Grammar):
     stream = _Stream(_lex(text))
     node = _parse_sum(stream, g)
     stream.done()
@@ -637,7 +561,7 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
         stream = _Stream(_lex(line, line=lineno))
         name_tok = stream.expect("ident", frozenset({"name"}))
         stream.expect("=")
-        node = _parse_sum(stream, _GRAMMARS["instant"])
+        code = _parse_sum(stream, _GRAMMARS["instant"])
         stream.done()
         if name_tok.text in env:
             raise ParseError(
@@ -645,7 +569,7 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
                 name_tok.line,
                 name_tok.col,
             )
-        env[name_tok.text] = _elab_instant(node)
+        env[name_tok.text] = code
         entry_lines[name_tok.text] = lineno
     for name, code in env.items():
         for ref in instant._refs(code):

@@ -585,11 +585,8 @@ def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericVa
 
     def convert(v: GenericValue, direction: str) -> GenericValue:
         _check_direction(direction)
-        walk = walks.get(direction)
-        if walk is None:
-            build = _ToInstant if direction == "forward" else _FromInstant
-            walk = walks[direction] = build(ctx.code, assign, ctx.at)
-        return walk(v)
+        build = _ToInstant if direction == "forward" else _FromInstant
+        return spine.once(walks, direction, lambda: build(ctx.code, assign, ctx.at))(v)
 
     return convert
 

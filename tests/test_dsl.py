@@ -26,7 +26,7 @@ from genrep.dsl import (
     print_code,
     print_env,
 )
-from genrep import indexed, polyp, regular
+from genrep import embed, indexed, polyp, regular
 from genrep.oracle import EnumBudget, enum_mu_regular
 
 from helpers import gvalues, same_tree
@@ -188,6 +188,17 @@ def test_env_files_round_trip():
     assert parse_env(text) == LIST_TOP_ENV
 
 
+@pytest.mark.parametrize("name", sorted(INDEXED_CODES))
+def test_lifted_envs_round_trip(name):
+    """The environment that lifting an indexed code to instant gives holds
+    K@ (RoseI) and K! (ZigZagI) entries, which print and parse back."""
+    code = INDEXED_CODES[name]
+    _, env = embed.lift_i_to_ig(code, embed.standard_table(code))
+    text = print_env(env)
+    assert {"RoseI": "K@", "ZigZagI": "K!("}.get(name, "") in text
+    assert parse_env(text) == env
+
+
 def test_env_rejects_duplicates_and_dangling_references():
     with pytest.raises(ParseError) as err:
         parse_env("a = U\nb = R missing\n")
@@ -262,6 +273,21 @@ PARSE_ERRORS += [
     ('value', 'a#' + '1' * (_DIGITS + 1), f'nat has more than {_DIGITS} digits', 1, 3, set()),
     ('value', 'in2\n (a#' + '9' * 5000 + ' , tt)', f'nat has more than {_DIGITS} digits', 2, 5, set()),
     ('value', '(a#' + '1' * 5000 + ' ; tt)', "unexpected character ';'", 1, 5005, set()),
+]
+
+# A label outside its set is reported at its atom, but only once the whole
+# body has parsed; the left operand of "@" reads its inputs from "mid:".
+PARSE_ERRORS += [
+    ('multirec', 'indices: a, b\n!a * I@c', 'label c is not in the index set', 2, 6, set()),
+    ('multirec', 'indices: a\nI@zz + )', "expected one of !label, (, I@label, U, got ')'", 2, 8, {'!label', '(', 'I@label', 'U'}),
+    ('indexed', 'in: a\nout: b\nI@b', 'label b is not in the input set', 3, 1, set()),
+    ('indexed', 'in: a\nout: b\n!a', 'label a is not in the output set', 3, 1, set()),
+    ('indexed', 'in: a\nout: b\nmid: c\nI@a @ !c', 'label a is not in the input set', 4, 1, set()),
+    ('indexed', 'in: a\nout: b\nmid: c\nI@c @ !b', 'label b is not in the output set', 4, 7, set()),
+    ('indexed', 'in: a\nout: b\nfix I@R.a', 'label R.a is not in the input set', 3, 5, set()),
+    ('indexed', 'in: a\nout: b\nI@b +', 'expected one of !label, (, I@label, U, fix, got end of input', 3, 6, {'!label', '(', 'I@label', 'U', 'fix'}),
+    ('indexed', 'in: a\nout: b, b\nU', 'duplicate labels in index set', 2, 5, set()),
+    ('indexed', 'in: a\nU', 'missing header out:', 1, 1, set()),
 ]
 
 _PARSERS = {"value": parse_value, "env": parse_env, "label": parse_label}

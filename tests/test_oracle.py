@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 
 from genrep import index_set, label, left, print_label, print_value, value_size
-from genrep import embed, oracle, regular
+from genrep import embed, indexed, oracle, regular
 from genrep.corpus import (
     BIN_C,
     INDEXED_CODES,
@@ -27,6 +27,7 @@ from genrep.corpus import (
     POLYP_CODES,
     REGULAR_CODES,
     ROSE_C,
+    ROSE_I,
     ZIG_ZAG_C,
 )
 from genrep.gvalue import IndexNotInSet, PayloadSlot, Refl, Roll
@@ -165,6 +166,25 @@ def test_each_fixed_point_value_is_built_once(monkeypatch, enumerate_):
     monkeypatch.setattr(oracle, "Roll", lambda w: built.append(w) or Roll(w))
     values = enumerate_()
     assert len(built) == len(values)
+
+
+@pytest.mark.parametrize("code, builds", [(LIST_I, 2), (ROSE_I, 4)], ids=["ListI", "RoseI"])
+def test_one_enumeration_builds_each_fixed_points_table_once(monkeypatch, code, builds):
+    """An indexed enumeration and the conformer that rechecks its values
+    each build the table under a fixed point once, at every size: RoseI's
+    inner fixed point sits under a composition and still builds once."""
+    calls = []
+    original = indexed.mu_assign
+    monkeypatch.setattr(
+        indexed, "mu_assign", lambda inner, assign: calls.append(inner) or original(inner, assign)
+    )
+    (ctx,) = embed.contexts("indexed", code)
+    counts = []
+    for max_size in (8, 14, 20):
+        calls.clear()
+        oracle._enumerate(ctx, EnumBudget(max_size=max_size))
+        counts.append(len(calls))
+    assert counts == [builds] * 3
 
 
 def test_nat_counts_follow_the_closed_form():
