@@ -145,7 +145,8 @@ def _context(universe: str, code, index: str | None, env=None) -> embed.PathCont
         at = dsl.parse_label(index)
     found = embed.contexts(universe, code, env, at)
     if not found:
-        raise UsageError("an --index is required here")
+        family = "index set" if universe == "multirec" else "output set"
+        raise UsageError(f"the code's {family} is empty")
     return found[0]
 
 

@@ -263,19 +263,15 @@ def parse_label(text: str) -> IndexLabel:
 
 
 def _parse_label(stream: _Stream) -> IndexLabel:
-    first = stream.expect("ident", frozenset({"label"}))
-    parts = [first.text]
+    parts = [stream.expect("ident", frozenset({"label"}))]
     while stream.peek().kind == ".":
         stream.advance()
-        parts.append(stream.expect("ident", frozenset({"label"})).text)
-    name = parts[-1]
+        parts.append(stream.expect("ident", frozenset({"label"})))
     tags = parts[:-1]
     for tag in tags:
-        if tag not in ("L", "R"):
-            raise ParseError(
-                f"label tag must be L or R, got {tag!r}", first.line, first.col
-            )
-    return IndexLabel(name, tuple(tags))
+        if tag.text not in ("L", "R"):
+            raise ParseError(f"label tag must be L or R, got {tag.text!r}", tag.line, tag.col)
+    return IndexLabel(parts[-1].text, tuple(tag.text for tag in tags))
 
 
 def _parse_label_list(text: str, line: int, col: int) -> IndexSet:

@@ -100,12 +100,13 @@ def _rechecked(
 # and every generator below takes last, and whose entries are each built
 # once through ``spine.once``. A key starts with a tag for what it holds,
 # or has none:
-# - "walk": per code walked in one context (its slots, assignment or index),
+# - "walk": per code walked in one context (its index, slots or assignment),
 #   the dict in which ``spine.gen`` keeps that walk's values by node and size;
 # - "mu", and "atom" for instant: per recursion point and exact size, its
 #   values, so that every larger value shares them as subtrees;
-# - any other tag: a slot or table built from a code node and a table, built
-#   once so that its ``id`` names it in the keys above;
+# - "comp" and "slots" for polyp: the slot of a composition's argument and
+#   the slot pair of a fixed point, built once so that their ``id``s name
+#   them in the keys above;
 # - no tag: an indexed code node's inner assignment, keyed by
 #   ``indexed.inner_assign`` with the ids of the node and its assignment.
 # Keys name codes, slots and tables by ``id``: each is part of the top-level
@@ -127,40 +128,18 @@ def _gen_payload(sort: str, n: int) -> list[GenericValue]:
 # regular
 
 
-def _gen_slot_r(slot: regular.RegularSlot, n: int, memo: dict) -> list[GenericValue]:
-    match slot:
-        case PayloadSlot(sort):
-            return _gen_payload(sort, n)
-        case EmptySlot():
-            return []
-        case regular.MuSlot(code):
-            return _gen_mu_r(code, n, memo)
-    raise TypeError(f"not a regular slot: {slot!r}")
-
-
-def _gen_r(code: regular.RegularCode, slot: regular.RegularSlot, n: int, memo: dict):
+def _gen_mu_r(code: regular.RegularCode, n: int, memo: dict) -> list[GenericValue]:
     def atom(node: regular.RegularCode, m: int) -> list[GenericValue]:
         match node:
             case regular.Id():
-                return _gen_slot_r(slot, m, memo)
+                return _gen_mu_r(code, m, memo)
         raise TypeError(f"not a regular code: {node!r}")
 
-    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code), id(slot)), dict))
-
-
-def _gen_mu_r(code: regular.RegularCode, n: int, memo: dict) -> list[GenericValue]:
     def build() -> list[GenericValue]:
-        slot = spine.once(memo, ("slot", id(code)), lambda: regular.MuSlot(code))
-        return [Roll(w) for w in _gen_r(code, slot, n - 1, memo)]
+        walk = spine.once(memo, ("walk", id(code)), dict)
+        return [Roll(w) for w in spine.gen(code, n - 1, atom, walk)]
 
     return spine.once(memo, ("mu", id(code), n), build)
-
-
-def enum_regular(
-    code: regular.RegularCode, slot: regular.RegularSlot, budget: EnumBudget
-) -> list[GenericValue]:
-    values = _finish(partial(_gen_r, code, slot), budget.max_size)
-    return _rechecked(values, regular.conformer(code, slot))
 
 
 def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
@@ -216,13 +195,6 @@ def _gen_mu_p(
     return spine.once(memo, ("mu", id(code), id(param), n), build)
 
 
-def enum_polyp(
-    code: polyp.PolyPCode, slots: polyp.SlotPair, budget: EnumBudget
-) -> list[GenericValue]:
-    values = _finish(partial(_gen_p, code, slots), budget.max_size)
-    return _rechecked(values, polyp.Conformer(polyp.InterpSlot(code, slots)))
-
-
 def enum_mu_polyp(
     code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
 ) -> list[GenericValue]:
@@ -234,57 +206,22 @@ def enum_mu_polyp(
 # multirec
 
 
-def _gen_slot_m(
-    slot: multirec.MultirecSlot, at: IndexLabel, n: int, memo: dict
-) -> list[GenericValue]:
-    match slot:
-        case PayloadSlot(sort):
-            return _gen_payload(sort, n)
-        case EmptySlot():
-            return []
-        case multirec.MuSlot(code):
-            return _gen_mu_m(code, at, n, memo)
-    raise TypeError(f"not a multirec slot: {slot!r}")
-
-
-def _gen_body_m(
-    code: multirec.MultirecCode,
-    assign: multirec.Assignment,
-    at: IndexLabel,
-    n: int,
-    memo: dict,
-):
-    multirec.check_index(code, at)
-
+def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int, memo: dict):
     def atom(node: multirec.MultirecBody, m: int) -> list[GenericValue]:
         match node:
             case multirec.Id(lbl):
-                return _gen_slot_m(multirec.at_index(code, assign, lbl), lbl, m, memo)
+                return _gen_mu_m(code, lbl, m, memo)
             case multirec.Tag(lbl):
                 multirec.check_index(code, lbl)
                 return [Refl()] if m == 1 and at == lbl else []
         raise TypeError(f"not a multirec body: {node!r}")
 
-    walk = spine.once(memo, ("walk", id(code), id(assign), at), dict)
-    return spine.gen(code.body, n, atom, walk)
-
-
-def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int, memo: dict):
     def build() -> list[GenericValue]:
-        assign = spine.once(memo, ("assign", id(code)), lambda: multirec.mu_assignment(code))
-        return [Roll(w) for w in _gen_body_m(code, assign, at, n - 1, memo)]
+        multirec.check_index(code, at)
+        walk = spine.once(memo, ("walk", id(code), at), dict)
+        return [Roll(w) for w in spine.gen(code.body, n - 1, atom, walk)]
 
     return spine.once(memo, ("mu", id(code), at, n), build)
-
-
-def enum_multirec(
-    code: multirec.MultirecCode,
-    assign: multirec.Assignment,
-    at: IndexLabel,
-    budget: EnumBudget,
-) -> list[GenericValue]:
-    values = _finish(partial(_gen_body_m, code, assign, at), budget.max_size)
-    return _rechecked(values, multirec.conformer(code, assign, at))
 
 
 def enum_mu_multirec(
@@ -534,74 +471,46 @@ def _wrap_in1(v: GenericValue) -> GenericValue:
     return In1(v)
 
 
-def _functors_r(codes, budget: EnumBudget):
-    for code in codes.values():
-        fmap = lambda fs, code=code: regular.mapper(code, *fs)
-        yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
+def _layers(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
+    """The one-layer values of ``ctx`` of at most ``budget.max_size`` nodes:
+    the layers under the ``Roll`` of its fixed-point values, one node
+    larger, in the same order."""
+    return [v.inner for v in enum_context(ctx, EnumBudget(budget.max_size + 1))]
 
 
-def _functors_p(codes, budget: EnumBudget):
-    for code in codes.values():
-        fmap = lambda fs, code=code: polyp.Mapper(polyp.MuSlot(code, *fs))
-        yield partial(enum_context, embed.polyp_context(code), budget), fmap
-
-
-def _functors_m(codes, budget: EnumBudget):
-    for code in codes.values():
-        assign = multirec.mu_assignment(code)
-        for at in code.indices:
-            fmap = lambda fs, code=code, at=at: multirec.mapper(
-                code, dict.fromkeys(code.indices, *fs), at
-            )
-            yield partial(enum_multirec, code, assign, at, budget), fmap
-
-
-def _functors_i(codes, budget: EnumBudget):
-    for code in codes.values():
-        for ctx in embed.contexts("indexed", code):
-            fmap = lambda fs, code=code, at=ctx.at: indexed.Mapper(
-                code, dict.fromkeys(code.ins, *fs), at
-            )
-            yield partial(enum_context, ctx, budget), fmap
-
-
-def _functors_r_p(codes, budget: EnumBudget):
+def _fmap_r_p(ctx: PathContext, fs):
     """The r→p commute pair: a family (parameter, recursion) maps under the
     lifted polyp code, a family (recursion,) under the regular code."""
-    for code in codes.values():
-        lifted = embed.lift_r_to_p(code)
-        fmap = lambda fs, code=code, lifted=lifted: (
-            polyp.Mapper(polyp.InterpSlot(lifted, polyp.SlotPair(*fs)))
-            if len(fs) == 2
-            else regular.mapper(code, *fs)
-        )
-        yield partial(enum_regular, code, regular.MuSlot(code), budget), fmap
+    if len(fs) == 2:
+        lifted = embed.lift_r_to_p(ctx.code)
+        return polyp.Mapper(polyp.InterpSlot(lifted, polyp.SlotPair(*fs)))
+    return regular.mapper(ctx.code, *fs)
 
 
-def _functors_p_i(codes, budget: EnumBudget):
-    """The open p→i lift under split families (parameter, recursion); its
-    standard table gives both inputs the ``⊤`` slot."""
-    for code in codes.values():
-        lifted = embed.lift_p_to_i(code)
-        [ctx] = embed.contexts("indexed", lifted, at=STAR)
-        fmap = lambda fs, lifted=lifted: indexed.Mapper(
-            lifted, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), STAR
-        )
-        yield partial(enum_context, ctx, budget), fmap
-
-
-# functor key -> (default codes, functors). Functors yield, per code and
-# index, a thunk of its values and an ``fmap`` that takes a transformer
-# family, a tuple of one function per parameter, and returns the map the
-# family induces: a mapper, compiled once to serve every value it maps (a
-# regular or multirec mapper maps one layer, which has no recursion point).
+# functor key -> (default codes, the contexts of a code, the values of a
+# context, fmap). ``fmap(ctx, family)`` takes a transformer family, a tuple
+# of one function per parameter, and returns the map the family induces: a
+# mapper, compiled once to serve every value it maps (a regular or multirec
+# mapper maps one layer, which has no recursion point). The open p→i lift
+# maps under split families (parameter, recursion); its standard table gives
+# both inputs the ``⊤`` slot.
 _FUNCTORS = {
-    "regular": (corpus.REGULAR_CODES, _functors_r),
-    "polyp": (corpus.POLYP_CODES, _functors_p),
-    "multirec": (corpus.MULTIREC_CODES, _functors_m),
-    "indexed": (corpus.INDEXED_CODES, _functors_i),
-    "r-p": (corpus.REGULAR_CODES, _functors_r_p),
-    "p-i": (corpus.POLYP_CODES, _functors_p_i),
+    "regular": (corpus.REGULAR_CODES, partial(embed.contexts, "regular"), _layers,
+                lambda ctx, fs: regular.mapper(ctx.code, *fs)),
+    "polyp": (corpus.POLYP_CODES, partial(embed.contexts, "polyp"), enum_context,
+              lambda ctx, fs: polyp.Mapper(polyp.MuSlot(ctx.code, *fs))),
+    "multirec": (corpus.MULTIREC_CODES, partial(embed.contexts, "multirec"), _layers,
+                 lambda ctx, fs: multirec.mapper(
+                     ctx.code, dict.fromkeys(ctx.code.indices, *fs), ctx.at)),
+    "indexed": (corpus.INDEXED_CODES, partial(embed.contexts, "indexed"), enum_context,
+                lambda ctx, fs: indexed.Mapper(
+                    ctx.code, dict.fromkeys(ctx.code.ins, *fs), ctx.at)),
+    "r-p": (corpus.REGULAR_CODES, partial(embed.contexts, "regular"), _layers, _fmap_r_p),
+    "p-i": (corpus.POLYP_CODES,
+            lambda code: embed.contexts("indexed", embed.lift_p_to_i(code), at=STAR),
+            enum_context,
+            lambda ctx, fs: indexed.Mapper(
+                ctx.code, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), ctx.at)),
 }
 
 
@@ -635,18 +544,20 @@ def _congruence(one, two):
     return lambda fmap: [(fmap(one), fmap(two))]
 
 
-def _laws(functors, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
-    """Check every pair of ``law`` on every value of every functor; a failure
-    shows the left map's result. A map's memo walks each subtree the values
-    share once; the maps die with their pair or, when several pairs share
-    them, with the functor."""
+def _laws(key: str, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
+    """Check every pair of ``law`` on every value of every context of the
+    ``key`` functor; a failure shows the left map's result. A map's memo
+    walks each subtree the values share once; the maps die with their pair
+    or, when several pairs share them, with the context."""
+    _, contexts, values_of, fmap = _FUNCTORS[key]
     pairs = []
-    for enumerate_, fmap in functors(codes, budget):
-        values = enumerate_()
-        for lhs, rhs in law(fmap):
-            for v in values:
-                w = lhs(v)
-                pairs.append((v, label, None if w == rhs(v) else print_value(w)))
+    for code in codes.values():
+        for ctx in contexts(code):
+            values = values_of(ctx, budget)
+            for lhs, rhs in law(partial(fmap, ctx)):
+                for v in values:
+                    w = lhs(v)
+                    pairs.append((v, label, None if w == rhs(v) else print_value(w)))
     return _report(pairs)
 
 
@@ -693,7 +604,7 @@ _PROPERTIES: dict[str, tuple[Mapping, Callable[[Mapping, EnumBudget], Conversion
     "isoMu-r-p": (corpus.REGULAR_CODES, partial(_iso, "r-p")),
     **{f"transport-{step}": (codes, partial(_transport, step)) for step, codes in _ARROWS.items()},
     **{
-        name: (_FUNCTORS[key][0], partial(_laws, _FUNCTORS[key][1], label, law))
+        name: (_FUNCTORS[key][0], partial(_laws, key, label, law))
         for name, (key, label, law) in LAWS.items()
     },
     "pitfall-comp": (corpus.POLYP_CODES, _prop_pitfall_comp),

@@ -305,6 +305,22 @@ def test_enum_at_an_unknown_index_exits_two(universe, code, message):
     assert out.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command", [("check", "--value", "tt"), ("enum", "--max-size", "3")], ids=["check", "enum"]
+)
+@pytest.mark.parametrize(
+    "universe, code, family",
+    [("multirec", "indices:\nU", "index set"), ("indexed", "in:\nout:\nU", "output set")],
+    ids=["multirec", "indexed"],
+)
+def test_an_empty_family_is_named_in_one_error_line(command, universe, code, family):
+    name, *rest = command
+    out = run_cli(name, "--universe", universe, "--code", code, *rest)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: the code's {family} is empty\n"
+
+
 @pytest.mark.parametrize("command", ["check", "size"])
 def test_dangling_reference_is_one_error_line(command):
     universe = ("--universe", "instant") if command == "check" else ()

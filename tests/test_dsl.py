@@ -290,6 +290,17 @@ PARSE_ERRORS += [
     ('indexed', 'in: a\nU', 'missing header out:', 1, 1, set()),
 ]
 
+# A label tag that is neither L nor R is reported at the tag itself, not at
+# the label's first token, in a label, a header and a body.
+PARSE_ERRORS += [
+    ('label', 'L.x.y', "label tag must be L or R, got 'x'", 1, 3, set()),
+    ('label', 'R.L.Q.a', "label tag must be L or R, got 'Q'", 1, 5, set()),
+    ('label', 'x.y', "label tag must be L or R, got 'x'", 1, 1, set()),
+    ('multirec', 'indices: a, L.x.b\nU', "label tag must be L or R, got 'x'", 1, 15, set()),
+    ('indexed', 'in: a\nout: b\nmid: L.c, R.x.d\nU', "label tag must be L or R, got 'x'", 3, 13, set()),
+    ('indexed', 'in: a\nout: b\nfix I@R.Z.a', "label tag must be L or R, got 'Z'", 3, 9, set()),
+]
+
 _PARSERS = {"value": parse_value, "env": parse_env, "label": parse_label}
 
 

@@ -33,10 +33,11 @@ from genrep.corpus import (
 from genrep.gvalue import IndexNotInSet, PayloadSlot, Refl, Roll
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
-from genrep.multirec import MultirecCode, Tag, conform_mu_m
+from genrep.multirec import MultirecCode, Tag, conform_m, conform_mu_m, mu_assignment
 from genrep.oracle import (
     EnumBudget,
     UnknownProperty,
+    _layers,
     enum_context,
     enum_indexed,
     enum_instant,
@@ -48,7 +49,7 @@ from genrep.oracle import (
     standard_assign,
 )
 from genrep.polyp import conform_mu_p
-from genrep.regular import conform_mu_r
+from genrep.regular import MuSlot, conform_mu_r, conform_r
 
 from helpers import all_trees_upto, child_env, corpus_contexts
 
@@ -98,13 +99,19 @@ BRUTE_CEILING = 6
 
 def _corpus_cases(ceiling=BRUTE_CEILING):
     """(conformance check, enumerator up to ``ceiling``) per corpus code and
-    index or output."""
+    index or output; for regular and multirec also of one layer, whose
+    values the law suites read through ``oracle._layers``."""
     budget = EnumBudget(max_size=ceiling)
     for name, code in REGULAR_CODES.items():
         yield pytest.param(
             partial(conform_mu_r, code),
             partial(enum_mu_regular, code, budget),
             id=f"regular-{name}",
+        )
+        yield pytest.param(
+            partial(conform_r, code, MuSlot(code)),
+            partial(_layers, embed.regular_context(code), budget),
+            id=f"regular-layer-{name}",
         )
     for name, code in POLYP_CODES.items():
         yield pytest.param(
@@ -118,6 +125,11 @@ def _corpus_cases(ceiling=BRUTE_CEILING):
                 partial(conform_mu_m, code, at),
                 partial(enum_mu_multirec, code, at, budget),
                 id=f"multirec-{name}-{print_label(at)}",
+            )
+            yield pytest.param(
+                partial(conform_m, code, mu_assignment(code), at),
+                partial(_layers, embed.multirec_context(code, at), budget),
+                id=f"multirec-layer-{name}-{print_label(at)}",
             )
     for name, code in INDEXED_CODES.items():
         assign = standard_assign(code)
@@ -353,49 +365,6 @@ def test_inline_rechecks_survive_optimized_mode():
         f"{name} raised enumerator emitted a non-conforming value: refl"
         for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
     ] + ["env raised environment entries never built: ig0"]
-
-
-# The same with the one-layer generators, whose enumerators re-check too.
-_BROKEN_ONE_LAYER_GENERATORS = textwrap.dedent(
-    """
-    from genrep import Refl, corpus, embed, multirec, oracle, polyp, regular
-    from genrep.gvalue import TOP_SLOT
-
-    budget = oracle.EnumBudget(max_size=6)
-    list_slots = polyp.SlotPair(TOP_SLOT, polyp.MuSlot(corpus.LIST_C, TOP_SLOT))
-    zig_zag = multirec.mu_assignment(corpus.ZIG_ZAG_C)
-    cases = {
-        "_gen_r": lambda: oracle.enum_regular(
-            corpus.NAT_C, regular.MuSlot(corpus.NAT_C), budget
-        ),
-        "_gen_p": lambda: oracle.enum_polyp(corpus.LIST_C, list_slots, budget),
-        "_gen_body_m": lambda: oracle.enum_multirec(
-            corpus.ZIG_ZAG_C, zig_zag, embed.LSTAR, budget
-        ),
-    }
-    for name, enumerate_ in cases.items():
-        setattr(oracle, name, lambda *args: [Refl()])
-        try:
-            print(name, "returned", enumerate_())
-        except RuntimeError as err:
-            print(name, "raised", err)
-    """
-)
-
-
-def test_one_layer_rechecks_survive_optimized_mode():
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_ONE_LAYER_GENERATORS],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=child_env(),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        f"{name} raised enumerator emitted a non-conforming value: refl"
-        for name in ("_gen_r", "_gen_p", "_gen_body_m")
-    ]
 
 
 # ---------------------------------------------------------------------------
