@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# flag -> its argparse options; "--env!" is a required --env
+# flag or positional -> its argparse options; "--env!" is a required --env
 _FLAGS = {
     "--universe": {"required": True, "choices": _UNIVERSES},
     "--from": {"dest": "src", "required": True, "choices": _UNIVERSES},
@@ -54,6 +54,7 @@ _FLAGS = {
     "--index": {},
     "--env": {},
     "--env!": {"required": True},
+    "names": {"nargs": "*", "metavar": "NAME"},
 }
 
 # command -> (help, flags in order)
@@ -68,6 +69,7 @@ _SYNTAX = {
              "--universe --code --max-size --index --env"),
     "laws": ("functor-law suite for one code", "--universe --code --max-size"),
     "size": ("crush-based size of an instant value", "--env! --code --value"),
+    "props": ("run property suites over the corpus", "names --max-size"),
 }
 
 
@@ -212,6 +214,7 @@ def _cmd_roundtrip(args) -> int:
     step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     budget = _budget(args.max_size)
+    _context(args.src, code, None)  # names an empty family, as check and enum do
     report = oracle.run_property(f"iso-{step}", {args.code: code}, budget)
     return _print_report(report)
 
@@ -231,6 +234,7 @@ def _cmd_laws(args) -> int:
         raise UsageError("laws supports regular, polyp, multirec, and indexed")
     code = _resolve_code(args.universe, args.code)
     budget = _budget(args.max_size)
+    _context(args.universe, code, None)  # names an empty family
     combined = embed.ConversionReport()
     for name in names:
         report = oracle.run_property(name, {args.code: code}, budget)
@@ -247,6 +251,21 @@ def _cmd_size(args) -> int:
     return 0
 
 
+def _cmd_props(args) -> int:
+    unknown = [name for name in args.names if name not in oracle.property_names()]
+    if unknown:
+        raise oracle.UnknownProperty(f"unknown property: {unknown[0]}")
+    budget = _budget(args.max_size)
+    failed = False
+    for name in args.names or oracle.property_names():
+        report = oracle.run_property(name, budget=budget)
+        print(f"{'ok' if report.ok() else 'FAIL'} {name}: checked {report.checked_count}")
+        for v, direction, reason in report.failures:
+            print(f"  failure: {direction} {print_value(v)}: {reason}")
+        failed = failed or not report.ok()
+    return 1 if failed else 0
+
+
 _COMMANDS = {
     "check": _cmd_check,
     "lift": _cmd_lift,
@@ -255,6 +274,7 @@ _COMMANDS = {
     "enum": _cmd_enum,
     "laws": _cmd_laws,
     "size": _cmd_size,
+    "props": _cmd_props,
 }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Literal, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 from . import indexed, instant, multirec, polyp, regular, spine
 from .gvalue import (
@@ -107,17 +107,14 @@ def convert_r_p(
 
 def lift_r_to_m(code: regular.RegularCode) -> multirec.MultirecCode:
     """One-index family over ⋆; every Id points at ⋆ and no Tag is emitted."""
-    return multirec.MultirecCode(index_set(STAR), _lift_body_r_m(code))
 
-
-def _lift_body_r_m(code: regular.RegularCode) -> multirec.MultirecBody:
     def atom(node: regular.RegularCode) -> multirec.MultirecBody:
         match node:
             case regular.Id():
                 return multirec.Id(STAR)
         raise TypeError(f"not a regular code: {node!r}")
 
-    return spine.lift(code, atom)
+    return multirec.MultirecCode(index_set(STAR), spine.lift(code, atom))
 
 
 def convert_r_m(
@@ -137,14 +134,7 @@ def lift_p_to_i(code: polyp.PolyPCode) -> indexed.IndexedCode:
     Composition cannot reuse indexed composition directly; the left operand
     is closed with an indexed fixed point first.
     """
-    return indexed.IndexedCode(
-        disjoint_union(index_set(STAR), index_set(STAR)),
-        index_set(STAR),
-        _lift_body_p_i(code),
-    )
 
-
-def _lift_body_p_i(code: polyp.PolyPCode) -> indexed.IndexedBody:
     def atom(node: polyp.PolyPCode) -> indexed.IndexedBody:
         match node:
             case polyp.Par():
@@ -155,7 +145,11 @@ def _lift_body_p_i(code: polyp.PolyPCode) -> indexed.IndexedBody:
                 return indexed.Comp(fix_p_code(f), lift_p_to_i(g))
         raise TypeError(f"not a polyp code: {node!r}")
 
-    return spine.lift(code, atom)
+    return indexed.IndexedCode(
+        disjoint_union(index_set(STAR), index_set(STAR)),
+        index_set(STAR),
+        spine.lift(code, atom),
+    )
 
 
 def fix_p_code(code: polyp.PolyPCode) -> indexed.IndexedCode:
@@ -181,14 +175,7 @@ def lift_m_to_i(code: multirec.MultirecCode) -> indexed.IndexedCode:
     """Lift to an open indexed code meant to sit under Fix: the input set is
     the disjoint union of nothing and the family's own indices, so every Id
     points Right."""
-    return indexed.IndexedCode(
-        disjoint_union(EMPTY_INDEX_SET, code.indices),
-        code.indices,
-        _lift_body_m_i(code.body),
-    )
 
-
-def _lift_body_m_i(body: multirec.MultirecBody) -> indexed.IndexedBody:
     def atom(node: multirec.MultirecBody) -> indexed.IndexedBody:
         match node:
             case multirec.Id(lbl):
@@ -197,7 +184,11 @@ def _lift_body_m_i(body: multirec.MultirecBody) -> indexed.IndexedBody:
                 return indexed.Tag(lbl)
         raise TypeError(f"not a multirec body: {node!r}")
 
-    return spine.lift(body, atom)
+    return indexed.IndexedCode(
+        disjoint_union(EMPTY_INDEX_SET, code.indices),
+        code.indices,
+        spine.lift(code.body, atom),
+    )
 
 
 def fix_m_code(code: multirec.MultirecCode) -> indexed.IndexedCode:
@@ -222,16 +213,9 @@ def convert_m_i(
 # indexed to instant
 
 
-@dataclass(frozen=True)
-class _RRef:
-    """Lift-time slot entry: this input index is a direct recursive reference."""
-
-    ref: str
-
-
-_LiftEntry = Union[instant.Prim, instant.EqWitness, instant.OfCode, _RRef]
-
-_Rho = tuple[tuple[IndexLabel, _LiftEntry], ...]
+# input index -> the atom its Id lifts to: K of its constant set, or R of
+# the entry that a fixed point's recursion names
+_Rho = tuple[tuple[IndexLabel, instant.K | instant.R], ...]
 
 KSetTable = Mapping[IndexLabel, instant.KSet]
 
@@ -264,10 +248,10 @@ def _rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> _Rho:
     for lbl in code.ins:
         if lbl not in table:
             raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
-    return tuple((lbl, table[lbl]) for lbl in code.ins)
+    return tuple((lbl, instant.K(table[lbl])) for lbl in code.ins)
 
 
-def _rho_get(rho: _Rho, lbl: IndexLabel) -> _LiftEntry:
+def _rho_get(rho: _Rho, lbl: IndexLabel) -> instant.K | instant.R:
     for key, entry in rho:
         if key == lbl:
             return entry
@@ -296,11 +280,7 @@ def _lift_body_ig(
     def atom(node: indexed.IndexedBody) -> instant.InstantCode:
         match node:
             case indexed.Id(lbl):
-                entry = _rho_get(rho, lbl)
-                match entry:
-                    case _RRef(name):
-                        return instant.R(name)
-                return instant.K(entry)
+                return _rho_get(rho, lbl)
             case indexed.Tag(lbl):
                 return instant.K(instant.EqWitness(o, lbl))
             case indexed.Comp(f, g):
@@ -324,7 +304,7 @@ def _comp_rho(
         name = builder.ensure(
             ("interp", g, rho, lbl), lambda lbl=lbl: _lift_body_ig(g.body, rho, lbl, builder)
         )
-        pairs.append((lbl, instant.OfCode(name)))
+        pairs.append((lbl, instant.K(instant.OfCode(name))))
     return tuple(pairs)
 
 
@@ -339,7 +319,7 @@ def _ensure_fix(
         pairs = [(left(lbl), entry) for lbl, entry in rho]
         for out in inner.outs:
             ref = _ensure_fix(fix_body, inner, rho, out, builder)
-            pairs.append((right(out), _RRef(ref)))
+            pairs.append((right(out), instant.R(ref)))
         return _lift_body_ig(inner.body, tuple(pairs), o, builder)
 
     return builder.ensure(("fix", fix_body, rho, o), build)
@@ -579,8 +559,10 @@ def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericVa
     that sort's payload slot, which checks its contents; other sets need an
     environment, so their contents pass unchecked."""
     indexed.check_output(ctx.code, ctx.at)
-    rho = _rho_from_table(ctx.code, ctx.table)
-    assign = {lbl: PayloadSlot(k.sort) if type(k) is instant.Prim else k for lbl, k in rho}
+    assign = {}
+    for lbl, atom in _rho_from_table(ctx.code, ctx.table):
+        kset = atom.payload
+        assign[lbl] = PayloadSlot(kset.sort) if type(kset) is instant.Prim else kset
     walks: dict[str, indexed.Walk] = {}
 
     def convert(v: GenericValue, direction: str) -> GenericValue:

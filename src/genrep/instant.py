@@ -25,7 +25,6 @@ from .gvalue import (
     PayloadSlot,
     PayloadToken,
     RecV,
-    TT,
     payload,
     print_value,
     token_successor,
@@ -146,24 +145,19 @@ def crush(env: CodeEnv, code: InstantCode, spec: CrushSpec, v: GenericValue) -> 
     """
     if not conform_ig(env, code, v):
         raise MalformedValue(f"crush: value {print_value(v)} does not conform to the code")
-    return _crush(env, code, spec, v)
+    return _crush(spec, v)
 
 
-def _crush(env: CodeEnv, code: InstantCode, spec: CrushSpec, v: GenericValue) -> GenericValue:
-    match code, v:
-        case Unit(), TT():
-            return spec.unit
-        case K(_), Konst(_):
-            return spec.unit
-        case R(ref), RecV(w):
-            return spec.step(_crush(env, resolve(env, ref), spec, w))
-        case Sum(f, _), In1(w):
-            return _crush(env, f, spec, w)
-        case Sum(_, g), In2(w):
-            return _crush(env, g, spec, w)
-        case Prod(f, g), Pair(a, b):
-            return spec.combine(_crush(env, f, spec, a), _crush(env, g, spec, b))
-    raise MalformedValue(f"crush: value {print_value(v)} does not fit the code")
+def _crush(spec: CrushSpec, v: GenericValue) -> GenericValue:
+    """Fold ``v`` by its own nodes; ``crush`` has matched it to the code."""
+    match v:
+        case RecV(w):
+            return spec.step(_crush(spec, w))
+        case In1(w) | In2(w):
+            return _crush(spec, w)
+        case Pair(a, b):
+            return spec.combine(_crush(spec, a), _crush(spec, b))
+    return spec.unit  # tt, or a constant
 
 
 def nat_add(a: GenericValue, b: GenericValue) -> GenericValue:

@@ -6,17 +6,19 @@ their blind spots.  `gvalues` is the hypothesis strategy used by the
 round-trip properties.  `child_env` is the environment every test that
 starts a Python process gives it.  `corpus_contexts` lists every corpus
 context.  `indexed_list` and `rose` build values of the indexed list and
-rose codes.  `same_tree` compares two trees of any depth.
+rose codes.  `same_tree` compares two trees of any depth.  `fuzz_argvs`
+generates seeded argument vectors for the CLI.
 """
 
 import os
+import random
 from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 
-from genrep import corpus, embed
+from genrep import corpus, embed, oracle
 from genrep import (
     In1,
     In2,
@@ -136,3 +138,132 @@ def _extend(children):
 
 def gvalues():
     return st.recursive(_leaf_values, _extend, max_leaves=12)
+
+
+_FUZZ_LABELS = ("⋆", "L.⋆", "R.⋆", "L.R.⋆", "x", "L.x")
+_FUZZ_SORTS = ("⊤", "nat", "x")
+_FUZZ_REFS = ("A", "B", "List⊤")
+_FUZZ_COMMANDS = ("check", "lift", "convert", "roundtrip", "enum", "laws", "size", "props")
+_FUZZ_PAIRS = (
+    ("regular", "polyp"), ("regular", "multirec"), ("polyp", "indexed"),
+    ("multirec", "indexed"), ("indexed", "instant"),
+)
+
+
+def _fuzz_garbage(rng) -> str:
+    """Up to eight characters, most of them the DSLs' own."""
+    chars = "()<>,#@!*+=.:;\" \ntUIKRPin12⋆"
+    return "".join(rng.choice(chars) for _ in range(rng.randint(0, 8)))
+
+
+def _fuzz_atom(rng, universe: str) -> str:
+    lbl, other = rng.choice(_FUZZ_LABELS), rng.choice(_FUZZ_LABELS)
+    ref = rng.choice(_FUZZ_REFS)
+    return rng.choice({
+        "regular": ["U", "I"],
+        "polyp": ["U", "P", "I"],
+        "multirec": ["U", f"I@{lbl}", f"!{lbl}"],
+        "indexed": ["U", f"I@{lbl}", f"!{lbl}"],
+        "instant": ["U", f"K {rng.choice(_FUZZ_SORTS)}", f"K @{ref}", f"K !({lbl} , {other})",
+                    f"R {ref}"],
+    }[universe])
+
+
+def _fuzz_body(rng, universe: str, depth: int) -> str:
+    """A code body shaped by the universe's grammar: its atoms under +, *,
+    and @ and fix where the universe has them."""
+    if depth == 0 or rng.random() < 0.3:
+        return _fuzz_atom(rng, universe)
+    if universe == "indexed" and rng.random() < 0.2:
+        return f"fix ({_fuzz_body(rng, universe, depth - 1)})"
+    op = rng.choice(["+", "*"] + (["@"] if universe in ("polyp", "indexed") else []))
+    left, right = (_fuzz_body(rng, universe, depth - 1) for _ in "lr")
+    return f"({left} {op} {right})"
+
+
+def _fuzz_code(rng, universe: str) -> str:
+    """A corpus name, garbage, or a body under the universe's headers, whose
+    index sets are often empty."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice([*corpus.CODES[universe], *_FUZZ_REFS])
+    if roll < 0.2:
+        return _fuzz_garbage(rng)
+    body = _fuzz_body(rng, universe, 3)
+
+    def labels() -> str:
+        return ", ".join(rng.sample(_FUZZ_LABELS, rng.randint(0, 2)))
+
+    if universe == "multirec":
+        return f"indices: {labels()}\n{body}"
+    if universe == "indexed":
+        mid = f"mid: {labels()}\n" if rng.random() < 0.2 else ""
+        return f"in: {labels()}\nout: {labels()}\n{mid}{body}"
+    return body
+
+
+def _fuzz_value(rng, depth: int = 4) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(list(corpus.VALUES))
+    if roll < 0.15:
+        return _fuzz_garbage(rng)
+    if depth == 0 or roll < 0.4:
+        return rng.choice(["tt", "refl", f"{rng.choice(_FUZZ_SORTS)}#{rng.randint(0, 3)}"])
+    inner = _fuzz_value(rng, depth - 1)
+    return rng.choice([f"in1 {inner}", f"in2 {inner}", f"k {inner}", f"rec {inner}",
+                       f"<{inner}>", f"({inner} , {_fuzz_value(rng, depth - 1)})"])
+
+
+def _fuzz_env(rng) -> str:
+    roll = rng.random()
+    if roll < 0.3:
+        return "List⊤"
+    if roll < 0.4:
+        return _fuzz_garbage(rng)
+    names = rng.sample(_FUZZ_REFS[:2], rng.randint(1, 2))
+    return "".join(f"{name} = {_fuzz_body(rng, 'instant', 2)}\n" for name in names)
+
+
+def _fuzz_argv(rng) -> list[str]:
+    """One command with its required flags and some optional ones, each as
+    ``--flag=value`` so that no value reads as a flag."""
+    command = rng.choice(_FUZZ_COMMANDS)
+    universe = rng.choice(("regular", "polyp", "multirec", "indexed", "instant"))
+    src, dst = rng.choice(_FUZZ_PAIRS)
+    if rng.random() < 0.2:
+        src = universe  # mostly no such arrow
+    code = f"--code={_fuzz_code(rng, universe)}"
+    value = f"--value={_fuzz_value(rng)}"
+    size = f"--max-size={rng.randint(0, 7)}"
+    index = [f"--index={rng.choice([*_FUZZ_LABELS, _fuzz_garbage(rng)])}"] * (rng.random() < 0.4)
+    env = [f"--env={_fuzz_env(rng)}"] * (rng.random() < 0.8)
+    arrow = [f"--from={src}", f"--to={dst}", f"--code={_fuzz_code(rng, src)}"]
+    match command:
+        case "check":
+            return [command, f"--universe={universe}", code, value, *index, *env]
+        case "enum":
+            return [command, f"--universe={universe}", code, size, *index, *env]
+        case "laws":
+            return [command, f"--universe={universe}", code, size]
+        case "size":
+            instant_code = f"--code={_fuzz_code(rng, 'instant')}"
+            return [command, f"--env={_fuzz_env(rng)}", instant_code, value]
+        case "props":
+            names = rng.sample(oracle.property_names(), rng.randint(0, 2))
+            return [command, *names, *["nosuch"] * (rng.random() < 0.1), size]
+        case "lift":
+            return [command, *arrow]
+        case "roundtrip":
+            return [command, *arrow, size]
+    return [command, *arrow, value, f"--dir={rng.choice(['fwd', 'bwd'])}", *index]
+
+
+def fuzz_argvs(seed: int, count: int):
+    """``count`` argument vectors for the CLI from ``seed``: every command,
+    with codes shaped by each universe's grammar (empty index and output sets
+    included), random value text, environments and indices, ``--max-size``
+    0 to 7, and suite names for ``props``. Each is well formed for argparse,
+    so what it tests is the command behind it."""
+    rng = random.Random(seed)
+    return [_fuzz_argv(rng) for _ in range(count)]

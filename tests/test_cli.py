@@ -3,12 +3,14 @@ import sys
 
 import pytest
 
-from helpers import child_env
+from genrep import TT, cli, embed, oracle
+from helpers import child_env, fuzz_argvs
+from test_oracle import CHECKED_AT_10
 
 
-def run_cli(*args):
+def run_cli(*args, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "genrep", *args],
+        [sys.executable, *flags, "-m", "genrep", *args],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -229,6 +231,7 @@ def test_usage_errors_exit_two():
          "--max-size", "10"),
         ("laws", "--universe", "indexed", "--code", "NatI", "--max-size", "8"),
         ("size", "--env", "List⊤", "--code", "List⊤", "--value", "aList"),
+        ("props", "--max-size", "10"),
     ],
 )
 def test_transcripts_are_byte_stable(args):
@@ -245,6 +248,7 @@ def test_transcripts_are_byte_stable(args):
         ("enum", "--universe", "regular", "--code", "NatC"),
         ("roundtrip", "--from", "regular", "--to", "polyp", "--code", "NatC"),
         ("laws", "--universe", "regular", "--code", "NatC"),
+        ("props",),
     ],
 )
 def test_max_size_below_one_is_a_usage_error(args):
@@ -306,16 +310,21 @@ def test_enum_at_an_unknown_index_exits_two(universe, code, message):
 
 
 @pytest.mark.parametrize(
-    "command", [("check", "--value", "tt"), ("enum", "--max-size", "3")], ids=["check", "enum"]
+    "command",
+    [("check", "--value", "tt"), ("enum", "--max-size", "3"), ("laws", "--max-size", "3"),
+     ("roundtrip", "--max-size", "3")],
+    ids=["check", "enum", "laws", "roundtrip"],
 )
 @pytest.mark.parametrize(
-    "universe, code, family",
-    [("multirec", "indices:\nU", "index set"), ("indexed", "in:\nout:\nU", "output set")],
+    "universe, target, code, family",
+    [("multirec", "indexed", "indices:\nU", "index set"),
+     ("indexed", "instant", "in:\nout:\nU", "output set")],
     ids=["multirec", "indexed"],
 )
-def test_an_empty_family_is_named_in_one_error_line(command, universe, code, family):
+def test_an_empty_family_is_named_in_one_error_line(command, universe, target, code, family):
     name, *rest = command
-    out = run_cli(name, "--universe", universe, "--code", code, *rest)
+    where = ("--from", universe, "--to", target) if name == "roundtrip" else ("--universe", universe)
+    out = run_cli(name, *where, "--code", code, *rest)
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == f"error: the code's {family} is empty\n"
@@ -408,3 +417,66 @@ def test_an_env_file_that_is_not_utf8_is_one_error_line(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == f"error: env file {path} is not UTF-8 text\n"
+
+
+def test_props_passes_every_suite():
+    out = run_cli("props", "--max-size", "6")
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 24
+    assert all(line.startswith("ok ") for line in lines)
+
+
+def test_props_prints_the_pinned_counts_at_size_ten():
+    out = run_cli("props", "--max-size", "10")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "".join(
+        f"ok {name}: checked {count}\n" for name, count in sorted(CHECKED_AT_10.items())
+    )
+
+
+def test_props_runs_the_named_suites_in_the_order_given():
+    out = run_cli("props", "transport-r-p", "iso-r-p", "--max-size", "10")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "ok transport-r-p: checked 6\nok iso-r-p: checked 12\n"
+
+
+@pytest.mark.parametrize("names", [("nosuch",), ("iso-r-p", "nosuch")], ids=["alone", "second"])
+def test_props_checks_every_name_before_running_any(names):
+    out = run_cli("props", *names, "--max-size", "3")
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: unknown property: nosuch\n")
+
+
+def test_props_prints_each_failure_and_exits_one(monkeypatch, capsys):
+    report = embed.ConversionReport(checked_count=3, failures=[(TT(), "forward", "broken")])
+    monkeypatch.setattr(oracle, "run_property", lambda name, budget: report)
+    assert cli.run_cli(["props", "iso-r-p", "map-id-r", "--max-size", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL iso-r-p: checked 3\n  failure: forward tt: broken\n"
+        "FAIL map-id-r: checked 3\n  failure: forward tt: broken\n"
+    )
+
+
+def test_props_prints_the_same_bytes_under_optimized_mode():
+    plain = run_cli("props", "--max-size", "6")
+    optimized = run_cli("props", "--max-size", "6", flags=("-O",))
+    assert (optimized.returncode, optimized.stderr) == (0, "")
+    assert optimized.stdout == plain.stdout
+
+
+# A pinned seed and count: under two seconds in-process.
+FUZZ_SEED, FUZZ_COUNT = 2021, 800
+
+
+def test_random_argument_vectors_end_in_an_exit_code(capsys):
+    """Every command on random codes, values, environments, indices and sizes
+    returns 0, 1 or 2, raises nothing, and writes at most one stderr line,
+    an ``error:`` line."""
+    for argv in fuzz_argvs(FUZZ_SEED, FUZZ_COUNT):
+        try:
+            status = cli.run_cli(argv)
+        except Exception as err:
+            pytest.fail(f"{argv!r} raised {err!r}")
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)

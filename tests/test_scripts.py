@@ -53,23 +53,10 @@ def test_enum_corpus_listing_is_pinned():
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == ENUM_CORPUS_12_SHA256
 
 
-def test_run_properties_passes_every_suite():
-    out = run_script("run_properties.py", "--max-size", "6")
-    assert out.returncode == 0
-    assert out.stderr == ""
-    lines = out.stdout.splitlines()
-    assert len(lines) == 24
-    assert all(line.startswith("ok ") for line in lines)
-
-
 @pytest.mark.parametrize(
     "name, args, message",
-    [
-        ("run_properties.py", ("--max-size", "0"), "max_size must be at least 1"),
-        ("run_properties.py", ("nosuch",), "unknown property: nosuch"),
-        ("enum_corpus.py", ("--max-size", "0"), "max_size must be at least 1"),
-    ],
-    ids=["run_properties-max-size", "run_properties-name", "enum_corpus-max-size"],
+    [("enum_corpus.py", ("--max-size", "0"), "max_size must be at least 1")],
+    ids=["enum_corpus-max-size"],
 )
 def test_bad_arguments_are_one_error_line(name, args, message):
     out = run_script(name, *args)
