@@ -181,11 +181,12 @@ def _step(src: str, dst: str) -> str:
 
 def _cmd_lift(args) -> int:
     step = _step(args.src, args.dst)
-    lifted = embed.STEPS[step].lift(_resolve_code(args.src, args.code))
+    code = _resolve_code(args.src, args.code)
     if args.dst != "instant":
-        print(dsl.print_code(args.dst, lifted))
+        print(dsl.print_code(args.dst, embed.STEPS[step].lift(code)))
         return 0
-    outs, env = lifted
+    _context(args.src, code, None)  # an empty output set lifts to nothing: name it
+    outs, env = embed.STEPS[step].lift(code)
     for out, out_code in outs.items():
         print(f"out {print_label(out)} = {dsl.print_code('instant', out_code)}")
     print(dsl.print_env(env), end="")

@@ -15,7 +15,7 @@ composition or fixed point becomes a named environment entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
@@ -71,7 +71,9 @@ class ConversionReport:
 
 
 def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
-    """Structural lift; the result never mentions Par or Comp."""
+    """Structural lift; the result never mentions Par or Comp. Like every
+    lift here it is kept on the code (``spine.cached``), so each call gives
+    the same object, and one-value calls on it find their walks."""
 
     def atom(node: regular.RegularCode) -> polyp.PolyPCode:
         match node:
@@ -79,7 +81,7 @@ def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
                 return polyp.Id()
         raise TypeError(f"not a regular code: {node!r}")
 
-    return spine.lift(code, atom)
+    return spine.cached(code, "lift_r_to_p", lambda: spine.lift(code, atom))
 
 
 def _same_tree(
@@ -98,7 +100,7 @@ def convert_r_p(
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``: the lift
     is structural, so the polyp tree and the regular tree are the same."""
-    return STEPS["r-p"].converter(regular_context(code))(v, direction)
+    return STEPS["r-p"].convert(regular_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +116,15 @@ def lift_r_to_m(code: regular.RegularCode) -> multirec.MultirecCode:
                 return multirec.Id(STAR)
         raise TypeError(f"not a regular code: {node!r}")
 
-    return multirec.MultirecCode(index_set(STAR), spine.lift(code, atom))
+    build = lambda: multirec.MultirecCode(index_set(STAR), spine.lift(code, atom))
+    return spine.cached(code, "lift_r_to_m", build)
 
 
 def convert_r_m(
     code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``."""
-    return STEPS["r-m"].converter(regular_context(code))(v, direction)
+    return STEPS["r-m"].convert(regular_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +148,20 @@ def lift_p_to_i(code: polyp.PolyPCode) -> indexed.IndexedCode:
                 return indexed.Comp(fix_p_code(f), lift_p_to_i(g))
         raise TypeError(f"not a polyp code: {node!r}")
 
-    return indexed.IndexedCode(
+    build = lambda: indexed.IndexedCode(
         disjoint_union(index_set(STAR), index_set(STAR)),
         index_set(STAR),
         spine.lift(code, atom),
     )
+    return spine.cached(code, "lift_p_to_i", build)
 
 
 def fix_p_code(code: polyp.PolyPCode) -> indexed.IndexedCode:
     """Close the lift of a polyp code under the indexed fixed point."""
-    return indexed.IndexedCode(
+    build = lambda: indexed.IndexedCode(
         index_set(STAR), index_set(STAR), indexed.Fix(lift_p_to_i(code))
     )
+    return spine.cached(code, "fix_p_code", build)
 
 
 def convert_p_i(
@@ -164,7 +169,7 @@ def convert_p_i(
 ) -> GenericValue:
     """Both directions check polyp conformance at the ``⊤`` parameter slot
     and return ``v``."""
-    return STEPS["p-i"].converter(polyp_context(code))(v, direction)
+    return STEPS["p-i"].convert(polyp_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +189,20 @@ def lift_m_to_i(code: multirec.MultirecCode) -> indexed.IndexedCode:
                 return indexed.Tag(lbl)
         raise TypeError(f"not a multirec body: {node!r}")
 
-    return indexed.IndexedCode(
+    build = lambda: indexed.IndexedCode(
         disjoint_union(EMPTY_INDEX_SET, code.indices),
         code.indices,
         spine.lift(code.body, atom),
     )
+    return spine.cached(code, "lift_m_to_i", build)
 
 
 def fix_m_code(code: multirec.MultirecCode) -> indexed.IndexedCode:
     """The lifted family closed under the indexed fixed point."""
-    return indexed.IndexedCode(
+    build = lambda: indexed.IndexedCode(
         EMPTY_INDEX_SET, code.indices, indexed.Fix(lift_m_to_i(code))
     )
+    return spine.cached(code, "fix_m_code", build)
 
 
 def convert_m_i(
@@ -206,7 +213,7 @@ def convert_m_i(
 ) -> GenericValue:
     """Both directions check multirec conformance at ``at`` and return ``v``;
     Refl witnesses must sit under the tag of ``at``."""
-    return STEPS["m-i"].converter(multirec_context(code, at))(v, direction)
+    return STEPS["m-i"].convert(multirec_context(code, at), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +273,19 @@ def lift_i_to_ig(
     holds every composition and fixed point as a named entry.
 
     Entry names are an ig-prefixed counter in traversal order, so repeated
-    runs yield byte-identical environments.
+    runs yield byte-identical environments. The lift is kept on the code per
+    constant set of each input (``spine.cached``); each call returns fresh
+    dicts of it, which the caller may change.
     """
-    builder = _EnvBuilder()
     rho = _rho_from_table(code, table)
-    out = {o: _lift_body_ig(code.body, rho, o, builder) for o in code.outs}
-    return out, builder.finished()
+
+    def build():
+        builder = _EnvBuilder()
+        out = {o: _lift_body_ig(code.body, rho, o, builder) for o in code.outs}
+        return out, builder.finished()
+
+    out, env = spine.cached(code, ("lift_i_to_ig", rho), build)
+    return dict(out), dict(env)
 
 
 def _lift_body_ig(
@@ -336,8 +350,7 @@ def convert_i_ig(
     constants. Backward restores the original tree exactly. Both directions
     are ``indexed.Walk``s of the ``i-ig`` step's converter; the direction is
     checked first, then the output index, then ``table``."""
-    _check_direction(direction)
-    return STEPS["i-ig"].converter(indexed_context(code, table, o))(v, direction)
+    return STEPS["i-ig"].convert(indexed_context(code, table, o), v, direction)
 
 
 def _check_tag(lbl: IndexLabel, o: IndexLabel, v: GenericValue) -> GenericValue:
@@ -517,8 +530,19 @@ def conformer(ctx: PathContext) -> Callable[[GenericValue], bool]:
 
 
 def conforms(ctx: PathContext, v: GenericValue) -> bool:
-    """Does ``v`` conform where ``ctx`` says it lives?"""
-    return conformer(ctx)(v)
+    """Does ``v`` conform where ``ctx`` says it lives? The call borrows a
+    ``conformer`` of the context (``spine.borrow``), built on a copy of its
+    environment."""
+    build = lambda: conformer(ctx if ctx.env is None else replace(ctx, env=dict(ctx.env)))
+    return spine.borrow(ctx.code, ("conforms", *_key(ctx)), build, v)
+
+
+def _key(ctx: PathContext) -> tuple:
+    """What a walk of ``ctx.code`` depends on besides the code: the universe,
+    the index, and what the table and the environment hold now."""
+    table = None if ctx.table is None else spine.Contents(ctx.table)
+    env = None if ctx.env is None else spine.Contents(ctx.env)
+    return ctx.universe, ctx.at, table, env
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +557,19 @@ def _instant_target(ctx: PathContext) -> PathContext:
 
 
 class Step(NamedTuple):
-    """One arrow. ``lift`` takes a source code; ``context`` and
-    ``converter`` take the source context: ``context`` gives the target's,
-    and ``converter`` the conversion ``(v, direction)`` out of it, for as
-    many of the context's values as it is given."""
+    """One arrow. ``lift`` takes a source code; ``context``, ``converter``
+    and ``convert`` take the source context: ``context`` gives the target's,
+    ``converter`` the conversion ``(v, direction)`` out of it, for as many
+    of the context's values as it is given, and ``convert(ctx, v,
+    direction)`` converts one value with a walk that the same builder
+    compiled, borrowed (``spine.borrow``)."""
 
     source: str
     target: str
     lift: Callable
     context: Callable[[PathContext], PathContext]
     converter: Callable[[PathContext], Callable[[GenericValue, str], GenericValue]]
+    convert: Callable[[PathContext, GenericValue, str], GenericValue]
 
 
 def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
@@ -552,48 +579,71 @@ def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], Gene
     return partial(_same_tree, conformer(ctx))
 
 
-def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
-    """One memoized walk per direction for all of the context's values, so a
-    shared subtree converts once to a shared image; each is built on its
-    direction's first call. An input of constant set ``Prim(sort)`` reads as
-    that sort's payload slot, which checks its contents; other sets need an
-    environment, so their contents pass unchecked."""
+def _same_tree_convert(ctx: PathContext, v: GenericValue, direction: str) -> GenericValue:
+    """One value of the four arrows that keep the tree: ``conforms``."""
+    return _same_tree(partial(conforms, ctx), v, direction)
+
+
+def _i_ig_assign(ctx: PathContext) -> dict[IndexLabel, object]:
+    """The assignment both i→ig walks read the source code under, after the
+    output index and the table are checked. An input of constant set
+    ``Prim(sort)`` reads as that sort's payload slot, which checks its
+    contents; other sets need an environment, so their contents pass
+    unchecked."""
     indexed.check_output(ctx.code, ctx.at)
     assign = {}
     for lbl, atom in _rho_from_table(ctx.code, ctx.table):
         kset = atom.payload
         assign[lbl] = PayloadSlot(kset.sort) if type(kset) is instant.Prim else kset
+    return assign
+
+
+_I_IG_WALKS = {"forward": _ToInstant, "backward": _FromInstant}
+
+
+def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
+    """One memoized walk per direction for all of the context's values, so a
+    shared subtree converts once to a shared image; each is built on its
+    direction's first call."""
+    assign = _i_ig_assign(ctx)
     walks: dict[str, indexed.Walk] = {}
 
     def convert(v: GenericValue, direction: str) -> GenericValue:
         _check_direction(direction)
-        build = _ToInstant if direction == "forward" else _FromInstant
-        return spine.once(walks, direction, lambda: build(ctx.code, assign, ctx.at))(v)
+        build = lambda: _I_IG_WALKS[direction](ctx.code, assign, ctx.at)
+        return spine.once(walks, direction, build)(v)
 
     return convert
+
+
+def _i_ig_convert(ctx: PathContext, v: GenericValue, direction: str) -> GenericValue:
+    """One value along i→ig, with a borrowed walk of its direction."""
+    _check_direction(direction)
+    build = lambda: _I_IG_WALKS[direction](ctx.code, _i_ig_assign(ctx), ctx.at)
+    return spine.borrow(ctx.code, ("i-ig", direction, *_key(ctx)), build, v)
 
 
 STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
                 lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-                _same_tree_converter),
+                _same_tree_converter, _same_tree_convert),
     "r-m": Step("regular", "multirec",
                 lambda code: lift_r_to_m(code),
                 lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-                _same_tree_converter),
+                _same_tree_converter, _same_tree_convert),
     "p-i": Step("polyp", "indexed",
                 lambda code: lift_p_to_i(code),
                 lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-                _same_tree_converter),
+                _same_tree_converter, _same_tree_convert),
     "m-i": Step("multirec", "indexed",
                 lambda code: lift_m_to_i(code),
                 lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-                _same_tree_converter),
+                _same_tree_converter, _same_tree_convert),
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 _i_ig_converter),
+                 _i_ig_converter, _i_ig_convert),
 }
 
 
@@ -621,5 +671,5 @@ def compose_path(
     if direction == "backward":
         walk.reverse()
     for step, ctx in walk:
-        v = STEPS[step].converter(ctx)(v, direction)
+        v = STEPS[step].convert(ctx, v, direction)
     return v

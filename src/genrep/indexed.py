@@ -96,9 +96,11 @@ def _wf_atom(code: IndexedCode, node: IndexedBody) -> bool:
     raise TypeError(f"not an indexed body: {node!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpSlot:
-    """Inhabitants of the interpretation of ``code`` under ``assign`` at ``at``."""
+    """Inhabitants of the interpretation of ``code`` under ``assign`` at
+    ``at``. It compares and hashes by identity, as ``MuSlot`` does, so an
+    assignment that holds one can key a borrowed walk (``conform_i``)."""
 
     code: IndexedCode
     assign: "SlotTable"
@@ -277,8 +279,11 @@ class Conformer(Walk):
 
 
 def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericValue) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` under ``assign`` at ``at``?"""
-    return Conformer(code, assign, at)(v)
+    """Does ``v`` inhabit the interpretation of ``code`` under ``assign`` at
+    ``at``? The call borrows a ``Conformer`` (``spine.borrow``) keyed by the
+    index and the slots ``assign`` holds now, and built on a copy of it."""
+    build = lambda: Conformer(code, dict(assign), at)
+    return spine.borrow(code, ("conform_i", at, spine.Contents(assign)), build, v)
 
 
 IxTransform = Mapping[IndexLabel, Transformer]

@@ -125,8 +125,11 @@ def _atom(env: CodeEnv, ref) -> Callable[[InstantCode], Callable[[GenericValue],
 
 
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` in ``env``?"""
-    return conformer(env, code)(v)
+    """Does ``v`` inhabit the interpretation of ``code`` in ``env``? The call
+    borrows a ``conformer`` (``spine.borrow``) keyed by the entries ``env``
+    holds now, and built on a copy of it."""
+    build = lambda: conformer(dict(env), code)
+    return spine.borrow(code, ("conform_ig", spine.Contents(env)), build, v)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,11 @@ def conform_m(
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:
     """Fixed-point conformance at index ``at``, which must be in the code's
-    index set whatever the value. A value that is not rolled builds no
-    conformer."""
+    index set whatever the value, with a borrowed ``mu_conformer``
+    (``spine.borrow``). A value that is not rolled borrows none."""
     check_index(code, at)
-    return type(v) is Roll and mu_conformer(code, at)(v)
+    build = lambda: mu_conformer(code, at)
+    return type(v) is Roll and spine.borrow(code, ("conform_mu_m", at), build, v)
 
 
 def mapper(

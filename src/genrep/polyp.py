@@ -125,13 +125,16 @@ class Conformer(_Walk):
 
 
 def conform_p(code: PolyPCode, slots: SlotPair, v: GenericValue) -> bool:
-    return Conformer(InterpSlot(code, slots))(v)
+    """One layer at ``slots``, with a borrowed ``Conformer`` (``spine.borrow``)."""
+    build = lambda: Conformer(InterpSlot(code, slots))
+    return spine.borrow(code, ("conform_p", slots), build, v)
 
 
 def conform_mu_p(code: PolyPCode, param: PolyPSlot, v: GenericValue) -> bool:
-    """Fixed-point conformance with parameters at ``param``; a value that is
-    not rolled builds no conformer."""
-    return type(v) is Roll and Conformer(MuSlot(code, param))(v)
+    """Fixed-point conformance with parameters at ``param``, with a borrowed
+    ``Conformer``; a value that is not rolled borrows none."""
+    build = lambda: Conformer(MuSlot(code, param))
+    return type(v) is Roll and spine.borrow(code, ("conform_mu_p", param), build, v)
 
 
 class Mapper(_Walk):

@@ -75,14 +75,15 @@ def _identity(inner: Callable) -> Callable[[RegularCode], Callable]:
 
 
 def conform_r(code: RegularCode, slot: RegularSlot, v: GenericValue) -> bool:
-    """Does ``v`` inhabit the interpretation of ``code`` at ``slot``?"""
-    return conformer(code, slot)(v)
+    """Does ``v`` inhabit the interpretation of ``code`` at ``slot``? The
+    call borrows a ``conformer`` of the code and slot (``spine.borrow``)."""
+    return spine.borrow(code, ("conform_r", slot), lambda: conformer(code, slot), v)
 
 
 def conform_mu_r(code: RegularCode, v: GenericValue) -> bool:
-    """Fixed-point conformance; a value that is not rolled builds no
-    conformer."""
-    return type(v) is Roll and mu_conformer(code)(v)
+    """Fixed-point conformance, with a borrowed ``mu_conformer``; a value
+    that is not rolled borrows none."""
+    return type(v) is Roll and spine.borrow(code, "conform_mu_r", lambda: mu_conformer(code), v)
 
 
 def mapper(code: RegularCode, f: Transformer) -> Callable[[GenericValue], GenericValue]:

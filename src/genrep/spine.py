@@ -14,6 +14,12 @@ each atom node's closure, which gives that node its universe's meaning (a
 node it does not know raises the universe's own ``TypeError`` when a value
 reaches it). Keeping the atoms apart keeps the universes independent
 interpreters, which the cross-universe checks depend on.
+
+What depends on a code alone is kept on the code node itself (``cached``),
+so it dies with the code: its lifts, and a pool of compiled walks per key
+that one-value calls borrow (``borrow``). A borrowed walk is emptied when
+the call returns, so only the compiled closures outlive the call, never a
+value.
 """
 
 from __future__ import annotations
@@ -61,10 +67,11 @@ class Prod:
 # The closures are the inner loop of every universe. Each spine node becomes
 # one closure that dispatches on the exact class of its value (faster than
 # ``match``; no class here or in gvalue is subclassed), and compiles each
-# operand when a value first reaches it, so a walk built for one small value
-# compiles little more than that value's path. Each frame a layer takes
-# lowers the depth that fits under the recursion limit: a regular numeral
-# takes three per layer (point, roll, sum), a list four.
+# operand when a value first reaches it, so a walk compiles no more of its
+# code than its values reach, and a pooled walk (``borrow``) goes on
+# compiling where earlier calls stopped. Each frame a layer takes lowers the
+# depth that fits under the recursion limit: a regular numeral takes three
+# per layer (point, roll, sum), a list four.
 
 
 def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue], bool]:
@@ -153,8 +160,9 @@ class Walk:
     (``tables``). The closures of a recursive code refer to each other in
     cycles, which only the cyclic collector frees, so the walk owns the
     memos of its recursion points (``memos``) and empties them when it
-    dies, and no closure refers to the walk itself: one that needs it, as a
-    lazy build does, holds the weak reference ``ref``."""
+    dies, or when a one-value call that borrowed it returns (``borrow``),
+    and no closure refers to the walk itself: one that needs it, as a lazy
+    build does, holds the weak reference ``ref``."""
 
     def __init__(self, top: Callable[[Walk], Callable] | None = None):
         self.memos: list[dict] = []
@@ -167,9 +175,12 @@ class Walk:
     def __call__(self, v: GenericValue):
         return self.top(v)
 
-    def __del__(self) -> None:
+    def empty(self) -> None:
+        """Forget every value the walk has been given; what it compiled stays."""
         for memo in self.memos:
             memo.clear()
+
+    __del__ = empty
 
     def point(self, key, build: Callable[[], Callable]) -> Callable:
         """The recursion point named ``key``: the closure that computes
@@ -211,6 +222,65 @@ def once(table: dict, key, build: Callable[[], T]) -> T:
     if hit is None:
         hit = table[key] = build()
     return hit
+
+
+class _Cache(dict):
+    """What ``cached`` keeps on a code node. Its entries hold closures, which
+    neither pickle nor copy, and only repeat what the code determines, so a
+    cache pickles and copies as an empty one."""
+
+    def __reduce__(self):
+        return _Cache, ()
+
+
+def cached(code, key, build: Callable[[], T]) -> T:
+    """``build()``, kept on ``code`` under ``key`` for as long as the code
+    lives. ``key`` names what else the entry depends on, by contents: an
+    index, a slot or the ``Contents`` of a table, never an ``id``. Two threads
+    asking at once may both build, but both get the entry kept first. An
+    object with no ``__dict__`` is no code node: it keeps nothing, and the
+    walk built for it raises its universe's ``TypeError``."""
+    attrs = getattr(code, "__dict__", None)
+    if attrs is None:
+        return build()
+    cache = attrs.get("_cache")
+    if cache is None:
+        cache = attrs.setdefault("_cache", _Cache())
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache.setdefault(key, build())
+    return hit
+
+
+class Contents(dict):
+    """A copy of what a mapping holds now, as part of a ``cached`` key: equal
+    to another whose items are equal, whatever mapping held them. It hashes
+    by the keys only, so a lookup compares the entries, which is quick when
+    they are the same objects, as the codes of a lifted environment are
+    from call to call. Nothing changes it once it is made."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+
+def borrow(code, key, build: Callable[[], Walk], v: GenericValue):
+    """``walk(v)`` for a one-value call, with a walk of ``code`` from its
+    pool under ``key`` (``cached``), or a new one from ``build()`` when none
+    is free. The walk is emptied and put back however the call ends, so it
+    keeps what it compiled for the next call and nothing of ``v``; a thread
+    that finds the pool empty compiles a walk of its own."""
+    pool = cached(code, ("pool", key), list)
+    try:
+        walk = pool.pop()
+    except IndexError:
+        walk = build()
+    try:
+        return walk(v)
+    finally:
+        walk.empty()
+        pool.append(walk)
 
 
 def rolled(layer: Callable[[GenericValue], bool]) -> Callable[[GenericValue], bool]:

@@ -7,7 +7,7 @@ round-trip properties.  `child_env` is the environment every test that
 starts a Python process gives it.  `corpus_contexts` lists every corpus
 context.  `indexed_list` and `rose` build values of the indexed list and
 rose codes.  `same_tree` compares two trees of any depth.  `fuzz_argvs`
-generates seeded argument vectors for the CLI.
+and `fuzz_corpus_argvs` generate seeded argument vectors for the CLI.
 """
 
 import os
@@ -20,6 +20,7 @@ import pytest
 
 from genrep import corpus, embed, oracle
 from genrep import (
+    EnumBudget,
     In1,
     In2,
     Konst,
@@ -30,6 +31,8 @@ from genrep import (
     Roll,
     TT,
     payload,
+    print_label,
+    print_value,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -267,3 +270,40 @@ def fuzz_argvs(seed: int, count: int):
     so what it tests is the command behind it."""
     rng = random.Random(seed)
     return [_fuzz_argv(rng) for _ in range(count)]
+
+
+def _drawn_value(rng, ctx, others) -> str:
+    """The text of a value of ``ctx`` of at most six nodes, now and then of
+    another context's, which seldom conforms."""
+    if rng.random() < 0.2:
+        ctx = rng.choice(others)
+    values = oracle.enum_context(ctx, EnumBudget(max_size=6))
+    return print_value(rng.choice(values)) if values else "tt"
+
+
+def fuzz_corpus_argvs(seed: int, count: int):
+    """``count`` ``check`` and ``convert`` argument vectors from ``seed``,
+    over corpus codes by name, at each index of their family, with value
+    texts drawn from ``oracle.enum_context`` of the command's source
+    context, so that most of them reach the commands' success paths. A
+    backward conversion draws from the arrow's target context."""
+    rng = random.Random(seed)
+    cases = [(universe, name, ctx) for universe, codes in corpus.CODES.items()
+             for name, code in codes.items()
+             for ctx in embed.contexts(universe, code, corpus.INSTANT_ENVS.get(name))]
+    others = [ctx for _, _, ctx in cases]
+    argvs = []
+    for _ in range(count):
+        universe, name, ctx = rng.choice(cases)
+        index = [] if ctx.at is None else [f"--index={print_label(ctx.at)}"]
+        steps = [row for row in embed.STEPS.values() if row.source == universe]
+        if steps and rng.random() < 0.5:
+            row, backward = rng.choice(steps), rng.random() < 0.5
+            value = _drawn_value(rng, row.context(ctx) if backward else ctx, others)
+            argvs.append(["convert", f"--from={universe}", f"--to={row.target}", f"--code={name}",
+                          f"--value={value}", f"--dir={'bwd' if backward else 'fwd'}", *index])
+        else:
+            env = [f"--env={name}"] if universe == "instant" else []
+            argvs.append(["check", f"--universe={universe}", f"--code={name}",
+                          f"--value={_drawn_value(rng, ctx, others)}", *index, *env])
+    return argvs

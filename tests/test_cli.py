@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from genrep import TT, cli, embed, oracle
-from helpers import child_env, fuzz_argvs
+from helpers import child_env, fuzz_argvs, fuzz_corpus_argvs
 from test_oracle import CHECKED_AT_10
 
 
@@ -309,21 +309,29 @@ def test_enum_at_an_unknown_index_exits_two(universe, code, message):
     assert out.stderr == f"error: {message}\n"
 
 
+# universe -> (the arrow's target, a code of an empty family, the family's name)
+EMPTY_FAMILIES = {
+    "multirec": ("indexed", "indices:\nU", "index set"),
+    "indexed": ("instant", "in:\nout:\nU", "output set"),
+}
+EMPTY_FAMILY_COMMANDS = [
+    *(((name, *rest), universe) for universe in EMPTY_FAMILIES
+      for name, *rest in [("check", "--value", "tt"), ("enum", "--max-size", "3"),
+                          ("laws", "--max-size", "3"), ("roundtrip", "--max-size", "3")]),
+    # lifting an empty multirec family prints a valid empty code
+    (("lift",), "indexed"),
+]
+
+
 @pytest.mark.parametrize(
-    "command",
-    [("check", "--value", "tt"), ("enum", "--max-size", "3"), ("laws", "--max-size", "3"),
-     ("roundtrip", "--max-size", "3")],
-    ids=["check", "enum", "laws", "roundtrip"],
+    "command, universe", EMPTY_FAMILY_COMMANDS,
+    ids=[f"{universe}-{command[0]}" for command, universe in EMPTY_FAMILY_COMMANDS],
 )
-@pytest.mark.parametrize(
-    "universe, target, code, family",
-    [("multirec", "indexed", "indices:\nU", "index set"),
-     ("indexed", "instant", "in:\nout:\nU", "output set")],
-    ids=["multirec", "indexed"],
-)
-def test_an_empty_family_is_named_in_one_error_line(command, universe, target, code, family):
+def test_an_empty_family_is_named_in_one_error_line(command, universe):
     name, *rest = command
-    where = ("--from", universe, "--to", target) if name == "roundtrip" else ("--universe", universe)
+    target, code, family = EMPTY_FAMILIES[universe]
+    arrow = name in ("roundtrip", "lift")
+    where = ("--from", universe, "--to", target) if arrow else ("--universe", universe)
     out = run_cli(name, *where, "--code", code, *rest)
     assert out.returncode == 2
     assert out.stdout == ""
@@ -480,3 +488,26 @@ def test_random_argument_vectors_end_in_an_exit_code(capsys):
         err = capsys.readouterr().err
         assert status in (0, 1, 2), argv
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
+
+
+# A second pinned run over corpus codes and enumerated value texts, which
+# reaches the success paths that the first run's random values miss.
+CORPUS_FUZZ_SEED, CORPUS_FUZZ_COUNT = 2022, 400
+CORPUS_FUZZ_EXITS = {("check", 0): 155, ("check", 1): 55, ("convert", 0): 141, ("convert", 1): 49}
+
+
+def test_corpus_argument_vectors_reach_the_success_paths(capsys):
+    """``check`` and ``convert`` on corpus codes with values drawn from
+    their contexts: each call prints one line, or one ``error:`` line, and
+    the number of calls per command and exit code is pinned."""
+    exits = {}
+    for argv in fuzz_corpus_argvs(CORPUS_FUZZ_SEED, CORPUS_FUZZ_COUNT):
+        status = cli.run_cli(argv)
+        out, err = capsys.readouterr()
+        key = (argv[0], status)
+        exits[key] = exits.get(key, 0) + 1
+        if argv[0] == "check" or status == 0:
+            assert (out.count("\n"), err) == (1, ""), (argv, out, err)
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert exits == CORPUS_FUZZ_EXITS

@@ -177,7 +177,9 @@ def test_nested_compositions_convert_a_value_they_add_layers_to():
 def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
     """i→ig reads a code through the assignments of indexed conformance,
     each built once per walk, so the tagging work does not grow with depth,
-    also for the list under every layer of a rose."""
+    also for the list under every layer of a rose. Each value gets a
+    converter of its own: ``convert_i_ig`` borrows walks that keep their
+    tables from call to call."""
     calls = []
     for module in (embed, indexed):
         for name in ("left", "right"):
@@ -193,8 +195,8 @@ def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
         counts = []
         for v in values:
             calls.clear()
-            image = convert_i_ig(code, TOP_TABLE, STAR, v, "forward")
-            convert_i_ig(code, TOP_TABLE, STAR, image, "backward")
+            convert = embed.STEPS["i-ig"].converter(indexed_context(code, TOP_TABLE, STAR))
+            convert(convert(v, "forward"), "backward")
             counts.append(len(calls))
         assert counts[0] == counts[1], name
 

@@ -95,7 +95,7 @@ def _count_tagging(monkeypatch):
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda code, v: conform_i(code, TOP_ASSIGN, STAR, v),
+        lambda code, v: indexed.Conformer(code, TOP_ASSIGN, STAR)(v),
         lambda code, v: map_i(code, {STAR: lambda w: w}, STAR, v),
     ],
     ids=["conform_i", "map_i"],
@@ -105,7 +105,8 @@ def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
     again at every layer, so the tagging work does not grow with depth. A
     fixed point under a composition (the list inside each rose layer) is
     entered at every layer of the outer one, and still builds its table
-    once per walk."""
+    once per walk. Each value gets a walk of its own: ``conform_i`` borrows
+    a walk that keeps its tables from call to call."""
     calls = _count_tagging(monkeypatch)
     inputs = {
         "ListI": (LIST_I, [indexed_list([TT()] * (layers - 1)) for layers in (2, 120)]),
@@ -123,14 +124,16 @@ def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda v: conform_i(LIST_I, TOP_ASSIGN, STAR, v),
+        lambda v: indexed.Conformer(LIST_I, TOP_ASSIGN, STAR)(v),
         lambda v: map_i(LIST_I, {STAR: lambda w: w}, STAR, v),
     ],
     ids=["conform_i", "map_i"],
 )
 def test_walks_check_the_output_index_once(monkeypatch, walk):
     """Only the index a caller gives can lie outside the outputs: in a
-    well-formed code every inner walk's index is an output of its code."""
+    well-formed code every inner walk's index is an output of its code. A
+    walk checks it once, when it is built; ``conform_i`` borrows a walk
+    built for its index."""
     calls = []
     original = indexed.check_output
     monkeypatch.setattr(
