@@ -227,7 +227,8 @@ def once(table: dict, key, build: Callable[[], T]) -> T:
 class _Cache(dict):
     """What ``cached`` keeps on a code node. Its entries hold closures, which
     neither pickle nor copy, and only repeat what the code determines, so a
-    cache pickles and copies as an empty one."""
+    cache pickles and deep-copies as an empty one (a shallow copy of the
+    code, equal to it, shares it)."""
 
     def __reduce__(self):
         return _Cache, ()
