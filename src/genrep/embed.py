@@ -534,12 +534,13 @@ def conforms(ctx: PathContext, v: GenericValue) -> bool:
     ``conformer`` of the context (``spine.borrow``), built on a copy of its
     environment."""
     build = lambda: conformer(ctx if ctx.env is None else replace(ctx, env=dict(ctx.env)))
-    return spine.borrow(ctx.code, ("conforms", *_key(ctx)), build, v)
+    return spine.borrow(ctx.code, ("conforms", *context_key(ctx)), build, v)
 
 
-def _key(ctx: PathContext) -> tuple:
+def context_key(ctx: PathContext) -> tuple:
     """What a walk of ``ctx.code`` depends on besides the code: the universe,
-    the index, and what the table and the environment hold now."""
+    the index, and what the table and the environment hold now. With the
+    code, it names the context by contents."""
     table = None if ctx.table is None else spine.Contents(ctx.table)
     env = None if ctx.env is None else spine.Contents(ctx.env)
     return ctx.universe, ctx.at, table, env
@@ -603,15 +604,13 @@ _I_IG_WALKS = {"forward": _ToInstant, "backward": _FromInstant}
 
 def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
     """One memoized walk per direction for all of the context's values, so a
-    shared subtree converts once to a shared image; each is built on its
-    direction's first call."""
+    shared subtree converts once to a shared image; both are built here."""
     assign = _i_ig_assign(ctx)
-    walks: dict[str, indexed.Walk] = {}
+    walks = {d: walk(ctx.code, assign, ctx.at) for d, walk in _I_IG_WALKS.items()}
 
     def convert(v: GenericValue, direction: str) -> GenericValue:
         _check_direction(direction)
-        build = lambda: _I_IG_WALKS[direction](ctx.code, assign, ctx.at)
-        return spine.once(walks, direction, build)(v)
+        return walks[direction](v)
 
     return convert
 
@@ -620,7 +619,7 @@ def _i_ig_convert(ctx: PathContext, v: GenericValue, direction: str) -> GenericV
     """One value along i→ig, with a borrowed walk of its direction."""
     _check_direction(direction)
     build = lambda: _I_IG_WALKS[direction](ctx.code, _i_ig_assign(ctx), ctx.at)
-    return spine.borrow(ctx.code, ("i-ig", direction, *_key(ctx)), build, v)
+    return spine.borrow(ctx.code, ("i-ig", direction, *context_key(ctx)), build, v)
 
 
 STEPS = {

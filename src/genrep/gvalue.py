@@ -70,6 +70,10 @@ class IndexLabel:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from its fields, so that another process hashes it afresh
+        return IndexLabel, (self.name, self.tags)
+
 
 def label(name: str) -> IndexLabel:
     return IndexLabel(name)

@@ -171,8 +171,10 @@ def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T])
     transformers. ``tables`` lives for one enumeration or one walk, and
     keeps, under ``(id(node), id(assign))`` (``spine.once``), each
     assignment it builds, so each is built once however many layers of a
-    value pass through ``node``; ``assign``, the first assignment or one
-    kept there, outlives ``tables``, so its ``id`` names it."""
+    value pass through ``node``. Every object a key names lives as long as
+    ``tables`` is read: ``node`` is part of the code and ``assign`` the
+    first assignment or one kept in ``tables``, and a walk reads its tables
+    only while it is built. So the ``id``s name them."""
 
     def build() -> Mapping:
         match node:
@@ -198,7 +200,7 @@ class Walk(spine.Walk):
     a tag and ``_comp(layer)`` a composition whose left code compiles to
     ``layer`` (by default ``layer`` itself). The static ``_unrolled(v)``
     answers at a ``Fix`` node for a value not of the layer class ``_layer``
-    (by default ``Roll``), before the node's table is built. ``_entries``
+    (by default ``Roll``), which does not enter the fixed point. ``_entries``
     names an entry in the error for a missing one.
     """
 
@@ -211,44 +213,37 @@ class Walk(spine.Walk):
         self.top = self._walk(code, assign, at)
 
     def _walk(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
-        ref = self.ref
-
         def atom(node: IndexedBody):
-            walk, kind = ref(), type(node)
+            kind = type(node)
             if kind is Id:
                 entry = assign.get(node.label)
                 if entry is None:
-                    missing = f"no {walk._entries} for index {print_label(node.label)}"
+                    missing = f"no {self._entries} for index {print_label(node.label)}"
                     return spine.raising(IndexNotInSet, missing)
                 kind = type(entry)
                 if kind is MuSlot or kind is InterpSlot:
-                    return walk.enter(entry)
-                return walk._leaf(entry)
+                    return self.enter(entry)
+                return self._leaf(entry)
             if kind is Tag:
-                return walk._tag(node.label, at)
+                return self._tag(node.label, at)
             if kind is Comp:
-                inner = inner_assign(walk.tables, node, assign)
-                return walk._comp(walk._walk(node.left, inner, at))
+                inner = inner_assign(self.tables, node, assign)
+                return self._comp(self._walk(node.left, inner, at))
             if kind is Fix:
-                return walk._fix(node, assign, at)
+                return self._fix(node, assign, at)
             return spine.raising(TypeError, f"not an indexed body: {node!r}")
 
         return self._spine(code.body, atom)
 
     def _fix(self, node: Fix, assign: Mapping, at: IndexLabel):
-        # A value of the layer class enters the fixed point; the first builds its table.
-        ref, layer, unrolled = self.ref, self._layer, self._unrolled
-        enter = None
-
-        def fix(w: GenericValue):
-            nonlocal enter
-            if type(w) is not layer:
-                return unrolled(w)
-            if enter is None:
-                enter = ref().enter(slot_at(inner_assign(ref().tables, node, assign), right(at)))
-            return enter(w)
-
-        return fix
+        # A value of the layer class enters the fixed point at its table's slot for ``at``.
+        layer, unrolled = self._layer, self._unrolled
+        slot = inner_assign(self.tables, node, assign).get(right(at))
+        if slot is None:
+            enter = spine.raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
+        else:
+            enter = self.enter(slot)
+        return lambda w: enter(w) if type(w) is layer else unrolled(w)
 
     def _comp(self, layer):
         return layer

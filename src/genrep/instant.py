@@ -9,6 +9,7 @@ constant a ``k`` node, so every walk over a finite value ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Union
 
 from . import spine
@@ -90,38 +91,43 @@ def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
     """Does a value inhabit the interpretation of ``code`` in ``env``?
     Compiled once for as many values as it is asked about. Its recursion
     points are the named codes, which an ``R`` reference and a ``K``
-    constant of ``OfCode`` enter: one ``Walk.point`` per name, which
-    resolves the name when a value first reaches it."""
-    return spine.Walk(lambda walk: spine.conformer(code, _atom(env, walk.ref)))
+    constant of ``OfCode`` enter: one ``Walk.point`` per name, compiled
+    with the walk. A name ``env`` does not define compiles to a closure that
+    raises ``MalformedValue`` when a value reaches it."""
+    return spine.Walk(lambda walk: spine.conformer(code, partial(_atom, env, walk)))
 
 
-def _atom(env: CodeEnv, ref) -> Callable[[InstantCode], Callable[[GenericValue], bool]]:
-    """The atom function of the conformance walk ``ref`` in ``env``."""
+def _atom(env: CodeEnv, walk: spine.Walk, node: InstantCode) -> Callable[[GenericValue], bool]:
+    """The closure of ``node`` in the conformance walk ``walk`` in ``env``.
+    It and ``_enter`` and ``_kset`` are bound by ``partial``, not closures
+    of one another, whose cycle would keep the walk alive."""
+    kind = type(node)
+    if kind is K:
+        inner, wrapper = _kset(env, walk, node.payload), Konst
+    elif kind is R:
+        inner, wrapper = _enter(env, walk, node.ref), RecV
+    else:
+        return spine.raising(TypeError, f"not an instant code: {node!r}")
+    return lambda w: type(w) is wrapper and inner(w.inner)
 
-    def enter(name: str) -> Callable[[GenericValue], bool]:
-        return ref().point(name, lambda: spine.conformer(resolve(env, name), atom))
 
-    def atom(node: InstantCode) -> Callable[[GenericValue], bool]:
-        kind = type(node)
-        if kind is K:
-            inner, wrapper = kset(node.payload), Konst
-        elif kind is R:
-            inner, wrapper = enter(node.ref), RecV
-        else:
-            return spine.raising(TypeError, f"not an instant code: {node!r}")
-        return lambda w: type(w) is wrapper and inner(w.inner)
+def _enter(env: CodeEnv, walk: spine.Walk, name: str) -> Callable[[GenericValue], bool]:
+    try:
+        code = resolve(env, name)
+    except MalformedValue as err:
+        return spine.raising(MalformedValue, str(err))
+    return walk.point(name, lambda: spine.conformer(code, partial(_atom, env, walk)))
 
-    def kset(payload: KSet) -> Callable[[GenericValue], bool]:
-        kind = type(payload)
-        if kind is Prim:
-            return spine.leaf(PayloadSlot(payload.sort), "an instant")
-        if kind is EqWitness:
-            return spine.is_refl if payload.a == payload.b else spine.never
-        if kind is OfCode:
-            return enter(payload.ref)
-        return spine.raising(TypeError, f"not a constant set: {payload!r}")
 
-    return atom
+def _kset(env: CodeEnv, walk: spine.Walk, payload: KSet) -> Callable[[GenericValue], bool]:
+    kind = type(payload)
+    if kind is Prim:
+        return spine.leaf(PayloadSlot(payload.sort), "an instant")
+    if kind is EqWitness:
+        return spine.is_refl if payload.a == payload.b else spine.never
+    if kind is OfCode:
+        return _enter(env, walk, payload.ref)
+    return spine.raising(TypeError, f"not a constant set: {payload!r}")
 
 
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:

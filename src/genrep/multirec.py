@@ -82,26 +82,28 @@ def conformer(code: MultirecCode, assign: Assignment, at: IndexLabel) -> spine.W
     ``assign``? Compiled once for as many values as it is asked about; the
     index must be in the code's index set whatever the value."""
     check_index(code, at)
-    return spine.Walk(lambda walk: _layer(walk.ref, code, assign, at))
+    return spine.Walk(lambda walk: _layer(walk, code, assign, at))
 
 
 def mu_conformer(code: MultirecCode, at: IndexLabel) -> spine.Walk:
     """Does a value inhabit the fixed point of ``code`` at index ``at``,
     which must be in the code's index set whatever the value?"""
     check_index(code, at)
-    return spine.Walk(lambda walk: _fixed_point(walk.ref, code, at))
+    return spine.Walk(lambda walk: _fixed_point(walk, code, at))
 
 
-def _fixed_point(ref, code: MultirecCode, lbl: IndexLabel) -> Callable[[GenericValue], bool]:
-    """The fixed point of ``code`` at ``lbl`` in the walk ``ref``: one
-    ``Walk.point`` per code and index, whose layers read ``mu_assignment``
-    of the code. The point keeps ``code``, so its ``id`` names it."""
-    build = lambda: spine.rolled(_layer(ref, code, mu_assignment(code), lbl))
-    return ref().point((id(code), lbl), build)
+def _fixed_point(
+    walk: spine.Walk, code: MultirecCode, lbl: IndexLabel
+) -> Callable[[GenericValue], bool]:
+    """The fixed point of ``code`` at ``lbl`` in ``walk``: one ``Walk.point``
+    per code and index, whose layers read ``mu_assignment`` of the code. The
+    code lives while the walk is built, so its ``id`` names it."""
+    build = lambda: spine.rolled(_layer(walk, code, mu_assignment(code), lbl))
+    return walk.point((id(code), lbl), build)
 
 
-def _layer(ref, code: MultirecCode, assign: Assignment, at: IndexLabel):
-    """One layer of ``code`` at ``at`` under ``assign`` in the walk ``ref``."""
+def _layer(walk: spine.Walk, code: MultirecCode, assign: Assignment, at: IndexLabel):
+    """One layer of ``code`` at ``at`` under ``assign`` in ``walk``."""
 
     def atom(node: MultirecBody) -> Callable[[GenericValue], bool]:
         kind = type(node)
@@ -116,7 +118,7 @@ def _layer(ref, code: MultirecCode, assign: Assignment, at: IndexLabel):
                 return spine.leaf(slot, "a multirec")
             if lbl not in slot.code.indices:
                 return lambda w: check_index(slot.code, lbl)
-            return _fixed_point(ref, slot.code, lbl)
+            return _fixed_point(walk, slot.code, lbl)
         if lbl not in code.indices:
             return lambda w: check_index(code, lbl)
         return spine.never if at != lbl else spine.is_refl
@@ -130,8 +132,11 @@ def conform_m(
     at: IndexLabel,
     v: GenericValue,
 ) -> bool:
-    """Does ``v`` inhabit one layer of ``code`` at index ``at``?"""
-    return conformer(code, assign, at)(v)
+    """Does ``v`` inhabit one layer of ``code`` at index ``at`` under
+    ``assign``? The call borrows a ``conformer`` (``spine.borrow``) keyed by
+    the index and the slots ``assign`` holds now, and built on a copy of it."""
+    build = lambda: conformer(code, dict(assign), at)
+    return spine.borrow(code, ("conform_m", at, spine.Contents(assign)), build, v)
 
 
 def conform_mu_m(code: MultirecCode, at: IndexLabel, v: GenericValue) -> bool:

@@ -360,13 +360,9 @@ def _enumerate(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
     raise ValueError(f"unknown universe: {ctx.universe!r}")
 
 
-def _context_key(ctx: PathContext) -> tuple:
-    """``ctx`` by value: the suites build equal codes and contexts afresh."""
-    items = lambda table: None if table is None else frozenset(table.items())
-    return (ctx.universe, ctx.code, ctx.at, items(ctx.table), items(ctx.env))
-
-
-# context key -> (the largest max_size asked for, the values up to it)
+# a context by contents, (code, *embed.context_key(ctx)), since the suites
+# build equal codes and contexts afresh -> (the largest max_size asked for,
+# the values up to it)
 _ENUMERATED: dict[tuple, tuple[int, list[GenericValue]]] = {}
 
 
@@ -375,7 +371,7 @@ def enum_context(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
     fixed-point value lives (see ``embed.contexts``), as a fresh list. Each
     context value is enumerated and rechecked once per largest budget; a
     smaller budget is served from the front of the values kept for it."""
-    key = _context_key(ctx)
+    key = (ctx.code, *embed.context_key(ctx))
     max_size, values = _ENUMERATED.get(key, (0, []))
     if max_size < budget.max_size:
         values = _enumerate(ctx, budget)

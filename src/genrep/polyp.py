@@ -88,17 +88,15 @@ class _Walk(spine.Walk):
         self.top = self._entry(slot)
 
     def _layer(self, code: PolyPCode, slots: SlotPair):
-        ref = self.ref
-
         def atom(node: PolyPCode):
-            walk, kind = ref(), type(node)
+            kind = type(node)
             if kind is Par:
-                return walk._entry(slots.param)
+                return self._entry(slots.param)
             if kind is Id:
-                return walk._entry(slots.rec)
+                return self._entry(slots.rec)
             if kind is Comp:
                 build = lambda: MuSlot(node.left, InterpSlot(node.right, slots))
-                return walk._entry(spine.once(walk.tables, (id(node), id(slots)), build))
+                return self._entry(spine.once(self.tables, (id(node), id(slots)), build))
             return spine.raising(TypeError, f"not a polyp code: {node!r}")
 
         return self._spine(code, atom)

@@ -62,9 +62,8 @@ def mu_conformer(code: RegularCode) -> spine.Walk:
 def _slot(slot: RegularSlot, walk: spine.Walk) -> Callable[[GenericValue], bool]:
     if type(slot) is not MuSlot:
         return spine.leaf(slot, "a regular")
-    build = lambda: spine.rolled(spine.conformer(slot.code, _identity(enter)))
-    enter = walk.point(id(slot), build)
-    return enter
+    build = lambda: spine.rolled(spine.conformer(slot.code, _identity(_slot(slot, walk))))
+    return walk.point(id(slot), build)
 
 
 def _identity(inner: Callable) -> Callable[[RegularCode], Callable]:

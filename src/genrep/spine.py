@@ -8,11 +8,11 @@ is the same class as ``instant.Sum``.
 
 What the universes do not share are their atoms: identity positions,
 parameters, tags, constants, references, composition and fixed points.
-``conformer`` and ``mapper`` compile a code into closures once per walk:
-they handle the spine and ask an atom function supplied by the caller for
-each atom node's closure, which gives that node its universe's meaning (a
-node it does not know raises the universe's own ``TypeError`` when a value
-reaches it). Keeping the atoms apart keeps the universes independent
+``conformer`` and ``mapper`` compile a whole code into closures when a walk
+is built: they handle the spine and ask an atom function supplied by the
+caller for each atom node's closure, which gives that node its universe's
+meaning (a node it does not know raises the universe's own ``TypeError``
+when a value reaches it). Keeping the atoms apart keeps the universes independent
 interpreters, which the cross-universe checks depend on.
 
 What depends on a code alone is kept on the code node itself (``cached``),
@@ -24,7 +24,6 @@ value.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, TypeVar
@@ -66,10 +65,9 @@ class Prod:
 
 # The closures are the inner loop of every universe. Each spine node becomes
 # one closure that dispatches on the exact class of its value (faster than
-# ``match``; no class here or in gvalue is subclassed), and compiles each
-# operand when a value first reaches it, so a walk compiles no more of its
-# code than its values reach, and a pooled walk (``borrow``) goes on
-# compiling where earlier calls stopped. Each frame a layer takes lowers the
+# ``match``; no class here or in gvalue is subclassed) and calls the
+# closures of its operands, which are compiled with it, so a walk compiles
+# all of its code when it is built. Each frame a layer takes lowers the
 # depth that fits under the recursion limit: a regular numeral takes three
 # per layer (point, roll, sum), a list four.
 
@@ -82,32 +80,21 @@ def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValu
         return _is_tt
     if kind is not Sum and kind is not Prod:
         return atom(code)
-    ops: list = [None, None]
+    left, right = conformer(code.left, atom), conformer(code.right, atom)
     if kind is Sum:
 
         def conform_sum(v: GenericValue) -> bool:
             kind = type(v)
             if kind is In1:
-                return (ops[0] or _operand(ops, 0, code, atom, conformer))(v.value)
-            return kind is In2 and (ops[1] or _operand(ops, 1, code, atom, conformer))(v.value)
+                return left(v.value)
+            return kind is In2 and right(v.value)
 
         return conform_sum
 
     def conform_prod(v: GenericValue) -> bool:
-        return (
-            type(v) is Pair
-            and (ops[0] or _operand(ops, 0, code, atom, conformer))(v.first)
-            and (ops[1] or _operand(ops, 1, code, atom, conformer))(v.second)
-        )
+        return type(v) is Pair and left(v.first) and right(v.second)
 
     return conform_prod
-
-
-def _operand(ops: list, i: int, code: Sum | Prod, atom: Callable, build: Callable) -> Callable:
-    """The closure of operand ``i`` of ``code``, built into ``ops`` when a
-    value first reaches it."""
-    ops[i] = build(code.right if i else code.left, atom)
-    return ops[i]
 
 
 def _is_tt(v: GenericValue) -> bool:
@@ -124,15 +111,15 @@ def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue],
         return _map_unit
     if kind is not Sum and kind is not Prod:
         return atom(code)
-    ops: list = [None, None]
+    left, right = mapper(code.left, atom), mapper(code.right, atom)
     if kind is Sum:
 
         def map_sum(v: GenericValue) -> GenericValue:
             kind = type(v)
             if kind is In1:
-                return In1((ops[0] or _operand(ops, 0, code, atom, mapper))(v.value))
+                return In1(left(v.value))
             if kind is In2:
-                return In2((ops[1] or _operand(ops, 1, code, atom, mapper))(v.value))
+                return In2(right(v.value))
             raise MalformedValue(f"sum layer is not an injection: {print_value(v)}")
 
         return map_sum
@@ -140,8 +127,7 @@ def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue],
     def map_prod(v: GenericValue) -> GenericValue:
         if type(v) is not Pair:
             raise MalformedValue(f"product layer is not a pair: {print_value(v)}")
-        first = (ops[0] or _operand(ops, 0, code, atom, mapper))(v.first)
-        return Pair(first, (ops[1] or _operand(ops, 1, code, atom, mapper))(v.second))
+        return Pair(left(v.first), right(v.second))
 
     return map_prod
 
@@ -155,20 +141,22 @@ def _map_unit(v: GenericValue) -> GenericValue:
 class Walk:
     """A compiled walk, for as many values as it is given: ``walk(v)`` runs
     its top closure ``walk.top``, which ``Walk(top)`` builds as ``top(walk)``.
-    The walk keeps what its closures build once: its recursion points
+    A walk compiles all of its code when it is built and nothing after. It
+    keeps what its closures were built from: its recursion points
     (``point``) and the tables a universe builds through ``once``
-    (``tables``). The closures of a recursive code refer to each other in
-    cycles, which only the cyclic collector frees, so the walk owns the
-    memos of its recursion points (``memos``) and empties them when it
-    dies, or when a one-value call that borrowed it returns (``borrow``),
-    and no closure refers to the walk itself: one that needs it, as a lazy
-    build does, holds the weak reference ``ref``."""
+    (``tables``). The keys of both name objects by ``id``, which is safe
+    because they are read only while the walk is built, and every object a
+    key names lives until the build ends. The closures of a recursive code
+    refer to each other in cycles, which only the cyclic collector frees, so
+    the walk owns the memos of its recursion points (``memos``) and empties
+    them when it dies, or when a one-value call that borrowed it returns
+    (``borrow``); no closure refers to the walk itself, so it dies as soon
+    as it is dropped."""
 
     def __init__(self, top: Callable[[Walk], Callable] | None = None):
         self.memos: list[dict] = []
         self.points: dict = {}
         self.tables: dict = {}
-        self.ref = weakref.ref(self)
         if top is not None:
             self.top = top(self)
 
@@ -184,36 +172,31 @@ class Walk:
 
     def point(self, key, build: Callable[[], Callable]) -> Callable:
         """The recursion point named ``key``: the closure that computes
-        ``build()(v)`` once per value ``v``, where a walk enters a fixed-point
+        ``body(v)`` once per value ``v``, where a walk enters a fixed-point
         layer, a composition's code or a named code. Its memo, one of
         ``memos``, is keyed by ``id(v)`` and keeps ``v``, which is right for
-        conformance and for maps whose transformers are pure. The body is
-        built on the first call, so a fixed point that reaches itself builds
-        lazily. The point keeps ``build``, so an object that ``build`` refers
-        to can be named in ``key`` by its ``id``."""
+        conformance and for maps whose transformers are pure. The point is
+        registered before ``body = build()`` runs, so a fixed point that
+        reaches itself while it is built finds it."""
         hit = self.points.get(key)
         if hit is not None:
             return hit
         memo: dict[int, tuple] = {}
         self.memos.append(memo)
-        body = None
 
         def enter(v: GenericValue):
-            nonlocal body
             hit = memo.get(id(v))
             if hit is None:
-                if body is None:
-                    body = build()
                 hit = memo[id(v)] = (v, body(v))
             return hit[1]
 
         self.points[key] = enter
+        body = build()
         return enter
 
     def enter(self, slot) -> Callable:
         """The recursion point of ``slot``, whose body is ``_point(slot)``."""
-        ref = self.ref
-        return self.point(id(slot), lambda: ref()._point(slot))
+        return self.point(id(slot), lambda: self._point(slot))
 
 
 def once(table: dict, key, build: Callable[[], T]) -> T:
@@ -268,10 +251,10 @@ class Contents(dict):
 
 def borrow(code, key, build: Callable[[], Walk], v: GenericValue):
     """``walk(v)`` for a one-value call, with a walk of ``code`` from its
-    pool under ``key`` (``cached``), or a new one from ``build()`` when none
-    is free. The walk is emptied and put back however the call ends, so it
-    keeps what it compiled for the next call and nothing of ``v``; a thread
-    that finds the pool empty compiles a walk of its own."""
+    pool under ``key`` (``cached``), or a new one, compiled whole by
+    ``build()``, when none is free. The walk is emptied and put back however
+    the call ends, so the next call finds it compiled and nothing of ``v``
+    is kept; a thread that finds the pool empty compiles a walk of its own."""
     pool = cached(code, ("pool", key), list)
     try:
         walk = pool.pop()

@@ -6,8 +6,9 @@ their blind spots.  `gvalues` is the hypothesis strategy used by the
 round-trip properties.  `child_env` is the environment every test that
 starts a Python process gives it.  `corpus_contexts` lists every corpus
 context.  `indexed_list` and `rose` build values of the indexed list and
-rose codes.  `same_tree` compares two trees of any depth.  `fuzz_argvs`
-and `fuzz_corpus_argvs` generate seeded argument vectors for the CLI.
+rose codes.  `same_tree` compares two trees of any depth.  `fuzz_argvs`,
+`fuzz_corpus_argvs` and `fuzz_size_argvs` generate seeded argument
+vectors for the CLI.
 """
 
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
-from genrep import corpus, embed, oracle
+from genrep import corpus, dsl, embed, oracle
 from genrep import (
     EnumBudget,
     In1,
@@ -60,7 +61,8 @@ def corpus_contexts():
 
 
 def same_tree(a, b) -> bool:
-    """Structural equality by an explicit stack, since ``==`` recurses."""
+    """Structural equality, node by node on an explicit stack: a check that
+    does not rest on interning, by which ``==`` is identity."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -272,12 +274,12 @@ def fuzz_argvs(seed: int, count: int):
     return [_fuzz_argv(rng) for _ in range(count)]
 
 
-def _drawn_value(rng, ctx, others) -> str:
-    """The text of a value of ``ctx`` of at most six nodes, now and then of
-    another context's, which seldom conforms."""
+def _drawn_value(rng, ctx, others, max_size: int = 6) -> str:
+    """The text of a value of ``ctx`` of at most ``max_size`` nodes, now and
+    then of another context's, which seldom conforms."""
     if rng.random() < 0.2:
         ctx = rng.choice(others)
-    values = oracle.enum_context(ctx, EnumBudget(max_size=6))
+    values = oracle.enum_context(ctx, EnumBudget(max_size=max_size))
     return print_value(rng.choice(values)) if values else "tt"
 
 
@@ -306,4 +308,25 @@ def fuzz_corpus_argvs(seed: int, count: int):
             env = [f"--env={name}"] if universe == "instant" else []
             argvs.append(["check", f"--universe={universe}", f"--code={name}",
                           f"--value={_drawn_value(rng, ctx, others)}", *index, *env])
+    return argvs
+
+
+def fuzz_size_argvs(seed: int, count: int):
+    """``count`` ``size`` argument vectors from ``seed``, over ``List⊤`` and
+    the i→ig image of every indexed corpus context, each code and
+    environment given as text (``dsl.print_code``, ``dsl.print_env``), with
+    value texts of at most 24 nodes drawn from ``oracle.enum_context`` of
+    the context, now and then of another, so that most of them reach the
+    command's success path. The images have few small values: a rec node
+    and a constant wrap each layer."""
+    rng = random.Random(seed)
+    cases = embed.contexts("instant", corpus.LIST_TOP_BODY, corpus.LIST_TOP_ENV)
+    for code in corpus.INDEXED_CODES.values():
+        cases += [embed.STEPS["i-ig"].context(ctx) for ctx in embed.contexts("indexed", code)]
+    argvs = []
+    for _ in range(count):
+        ctx = rng.choice(cases)
+        argvs.append(["size", f"--env={dsl.print_env(ctx.env)}",
+                      f"--code={dsl.print_code('instant', ctx.code)}",
+                      f"--value={_drawn_value(rng, ctx, cases, 24)}"])
     return argvs

@@ -7,6 +7,7 @@ import gc
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import weakref
@@ -14,18 +15,20 @@ from functools import partial
 
 import pytest
 
-from genrep import In1, In2, Konst, MalformedValue, Pair, RecV, Refl, Roll, TT, payload, value_size
+from genrep import In1, In2, Konst, MalformedValue, Pair, RecV, Refl, Roll, TT, payload, print_value
+from genrep import value_size
 from genrep import corpus, embed, indexed, instant, multirec, oracle, polyp, regular, spine
-from genrep.gvalue import PayloadSlot
+from genrep.gvalue import PayloadSlot, index_set
 from genrep.oracle import EnumBudget
 from genrep.spine import Sum, Unit
 
-from helpers import all_trees_upto, corpus_contexts, indexed_list
+from helpers import all_trees_upto, child_env, corpus_contexts, indexed_list
 from test_walks import OWN_SIZE, _nodes
 
 STAR, LSTAR = embed.STAR, embed.LSTAR
 TOP = PayloadSlot("⊤")
 TOP_TABLE = {STAR: instant.Prim("⊤")}
+X = index_set(STAR)
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -167,10 +170,34 @@ def test_a_cloned_code_answers_as_the_original():
         assert embed.fix_p_code(clone(corpus.LIST_C)) == corpus.LIST_I
 
 
+def _in_process(seed: str, script: str, data: bytes = b"") -> bytes:
+    """What ``script`` writes to stdout, run by a fresh Python under ``seed``."""
+    env = dict(child_env(), PYTHONHASHSEED=seed)
+    run = subprocess.run([sys.executable, "-c", script], input=data, capture_output=True,
+                         env=env, check=True)
+    return run.stdout
+
+
+def test_a_code_pickled_in_one_process_answers_in_another():
+    """Labels hash by value, and a hash differs from process to process, so
+    a loaded label must hash afresh: a code pickled under one hash seed
+    finds its slots under another."""
+    data = _in_process("1", "import pickle, sys; from genrep import corpus; "
+                            "sys.stdout.buffer.write(pickle.dumps(corpus.LIST_I))")
+    script = ("import pickle, sys; from genrep import embed, indexed, parse_value; "
+              "from genrep.gvalue import TOP_SLOT; "
+              "code = pickle.loads(sys.stdin.buffer.read()); "
+              f"v = parse_value({print_value(indexed_list([TT()]))!r}); "
+              "print(indexed.conform_i(code, {embed.STAR: TOP_SLOT}, embed.STAR, v))")
+    assert _in_process("2", script, data) == b"True\n"
+
+
 NOT_CODES = {
     "conform_mu_r": (lambda: regular.conform_mu_r(Refl(), Roll(TT())), "not a regular code: Refl()"),
     "conform_mu_p": (lambda: polyp.conform_mu_p(None, TOP, Roll(TT())), "not a polyp code: None"),
     "conform_ig": (lambda: instant.conform_ig({}, Refl(), TT()), "not an instant code: Refl()"),
+    "conform_m": (lambda: multirec.conform_m(multirec.MultirecCode(X, Refl()), {}, STAR, TT()),
+                  "not a multirec body: Refl()"),
     "conforms": (lambda: embed.conforms(embed.regular_context(Refl()), Roll(TT())),
                  "not a regular code: Refl()"),
 }
@@ -179,7 +206,9 @@ NOT_CODES = {
 @pytest.mark.parametrize("call, message", NOT_CODES.values(), ids=NOT_CODES)
 def test_an_argument_that_is_no_code_gets_its_universes_error(call, message):
     """An object with no ``__dict__`` keeps no cache: its walk is built per
-    call and names it, as the atom of a code that is no code does."""
+    call and names it, as the atom of a code that is no code does. A
+    multirec code is read for its index set first, so its row is a family
+    whose body is no code, whose borrowed walk names the body."""
     for _ in range(2):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
@@ -239,6 +268,8 @@ ONE_VALUE = {
     "conform_p": (lambda: _rose(3).inner, partial(
         polyp.conform_p, corpus.ROSE_C, polyp.SlotPair(TOP, polyp.MuSlot(corpus.ROSE_C, TOP)))),
     "conform_mu_m": (partial(_zig_zag, 21), partial(multirec.conform_mu_m, corpus.ZIG_ZAG_C, LSTAR)),
+    "conform_m": (lambda: _zig_zag(25).inner, partial(
+        multirec.conform_m, corpus.ZIG_ZAG_C, multirec.mu_assignment(corpus.ZIG_ZAG_C), LSTAR)),
     "conform_i": (partial(_rose, 3), partial(indexed.conform_i, corpus.ROSE_I, {STAR: TOP}, STAR)),
     "conform_ig": (lambda: _image(_rose(3)), partial(instant.conform_ig, ROSE_IG.env, ROSE_IG.code)),
     "conforms": (partial(_rose, 3), partial(embed.conforms, ROSE_P)),

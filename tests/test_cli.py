@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from genrep import TT, cli, embed, oracle
-from helpers import child_env, fuzz_argvs, fuzz_corpus_argvs
+from helpers import child_env, fuzz_argvs, fuzz_corpus_argvs, fuzz_size_argvs
 from test_oracle import CHECKED_AT_10
 
 
@@ -511,3 +511,26 @@ def test_corpus_argument_vectors_reach_the_success_paths(capsys):
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert exits == CORPUS_FUZZ_EXITS
+
+
+# A third pinned run: ``size`` on instant codes and environments given as
+# text, with enumerated value texts, which reaches its success path.
+SIZE_FUZZ_SEED, SIZE_FUZZ_COUNT = 2023, 200
+SIZE_FUZZ_EXITS = {0: 168, 1: 32}
+
+
+def test_size_argument_vectors_reach_the_success_path(capsys):
+    """``size`` on the instant corpus context and the i→ig images, with
+    values drawn from the contexts: a call that exits 0 prints one natural
+    number, any other one ``error:`` line, and the number of calls per exit
+    code is pinned."""
+    exits = {}
+    for argv in fuzz_size_argvs(SIZE_FUZZ_SEED, SIZE_FUZZ_COUNT):
+        status = cli.run_cli(argv)
+        out, err = capsys.readouterr()
+        exits[status] = exits.get(status, 0) + 1
+        if status == 0:
+            assert out.rstrip("\n").isdigit() and out.count("\n") == 1 and err == "", (argv, out)
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert exits == SIZE_FUZZ_EXITS

@@ -234,17 +234,16 @@ def test_a_walk_given_a_non_value_says_so(build, answer, v):
 
 POINT_SIZE = 12
 
-# context -> the recursion points of one conformer that has judged every
-# value of the context up to POINT_SIZE nodes
+# context -> the recursion points one conformer compiles when it is built
 POINTS = {
     "regular-NatC": 1, "regular-BinC": 1,
-    "polyp-ListC": 1, "polyp-RoseC": 2, "polyp-TreeC": 1, "polyp-TreeListNaive": 3,
+    "polyp-ListC": 1, "polyp-RoseC": 3, "polyp-TreeC": 1, "polyp-TreeListNaive": 3,
     "polyp-TreeListProper": 3,
-    "multirec-ZigZagC@('L',)": 1, "multirec-ZigZagC@('R',)": 2,
-    "indexed-NatI@()": 1, "indexed-BinI@()": 1, "indexed-ListI@()": 1, "indexed-RoseI@()": 2,
-    "indexed-ZigZagI@('L',)": 1, "indexed-ZigZagI@('R',)": 2,
+    "multirec-ZigZagC@('L',)": 2, "multirec-ZigZagC@('R',)": 2,
+    "indexed-NatI@()": 1, "indexed-BinI@()": 1, "indexed-ListI@()": 1, "indexed-RoseI@()": 3,
+    "indexed-ZigZagI@('L',)": 2, "indexed-ZigZagI@('R',)": 2,
     "instant-of-NatI@()": 1, "instant-of-BinI@()": 1, "instant-of-ListI@()": 1,
-    "instant-of-RoseI@()": 3, "instant-of-ZigZagI@('L',)": 1, "instant-of-ZigZagI@('R',)": 2,
+    "instant-of-RoseI@()": 4, "instant-of-ZigZagI@('L',)": 2, "instant-of-ZigZagI@('R',)": 2,
     "instant-List⊤": 1,
 }
 COMP = polyp.Comp(corpus.LIST_C, polyp.Par())
@@ -261,9 +260,11 @@ COMP = polyp.Comp(corpus.LIST_C, polyp.Par())
 )
 def test_a_walk_keeps_one_recursion_point_per_key(ctx, points):
     """A walk that built a second point where its key should find the first
-    would still answer right, from duplicate points: the count shows it,
-    and a second pass over the same values adds none."""
+    would still answer right, from duplicate points: the count shows it. A
+    walk compiles every point when it is built, so two passes over every
+    value of the context up to POINT_SIZE nodes add none."""
     conforms = embed.conformer(ctx)
+    assert len(conforms.memos) == points
     values = oracle.enum_context(ctx, EnumBudget(max_size=POINT_SIZE))
     for _ in range(2):
         assert all(conforms(v) for v in values)
@@ -327,19 +328,20 @@ def _rose3(depth):
 
 
 def _held_walks():
-    """Walks that keep memos, each with a value of its code larger than any
-    value another test or an enumeration holds, and of a shape none builds."""
+    """Factories of walks that keep memos, each with a value of its code
+    larger than any value another test or an enumeration holds, and of a
+    shape none builds."""
     rose_i = embed.contexts("indexed", corpus.ROSE_I)[0]
     rose = _rose3(3)
-    yield embed.conformer(embed.regular_context(corpus.BIN_C)), _comb(20)
-    yield embed.conformer(embed.polyp_context(corpus.ROSE_C)), rose
-    yield embed.conformer(embed.multirec_context(corpus.ZIG_ZAG_C, LSTAR)), _zig_zag(20)
-    yield embed.conformer(rose_i), rose
-    yield (embed.conformer(embed.STEPS["i-ig"].context(rose_i)),
+    yield partial(embed.conformer, embed.regular_context(corpus.BIN_C)), _comb(20)
+    yield partial(embed.conformer, embed.polyp_context(corpus.ROSE_C)), rose
+    yield partial(embed.conformer, embed.multirec_context(corpus.ZIG_ZAG_C, LSTAR)), _zig_zag(20)
+    yield partial(embed.conformer, rose_i), rose
+    yield (partial(embed.conformer, embed.STEPS["i-ig"].context(rose_i)),
            embed.convert_i_ig(corpus.ROSE_I, TOP_TABLE, STAR, rose, "forward"))
-    yield polyp.Mapper(polyp.MuSlot(corpus.ROSE_C, identity)), rose
-    yield indexed.Mapper(corpus.ROSE_I, {STAR: identity}, STAR), rose
-    yield partial(embed.STEPS["i-ig"].converter(rose_i), direction="forward"), rose
+    yield partial(polyp.Mapper, polyp.MuSlot(corpus.ROSE_C, identity)), rose
+    yield partial(indexed.Mapper, corpus.ROSE_I, {STAR: identity}, STAR), rose
+    yield partial(_i_ig, corpus.ROSE_I, STAR, "forward"), rose
 
 
 def _nodes(v):
@@ -364,17 +366,22 @@ OWN_SIZE = 40
 
 @pytest.mark.parametrize("n", range(8))
 def test_a_dropped_walk_frees_its_values_without_the_collector(n):
-    """The closures of a walk refer to each other in cycles; the values in
-    its memos die with the walk all the same, with the collector off."""
-    walk, v = list(_held_walks())[n]
+    """The closures of a walk refer to each other in cycles, but none of
+    them, and nothing its build left behind, refers to the walk: built with
+    the collector off, the walk is freed when it is dropped, and the values
+    in its memos with it."""
+    build, v = list(_held_walks())[n]
     alive = [weakref.ref(node) for node in _nodes(v) if value_size(node) > OWN_SIZE]
     assert alive
     gc.disable()
     try:
+        walk = build()
+        dead = weakref.ref(walk)
         walk(v)
         del v
         assert any(ref() is not None for ref in alive)  # held by the walk's memos
         del walk
+        assert dead() is None
         assert all(ref() is None for ref in alive)
     finally:
         gc.enable()
