@@ -84,12 +84,9 @@ def lift_r_to_p(code: regular.RegularCode) -> polyp.PolyPCode:
     return spine.cached(code, "lift_r_to_p", lambda: spine.lift(code, atom))
 
 
-def _same_tree(
-    conforms: Callable[[GenericValue], bool], v: GenericValue, direction: Direction
-) -> GenericValue:
+def _same_tree(conforms: Callable[[GenericValue], bool], v: GenericValue) -> GenericValue:
     """An arrow that keeps the tree: both directions check ``v`` with a
     conformer of the source context and return it."""
-    _check_direction(direction)
     if not conforms(v):
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
     return v
@@ -100,7 +97,7 @@ def convert_r_p(
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``: the lift
     is structural, so the polyp tree and the regular tree are the same."""
-    return STEPS["r-p"].convert(regular_context(code), v, direction)
+    return convert("r-p", regular_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def convert_r_m(
     code: regular.RegularCode, v: GenericValue, direction: Direction
 ) -> GenericValue:
     """Both directions check regular conformance and return ``v``."""
-    return STEPS["r-m"].convert(regular_context(code), v, direction)
+    return convert("r-m", regular_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,7 @@ def convert_p_i(
 ) -> GenericValue:
     """Both directions check polyp conformance at the ``⊤`` parameter slot
     and return ``v``."""
-    return STEPS["p-i"].convert(polyp_context(code), v, direction)
+    return convert("p-i", polyp_context(code), v, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +210,12 @@ def convert_m_i(
 ) -> GenericValue:
     """Both directions check multirec conformance at ``at`` and return ``v``;
     Refl witnesses must sit under the tag of ``at``."""
-    return STEPS["m-i"].convert(multirec_context(code, at), v, direction)
+    return convert("m-i", multirec_context(code, at), v, direction)
 
 
 # ---------------------------------------------------------------------------
 # indexed to instant
 
-
-# input index -> the atom its Id lifts to: K of its constant set, or R of
-# the entry that a fixed point's recursion names
-_Rho = tuple[tuple[IndexLabel, instant.K | instant.R], ...]
 
 KSetTable = Mapping[IndexLabel, instant.KSet]
 
@@ -251,18 +244,19 @@ class _EnvBuilder:
         return dict(self.entries)
 
 
-def _rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> _Rho:
+def _no_constant_set(lbl: IndexLabel) -> MalformedValue:
+    return MalformedValue(f"no constant set for input index {print_label(lbl)}")
+
+
+def _rho_from_table(code: indexed.IndexedCode, table: KSetTable) -> spine.Contents:
+    """The atom each input's Id lifts to, K of its constant set. A lift's
+    input table ``rho`` is such a ``Contents``, which keys its entries by
+    value; inside a fixed point its Right inputs map to R of the entry that
+    the recursion names."""
     for lbl in code.ins:
         if lbl not in table:
-            raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
-    return tuple((lbl, instant.K(table[lbl])) for lbl in code.ins)
-
-
-def _rho_get(rho: _Rho, lbl: IndexLabel) -> instant.K | instant.R:
-    for key, entry in rho:
-        if key == lbl:
-            return entry
-    raise MalformedValue(f"no constant set for input index {print_label(lbl)}")
+            raise _no_constant_set(lbl)
+    return spine.Contents((lbl, instant.K(table[lbl])) for lbl in code.ins)
 
 
 def lift_i_to_ig(
@@ -289,12 +283,14 @@ def lift_i_to_ig(
 
 
 def _lift_body_ig(
-    body: indexed.IndexedBody, rho: _Rho, o: IndexLabel, builder: _EnvBuilder
+    body: indexed.IndexedBody, rho: spine.Contents, o: IndexLabel, builder: _EnvBuilder
 ) -> instant.InstantCode:
     def atom(node: indexed.IndexedBody) -> instant.InstantCode:
         match node:
             case indexed.Id(lbl):
-                return _rho_get(rho, lbl)
+                if lbl not in rho:
+                    raise _no_constant_set(lbl)
+                return rho[lbl]
             case indexed.Tag(lbl):
                 return instant.K(instant.EqWitness(o, lbl))
             case indexed.Comp(f, g):
@@ -311,30 +307,31 @@ def _lift_body_ig(
 
 
 def _comp_rho(
-    f: indexed.IndexedCode, g: indexed.IndexedCode, rho: _Rho, builder: _EnvBuilder
-) -> _Rho:
-    pairs = []
+    f: indexed.IndexedCode, g: indexed.IndexedCode, rho: spine.Contents, builder: _EnvBuilder
+) -> spine.Contents:
+    """A composition's inner table: each input of ``f`` is a constant of
+    the entry that interprets ``g`` at it."""
+    pairs = {}
     for lbl in f.ins:
         name = builder.ensure(
             ("interp", g, rho, lbl), lambda lbl=lbl: _lift_body_ig(g.body, rho, lbl, builder)
         )
-        pairs.append((lbl, instant.K(instant.OfCode(name))))
-    return tuple(pairs)
+        pairs[lbl] = instant.K(instant.OfCode(name))
+    return spine.Contents(pairs)
 
 
 def _ensure_fix(
     fix_body: indexed.IndexedBody,
     inner: indexed.IndexedCode,
-    rho: _Rho,
+    rho: spine.Contents,
     o: IndexLabel,
     builder: _EnvBuilder,
 ) -> str:
     def build() -> instant.InstantCode:
-        pairs = [(left(lbl), entry) for lbl, entry in rho]
+        refs = {}
         for out in inner.outs:
-            ref = _ensure_fix(fix_body, inner, rho, out, builder)
-            pairs.append((right(out), instant.R(ref)))
-        return _lift_body_ig(inner.body, tuple(pairs), o, builder)
+            refs[out] = instant.R(_ensure_fix(fix_body, inner, rho, out, builder))
+        return _lift_body_ig(inner.body, spine.Contents(indexed.split_tables(rho, refs)), o, builder)
 
     return builder.ensure(("fix", fix_body, rho, o), build)
 
@@ -348,9 +345,9 @@ def convert_i_ig(
 ) -> GenericValue:
     """Forward: rolls become rec nodes, parameter and tag contents become
     constants. Backward restores the original tree exactly. Both directions
-    are ``indexed.Walk``s of the ``i-ig`` step's converter; the direction is
-    checked first, then the output index, then ``table``."""
-    return STEPS["i-ig"].convert(indexed_context(code, table, o), v, direction)
+    are ``indexed.Walk``s that the ``i-ig`` step's ``walks`` build; the
+    direction is checked first, then the output index, then ``table``."""
+    return convert("i-ig", indexed_context(code, table, o), v, direction)
 
 
 def _check_tag(lbl: IndexLabel, o: IndexLabel, v: GenericValue) -> GenericValue:
@@ -404,7 +401,6 @@ class _FromInstant(indexed.Walk):
     """i→ig backward: unwraps what ``_ToInstant`` wraps; its layers are rec nodes."""
 
     _spine = staticmethod(spine.mapper)
-    _layer = RecV
 
     def _point(self, slot) -> Callable[[GenericValue], GenericValue]:
         if type(slot) is indexed.InterpSlot:
@@ -557,32 +553,31 @@ def _instant_target(ctx: PathContext) -> PathContext:
     return PathContext("instant", lifted[ctx.at], env=env)
 
 
+Walks = dict[str, spine.Walk]
+
+
 class Step(NamedTuple):
-    """One arrow. ``lift`` takes a source code; ``context``, ``converter``
-    and ``convert`` take the source context: ``context`` gives the target's,
-    ``converter`` the conversion ``(v, direction)`` out of it, for as many
-    of the context's values as it is given, and ``convert(ctx, v,
-    direction)`` converts one value with a walk that the same builder
-    compiled, borrowed (``spine.borrow``)."""
+    """One arrow. ``lift`` takes a source code; ``context`` and ``walks``
+    take the source context: ``context`` gives the target's, and ``walks``
+    the conversion out of it, one compiled walk per direction
+    (``{"forward": …, "backward": …}``), each for as many of the context's
+    values as it is given. ``convert`` borrows one for a single value."""
 
     source: str
     target: str
     lift: Callable
     context: Callable[[PathContext], PathContext]
-    converter: Callable[[PathContext], Callable[[GenericValue, str], GenericValue]]
-    convert: Callable[[PathContext, GenericValue, str], GenericValue]
+    walks: Callable[[PathContext], Walks]
 
 
-def _same_tree_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
-    """The four arrows that keep the tree check every value with one
-    ``conformer`` of the source context, so the subtrees that a round trip
-    or many values share are judged once."""
-    return partial(_same_tree, conformer(ctx))
-
-
-def _same_tree_convert(ctx: PathContext, v: GenericValue, direction: str) -> GenericValue:
-    """One value of the four arrows that keep the tree: ``conforms``."""
-    return _same_tree(partial(conforms, ctx), v, direction)
+def _same_tree_walks(ctx: PathContext) -> Walks:
+    """The four arrows that keep the tree check every value, both ways,
+    with one ``conformer`` of the source context whose top returns the
+    value or raises, so the subtrees that a round trip or many values share
+    are judged once."""
+    walk = conformer(ctx)
+    walk.top = partial(_same_tree, walk.top)
+    return {"forward": walk, "backward": walk}
 
 
 def _i_ig_assign(ctx: PathContext) -> dict[IndexLabel, object]:
@@ -593,57 +588,63 @@ def _i_ig_assign(ctx: PathContext) -> dict[IndexLabel, object]:
     unchecked."""
     indexed.check_output(ctx.code, ctx.at)
     assign = {}
-    for lbl, atom in _rho_from_table(ctx.code, ctx.table):
+    for lbl, atom in _rho_from_table(ctx.code, ctx.table).items():
         kset = atom.payload
         assign[lbl] = PayloadSlot(kset.sort) if type(kset) is instant.Prim else kset
     return assign
 
 
-_I_IG_WALKS = {"forward": _ToInstant, "backward": _FromInstant}
-
-
-def _i_ig_converter(ctx: PathContext) -> Callable[[GenericValue, str], GenericValue]:
+def _i_ig_walks(ctx: PathContext) -> Walks:
     """One memoized walk per direction for all of the context's values, so a
-    shared subtree converts once to a shared image; both are built here."""
+    shared subtree converts once to a shared image."""
     assign = _i_ig_assign(ctx)
-    walks = {d: walk(ctx.code, assign, ctx.at) for d, walk in _I_IG_WALKS.items()}
-
-    def convert(v: GenericValue, direction: str) -> GenericValue:
-        _check_direction(direction)
-        return walks[direction](v)
-
-    return convert
-
-
-def _i_ig_convert(ctx: PathContext, v: GenericValue, direction: str) -> GenericValue:
-    """One value along i→ig, with a borrowed walk of its direction."""
-    _check_direction(direction)
-    build = lambda: _I_IG_WALKS[direction](ctx.code, _i_ig_assign(ctx), ctx.at)
-    return spine.borrow(ctx.code, ("i-ig", direction, *context_key(ctx)), build, v)
+    return {"forward": _ToInstant(ctx.code, assign, ctx.at),
+            "backward": _FromInstant(ctx.code, assign, ctx.at)}
 
 
 STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
                 lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-                _same_tree_converter, _same_tree_convert),
+                _same_tree_walks),
     "r-m": Step("regular", "multirec",
                 lambda code: lift_r_to_m(code),
                 lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-                _same_tree_converter, _same_tree_convert),
+                _same_tree_walks),
     "p-i": Step("polyp", "indexed",
                 lambda code: lift_p_to_i(code),
                 lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-                _same_tree_converter, _same_tree_convert),
+                _same_tree_walks),
     "m-i": Step("multirec", "indexed",
                 lambda code: lift_m_to_i(code),
                 lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-                _same_tree_converter, _same_tree_convert),
+                _same_tree_walks),
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 _i_ig_converter, _i_ig_convert),
+                 _i_ig_walks),
 }
+
+
+def _row(step: str, universe: str) -> Step:
+    """The row of ``step``, which must start from ``universe``."""
+    if step not in STEPS:
+        raise ValueError(f"unknown conversion step: {step!r}")
+    if STEPS[step].source != universe:
+        raise ValueError(f"step {step} does not start from {universe}")
+    return STEPS[step]
+
+
+def convert(step: str, ctx: PathContext, v: GenericValue, direction: Direction) -> GenericValue:
+    """One value along ``step`` out of ``ctx``, with the walk of its
+    direction that the step's ``walks`` compiled, borrowed
+    (``spine.borrow``). The pool is keyed by the builder, so the arrows
+    that keep the tree share the walks of a context. The direction is
+    checked first, then the step and its source universe."""
+    _check_direction(direction)
+    walks = _row(step, ctx.universe).walks
+    build = lambda: walks(ctx)[direction]
+    return spine.borrow(ctx.code, (walks, direction, *context_key(ctx)), build, v)
 
 
 def compose_path(
@@ -658,11 +659,7 @@ def compose_path(
     _check_direction(direction)
     universe = start.universe
     for step in steps:
-        if step not in STEPS:
-            raise ValueError(f"unknown conversion step: {step!r}")
-        if STEPS[step].source != universe:
-            raise ValueError(f"step {step} does not start from {universe}")
-        universe = STEPS[step].target
+        universe = _row(step, universe).target
     sources = [start]
     for step in steps[:-1]:
         sources.append(STEPS[step].context(sources[-1]))
@@ -670,5 +667,5 @@ def compose_path(
     if direction == "backward":
         walk.reverse()
     for step, ctx in walk:
-        v = STEPS[step].convert(ctx, v, direction)
+        v = convert(step, ctx, v, direction)
     return v

@@ -198,13 +198,12 @@ class Walk(spine.Walk):
     and hooks that compile one position each: ``_point(slot)`` the body of
     a recursion point, ``_leaf(entry)`` any other entry, ``_tag(lbl, at)``
     a tag and ``_comp(layer)`` a composition whose left code compiles to
-    ``layer`` (by default ``layer`` itself). The static ``_unrolled(v)``
-    answers at a ``Fix`` node for a value not of the layer class ``_layer``
-    (by default ``Roll``), which does not enter the fixed point. ``_entries``
-    names an entry in the error for a missing one.
+    ``layer`` (by default ``layer`` itself). A ``Fix`` node is its
+    ``MuSlot``'s point, whose ``_point`` tests a value's layer class and
+    answers a value that is not a layer with the static ``_unrolled(v)``.
+    ``_entries`` names an entry in the error for a missing one.
     """
 
-    _layer = Roll
     _entries = "slot"
 
     def __init__(self, code: IndexedCode, assign: Mapping, at: IndexLabel):
@@ -236,14 +235,11 @@ class Walk(spine.Walk):
         return self._spine(code.body, atom)
 
     def _fix(self, node: Fix, assign: Mapping, at: IndexLabel):
-        # A value of the layer class enters the fixed point at its table's slot for ``at``.
-        layer, unrolled = self._layer, self._unrolled
+        # A value enters the fixed point at its table's slot for ``at``.
         slot = inner_assign(self.tables, node, assign).get(right(at))
         if slot is None:
-            enter = spine.raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
-        else:
-            enter = self.enter(slot)
-        return lambda w: enter(w) if type(w) is layer else unrolled(w)
+            return spine.raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
+        return self.enter(slot)
 
     def _comp(self, layer):
         return layer

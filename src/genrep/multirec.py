@@ -8,7 +8,7 @@ a tag is inhabited by the equality witness exactly at its own index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Mapping, Union
 
 from . import spine
 from .gvalue import (
@@ -55,8 +55,6 @@ MultirecSlot = Union[PayloadSlot, MuSlot, EmptySlot]
 
 Assignment = Mapping[IndexLabel, MultirecSlot]
 
-T = TypeVar("T")
-
 
 def mu_assignment(code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
     """The total assignment that ties every index back to the fixed point."""
@@ -66,15 +64,11 @@ def mu_assignment(code: MultirecCode) -> dict[IndexLabel, MultirecSlot]:
 def check_index(code: MultirecCode, lbl: IndexLabel) -> None:
     """Conformance, map and enumeration all reject a label outside the set."""
     if lbl not in code.indices:
-        raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
+        raise IndexNotInSet(_not_in_set(lbl))
 
 
-def at_index(code: MultirecCode, table: Mapping[IndexLabel, T], lbl: IndexLabel) -> T:
-    """The entry of a per-index table (slots or transformers) for ``lbl``,
-    which must be in the code's index set and in the table."""
-    if lbl not in code.indices or lbl not in table:
-        raise IndexNotInSet(f"index {print_label(lbl)} is not in the code's index set")
-    return table[lbl]
+def _not_in_set(lbl: IndexLabel) -> str:
+    return f"index {print_label(lbl)} is not in the code's index set"
 
 
 def conformer(code: MultirecCode, assign: Assignment, at: IndexLabel) -> spine.Walk:
@@ -111,17 +105,15 @@ def _layer(walk: spine.Walk, code: MultirecCode, assign: Assignment, at: IndexLa
             return spine.raising(TypeError, f"not a multirec body: {node!r}")
         lbl = node.label
         if kind is Id:
-            if lbl not in code.indices or lbl not in assign:
-                return lambda w: at_index(code, assign, lbl)
-            slot = assign[lbl]
-            if type(slot) is not MuSlot:
-                return spine.leaf(slot, "a multirec")
-            if lbl not in slot.code.indices:
-                return lambda w: check_index(slot.code, lbl)
-            return _fixed_point(walk, slot.code, lbl)
-        if lbl not in code.indices:
-            return lambda w: check_index(code, lbl)
-        return spine.never if at != lbl else spine.is_refl
+            if lbl in code.indices and lbl in assign:
+                slot = assign[lbl]
+                if type(slot) is not MuSlot:
+                    return spine.leaf(slot, "a multirec")
+                if lbl in slot.code.indices:
+                    return _fixed_point(walk, slot.code, lbl)
+        elif lbl in code.indices:
+            return spine.never if at != lbl else spine.is_refl
+        return spine.raising(IndexNotInSet, _not_in_set(lbl))
 
     return spine.conformer(code.body, atom)
 
@@ -161,7 +153,7 @@ def mapper(
         if kind is Id:
             if node.label in code.indices and node.label in fam:
                 return fam[node.label]
-            return lambda w: at_index(code, fam, node.label)
+            return spine.raising(IndexNotInSet, _not_in_set(node.label))
         if kind is Tag:
             return spine.map_tag
         return spine.raising(TypeError, f"not a multirec body: {node!r}")

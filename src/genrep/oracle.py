@@ -401,15 +401,10 @@ def _report(
     return report
 
 
-def _round_trip(
-    values: Iterable[GenericValue],
-    convert: Callable[[GenericValue, str], GenericValue],
-    there: str,
-    back: str,
-):
+def _round_trip(values: Iterable[GenericValue], walks: embed.Walks, there: str, back: str):
     for v in values:
         try:
-            w = convert(convert(v, there), back)
+            w = walks[back](walks[there](v))
         except Exception as err:
             yield v, there, f"{type(err).__name__}: {err}"
             continue
@@ -421,12 +416,12 @@ def _round_trip(
 
 def _arrows(step: str, codes):
     """Per code and index of the step's source family: the source context,
-    the step's target context and the conversion out of the source, which
-    serves all of the context's values."""
+    the step's target context and the walks out of the source, one per
+    direction, which serve all of the context's values."""
     row = embed.STEPS[step]
     for code in codes.values():
         for ctx in embed.contexts(row.source, code):
-            yield ctx, row.context(ctx), row.converter(ctx)
+            yield ctx, row.context(ctx), row.walks(ctx)
 
 
 # step -> its default codes, those of the step's source universe
@@ -436,9 +431,9 @@ _ARROWS = {step: corpus.CODES[row.source] for step, row in embed.STEPS.items()}
 def _iso(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Round trips from every source value, then from every target value."""
     pairs = []
-    for source, target, convert in _arrows(step, codes):
-        pairs += _round_trip(enum_context(source, budget), convert, "forward", "backward")
-        pairs += _round_trip(enum_context(target, budget), convert, "backward", "forward")
+    for source, target, walks in _arrows(step, codes):
+        pairs += _round_trip(enum_context(source, budget), walks, "forward", "backward")
+        pairs += _round_trip(enum_context(target, budget), walks, "backward", "forward")
     return _report(pairs)
 
 
@@ -446,11 +441,11 @@ def _transport(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Every source value converts forward to a value of the lifted code;
     the target is never enumerated."""
     pairs = []
-    for source, target, convert in _arrows(step, codes):
-        conforms = embed.conformer(target)
+    for source, target, walks in _arrows(step, codes):
+        conforms, forward = embed.conformer(target), walks["forward"]
         for v in enum_context(source, budget):
             try:
-                w = convert(v, "forward")
+                w = forward(v)
                 ok = conforms(w)
             except Exception as err:
                 pairs.append((v, "forward", f"{type(err).__name__}: {err}"))

@@ -7,8 +7,9 @@ round-trip properties.  `child_env` is the environment every test that
 starts a Python process gives it.  `corpus_contexts` lists every corpus
 context.  `indexed_list` and `rose` build values of the indexed list and
 rose codes.  `same_tree` compares two trees of any depth.  `fuzz_argvs`,
-`fuzz_corpus_argvs` and `fuzz_size_argvs` generate seeded argument
-vectors for the CLI.
+`fuzz_corpus_argvs`, `fuzz_size_argvs` and `fuzz_i_ig_argvs` generate
+seeded argument vectors for the CLI, and `fuzz_indexed_codes` seeded
+indexed codes.
 """
 
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
-from genrep import corpus, dsl, embed, oracle
+from genrep import corpus, dsl, embed, indexed, oracle
 from genrep import (
     EnumBudget,
     In1,
@@ -207,6 +208,34 @@ def _fuzz_code(rng, universe: str) -> str:
     return body
 
 
+# universe -> the indexed codes a code of it is closed into
+_CLOSED_IN_INDEXED = {
+    "regular": lambda code: [embed.fix_p_code(embed.lift_r_to_p(code)),
+                             embed.fix_m_code(embed.lift_r_to_m(code))],
+    "polyp": lambda code: [embed.fix_p_code(code)],
+    "multirec": lambda code: [embed.fix_m_code(code)],
+    "indexed": lambda code: [code],
+}
+
+
+def fuzz_indexed_codes(seeds):
+    """The well-formed indexed codes that ``_fuzz_code`` gives, per seed, in
+    each universe that lifts into indexed: an indexed code as it is, and a
+    polyp, multirec or regular code closed under the indexed fixed point
+    (``fix_p_code``, ``fix_m_code``; a regular code both ways). Text that
+    does not parse gives none."""
+    codes = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for universe, closed in _CLOSED_IN_INDEXED.items():
+            try:
+                code = dsl.parse_code(universe, _fuzz_code(rng, universe))
+            except dsl.ParseError:
+                continue
+            codes += [c for c in closed(code) if indexed.wellformed_i(c)]
+    return codes
+
+
 def _fuzz_value(rng, depth: int = 4) -> str:
     roll = rng.random()
     if roll < 0.1:
@@ -308,6 +337,30 @@ def fuzz_corpus_argvs(seed: int, count: int):
             env = [f"--env={name}"] if universe == "instant" else []
             argvs.append(["check", f"--universe={universe}", f"--code={name}",
                           f"--value={_drawn_value(rng, ctx, others)}", *index, *env])
+    return argvs
+
+
+def fuzz_i_ig_argvs(seed: int, count: int):
+    """``count`` ``convert --from indexed --to instant`` argument vectors
+    from ``seed``, on every indexed corpus code at each output, in both
+    directions, with value texts of at most 24 nodes drawn from
+    ``oracle.enum_context`` of the source context (forward) or of its i→ig
+    image (backward), now and then of another context's. Below that size
+    the images of ``RoseI`` and of both ``ZigZagI`` indices have few values
+    or none."""
+    rng = random.Random(seed)
+    cases = [(name, ctx, embed.STEPS["i-ig"].context(ctx))
+             for name, code in corpus.INDEXED_CODES.items()
+             for ctx in embed.contexts("indexed", code)]
+    others = [ctx for _, *pair in cases for ctx in pair]
+    argvs = []
+    for _ in range(count):
+        name, ctx, image = rng.choice(cases)
+        backward = rng.random() < 0.5
+        value = _drawn_value(rng, image if backward else ctx, others, 24)
+        argvs.append(["convert", "--from=indexed", "--to=instant", f"--code={name}",
+                      f"--value={value}", f"--dir={'bwd' if backward else 'fwd'}",
+                      f"--index={print_label(ctx.at)}"])
     return argvs
 
 

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from genrep import TT, cli, embed, oracle
-from helpers import child_env, fuzz_argvs, fuzz_corpus_argvs, fuzz_size_argvs
-from test_oracle import CHECKED_AT_10
+from helpers import child_env, fuzz_argvs, fuzz_corpus_argvs, fuzz_i_ig_argvs, fuzz_size_argvs
+from test_oracle import CHECKED_AT_10, broken_r_p
 
 
 def run_cli(*args, flags=()):
@@ -61,6 +61,20 @@ def test_roundtrip_reports_zero_failures():
     assert out.returncode == 0
     assert "0 failures" in out.stdout
     assert out.stdout.endswith("checked 10\n0 failures\n")
+
+
+def test_roundtrip_prints_each_failure_and_exits_one(monkeypatch, capsys):
+    broken_r_p(monkeypatch)
+    argv = ["roundtrip", "--from", "regular", "--to", "polyp", "--code", "NatC", "--max-size", "5"]
+    assert cli.run_cli(argv) == 1
+    assert capsys.readouterr() == (
+        "failure: forward <in1 tt>: MalformedValue: no zero\n"
+        "failure: forward <in2 <in1 tt>>: round trip produced tt\n"
+        "failure: backward <in1 tt>: MalformedValue: no zero\n"
+        "failure: backward <in2 <in1 tt>>: round trip produced tt\n"
+        "checked 4\n4 failures\n",
+        "",
+    )
 
 
 def test_enum_lists_values_in_order():
@@ -534,3 +548,33 @@ def test_size_argument_vectors_reach_the_success_path(capsys):
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert exits == SIZE_FUZZ_EXITS
+
+
+# A fourth pinned run, of i→ig alone, with values of up to 24 nodes, which
+# reaches the backward success path of a code with a composition or two
+# outputs.
+I_IG_FUZZ_SEED, I_IG_FUZZ_COUNT = 2024, 300
+I_IG_FUZZ_EXITS = {("fwd", 0): 129, ("fwd", 1): 26, ("bwd", 0): 123, ("bwd", 1): 22}
+
+
+def test_i_ig_argument_vectors_reach_the_success_paths(capsys):
+    """``convert --from indexed --to instant`` both ways on every indexed
+    corpus code at each output: each call prints one line, or one
+    ``error:`` line, the number of calls per direction and exit code is
+    pinned, and backward calls succeed on ``RoseI`` and on both
+    ``ZigZagI`` indices."""
+    exits, backward = {}, set()
+    for argv in fuzz_i_ig_argvs(I_IG_FUZZ_SEED, I_IG_FUZZ_COUNT):
+        status = cli.run_cli(argv)
+        out, err = capsys.readouterr()
+        direction = argv[5].removeprefix("--dir=")
+        exits[direction, status] = exits.get((direction, status), 0) + 1
+        if status == 0:
+            assert (out.count("\n"), err) == (1, ""), (argv, out, err)
+            if direction == "bwd":
+                backward.add((argv[3], argv[6]))
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert exits == I_IG_FUZZ_EXITS
+    assert {("--code=RoseI", "--index=⋆"), ("--code=ZigZagI", "--index=L.⋆"),
+            ("--code=ZigZagI", "--index=R.⋆")} <= backward

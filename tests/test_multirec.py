@@ -1,10 +1,12 @@
 import pytest
 
-from genrep import In1, In2, Pair, Refl, Roll, TT, label, left, right
+from genrep import In1, In2, Pair, Refl, Roll, TT, index_set, label, left, payload, right
 from genrep.corpus import ZIG_ZAG_C, ZIG_ZAG_END
-from genrep.gvalue import IndexNotInSet
+from genrep.gvalue import TOP_SLOT, IndexNotInSet
 from genrep.multirec import (
+    MultirecCode,
     MuSlot,
+    Unit,
     conform_m,
     conform_mu_m,
     map_m,
@@ -58,3 +60,22 @@ def test_map_m_applies_per_index():
     tag = {LSTAR: lambda v: In1(v), RSTAR: lambda v: In2(v)}
     layer = In2(Pair(Refl(), ZIG_STOP))
     assert map_m(ZIG_ZAG_C, tag, RSTAR, layer) == In2(Pair(Refl(), In1(ZIG_STOP)))
+
+
+def test_one_layer_reads_a_payload_slot_at_an_identity_position():
+    """A zig layer whose recursive position is a ``⊤`` parameter holds
+    ``tt`` there, and no other content."""
+    assign = {LSTAR: TOP_SLOT, RSTAR: TOP_SLOT}
+    assert conform_m(ZIG_ZAG_C, assign, LSTAR, In1(Pair(Refl(), In1(TT()))))
+    assert not conform_m(ZIG_ZAG_C, assign, LSTAR, In1(Pair(Refl(), In1(payload("nat", 0)))))
+
+
+def test_a_fixed_point_that_lacks_the_index_fails_only_when_a_value_reaches_it():
+    """Both indices are read as the fixed point of a family of ``⋆`` alone:
+    the zig layer that stops passes, and the one that recurses at ``R.⋆``
+    raises."""
+    family = MultirecCode(index_set(STAR), Unit())
+    assign = dict.fromkeys((LSTAR, RSTAR), MuSlot(family))
+    assert conform_m(ZIG_ZAG_C, assign, LSTAR, ZIG_STOP.inner)
+    with pytest.raises(IndexNotInSet, match="^index R.⋆ is not in the code's index set$"):
+        conform_m(ZIG_ZAG_C, assign, LSTAR, In1(Pair(Refl(), In1(ZIG_STOP))))

@@ -30,7 +30,7 @@ from genrep.corpus import (
     ROSE_I,
     ZIG_ZAG_C,
 )
-from genrep.gvalue import IndexNotInSet, PayloadSlot, Refl, Roll
+from genrep.gvalue import TT, In1, In2, IndexNotInSet, MalformedValue, PayloadSlot, Refl, Roll
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
 from genrep.multirec import MultirecCode, Tag, conform_m, conform_mu_m, mu_assignment
@@ -249,6 +249,54 @@ def test_checked_counts_are_pinned_at_size_ten(name):
     report = run_property(name, budget=EnumBudget(max_size=10))
     assert report.failures == []
     assert report.checked_count == CHECKED_AT_10[name]
+
+
+ZERO = Roll(In1(TT()))
+ONE = Roll(In2(ZERO))
+
+
+def _broken_walks(ctx):
+    """r→p walks that fail every way a suite can see: forward raises on
+    zero and turns any other value into ``tt``; backward keeps the value."""
+
+    def forward(v):
+        if v == ZERO:
+            raise MalformedValue("no zero")
+        return TT()
+
+    return {"forward": forward, "backward": lambda v: v}
+
+
+def broken_r_p(monkeypatch):
+    """Give the r→p row of ``embed.STEPS`` the broken walks."""
+    monkeypatch.setitem(embed.STEPS, "r-p", embed.STEPS["r-p"]._replace(walks=_broken_walks))
+
+
+# suite -> the failures the broken r→p walks give on NatC at max_size 5,
+# whose values are zero and one
+BROKEN_R_P = {
+    "iso-r-p": [
+        (ZERO, "forward", "MalformedValue: no zero"),
+        (ONE, "forward", "round trip produced tt"),
+        (ZERO, "backward", "MalformedValue: no zero"),
+        (ONE, "backward", "round trip produced tt"),
+    ],
+    "transport-r-p": [
+        (ZERO, "forward", "MalformedValue: no zero"),
+        (ONE, "forward", "tt does not conform"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_R_P)
+def test_a_suite_reports_each_failure_of_the_walks(monkeypatch, name):
+    """A round trip or a transport that raises, a round trip that gives
+    another value and an image that does not conform are each one entry:
+    the value, the direction it was sent first and the reason."""
+    broken_r_p(monkeypatch)
+    report = run_property(name, {"NatC": NAT_C}, EnumBudget(max_size=5))
+    assert report.failures == BROKEN_R_P[name]
+    assert report.checked_count == len(BROKEN_R_P[name])
 
 
 # The same at max_size 32, the benchmark's sweep size: 3,244 checks in all.

@@ -25,9 +25,9 @@ ZIG_FAM = dict.fromkeys(corpus.ZIG_ZAG_C.indices, identity)
 
 
 def _i_ig(code, at, direction):
-    """One i→ig converter of ``code`` at ``at`` in one direction."""
+    """The i→ig walk of ``code`` at ``at`` in one direction."""
     [ctx] = embed.contexts("indexed", code, at=at)
-    return partial(embed.STEPS["i-ig"].converter(ctx), direction=direction)
+    return embed.STEPS["i-ig"].walks(ctx)[direction]
 
 
 # walk -> (a fresh call, a factory of a walk held for many values)
@@ -211,10 +211,9 @@ def _non_value_walks():
     for name in ("pmap-ListC", "map_p", "map_i-ListI", "i-ig-ListI-forward",
                  "i-ig-ListI-backward"):
         yield pytest.param(WALKS[name][1], MalformedValue, id=name)
-    r_p = embed.STEPS["r-p"].converter
+    r_p = embed.STEPS["r-p"].walks
     yield pytest.param(
-        lambda: partial(r_p(embed.regular_context(corpus.NAT_C)), direction="forward"),
-        MalformedValue, id="r-p")
+        lambda: r_p(embed.regular_context(corpus.NAT_C))["forward"], MalformedValue, id="r-p")
 
 
 @pytest.mark.parametrize("v", [[], None], ids=["list", "None"])
