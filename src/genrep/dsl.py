@@ -1,14 +1,19 @@
 """Concrete syntax for codes, values, and code environments.
 
-One token stream serves every universe. Each universe's grammar maps the
-first token of an atom to a reader that builds the universe's own code node,
-and the parser builds the unit/sum/product spine that all of them share, so
-regular, polyp and instant codes come out of the parser finished. Multirec
-and indexed atoms name labels that must lie in the header's index sets;
-those are checked once the whole body has parsed, so a syntax error anywhere
-is reported first. Operator precedence is "@" above "*" above "+", all
+One token stream serves every universe. Each universe's concrete syntax is
+one row of ``_GRAMMARS``, which ``parse_code`` and ``print_code`` both read:
+its atoms, each with the token that starts it, its reader and its printer,
+and the constructors of the binary operators and of "fix". The operators
+are one table, ``_OPERATORS``: "@" above "*" above "+", all
 right-associative, and "fix" binds tighter than any operator, so its
-argument is an atom unless parenthesized.
+argument is an atom unless parenthesized. The parser builds the
+unit/sum/product spine that all universes share, so regular, polyp and
+instant codes come out of the parser finished. Multirec and indexed atoms
+name labels that must lie in the header's index sets; those are checked
+once the whole body has parsed, so a syntax error anywhere is reported
+first. A name is what ``gvalue.valid_name`` accepts, the words the lexer
+does not read as a nat; the printer refuses any other name, so that what it
+prints parses back.
 
 Multirec and indexed codes carry header lines ("indices:", "in:", "out:",
 and optionally "mid:") before the body expression. A composition body splits
@@ -33,6 +38,7 @@ from .gvalue import (
     Konst,
     MalformedValue,
     Pair,
+    RESERVED_NAME_CHARS,
     RecV,
     Refl,
     Roll,
@@ -41,6 +47,7 @@ from .gvalue import (
     payload,
     print_label,
     print_value,
+    valid_name,
 )
 
 __all__ = [
@@ -81,9 +88,10 @@ class _Token:
         self.col = col
 
 
-_PUNCT = "()<>,#@!*+=."
+# Each character that no name may hold is a token of its own: punctuation,
+# or a stray character, which is an error wherever it stands.
 _STRAY = ':;"'
-_SYMBOLS = re.escape(_PUNCT + _STRAY)
+_SYMBOLS = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
 
 # A token is one punctuation or stray character, or a word: a run of
 # anything else but whitespace. What no match covers is whitespace, exactly
@@ -113,7 +121,7 @@ def _lex(text: str, line: int = 1, col: int = 1) -> list[_Token]:
         at_line, at_col = position(match.start())
         if word in _STRAY:
             raise ParseError(f"unexpected character {word!r}", at_line, at_col)
-        if word in _PUNCT:
+        if word in RESERVED_NAME_CHARS:
             kind = word
         else:
             kind = "nat" if word.isdecimal() else "ident"
@@ -185,7 +193,7 @@ _VALUE_EXPECTED = frozenset({"tt", "refl", "in1", "in2", "k", "rec", "<", "(", "
 _OPENERS = {"in1": In1, "in2": In2, "k": Konst, "rec": RecV, "<": ">", "(": ","}
 _LEAVES = {"tt": TT, "refl": Refl}
 _END = " "  # after the last token; no token is whitespace
-_NOT_A_NAME = frozenset(_PUNCT + _STRAY + _END)
+_NOT_A_NAME = RESERVED_NAME_CHARS | {_END}
 
 
 def parse_value(text: str) -> GenericValue:
@@ -290,21 +298,48 @@ def _parse_label_list(text: str, line: int, col: int) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# code grammars: a grammar maps the first token of each of its atoms to a
-# reader, which is called after that token and gives the universe's own node;
-# U, + and * build the spine nodes that every universe shares
+# code grammars: one row per universe; "+" and "*" build the spine nodes
+# that every universe shares
 
-_Reader = Callable[[_Stream, _Token], object]
+_OPERATORS = ("+", "*", "@")  # loosest first, each right-associative
+
+
+class _Atom(NamedTuple):
+    """One kind of atom: the token that starts it, what an error calls it,
+    its node's class, the reader called after the token, and the printer."""
+
+    token: str
+    name: str
+    node: type
+    read: Callable[[_Stream, _Token], object]
+    show: Callable[[object], str]
 
 
 class _Grammar(NamedTuple):
-    """The atoms of one universe's codes, what may start one (``expected``),
-    and the constructors of ``@`` and ``fix`` where the universe has them."""
+    """One universe's row: what a node it cannot print is called, its atoms
+    by first token and their printers by node class, what may start an
+    atom, and the constructors of ``_OPERATORS`` (``None`` where it lacks
+    one) and of ``fix``."""
 
-    atoms: dict[str, _Reader]
+    what: str
+    atoms: dict[str, _Atom]
+    shows: dict[type, Callable[[object], str]]
     expected: frozenset[str]
-    comp: Callable[[object, object], object] | None = None
-    fix: Callable[[object], object] | None = None
+    ops: tuple
+    fix: Callable[[object], object] | None
+
+
+def _grammar(what: str, atoms: list[_Atom], comp=None, fix=None) -> _Grammar:
+    """The row of ``atoms``, where ``comp`` builds ``@`` and ``fix`` builds ``fix``."""
+    expected = {"(", *(atom.name for atom in atoms), *(["fix"] if fix else [])}
+    return _Grammar(
+        what,
+        {atom.token: atom for atom in atoms},
+        {atom.node: atom.show for atom in atoms},
+        frozenset(expected),
+        (spine.Sum, spine.Prod, comp),
+        fix,
+    )
 
 
 class _At(NamedTuple):
@@ -317,34 +352,42 @@ class _At(NamedTuple):
 
 
 class _Comp(NamedTuple):
-    """An indexed ``left @ right`` as parsed: the parser reads ``left``
-    before the ``@`` that makes it read its inputs from the ``mid:`` set."""
+    """An indexed ``left @ right`` as parsed and printed: the parser reads
+    ``left`` before the ``@`` that makes it read its inputs from the
+    ``mid:`` set."""
 
     left: object
     right: object
 
 
 class _Fix(NamedTuple):
-    """An indexed ``fix inner`` as parsed; ``inner`` reads its inputs from
-    the disjoint union of the outer inputs and outputs."""
+    """An indexed ``fix inner`` as parsed and printed; ``inner`` reads its
+    inputs from the disjoint union of the outer inputs and outputs."""
 
     inner: object
 
 
-def _leaf(make: Callable[[], object]) -> _Reader:
-    return lambda stream, tok: make()
+def _leaf(token: str, node: type) -> _Atom:
+    return _Atom(token, token, node, lambda stream, tok: node(), lambda _: token)
 
 
-def _labelled(make: Callable[[IndexLabel], object], at: bool) -> _Reader:
-    """The reader of ``I@label`` (``at``) or ``!label``: ``make(label)`` at
-    the atom's token."""
+def _labelled(prefix: str, node: type) -> _Atom:
+    """``I@label`` or ``!label`` (``prefix``): ``node(label)`` at the atom's
+    token. Multirec and indexed share both."""
 
     def read(stream: _Stream, tok: _Token) -> _At:
-        if at:
+        if prefix == "I@":
             stream.expect("@")
-        return _At(make(_parse_label(stream)), tok)
+        return _At(node(_parse_label(stream)), tok)
 
-    return read
+    return _Atom(prefix[0], prefix + "label", node, read, lambda n: prefix + print_label(n.label))
+
+
+def _name(text: str) -> str:
+    """``text``, which must be a name, so that it parses back."""
+    if not valid_name(text):
+        raise MalformedValue(f"not a name: {text!r}")
+    return text
 
 
 def _read_konst(stream: _Stream, at: _Token) -> instant.K:
@@ -366,57 +409,59 @@ def _read_konst(stream: _Stream, at: _Token) -> instant.K:
     raise stream.fail(frozenset({"sort", "!", "@"}))
 
 
+def _show_konst(node: instant.K) -> str:
+    match node.payload:
+        case instant.Prim(sort):
+            return f"K {_name(sort)}"
+        case instant.EqWitness(a, b):
+            return f"K!({print_label(a)} , {print_label(b)})"
+        case instant.OfCode(ref):
+            return f"K@{_name(ref)}"
+    raise MalformedValue(f"not an instant code: {node!r}")
+
+
 def _read_rec(stream: _Stream, tok: _Token) -> instant.R:
     return instant.R(stream.expect("ident", frozenset({"name"})).text)
 
 
-_UNIT = _leaf(spine.Unit)
+_UNIT = _leaf("U", spine.Unit)
 
 _GRAMMARS: dict[str, _Grammar] = {
-    "regular": _Grammar({"U": _UNIT, "I": _leaf(regular.Id)}, frozenset({"(", "U", "I"})),
-    "polyp": _Grammar(
-        {"U": _UNIT, "P": _leaf(polyp.Par), "I": _leaf(polyp.Id)},
-        frozenset({"(", "U", "P", "I"}),
-        comp=polyp.Comp,
+    "regular": _grammar("a regular code", [_UNIT, _leaf("I", regular.Id)]),
+    "polyp": _grammar(
+        "a polyp code", [_UNIT, _leaf("P", polyp.Par), _leaf("I", polyp.Id)], comp=polyp.Comp
     ),
-    "multirec": _Grammar(
-        {"U": _UNIT, "I": _labelled(multirec.Id, True), "!": _labelled(multirec.Tag, False)},
-        frozenset({"(", "U", "I@label", "!label"}),
+    "multirec": _grammar(
+        "a multirec body", [_UNIT, _labelled("I@", multirec.Id), _labelled("!", multirec.Tag)]
     ),
-    "indexed": _Grammar(
-        {"U": _UNIT, "I": _labelled(indexed.Id, True), "!": _labelled(indexed.Tag, False)},
-        frozenset({"(", "U", "I@label", "!label", "fix"}),
+    "indexed": _grammar(
+        "an indexed body",
+        [_UNIT, _labelled("I@", indexed.Id), _labelled("!", indexed.Tag)],
         comp=_Comp,
         fix=_Fix,
     ),
-    "instant": _Grammar(
-        {"U": _UNIT, "K": _read_konst, "R": _read_rec},
-        frozenset({"(", "U", "K", "R"}),
+    "instant": _grammar(
+        "an instant code",
+        [
+            _UNIT,
+            _Atom("K", "K", instant.K, _read_konst, _show_konst),
+            _Atom("R", "R", instant.R, _read_rec, lambda n: f"R {_name(n.ref)}"),
+        ],
     ),
 }
 
 
-def _parse_sum(stream: _Stream, g: _Grammar) -> object:
-    left = _parse_prod(stream, g)
-    if stream.peek().kind == "+":
+def _parse_expr(stream: _Stream, g: _Grammar, level: int = 0) -> object:
+    """An expression whose operators are ``_OPERATORS[level]`` or tighter;
+    past the last level, a ``fix`` or an atom."""
+    if level + 1 < len(_OPERATORS):
+        left = _parse_expr(stream, g, level + 1)
+    else:
+        left = _parse_unary(stream, g)
+    make = g.ops[level]
+    if make is not None and stream.peek().kind == _OPERATORS[level]:
         stream.advance()
-        return spine.Sum(left, _parse_sum(stream, g))
-    return left
-
-
-def _parse_prod(stream: _Stream, g: _Grammar) -> object:
-    left = _parse_comp(stream, g)
-    if stream.peek().kind == "*":
-        stream.advance()
-        return spine.Prod(left, _parse_prod(stream, g))
-    return left
-
-
-def _parse_comp(stream: _Stream, g: _Grammar) -> object:
-    left = _parse_unary(stream, g)
-    if g.comp is not None and stream.peek().kind == "@":
-        stream.advance()
-        return g.comp(left, _parse_comp(stream, g))
+        return make(left, _parse_expr(stream, g, level))
     return left
 
 
@@ -431,14 +476,14 @@ def _parse_atom(stream: _Stream, g: _Grammar) -> object:
     tok = stream.peek()
     if tok.kind == "(":
         stream.advance()
-        inner = _parse_sum(stream, g)
+        inner = _parse_expr(stream, g)
         stream.expect(")")
         return inner
-    read = g.atoms.get(tok.text)
-    if read is None:
+    atom = g.atoms.get(tok.text)
+    if atom is None:
         raise stream.fail(g.expected)
     stream.advance()
-    return read(stream, tok)
+    return atom.read(stream, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +583,7 @@ def parse_code(universe: str, text: str):
 
 def _parse_body(text: str, g: _Grammar):
     stream = _Stream(_lex(text))
-    node = _parse_sum(stream, g)
+    node = _parse_expr(stream, g)
     stream.done()
     return node
 
@@ -557,7 +602,7 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
         stream = _Stream(_lex(line, line=lineno))
         name_tok = stream.expect("ident", frozenset({"name"}))
         stream.expect("=")
-        code = _parse_sum(stream, _GRAMMARS["instant"])
+        code = _parse_expr(stream, _GRAMMARS["instant"])
         stream.done()
         if name_tok.text in env:
             raise ParseError(
@@ -579,62 +624,29 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
 
 
 def print_env(env: Mapping[str, instant.InstantCode]) -> str:
-    return "".join(f"{name} = {print_code('instant', code)}\n" for name, code in env.items())
+    return "".join(f"{_name(name)} = {print_code('instant', code)}\n" for name, code in env.items())
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_SUM_LEVEL = 0
-_PROD_LEVEL = 1
-_COMP_LEVEL = 2
-_ATOM_LEVEL = 3
 
-
-def _wrap(text: str, own: int, level: int) -> str:
-    return f"({text})" if own < level else text
-
-
-def _pp(code, level: int, atom) -> str:
-    """Print the spine; ``atom(node, level)`` prints everything else."""
-    match code:
-        case spine.Unit():
-            return "U"
-        case spine.Sum(f, g):
-            text = f"{_pp(f, _PROD_LEVEL, atom)} + {_pp(g, _SUM_LEVEL, atom)}"
-            return _wrap(text, _SUM_LEVEL, level)
-        case spine.Prod(f, g):
-            text = f"{_pp(f, _COMP_LEVEL, atom)} * {_pp(g, _PROD_LEVEL, atom)}"
-            return _wrap(text, _PROD_LEVEL, level)
-    return atom(code, level)
-
-
-def _pp_regular(node: regular.RegularCode, level: int) -> str:
-    match node:
-        case regular.Id():
-            return "I"
-    raise MalformedValue(f"not a regular code: {node!r}")
-
-
-def _pp_polyp(node: polyp.PolyPCode, level: int) -> str:
-    match node:
-        case polyp.Par():
-            return "P"
-        case polyp.Id():
-            return "I"
-        case polyp.Comp(f, g):
-            text = f"{_pp(f, _ATOM_LEVEL, _pp_polyp)} @ {_pp(g, _COMP_LEVEL, _pp_polyp)}"
-            return _wrap(text, _COMP_LEVEL, level)
-    raise MalformedValue(f"not a polyp code: {node!r}")
-
-
-def _pp_multirec(node: multirec.MultirecBody, level: int) -> str:
-    match node:
-        case multirec.Id(lbl):
-            return f"I@{print_label(lbl)}"
-        case multirec.Tag(lbl):
-            return f"!{print_label(lbl)}"
-    raise MalformedValue(f"not a multirec body: {node!r}")
+def _pp(node, level: int, g: _Grammar) -> str:
+    """``node`` as the row ``g`` prints it where an operator looser than
+    ``_OPERATORS[level]`` needs parentheses; an atom's level is
+    ``len(_OPERATORS)``. The left operand of each operator sits one level
+    tighter, so that the operator associates right."""
+    kind = type(node)
+    if kind in g.ops:
+        op = g.ops.index(kind)
+        text = f"{_pp(node.left, op + 1, g)} {_OPERATORS[op]} {_pp(node.right, op, g)}"
+        return f"({text})" if op < level else text
+    if kind is g.fix:
+        return f"fix {_pp(node.inner, len(_OPERATORS), g)}"
+    show = g.shows.get(kind)
+    if show is None:
+        raise MalformedValue(f"not {g.what}: {node!r}")
+    return show(node)
 
 
 def _comp_middles(body: indexed.IndexedBody, found: list[IndexSet]) -> None:
@@ -648,82 +660,49 @@ def _comp_middles(body: indexed.IndexedBody, found: list[IndexSet]) -> None:
                 _comp_middles(f.body, found)
 
 
-def _pp_indexed(
-    body: indexed.IndexedBody,
-    ins: IndexSet,
-    outs: IndexSet,
-    mid: IndexSet,
-    level: int,
-) -> str:
-    def atom(node: indexed.IndexedBody, level: int) -> str:
+def _unelab_indexed(body, ins: IndexSet, outs: IndexSet, mid: IndexSet):
+    """``body`` as the parser gives it before ``_elab_indexed``, once each
+    composition and fixed point is checked to fit the headers, left to
+    right."""
+
+    def atom(node):
         match node:
-            case indexed.Id(lbl):
-                return f"I@{print_label(lbl)}"
-            case indexed.Tag(lbl):
-                return f"!{print_label(lbl)}"
             case indexed.Comp(f, g):
                 if f.ins != mid or f.outs != outs or g.ins != ins or g.outs != mid:
-                    raise MalformedValue(
-                        "composition does not fit the mid/in/out header shape"
-                    )
-                text = (
-                    f"{_pp_indexed(f.body, mid, outs, mid, _ATOM_LEVEL)}"
-                    f" @ {_pp_indexed(g.body, ins, mid, mid, _COMP_LEVEL)}"
-                )
-                return _wrap(text, _COMP_LEVEL, level)
+                    raise MalformedValue("composition does not fit the mid/in/out header shape")
+                left = _unelab_indexed(f.body, mid, outs, mid)
+                return _Comp(left, _unelab_indexed(g.body, ins, mid, mid))
             case indexed.Fix(f):
-                expected_ins = disjoint_union(ins, outs)
-                if f.ins != expected_ins or f.outs != outs:
+                if f.ins != disjoint_union(ins, outs) or f.outs != outs:
                     raise MalformedValue("fixed point does not fit the in/out header shape")
-                text = f"fix {_pp_indexed(f.body, expected_ins, outs, mid, _ATOM_LEVEL)}"
-                return text if level <= _ATOM_LEVEL else f"({text})"
+                return _Fix(_unelab_indexed(f.body, f.ins, outs, mid))
+            case indexed.Id() | indexed.Tag():
+                return node
         raise MalformedValue(f"not an indexed body: {node!r}")
 
-    return _pp(body, level, atom)
+    return spine.lift(body, atom)
 
 
-def _pp_instant(node: instant.InstantCode, level: int) -> str:
-    match node:
-        case instant.K(instant.Prim(sort)):
-            return f"K {sort}"
-        case instant.K(instant.EqWitness(a, b)):
-            return f"K!({print_label(a)} , {print_label(b)})"
-        case instant.K(instant.OfCode(ref)):
-            return f"K@{ref}"
-        case instant.R(ref):
-            return f"R {ref}"
-    raise MalformedValue(f"not an instant code: {node!r}")
-
-
-def _print_labels(labels: IndexSet) -> str:
-    return ", ".join(print_label(lbl) for lbl in labels)
+def _header(name: str, labels: IndexSet) -> str:
+    return f"{name}: {', '.join(print_label(lbl) for lbl in labels)}".rstrip()
 
 
 def print_code(universe: str, code) -> str:
     """Canonical concrete syntax: single spaces, minimal parentheses."""
-    match universe:
-        case "regular":
-            return _pp(code, _SUM_LEVEL, _pp_regular)
-        case "polyp":
-            return _pp(code, _SUM_LEVEL, _pp_polyp)
-        case "multirec":
-            header = f"indices: {_print_labels(code.indices)}".rstrip()
-            return f"{header}\n{_pp(code.body, _SUM_LEVEL, _pp_multirec)}"
-        case "indexed":
-            found: list[IndexSet] = []
-            _comp_middles(code.body, found)
-            mids = set(found)
-            if len(mids) > 1:
-                raise MalformedValue("composition middles disagree; cannot print")
-            mid = found[0] if found else code.outs
-            lines = [
-                f"in: {_print_labels(code.ins)}".rstrip(),
-                f"out: {_print_labels(code.outs)}".rstrip(),
-            ]
-            if mid != code.outs:
-                lines.append(f"mid: {_print_labels(mid)}".rstrip())
-            lines.append(_pp_indexed(code.body, code.ins, code.outs, mid, _SUM_LEVEL))
-            return "\n".join(lines)
-        case "instant":
-            return _pp(code, _SUM_LEVEL, _pp_instant)
-    raise ValueError(f"unknown universe tag: {universe!r}")
+    if universe not in _GRAMMARS:
+        raise ValueError(f"unknown universe tag: {universe!r}")
+    g = _GRAMMARS[universe]
+    if universe == "multirec":
+        return f"{_header('indices', code.indices)}\n{_pp(code.body, 0, g)}"
+    if universe == "indexed":
+        found: list[IndexSet] = []
+        _comp_middles(code.body, found)
+        if len(set(found)) > 1:
+            raise MalformedValue("composition middles disagree; cannot print")
+        mid = found[0] if found else code.outs
+        lines = [_header("in", code.ins), _header("out", code.outs)]
+        if mid != code.outs:
+            lines.append(_header("mid", mid))
+        lines.append(_pp(_unelab_indexed(code.body, code.ins, code.outs, mid), 0, g))
+        return "\n".join(lines)
+    return _pp(code, 0, g)

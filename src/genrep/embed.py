@@ -557,32 +557,35 @@ Walks = dict[str, spine.Walk]
 
 
 class Step(NamedTuple):
-    """One arrow. ``lift`` takes a source code; ``context`` and ``walks``
-    take the source context: ``context`` gives the target's, and ``walks``
-    the conversion out of it, one compiled walk per direction
-    (``{"forward": …, "backward": …}``), each for as many of the context's
-    values as it is given. ``convert`` borrows one for a single value."""
+    """One arrow. ``lift`` takes a source code; ``context`` and each builder
+    of ``walks`` take the source context. ``context`` gives the target's;
+    ``walks`` maps each direction (``"forward"``, ``"backward"``) to the
+    builder of the conversion out of it, a compiled walk for as many of the
+    context's values as it is given. ``convert`` borrows one for a single
+    value."""
 
     source: str
     target: str
     lift: Callable
     context: Callable[[PathContext], PathContext]
-    walks: Callable[[PathContext], Walks]
+    walks: dict[str, Callable[[PathContext], spine.Walk]]
 
 
-def _same_tree_walks(ctx: PathContext) -> Walks:
+def _same_tree_walk(ctx: PathContext) -> spine.Walk:
     """The four arrows that keep the tree check every value, both ways,
     with one ``conformer`` of the source context whose top returns the
     value or raises, so the subtrees that a round trip or many values share
     are judged once."""
     walk = conformer(ctx)
     walk.top = partial(_same_tree, walk.top)
-    return {"forward": walk, "backward": walk}
+    return walk
 
 
-def _i_ig_assign(ctx: PathContext) -> dict[IndexLabel, object]:
-    """The assignment both i→ig walks read the source code under, after the
-    output index and the table are checked. An input of constant set
+def _i_ig_walk(walk: type[indexed.Walk], ctx: PathContext) -> indexed.Walk:
+    """The i→ig ``walk`` (``_ToInstant`` or ``_FromInstant``) for all of
+    the context's values, memoized, so a shared subtree converts once to a
+    shared image. It reads the source code under an assignment built after
+    the output index and the table are checked: an input of constant set
     ``Prim(sort)`` reads as that sort's payload slot, which checks its
     contents; other sets need an environment, so their contents pass
     unchecked."""
@@ -591,38 +594,33 @@ def _i_ig_assign(ctx: PathContext) -> dict[IndexLabel, object]:
     for lbl, atom in _rho_from_table(ctx.code, ctx.table).items():
         kset = atom.payload
         assign[lbl] = PayloadSlot(kset.sort) if type(kset) is instant.Prim else kset
-    return assign
+    return walk(ctx.code, assign, ctx.at)
 
 
-def _i_ig_walks(ctx: PathContext) -> Walks:
-    """One memoized walk per direction for all of the context's values, so a
-    shared subtree converts once to a shared image."""
-    assign = _i_ig_assign(ctx)
-    return {"forward": _ToInstant(ctx.code, assign, ctx.at),
-            "backward": _FromInstant(ctx.code, assign, ctx.at)}
-
+_SAME_TREE_WALKS = {"forward": _same_tree_walk, "backward": _same_tree_walk}
 
 STEPS = {
     "r-p": Step("regular", "polyp",
                 lambda code: lift_r_to_p(code),
                 lambda ctx: polyp_context(lift_r_to_p(ctx.code)),
-                _same_tree_walks),
+                _SAME_TREE_WALKS),
     "r-m": Step("regular", "multirec",
                 lambda code: lift_r_to_m(code),
                 lambda ctx: multirec_context(lift_r_to_m(ctx.code), STAR),
-                _same_tree_walks),
+                _SAME_TREE_WALKS),
     "p-i": Step("polyp", "indexed",
                 lambda code: lift_p_to_i(code),
                 lambda ctx: indexed_context(fix_p_code(ctx.code), {STAR: instant.Prim(TOP_SORT)}, STAR),
-                _same_tree_walks),
+                _SAME_TREE_WALKS),
     "m-i": Step("multirec", "indexed",
                 lambda code: lift_m_to_i(code),
                 lambda ctx: indexed_context(fix_m_code(ctx.code), {}, ctx.at),
-                _same_tree_walks),
+                _SAME_TREE_WALKS),
     "i-ig": Step("indexed", "instant",
                  lambda code: lift_i_to_ig(code, standard_table(code)),
                  _instant_target,
-                 _i_ig_walks),
+                 {"forward": partial(_i_ig_walk, _ToInstant),
+                  "backward": partial(_i_ig_walk, _FromInstant)}),
 }
 
 
@@ -636,15 +634,14 @@ def _row(step: str, universe: str) -> Step:
 
 
 def convert(step: str, ctx: PathContext, v: GenericValue, direction: Direction) -> GenericValue:
-    """One value along ``step`` out of ``ctx``, with the walk of its
-    direction that the step's ``walks`` compiled, borrowed
-    (``spine.borrow``). The pool is keyed by the builder, so the arrows
-    that keep the tree share the walks of a context. The direction is
-    checked first, then the step and its source universe."""
+    """One value along ``step`` out of ``ctx``, with the walk that the
+    step's builder for ``direction`` compiles, borrowed (``spine.borrow``).
+    The pool is keyed by the builder, so both directions of the arrows that
+    keep the tree share the walks of a context. The direction is checked
+    first, then the step and its source universe."""
     _check_direction(direction)
-    walks = _row(step, ctx.universe).walks
-    build = lambda: walks(ctx)[direction]
-    return spine.borrow(ctx.code, (walks, direction, *context_key(ctx)), build, v)
+    build = _row(step, ctx.universe).walks[direction]
+    return spine.borrow(ctx.code, (build, *context_key(ctx)), partial(build, ctx), v)
 
 
 def compose_path(

@@ -35,15 +35,17 @@ TOP_SORT = "⊤"
 NAT_SORT = "nat"
 
 # Characters that would collide with the concrete syntax; names exclude them
-# so that printing followed by parsing is the identity.
-_RESERVED_NAME_CHARS = frozenset('()<>,#@!*+=.;:"')
+# so that printing followed by parsing is the identity. The lexer reads them
+# as tokens of their own.
+RESERVED_NAME_CHARS = frozenset('()<>,#@!*+=.;:"')
 
 
 def valid_name(text: str) -> bool:
-    """True for a nonempty name with no whitespace or reserved characters."""
-    if not text:
+    """True for a nonempty name with no whitespace or reserved characters
+    that is not all decimal digits, which the lexer reads as a nat."""
+    if not text or text.isdecimal():
         return False
-    return not any(ch.isspace() or ch in _RESERVED_NAME_CHARS for ch in text)
+    return not any(ch.isspace() or ch in RESERVED_NAME_CHARS for ch in text)
 
 
 # ---------------------------------------------------------------------------

@@ -416,12 +416,15 @@ def _round_trip(values: Iterable[GenericValue], walks: embed.Walks, there: str, 
 
 def _arrows(step: str, codes):
     """Per code and index of the step's source family: the source context,
-    the step's target context and the walks out of the source, one per
-    direction, which serve all of the context's values."""
+    the step's target context and the walks out of the source by direction,
+    which serve all of the context's values: one walk per builder, so the
+    arrows that keep the tree check a round trip with one conformer."""
     row = embed.STEPS[step]
     for code in codes.values():
         for ctx in embed.contexts(row.source, code):
-            yield ctx, row.context(ctx), row.walks(ctx)
+            built = {}
+            walks = {d: spine.once(built, b, partial(b, ctx)) for d, b in row.walks.items()}
+            yield ctx, row.context(ctx), walks
 
 
 # step -> its default codes, those of the step's source universe

@@ -1,3 +1,6 @@
+import hashlib
+import random
+import re
 import sys
 from functools import partial
 
@@ -26,10 +29,10 @@ from genrep.dsl import (
     print_code,
     print_env,
 )
-from genrep import embed, indexed, polyp, regular
+from genrep import embed, indexed, instant, multirec, polyp, regular
 from genrep.oracle import EnumBudget, enum_mu_regular
 
-from helpers import gvalues, same_tree
+from helpers import _fuzz_code, gvalues, same_tree
 
 CANONICAL = {
     ("regular", "NatC"): "U + I",
@@ -334,3 +337,87 @@ def test_the_lexer_skips_exactly_the_whitespace():
     calls whitespace."""
     text = "".join(map(chr, range(sys.maxunicode + 1)))
     assert _TOKEN.sub("", text) == "".join(filter(str.isspace, text))
+
+
+UNIVERSES = ("regular", "polyp", "multirec", "indexed", "instant")
+
+# sha256 of the records of test_generated_texts_parse_and_print_as_pinned
+GENERATED_TEXTS_SHA256 = "e8ad04d87d10bcb9ada3415df24da310a04df0238bf946b89c7e9ebf2710dd65"
+
+
+def test_generated_texts_parse_and_print_as_pinned():
+    """Over the texts ``_fuzz_code`` gives for seeds 0-1,999 in every
+    universe, what ``print_code(parse_code(text))`` prints, or the type and
+    text of the error it raises, is pinned."""
+    records = []
+    for seed in range(2000):
+        rng = random.Random(seed)
+        for universe in UNIVERSES:
+            text = _fuzz_code(rng, universe)
+            try:
+                out = print_code(universe, parse_code(universe, text))
+            except (ParseError, MalformedValue) as err:
+                out = f"{type(err).__name__}: {err}"
+            records.append(f"{universe} {text!r} {out!r}\n")
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == GENERATED_TEXTS_SHA256
+
+
+A, B, C, X = (label(name) for name in "abcx")
+
+
+@pytest.mark.parametrize(
+    "universe, code, message",
+    [
+        ("regular", polyp.Par(), "not a regular code: Par()"),
+        ("polyp", instant.R("a"), "not a polyp code: R(ref='a')"),
+        ("multirec", multirec.MultirecCode(index_set(A), polyp.Par()),
+         "not a multirec body: Par()"),
+        ("indexed", indexed.IndexedCode(index_set(A), index_set(B), polyp.Par()),
+         "not an indexed body: Par()"),
+        ("instant", polyp.Par(), "not an instant code: Par()"),
+        ("instant", regular.Sum(instant.K(A), regular.Unit()),
+         "not an instant code: K(payload=IndexLabel(name='a', tags=()))"),
+        # the left code's outputs are not the header's
+        ("indexed", indexed.IndexedCode(index_set(A), index_set(B), indexed.Comp(
+            indexed.IndexedCode(index_set(C), index_set(X), indexed.Tag(X)),
+            indexed.IndexedCode(index_set(A), index_set(C), indexed.Tag(C)),
+        )), "composition does not fit the mid/in/out header shape"),
+        # the inner inputs are not L.a, R.b
+        ("indexed", indexed.IndexedCode(index_set(A), index_set(B), indexed.Fix(
+            indexed.IndexedCode(index_set(A), index_set(B), indexed.Tag(B)),
+        )), "fixed point does not fit the in/out header shape"),
+        # of two faults, the leftmost is reported
+        ("indexed", indexed.IndexedCode(index_set(A), index_set(B), indexed.Sum(
+            polyp.Par(),
+            indexed.Fix(indexed.IndexedCode(index_set(A), index_set(B), indexed.Tag(B))),
+        )), "not an indexed body: Par()"),
+    ],
+    ids=["regular", "polyp", "multirec", "indexed", "instant", "instant-kset", "comp", "fix",
+         "leftmost"],
+)
+def test_a_code_the_printer_cannot_print_is_refused(universe, code, message):
+    with pytest.raises(MalformedValue) as err:
+        print_code(universe, code)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        instant.R("a b"),
+        instant.R("7"),
+        instant.K(instant.Prim("x;y")),
+        instant.K(instant.OfCode("")),
+        instant.Prod(instant.Unit(), instant.R("a b")),
+    ],
+    ids=["R-space", "R-digits", "K-sort", "K-ref", "nested"],
+)
+def test_the_instant_printer_refuses_a_name_that_does_not_parse_back(code):
+    with pytest.raises(MalformedValue, match="^not a name: "):
+        print_code("instant", code)
+
+
+@pytest.mark.parametrize("name", ["x y", "12", "a=b", ""])
+def test_print_env_refuses_a_name_that_does_not_parse_back(name):
+    with pytest.raises(MalformedValue, match=f"^not a name: {re.escape(repr(name))}$"):
+        print_env({name: instant.Unit()})

@@ -18,6 +18,7 @@ from genrep import (
     Refl,
     Roll,
     TT,
+    index_set,
     label,
     payload,
     print_label,
@@ -196,8 +197,8 @@ def test_i_ig_builds_each_fixed_points_entries_once(monkeypatch):
         counts = []
         for v in values:
             calls.clear()
-            walks = embed.STEPS["i-ig"].walks(indexed_context(code, TOP_TABLE, STAR))
-            walks["backward"](walks["forward"](v))
+            ctx, walks = indexed_context(code, TOP_TABLE, STAR), embed.STEPS["i-ig"].walks
+            walks["backward"](ctx)(walks["forward"](ctx)(v))
             counts.append(len(calls))
         assert counts[0] == counts[1], name
 
@@ -372,6 +373,17 @@ def test_an_unknown_step_is_refused(call):
 def test_a_table_that_misses_an_input_is_refused(call):
     with pytest.raises(MalformedValue, match="^no constant set for input index ⋆$"):
         call()
+
+
+def test_an_identity_outside_the_inputs_has_no_constant_set():
+    """An ill-formed code whose ``Id`` names a label outside ``ins`` is
+    refused where the lift meets it."""
+    code = indexed.IndexedCode(
+        index_set(STAR), index_set(STAR),
+        indexed.Sum(indexed.Unit(), indexed.Id(label("x"))),
+    )
+    with pytest.raises(MalformedValue, match="^no constant set for input index x$"):
+        lift_i_to_ig(code, TOP_TABLE)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])

@@ -111,6 +111,18 @@ def test_label_rejects_reserved_characters():
     assert not valid_name("x;y")
 
 
+@pytest.mark.parametrize("name", ["7", "٣", "007"])
+def test_an_all_decimal_name_is_refused(name):
+    """The lexer reads such a word as a nat, so a label or a token sort of
+    that name would print to text that does not parse back."""
+    assert not valid_name(name)
+    with pytest.raises(ValueError, match="^bad index label name: "):
+        label(name)
+    with pytest.raises(ValueError, match="^bad token sort: "):
+        payload(name, 1)
+    assert valid_name("x7") and valid_name("7x")
+
+
 def test_disjoint_union_tags_both_sides():
     both = disjoint_union(index_set(STAR), index_set(STAR))
     assert set(both) == {left(STAR), right(STAR)}

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from genrep import indexed
-from genrep import In1, In2, Pair, Refl, Roll, TT, label, left, payload, right
+from genrep import In1, In2, Pair, Refl, Roll, TT, index_set, label, left, payload, right
 from genrep.corpus import (
     BIN_C,
     BIN_I,
@@ -187,3 +187,16 @@ def test_a_fixed_points_table_holds_its_own_slots():
     assert slot.under is under
     assert under[left(STAR)] == PayloadSlot("⊤")
     assert "..." in repr(under)
+
+
+def test_a_fixed_point_that_lacks_the_index_fails_only_when_a_value_reaches_it():
+    """The fixed point's inner outputs miss ``a``, so no slot sits at
+    ``R.a``: the unit summand passes, the other raises."""
+    a, b = label("a"), label("b")
+    inner = indexed.IndexedCode(index_set(left(STAR), right(b)), index_set(b), indexed.Unit())
+    body = indexed.Sum(indexed.Unit(), indexed.Fix(inner))
+    code = indexed.IndexedCode(index_set(STAR), index_set(a), body)
+    conformer = indexed.Conformer(code, TOP_ASSIGN, a)
+    assert conformer(In1(TT()))
+    with pytest.raises(IndexNotInSet, match="^no slot for index R.a$"):
+        conformer(In2(Roll(TT())))

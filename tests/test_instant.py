@@ -24,6 +24,7 @@ from genrep.instant import (
     Sum,
     Unit,
     conform_ig,
+    conformer,
     crush,
     nat_add,
     size_ig,
@@ -129,3 +130,10 @@ DANGLING_CONST_ENV = {"A": K(OfCode("B"))}
 def test_dangling_reference_is_a_malformed_value(entry_point):
     with pytest.raises(MalformedValue, match="reference B is not defined"):
         entry_point()
+
+
+def test_a_constant_of_no_constant_set_fails_only_when_a_value_reaches_it():
+    walk = conformer({}, Sum(Unit(), K("x")))
+    assert walk(In1(TT()))
+    with pytest.raises(TypeError, match="^not a constant set: 'x'$"):
+        walk(In2(Konst(TT())))

@@ -81,7 +81,7 @@ def test_one_i_ig_converter_answers_as_fresh_calls(ctx):
     """Forward on every enumerated value and each of its one-node mutants,
     backward on every image and each of its mutants: the step's walks of
     the context give the image, or the error text, of a fresh call."""
-    walks = embed.STEPS["i-ig"].walks(ctx)
+    walks = {d: build(ctx) for d, build in embed.STEPS["i-ig"].walks.items()}
     values = oracle.enum_context(ctx, EnumBudget(max_size=MUTATION_SIZE))
     images = [walks["forward"](v) for v in values]
     for direction, subjects in (("forward", values), ("backward", images)):
@@ -112,7 +112,7 @@ def test_one_i_ig_converter_keeps_the_points_of_a_subtree_apart(direction, accep
     [ctx] = embed.contexts("indexed", corpus.ROSE_I)
     fresh = partial(embed.convert_i_ig, ctx.code, ctx.table, ctx.at, direction=direction)
     for order in ([accepted, rejected], [rejected, accepted]):
-        held = embed.STEPS["i-ig"].walks(ctx)[direction]
+        held = embed.STEPS["i-ig"].walks[direction](ctx)
         outcomes = [_outcome(held, v) for v in order]
         assert outcomes == [_outcome(fresh, v) for v in order]
         assert [type(o) is str for o in outcomes] == [v is rejected for v in order]
@@ -123,14 +123,14 @@ def test_i_ig_keeps_a_shared_child_shared():
     two children are one object, and an image whose two children are one
     object converts back to such a tree."""
     [ctx] = embed.contexts("indexed", corpus.BIN_I)
-    walks = embed.STEPS["i-ig"].walks(ctx)
+    walks = embed.STEPS["i-ig"].walks
     leaf = Roll(In1(TT()))
     tree = Roll(In2(Pair(leaf, leaf)))
-    image = walks["forward"](tree)
+    image = walks["forward"](ctx)(tree)
     assert image == embed.convert_i_ig(ctx.code, ctx.table, ctx.at, tree, "forward")
     assert image.inner.value.first is image.inner.value.second
     child = RecV(In1(TT()))
-    back = walks["backward"](RecV(In2(Pair(child, child))))
+    back = walks["backward"](ctx)(RecV(In2(Pair(child, child))))
     assert back == tree
     assert back.inner.value.first is back.inner.value.second
 

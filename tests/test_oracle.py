@@ -255,21 +255,22 @@ ZERO = Roll(In1(TT()))
 ONE = Roll(In2(ZERO))
 
 
-def _broken_walks(ctx):
-    """r→p walks that fail every way a suite can see: forward raises on
-    zero and turns any other value into ``tt``; backward keeps the value."""
+def _broken_walks():
+    """Builders of r→p walks that fail every way a suite can see: forward
+    raises on zero and turns any other value into ``tt``; backward keeps
+    the value."""
 
     def forward(v):
         if v == ZERO:
             raise MalformedValue("no zero")
         return TT()
 
-    return {"forward": forward, "backward": lambda v: v}
+    return {"forward": lambda ctx: forward, "backward": lambda ctx: lambda v: v}
 
 
 def broken_r_p(monkeypatch):
     """Give the r→p row of ``embed.STEPS`` the broken walks."""
-    monkeypatch.setitem(embed.STEPS, "r-p", embed.STEPS["r-p"]._replace(walks=_broken_walks))
+    monkeypatch.setitem(embed.STEPS, "r-p", embed.STEPS["r-p"]._replace(walks=_broken_walks()))
 
 
 # suite -> the failures the broken r→p walks give on NatC at max_size 5,

@@ -27,7 +27,7 @@ ZIG_FAM = dict.fromkeys(corpus.ZIG_ZAG_C.indices, identity)
 def _i_ig(code, at, direction):
     """The i→ig walk of ``code`` at ``at`` in one direction."""
     [ctx] = embed.contexts("indexed", code, at=at)
-    return embed.STEPS["i-ig"].walks(ctx)[direction]
+    return embed.STEPS["i-ig"].walks[direction](ctx)
 
 
 # walk -> (a fresh call, a factory of a walk held for many values)
@@ -213,7 +213,7 @@ def _non_value_walks():
         yield pytest.param(WALKS[name][1], MalformedValue, id=name)
     r_p = embed.STEPS["r-p"].walks
     yield pytest.param(
-        lambda: r_p(embed.regular_context(corpus.NAT_C))["forward"], MalformedValue, id="r-p")
+        lambda: r_p["forward"](embed.regular_context(corpus.NAT_C)), MalformedValue, id="r-p")
 
 
 @pytest.mark.parametrize("v", [[], None], ids=["list", "None"])
