@@ -43,6 +43,7 @@ from .gvalue import (
     Refl,
     Roll,
     TT,
+    VALUE_KEYWORDS,
     disjoint_union,
     payload,
     print_label,
@@ -404,6 +405,8 @@ def _read_konst(stream: _Stream, at: _Token) -> instant.K:
         stream.advance()
         return instant.K(instant.OfCode(stream.expect("ident", frozenset({"name"})).text))
     if tok.kind == "ident":
+        if tok.text in VALUE_KEYWORDS:
+            raise ParseError(f"sort {tok.text!r} is a value keyword", tok.line, tok.col)
         stream.advance()
         return instant.K(instant.Prim(tok.text))
     raise stream.fail(frozenset({"sort", "!", "@"}))
@@ -412,6 +415,8 @@ def _read_konst(stream: _Stream, at: _Token) -> instant.K:
 def _show_konst(node: instant.K) -> str:
     match node.payload:
         case instant.Prim(sort):
+            if sort in VALUE_KEYWORDS:
+                raise MalformedValue(f"sort {sort!r} is a value keyword")
             return f"K {_name(sort)}"
         case instant.EqWitness(a, b):
             return f"K!({print_label(a)} , {print_label(b)})"

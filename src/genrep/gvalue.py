@@ -39,6 +39,10 @@ NAT_SORT = "nat"
 # as tokens of their own.
 RESERVED_NAME_CHARS = frozenset('()<>,#@!*+=.;:"')
 
+# The words of the value syntax. A payload sort spelled like one would print
+# as text that the value parser reads as the word, so no sort is one.
+VALUE_KEYWORDS = frozenset({"tt", "refl", "k", "in1", "in2", "rec"})
+
 
 def valid_name(text: str) -> bool:
     """True for a nonempty name with no whitespace or reserved characters
@@ -148,7 +152,7 @@ class PayloadToken:
     ident: int
 
     def __post_init__(self) -> None:
-        if not valid_name(self.sort):
+        if not valid_name(self.sort) or self.sort in VALUE_KEYWORDS:
             raise ValueError(f"bad token sort: {self.sort!r}")
         if self.ident < 0:
             raise ValueError(f"bad token ident: {self.ident!r}")

@@ -4,21 +4,29 @@ Enumeration is the independent oracle: generators build exactly the values
 that conform, every emitted value is re-checked inline, and the ordering
 (size, then printed form) is deterministic so failure witnesses are stable.
 
-Generators work at exact sizes. One top-level call keeps one memo, in which
-the values of each recursion point (a fixed point, an interpreted slot, a
-named instant code) at each size are built once and then shared as subtrees
-of every larger value. So no value is built twice or repeated, and the
-result is each size from 1 to ``max_size`` in turn, sorted by printed form.
+Two generators work at exact sizes, one for indexed and one for instant. One
+top-level call keeps one memo, in which the values of each recursion point
+(a fixed point, an interpreted slot, a named instant code) at each size are
+built once and then shared as subtrees of every larger value. So no value is
+built twice or repeated, and the result is each size from 1 to ``max_size``
+in turn, sorted by printed form.
+
+Regular, polyp and multirec contexts are enumerated through their closed
+indexed lift, which the r→p, p→i and m→i steps give; those keep the tree,
+so the lift has exactly the context's values. The source universe's own
+conformer rechecks each one.
 
 ``enum_context`` keeps one table for the life of the process, with at most
 one entry per context value: keyed by the universe, code and index and the
 items of the constant table and environment, by value and never by ``id``,
-it holds the values up to the largest ``max_size`` asked for so far. An
-entry is stored only once its values are rechecked, so the recheck runs
+it holds the values up to the largest ``max_size`` asked for so far. So a
+lift shares its entry with an equal indexed context (NatC's lift is NatI).
+An entry is stored only once its values are rechecked, so the recheck runs
 once per entry and a broken generator raises on every call; a smaller
 budget is served from the front of the entry, a larger one enumerates
 afresh and replaces it, and every call returns a fresh list. Nothing in
-the table can be tuned. The ``enum_*`` functions keep no table.
+the table can be tuned. Only ``enum_indexed`` and ``enum_instant`` keep no
+table.
 
 Payload sorts admit infinitely many tokens, so enumeration restricts token
 identifiers to 0 and 1 per sort; size bounds then give finite universes.
@@ -100,13 +108,10 @@ def _rechecked(
 # and every generator below takes last, and whose entries are each built
 # once through ``spine.once``. A key starts with a tag for what it holds,
 # or has none:
-# - "walk": per code walked in one context (its index, slots or assignment),
-#   the dict in which ``spine.gen`` keeps that walk's values by node and size;
+# - "walk": per code walked in one context (and, for indexed, assignment and
+#   index), the dict in which ``spine.gen`` keeps its values by node and size;
 # - "mu", and "atom" for instant: per recursion point and exact size, its
 #   values, so that every larger value shares them as subtrees;
-# - "comp" and "slots" for polyp: the slot of a composition's argument and
-#   the slot pair of a fixed point, built once so that their ``id``s name
-#   them in the keys above;
 # - no tag: an indexed code node's inner assignment, keyed by
 #   ``indexed.inner_assign`` with the ids of the node and its assignment.
 # Keys name codes, slots and tables by ``id``: each is part of the top-level
@@ -122,113 +127,6 @@ def _gen_payload(sort: str, n: int) -> list[GenericValue]:
     if sort == TOP_SORT:
         return [TT()]
     return [payload(sort, 0), payload(sort, 1)]
-
-
-# ---------------------------------------------------------------------------
-# regular
-
-
-def _gen_mu_r(code: regular.RegularCode, n: int, memo: dict) -> list[GenericValue]:
-    def atom(node: regular.RegularCode, m: int) -> list[GenericValue]:
-        match node:
-            case regular.Id():
-                return _gen_mu_r(code, m, memo)
-        raise TypeError(f"not a regular code: {node!r}")
-
-    def build() -> list[GenericValue]:
-        walk = spine.once(memo, ("walk", id(code)), dict)
-        return [Roll(w) for w in spine.gen(code, n - 1, atom, walk)]
-
-    return spine.once(memo, ("mu", id(code), n), build)
-
-
-def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
-    values = _finish(partial(_gen_mu_r, code), budget.max_size)
-    return _rechecked(values, regular.mu_conformer(code))
-
-
-# ---------------------------------------------------------------------------
-# polyp
-
-
-def _gen_slot_p(slot: polyp.PolyPSlot, n: int, memo: dict) -> list[GenericValue]:
-    match slot:
-        case PayloadSlot(sort):
-            return _gen_payload(sort, n)
-        case EmptySlot():
-            return []
-        case polyp.MuSlot(code, param):
-            return _gen_mu_p(code, param, n, memo)
-        case polyp.InterpSlot(code, slots):
-            return _gen_p(code, slots, n, memo)
-    raise TypeError(f"not a polyp slot: {slot!r}")
-
-
-def _gen_p(code: polyp.PolyPCode, slots: polyp.SlotPair, n: int, memo: dict):
-    def atom(node: polyp.PolyPCode, m: int) -> list[GenericValue]:
-        match node:
-            case polyp.Par():
-                return _gen_slot_p(slots.param, m, memo)
-            case polyp.Id():
-                return _gen_slot_p(slots.rec, m, memo)
-            case polyp.Comp(f, g):
-                param = spine.once(
-                    memo, ("comp", id(node), id(slots)), lambda: polyp.InterpSlot(g, slots)
-                )
-                return _gen_mu_p(f, param, m, memo)
-        raise TypeError(f"not a polyp code: {node!r}")
-
-    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code), id(slots)), dict))
-
-
-def _gen_mu_p(
-    code: polyp.PolyPCode, param: polyp.PolyPSlot, n: int, memo: dict
-) -> list[GenericValue]:
-    def build() -> list[GenericValue]:
-        slots = spine.once(
-            memo,
-            ("slots", id(code), id(param)),
-            lambda: polyp.SlotPair(param, polyp.MuSlot(code, param)),
-        )
-        return [Roll(w) for w in _gen_p(code, slots, n - 1, memo)]
-
-    return spine.once(memo, ("mu", id(code), id(param), n), build)
-
-
-def enum_mu_polyp(
-    code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
-) -> list[GenericValue]:
-    values = _finish(partial(_gen_mu_p, code, param), budget.max_size)
-    return _rechecked(values, polyp.Conformer(polyp.MuSlot(code, param)))
-
-
-# ---------------------------------------------------------------------------
-# multirec
-
-
-def _gen_mu_m(code: multirec.MultirecCode, at: IndexLabel, n: int, memo: dict):
-    def atom(node: multirec.MultirecBody, m: int) -> list[GenericValue]:
-        match node:
-            case multirec.Id(lbl):
-                return _gen_mu_m(code, lbl, m, memo)
-            case multirec.Tag(lbl):
-                multirec.check_index(code, lbl)
-                return [Refl()] if m == 1 and at == lbl else []
-        raise TypeError(f"not a multirec body: {node!r}")
-
-    def build() -> list[GenericValue]:
-        multirec.check_index(code, at)
-        walk = spine.once(memo, ("walk", id(code), at), dict)
-        return [Roll(w) for w in spine.gen(code.body, n - 1, atom, walk)]
-
-    return spine.once(memo, ("mu", id(code), at, n), build)
-
-
-def enum_mu_multirec(
-    code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
-) -> list[GenericValue]:
-    values = _finish(partial(_gen_mu_m, code, at), budget.max_size)
-    return _rechecked(values, multirec.mu_conformer(code, at))
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +242,50 @@ def enum_instant(
 # dispatch over the enumerators by context
 
 
+# universe -> the steps that carry its contexts to their closed indexed
+# lift; they keep the tree, so a context's values are its lift's values
+_TO_INDEXED = {"regular": ("r-p", "p-i"), "polyp": ("p-i",), "multirec": ("m-i",)}
+
+
 def _enumerate(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
-    """The enumerator of ``ctx``'s universe, run afresh."""
+    """The values of ``ctx``. An indexed or instant context runs its
+    universe's enumerator afresh. Any other takes the values of its closed
+    indexed lift from ``enum_context``, and its own universe's conformer,
+    built first, rechecks them."""
     match ctx.universe:
-        case "regular":
-            return enum_mu_regular(ctx.code, budget)
-        case "polyp":
-            return enum_mu_polyp(ctx.code, TOP_SLOT, budget)
-        case "multirec":
-            return enum_mu_multirec(ctx.code, ctx.at, budget)
         case "indexed":
             return enum_indexed(ctx.code, embed.payload_slots(ctx.table), ctx.at, budget)
         case "instant":
             return enum_instant(ctx.env, ctx.code, budget)
-    raise ValueError(f"unknown universe: {ctx.universe!r}")
+    conforms = embed.conformer(ctx)
+    lifted = ctx
+    for step in _TO_INDEXED[ctx.universe]:
+        lifted = embed.STEPS[step].context(lifted)
+    if ctx.universe == "multirec":
+        # the indexed generator yields nothing at a tag outside its outputs
+        for node in spine.atoms(ctx.code.body):
+            multirec.check_index(ctx.code, node.label)
+    return _rechecked(enum_context(lifted, budget), conforms)
+
+
+def enum_mu_regular(code: regular.RegularCode, budget: EnumBudget) -> list[GenericValue]:
+    return _enumerate(embed.regular_context(code), budget)
+
+
+def enum_mu_polyp(
+    code: polyp.PolyPCode, param: polyp.PolyPSlot, budget: EnumBudget
+) -> list[GenericValue]:
+    """The fixed point's values at the ``⊤`` parameter, the only slot the
+    lift to indexed reads."""
+    if param != TOP_SLOT:
+        raise ValueError(f"only the ⊤ parameter slot enumerates, not {param!r}")
+    return _enumerate(embed.polyp_context(code), budget)
+
+
+def enum_mu_multirec(
+    code: multirec.MultirecCode, at: IndexLabel, budget: EnumBudget
+) -> list[GenericValue]:
+    return _enumerate(embed.multirec_context(code, at), budget)
 
 
 # a context by contents, (code, *embed.context_key(ctx)), since the suites

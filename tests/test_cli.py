@@ -147,6 +147,16 @@ def test_a_nat_longer_than_int_reads_is_one_error_line():
     )
 
 
+def test_a_sort_spelled_like_a_value_keyword_is_one_error_line():
+    """Its tokens would print as ``k tt#0``, which ``check`` cannot read."""
+    out = run_cli(
+        "enum", "--universe", "instant", "--env", "A = K tt", "--code", "R A", "--max-size", "4"
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: 1:7: sort 'tt' is a value keyword\n"
+    )
+
+
 def test_unknown_property_name_exits_two():
     out = run_cli("laws", "--universe", "instant", "--code", "List⊤", "--max-size", "6")
     assert out.returncode == 2

@@ -304,6 +304,13 @@ PARSE_ERRORS += [
     ('indexed', 'in: a\nout: b\nfix I@R.Z.a', "label tag must be L or R, got 'Z'", 3, 9, set()),
 ]
 
+# A constant set's sort may not be a value keyword, whose tokens would print
+# as text that does not read back.
+PARSE_ERRORS += [
+    ('instant', f'K {word}', f"sort '{word}' is a value keyword", 1, 3, set())
+    for word in ('tt', 'refl', 'k', 'in1', 'in2', 'rec')
+] + [('env', 'A = U\nB = K tt * R A', "sort 'tt' is a value keyword", 2, 7, set())]
+
 _PARSERS = {"value": parse_value, "env": parse_env, "label": parse_label}
 
 
@@ -415,6 +422,11 @@ def test_a_code_the_printer_cannot_print_is_refused(universe, code, message):
 def test_the_instant_printer_refuses_a_name_that_does_not_parse_back(code):
     with pytest.raises(MalformedValue, match="^not a name: "):
         print_code("instant", code)
+
+
+def test_the_instant_printer_refuses_a_sort_that_is_a_value_keyword():
+    with pytest.raises(MalformedValue, match="^sort 'rec' is a value keyword$"):
+        print_code("instant", instant.Prod(instant.Unit(), instant.K(instant.Prim("rec"))))
 
 
 @pytest.mark.parametrize("name", ["x y", "12", "a=b", ""])

@@ -37,6 +37,7 @@ from genrep import (
     value_size,
 )
 from genrep.gvalue import (
+    VALUE_KEYWORDS,
     PayloadSlot,
     compose,
     identity,
@@ -121,6 +122,15 @@ def test_an_all_decimal_name_is_refused(name):
     with pytest.raises(ValueError, match="^bad token sort: "):
         payload(name, 1)
     assert valid_name("x7") and valid_name("7x")
+
+
+@pytest.mark.parametrize("sort", sorted(VALUE_KEYWORDS))
+def test_a_value_keyword_is_no_token_sort(sort):
+    """A token of that sort would print as text that the value parser reads
+    as the keyword."""
+    with pytest.raises(ValueError, match=f"^bad token sort: '{sort}'$"):
+        payload(sort, 0)
+    assert payload(sort + "s", 0).token.sort == sort + "s"
 
 
 def test_disjoint_union_tags_both_sides():

@@ -3,15 +3,17 @@ against a generator that shares none of their structure: build every tree
 over the value alphabet and keep the ones the conformance checkers accept."""
 
 import json
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from genrep import index_set, label, left, print_label, print_value, value_size
-from genrep import embed, indexed, oracle, regular
+from genrep import dsl, embed, indexed, oracle, regular
 from genrep.corpus import (
     BIN_C,
     INDEXED_CODES,
@@ -29,8 +31,11 @@ from genrep.corpus import (
     ROSE_C,
     ROSE_I,
     ZIG_ZAG_C,
+    ZIG_ZAG_I,
 )
-from genrep.gvalue import TT, In1, In2, IndexNotInSet, MalformedValue, PayloadSlot, Refl, Roll
+from genrep.gvalue import (
+    TT, EmptySlot, In1, In2, IndexNotInSet, MalformedValue, PayloadSlot, Refl, Roll
+)
 from genrep.indexed import conform_i
 from genrep.instant import conform_ig
 from genrep.multirec import MultirecCode, Tag, conform_m, conform_mu_m, mu_assignment
@@ -51,7 +56,7 @@ from genrep.oracle import (
 from genrep.polyp import conform_mu_p
 from genrep.regular import MuSlot, conform_mu_r, conform_r
 
-from helpers import all_trees_upto, child_env, corpus_contexts
+from helpers import _fuzz_code, all_trees_upto, child_env, corpus_contexts
 
 STAR = label("⋆")
 LSTAR = left(STAR)
@@ -153,6 +158,34 @@ def test_brute_force_agrees_on_every_corpus_code(conforms, enumerate_):
     assert enumerate_() == _accepted(conforms, BRUTE_CEILING)
 
 
+def _fuzz_contexts(seeds):
+    """The contexts of the regular, polyp and multirec codes that
+    ``_fuzz_code`` gives per seed; text that does not parse gives none."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for universe in ("regular", "polyp", "multirec"):
+            try:
+                code = dsl.parse_code(universe, _fuzz_code(rng, universe))
+            except dsl.ParseError:
+                continue
+            yield from embed.contexts(universe, code)
+
+
+FUZZ_CEILING = 5
+
+
+def test_brute_force_agrees_on_generated_codes():
+    """The indexed generator serves regular, polyp and multirec through
+    their lift, so its completeness is checked on generated codes of each
+    against every tree the context's own conformer accepts."""
+    contexts = list(_fuzz_contexts(range(150)))
+    counts = Counter(ctx.universe for ctx in contexts)
+    assert counts == {"regular": 117, "polyp": 117, "multirec": 19}
+    for ctx in contexts:
+        brute = _accepted(embed.conformer(ctx), FUZZ_CEILING)
+        assert enum_context(ctx, EnumBudget(max_size=FUZZ_CEILING)) == brute, ctx
+
+
 # Nothing removes repeats after enumeration: every value is built once by
 # construction, and this checks that on every corpus context.
 @pytest.mark.parametrize("conforms, enumerate_", list(_corpus_cases(14)))
@@ -172,8 +205,9 @@ def test_enumeration_is_sorted_and_duplicate_free(conforms, enumerate_):
     ids=["regular-BinC", "polyp-ListC"],
 )
 def test_each_fixed_point_value_is_built_once(monkeypatch, enumerate_):
-    """One top-level enumeration builds each fixed-point value once and
-    shares it as a subtree of every larger value."""
+    """From a cold table, one top-level enumeration builds each fixed-point
+    value once and shares it as a subtree of every larger value."""
+    monkeypatch.setattr(oracle, "_ENUMERATED", {})
     built = []
     monkeypatch.setattr(oracle, "Roll", lambda w: built.append(w) or Roll(w))
     values = enumerate_()
@@ -197,6 +231,12 @@ def test_one_enumeration_builds_each_fixed_points_table_once(monkeypatch, code, 
         oracle._enumerate(ctx, EnumBudget(max_size=max_size))
         counts.append(len(calls))
     assert counts == [builds] * 3
+
+
+@pytest.mark.parametrize("slot", [PayloadSlot("nat"), EmptySlot()], ids=["nat", "empty"])
+def test_polyp_enumerates_at_the_top_slot_only(slot):
+    with pytest.raises(ValueError, match="^only the ⊤ parameter slot enumerates"):
+        enum_mu_polyp(LIST_C, slot, EnumBudget(max_size=6))
 
 
 def test_nat_counts_follow_the_closed_form():
@@ -365,9 +405,10 @@ def test_known_check_counts():
     assert run_property("pitfall-comp").checked_count == 2
 
 
-# The child replaces each generator in turn with one that emits ``refl``,
-# which conforms to none of the codes asked for, and prints what the
-# enumerator does then.
+# The child replaces the generator behind each universe's enumerator in turn
+# with one that emits ``refl``, which conforms to none of the codes asked
+# for, and prints what the enumerator does then. Regular, polyp and multirec
+# are enumerated through their indexed lift, so ``_gen_i`` is behind them.
 _BROKEN_GENERATORS = textwrap.dedent(
     """
     from genrep import Refl, corpus, embed, oracle
@@ -375,18 +416,20 @@ _BROKEN_GENERATORS = textwrap.dedent(
 
     budget = oracle.EnumBudget(max_size=6)
     cases = {
-        "_gen_mu_r": lambda: oracle.enum_mu_regular(corpus.NAT_C, budget),
-        "_gen_mu_p": lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget),
-        "_gen_mu_m": lambda: oracle.enum_mu_multirec(corpus.ZIG_ZAG_C, embed.LSTAR, budget),
-        "_gen_i": lambda: oracle.enum_indexed(
+        "regular": ("_gen_i", lambda: oracle.enum_mu_regular(corpus.NAT_C, budget)),
+        "polyp": ("_gen_i", lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget)),
+        "multirec": ("_gen_i", lambda: oracle.enum_mu_multirec(
+            corpus.ZIG_ZAG_C, embed.LSTAR, budget
+        )),
+        "indexed": ("_gen_i", lambda: oracle.enum_indexed(
             corpus.NAT_I, oracle.standard_assign(corpus.NAT_I), embed.STAR, budget
-        ),
-        "_gen_ig": lambda: oracle.enum_instant(
+        )),
+        "instant": ("_gen_ig", lambda: oracle.enum_instant(
             corpus.LIST_TOP_ENV, corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME], budget
-        ),
+        )),
     }
-    for name, enumerate_ in cases.items():
-        setattr(oracle, name, lambda *args: [Refl()])
+    for name, (generator, enumerate_) in cases.items():
+        setattr(oracle, generator, lambda *args: [Refl()])
         try:
             print(name, "returned", enumerate_())
         except RuntimeError as err:
@@ -412,7 +455,7 @@ def test_inline_rechecks_survive_optimized_mode():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         f"{name} raised enumerator emitted a non-conforming value: refl"
-        for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
+        for name in ("regular", "polyp", "multirec", "indexed", "instant")
     ] + ["env raised environment entries never built: ig0"]
 
 
@@ -459,6 +502,56 @@ def test_the_table_serves_each_budget_as_a_fresh_enumeration(monkeypatch, ctx, s
     assert len(calls) == runs
 
 
+@pytest.mark.parametrize(
+    "universe, code, twin",
+    [("regular", NAT_C, NAT_I), ("polyp", LIST_C, LIST_I), ("multirec", ZIG_ZAG_C, ZIG_ZAG_I)],
+    ids=["NatC", "ListC", "ZigZagC"],
+)
+def test_a_context_and_its_closed_indexed_lift_share_one_enumeration(
+    monkeypatch, universe, code, twin
+):
+    """From a cold table, the indexed twin of a regular, polyp or multirec
+    context is served from the entry that the context's lift filled: one
+    enumeration per index."""
+    monkeypatch.setattr(oracle, "_ENUMERATED", {})
+    calls = _count_finish(monkeypatch)
+    budget = EnumBudget(max_size=12)
+    sources = embed.contexts(universe, code)
+    values = [enum_context(ctx, budget) for ctx in sources]
+    assert [enum_context(ctx, budget) for ctx in embed.contexts("indexed", twin)] == values
+    assert len(calls) == len(sources)
+
+
+# The child makes the r→p step carry every regular context to the lift of
+# BinC, whose values the regular conformer of NatC must then refuse.
+_WRONG_LIFT = textwrap.dedent(
+    """
+    from genrep import corpus, embed, oracle
+
+    wrong = lambda ctx: embed.polyp_context(embed.lift_r_to_p(corpus.BIN_C))
+    embed.STEPS["r-p"] = embed.STEPS["r-p"]._replace(context=wrong)
+    try:
+        print("returned", oracle.enum_mu_regular(corpus.NAT_C, oracle.EnumBudget(max_size=9)))
+    except RuntimeError as err:
+        print("raised", err)
+    """
+)
+
+
+def test_the_source_conformer_catches_a_wrong_lift():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_LIFT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised enumerator emitted a non-conforming value: <in2 (<in1 tt> , <in1 tt>)>"
+    ]
+
+
 def test_a_returned_list_is_the_callers_own():
     ctx = embed.polyp_context(ROSE_C)
     for n in (12, 9, 12):
@@ -470,8 +563,9 @@ def test_a_returned_list_is_the_callers_own():
         assert enum_context(ctx, EnumBudget(max_size=n)) == kept
 
 
-# The child breaks each generator in turn and asks enum_context twice for a
-# context it reaches: no entry is stored, so both calls recheck and raise.
+# The child breaks the generator behind each universe's contexts in turn and
+# asks enum_context twice for a context it reaches: no entry is stored, so
+# both calls recheck and raise.
 _BROKEN_CONTEXT_GENERATORS = textwrap.dedent(
     """
     from genrep import Refl, corpus, embed, oracle
@@ -479,14 +573,14 @@ _BROKEN_CONTEXT_GENERATORS = textwrap.dedent(
     budget = oracle.EnumBudget(max_size=6)
     list_top = corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME]
     cases = {
-        "_gen_mu_r": embed.regular_context(corpus.NAT_C),
-        "_gen_mu_p": embed.polyp_context(corpus.LIST_C),
-        "_gen_mu_m": embed.multirec_context(corpus.ZIG_ZAG_C, embed.LSTAR),
-        "_gen_i": embed.contexts("indexed", corpus.NAT_I)[0],
-        "_gen_ig": embed.contexts("instant", list_top, corpus.LIST_TOP_ENV)[0],
+        "regular": ("_gen_i", embed.regular_context(corpus.NAT_C)),
+        "polyp": ("_gen_i", embed.polyp_context(corpus.LIST_C)),
+        "multirec": ("_gen_i", embed.multirec_context(corpus.ZIG_ZAG_C, embed.LSTAR)),
+        "indexed": ("_gen_i", embed.contexts("indexed", corpus.NAT_I)[0]),
+        "instant": ("_gen_ig", embed.contexts("instant", list_top, corpus.LIST_TOP_ENV)[0]),
     }
-    for name, ctx in cases.items():
-        setattr(oracle, name, lambda *args: [Refl()])
+    for name, (generator, ctx) in cases.items():
+        setattr(oracle, generator, lambda *args: [Refl()])
         for call in (1, 2):
             try:
                 print(name, call, "returned", oracle.enum_context(ctx, budget))
@@ -507,7 +601,7 @@ def test_a_broken_generator_raises_on_every_context_call():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         f"{name} {call} raised enumerator emitted a non-conforming value: refl"
-        for name in ("_gen_mu_r", "_gen_mu_p", "_gen_mu_m", "_gen_i", "_gen_ig")
+        for name in ("regular", "polyp", "multirec", "indexed", "instant")
         for call in (1, 2)
     ]
 
