@@ -15,7 +15,6 @@ composition or fixed point becomes a named environment entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
@@ -55,12 +54,15 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"direction must be forward or backward: {direction!r}")
 
 
-@dataclass
-class ConversionReport:
+class ConversionReport(spine.Record, frozen=False):
     """Evidence from a round-trip or law run over enumerated values."""
 
-    checked_count: int = 0
-    failures: list[tuple[GenericValue, str, str]] = field(default_factory=list)
+    checked_count: int
+    failures: list[tuple[GenericValue, str, str]]
+
+    def __init__(self, checked_count: int = 0, failures: list | None = None) -> None:
+        self.checked_count = checked_count
+        self.failures = [] if failures is None else failures
 
     def ok(self) -> bool:
         return not self.failures
@@ -438,8 +440,7 @@ def standard_table(code: indexed.IndexedCode) -> dict[IndexLabel, instant.KSet]:
     return {lbl: instant.Prim(TOP_SORT) for lbl in code.ins}
 
 
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(spine.Record):
     """Where a fixed-point value lives: its universe and code, the index it
     is read at (multirec, indexed), the constant set of every input index
     (indexed) and the environment the code refers into (instant)."""
@@ -529,7 +530,8 @@ def conforms(ctx: PathContext, v: GenericValue) -> bool:
     """Does ``v`` conform where ``ctx`` says it lives? The call borrows a
     ``conformer`` of the context (``spine.borrow``), built on a copy of its
     environment."""
-    build = lambda: conformer(ctx if ctx.env is None else replace(ctx, env=dict(ctx.env)))
+    build = lambda: conformer(ctx if ctx.env is None else PathContext(
+        ctx.universe, ctx.code, ctx.at, ctx.table, dict(ctx.env)))
     return spine.borrow(ctx.code, ("conforms", *context_key(ctx)), build, v)
 
 

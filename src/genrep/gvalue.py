@@ -13,8 +13,8 @@ from __future__ import annotations
 import sys
 import types
 import weakref
+from _thread import get_ident
 from _weakref import _remove_dead_weakref
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from typing import Any, Callable, Iterator, Union
 
@@ -53,11 +53,110 @@ def valid_name(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# index labels and index sets
+# records, index labels and index sets
 
 
-@dataclass(frozen=True)
-class IndexLabel:
+class Record:
+    """Base of the code, label, slot and context classes: a record of the
+    fields its class body annotates, built, compared, hashed and printed as
+    a frozen dataclass (``frozen=False``: mutable and unhashable; ``eq=False``:
+    identity ``==`` and ``hash``), by copies of the templates below renamed
+    to its fields. Its own ``__init__`` or ``__hash__`` is kept. Instances
+    keep a ``__dict__``, where ``spine.cached`` keeps what a code determines."""
+
+    def __init_subclass__(cls, frozen: bool = True, eq: bool = True) -> None:
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__, n = fields, len(fields)
+        rename = {f"_{i}": name for i, name in enumerate(fields)}
+        if "__init__" not in cls.__dict__:
+            defaults = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+            init = _INITS[n, hasattr(cls, "__post_init__")]
+            cls.__init__ = _copy(init, cls, "__init__", rename, defaults)
+        if eq:
+            cls.__eq__ = _copy(_EQS[n], cls, "__eq__", rename)
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = _copy(_HASHES[n], cls, "__hash__", rename) if frozen else None
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    # A frozen dataclass's error. Importing ``dataclasses`` costs more than
+    # creating every record class, so only raising the error imports it.
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        key = id(self), get_ident()
+        if key in _PRINTING:  # a record that holds itself, as an indexed MuSlot does
+            return "..."
+        _PRINTING.add(key)
+        try:
+            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        finally:
+            _PRINTING.discard(key)
+        return f"{type(self).__qualname__}({fields})"
+
+
+_PRINTING: set[tuple[int, int]] = set()
+_set = object.__setattr__
+
+
+def _copy(template: Callable, cls: type, name: str, rename: dict, defaults: tuple = ()):
+    """``template`` as method ``name`` of ``cls``, each placeholder renamed."""
+    code = template.__code__
+    code = code.replace(
+        co_varnames=tuple(rename.get(n, n) for n in code.co_varnames),
+        co_names=tuple(rename.get(n, n) for n in code.co_names),
+        co_consts=tuple(rename.get(c, c) if type(c) is str else c for c in code.co_consts),
+        co_name=name, co_qualname=f"{cls.__qualname__}.{name}",
+    )
+    return types.FunctionType(code, globals(), name, defaults or None)
+
+
+# The methods a dataclass generates, per number of fields, over fields
+# ``_0``, ``_1``, ...; ``_set`` gives None, so ``or`` runs each in order.
+_INITS = {  # (number of fields, has __post_init__) -> __init__
+    (0, False): lambda self: None,
+    (1, False): lambda self, _0: _set(self, "_0", _0),
+    (1, True): lambda self, _0: _set(self, "_0", _0) or self.__post_init__(),
+    (2, False): lambda self, _0, _1: _set(self, "_0", _0) or _set(self, "_1", _1),
+    (2, True): lambda self, _0, _1: (
+        _set(self, "_0", _0) or _set(self, "_1", _1) or self.__post_init__()),
+    (3, False): lambda self, _0, _1, _2: (
+        _set(self, "_0", _0) or _set(self, "_1", _1) or _set(self, "_2", _2)),
+    (5, False): lambda self, _0, _1, _2, _3, _4: (
+        _set(self, "_0", _0) or _set(self, "_1", _1) or _set(self, "_2", _2)
+        or _set(self, "_3", _3) or _set(self, "_4", _4)),
+}
+_EQS = {
+    0: lambda self, other: () == () if other.__class__ is self.__class__ else NotImplemented,
+    1: lambda self, other: (
+        (self._0,) == (other._0,) if other.__class__ is self.__class__ else NotImplemented),
+    2: lambda self, other: (
+        (self._0, self._1) == (other._0, other._1)
+        if other.__class__ is self.__class__ else NotImplemented),
+    3: lambda self, other: (
+        (self._0, self._1, self._2) == (other._0, other._1, other._2)
+        if other.__class__ is self.__class__ else NotImplemented),
+    5: lambda self, other: (
+        (self._0, self._1, self._2, self._3, self._4)
+        == (other._0, other._1, other._2, other._3, other._4)
+        if other.__class__ is self.__class__ else NotImplemented),
+}
+_HASHES = {
+    0: lambda self: hash(()),
+    1: lambda self: hash((self._0,)),
+    2: lambda self: hash((self._0, self._1)),
+    3: lambda self: hash((self._0, self._1, self._2)),
+    5: lambda self: hash((self._0, self._1, self._2, self._3, self._4)),
+}
+
+
+class IndexLabel(Record):
     """A named index; ``tags`` records Left/Right wrapping, outermost first.
 
     Labels key slot tables and memos, so the hash is computed once, here;
@@ -69,7 +168,7 @@ class IndexLabel:
     def __post_init__(self) -> None:
         if not valid_name(self.name):
             raise ValueError(f"bad index label name: {self.name!r}")
-        if any(tag not in ("L", "R") for tag in self.tags):
+        if type(self.tags) is not tuple or any(tag not in ("L", "R") for tag in self.tags):
             raise ValueError(f"bad index label tags: {self.tags!r}")
         object.__setattr__(self, "_hash", hash((self.name, self.tags)))
 
@@ -102,14 +201,16 @@ def print_label(lbl: IndexLabel) -> str:
     return "".join(tag + "." for tag in lbl.tags) + lbl.name
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Record):
     """An ordered, duplicate-free collection of index labels."""
 
     labels: tuple[IndexLabel, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        labels = self.labels
+        if type(labels) is not tuple or any(type(lbl) is not IndexLabel for lbl in labels):
+            raise ValueError(f"bad index set labels: {labels!r}")
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in index set")
 
     def __contains__(self, lbl: object) -> bool:
@@ -144,8 +245,7 @@ def disjoint_union(first: IndexSet, second: IndexSet) -> IndexSet:
 # payload tokens and the value tree
 
 
-@dataclass(frozen=True)
-class PayloadToken:
+class PayloadToken(Record):
     """An opaque element of an abstract set, identified by sort and number."""
 
     sort: str
@@ -154,7 +254,7 @@ class PayloadToken:
     def __post_init__(self) -> None:
         if not valid_name(self.sort) or self.sort in VALUE_KEYWORDS:
             raise ValueError(f"bad token sort: {self.sort!r}")
-        if self.ident < 0:
+        if type(self.ident) is not int or self.ident < 0:
             raise ValueError(f"bad token ident: {self.ident!r}")
 
 
@@ -209,21 +309,11 @@ def _enter(table: dict, key: Any, node: _Node, drop: Callable[[_Entry], None]) -
 
 
 class _Node:
-    """A value node: immutable, compared and hashed by identity, printed as
-    a dataclass is."""
+    """A value node: immutable, compared and hashed by identity, printed as a record is."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+    __setattr__, __delattr__, __repr__ = Record.__setattr__, Record.__delattr__, Record.__repr__
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -340,20 +430,13 @@ class Payload(_Unary):
     token: PayloadToken
 
 
-def _new_with_parameter(cls: type, name: str):
-    """``_Unary.__new__`` with its field parameter called ``name``, so that
-    ``Roll(inner=x)`` works as the keyword form that ``repr`` prints."""
-    code = _Unary.__new__.__code__
-    code = code.replace(co_varnames=("cls", name) + code.co_varnames[2:],
-                        co_qualname=f"{cls.__qualname__}.__new__")
-    return staticmethod(types.FunctionType(code, globals(), "__new__"))
-
-
+# Each class's ``__new__`` names its field parameter as ``repr`` prints it,
+# so that ``Roll(inner=x)`` works.
 for _cls in (In1, In2, Roll, Konst, RecV, Payload):
     _name = _cls.__match_args__[0]
     _cls._field = _cls.__dict__[_name]
     _cls._table, _cls._drop = _intern_table()
-    _cls.__new__ = _new_with_parameter(_cls, _name)
+    _cls.__new__ = staticmethod(_copy(_Unary.__new__, _cls, "__new__", {"field": _name}))
 _PAIRS, _drop_pair = _intern_table()
 Pair._table = _PAIRS
 _set_first, _set_second = Pair.first.__set__, Pair.second.__set__
@@ -464,8 +547,7 @@ def print_value(v: GenericValue) -> str:
 # slots shared by the universes
 
 
-@dataclass(frozen=True)
-class PayloadSlot:
+class PayloadSlot(Record):
     """Accepts the payload tokens of one sort.
 
     The sort "⊤" is the unit set: it accepts exactly ``tt`` and no token.
@@ -477,8 +559,7 @@ class PayloadSlot:
 TOP_SLOT = PayloadSlot(TOP_SORT)
 
 
-@dataclass(frozen=True)
-class EmptySlot:
+class EmptySlot(Record):
     """Accepts nothing; realizes the empty parameter set."""
 
 

@@ -8,7 +8,6 @@ disjoint union of the outer inputs (Left) and the recursive outputs (Right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, TypeVar, Union
 
 from . import spine
@@ -28,31 +27,27 @@ from .gvalue import (
     print_value,
     right,
 )
-from .spine import Prod, Sum, Unit
+from .spine import Prod, Record, Sum, Unit
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     label: IndexLabel
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(Record):
     label: IndexLabel
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Record):
     """Left code consumes what the right code produces."""
 
     left: "IndexedCode"
     right: "IndexedCode"
 
 
-@dataclass(frozen=True)
-class Fix:
+class Fix(Record):
     """Inner inputs are Left(outer inputs) plus Right(recursive outputs)."""
 
     inner: "IndexedCode"
@@ -61,8 +56,7 @@ class Fix:
 IndexedBody = Union[Unit, Id, Tag, Sum, Prod, Comp, Fix]
 
 
-@dataclass(frozen=True)
-class IndexedCode:
+class IndexedCode(Record):
     ins: IndexSet
     outs: IndexSet
     body: IndexedBody
@@ -96,8 +90,7 @@ def _wf_atom(code: IndexedCode, node: IndexedBody) -> bool:
     raise TypeError(f"not an indexed body: {node!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class InterpSlot:
+class InterpSlot(Record, eq=False):
     """Inhabitants of the interpretation of ``code`` under ``assign`` at
     ``at``. It compares and hashes by identity, as ``MuSlot`` does, so an
     assignment that holds one can key a borrowed walk (``conform_i``)."""
@@ -107,8 +100,7 @@ class InterpSlot:
     at: IndexLabel
 
 
-@dataclass(frozen=True, eq=False)
-class MuSlot:
+class MuSlot(Record, eq=False):
     """Fixed-point values of the inner code ``inner`` at ``at``; ``under`` is
     the assignment one layer under the fixed point, which holds this slot."""
 

@@ -8,7 +8,6 @@ constant a ``k`` node, so every walk over a finite value ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Mapping, Union
 
@@ -30,37 +29,32 @@ from .gvalue import (
     print_value,
     token_successor,
 )
-from .spine import Prod, Sum, Unit
+from .spine import Prod, Record, Sum, Unit
 
 
-@dataclass(frozen=True)
-class Prim:
+class Prim(Record):
     sort: str
 
 
-@dataclass(frozen=True)
-class EqWitness:
+class EqWitness(Record):
     """Inhabited by refl exactly when the two labels coincide."""
 
     a: IndexLabel
     b: IndexLabel
 
 
-@dataclass(frozen=True)
-class OfCode:
+class OfCode(Record):
     ref: str
 
 
 KSet = Union[Prim, EqWitness, OfCode]
 
 
-@dataclass(frozen=True)
-class K:
+class K(Record):
     payload: KSet
 
 
-@dataclass(frozen=True)
-class R:
+class R(Record):
     ref: str
 
 
@@ -138,8 +132,7 @@ def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:
     return spine.borrow(code, ("conform_ig", spine.Contents(env)), build, v)
 
 
-@dataclass(frozen=True)
-class CrushSpec:
+class CrushSpec(Record):
     combine: Callable[[GenericValue, GenericValue], GenericValue]
     step: Callable[[GenericValue], GenericValue]
     unit: GenericValue

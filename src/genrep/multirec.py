@@ -7,7 +7,6 @@ a tag is inhabited by the equality witness exactly at its own index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from . import spine
@@ -22,30 +21,26 @@ from .gvalue import (
     Transformer,
     print_label,
 )
-from .spine import Prod, Sum, Unit
+from .spine import Prod, Record, Sum, Unit
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     label: IndexLabel
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(Record):
     label: IndexLabel
 
 
 MultirecBody = Union[Unit, Id, Tag, Sum, Prod]
 
 
-@dataclass(frozen=True)
-class MultirecCode:
+class MultirecCode(Record):
     indices: IndexSet
     body: MultirecBody
 
 
-@dataclass(frozen=True)
-class MuSlot:
+class MuSlot(Record):
     """Per-index slot holding fixed-point values of ``code`` at that index."""
 
     code: MultirecCode

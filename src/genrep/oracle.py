@@ -35,7 +35,6 @@ identifiers to 0 and 1 per sort; size bounds then give finite universes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -69,8 +68,7 @@ class UnknownProperty(Exception):
     """The requested property id is not in the registry."""
 
 
-@dataclass(frozen=True)
-class EnumBudget:
+class EnumBudget(spine.Record):
     max_size: int
 
     def __post_init__(self) -> None:

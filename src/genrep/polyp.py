@@ -9,7 +9,6 @@ container codes is usually not the container-of-containers code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import spine
@@ -22,21 +21,18 @@ from .gvalue import (
     Transformer,
     print_value,
 )
-from .spine import Prod, Sum, Unit
+from .spine import Prod, Record, Sum, Unit
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Record):
     left: "PolyPCode"
     right: "PolyPCode"
 
@@ -44,16 +40,14 @@ class Comp:
 PolyPCode = Union[Unit, Par, Id, Sum, Prod, Comp]
 
 
-@dataclass(frozen=True)
-class MuSlot:
+class MuSlot(Record):
     """Layers of the fixed point of ``code`` with parameter slot ``param``."""
 
     code: PolyPCode
     param: "PolyPSlot"
 
 
-@dataclass(frozen=True)
-class InterpSlot:
+class InterpSlot(Record):
     """Inhabitants of the interpretation of ``code`` at ``slots``."""
 
     code: PolyPCode
@@ -63,8 +57,7 @@ class InterpSlot:
 PolyPSlot = Union[PayloadSlot, EmptySlot, MuSlot, InterpSlot]
 
 
-@dataclass(frozen=True)
-class SlotPair:
+class SlotPair(Record):
     param: PolyPSlot
     rec: PolyPSlot
 

@@ -7,7 +7,6 @@ identity positions (payload tokens, fixed-point layers, or nothing at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import spine
@@ -26,19 +25,17 @@ from .gvalue import (
     Transformer,
     print_value,
 )
-from .spine import Prod, Sum, Unit
+from .spine import Prod, Record, Sum, Unit
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     pass
 
 
 RegularCode = Union[Unit, Id, Sum, Prod]
 
 
-@dataclass(frozen=True)
-class MuSlot:
+class MuSlot(Record):
     """Identity positions hold layers of the fixed point of ``code``."""
 
     code: RegularCode

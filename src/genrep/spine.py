@@ -24,7 +24,6 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, TypeVar
 
@@ -36,6 +35,7 @@ from .gvalue import (
     MalformedValue,
     Pair,
     PayloadSlot,
+    Record,
     Refl,
     Roll,
     TT,
@@ -46,19 +46,16 @@ from .gvalue import (
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(Record):
     left: object
     right: object
 

@@ -13,6 +13,7 @@ from genrep import (
     In1,
     In2,
     IndexLabel,
+    IndexSet,
     Konst,
     MalformedValue,
     Pair,
@@ -131,6 +132,29 @@ def test_a_value_keyword_is_no_token_sort(sort):
     with pytest.raises(ValueError, match=f"^bad token sort: '{sort}'$"):
         payload(sort, 0)
     assert payload(sort + "s", 0).token.sort == sort + "s"
+
+
+@pytest.mark.parametrize("ident", [True, False, 1.5, 2.0, "3", None])
+def test_a_token_ident_is_an_int(ident):
+    """Tokens compare by value and ``True == 1``, so a bool ident would
+    intern as the int's node and print as text that does not parse back."""
+    with pytest.raises(ValueError, match=f"^bad token ident: {ident!r}$"):
+        payload("nat", ident)
+    assert print_value(payload("nat", 1)) == "nat#1"
+    assert parse_value(print_value(payload("nat", 1))) is payload("nat", 1)
+
+
+@pytest.mark.parametrize("tags", ["L", ["L"], ("L", "X"), None])
+def test_label_tags_are_a_tuple_of_sides(tags):
+    with pytest.raises(ValueError, match="^bad index label tags: "):
+        IndexLabel("a", tags)
+
+
+@pytest.mark.parametrize("labels", [[STAR], (STAR, "b"), ("⋆",), None])
+def test_an_index_set_holds_a_tuple_of_labels(labels):
+    with pytest.raises(ValueError, match="^bad index set labels: "):
+        IndexSet(labels)
+    assert IndexSet((STAR, left(STAR))).labels == (STAR, left(STAR))
 
 
 def test_disjoint_union_tags_both_sides():
