@@ -415,9 +415,7 @@ def _read_konst(stream: _Stream, at: _Token) -> instant.K:
 def _show_konst(node: instant.K) -> str:
     match node.payload:
         case instant.Prim(sort):
-            if sort in VALUE_KEYWORDS:
-                raise MalformedValue(f"sort {sort!r} is a value keyword")
-            return f"K {_name(sort)}"
+            return f"K {sort}"
         case instant.EqWitness(a, b):
             return f"K!({print_label(a)} , {print_label(b)})"
         case instant.OfCode(ref):

@@ -44,12 +44,18 @@ RESERVED_NAME_CHARS = frozenset('()<>,#@!*+=.;:"')
 VALUE_KEYWORDS = frozenset({"tt", "refl", "k", "in1", "in2", "rec"})
 
 
-def valid_name(text: str) -> bool:
-    """True for a nonempty name with no whitespace or reserved characters
+def valid_name(text: object) -> bool:
+    """True for a nonempty ``str`` with no whitespace or reserved characters
     that is not all decimal digits, which the lexer reads as a nat."""
-    if not text or text.isdecimal():
+    if not isinstance(text, str) or not text or text.isdecimal():
         return False
     return not any(ch.isspace() or ch in RESERVED_NAME_CHARS for ch in text)
+
+
+def valid_sort(sort: object) -> bool:
+    """True for a name that is no value keyword: the sorts of tokens, slots
+    and constant sets, ``⊤`` among them."""
+    return valid_name(sort) and sort not in VALUE_KEYWORDS
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +258,7 @@ class PayloadToken(Record):
     ident: int
 
     def __post_init__(self) -> None:
-        if not valid_name(self.sort) or self.sort in VALUE_KEYWORDS:
+        if not valid_sort(self.sort):
             raise ValueError(f"bad token sort: {self.sort!r}")
         if type(self.ident) is not int or self.ident < 0:
             raise ValueError(f"bad token ident: {self.ident!r}")
@@ -554,6 +560,10 @@ class PayloadSlot(Record):
     """
 
     sort: str
+
+    def __post_init__(self) -> None:
+        if not valid_sort(self.sort):
+            raise ValueError(f"bad slot sort: {self.sort!r}")
 
 
 TOP_SLOT = PayloadSlot(TOP_SORT)

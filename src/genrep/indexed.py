@@ -145,22 +145,14 @@ def check_output(code: IndexedCode, at: IndexLabel) -> None:
         raise IndexNotInSet(f"index {print_label(at)} is not an output of the code")
 
 
-def slot_at(assign: SlotTable, lbl: IndexLabel) -> IndexedSlot:
-    """The slot ``assign`` gives ``lbl``, which it must have."""
-    slot = assign.get(lbl)
-    if slot is None:
-        raise IndexNotInSet(f"no slot for index {print_label(lbl)}")
-    return slot
-
-
 def inner_assign(tables: dict, node: Comp | Fix, assign: Mapping[IndexLabel, T]) -> Mapping:
     """The assignment the inner code of ``node`` reads under ``assign``: a
     composition's left inputs interpret its right code (``InterpSlot``), and
-    a fixed point's Right inputs re-enter it (``mu_assign``). Enumeration
-    and every ``Walk`` (conformance, map and both i→ig directions) read a
-    code through it, so its entries other than these two slots are whatever
-    the walk's own entries are: payload slots, constant sets or
-    transformers. ``tables`` lives for one enumeration or one walk, and
+    a fixed point's Right inputs re-enter it (``mu_assign``). Every
+    ``Walk`` (conformance, map, enumeration and both i→ig directions) reads
+    a code through it, so its entries other than these two slots are
+    whatever the walk's own entries are: payload slots, constant sets or
+    transformers. ``tables`` lives for one walk, and
     keeps, under ``(id(node), id(assign))`` (``spine.once``), each
     assignment it builds, so each is built once however many layers of a
     value pass through ``node``. Every object a key names lives as long as
@@ -186,14 +178,15 @@ class Walk(spine.Walk):
     layer, also where the walk enters a ``Fix`` node) and an ``InterpSlot``
     (one layer of a composition's right code).
 
-    A subclass gives ``_spine`` (``spine.conformer`` or ``spine.mapper``)
-    and hooks that compile one position each: ``_point(slot)`` the body of
-    a recursion point, ``_leaf(entry)`` any other entry, ``_tag(lbl, at)``
-    a tag and ``_comp(layer)`` a composition whose left code compiles to
-    ``layer`` (by default ``layer`` itself). A ``Fix`` node is its
-    ``MuSlot``'s point, whose ``_point`` tests a value's layer class and
-    answers a value that is not a layer with the static ``_unrolled(v)``.
-    ``_entries`` names an entry in the error for a missing one.
+    A subclass gives ``_spine`` (``spine.conformer``, ``spine.mapper`` or
+    ``spine.generator``) and hooks that compile one position each:
+    ``_point(slot)`` the body of a recursion point, ``_leaf(entry)`` any
+    other entry, ``_tag(lbl, at)`` a tag and ``_comp(layer)`` a composition
+    whose left code compiles to ``layer`` (by default ``layer`` itself). A
+    ``Fix`` node is its ``MuSlot``'s point, whose ``_point`` adds or takes
+    the ``Roll`` of one layer; a walk that maps values answers a value that
+    is not a layer with the static ``_unrolled(v)``. ``_entries`` names an
+    entry in the error for a missing one.
     """
 
     _entries = "slot"
@@ -247,7 +240,6 @@ class Conformer(Walk):
     """
 
     _spine = staticmethod(spine.conformer)
-    _unrolled = staticmethod(spine.never)
 
     def _point(self, slot: InterpSlot | MuSlot) -> Callable[[GenericValue], bool]:
         if type(slot) is InterpSlot:
@@ -312,3 +304,26 @@ def map_i(
     """Apply a per-index transformer family at every identity position; see
     ``Mapper``."""
     return Mapper(code, fam, at)(v)
+
+
+class Generator(Walk):
+    """Every value of ``code`` under ``assign`` at ``at`` with exactly ``m``
+    nodes, each once: ``gen(m)``, for any ``m >= 1``; its recursion points
+    are ``Walk.sized``."""
+
+    def _spine(self, code: IndexedBody, atom: Callable) -> Callable[[int], list[GenericValue]]:
+        return spine.generator(code, atom, self.memos)
+
+    def enter(self, slot: InterpSlot | MuSlot) -> Callable[[int], list[GenericValue]]:
+        return self.sized(id(slot), lambda: self._point(slot))
+
+    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[int], list[GenericValue]]:
+        if type(slot) is InterpSlot:
+            return self._walk(slot.code, slot.assign, slot.at)
+        return spine.rolled_values(Roll, self._walk(slot.inner, slot.under, slot.at))
+
+    def _leaf(self, slot: IndexedSlot) -> Callable[[int], list[GenericValue]]:
+        return spine.leaf(slot, "an indexed", spine.tokens, spine.no_values)
+
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[int], list[GenericValue]]:
+        return spine.refl_values if at == lbl else spine.no_values

@@ -26,14 +26,20 @@ from .gvalue import (
     PayloadToken,
     RecV,
     payload,
+    payload_slot_accepts,
     print_value,
     token_successor,
+    valid_sort,
 )
 from .spine import Prod, Record, Sum, Unit
 
 
 class Prim(Record):
     sort: str
+
+    def __post_init__(self) -> None:
+        if not valid_sort(self.sort):
+            raise ValueError(f"bad constant sort: {self.sort!r}")
 
 
 class EqWitness(Record):
@@ -81,47 +87,83 @@ def _refs(code: InstantCode) -> Iterator[str]:
                 raise TypeError(f"not an instant code: {node!r}")
 
 
+class _Walk(spine.Walk):
+    """A walk of ``code`` in ``env``, compiled into closures when it is
+    built. Its recursion points are the named codes, which an ``R``
+    reference and a ``K`` constant of ``OfCode`` enter, one per name (a
+    name ``env`` does not define raises ``MalformedValue`` when it is
+    reached). A subclass gives ``_spine``, the hooks ``_named(name, build)``
+    (a name's point) and ``_wrap(node, wrapper, inner)`` (a ``K`` or ``R``
+    node), and the closures ``_payload`` of a sort's slot, and ``_refl`` and
+    ``_none`` of an equality witness of equal and of unequal labels."""
+
+    def __init__(self, env: CodeEnv, code: InstantCode):
+        super().__init__()
+        self.top = self._walk(env, code)
+
+    def _walk(self, env: CodeEnv, code: InstantCode) -> Callable:
+        def atom(node: InstantCode) -> Callable:
+            kind = type(node)
+            if kind is K:
+                return self._wrap(node, Konst, self._kset(env, node.payload))
+            if kind is R:
+                return self._wrap(node, RecV, self._enter(env, node.ref))
+            return spine.raising(TypeError, f"not an instant code: {node!r}")
+
+        return self._spine(code, atom)
+
+    def _enter(self, env: CodeEnv, name: str) -> Callable:
+        try:
+            code = resolve(env, name)
+        except MalformedValue as err:
+            return spine.raising(MalformedValue, str(err))
+        return self._named(name, lambda: self._walk(env, code))
+
+    def _kset(self, env: CodeEnv, payload: KSet) -> Callable:
+        kind = type(payload)
+        if kind is Prim:
+            return partial(self._payload, PayloadSlot(payload.sort))
+        if kind is EqWitness:
+            return self._refl if payload.a == payload.b else self._none
+        if kind is OfCode:
+            return self._enter(env, payload.ref)
+        return spine.raising(TypeError, f"not a constant set: {payload!r}")
+
+
+class _Conformer(_Walk):
+    _spine = staticmethod(spine.conformer)
+    _named = spine.Walk.point
+    _payload = staticmethod(payload_slot_accepts)
+    _refl, _none = staticmethod(spine.is_refl), staticmethod(spine.never)
+
+    def _wrap(self, node: K | R, wrapper: type, inner: Callable) -> Callable[[GenericValue], bool]:
+        return lambda w: type(w) is wrapper and inner(w.inner)
+
+
 def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
     """Does a value inhabit the interpretation of ``code`` in ``env``?
-    Compiled once for as many values as it is asked about. Its recursion
-    points are the named codes, which an ``R`` reference and a ``K``
-    constant of ``OfCode`` enter: one ``Walk.point`` per name, compiled
-    with the walk. A name ``env`` does not define compiles to a closure that
-    raises ``MalformedValue`` when a value reaches it."""
-    return spine.Walk(lambda walk: spine.conformer(code, partial(_atom, env, walk)))
+    Compiled once for as many values as it is asked about."""
+    return _Conformer(env, code)
 
 
-def _atom(env: CodeEnv, walk: spine.Walk, node: InstantCode) -> Callable[[GenericValue], bool]:
-    """The closure of ``node`` in the conformance walk ``walk`` in ``env``.
-    It and ``_enter`` and ``_kset`` are bound by ``partial``, not closures
-    of one another, whose cycle would keep the walk alive."""
-    kind = type(node)
-    if kind is K:
-        inner, wrapper = _kset(env, walk, node.payload), Konst
-    elif kind is R:
-        inner, wrapper = _enter(env, walk, node.ref), RecV
-    else:
-        return spine.raising(TypeError, f"not an instant code: {node!r}")
-    return lambda w: type(w) is wrapper and inner(w.inner)
+class _Generator(_Walk):
+    _named = spine.Walk.sized
+    _payload = staticmethod(spine.tokens)
+    _refl, _none = staticmethod(spine.refl_values), staticmethod(spine.no_values)
+
+    def _spine(self, code: InstantCode, atom: Callable) -> Callable[[int], list[GenericValue]]:
+        return spine.generator(code, atom, self.memos)
+
+    def _wrap(self, node: K | R, wrapper: type, inner: Callable) -> Callable[[int], list]:
+        return self.sized(node, lambda: spine.rolled_values(wrapper, inner))
 
 
-def _enter(env: CodeEnv, walk: spine.Walk, name: str) -> Callable[[GenericValue], bool]:
-    try:
-        code = resolve(env, name)
-    except MalformedValue as err:
-        return spine.raising(MalformedValue, str(err))
-    return walk.point(name, lambda: spine.conformer(code, partial(_atom, env, walk)))
-
-
-def _kset(env: CodeEnv, walk: spine.Walk, payload: KSet) -> Callable[[GenericValue], bool]:
-    kind = type(payload)
-    if kind is Prim:
-        return spine.leaf(PayloadSlot(payload.sort), "an instant")
-    if kind is EqWitness:
-        return spine.is_refl if payload.a == payload.b else spine.never
-    if kind is OfCode:
-        return _enter(env, walk, payload.ref)
-    return spine.raising(TypeError, f"not a constant set: {payload!r}")
+def generator(env: CodeEnv, code: InstantCode) -> spine.Walk:
+    """Every value of ``code`` in ``env`` with exactly ``m`` nodes, each
+    once: ``gen(m)``, for any ``m >= 1``. Each ``K`` and ``R`` node is a
+    recursion point too, keyed by the node, so equal ones share one list
+    per size."""
+    return _Generator(env, code)
 
 
 def conform_ig(env: CodeEnv, code: InstantCode, v: GenericValue) -> bool:

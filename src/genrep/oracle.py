@@ -1,20 +1,32 @@
 """Exhaustive enumeration of conforming values and the property suites.
 
-Enumeration is the independent oracle: generators build exactly the values
-that conform, every emitted value is re-checked inline, and the ordering
-(size, then printed form) is deterministic so failure witnesses are stable.
+Enumeration is the oracle the suites trust: generators build exactly the
+values that conform, every emitted value is re-checked inline, and the
+ordering (size, then printed form) is deterministic so failure witnesses
+are stable.
 
-Two generators work at exact sizes, one for indexed and one for instant. One
-top-level call keeps one memo, in which the values of each recursion point
-(a fixed point, an interpreted slot, a named instant code) at each size are
-built once and then shared as subtrees of every larger value. So no value is
-built twice or repeated, and the result is each size from 1 to ``max_size``
-in turn, sorted by printed form.
+The generators are compiled walks of their universe, ``indexed.Generator``
+and ``instant.generator``, that give the values of each exact size; the
+result is each size from 1 to ``max_size`` in turn, sorted by printed
+form. A generator keeps the values of each recursion point (a fixed
+point, an interpreted slot, a named instant code) at each size, built once
+and then shared as subtrees of every larger value, so no value is built
+twice or repeated.
 
 Regular, polyp and multirec contexts are enumerated through their closed
 indexed lift, which the r→p, p→i and m→i steps give; those keep the tree,
 so the lift has exactly the context's values. The source universe's own
 conformer rechecks each one.
+
+The indexed recheck, ``indexed.Conformer``, reads a code through the same
+``indexed.Walk`` dispatch over identity positions, compositions and fixed
+points as the generator; only what the atoms mean (payload and empty
+leaves, tags, the ``Roll`` of a layer) is a hook of each. A fault in that
+dispatch could pass both. What checks the indexed generator apart from it
+is the source universe's conformer that rechecks every regular, polyp
+and multirec value, the i→ig suites, whose instant conformer judges every
+converted value, and the brute-force tests, which compare each
+enumeration with every tree up to a size that a conformer accepts.
 
 ``enum_context`` keeps one table for the life of the process, with at most
 one entry per context value: keyed by the universe, code and index and the
@@ -27,9 +39,6 @@ budget is served from the front of the entry, a larger one enumerates
 afresh and replaces it, and every call returns a fresh list. Nothing in
 the table can be tuned. Only ``enum_indexed`` and ``enum_instant`` keep no
 table.
-
-Payload sorts admit infinitely many tokens, so enumeration restricts token
-identifiers to 0 and 1 per sort; size bounds then give finite universes.
 """
 
 from __future__ import annotations
@@ -42,24 +51,15 @@ from typing import Callable, Iterable, Mapping
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
 from .embed import STAR, ConversionReport, PathContext, standard_table
 from .gvalue import (
-    EmptySlot,
     GenericValue,
     In1,
     In2,
     IndexLabel,
-    Konst,
-    PayloadSlot,
-    RecV,
-    Refl,
     Roll,
     TOP_SLOT,
-    TOP_SORT,
-    TT,
     compose,
     identity,
-    payload,
     print_value,
-    right,
     value_size,
 )
 
@@ -72,21 +72,19 @@ class EnumBudget(spine.Record):
     max_size: int
 
     def __post_init__(self) -> None:
+        if type(self.max_size) is not int:
+            raise ValueError(f"max_size must be an int: {self.max_size!r}")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
 
 
-def _finish(
-    gen: Callable[[int, dict], list[GenericValue]], max_size: int
-) -> list[GenericValue]:
-    """The values ``gen(n, memo)`` gives for each size ``n`` from 1 to
-    ``max_size``, ordered by size and then by printed form, with one memo
-    for them all. ``gen`` gives every value of exactly ``n`` nodes once, so
-    nothing repeats."""
-    memo: dict = {}
+def _finish(gen: Callable[[int], list[GenericValue]], max_size: int) -> list[GenericValue]:
+    """The values ``gen(n)`` gives for each size ``n`` from 1 to
+    ``max_size``, ordered by size and then by printed form. ``gen`` gives
+    every value of exactly ``n`` nodes once, so nothing repeats."""
     values: list[GenericValue] = []
     for n in range(1, max_size + 1):
-        values += sorted(gen(n, memo), key=print_value)
+        values += sorted(gen(n), key=print_value)
     return values
 
 
@@ -102,138 +100,21 @@ def _rechecked(
     return values
 
 
-# One top-level enumeration shares one memo, a dict that ``_finish`` makes
-# and every generator below takes last, and whose entries are each built
-# once through ``spine.once``. A key starts with a tag for what it holds,
-# or has none:
-# - "walk": per code walked in one context (and, for indexed, assignment and
-#   index), the dict in which ``spine.gen`` keeps its values by node and size;
-# - "mu", and "atom" for instant: per recursion point and exact size, its
-#   values, so that every larger value shares them as subtrees;
-# - no tag: an indexed code node's inner assignment, keyed by
-#   ``indexed.inner_assign`` with the ids of the node and its assignment.
-# Keys name codes, slots and tables by ``id``: each is part of the top-level
-# code or context, or held by the memo, so it outlives the memo and its
-# ``id`` is not reused. Index labels and instant atoms compare by value, so
-# equal ones share their entries.
-
-
-def _gen_payload(sort: str, n: int) -> list[GenericValue]:
-    """Tokens 0 and 1 of a sort, or ``tt`` for ``⊤``: one node each."""
-    if n != 1:
-        return []
-    if sort == TOP_SORT:
-        return [TT()]
-    return [payload(sort, 0), payload(sort, 1)]
-
-
-# ---------------------------------------------------------------------------
-# indexed
-
-
-def _gen_slot_i(slot: indexed.IndexedSlot, n: int, memo: dict) -> list[GenericValue]:
-    match slot:
-        case PayloadSlot(sort):
-            return _gen_payload(sort, n)
-        case EmptySlot():
-            return []
-        case indexed.InterpSlot(code, assign, at):
-            return _gen_i(code, assign, at, n, memo)
-        case indexed.MuSlot(inner, under, at):
-            return spine.once(
-                memo,
-                ("mu", id(slot), n),
-                lambda: [Roll(w) for w in _gen_i(inner, under, at, n - 1, memo)],
-            )
-    raise TypeError(f"not an indexed slot: {slot!r}")
-
-
-def _gen_i(
-    code: indexed.IndexedCode,
-    assign: indexed.SlotTable,
-    at: IndexLabel,
-    n: int,
-    memo: dict,
-) -> list[GenericValue]:
-    """The values of ``code`` under ``assign`` at ``at`` with exactly ``n``
-    nodes. A ``Comp`` node's middle assignment and a ``Fix`` node's table
-    are built once per assignment they sit under; a ``Fix`` node's values
-    are those of the fixed-point slot its table holds at ``R.at``, which
-    every deeper layer reads too."""
-
-    def atom(node: indexed.IndexedBody, m: int) -> list[GenericValue]:
-        match node:
-            case indexed.Id(lbl):
-                return _gen_slot_i(indexed.slot_at(assign, lbl), m, memo)
-            case indexed.Tag(lbl):
-                return [Refl()] if m == 1 and at == lbl else []
-            case indexed.Comp(f, _):
-                return _gen_i(f, indexed.inner_assign(memo, node, assign), at, m, memo)
-            case indexed.Fix(_):
-                under = indexed.inner_assign(memo, node, assign)
-                return _gen_slot_i(indexed.slot_at(under, right(at)), m, memo)
-        raise TypeError(f"not an indexed body: {node!r}")
-
-    walk = spine.once(memo, ("walk", id(code), id(assign), at), dict)
-    return spine.gen(code.body, n, atom, walk)
-
-
 def enum_indexed(
-    code: indexed.IndexedCode,
-    assign: indexed.SlotTable,
-    at: IndexLabel,
-    budget: EnumBudget,
+    code: indexed.IndexedCode, assign: indexed.SlotTable, at: IndexLabel, budget: EnumBudget
 ) -> list[GenericValue]:
-    indexed.check_output(code, at)
-    values = _finish(partial(_gen_i, code, assign, at), budget.max_size)
-    return _rechecked(values, indexed.Conformer(code, assign, at))
-
-
-# ---------------------------------------------------------------------------
-# instant
-
-
-def _gen_kset(
-    env: instant.CodeEnv, kset: instant.KSet, n: int, memo: dict
-) -> list[GenericValue]:
-    match kset:
-        case instant.Prim(sort):
-            return _gen_payload(sort, n)
-        case instant.EqWitness(a, b):
-            return [Refl()] if n == 1 and a == b else []
-        case instant.OfCode(ref):
-            return _gen_ig(env, instant.resolve(env, ref), n, memo)
-    raise TypeError(f"not a constant set: {kset!r}")
-
-
-def _gen_ig(env: instant.CodeEnv, code: instant.InstantCode, n: int, memo: dict):
-    """The values of ``code`` with exactly ``n`` nodes; every ``K`` and ``R``
-    node with the same constant set or reference shares one list per size."""
-
-    def atom(node: instant.InstantCode, m: int) -> list[GenericValue]:
-        match node:
-            case instant.K(kset):
-                return spine.once(
-                    memo,
-                    ("atom", node, m),
-                    lambda: [Konst(w) for w in _gen_kset(env, kset, m - 1, memo)],
-                )
-            case instant.R(ref):
-                return spine.once(
-                    memo,
-                    ("atom", node, m),
-                    lambda: [RecV(w) for w in _gen_ig(env, instant.resolve(env, ref), m - 1, memo)],
-                )
-        raise TypeError(f"not an instant code: {node!r}")
-
-    return spine.gen(code, n, atom, spine.once(memo, ("walk", id(code)), dict))
+    return _rechecked(
+        _finish(indexed.Generator(code, assign, at), budget.max_size),
+        indexed.Conformer(code, assign, at),
+    )
 
 
 def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
-    values = _finish(partial(_gen_ig, env, code), budget.max_size)
-    return _rechecked(values, instant.conformer(env, code))
+    return _rechecked(
+        _finish(instant.generator(env, code), budget.max_size), instant.conformer(env, code)
+    )
 
 
 # ---------------------------------------------------------------------------

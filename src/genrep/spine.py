@@ -8,12 +8,13 @@ is the same class as ``instant.Sum``.
 
 What the universes do not share are their atoms: identity positions,
 parameters, tags, constants, references, composition and fixed points.
-``conformer`` and ``mapper`` compile a whole code into closures when a walk
-is built: they handle the spine and ask an atom function supplied by the
-caller for each atom node's closure, which gives that node its universe's
-meaning (a node it does not know raises the universe's own ``TypeError``
-when a value reaches it). Keeping the atoms apart keeps the universes independent
-interpreters, which the cross-universe checks depend on.
+``conformer``, ``mapper`` and ``generator`` compile a whole code into
+closures when a walk is built: they handle the spine and ask an atom
+function supplied by the caller for each atom node's closure, which gives
+that node its universe's meaning (a node it does not know raises the
+universe's own ``TypeError`` when a value reaches it). Keeping the atoms
+apart keeps the universes independent interpreters, which the
+cross-universe checks depend on.
 
 What depends on a code alone is kept on the code node itself (``cached``),
 so it dies with the code: its lifts, and a pool of compiled walks per key
@@ -38,7 +39,9 @@ from .gvalue import (
     Record,
     Refl,
     Roll,
+    TOP_SORT,
     TT,
+    payload,
     payload_slot_accepts,
     print_value,
 )
@@ -135,20 +138,66 @@ def _map_unit(v: GenericValue) -> GenericValue:
     return v
 
 
+def generator(code, atom: Callable[[object], Callable], memos: list[dict]) -> Callable[[int], list]:
+    """``m -> values``: every inhabitant of ``code`` with exactly ``m >= 1``
+    nodes, each once. ``atom(node)`` is called once per atom node and gives
+    its closure, which is asked for sizes of at least 1 only. Each sum and
+    product keeps its values by size in a dict it adds to ``memos``."""
+    kind = type(code)
+    if kind is Unit:
+        return _unit_values
+    if kind is not Sum and kind is not Prod:
+        return atom(code)
+    left, right = generator(code.left, atom, memos), generator(code.right, atom, memos)
+    memo: dict[int, list[GenericValue]] = {}
+    memos.append(memo)
+    if kind is Sum:
+
+        def gen_sum(m: int) -> list[GenericValue]:
+            hit = memo.get(m)
+            if hit is None:
+                hit = memo[m] = (
+                    [In1(w) for w in left(m - 1)] + [In2(w) for w in right(m - 1)] if m > 1 else []
+                )
+            return hit
+
+        return gen_sum
+
+    def gen_prod(m: int) -> list[GenericValue]:
+        hit = memo.get(m)
+        if hit is None:
+            # The pair takes one node and splits the rest between its operands;
+            # a split whose left operand has no value of its share is skipped.
+            hit = []
+            for k in range(1, m - 1):
+                lefts = left(k)
+                if lefts:
+                    rights = right(m - 1 - k)
+                    hit += [Pair(a, b) for a in lefts for b in rights]
+            memo[m] = hit
+        return hit
+
+    return gen_prod
+
+
+def _unit_values(m: int) -> list[GenericValue]:
+    return [TT()] if m == 1 else []
+
+
 class Walk:
     """A compiled walk, for as many values as it is given: ``walk(v)`` runs
     its top closure ``walk.top``, which ``Walk(top)`` builds as ``top(walk)``.
     A walk compiles all of its code when it is built and nothing after. It
     keeps what its closures were built from: its recursion points
-    (``point``) and the tables a universe builds through ``once``
-    (``tables``). The keys of both name objects by ``id``, which is safe
-    because they are read only while the walk is built, and every object a
-    key names lives until the build ends. The closures of a recursive code
-    refer to each other in cycles, which only the cyclic collector frees, so
-    the walk owns the memos of its recursion points (``memos``) and empties
-    them when it dies, or when a one-value call that borrowed it returns
-    (``borrow``); no closure refers to the walk itself, so it dies as soon
-    as it is dropped."""
+    (``point``, or ``sized`` in a generator) and the tables a universe
+    builds through ``once`` (``tables``). The keys of both name objects by
+    ``id``, which is safe because they are read only while the walk is
+    built, and every object a key names lives until the build ends. The
+    closures of a recursive code refer to each other in cycles, which only
+    the cyclic collector frees, so the walk owns the memos of its recursion
+    points (``memos``) and empties them when it dies, or when a one-value
+    call that borrowed it returns (``borrow``); no closure refers to the
+    walk itself, so it dies as soon as it is dropped."""
 
     def __init__(self, top: Callable[[Walk], Callable] | None = None):
         self.memos: list[dict] = []
@@ -194,6 +243,26 @@ class Walk:
     def enter(self, slot) -> Callable:
         """The recursion point of ``slot``, whose body is ``_point(slot)``."""
         return self.point(id(slot), lambda: self._point(slot))
+
+    def sized(self, key, build: Callable[[], Callable[[int], list]]) -> Callable[[int], list]:
+        """A generator's recursion point named ``key``: ``point`` for the
+        values ``body(m)`` of exactly ``m`` nodes, whose memo is keyed by
+        ``m``, so every larger value shares them as subtrees."""
+        hit = self.points.get(key)
+        if hit is not None:
+            return hit
+        memo: dict[int, list] = {}
+        self.memos.append(memo)
+
+        def values(m: int) -> list:
+            hit = memo.get(m)
+            if hit is None:
+                hit = memo[m] = body(m)
+            return hit
+
+        self.points[key] = values
+        body = build()
+        return values
 
 
 def once(table: dict, key, build: Callable[[], T]) -> T:
@@ -269,21 +338,49 @@ def rolled(layer: Callable[[GenericValue], bool]) -> Callable[[GenericValue], bo
     return lambda v: type(v) is Roll and layer(v.inner)
 
 
-def leaf(slot, universe: str) -> Callable[[GenericValue], bool]:
-    """The conformer of a payload or empty slot of ``universe`` ("a polyp")."""
-    if type(slot) is PayloadSlot:
-        return partial(payload_slot_accepts, slot)
-    if type(slot) is EmptySlot:
-        return never
-    return raising(TypeError, f"not {universe} slot: {slot!r}")
-
-
 def never(v: GenericValue) -> bool:
     return False
 
 
+def leaf(slot, universe: str, on_payload=payload_slot_accepts, on_empty=never) -> Callable:
+    """The closure of a payload or empty slot of ``universe`` ("a polyp"):
+    ``on_payload`` bound to the payload slot, or ``on_empty``; by default
+    the conformer's."""
+    if type(slot) is PayloadSlot:
+        return partial(on_payload, slot)
+    if type(slot) is EmptySlot:
+        return on_empty
+    return raising(TypeError, f"not {universe} slot: {slot!r}")
+
+
 def is_refl(v: GenericValue) -> bool:
     return type(v) is Refl
+
+
+def tokens(slot: PayloadSlot, m: int) -> list[GenericValue]:
+    """The values of ``slot`` with exactly ``m`` nodes: tokens 0 and 1 of
+    its sort, or ``tt`` for ``⊤``, one node each. A sort has infinitely
+    many tokens, so enumeration keeps two."""
+    if m != 1:
+        return []
+    if slot.sort == TOP_SORT:
+        return [TT()]
+    return [payload(slot.sort, 0), payload(slot.sort, 1)]
+
+
+def refl_values(m: int) -> list[GenericValue]:
+    return [Refl()] if m == 1 else []
+
+
+def no_values(m: int) -> list[GenericValue]:
+    return []
+
+
+def rolled_values(wrap: Callable, layer: Callable[[int], list]) -> Callable[[int], list]:
+    """``m -> values``: ``wrap(w)`` for each value ``w`` of ``layer`` that is
+    one node smaller, the node ``wrap`` adds (a ``Roll``, ``Konst`` or
+    ``RecV``)."""
+    return lambda m: [wrap(w) for w in layer(m - 1)] if m > 1 else []
 
 
 def map_tag(w: GenericValue) -> GenericValue:
@@ -301,53 +398,6 @@ def raising(error: type[Exception], message: str) -> Callable[[GenericValue], ob
         raise error(message)
 
     return fail
-
-
-def gen(
-    code,
-    n: int,
-    atom: Callable[[object, int], list[GenericValue]],
-    memo: dict[int, list[list[GenericValue]]],
-) -> list[GenericValue]:
-    """Every inhabitant of ``code`` with exactly ``n`` nodes, each once.
-
-    ``atom(node, m)`` is called with ``m >= 1`` only and must give every
-    inhabitant of the atom with exactly ``m`` nodes once. ``memo`` maps the
-    ``id`` of each node of ``code`` to its values by size, ``memo[id(node)][m]``
-    holding those with exactly ``m`` nodes, so no list is built twice; give
-    one dict per meaning of ``atom``.
-    """
-    return _upto(code, n, atom, memo)[n] if n >= 1 else []
-
-
-def _upto(code, n: int, atom, memo) -> list[list[GenericValue]]:
-    """``code``'s values by size in ``memo``, filled at least to size ``n``."""
-    parts = memo.get(id(code))
-    if parts is None:
-        parts = memo[id(code)] = [[]]
-    kind = type(code)
-    while len(parts) <= n:
-        m = len(parts)
-        if kind is Sum:
-            values = [In1(w) for w in _upto(code.left, m - 1, atom, memo)[m - 1]] + [
-                In2(w) for w in _upto(code.right, m - 1, atom, memo)[m - 1]
-            ]
-        elif kind is Prod:
-            # The pair takes one node and splits the rest between its
-            # operands; a split whose left operand has no value of its
-            # share is skipped.
-            lefts = _upto(code.left, m - 2, atom, memo)
-            values = []
-            for k in range(1, m - 1):
-                if lefts[k]:
-                    rights = _upto(code.right, m - 1 - k, atom, memo)[m - 1 - k]
-                    values += [Pair(a, b) for a in lefts[k] for b in rights]
-        elif kind is Unit:
-            values = [TT()] if m == 1 else []
-        else:
-            values = atom(code, m)
-        parts.append(values)
-    return parts
 
 
 def lift(code, atom: Callable[[object], object]):

@@ -413,20 +413,14 @@ def test_a_code_the_printer_cannot_print_is_refused(universe, code, message):
     [
         instant.R("a b"),
         instant.R("7"),
-        instant.K(instant.Prim("x;y")),
         instant.K(instant.OfCode("")),
         instant.Prod(instant.Unit(), instant.R("a b")),
     ],
-    ids=["R-space", "R-digits", "K-sort", "K-ref", "nested"],
+    ids=["R-space", "R-digits", "K-ref", "nested"],
 )
 def test_the_instant_printer_refuses_a_name_that_does_not_parse_back(code):
     with pytest.raises(MalformedValue, match="^not a name: "):
         print_code("instant", code)
-
-
-def test_the_instant_printer_refuses_a_sort_that_is_a_value_keyword():
-    with pytest.raises(MalformedValue, match="^sort 'rec' is a value keyword$"):
-        print_code("instant", instant.Prod(instant.Unit(), instant.K(instant.Prim("rec"))))
 
 
 @pytest.mark.parametrize("name", ["x y", "12", "a=b", ""])

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import re
 import sys
 import threading
 import weakref
@@ -142,6 +143,30 @@ def test_a_token_ident_is_an_int(ident):
         payload("nat", ident)
     assert print_value(payload("nat", 1)) == "nat#1"
     assert parse_value(print_value(payload("nat", 1))) is payload("nat", 1)
+
+
+@pytest.mark.parametrize("name", [3, ("a",), None, b"a"], ids=["int", "tuple", "none", "bytes"])
+def test_a_name_is_a_str(name):
+    """A label name or a sort of another type is refused as a bad name, not
+    with the ``AttributeError`` that reading it as a ``str`` would raise."""
+    assert not valid_name(name)
+    with pytest.raises(ValueError, match="^bad index label name: "):
+        IndexLabel(name)
+    with pytest.raises(ValueError, match="^bad token sort: "):
+        PayloadToken(name, 0)
+    with pytest.raises(ValueError, match="^bad slot sort: "):
+        PayloadSlot(name)
+
+
+@pytest.mark.parametrize("sort", [3, "x;y", "7", "", *sorted(VALUE_KEYWORDS)])
+def test_a_slot_refuses_a_sort_no_token_has(sort):
+    """Such a slot would accept nothing, and a constant set of that sort
+    would not print back."""
+    with pytest.raises(ValueError, match=f"^bad slot sort: {re.escape(repr(sort))}$"):
+        PayloadSlot(sort)
+    with pytest.raises(ValueError, match="^bad token sort: "):
+        PayloadToken(sort, 0)
+    assert PayloadSlot("⊤").sort == "⊤" and PayloadSlot("nat").sort == "nat"
 
 
 @pytest.mark.parametrize("tags", ["L", ["L"], ("L", "X"), None])

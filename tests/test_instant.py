@@ -13,6 +13,7 @@ from genrep import (
     payload,
 )
 from genrep.corpus import A_LIST, LIST_TOP_ENV, LIST_TOP_NAME
+from genrep.dsl import print_code
 from genrep.instant import (
     EqWitness,
     K,
@@ -40,6 +41,19 @@ def test_a_list_conforms():
     assert conform_ig(LIST_TOP_ENV, LIST_TOP_ENV[LIST_TOP_NAME], A_LIST)
     assert conform_ig(LIST_TOP_ENV, LIST_CODE, RecV(A_LIST))
     assert not conform_ig(LIST_TOP_ENV, LIST_CODE, A_LIST)
+
+
+@pytest.mark.parametrize(
+    "sort",
+    [3, None, "x;y", "rec", "7", ""],
+    ids=["int", "none", "reserved", "keyword", "digits", "empty"],
+)
+def test_a_constant_set_refuses_a_sort_no_token_has(sort):
+    """No token has such a sort, and ``K`` of it would not print back as the
+    same code; ``⊤`` is a sort."""
+    with pytest.raises(ValueError, match="^bad constant sort: "):
+        Prim(sort)
+    assert print_code("instant", K(Prim("⊤"))) == "K ⊤"
 
 
 def test_constant_sets():

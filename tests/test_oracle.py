@@ -4,6 +4,7 @@ over the value alphabet and keep the ones the conformance checkers accept."""
 
 import json
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -159,11 +160,11 @@ def test_brute_force_agrees_on_every_corpus_code(conforms, enumerate_):
 
 
 def _fuzz_contexts(seeds):
-    """The contexts of the regular, polyp and multirec codes that
+    """The contexts of the regular, polyp, multirec and indexed codes that
     ``_fuzz_code`` gives per seed; text that does not parse gives none."""
     for seed in seeds:
         rng = random.Random(seed)
-        for universe in ("regular", "polyp", "multirec"):
+        for universe in ("regular", "polyp", "multirec", "indexed"):
             try:
                 code = dsl.parse_code(universe, _fuzz_code(rng, universe))
             except dsl.ParseError:
@@ -176,11 +177,12 @@ FUZZ_CEILING = 5
 
 def test_brute_force_agrees_on_generated_codes():
     """The indexed generator serves regular, polyp and multirec through
-    their lift, so its completeness is checked on generated codes of each
-    against every tree the context's own conformer accepts."""
+    their lift, so its completeness is checked on generated codes of each,
+    and on indexed codes that no lift gives, against every tree the
+    context's own conformer accepts."""
     contexts = list(_fuzz_contexts(range(150)))
     counts = Counter(ctx.universe for ctx in contexts)
-    assert counts == {"regular": 117, "polyp": 117, "multirec": 19}
+    assert counts == {"regular": 117, "polyp": 117, "multirec": 19, "indexed": 32}
     for ctx in contexts:
         brute = _accepted(embed.conformer(ctx), FUZZ_CEILING)
         assert enum_context(ctx, EnumBudget(max_size=FUZZ_CEILING)) == brute, ctx
@@ -209,7 +211,7 @@ def test_each_fixed_point_value_is_built_once(monkeypatch, enumerate_):
     value once and shares it as a subtree of every larger value."""
     monkeypatch.setattr(oracle, "_ENUMERATED", {})
     built = []
-    monkeypatch.setattr(oracle, "Roll", lambda w: built.append(w) or Roll(w))
+    monkeypatch.setattr(indexed, "Roll", lambda w: built.append(w) or Roll(w))
     values = enumerate_()
     assert len(built) == len(values)
 
@@ -420,6 +422,13 @@ def test_multirec_labels_outside_the_index_set_raise(code, at, missing):
         enum_mu_multirec(code, at, EnumBudget(max_size=4))
 
 
+@pytest.mark.parametrize("max_size", [2.5, 3.0, "3", True, None])
+def test_a_budget_is_an_int(max_size):
+    """Any other size would build and then fail inside the enumeration."""
+    with pytest.raises(ValueError, match=f"^max_size must be an int: {re.escape(repr(max_size))}$"):
+        EnumBudget(max_size=max_size)
+
+
 def test_known_check_counts():
     assert run_property("iso-m-i", budget=EnumBudget(max_size=8)).checked_count == 2
     assert run_property("iso-m-i", budget=EnumBudget(max_size=12)).checked_count == 4
@@ -429,28 +438,32 @@ def test_known_check_counts():
 # The child replaces the generator behind each universe's enumerator in turn
 # with one that emits ``refl``, which conforms to none of the codes asked
 # for, and prints what the enumerator does then. Regular, polyp and multirec
-# are enumerated through their indexed lift, so ``_gen_i`` is behind them.
+# are enumerated through their indexed lift, so ``indexed.Generator`` is
+# behind them.
 _BROKEN_GENERATORS = textwrap.dedent(
     """
-    from genrep import Refl, corpus, embed, oracle
+    from genrep import Refl, corpus, embed, indexed, instant, oracle
     from genrep.gvalue import TOP_SLOT
 
     budget = oracle.EnumBudget(max_size=6)
+    # (owner, name, a generator that emits refl at every size)
+    gen_i = (indexed.Generator, "__call__", lambda self, n: [Refl()])
+    gen_ig = (instant, "generator", lambda env, code: lambda n: [Refl()])
     cases = {
-        "regular": ("_gen_i", lambda: oracle.enum_mu_regular(corpus.NAT_C, budget)),
-        "polyp": ("_gen_i", lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget)),
-        "multirec": ("_gen_i", lambda: oracle.enum_mu_multirec(
+        "regular": (gen_i, lambda: oracle.enum_mu_regular(corpus.NAT_C, budget)),
+        "polyp": (gen_i, lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget)),
+        "multirec": (gen_i, lambda: oracle.enum_mu_multirec(
             corpus.ZIG_ZAG_C, embed.LSTAR, budget
         )),
-        "indexed": ("_gen_i", lambda: oracle.enum_indexed(
+        "indexed": (gen_i, lambda: oracle.enum_indexed(
             corpus.NAT_I, oracle.standard_assign(corpus.NAT_I), embed.STAR, budget
         )),
-        "instant": ("_gen_ig", lambda: oracle.enum_instant(
+        "instant": (gen_ig, lambda: oracle.enum_instant(
             corpus.LIST_TOP_ENV, corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME], budget
         )),
     }
-    for name, (generator, enumerate_) in cases.items():
-        setattr(oracle, generator, lambda *args: [Refl()])
+    for name, ((owner, generator, broken), enumerate_) in cases.items():
+        setattr(owner, generator, broken)
         try:
             print(name, "returned", enumerate_())
         except RuntimeError as err:
@@ -589,19 +602,22 @@ def test_a_returned_list_is_the_callers_own():
 # both calls recheck and raise.
 _BROKEN_CONTEXT_GENERATORS = textwrap.dedent(
     """
-    from genrep import Refl, corpus, embed, oracle
+    from genrep import Refl, corpus, embed, indexed, instant, oracle
 
     budget = oracle.EnumBudget(max_size=6)
     list_top = corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME]
+    # (owner, name, a generator that emits refl at every size)
+    gen_i = (indexed.Generator, "__call__", lambda self, n: [Refl()])
+    gen_ig = (instant, "generator", lambda env, code: lambda n: [Refl()])
     cases = {
-        "regular": ("_gen_i", embed.regular_context(corpus.NAT_C)),
-        "polyp": ("_gen_i", embed.polyp_context(corpus.LIST_C)),
-        "multirec": ("_gen_i", embed.multirec_context(corpus.ZIG_ZAG_C, embed.LSTAR)),
-        "indexed": ("_gen_i", embed.contexts("indexed", corpus.NAT_I)[0]),
-        "instant": ("_gen_ig", embed.contexts("instant", list_top, corpus.LIST_TOP_ENV)[0]),
+        "regular": (gen_i, embed.regular_context(corpus.NAT_C)),
+        "polyp": (gen_i, embed.polyp_context(corpus.LIST_C)),
+        "multirec": (gen_i, embed.multirec_context(corpus.ZIG_ZAG_C, embed.LSTAR)),
+        "indexed": (gen_i, embed.contexts("indexed", corpus.NAT_I)[0]),
+        "instant": (gen_ig, embed.contexts("instant", list_top, corpus.LIST_TOP_ENV)[0]),
     }
-    for name, (generator, ctx) in cases.items():
-        setattr(oracle, generator, lambda *args: [Refl()])
+    for name, ((owner, generator, broken), ctx) in cases.items():
+        setattr(owner, generator, broken)
         for call in (1, 2):
             try:
                 print(name, call, "returned", oracle.enum_context(ctx, budget))
