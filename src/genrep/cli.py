@@ -116,7 +116,7 @@ def _resolve_env(text: str):
         return corpus.INSTANT_ENVS[text]
     path = Path(text)
     try:
-        is_path = path.exists()
+        is_path = text != "" and path.exists()  # Path("") is the current directory
     except OSError:  # too long to name a file, for one
         is_path = False
     if is_path:

@@ -268,8 +268,8 @@ class PayloadToken(Record):
 # Hash-Consing", ML Workshop 2006): every node is built through its class's
 # intern table, keyed by its children (which hash and compare by identity)
 # or by a payload's token, so structurally equal values are one object,
-# ``==`` and ``hash`` are the identity ones, and a memo keyed by ``id`` hits
-# on every copy of a subtree. A table holds its nodes weakly, as
+# ``==`` and ``hash`` are the identity ones, and a memo keyed by the value
+# hits on every copy of a subtree. A table holds its nodes weakly, as
 # ``weakref.WeakValueDictionary`` does: each entry is a weak reference that
 # carries its key, and its callback drops the entry as soon as the node's
 # refcount reaches zero, unless a node built since under the same key owns

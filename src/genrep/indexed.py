@@ -308,14 +308,11 @@ def map_i(
 
 class Generator(Walk):
     """Every value of ``code`` under ``assign`` at ``at`` with exactly ``m``
-    nodes, each once: ``gen(m)``, for any ``m >= 1``; its recursion points
-    are ``Walk.sized``."""
+    nodes, each once: ``gen(m)``, for any ``m >= 1``; the memo of each of
+    its recursion points is keyed by size."""
 
     def _spine(self, code: IndexedBody, atom: Callable) -> Callable[[int], list[GenericValue]]:
         return spine.generator(code, atom, self.memos)
-
-    def enter(self, slot: InterpSlot | MuSlot) -> Callable[[int], list[GenericValue]]:
-        return self.sized(id(slot), lambda: self._point(slot))
 
     def _point(self, slot: InterpSlot | MuSlot) -> Callable[[int], list[GenericValue]]:
         if type(slot) is InterpSlot:

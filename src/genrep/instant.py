@@ -92,10 +92,10 @@ class _Walk(spine.Walk):
     built. Its recursion points are the named codes, which an ``R``
     reference and a ``K`` constant of ``OfCode`` enter, one per name (a
     name ``env`` does not define raises ``MalformedValue`` when it is
-    reached). A subclass gives ``_spine``, the hooks ``_named(name, build)``
-    (a name's point) and ``_wrap(node, wrapper, inner)`` (a ``K`` or ``R``
-    node), and the closures ``_payload`` of a sort's slot, and ``_refl`` and
-    ``_none`` of an equality witness of equal and of unequal labels."""
+    reached). A subclass gives ``_spine``, the hook ``_wrap(node, wrapper,
+    inner)`` (a ``K`` or ``R`` node), and the closures ``_payload`` of a
+    sort's slot, and ``_refl`` and ``_none`` of an equality witness of equal
+    and of unequal labels."""
 
     def __init__(self, env: CodeEnv, code: InstantCode):
         super().__init__()
@@ -117,7 +117,7 @@ class _Walk(spine.Walk):
             code = resolve(env, name)
         except MalformedValue as err:
             return spine.raising(MalformedValue, str(err))
-        return self._named(name, lambda: self._walk(env, code))
+        return self.point(name, lambda: self._walk(env, code))
 
     def _kset(self, env: CodeEnv, payload: KSet) -> Callable:
         kind = type(payload)
@@ -132,7 +132,6 @@ class _Walk(spine.Walk):
 
 class _Conformer(_Walk):
     _spine = staticmethod(spine.conformer)
-    _named = spine.Walk.point
     _payload = staticmethod(payload_slot_accepts)
     _refl, _none = staticmethod(spine.is_refl), staticmethod(spine.never)
 
@@ -147,7 +146,6 @@ def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
 
 
 class _Generator(_Walk):
-    _named = spine.Walk.sized
     _payload = staticmethod(spine.tokens)
     _refl, _none = staticmethod(spine.refl_values), staticmethod(spine.no_values)
 
@@ -155,7 +153,7 @@ class _Generator(_Walk):
         return spine.generator(code, atom, self.memos)
 
     def _wrap(self, node: K | R, wrapper: type, inner: Callable) -> Callable[[int], list]:
-        return self.sized(node, lambda: spine.rolled_values(wrapper, inner))
+        return self.point(node, lambda: spine.rolled_values(wrapper, inner))
 
 
 def generator(env: CodeEnv, code: InstantCode) -> spine.Walk:

@@ -189,15 +189,15 @@ class Walk:
     its top closure ``walk.top``, which ``Walk(top)`` builds as ``top(walk)``.
     A walk compiles all of its code when it is built and nothing after. It
     keeps what its closures were built from: its recursion points
-    (``point``, or ``sized`` in a generator) and the tables a universe
-    builds through ``once`` (``tables``). The keys of both name objects by
-    ``id``, which is safe because they are read only while the walk is
-    built, and every object a key names lives until the build ends. The
-    closures of a recursive code refer to each other in cycles, which only
-    the cyclic collector frees, so the walk owns the memos of its recursion
-    points (``memos``) and empties them when it dies, or when a one-value
-    call that borrowed it returns (``borrow``); no closure refers to the
-    walk itself, so it dies as soon as it is dropped."""
+    (``points``) and the tables a universe builds through ``once``
+    (``tables``). The keys of both name objects by ``id``, which is safe
+    because they are read only while the walk is built, and every object a
+    key names lives until the build ends. The closures of a recursive code
+    refer to each other in cycles, which only the cyclic collector frees, so
+    the walk owns the memos of its recursion points (``memos``) and empties
+    them when it dies, or when a one-value call that borrowed it returns
+    (``borrow``); no closure refers to the walk itself, so it dies as soon
+    as it is dropped."""
 
     def __init__(self, top: Callable[[Walk], Callable] | None = None):
         self.memos: list[dict] = []
@@ -218,23 +218,30 @@ class Walk:
 
     def point(self, key, build: Callable[[], Callable]) -> Callable:
         """The recursion point named ``key``: the closure that computes
-        ``body(v)`` once per value ``v``, where a walk enters a fixed-point
-        layer, a composition's code or a named code. Its memo, one of
-        ``memos``, is keyed by ``id(v)`` and keeps ``v``, which is right for
-        conformance and for maps whose transformers are pure. The point is
-        registered before ``body = build()`` runs, so a fixed point that
-        reaches itself while it is built finds it."""
+        ``body(x)`` once per argument ``x``, where a walk enters a
+        fixed-point layer, a composition's code or a named code. Its memo,
+        one of ``memos``, is keyed by ``x`` itself: a value, which is
+        hash-consed and so hashes and compares by identity, or a size in a
+        generator, so every larger value shares the values of that size as
+        subtrees. The key keeps a value alive while its entry lives. The
+        memo is right for conformance, enumeration and maps whose
+        transformers are pure. The point is registered before
+        ``body = build()`` runs, so a fixed point that reaches itself while
+        it is built finds it."""
         hit = self.points.get(key)
         if hit is not None:
             return hit
-        memo: dict[int, tuple] = {}
+        memo: dict = {}
         self.memos.append(memo)
 
-        def enter(v: GenericValue):
-            hit = memo.get(id(v))
+        def enter(x):
+            try:
+                hit = memo.get(x)
+            except TypeError:  # an unhashable argument is no value
+                return body(x)
             if hit is None:
-                hit = memo[id(v)] = (v, body(v))
-            return hit[1]
+                hit = memo[x] = body(x)
+            return hit
 
         self.points[key] = enter
         body = build()
@@ -243,26 +250,6 @@ class Walk:
     def enter(self, slot) -> Callable:
         """The recursion point of ``slot``, whose body is ``_point(slot)``."""
         return self.point(id(slot), lambda: self._point(slot))
-
-    def sized(self, key, build: Callable[[], Callable[[int], list]]) -> Callable[[int], list]:
-        """A generator's recursion point named ``key``: ``point`` for the
-        values ``body(m)`` of exactly ``m`` nodes, whose memo is keyed by
-        ``m``, so every larger value shares them as subtrees."""
-        hit = self.points.get(key)
-        if hit is not None:
-            return hit
-        memo: dict[int, list] = {}
-        self.memos.append(memo)
-
-        def values(m: int) -> list:
-            hit = memo.get(m)
-            if hit is None:
-                hit = memo[m] = body(m)
-            return hit
-
-        self.points[key] = values
-        body = build()
-        return values
 
 
 def once(table: dict, key, build: Callable[[], T]) -> T:

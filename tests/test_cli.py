@@ -429,6 +429,19 @@ def test_an_env_too_long_to_name_a_file_is_env_text():
     assert (out.returncode, out.stdout, out.stderr) == (0, "conforms\n", "")
 
 
+@pytest.mark.parametrize("env", ["", " "], ids=["empty", "blank"])
+@pytest.mark.parametrize(
+    "argv, out",
+    [(["size"], "0\n"), (["check", "--universe", "instant"], "conforms\n")],
+    ids=["size", "check"],
+)
+def test_an_empty_env_is_env_text_not_a_path(capsys, env, argv, out):
+    """``--env ""`` is the empty environment, as ``--env " "`` is, and not
+    the current directory, which ``Path("")`` names."""
+    assert cli.run_cli([*argv, "--env", env, "--code", "U", "--value", "tt"]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 def test_an_env_directory_is_one_error_line(tmp_path):
     out = run_cli(
         "enum", "--universe", "instant", "--env", str(tmp_path), "--code", "A",

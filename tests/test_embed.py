@@ -22,6 +22,7 @@ from genrep import (
     label,
     payload,
     print_label,
+    print_value,
 )
 from genrep import dsl, embed, indexed, parse_code
 from genrep.corpus import (
@@ -276,6 +277,21 @@ def test_i_ig_reads_any_constant_set_as_a_parameter(kset):
     image = convert_i_ig(LIST_I, {STAR: kset}, STAR, v, "forward")
     assert image == RecV(In2(Pair(Konst(TT()), RecV(In1(TT())))))
     assert convert_i_ig(LIST_I, {STAR: kset}, STAR, image, "backward") == v
+
+
+@pytest.mark.parametrize("code", [LIST_I, ROSE_I], ids=["ListI", "RoseI"])
+def test_i_ig_keeps_the_contents_of_a_nat_parameter(code):
+    """Forward, a parameter's content becomes a constant of its sort, so the
+    image conforms to the lifted code; backward gives the value back."""
+    table = {lbl: Prim("nat") for lbl in code.ins}
+    out, env = lift_i_to_ig(code, table)
+    values = enum_indexed(code, payload_slots(table), STAR, EnumBudget(8))
+    printed = " ".join(map(print_value, values))
+    assert "nat#0" in printed and "nat#1" in printed
+    for v in values:
+        image = convert_i_ig(code, table, STAR, v, "forward")
+        assert conform_ig(env, out[STAR], image)
+        assert convert_i_ig(code, table, STAR, image, "backward") is v
 
 
 def test_map_commutes_with_the_polyp_lift():

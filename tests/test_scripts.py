@@ -1,6 +1,7 @@
 """The demo scripts run end to end."""
 
 import hashlib
+import runpy
 import subprocess
 import sys
 
@@ -63,3 +64,12 @@ def test_bad_arguments_are_one_error_line(name, args, message):
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.endswith(f"{name}: error: {message}\n")
     assert out.stderr.count("error:") == 1 and "Traceback" not in out.stderr
+
+
+def test_every_mutant_anchor_occurs_once():
+    """Each row of the mutation table names source that is there, once, so a
+    refactor that moves the code must move the row with it. Running the
+    mutants is left to the script."""
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
+    for mutant in mutants["MUTANTS"]:
+        assert mutants["anchor_counts"](mutant) == {mutant.file: 1}, mutant.name

@@ -219,9 +219,9 @@ def _non_value_walks():
 @pytest.mark.parametrize("v", [[], None], ids=["list", "None"])
 @pytest.mark.parametrize("build, answer", list(_non_value_walks()))
 def test_a_walk_given_a_non_value_says_so(build, answer, v):
-    """A walk's memos are keyed by the ``id`` of what it is given, so an
-    unhashable argument is no error of its own; a held walk, asked twice,
-    answers the same."""
+    """A walk's memos are keyed by what it is given, and an unhashable
+    argument is walked without them, so it is no error of its own; a held
+    walk, asked twice, answers the same."""
     walk, message = build(), f"not a generic value: {v!r}"
     for _ in range(2):
         if answer is False:
