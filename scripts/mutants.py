@@ -88,6 +88,20 @@ MUTANTS = (
         "inner = assign if type(self) is Generator else inner_assign(self.tables, node, assign)",
         ("tests/test_oracle.py::test_brute_force_agrees_on_every_corpus_code",),
     ),
+    Mutant(
+        "product-left-values-kept-outside-memos",
+        "spine.py",
+        "memos += asked, inhabited",
+        "asked, inhabited",
+        ("tests/test_walks.py::test_a_dropped_generator_frees_its_values_without_the_collector",),
+    ),
+    Mutant(
+        "choices-swap-in1-and-in2",
+        "oracle.py",
+        "keys[node] = (kind is In2, *keys[node.value])",
+        "keys[node] = (kind is In1, *keys[node.value])",
+        ("tests/test_oracle.py::test_enumeration_is_sorted_and_duplicate_free",),
+    ),
 )
 
 
@@ -111,10 +125,8 @@ def run(mutant: Mutant) -> str | None:
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(mutant.anchor, mutant.replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        # ``-o pythonpath=`` drops the checkout's ``src``, which the
-        # project's pytest settings put ahead of PYTHONPATH.
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        argv += ["-o", "pythonpath=", *mutant.tests]
+        argv += mutant.tests
         out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     if out.returncode == 0:
         return None

@@ -7,11 +7,12 @@ are stable.
 
 The generators are compiled walks of their universe, ``indexed.Generator``
 and ``instant.generator``, that give the values of each exact size; the
-result is each size from 1 to ``max_size`` in turn, sorted by printed
-form. A generator keeps the values of each recursion point (a fixed
-point, an interpreted slot, a named instant code) at each size, built once
-and then shared as subtrees of every larger value, so no value is built
-twice or repeated.
+result is each size from 1 to ``max_size`` in turn, sorted by branch
+choices, which agree with printed form: two values of one code first
+differ at a sum or a token (see ``_finish``). A generator keeps the values
+of each recursion point (a fixed point, an interpreted slot, a named
+instant code) at each size, built once and then shared as subtrees of
+every larger value, so no value is built twice or repeated.
 
 Regular, polyp and multirec contexts are enumerated through their closed
 indexed lift, which the r→p, p→i and m→i steps give; those keep the tree,
@@ -55,6 +56,10 @@ from .gvalue import (
     In1,
     In2,
     IndexLabel,
+    Konst,
+    Pair,
+    Payload,
+    RecV,
     Roll,
     TOP_SLOT,
     compose,
@@ -80,12 +85,36 @@ class EnumBudget(spine.Record):
 
 def _finish(gen: Callable[[int], list[GenericValue]], max_size: int) -> list[GenericValue]:
     """The values ``gen(n)`` gives for each size ``n`` from 1 to
-    ``max_size``, ordered by size and then by printed form. ``gen`` gives
-    every value of exactly ``n`` nodes once, so nothing repeats."""
-    values: list[GenericValue] = []
+    ``max_size``, ordered by size and then by printed form, which a size's
+    branch choices (``_choices``) give: two values of one code first differ
+    at a sum, where ``in1 `` prints first, or at a payload slot, whose only
+    tokens ``S#0`` and ``S#1`` (``spine.tokens``) print in ident order.
+    ``gen`` gives every value of exactly ``n`` nodes once, so nothing repeats."""
+    key, values = partial(_choices, {}), []
     for n in range(1, max_size + 1):
-        values += sorted(gen(n), key=print_value)
+        values += sorted(gen(n), key=key)
     return values
+
+
+def _choices(keys: dict, v: GenericValue) -> tuple[int, ...]:
+    """The branch choices of ``v`` in print order: 0 for ``In1``, 1 for
+    ``In2``, a token's ident; kept in ``keys`` per node, built in a loop."""
+    pending = [v]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        try:
+            if kind is Pair:
+                keys[node] = keys[node.first] + keys[node.second]
+            elif kind is In1 or kind is In2:
+                keys[node] = (kind is In2, *keys[node.value])
+            elif kind is Roll or kind is Konst or kind is RecV:
+                keys[node] = keys[node.inner]
+            else:
+                keys[node] = (node.token.ident,) if kind is Payload else ()
+        except KeyError as missing:  # a child has none yet: build it, then the node
+            pending += node, missing.args[0]
+    return keys[v]
 
 
 def _rechecked(

@@ -140,9 +140,11 @@ def _map_unit(v: GenericValue) -> GenericValue:
 
 def generator(code, atom: Callable[[object], Callable], memos: list[dict]) -> Callable[[int], list]:
     """``m -> values``: every inhabitant of ``code`` with exactly ``m >= 1``
-    nodes, each once. ``atom(node)`` is called once per atom node and gives
-    its closure, which is asked for sizes of at least 1 only. Each sum and
-    product keeps its values by size in a dict it adds to ``memos``."""
+    nodes, each once, ``In1`` before ``In2`` and splits by the left share's
+    size (``oracle._finish`` sorts them as printed). ``atom(node)`` is called
+    once per atom node and gives its closure, which is asked for sizes of at
+    least 1 only. Each sum and product keeps its values by size in a dict it
+    adds to ``memos``, and a product its left operand's values there too."""
     kind = type(code)
     if kind is Unit:
         return _unit_values
@@ -163,17 +165,25 @@ def generator(code, atom: Callable[[object], Callable], memos: list[dict]) -> Ca
 
         return gen_sum
 
+    asked: dict[int, list[GenericValue]] = {}  # the left operand's values by size
+    inhabited: dict[int, list[GenericValue]] = {}  # those that are not empty
+    memos += asked, inhabited
+
     def gen_prod(m: int) -> list[GenericValue]:
         hit = memo.get(m)
         if hit is None:
             # The pair takes one node and splits the rest between its operands;
-            # a split whose left operand has no value of its share is skipped.
-            hit = []
-            for k in range(1, m - 1):
-                lefts = left(k)
+            # the left one is asked for each share once, and an empty share skipped.
+            for k in range(len(asked) + 1, m - 1):
+                asked[k] = lefts = left(k)
                 if lefts:
-                    rights = right(m - 1 - k)
-                    hit += [Pair(a, b) for a in lefts for b in rights]
+                    inhabited[k] = lefts
+            hit = []
+            for k, lefts in inhabited.items():
+                if k > m - 2:
+                    break
+                rights = right(m - 1 - k)
+                hit += [Pair(a, b) for a in lefts for b in rights]
             memo[m] = hit
         return hit
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
+import genrep
 from genrep import corpus, dsl, embed, indexed, oracle
 from genrep import (
     EnumBudget,
@@ -38,13 +39,15 @@ from genrep import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+# the directory this process imported ``genrep`` from: the checkout's
+# ``src``, or a copy that ``PYTHONPATH`` names
+SRC = Path(genrep.__file__).resolve().parent.parent
 
 
 def child_env() -> dict[str, str]:
-    """The environment for a child Python process: this one's, with the
-    checkout's ``src`` first on ``PYTHONPATH`` so ``genrep`` imports from
-    the tree under test."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    """The environment for a child Python process: this one's, with ``SRC``
+    first on ``PYTHONPATH`` so ``genrep`` imports from the tree under test."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 

@@ -35,10 +35,10 @@ from genrep.corpus import (
     ZIG_ZAG_I,
 )
 from genrep.gvalue import (
-    TT, EmptySlot, In1, In2, IndexNotInSet, MalformedValue, PayloadSlot, Refl, Roll
+    NAT_SORT, TT, EmptySlot, In1, In2, IndexNotInSet, MalformedValue, PayloadSlot, Refl, Roll
 )
 from genrep.indexed import conform_i
-from genrep.instant import conform_ig
+from genrep.instant import Prim, conform_ig
 from genrep.multirec import MultirecCode, Tag, conform_m, conform_mu_m, mu_assignment
 from genrep.oracle import (
     EnumBudget,
@@ -196,6 +196,28 @@ def test_enumeration_is_sorted_and_duplicate_free(conforms, enumerate_):
     keys = [(value_size(v), print_value(v)) for v in values]
     assert keys == sorted(keys)
     assert len(set(values)) == len(values)
+
+
+def _in_printed_order(values):
+    keys = [(value_size(v), print_value(v)) for v in values]
+    return keys == sorted(keys)
+
+
+def test_each_size_is_in_printed_order_beyond_the_corpus():
+    """``oracle._finish`` sorts a size by branch choices, never printing a
+    value; that is the printed order on generated codes of every universe,
+    on generated indexed codes whose every input holds ``nat`` tokens (two
+    a position, so token order counts too), and on every corpus context,
+    instant images included, at a larger size than the test above."""
+    for ctx in _fuzz_contexts(range(300)):
+        assert _in_printed_order(enum_context(ctx, EnumBudget(max_size=10))), ctx
+    for code in fuzz_indexed_codes(range(200)):
+        assign = embed.payload_slots(dict.fromkeys(code.ins, Prim(NAT_SORT)))
+        for at in code.outs:
+            assert _in_printed_order(enum_indexed(code, assign, at, EnumBudget(max_size=8))), code
+    for param in corpus_contexts():
+        [ctx] = param.values
+        assert _in_printed_order(enum_context(ctx, EnumBudget(max_size=24))), param.id
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The demo scripts run end to end."""
 
 import hashlib
+import os
 import runpy
+import shutil
 import subprocess
 import sys
 
@@ -73,3 +75,25 @@ def test_every_mutant_anchor_occurs_once():
     mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     for mutant in mutants["MUTANTS"]:
         assert mutants["anchor_counts"](mutant) == {mutant.file: 1}, mutant.name
+
+
+def test_a_pythonpath_copy_of_the_package_is_the_one_tested(tmp_path):
+    """``scripts/mutants.py`` tests a copy of ``src`` by naming it in
+    ``PYTHONPATH``. A pytest run so started imports the copy, both in its
+    own process and in the script process a test starts: the copy's
+    ``__init__`` logs each import, and the checkout's logs none."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    init, log = src / "genrep" / "__init__.py", tmp_path / "imports.log"
+    init.write_text(
+        init.read_text(encoding="utf-8")
+        + f"\nwith open({str(log)!r}, 'a') as _log:\n    _log.write('imported\\n')\n",
+        encoding="utf-8",
+    )
+    test = "tests/test_scripts.py::test_enum_corpus_lists_every_code_at_every_index"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout
+    imports = log.read_text(encoding="utf-8") if log.exists() else ""
+    assert imports == "imported\n" * 2  # pytest, then the script it starts

@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 from genrep import In1, In2, Konst, MalformedValue, Pair, RecV, Refl, Roll, TT, label, payload
-from genrep import corpus, embed, indexed, instant, multirec, oracle, polyp, value_size
+from genrep import corpus, dsl, embed, indexed, instant, multirec, oracle, polyp, value_size
 from genrep import regular
 from genrep.gvalue import IndexNotInSet, PayloadSlot, identity, index_set
 from genrep.oracle import EnumBudget
@@ -381,6 +381,36 @@ def test_a_dropped_walk_frees_its_values_without_the_collector(n):
         assert any(ref() is not None for ref in alive)  # held by the walk's memos
         del walk
         assert dead() is None
+        assert all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
+
+
+GEN_SIZE = 12
+FREED = PayloadSlot("freed")  # a sort no other test builds, so no value is held elsewhere
+
+
+def _generators():
+    """Factories of generator walks over binary trees with ``freed`` tokens
+    at the leaves, in indexed and in instant, each with a product whose left
+    operand is the recursion, so every product keeps values in its memos."""
+    tree_i = dsl.parse_code("indexed", "in: ⋆\nout: ⋆\nfix (I@L.⋆ + I@R.⋆ * I@R.⋆)")
+    yield partial(indexed.Generator, tree_i, {STAR: FREED}, STAR)
+    body = Sum(instant.K(instant.Prim(FREED.sort)), Prod(instant.R("T"), instant.R("T")))
+    yield partial(instant.generator, {"T": body}, body)
+
+
+@pytest.mark.parametrize("build", list(_generators()), ids=["indexed", "instant"])
+def test_a_dropped_generator_frees_its_values_without_the_collector(build):
+    """A generator keeps what it built in the memos of its recursion points,
+    sums and products, and what a product's left operand gave it: dropped,
+    with the collector off, it frees every value it generated."""
+    gc.disable()
+    try:
+        gen = build()
+        alive = [weakref.ref(v) for n in range(1, GEN_SIZE + 1) for v in gen(n)]
+        assert len(alive) == 6  # two leaves, and four forks of two leaves
+        del gen
         assert all(ref() is None for ref in alive)
     finally:
         gc.enable()
