@@ -89,11 +89,32 @@ MUTANTS = (
         ("tests/test_oracle.py::test_brute_force_agrees_on_every_corpus_code",),
     ),
     Mutant(
-        "product-left-values-kept-outside-memos",
+        "sum-and-product-values-kept-outside-memos",
         "spine.py",
-        "memos += asked, inhabited",
-        "asked, inhabited",
+        "walk.memos.append(memo)",
+        "(walk.memos, memo)",
         ("tests/test_walks.py::test_a_dropped_generator_frees_its_values_without_the_collector",),
+    ),
+    Mutant(
+        "support-of-a-sum-drops-its-right-operand",
+        "spine.py",
+        "s = (bits[a] | bits[b]) << 1 & mask",
+        "s = bits[a] << 1 & mask",
+        ("tests/test_supports.py::test_a_support_holds_the_sizes_the_tree_oracle_accepts",),
+    ),
+    Mutant(
+        "support-of-a-product-shifted-by-k",
+        "spine.py",
+        "s |= rights * (low << 1)",
+        "s |= rights * low",
+        ("tests/test_supports.py::test_a_support_holds_the_sizes_enumeration_yields",),
+    ),
+    Mutant(
+        "composition-reads-the-first-middle-label",
+        "indexed.py",
+        "return {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}",
+        "return {lbl: InterpSlot(g, assign, f.ins.labels[0]) for lbl in f.ins}",
+        ("tests/test_indexed.py::test_a_composition_reads_its_right_code_at_each_middle_label",),
     ),
     Mutant(
         "choices-swap-in1-and-in2",

@@ -203,7 +203,7 @@ class Walk(spine.Walk):
                 entry = assign.get(node.label)
                 if entry is None:
                     missing = f"no {self._entries} for index {print_label(node.label)}"
-                    return spine.raising(IndexNotInSet, missing)
+                    return self._raising(IndexNotInSet, missing)
                 kind = type(entry)
                 if kind is MuSlot or kind is InterpSlot:
                     return self.enter(entry)
@@ -215,7 +215,7 @@ class Walk(spine.Walk):
                 return self._comp(self._walk(node.left, inner, at))
             if kind is Fix:
                 return self._fix(node, assign, at)
-            return spine.raising(TypeError, f"not an indexed body: {node!r}")
+            return self._raising(TypeError, f"not an indexed body: {node!r}")
 
         return self._spine(code.body, atom)
 
@@ -223,7 +223,7 @@ class Walk(spine.Walk):
         # A value enters the fixed point at its table's slot for ``at``.
         slot = inner_assign(self.tables, node, assign).get(right(at))
         if slot is None:
-            return spine.raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
+            return self._raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
         return self.enter(slot)
 
     def _comp(self, layer):
@@ -306,21 +306,27 @@ def map_i(
     return Mapper(code, fam, at)(v)
 
 
-class Generator(Walk):
+class Generator(Walk, spine.Generating):
     """Every value of ``code`` under ``assign`` at ``at`` with exactly ``m``
-    nodes, each once: ``gen(m)``, for any ``m >= 1``; the memo of each of
-    its recursion points is keyed by size."""
+    nodes, each once: ``gen(m)``, for any ``m >= 1``. Each position compiles
+    to a node of ``spine.Generating``, with its support: a payload slot and
+    a tag at ``at`` have values of one node, an empty slot and another tag
+    none, and a fixed point's layer one node more than its body."""
 
-    def _spine(self, code: IndexedBody, atom: Callable) -> Callable[[int], list[GenericValue]]:
-        return spine.generator(code, atom, self.memos)
+    def _spine(self, code: IndexedBody, atom: Callable) -> tuple:
+        return spine.generator(code, atom, self)
 
-    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[int], list[GenericValue]]:
+    def _point(self, slot: InterpSlot | MuSlot) -> tuple:
         if type(slot) is InterpSlot:
             return self._walk(slot.code, slot.assign, slot.at)
-        return spine.rolled_values(Roll, self._walk(slot.inner, slot.under, slot.at))
+        return self.wrapped(Roll, self._walk(slot.inner, slot.under, slot.at))
 
-    def _leaf(self, slot: IndexedSlot) -> Callable[[int], list[GenericValue]]:
-        return spine.leaf(slot, "an indexed", spine.tokens, spine.no_values)
+    def _leaf(self, slot: IndexedSlot) -> tuple:
+        if type(slot) is PayloadSlot:
+            return spine.token_node(slot)
+        if type(slot) is EmptySlot:
+            return spine.NOTHING
+        return self._raising(TypeError, f"not an indexed slot: {slot!r}")
 
-    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[int], list[GenericValue]]:
-        return spine.refl_values if at == lbl else spine.no_values
+    def _tag(self, lbl: IndexLabel, at: IndexLabel) -> tuple:
+        return spine.REFL if at == lbl else spine.NOTHING

@@ -92,10 +92,10 @@ class _Walk(spine.Walk):
     built. Its recursion points are the named codes, which an ``R``
     reference and a ``K`` constant of ``OfCode`` enter, one per name (a
     name ``env`` does not define raises ``MalformedValue`` when it is
-    reached). A subclass gives ``_spine``, the hook ``_wrap(node, wrapper,
-    inner)`` (a ``K`` or ``R`` node), and the closures ``_payload`` of a
-    sort's slot, and ``_refl`` and ``_none`` of an equality witness of equal
-    and of unequal labels."""
+    reached). A subclass gives ``_spine``, the hooks ``_wrap(node, wrapper,
+    inner)`` (a ``K`` or ``R`` node) and ``_payload(slot)`` (a sort's slot),
+    and what ``_refl`` and ``_none`` compile an equality witness of equal
+    and of unequal labels to."""
 
     def __init__(self, env: CodeEnv, code: InstantCode):
         super().__init__()
@@ -108,7 +108,7 @@ class _Walk(spine.Walk):
                 return self._wrap(node, Konst, self._kset(env, node.payload))
             if kind is R:
                 return self._wrap(node, RecV, self._enter(env, node.ref))
-            return spine.raising(TypeError, f"not an instant code: {node!r}")
+            return self._raising(TypeError, f"not an instant code: {node!r}")
 
         return self._spine(code, atom)
 
@@ -116,24 +116,27 @@ class _Walk(spine.Walk):
         try:
             code = resolve(env, name)
         except MalformedValue as err:
-            return spine.raising(MalformedValue, str(err))
+            return self._raising(MalformedValue, str(err))
         return self.point(name, lambda: self._walk(env, code))
 
     def _kset(self, env: CodeEnv, payload: KSet) -> Callable:
         kind = type(payload)
         if kind is Prim:
-            return partial(self._payload, PayloadSlot(payload.sort))
+            return self._payload(PayloadSlot(payload.sort))
         if kind is EqWitness:
             return self._refl if payload.a == payload.b else self._none
         if kind is OfCode:
             return self._enter(env, payload.ref)
-        return spine.raising(TypeError, f"not a constant set: {payload!r}")
+        return self._raising(TypeError, f"not a constant set: {payload!r}")
 
 
 class _Conformer(_Walk):
     _spine = staticmethod(spine.conformer)
-    _payload = staticmethod(payload_slot_accepts)
     _refl, _none = staticmethod(spine.is_refl), staticmethod(spine.never)
+
+    @staticmethod
+    def _payload(slot: PayloadSlot) -> Callable[[GenericValue], bool]:
+        return partial(payload_slot_accepts, slot)
 
     def _wrap(self, node: K | R, wrapper: type, inner: Callable) -> Callable[[GenericValue], bool]:
         return lambda w: type(w) is wrapper and inner(w.inner)
@@ -145,22 +148,22 @@ def conformer(env: CodeEnv, code: InstantCode) -> spine.Walk:
     return _Conformer(env, code)
 
 
-class _Generator(_Walk):
-    _payload = staticmethod(spine.tokens)
-    _refl, _none = staticmethod(spine.refl_values), staticmethod(spine.no_values)
+class _Generator(_Walk, spine.Generating):
+    _payload = staticmethod(spine.token_node)
+    _refl, _none = spine.REFL, spine.NOTHING
 
-    def _spine(self, code: InstantCode, atom: Callable) -> Callable[[int], list[GenericValue]]:
-        return spine.generator(code, atom, self.memos)
+    def _spine(self, code: InstantCode, atom: Callable) -> tuple:
+        return spine.generator(code, atom, self)
 
-    def _wrap(self, node: K | R, wrapper: type, inner: Callable) -> Callable[[int], list]:
-        return self.point(node, lambda: spine.rolled_values(wrapper, inner))
+    def _wrap(self, node: K | R, wrapper: type, inner: tuple) -> tuple:
+        return self.point(node, lambda: self.wrapped(wrapper, inner))
 
 
-def generator(env: CodeEnv, code: InstantCode) -> spine.Walk:
+def generator(env: CodeEnv, code: InstantCode) -> spine.Generating:
     """Every value of ``code`` in ``env`` with exactly ``m`` nodes, each
     once: ``gen(m)``, for any ``m >= 1``. Each ``K`` and ``R`` node is a
     recursion point too, keyed by the node, so equal ones share one list
-    per size."""
+    per size, and its support is its operand's one node larger."""
     return _Generator(env, code)
 
 

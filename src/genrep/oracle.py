@@ -14,6 +14,15 @@ of each recursion point (a fixed point, an interpreted slot, a named
 instant code) at each size, built once and then shared as subtrees of
 every larger value, so no value is built twice or repeated.
 
+Before it builds a value, a generator knows the sizes each of its nodes has
+values of, its support (``spine.Generating``): one int per node, with bit
+``n`` set for a value of ``n`` nodes, computed for every size up to
+``max_size`` at once, a recursion point's as a least fixpoint. ``_finish``
+asks the generator only at the sizes of its top's support, and each node
+asks an operand only at the operand's sizes, so no closure is called for
+a size that has no values; FEAT likewise counts a type's values by size
+before it builds any.
+
 Regular, polyp and multirec contexts are enumerated through their closed
 indexed lift, which the r→p, p→i and m→i steps give; those keep the tree,
 so the lift has exactly the context's values. The source universe's own
@@ -89,10 +98,19 @@ def _finish(gen: Callable[[int], list[GenericValue]], max_size: int) -> list[Gen
     branch choices (``_choices``) give: two values of one code first differ
     at a sum, where ``in1 `` prints first, or at a payload slot, whose only
     tokens ``S#0`` and ``S#1`` (``spine.tokens``) print in ident order.
-    ``gen`` gives every value of exactly ``n`` nodes once, so nothing repeats."""
+    ``gen`` gives every value of exactly ``n`` nodes once, so nothing repeats.
+
+    A ``spine.Generating`` walk is asked only at the sizes of its support up
+    to ``max_size`` (``support``), which it computes first, and raises there
+    the error of a node that raises (a missing slot, an undefined name, a
+    node of no universe) when an ungated generator would have met it up to
+    ``max_size``, with the same type and message. Any other ``m -> values``
+    callable is asked at every size."""
     key, values = partial(_choices, {}), []
+    support = gen.support(max_size) if isinstance(gen, spine.Generating) else -1
     for n in range(1, max_size + 1):
-        values += sorted(gen(n), key=key)
+        if support >> n & 1:
+            values += sorted(gen(n), key=key)
     return values
 
 

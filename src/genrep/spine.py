@@ -10,7 +10,8 @@ What the universes do not share are their atoms: identity positions,
 parameters, tags, constants, references, composition and fixed points.
 ``conformer``, ``mapper`` and ``generator`` compile a whole code into
 closures when a walk is built: they handle the spine and ask an atom
-function supplied by the caller for each atom node's closure, which gives
+function supplied by the caller for each atom node's closure (a generator's
+with its support, ``Generating``), which gives
 that node its universe's meaning (a node it does not know raises the
 universe's own ``TypeError`` when a value reaches it). Keeping the atoms
 apart keeps the universes independent interpreters, which the
@@ -26,6 +27,7 @@ value.
 from __future__ import annotations
 
 from functools import partial
+from math import inf
 from typing import Callable, Iterator, TypeVar
 
 from .gvalue import (
@@ -138,56 +140,56 @@ def _map_unit(v: GenericValue) -> GenericValue:
     return v
 
 
-def generator(code, atom: Callable[[object], Callable], memos: list[dict]) -> Callable[[int], list]:
-    """``m -> values``: every inhabitant of ``code`` with exactly ``m >= 1``
-    nodes, each once, ``In1`` before ``In2`` and splits by the left share's
-    size (``oracle._finish`` sorts them as printed). ``atom(node)`` is called
-    once per atom node and gives its closure, which is asked for sizes of at
-    least 1 only. Each sum and product keeps its values by size in a dict it
-    adds to ``memos``, and a product its left operand's values there too."""
+def generator(code, atom: Callable[[object], tuple], walk: Generating) -> tuple[Callable, int]:
+    """The node ``(gen, i)`` of ``code`` in ``walk``: ``gen(m)`` gives every
+    inhabitant of exactly ``m`` nodes, each once, ``In1`` before ``In2`` and
+    splits by the left share's size (``oracle._finish`` sorts them as
+    printed), and ``walk.bits[i]`` is its support (``Generating``).
+    ``atom(node)`` is called once per atom node and gives its node. A closure
+    is asked only for a size in its support, and asks an operand for a size
+    only when the operand has values of it. A node that raises (a missing
+    slot, an undefined name, a node of no universe) has no size; the walk
+    raises its error, of the same type and message, once it is asked up to
+    a size at which a generator that asked every operand at every size met
+    the node. Each sum and product keeps its values by size in a memo of
+    ``walk.memos``."""
     kind = type(code)
     if kind is Unit:
-        return _unit_values
+        return UNIT
     if kind is not Sum and kind is not Prod:
         return atom(code)
-    left, right = generator(code.left, atom, memos), generator(code.right, atom, memos)
-    memo: dict[int, list[GenericValue]] = {}
-    memos.append(memo)
+    (left, l), (right, r) = generator(code.left, atom, walk), generator(code.right, atom, walk)
+    bits, memo = walk.bits, {}
+    walk.memos.append(memo)
     if kind is Sum:
 
         def gen_sum(m: int) -> list[GenericValue]:
             hit = memo.get(m)
             if hit is None:
-                hit = memo[m] = (
-                    [In1(w) for w in left(m - 1)] + [In2(w) for w in right(m - 1)] if m > 1 else []
-                )
+                n = m - 1
+                hit = [In1(w) for w in left(n)] if bits[l] >> n & 1 else []
+                if bits[r] >> n & 1:
+                    hit += [In2(w) for w in right(n)]
+                memo[m] = hit
             return hit
 
-        return gen_sum
-
-    asked: dict[int, list[GenericValue]] = {}  # the left operand's values by size
-    inhabited: dict[int, list[GenericValue]] = {}  # those that are not empty
-    memos += asked, inhabited
+        return gen_sum, walk.rule(_SUM, l, r)
 
     def gen_prod(m: int) -> list[GenericValue]:
         hit = memo.get(m)
         if hit is None:
-            # The pair takes one node and splits the rest between its operands;
-            # the left one is asked for each share once, and an empty share skipped.
-            for k in range(len(asked) + 1, m - 1):
-                asked[k] = lefts = left(k)
-                if lefts:
-                    inhabited[k] = lefts
-            hit = []
-            for k, lefts in inhabited.items():
-                if k > m - 2:
-                    break
-                rights = right(m - 1 - k)
-                hit += [Pair(a, b) for a in lefts for b in rights]
+            # The pair takes one node and splits the rest between its operands,
+            # each share a size of that operand's support.
+            hit, n, k, shares, rights = [], m - 1, 1, bits[l] >> 1, bits[r]
+            while shares and k < n:
+                if shares & 1 and rights >> n - k & 1:
+                    hit += [Pair(a, b) for a in left(k) for b in right(n - k)]
+                shares >>= 1
+                k += 1
             memo[m] = hit
         return hit
 
-    return gen_prod
+    return gen_prod, walk.rule(_PROD, l, r)
 
 
 def _unit_values(m: int) -> list[GenericValue]:
@@ -260,6 +262,144 @@ class Walk:
     def enter(self, slot) -> Callable:
         """The recursion point of ``slot``, whose body is ``_point(slot)``."""
         return self.point(id(slot), lambda: self._point(slot))
+
+    @staticmethod
+    def _raising(error: type[Exception], message: str) -> Callable:
+        """The closure of a node that raises ``error(message)`` (``raising``)."""
+        return raising(error, message)
+
+
+# The cells of ``Generating.bits`` every generator starts with, no size and
+# one node; any other cell follows from two others by a rule. A sum's shifts
+# the union of its operands' supports by its own node (a wrapper's too, with
+# NO_SIZE for its second operand), a product's ORs the right support shifted
+# by ``k + 1`` over every size ``k`` of the left one, a point's copies its
+# body's.
+NO_SIZE, ONE_NODE = 0, 1
+_SUM, _PROD, _SAME = range(3)
+
+
+class Generating(Walk):
+    """A walk that gives every value of its code with exactly ``m >= 1``
+    nodes, each once: ``walk(m)``. Each node it compiles (``generator``), an
+    atom's too, is a pair ``(gen, i)`` of the closure ``gen(m)`` and its cell
+    in ``bits``, the node's support: an int whose bit ``n`` is set when the
+    node has a value of exactly ``n`` nodes, for ``n`` up to ``bound``.
+
+    The supports are a least fixpoint, since a recursion point's depends on
+    its own: ``support(bound)`` starts from the supports it has (a point's
+    is 0 at first) and runs every rule until no cell changes, keeping the
+    sizes up to ``bound``. ``walk(m)`` extends them to ``m`` first, and asks
+    its top only at a size in the top's support.
+
+    A node that raises (``fails``) has no size. ``support(bound)`` raises
+    its error when a generator that asked every operand at every size would
+    have met it up to ``bound`` (``_reached``): such a generator asks a
+    sum's operands one node smaller, a product's left operand at every
+    share, and its right one at the shares the left has values of."""
+
+    def __init__(self):
+        self.bits = [0, 0b10]
+        self.rules: list[tuple[int, int, int, int]] = []
+        self.cells: dict = {}  # a recursion point's key -> its cell
+        self.fails: dict[int, Callable] = {}
+        self.bound = 0
+        super().__init__()
+
+    def __call__(self, m: int) -> list[GenericValue]:
+        gen, i = self.top
+        return gen(m) if self.support(m) >> m & 1 else []
+
+    def support(self, bound: int) -> int:
+        """The top's support, with every size up to ``bound``."""
+        if bound > self.bound:
+            self._extend(bound)
+        return self.bits[self.top[1]]
+
+    def rule(self, op: int, a: int, b: int = NO_SIZE) -> int:
+        """A new cell that ``op`` computes from cells ``a`` and ``b``."""
+        i = self._cell()
+        self.rules.append((op, i, a, b))
+        return i
+
+    def point(self, key, build: Callable[[], tuple]) -> tuple:
+        """The node of the recursion point ``key``: ``Walk.point``, whose memo
+        is keyed by size, and a cell that copies the support of the body,
+        which is built after the point is registered."""
+        i = self.cells.get(key)
+        if i is not None:
+            return self.points[key], i
+        i = self.cells[key] = self._cell()
+
+        def body() -> Callable[[int], list[GenericValue]]:
+            gen, b = build()
+            self.rules.append((_SAME, i, b, NO_SIZE))
+            return gen
+
+        return super().point(key, body), i
+
+    def _cell(self) -> int:
+        self.bits.append(0)
+        return len(self.bits) - 1
+
+    def wrapped(self, wrap: Callable, node: tuple) -> tuple:
+        """The node of ``wrap(w)`` for each value ``w`` of ``node`` one node
+        smaller, the node ``wrap`` adds (a ``Roll``, ``Konst`` or ``RecV``)."""
+        layer, i = node
+        return (lambda m: [wrap(w) for w in layer(m - 1)]), self.rule(_SUM, i)
+
+    def _raising(self, error: type[Exception], message: str) -> tuple:
+        i = self._cell()
+        fail = self.fails[i] = raising(error, message)
+        return fail, i
+
+    def _extend(self, bound: int) -> None:
+        bits, mask, changed = self.bits, (2 << bound) - 2, True
+        while changed:
+            changed = False
+            for op, i, a, b in self.rules:
+                if op == _SUM:
+                    s = (bits[a] | bits[b]) << 1 & mask
+                elif op == _SAME:
+                    s = bits[a]
+                else:
+                    lefts, rights, s = bits[a], bits[b], 0
+                    while lefts:
+                        low = lefts & -lefts
+                        s |= rights * (low << 1)
+                        lefts ^= low
+                    s &= mask
+                if s != bits[i]:
+                    bits[i], changed = s, True
+        if self.fails:
+            reached, fail = self._reached()
+            if reached <= bound:
+                fail(None)
+        self.bound = bound
+
+    def _reached(self) -> tuple[float, Callable | None]:
+        """The least size at which an ungated generator asking the top meets
+        a raising node, and the one it meets first there (``inf`` and None if
+        it never does): 1 at a raising node, and from the operands' by the
+        rules, at a tie the left one's. A product's left operand meets one at
+        its least plus two, a pair of its least and a size of the left."""
+        least = [(inf, None)] * len(self.bits)
+        for i, fail in self.fails.items():
+            least[i] = 1, fail
+        changed = True
+        while changed:
+            changed = False
+            for op, i, a, b in self.rules:
+                (s, fail), (t, other) = least[a], least[b]
+                if op == _PROD:
+                    lefts, s = self.bits[a], s + 1
+                    t += (lefts & -lefts).bit_length() - 1 if lefts else inf
+                if op != _SAME:
+                    s, fail = (s, fail) if s <= t else (t, other)
+                    s += 1
+                if s < least[i][0]:
+                    least[i], changed = (s, fail), True
+        return least[self.top[1]]
 
 
 def once(table: dict, key, build: Callable[[], T]) -> T:
@@ -339,14 +479,13 @@ def never(v: GenericValue) -> bool:
     return False
 
 
-def leaf(slot, universe: str, on_payload=payload_slot_accepts, on_empty=never) -> Callable:
-    """The closure of a payload or empty slot of ``universe`` ("a polyp"):
-    ``on_payload`` bound to the payload slot, or ``on_empty``; by default
-    the conformer's."""
+def leaf(slot, universe: str) -> Callable[[GenericValue], bool]:
+    """The conformer's closure of a payload or empty slot of ``universe``
+    ("a polyp")."""
     if type(slot) is PayloadSlot:
-        return partial(on_payload, slot)
+        return partial(payload_slot_accepts, slot)
     if type(slot) is EmptySlot:
-        return on_empty
+        return never
     return raising(TypeError, f"not {universe} slot: {slot!r}")
 
 
@@ -373,11 +512,15 @@ def no_values(m: int) -> list[GenericValue]:
     return []
 
 
-def rolled_values(wrap: Callable, layer: Callable[[int], list]) -> Callable[[int], list]:
-    """``m -> values``: ``wrap(w)`` for each value ``w`` of ``layer`` that is
-    one node smaller, the node ``wrap`` adds (a ``Roll``, ``Konst`` or
-    ``RecV``)."""
-    return lambda m: [wrap(w) for w in layer(m - 1)] if m > 1 else []
+# The nodes of a generator's constant leaves: ``tt``, ``refl``, nothing.
+UNIT = _unit_values, ONE_NODE
+REFL = refl_values, ONE_NODE
+NOTHING = no_values, NO_SIZE
+
+
+def token_node(slot: PayloadSlot) -> tuple:
+    """The node of a generator's payload position: ``slot``'s tokens."""
+    return partial(tokens, slot), ONE_NODE
 
 
 def map_tag(w: GenericValue) -> GenericValue:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from genrep import indexed
+from genrep import dsl, embed, indexed, print_value
 from genrep import In1, In2, Pair, Refl, Roll, TT, index_set, label, left, payload, right
 from genrep.corpus import (
     BIN_C,
@@ -15,6 +15,7 @@ from genrep.corpus import (
     ZIG_ZAG_END,
 )
 from genrep.gvalue import IndexNotInSet, MalformedValue, PayloadSlot, identity
+from genrep.oracle import EnumBudget, enum_context
 from genrep.indexed import (
     conform_i,
     map_i,
@@ -200,3 +201,23 @@ def test_a_fixed_point_that_lacks_the_index_fails_only_when_a_value_reaches_it()
     assert conformer(In1(TT()))
     with pytest.raises(IndexNotInSet, match="^no slot for index R.a$"):
         conformer(In2(Roll(TT())))
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("in: a, b\nout: ⋆\nmid: x, y\n(I@x * I@y) @ (!x * I@a + !y * I@b)",
+         ["(in1 (refl , tt) , in2 (refl , tt))"]),
+        ("in:\nout: ⋆\nmid: x, y\nI@y @ !y", ["refl"]),
+    ],
+    ids=["pair-of-middles", "second-middle"],
+)
+def test_a_composition_reads_its_right_code_at_each_middle_label(text, values):
+    """The left code's input ``x`` holds the right code's values at ``x``, and
+    ``y`` at ``y``: each middle label tags its own branch of the right code,
+    so a composition that read every middle label at the first one would
+    enumerate other values, or none, and its conformer reject these."""
+    [ctx] = embed.contexts("indexed", dsl.parse_code("indexed", text))
+    found = enum_context(ctx, EnumBudget(max_size=10))
+    assert [print_value(v) for v in found] == values
+    assert all(embed.conforms(ctx, dsl.parse_value(v)) for v in values)

@@ -58,8 +58,13 @@ def test_enum_corpus_listing_is_pinned():
 
 @pytest.mark.parametrize(
     "name, args, message",
-    [("enum_corpus.py", ("--max-size", "0"), "max_size must be at least 1")],
-    ids=["enum_corpus-max-size"],
+    [
+        ("enum_corpus.py", ("--max-size", "0"), "max_size must be at least 1"),
+        ("ab_sweep.py", (str(ROOT), str(ROOT), "0"), "PASSES must be at least 1"),
+        ("ab_sweep.py", (str(ROOT), str(ROOT / "src"), "1"),
+         f"no perfbench/sweep.py under {ROOT / 'src'}"),
+    ],
+    ids=["enum_corpus-max-size", "ab_sweep-passes", "ab_sweep-checkout"],
 )
 def test_bad_arguments_are_one_error_line(name, args, message):
     out = run_script(name, *args)
@@ -97,3 +102,19 @@ def test_a_pythonpath_copy_of_the_package_is_the_one_tested(tmp_path):
     assert out.returncode == 0, out.stdout
     imports = log.read_text(encoding="utf-8") if log.exists() else ""
     assert imports == "imported\n" * 2  # pytest, then the script it starts
+
+
+def test_ab_sweep_compares_the_checkout_with_itself():
+    """One pass of the checkout against itself: each suite's paced times,
+    the pass metrics, and where the gen-1 and gen-2 collections start."""
+    out = run_script("ab_sweep.py", str(ROOT), str(ROOT), "1")
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    pinned = runpy.run_path(str(ROOT / "perfbench" / "sweep.py"))["PINNED"]
+    assert lines[0].split() == ["suite", "parent", "ms", "change", "ms", "ratio"]
+    assert [line.split()[0] for line in lines[1:]] == [
+        *pinned, "checks_per_s", "op_ms.p50", "op_ms.p90", "gen-1/2", "gen-1/2"
+    ]
+    assert all(float(word) > 0 for line in lines[1:-2] for word in line.split()[1:])
+    assert lines[-2].startswith("gen-1/2 collections, parent: ")
+    assert lines[-1].startswith("gen-1/2 collections, change: ")
