@@ -117,6 +117,13 @@ MUTANTS = (
         ("tests/test_indexed.py::test_a_composition_reads_its_right_code_at_each_middle_label",),
     ),
     Mutant(
+        "multirec-enumerates-without-its-label-check",
+        "embed.py",
+        'to_indexed=("m-i",), check=_labels_in_set)',
+        'to_indexed=("m-i",))',
+        ("tests/test_oracle.py::test_multirec_labels_outside_the_index_set_raise",),
+    ),
+    Mutant(
         "choices-swap-in1-and-in2",
         "oracle.py",
         "keys[node] = (kind is In2, *keys[node.value])",

@@ -25,8 +25,6 @@ from .gvalue import (
     print_value,
 )
 
-_UNIVERSES = ("regular", "polyp", "multirec", "indexed", "instant")
-
 # (source, target) -> the name of the conversion step between them
 _PAIRS = {(row.source, row.target): step for step, row in embed.STEPS.items()}
 
@@ -44,9 +42,9 @@ class _Parser(argparse.ArgumentParser):
 
 # flag or positional -> its argparse options; "--env!" is a required --env
 _FLAGS = {
-    "--universe": {"required": True, "choices": _UNIVERSES},
-    "--from": {"dest": "src", "required": True, "choices": _UNIVERSES},
-    "--to": {"dest": "dst", "required": True, "choices": _UNIVERSES},
+    "--universe": {"required": True, "choices": embed.UNIVERSES},
+    "--from": {"dest": "src", "required": True, "choices": embed.UNIVERSES},
+    "--to": {"dest": "dst", "required": True, "choices": embed.UNIVERSES},
     "--code": {"required": True},
     "--value": {"required": True},
     "--dir": {"dest": "direction", "required": True, "choices": ("fwd", "bwd")},
@@ -129,13 +127,13 @@ def _resolve_env(text: str):
     return _parse_code_text(dsl.parse_env, text)
 
 
-def _instant_env(args):
-    """The environment an instant code needs, which --env must give; other
-    universes ignore --env."""
-    if args.universe != "instant":
+def _env(args):
+    """The environment a code of a universe that needs one refers into,
+    which --env must give; other universes ignore --env."""
+    if not embed.UNIVERSES[args.universe].needs_env:
         return None
     if args.env is None:
-        raise UsageError(f"{args.command} in the instant universe needs --env")
+        raise UsageError(f"{args.command} in the {args.universe} universe needs --env")
     return _resolve_env(args.env)
 
 
@@ -147,8 +145,7 @@ def _context(universe: str, code, index: str | None, env=None) -> embed.PathCont
         at = dsl.parse_label(index)
     found = embed.contexts(universe, code, env, at)
     if not found:
-        family = "index set" if universe == "multirec" else "output set"
-        raise UsageError(f"the code's {family} is empty")
+        raise UsageError(f"the code's {embed.UNIVERSES[universe].family_word} is empty")
     return found[0]
 
 
@@ -164,7 +161,7 @@ def _budget(max_size: int) -> oracle.EnumBudget:
 
 
 def _cmd_check(args) -> int:
-    env = _instant_env(args)
+    env = _env(args)
     code = _resolve_code(args.universe, args.code, env)
     ctx = _context(args.universe, code, args.index, env)
     ok = embed.conforms(ctx, _resolve_value(args.value))
@@ -182,13 +179,13 @@ def _step(src: str, dst: str) -> str:
 def _cmd_lift(args) -> int:
     step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
-    if args.dst != "instant":
+    if not embed.UNIVERSES[args.dst].needs_env:
         print(dsl.print_code(args.dst, embed.STEPS[step].lift(code)))
         return 0
     _context(args.src, code, None)  # an empty output set lifts to nothing: name it
     outs, env = embed.STEPS[step].lift(code)
     for out, out_code in outs.items():
-        print(f"out {print_label(out)} = {dsl.print_code('instant', out_code)}")
+        print(f"out {print_label(out)} = {dsl.print_code(args.dst, out_code)}")
     print(dsl.print_env(env), end="")
     return 0
 
@@ -222,7 +219,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_enum(args) -> int:
     budget = _budget(args.max_size)
-    env = _instant_env(args)
+    env = _env(args)
     code = _resolve_code(args.universe, args.code, env)
     for v in oracle.enum_context(_context(args.universe, code, args.index, env), budget):
         print(print_value(v))
@@ -232,7 +229,8 @@ def _cmd_enum(args) -> int:
 def _cmd_laws(args) -> int:
     names = [name for name, (key, _, _) in oracle.LAWS.items() if key == args.universe]
     if not names:
-        raise UsageError("laws supports regular, polyp, multirec, and indexed")
+        *most, last = [name for name, row in embed.UNIVERSES.items() if row.mapper is not None]
+        raise UsageError(f"laws supports {', '.join(most)}, and {last}")
     code = _resolve_code(args.universe, args.code)
     budget = _budget(args.max_size)
     _context(args.universe, code, None)  # names an empty family

@@ -16,7 +16,8 @@ does not read as a nat; the printer refuses any other name, so that what it
 prints parses back.
 
 Multirec and indexed codes carry header lines ("indices:", "in:", "out:",
-and optionally "mid:") before the body expression. A composition body splits
+and optionally "mid:") before the body expression, which their rows'
+``read`` and ``show`` hooks parse and print. A composition body splits
 at the "mid:" index set, which defaults to the output set; nested
 compositions share it. Environment files hold one "name = code" line per
 entry, UTF-8 with LF endings.
@@ -319,8 +320,9 @@ class _Atom(NamedTuple):
 class _Grammar(NamedTuple):
     """One universe's row: what a node it cannot print is called, its atoms
     by first token and their printers by node class, what may start an
-    atom, and the constructors of ``_OPERATORS`` (``None`` where it lacks
-    one) and of ``fix``."""
+    atom, the constructors of ``_OPERATORS`` (``None`` where it lacks one)
+    and of ``fix``, and the hooks ``read(text, row)`` and ``show(code,
+    row)`` for a whole code, which read and print its headers if any."""
 
     what: str
     atoms: dict[str, _Atom]
@@ -328,10 +330,13 @@ class _Grammar(NamedTuple):
     expected: frozenset[str]
     ops: tuple
     fix: Callable[[object], object] | None
+    read: Callable[[str, "_Grammar"], object]
+    show: Callable[[object, "_Grammar"], str]
 
 
-def _grammar(what: str, atoms: list[_Atom], comp=None, fix=None) -> _Grammar:
-    """The row of ``atoms``, where ``comp`` builds ``@`` and ``fix`` builds ``fix``."""
+def _grammar(what: str, atoms: list[_Atom], comp=None, fix=None, read=None, show=None) -> _Grammar:
+    """The row of ``atoms``, where ``comp`` builds ``@`` and ``fix`` builds
+    ``fix``; a code without headers is its body."""
     expected = {"(", *(atom.name for atom in atoms), *(["fix"] if fix else [])}
     return _Grammar(
         what,
@@ -340,6 +345,8 @@ def _grammar(what: str, atoms: list[_Atom], comp=None, fix=None) -> _Grammar:
         frozenset(expected),
         (spine.Sum, spine.Prod, comp),
         fix,
+        read or _parse_body,
+        show or _pp,
     )
 
 
@@ -425,33 +432,6 @@ def _show_konst(node: instant.K) -> str:
 
 def _read_rec(stream: _Stream, tok: _Token) -> instant.R:
     return instant.R(stream.expect("ident", frozenset({"name"})).text)
-
-
-_UNIT = _leaf("U", spine.Unit)
-
-_GRAMMARS: dict[str, _Grammar] = {
-    "regular": _grammar("a regular code", [_UNIT, _leaf("I", regular.Id)]),
-    "polyp": _grammar(
-        "a polyp code", [_UNIT, _leaf("P", polyp.Par), _leaf("I", polyp.Id)], comp=polyp.Comp
-    ),
-    "multirec": _grammar(
-        "a multirec body", [_UNIT, _labelled("I@", multirec.Id), _labelled("!", multirec.Tag)]
-    ),
-    "indexed": _grammar(
-        "an indexed body",
-        [_UNIT, _labelled("I@", indexed.Id), _labelled("!", indexed.Tag)],
-        comp=_Comp,
-        fix=_Fix,
-    ),
-    "instant": _grammar(
-        "an instant code",
-        [
-            _UNIT,
-            _Atom("K", "K", instant.K, _read_konst, _show_konst),
-            _Atom("R", "R", instant.R, _read_rec, lambda n: f"R {_name(n.ref)}"),
-        ],
-    ),
-}
 
 
 def _parse_expr(stream: _Stream, g: _Grammar, level: int = 0) -> object:
@@ -556,32 +536,28 @@ def _elab_indexed(body, ins: IndexSet, outs: IndexSet, mid: IndexSet) -> indexed
     return spine.lift(body, atom)
 
 
-def parse_code(universe: str, text: str):
-    """Parse one code in the named universe's concrete syntax."""
-    if universe not in _GRAMMARS:
-        raise ValueError(f"unknown universe tag: {universe!r}")
-    g = _GRAMMARS[universe]
-    if universe == "multirec":
-        headers, body_text = _split_headers(text, ("indices",))
-        indices = _header_labels(headers, "indices")
-        if indices is None:
-            raise ParseError("missing header indices:", 1, 1)
-        body = spine.lift(_parse_body(body_text, g), lambda at: _member(at, indices, "index set"))
-        return multirec.MultirecCode(indices, body)
-    if universe == "indexed":
-        headers, body_text = _split_headers(text, ("in", "out", "mid"))
-        ins = _header_labels(headers, "in")
-        outs = _header_labels(headers, "out")
-        if ins is None:
-            raise ParseError("missing header in:", 1, 1)
-        if outs is None:
-            raise ParseError("missing header out:", 1, 1)
-        mid = _header_labels(headers, "mid")
-        if mid is None:
-            mid = outs
-        body = _parse_body(body_text, g)
-        return indexed.IndexedCode(ins, outs, _elab_indexed(body, ins, outs, mid))
-    return _parse_body(text, g)
+def _read_multirec(text: str, g: _Grammar) -> multirec.MultirecCode:
+    headers, body_text = _split_headers(text, ("indices",))
+    indices = _header_labels(headers, "indices")
+    if indices is None:
+        raise ParseError("missing header indices:", 1, 1)
+    body = spine.lift(_parse_body(body_text, g), lambda at: _member(at, indices, "index set"))
+    return multirec.MultirecCode(indices, body)
+
+
+def _read_indexed(text: str, g: _Grammar) -> indexed.IndexedCode:
+    headers, body_text = _split_headers(text, ("in", "out", "mid"))
+    ins = _header_labels(headers, "in")
+    outs = _header_labels(headers, "out")
+    if ins is None:
+        raise ParseError("missing header in:", 1, 1)
+    if outs is None:
+        raise ParseError("missing header out:", 1, 1)
+    mid = _header_labels(headers, "mid")
+    if mid is None:
+        mid = outs
+    body = _parse_body(body_text, g)
+    return indexed.IndexedCode(ins, outs, _elab_indexed(body, ins, outs, mid))
 
 
 def _parse_body(text: str, g: _Grammar):
@@ -605,7 +581,7 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
         stream = _Stream(_lex(line, line=lineno))
         name_tok = stream.expect("ident", frozenset({"name"}))
         stream.expect("=")
-        code = _parse_expr(stream, _GRAMMARS["instant"])
+        code = _parse_expr(stream, _INSTANT)
         stream.done()
         if name_tok.text in env:
             raise ParseError(
@@ -627,14 +603,14 @@ def parse_env(text: str) -> dict[str, instant.InstantCode]:
 
 
 def print_env(env: Mapping[str, instant.InstantCode]) -> str:
-    return "".join(f"{_name(name)} = {print_code('instant', code)}\n" for name, code in env.items())
+    return "".join(f"{_name(name)} = {_pp(code, _INSTANT)}\n" for name, code in env.items())
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 
-def _pp(node, level: int, g: _Grammar) -> str:
+def _pp(node, g: _Grammar, level: int = 0) -> str:
     """``node`` as the row ``g`` prints it where an operator looser than
     ``_OPERATORS[level]`` needs parentheses; an atom's level is
     ``len(_OPERATORS)``. The left operand of each operator sits one level
@@ -642,10 +618,10 @@ def _pp(node, level: int, g: _Grammar) -> str:
     kind = type(node)
     if kind in g.ops:
         op = g.ops.index(kind)
-        text = f"{_pp(node.left, op + 1, g)} {_OPERATORS[op]} {_pp(node.right, op, g)}"
+        text = f"{_pp(node.left, g, op + 1)} {_OPERATORS[op]} {_pp(node.right, g, op)}"
         return f"({text})" if op < level else text
     if kind is g.fix:
-        return f"fix {_pp(node.inner, len(_OPERATORS), g)}"
+        return f"fix {_pp(node.inner, g, len(_OPERATORS))}"
     show = g.shows.get(kind)
     if show is None:
         raise MalformedValue(f"not {g.what}: {node!r}")
@@ -690,22 +666,61 @@ def _header(name: str, labels: IndexSet) -> str:
     return f"{name}: {', '.join(print_label(lbl) for lbl in labels)}".rstrip()
 
 
-def print_code(universe: str, code) -> str:
-    """Canonical concrete syntax: single spaces, minimal parentheses."""
+def _show_indexed(code: indexed.IndexedCode, g: _Grammar) -> str:
+    found: list[IndexSet] = []
+    _comp_middles(code.body, found)
+    if len(set(found)) > 1:
+        raise MalformedValue("composition middles disagree; cannot print")
+    mid = found[0] if found else code.outs
+    lines = [_header("in", code.ins), _header("out", code.outs)]
+    if mid != code.outs:
+        lines.append(_header("mid", mid))
+    lines.append(_pp(_unelab_indexed(code.body, code.ins, code.outs, mid), g))
+    return "\n".join(lines)
+
+
+_UNIT = _leaf("U", spine.Unit)
+
+# environments hold instant codes
+_INSTANT = _grammar("an instant code", [
+    _UNIT,
+    _Atom("K", "K", instant.K, _read_konst, _show_konst),
+    _Atom("R", "R", instant.R, _read_rec, lambda n: f"R {_name(n.ref)}"),
+])
+
+_GRAMMARS: dict[str, _Grammar] = {
+    "regular": _grammar("a regular code", [_UNIT, _leaf("I", regular.Id)]),
+    "polyp": _grammar(
+        "a polyp code", [_UNIT, _leaf("P", polyp.Par), _leaf("I", polyp.Id)], comp=polyp.Comp
+    ),
+    "multirec": _grammar(
+        "a multirec body",
+        [_UNIT, _labelled("I@", multirec.Id), _labelled("!", multirec.Tag)],
+        read=_read_multirec,
+        show=lambda code, g: f"{_header('indices', code.indices)}\n{_pp(code.body, g)}",
+    ),
+    "indexed": _grammar(
+        "an indexed body",
+        [_UNIT, _labelled("I@", indexed.Id), _labelled("!", indexed.Tag)],
+        comp=_Comp, fix=_Fix, read=_read_indexed, show=_show_indexed,
+    ),
+    "instant": _INSTANT,
+}
+
+
+def _row(universe: str) -> _Grammar:
     if universe not in _GRAMMARS:
         raise ValueError(f"unknown universe tag: {universe!r}")
-    g = _GRAMMARS[universe]
-    if universe == "multirec":
-        return f"{_header('indices', code.indices)}\n{_pp(code.body, 0, g)}"
-    if universe == "indexed":
-        found: list[IndexSet] = []
-        _comp_middles(code.body, found)
-        if len(set(found)) > 1:
-            raise MalformedValue("composition middles disagree; cannot print")
-        mid = found[0] if found else code.outs
-        lines = [_header("in", code.ins), _header("out", code.outs)]
-        if mid != code.outs:
-            lines.append(_header("mid", mid))
-        lines.append(_pp(_unelab_indexed(code.body, code.ins, code.outs, mid), 0, g))
-        return "\n".join(lines)
-    return _pp(code, 0, g)
+    return _GRAMMARS[universe]
+
+
+def parse_code(universe: str, text: str):
+    """Parse one code in the named universe's concrete syntax."""
+    g = _row(universe)
+    return g.read(text, g)
+
+
+def print_code(universe: str, code) -> str:
+    """Canonical concrete syntax: single spaces, minimal parentheses."""
+    g = _row(universe)
+    return g.show(code, g)

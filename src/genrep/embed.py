@@ -16,6 +16,7 @@ composition or fixed point becomes a named environment entry.
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 from . import indexed, instant, multirec, polyp, regular, spine
@@ -453,32 +454,90 @@ class PathContext(spine.Record):
 
 
 def regular_context(code: regular.RegularCode) -> PathContext:
-    return PathContext("regular", code)
+    return PathContext(REGULAR.name, code)
 
 
 def polyp_context(code: polyp.PolyPCode) -> PathContext:
-    return PathContext("polyp", code)
+    return PathContext(POLYP.name, code)
 
 
 def multirec_context(code: multirec.MultirecCode, at: IndexLabel) -> PathContext:
-    return PathContext("multirec", code, at=at)
+    return PathContext(MULTIREC.name, code, at=at)
 
 
-def indexed_context(
-    code: indexed.IndexedCode, table: KSetTable, at: IndexLabel
-) -> PathContext:
-    return PathContext("indexed", code, at=at, table=table)
+def indexed_context(code: indexed.IndexedCode, table: KSetTable, at: IndexLabel) -> PathContext:
+    return PathContext(INDEXED.name, code, at=at, table=table)
+
+
+class Universe(NamedTuple):
+    """One universe as the rest of genrep tells it apart, a row of
+    ``UNIVERSES``; each field is the universe's own walk or data, so the
+    cross-universe checks compare independent interpreters. A code is read
+    at each label of ``family(code)`` (the CLI's ``family_word``), if any,
+    under the constant ``table(code)``. ``mapper(ctx, fs)`` maps by a
+    transformer family, one function per parameter, one layer deep if
+    ``one_layer``. Without a ``generator(ctx)``, a context is enumerated
+    along the steps ``to_indexed`` to its closed indexed lift once
+    ``check(code)`` passes."""
+
+    name: str
+    conformer: Callable[[PathContext], Callable[[GenericValue], bool]]
+    family: Callable[[object], IndexSet] | None = None
+    family_word: str | None = None
+    table: Callable[[object], KSetTable] | None = None
+    mapper: Callable[[PathContext, tuple], Callable] | None = None
+    one_layer: bool = False
+    generator: Callable[[PathContext], spine.Generating] | None = None
+    to_indexed: tuple[str, ...] = ()
+    check: Callable[[object], None] = lambda code: None
+    needs_env: bool = False
+
+
+def _labels_in_set(code: multirec.MultirecCode) -> None:
+    """The indexed generator yields nothing at a tag outside its outputs,
+    where the multirec conformer raises."""
+    for node in spine.atoms(code.body):
+        multirec.check_index(code, node.label)
+
+
+REGULAR = Universe(
+    "regular", lambda ctx: regular.mu_conformer(ctx.code),
+    mapper=lambda ctx, fs: regular.mapper(ctx.code, *fs), one_layer=True,
+    to_indexed=("r-p", "p-i"))
+POLYP = Universe(
+    "polyp", lambda ctx: polyp.Conformer(polyp.MuSlot(ctx.code, TOP_SLOT)),
+    mapper=lambda ctx, fs: polyp.Mapper(polyp.MuSlot(ctx.code, *fs)), to_indexed=("p-i",))
+MULTIREC = Universe(
+    "multirec", lambda ctx: multirec.mu_conformer(ctx.code, ctx.at),
+    family=attrgetter("indices"), family_word="index set",
+    mapper=lambda ctx, fs: multirec.mapper(ctx.code, dict.fromkeys(ctx.code.indices, *fs), ctx.at),
+    one_layer=True, to_indexed=("m-i",), check=_labels_in_set)
+INDEXED = Universe(
+    "indexed", lambda ctx: indexed.Conformer(ctx.code, payload_slots(ctx.table), ctx.at),
+    family=attrgetter("outs"), family_word="output set", table=standard_table,
+    mapper=lambda ctx, fs: indexed.Mapper(ctx.code, dict.fromkeys(ctx.code.ins, *fs), ctx.at),
+    generator=lambda ctx: indexed.Generator(ctx.code, payload_slots(ctx.table), ctx.at))
+INSTANT = Universe(
+    "instant", lambda ctx: instant.conformer(ctx.env, ctx.code),
+    generator=lambda ctx: instant.generator(ctx.env, ctx.code), needs_env=True)
+
+# universe name -> its row, in order of expressive power
+UNIVERSES = {row.name: row for row in (REGULAR, POLYP, MULTIREC, INDEXED, INSTANT)}
+
+
+def universe_row(name: str) -> Universe:
+    """The row of the universe ``name``."""
+    try:
+        return UNIVERSES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown universe: {name!r}") from None
 
 
 def family(universe: str, code) -> IndexSet | None:
     """The indices a code is read at: a multirec family's index set or an
     indexed code's outputs; None in the universes without indices."""
-    match universe:
-        case "multirec":
-            return code.indices
-        case "indexed":
-            return code.outs
-    return None
+    row = universe_row(universe)
+    return None if row.family is None else row.family(code)
 
 
 def contexts(
@@ -487,17 +546,16 @@ def contexts(
     """One context per index of the code's family, or the one context at
     ``at``; universes without indices give one context and ignore ``at``.
     ``env`` is the environment of an instant code, which it needs."""
-    if universe == "instant" and env is None:
+    row = universe_row(universe)
+    if row.needs_env and env is None:
         raise ValueError("an instant context needs an environment")
-    labels = family(universe, code)
-    if labels is None:
+    if row.family is None:
         return [PathContext(universe, code, env=env)]
+    labels = row.family(code)
     if at is not None:
         labels = (at,)
-    if universe == "multirec":
-        return [multirec_context(code, lbl) for lbl in labels]
-    table = standard_table(code)
-    return [indexed_context(code, table, lbl) for lbl in labels]
+    table = None if row.table is None else row.table(code)
+    return [PathContext(universe, code, at=lbl, table=table) for lbl in labels]
 
 
 def payload_slots(table: KSetTable) -> dict[IndexLabel, indexed.IndexedSlot]:
@@ -512,18 +570,7 @@ def conformer(ctx: PathContext) -> Callable[[GenericValue], bool]:
     """Conformance where ``ctx`` says a value lives, for as many values as
     it is asked about: one conformer of the context's universe, whose memo
     judges each shared subtree once and lives as long as the result."""
-    match ctx.universe:
-        case "regular":
-            return regular.mu_conformer(ctx.code)
-        case "polyp":
-            return polyp.Conformer(polyp.MuSlot(ctx.code, TOP_SLOT))
-        case "multirec":
-            return multirec.mu_conformer(ctx.code, ctx.at)
-        case "indexed":
-            return indexed.Conformer(ctx.code, payload_slots(ctx.table), ctx.at)
-        case "instant":
-            return instant.conformer(ctx.env, ctx.code)
-    raise ValueError(f"unknown universe: {ctx.universe!r}")
+    return universe_row(ctx.universe).conformer(ctx)
 
 
 def conforms(ctx: PathContext, v: GenericValue) -> bool:
@@ -552,7 +599,7 @@ def _instant_target(ctx: PathContext) -> PathContext:
     """The lift of the code at the source's index, in the lift's environment."""
     indexed.check_output(ctx.code, ctx.at)
     lifted, env = lift_i_to_ig(ctx.code, ctx.table)
-    return PathContext("instant", lifted[ctx.at], env=env)
+    return PathContext(INSTANT.name, lifted[ctx.at], env=env)
 
 
 Walks = dict[str, spine.Walk]

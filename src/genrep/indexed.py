@@ -261,9 +261,6 @@ def conform_i(code: IndexedCode, assign: SlotTable, at: IndexLabel, v: GenericVa
     return spine.borrow(code, ("conform_i", at, spine.Contents(assign)), build, v)
 
 
-IxTransform = Mapping[IndexLabel, Transformer]
-
-
 class Mapper(Walk):
     """Apply a per-index transformer family at every identity position.
 
@@ -293,17 +290,6 @@ class Mapper(Walk):
 
     def _tag(self, lbl: IndexLabel, at: IndexLabel) -> Callable[[GenericValue], GenericValue]:
         return spine.map_tag
-
-
-def map_i(
-    code: IndexedCode,
-    fam: IxTransform,
-    at: IndexLabel,
-    v: GenericValue,
-) -> GenericValue:
-    """Apply a per-index transformer family at every identity position; see
-    ``Mapper``."""
-    return Mapper(code, fam, at)(v)
 
 
 class Generator(Walk, spine.Generating):

@@ -154,13 +154,3 @@ def mapper(
         return spine.raising(TypeError, f"not a multirec body: {node!r}")
 
     return spine.mapper(code.body, atom)
-
-
-def map_m(
-    code: MultirecCode,
-    fam: Mapping[IndexLabel, Transformer],
-    at: IndexLabel,
-    v: GenericValue,
-) -> GenericValue:
-    """Apply the per-index family at identity positions; tags pass through."""
-    return mapper(code, fam, at)(v)

@@ -23,10 +23,11 @@ asks an operand only at the operand's sizes, so no closure is called for
 a size that has no values; FEAT likewise counts a type's values by size
 before it builds any.
 
-Regular, polyp and multirec contexts are enumerated through their closed
-indexed lift, which the r→p, p→i and m→i steps give; those keep the tree,
-so the lift has exactly the context's values. The source universe's own
-conformer rechecks each one.
+A context is enumerated as its universe's row in ``embed.UNIVERSES``
+says: indexed and instant by their own generator, regular, polyp and
+multirec through their closed indexed lift, along the row's ``to_indexed``
+steps (r→p, p→i, m→i). Those keep the tree, so the lift has exactly the
+context's values, and the source universe's own conformer rechecks each.
 
 The indexed recheck, ``indexed.Conformer``, reads a code through the same
 ``indexed.Walk`` dispatch over identity positions, compositions and fixed
@@ -159,38 +160,26 @@ def enum_indexed(
 def enum_instant(
     env: instant.CodeEnv, code: instant.InstantCode, budget: EnumBudget
 ) -> list[GenericValue]:
-    return _rechecked(
-        _finish(instant.generator(env, code), budget.max_size), instant.conformer(env, code)
-    )
+    return _enumerate(PathContext(embed.INSTANT.name, code, env=env), budget)
 
 
 # ---------------------------------------------------------------------------
-# dispatch over the enumerators by context
-
-
-# universe -> the steps that carry its contexts to their closed indexed
-# lift; they keep the tree, so a context's values are its lift's values
-_TO_INDEXED = {"regular": ("r-p", "p-i"), "polyp": ("p-i",), "multirec": ("m-i",)}
+# enumeration by context
 
 
 def _enumerate(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
-    """The values of ``ctx``. An indexed or instant context runs its
-    universe's enumerator afresh. Any other takes the values of its closed
-    indexed lift from ``enum_context``, and its own universe's conformer,
-    built first, rechecks them."""
-    match ctx.universe:
-        case "indexed":
-            return enum_indexed(ctx.code, embed.payload_slots(ctx.table), ctx.at, budget)
-        case "instant":
-            return enum_instant(ctx.env, ctx.code, budget)
-    conforms = embed.conformer(ctx)
+    """The values of ``ctx``. A context of a universe with a generator of
+    its own (indexed, instant) runs it afresh. Any other takes the values of
+    its closed indexed lift from ``enum_context``, and its own universe's
+    conformer, built first, rechecks them."""
+    row = embed.universe_row(ctx.universe)
+    if row.generator is not None:
+        return _rechecked(_finish(row.generator(ctx), budget.max_size), row.conformer(ctx))
+    conforms = row.conformer(ctx)
     lifted = ctx
-    for step in _TO_INDEXED[ctx.universe]:
+    for step in row.to_indexed:
         lifted = embed.STEPS[step].context(lifted)
-    if ctx.universe == "multirec":
-        # the indexed generator yields nothing at a tag outside its outputs
-        for node in spine.atoms(ctx.code.body):
-            multirec.check_index(ctx.code, node.label)
+    row.check(ctx.code)
     return _rechecked(enum_context(lifted, budget), conforms)
 
 
@@ -338,24 +327,17 @@ def _fmap_r_p(ctx: PathContext, fs):
 # functor key -> (default codes, the contexts of a code, the values of a
 # context, fmap). ``fmap(ctx, family)`` takes a transformer family, a tuple
 # of one function per parameter, and returns the map the family induces: a
-# mapper, compiled once to serve every value it maps (a regular or multirec
-# mapper maps one layer, which has no recursion point). The open p→i lift
-# maps under split families (parameter, recursion); its standard table gives
-# both inputs the ``⊤`` slot.
+# mapper, compiled once to serve every value it maps. Each universe whose
+# row has a ``mapper`` is a functor over its corpus codes; a mapper of one
+# layer maps the layers under the context's values (``_layers``). The open
+# p→i lift maps under split families (parameter, recursion).
 _FUNCTORS = {
-    "regular": (corpus.REGULAR_CODES, partial(embed.contexts, "regular"), _layers,
-                lambda ctx, fs: regular.mapper(ctx.code, *fs)),
-    "polyp": (corpus.POLYP_CODES, partial(embed.contexts, "polyp"), enum_context,
-              lambda ctx, fs: polyp.Mapper(polyp.MuSlot(ctx.code, *fs))),
-    "multirec": (corpus.MULTIREC_CODES, partial(embed.contexts, "multirec"), _layers,
-                 lambda ctx, fs: multirec.mapper(
-                     ctx.code, dict.fromkeys(ctx.code.indices, *fs), ctx.at)),
-    "indexed": (corpus.INDEXED_CODES, partial(embed.contexts, "indexed"), enum_context,
-                lambda ctx, fs: indexed.Mapper(
-                    ctx.code, dict.fromkeys(ctx.code.ins, *fs), ctx.at)),
-    "r-p": (corpus.REGULAR_CODES, partial(embed.contexts, "regular"), _layers, _fmap_r_p),
+    **{name: (corpus.CODES[name], partial(embed.contexts, name),
+              _layers if row.one_layer else enum_context, row.mapper)
+       for name, row in embed.UNIVERSES.items() if row.mapper is not None},
+    "r-p": (corpus.REGULAR_CODES, partial(embed.contexts, embed.REGULAR.name), _layers, _fmap_r_p),
     "p-i": (corpus.POLYP_CODES,
-            lambda code: embed.contexts("indexed", embed.lift_p_to_i(code), at=STAR),
+            lambda code: embed.contexts(embed.INDEXED.name, embed.lift_p_to_i(code), at=STAR),
             enum_context,
             lambda ctx, fs: indexed.Mapper(
                 ctx.code, indexed.split_tables({STAR: fs[0]}, {STAR: fs[1]}), ctx.at)),

@@ -132,8 +132,12 @@ class Mapper(_Walk):
     """Map a value at the slot, read as a transformer family: a ``MuSlot``
     maps one more fixed-point layer, one ``Roll`` of the value, an
     ``InterpSlot`` maps one layer of its code, and any other entry is a
-    transformer, which is applied. Transformers must be pure: the memo
-    reuses one result for every position that holds the same subtree."""
+    transformer, which is applied: ``Mapper(InterpSlot(code, SlotPair(f,
+    g)))`` applies ``f`` at parameter positions and ``g`` at recursive
+    positions of one layer. Composition layers hide a fixed point, so
+    mapping through them unrolls it, one ``Roll`` of the value per layer.
+    Transformers must be pure: the memo reuses one result for every
+    position that holds the same subtree."""
 
     _spine = staticmethod(spine.mapper)
 
@@ -154,20 +158,6 @@ class Mapper(_Walk):
 
     def _leaf(self, f: Transformer) -> Transformer:
         return f
-
-
-def map_p(
-    code: PolyPCode,
-    f: Transformer,
-    g: Transformer,
-    v: GenericValue,
-) -> GenericValue:
-    """Apply ``f`` at parameter positions and ``g`` at recursive positions.
-
-    Composition layers hide a fixed point, so mapping through them unrolls
-    it, one ``Roll`` of the value per layer.
-    """
-    return Mapper(InterpSlot(code, SlotPair(f, g)))(v)
 
 
 def pmap(

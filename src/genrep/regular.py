@@ -88,11 +88,6 @@ def mapper(code: RegularCode, f: Transformer) -> Callable[[GenericValue], Generi
     return spine.mapper(code, _identity(f))
 
 
-def map_r(code: RegularCode, f: Transformer, v: GenericValue) -> GenericValue:
-    """Apply ``f`` at every identity position of one layer."""
-    return mapper(code, f)(v)
-
-
 RegularAlgebra = Callable[[GenericValue], GenericValue]
 
 
@@ -121,8 +116,3 @@ def to_nat_alg(v: GenericValue) -> GenericValue:
         case In2(Payload(token)) if token.sort == NAT_SORT:
             return Payload(PayloadToken(NAT_SORT, token.ident + 1))
     raise MalformedValue(f"to_nat_alg cannot consume {print_value(v)}")
-
-
-def re_roll_alg(v: GenericValue) -> GenericValue:
-    """Algebra that rebuilds the value it folds; cata with it is the identity."""
-    return Roll(v)

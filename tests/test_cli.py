@@ -163,6 +163,28 @@ def test_unknown_property_name_exits_two():
     assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("laws", "--universe", "instant", "--code", "List⊤", "--max-size", "6"),
+         "laws supports regular, polyp, multirec, and indexed"),
+        (("enum", "--universe", "instant", "--code", "List⊤", "--max-size", "6"),
+         "enum in the instant universe needs --env"),
+        (("check", "--universe", "instant", "--code", "List⊤", "--value", "aList"),
+         "check in the instant universe needs --env"),
+        (("lift", "--from", "polyp", "--to", "regular", "--code", "ListC"),
+         "no embedding from polyp to regular; pairs are indexed:instant, multirec:indexed, "
+         "polyp:indexed, regular:multirec, regular:polyp"),
+    ],
+    ids=["laws", "enum-env", "check-env", "no-embedding"],
+)
+def test_universe_messages_are_pinned(argv, message):
+    """What the CLI says about a universe that lacks laws, an environment
+    or an embedding, byte for byte, as one stderr line with exit 2."""
+    out = run_cli(*argv)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_check_has_no_fuel_flag():
     out = run_cli(
         "check", "--universe", "instant", "--env", "List⊤", "--code", "List⊤",

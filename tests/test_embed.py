@@ -296,17 +296,16 @@ def test_i_ig_keeps_the_contents_of_a_nat_parameter(code):
 
 def test_map_commutes_with_the_polyp_lift():
     """Mapping the lifted code then converting back equals mapping directly."""
-    from genrep.polyp import map_p
-    from genrep.regular import map_r
+    from genrep import polyp, regular
 
     succ = lambda v: Roll(In2(v))
     lifted = lift_r_to_p(NAT_C)
+    lifted_map = polyp.Mapper(polyp.InterpSlot(lifted, polyp.SlotPair(lambda u: u, succ)))
+    direct_map = regular.mapper(NAT_C, succ)
     for v in enum_mu_regular(NAT_C, BUDGET):
         match v:
             case Roll(w):
-                lifted_image = map_p(lifted, lambda u: u, succ, w)
-                direct = map_r(NAT_C, succ, w)
-                assert lifted_image == direct
+                assert lifted_map(w) == direct_map(w)
 
 
 def test_conversion_paths_agree():
@@ -533,6 +532,18 @@ def test_contexts_read_a_family_at_each_index_or_at_one():
         indexed_context(LIST_I, standard_table(LIST_I), STAR)
     ]
     assert contexts("regular", NAT_C, at=STAR) == [regular_context(NAT_C)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: contexts("bogus", NAT_C), lambda: embed.family("bogus", NAT_C),
+     lambda: embed.conformer(embed.PathContext("bogus", NAT_C))],
+    ids=["contexts", "family", "conformer"],
+)
+def test_an_unknown_universe_is_refused_where_it_enters(call):
+    """No context of an unknown universe is built, to fail later."""
+    with pytest.raises(ValueError, match="^unknown universe: 'bogus'$"):
+        call()
 
 
 def test_an_instant_context_needs_an_environment():

@@ -17,13 +17,13 @@ from genrep.corpus import (
 from genrep.gvalue import IndexNotInSet, MalformedValue, PayloadSlot, identity
 from genrep.oracle import EnumBudget, enum_context
 from genrep.indexed import (
+    Mapper,
     conform_i,
-    map_i,
     mu_assign,
     split_tables,
     wellformed_i,
 )
-from genrep.regular import map_r
+from genrep.regular import mapper
 from helpers import indexed_list, rose
 
 STAR = label("⋆")
@@ -62,14 +62,14 @@ def test_conform_rejects_index_outside_outputs():
 def test_map_reaches_parameters_under_the_fixed_point():
     bump = lambda v: payload("nat", v.token.ident + 1)
     nats = indexed_list([payload("nat", 0), payload("nat", 4)])
-    assert map_i(LIST_I, {STAR: bump}, STAR, nats) == indexed_list(
+    assert Mapper(LIST_I, {STAR: bump}, STAR)(nats) == indexed_list(
         [payload("nat", 1), payload("nat", 5)]
     )
 
 
 def test_map_identity_preserves_rose_values():
     rose = Roll(Pair(TT(), Roll(In1(TT()))))
-    assert map_i(ROSE_I, {STAR: lambda v: v}, STAR, rose) == rose
+    assert Mapper(ROSE_I, {STAR: lambda v: v}, STAR)(rose) == rose
 
 
 def test_split_tables_tag_left_and_right():
@@ -97,7 +97,7 @@ def _count_tagging(monkeypatch):
     "walk",
     [
         lambda code, v: indexed.Conformer(code, TOP_ASSIGN, STAR)(v),
-        lambda code, v: map_i(code, {STAR: lambda w: w}, STAR, v),
+        lambda code, v: Mapper(code, {STAR: lambda w: w}, STAR)(v),
     ],
     ids=["conform_i", "map_i"],
 )
@@ -126,7 +126,7 @@ def test_walks_build_each_fixed_points_table_once(monkeypatch, walk):
     "walk",
     [
         lambda v: indexed.Conformer(LIST_I, TOP_ASSIGN, STAR)(v),
-        lambda v: map_i(LIST_I, {STAR: lambda w: w}, STAR, v),
+        lambda v: Mapper(LIST_I, {STAR: lambda w: w}, STAR)(v),
     ],
     ids=["conform_i", "map_i"],
 )
@@ -151,21 +151,21 @@ def test_walks_check_the_output_index_once(monkeypatch, walk):
 @pytest.mark.parametrize(
     "walk, message, error",
     [
-        (lambda: map_i(LIST_I, {STAR: identity}, STAR, In1(TT())),
+        (lambda: Mapper(LIST_I, {STAR: identity}, STAR)(In1(TT())),
          "fixed-point layer is not rolled: in1 tt", MalformedValue),
-        (lambda: map_i(LIST_I, {STAR: identity}, STAR, Roll(In2(Pair(TT(), In1(TT()))))),
+        (lambda: Mapper(LIST_I, {STAR: identity}, STAR)(Roll(In2(Pair(TT(), In1(TT()))))),
          "fixed-point layer is not rolled: in1 tt", MalformedValue),
-        (lambda: map_i(ZIG_ZAG_I, {}, left(STAR), Roll(In1(Pair(TT(), In2(TT()))))),
+        (lambda: Mapper(ZIG_ZAG_I, {}, left(STAR))(Roll(In1(Pair(TT(), In2(TT()))))),
          "tag position is not refl: tt", MalformedValue),
-        (lambda: map_i(LIST_I, {}, STAR, indexed_list([TT()])),
+        (lambda: Mapper(LIST_I, {}, STAR)(indexed_list([TT()])),
          "no transformer for index L.⋆", IndexNotInSet),
-        (lambda: map_i(NAT_I, {STAR: identity}, label("nosuch"), Roll(In1(TT()))),
+        (lambda: Mapper(NAT_I, {STAR: identity}, label("nosuch"))(Roll(In1(TT()))),
          "index nosuch is not an output of the code", IndexNotInSet),
-        (lambda: map_r(NAT_C, identity, TT()),
+        (lambda: mapper(NAT_C, identity)(TT()),
          "sum layer is not an injection: tt", MalformedValue),
-        (lambda: map_r(BIN_C, identity, In2(TT())),
+        (lambda: mapper(BIN_C, identity)(In2(TT())),
          "product layer is not a pair: tt", MalformedValue),
-        (lambda: map_r(BIN_C, identity, In1(Refl())),
+        (lambda: mapper(BIN_C, identity)(In1(Refl())),
          "unit layer is not tt: refl", MalformedValue),
     ],
     ids=["fix", "fix-inner", "tag", "no-transformer", "index", "sum", "product", "unit"],

@@ -153,7 +153,7 @@ def test_a_shared_subtree_is_judged_per_point():
             assert [conforms(v) for v in order] == [v is leaf for v in order]
             assert [embed.conforms(ctx, v) for v in order] == [v is leaf for v in order]
         mapper = indexed.Mapper(corpus.ROSE_I, top, embed.STAR)
-        fresh = partial(indexed.map_i, corpus.ROSE_I, top, embed.STAR)
+        fresh = lambda v: indexed.Mapper(corpus.ROSE_I, top, embed.STAR)(v)
         assert [_outcome(mapper, v) for v in order] == [_outcome(fresh, v) for v in order]
     assert _outcome(fresh, bad) == "product layer is not a pair: in1 tt"
     assert _outcome(fresh, twice) == "sum layer is not an injection: (tt , <in1 tt>)"
@@ -217,7 +217,7 @@ def test_ids_reused_after_a_value_dies_do_not_hit_the_memo():
         v = indexed_list([rng.choice(_ITEMS)() for _ in range(rng.randrange(4))])
         ok = embed.conforms(ctx, v)
         assert conforms(v) == ok
-        assert mapper(v) == indexed.map_i(corpus.LIST_I, fam, embed.STAR, v)
+        assert mapper(v) == indexed.Mapper(corpus.LIST_I, fam, embed.STAR)(v)
         accepted += ok
         del v
     assert 0 < accepted < 10_000
@@ -265,6 +265,6 @@ def test_maps_share_what_they_map_once():
     heads = [Roll(In2(Pair(TT(), tail))) for _ in range(3)]
     mapper = indexed.Mapper(corpus.LIST_I, {embed.STAR: partial(Pair, TT())}, embed.STAR)
     images = [mapper(v) for v in heads]
-    fresh = indexed.map_i(corpus.LIST_I, {embed.STAR: partial(Pair, TT())}, embed.STAR, heads[0])
+    fresh = indexed.Mapper(corpus.LIST_I, {embed.STAR: partial(Pair, TT())}, embed.STAR)(heads[0])
     assert images[0] == fresh
     assert images[0].inner.value.second is images[1].inner.value.second

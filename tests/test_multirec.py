@@ -9,7 +9,7 @@ from genrep.multirec import (
     Unit,
     conform_m,
     conform_mu_m,
-    map_m,
+    mapper,
     mu_assignment,
 )
 
@@ -53,13 +53,13 @@ def test_mu_assignment_covers_every_index():
 def test_map_m_with_identity_family():
     fam = {LSTAR: lambda v: v, RSTAR: lambda v: v}
     layer = In1(Pair(Refl(), In2(TT())))
-    assert map_m(ZIG_ZAG_C, fam, LSTAR, layer) == layer
+    assert mapper(ZIG_ZAG_C, fam, LSTAR)(layer) == layer
 
 
 def test_map_m_applies_per_index():
     tag = {LSTAR: lambda v: In1(v), RSTAR: lambda v: In2(v)}
     layer = In2(Pair(Refl(), ZIG_STOP))
-    assert map_m(ZIG_ZAG_C, tag, RSTAR, layer) == In2(Pair(Refl(), In1(ZIG_STOP)))
+    assert mapper(ZIG_ZAG_C, tag, RSTAR)(layer) == In2(Pair(Refl(), In1(ZIG_STOP)))
 
 
 def test_one_layer_reads_a_payload_slot_at_an_identity_position():

@@ -10,7 +10,7 @@ from genrep.corpus import (
     TREE_OF_LISTS,
 )
 from genrep.gvalue import PayloadSlot
-from genrep.polyp import conform_mu_p, conform_p, map_p, pmap, MuSlot, SlotPair
+from genrep.polyp import conform_mu_p, conform_p, pmap, InterpSlot, Mapper, MuSlot, SlotPair
 
 TOP = PayloadSlot("⊤")
 NAT = PayloadSlot("nat")
@@ -73,4 +73,4 @@ def test_pmap_reaches_parameters_under_composition():
 def test_map_p_identity_on_one_layer():
     ident = lambda v: v
     layer = In2(Pair(TT(), Roll(In1(TT()))))
-    assert map_p(LIST_C, ident, ident, layer) == layer
+    assert Mapper(InterpSlot(LIST_C, SlotPair(ident, ident)))(layer) == layer

@@ -17,8 +17,7 @@ from genrep.regular import (
     cata_r,
     conform_mu_r,
     conform_r,
-    map_r,
-    re_roll_alg,
+    mapper,
     to_nat_alg,
 )
 
@@ -58,9 +57,9 @@ def test_cata_counts_a_nat_to_two():
 
 
 def test_cata_with_re_roll_is_identity():
-    assert cata_r(NAT_C, re_roll_alg, A_NAT) == A_NAT
+    assert cata_r(NAT_C, Roll, A_NAT) == A_NAT
     node = Roll(In2(Pair(Roll(In1(TT())), Roll(In1(TT())))))
-    assert cata_r(BIN_C, re_roll_alg, node) == node
+    assert cata_r(BIN_C, Roll, node) == node
 
 
 def test_cata_rejects_non_conforming_input():
@@ -70,5 +69,5 @@ def test_cata_rejects_non_conforming_input():
 
 def test_map_r_applies_at_identity_positions():
     relabel = lambda v: Roll(In2(v))
-    assert map_r(NAT_C, relabel, In1(TT())) == In1(TT())
-    assert map_r(NAT_C, relabel, In2(numeral(0))) == In2(Roll(In2(numeral(0))))
+    assert mapper(NAT_C, relabel)(In1(TT())) == In1(TT())
+    assert mapper(NAT_C, relabel)(In2(numeral(0))) == In2(Roll(In2(numeral(0))))

@@ -25,7 +25,7 @@ TOP = PayloadSlot("⊤")
 def _generator(ctx):
     """A fresh generator of ``ctx``: a regular, polyp or multirec context's
     is that of its closed indexed lift, which enumeration reads."""
-    for step in oracle._TO_INDEXED.get(ctx.universe, ()):
+    for step in embed.universe_row(ctx.universe).to_indexed:
         ctx = embed.STEPS[step].context(ctx)
     if ctx.universe == "instant":
         return instant.generator(ctx.env, ctx.code)

@@ -30,24 +30,29 @@ def _i_ig(code, at, direction):
     return embed.STEPS["i-ig"].walks[direction](ctx)
 
 
+def _fresh(build, *args):
+    """A call that compiles a walk ``build(*args)`` for each value."""
+    return lambda v: build(*args)(v)
+
+
+LIST_C_LAYER = polyp.InterpSlot(corpus.LIST_C, polyp.SlotPair(identity, identity))
+
 # walk -> (a fresh call, a factory of a walk held for many values)
 WALKS = {
-    "map_r-NatC": (partial(regular.map_r, corpus.NAT_C, identity),
+    "map_r-NatC": (_fresh(regular.mapper, corpus.NAT_C, identity),
                    partial(regular.mapper, corpus.NAT_C, identity)),
-    "map_r-BinC": (partial(regular.map_r, corpus.BIN_C, identity),
+    "map_r-BinC": (_fresh(regular.mapper, corpus.BIN_C, identity),
                    partial(regular.mapper, corpus.BIN_C, identity)),
-    "map_m": (partial(multirec.map_m, corpus.ZIG_ZAG_C, ZIG_FAM, LSTAR),
+    "map_m": (_fresh(multirec.mapper, corpus.ZIG_ZAG_C, ZIG_FAM, LSTAR),
               partial(multirec.mapper, corpus.ZIG_ZAG_C, ZIG_FAM, LSTAR)),
     "pmap-ListC": (partial(polyp.pmap, corpus.LIST_C, identity),
                    lambda: polyp.Mapper(polyp.MuSlot(corpus.LIST_C, identity))),
     "pmap-RoseC": (partial(polyp.pmap, corpus.ROSE_C, identity),
                    lambda: polyp.Mapper(polyp.MuSlot(corpus.ROSE_C, identity))),
-    "map_p": (lambda v: polyp.map_p(corpus.LIST_C, identity, identity, v),
-              lambda: polyp.Mapper(polyp.InterpSlot(
-                  corpus.LIST_C, polyp.SlotPair(identity, identity)))),
-    "map_i-ListI": (partial(indexed.map_i, corpus.LIST_I, {STAR: identity}, STAR),
+    "map_p": (_fresh(polyp.Mapper, LIST_C_LAYER), partial(polyp.Mapper, LIST_C_LAYER)),
+    "map_i-ListI": (_fresh(indexed.Mapper, corpus.LIST_I, {STAR: identity}, STAR),
                     partial(indexed.Mapper, corpus.LIST_I, {STAR: identity}, STAR)),
-    "map_i-ZigZagI": (partial(indexed.map_i, corpus.ZIG_ZAG_I, {}, LSTAR),
+    "map_i-ZigZagI": (_fresh(indexed.Mapper, corpus.ZIG_ZAG_I, {}, LSTAR),
                       partial(indexed.Mapper, corpus.ZIG_ZAG_I, {}, LSTAR)),
     **{
         f"i-ig-{name}-{direction}": (
@@ -148,26 +153,27 @@ LAZY = {
                        TypeError, "not a regular code: Refl()"),
     "conform_r-slot": (partial(regular.conform_r, Sum(Unit(), regular.Id()), FOREIGN()),
                        TypeError, "not a regular slot: Refl()"),
-    "map_r": (partial(regular.map_r, Sum(Unit(), FOREIGN()), identity),
+    "map_r": (_fresh(regular.mapper, Sum(Unit(), FOREIGN()), identity),
               TypeError, "not a regular code: Refl()"),
     "conform_p": (partial(polyp.conform_p, Sum(Unit(), FOREIGN()), polyp.SlotPair(TOP, TOP)),
                   TypeError, "not a polyp code: Refl()"),
-    "map_p": (partial(polyp.map_p, Sum(Unit(), FOREIGN()), identity, identity),
+    "map_p": (_fresh(polyp.Mapper, polyp.InterpSlot(Sum(Unit(), FOREIGN()),
+                                                    polyp.SlotPair(identity, identity))),
               TypeError, "not a polyp code: Refl()"),
     "conform_m-tag": (partial(multirec.conform_m, BAD_M, {STAR: TOP}, STAR),
                       IndexNotInSet, "index nowhere is not in the code's index set"),
-    "map_m": (partial(multirec.map_m, multirec.MultirecCode(X, Sum(Unit(), multirec.Id(NOWHERE))),
-                      {STAR: identity}, STAR),
+    "map_m": (_fresh(multirec.mapper, multirec.MultirecCode(X, Sum(Unit(), multirec.Id(NOWHERE))),
+                     {STAR: identity}, STAR),
               IndexNotInSet, "index nowhere is not in the code's index set"),
-    "map_m-node": (partial(multirec.map_m, multirec.MultirecCode(X, Sum(Unit(), FOREIGN())),
-                           {STAR: identity}, STAR),
+    "map_m-node": (_fresh(multirec.mapper, multirec.MultirecCode(X, Sum(Unit(), FOREIGN())),
+                          {STAR: identity}, STAR),
                    TypeError, "not a multirec body: Refl()"),
     "conform_i": (partial(indexed.conform_i, BAD_I, {STAR: TOP}, STAR),
                   IndexNotInSet, "no slot for index nowhere"),
-    "map_i": (partial(indexed.map_i, BAD_I, {STAR: identity}, STAR),
+    "map_i": (_fresh(indexed.Mapper, BAD_I, {STAR: identity}, STAR),
               IndexNotInSet, "no transformer for index nowhere"),
-    "map_i-node": (partial(indexed.map_i, indexed.IndexedCode(X, X, Sum(Unit(), FOREIGN())),
-                           {STAR: identity}, STAR),
+    "map_i-node": (_fresh(indexed.Mapper, indexed.IndexedCode(X, X, Sum(Unit(), FOREIGN())),
+                          {STAR: identity}, STAR),
                    TypeError, "not an indexed body: Refl()"),
     "i-ig-forward": (lambda v: embed.convert_i_ig(BAD_I, {STAR: instant.Prim("⊤")}, STAR, v,
                                                   "forward"),
