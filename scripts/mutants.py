@@ -110,6 +110,13 @@ MUTANTS = (
         ("tests/test_supports.py::test_a_support_holds_the_sizes_enumeration_yields",),
     ),
     Mutant(
+        "generator-postpones-a-raising-node",
+        "spine.py",
+        "def _raising(error: type[Exception], message: str) -> NoReturn:",
+        "def _raising(error: type[Exception], message: str) -> NoReturn:\n        return NOTHING",
+        ("tests/test_supports.py::test_a_node_that_raises_fails_its_generator_when_it_is_built",),
+    ),
+    Mutant(
         "composition-reads-the-first-middle-label",
         "indexed.py",
         "return {lbl: InterpSlot(g, assign, lbl) for lbl in f.ins}",

@@ -285,6 +285,7 @@ _EXIT_CODES = {
     oracle.UnknownProperty: 2,
     MalformedValue: 1,
     RecursionError: 1,
+    MemoryError: 1,
 }
 
 
@@ -293,6 +294,8 @@ def _message(err: Exception) -> str:
     # (_parse_code_text), so this one came from walking a value.
     if isinstance(err, RecursionError):
         return "value nests too deeply for the recursion limit"
+    if isinstance(err, MemoryError):
+        return "out of memory"
     return str(err)
 
 

@@ -54,6 +54,7 @@ table.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from functools import cache, partial
 from itertools import product
@@ -91,9 +92,11 @@ class EnumBudget(spine.Record):
             raise ValueError(f"max_size must be an int: {self.max_size!r}")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
+        if self.max_size > sys.maxsize:  # no list holds more values than that
+            raise ValueError(f"max_size must be at most {sys.maxsize}")
 
 
-def _finish(gen: Callable[[int], list[GenericValue]], max_size: int) -> list[GenericValue]:
+def _finish(gen: spine.Generating, max_size: int) -> list[GenericValue]:
     """The values ``gen(n)`` gives for each size ``n`` from 1 to
     ``max_size``, ordered by size and then by printed form, which a size's
     branch choices (``_choices``) give: two values of one code first differ
@@ -101,14 +104,11 @@ def _finish(gen: Callable[[int], list[GenericValue]], max_size: int) -> list[Gen
     tokens ``S#0`` and ``S#1`` (``spine.tokens``) print in ident order.
     ``gen`` gives every value of exactly ``n`` nodes once, so nothing repeats.
 
-    A ``spine.Generating`` walk is asked only at the sizes of its support up
-    to ``max_size`` (``support``), which it computes first, and raises there
-    the error of a node that raises (a missing slot, an undefined name, a
-    node of no universe) when an ungated generator would have met it up to
-    ``max_size``, with the same type and message. Any other ``m -> values``
-    callable is asked at every size."""
-    key, values = partial(_choices, {}), []
-    support = gen.support(max_size) if isinstance(gen, spine.Generating) else -1
+    ``gen`` is asked only at the sizes of its support up to ``max_size``
+    (``support``), which it computes first. A code with a node that raises
+    (a missing slot, an undefined name, a node of no universe) has no
+    ``gen``: building it raised that node's error."""
+    key, values, support = partial(_choices, {}), [], gen.support(max_size)
     for n in range(1, max_size + 1):
         if support >> n & 1:
             values += sorted(gen(n), key=key)
@@ -311,8 +311,10 @@ def _wrap_in1(v: GenericValue) -> GenericValue:
 def _layers(ctx: PathContext, budget: EnumBudget) -> list[GenericValue]:
     """The one-layer values of ``ctx`` of at most ``budget.max_size`` nodes:
     the layers under the ``Roll`` of its fixed-point values, one node
-    larger, in the same order."""
-    return [v.inner for v in enum_context(ctx, EnumBudget(budget.max_size + 1))]
+    larger, in the same order. The largest budget has no larger one, and
+    runs out of memory before its last size all the same."""
+    larger = EnumBudget(min(budget.max_size + 1, sys.maxsize))
+    return [v.inner for v in enum_context(ctx, larger)]
 
 
 def _fmap_r_p(ctx: PathContext, fs):

@@ -11,9 +11,11 @@ parameters, tags, constants, references, composition and fixed points.
 ``conformer``, ``mapper`` and ``generator`` compile a whole code into
 closures when a walk is built: they handle the spine and ask an atom
 function supplied by the caller for each atom node's closure (a generator's
-with its support, ``Generating``), which gives
-that node its universe's meaning (a node it does not know raises the
-universe's own ``TypeError`` when a value reaches it). Keeping the atoms
+with its support, ``Generating``), which gives that node its universe's
+meaning. A node it cannot give one (a node of no universe, a missing slot,
+an undefined name) raises the universe's own error: in a conformer or a
+mapper when a value reaches it, in a generator when the walk is built,
+since a generator is asked for every value at once. Keeping the atoms
 apart keeps the universes independent interpreters, which the
 cross-universe checks depend on.
 
@@ -27,8 +29,7 @@ value.
 from __future__ import annotations
 
 from functools import partial
-from math import inf
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .gvalue import (
     EmptySlot,
@@ -147,12 +148,11 @@ def generator(code, atom: Callable[[object], tuple], walk: Generating) -> tuple[
     printed), and ``walk.bits[i]`` is its support (``Generating``).
     ``atom(node)`` is called once per atom node and gives its node. A closure
     is asked only for a size in its support, and asks an operand for a size
-    only when the operand has values of it. A node that raises (a missing
-    slot, an undefined name, a node of no universe) has no size; the walk
-    raises its error, of the same type and message, once it is asked up to
-    a size at which a generator that asked every operand at every size met
-    the node. Each sum and product keeps its values by size in a memo of
-    ``walk.memos``."""
+    only when the operand has values of it, so a leaf is asked only for its
+    one node and a node of no size never. A node that raises (a missing
+    slot, an undefined name, a node of no universe) raises its error when
+    ``atom`` compiles it, so the walk is never built. Each sum and product
+    keeps its values by size in a memo of ``walk.memos``."""
     kind = type(code)
     if kind is Unit:
         return UNIT
@@ -193,7 +193,7 @@ def generator(code, atom: Callable[[object], tuple], walk: Generating) -> tuple[
 
 
 def _unit_values(m: int) -> list[GenericValue]:
-    return [TT()] if m == 1 else []
+    return [TT()]
 
 
 class Walk:
@@ -265,7 +265,8 @@ class Walk:
 
     @staticmethod
     def _raising(error: type[Exception], message: str) -> Callable:
-        """The closure of a node that raises ``error(message)`` (``raising``)."""
+        """The closure of a node that raises ``error(message)`` when a value
+        reaches it (``raising``); a generator raises it at once."""
         return raising(error, message)
 
 
@@ -292,17 +293,13 @@ class Generating(Walk):
     sizes up to ``bound``. ``walk(m)`` extends them to ``m`` first, and asks
     its top only at a size in the top's support.
 
-    A node that raises (``fails``) has no size. ``support(bound)`` raises
-    its error when a generator that asked every operand at every size would
-    have met it up to ``bound`` (``_reached``): such a generator asks a
-    sum's operands one node smaller, a product's left operand at every
-    share, and its right one at the shares the left has values of."""
+    A generator fails when it is built: a node that raises (``_raising``)
+    raises its error at once, whatever size the walk would be asked for."""
 
     def __init__(self):
         self.bits = [0, 0b10]
         self.rules: list[tuple[int, int, int, int]] = []
         self.cells: dict = {}  # a recursion point's key -> its cell
-        self.fails: dict[int, Callable] = {}
         self.bound = 0
         super().__init__()
 
@@ -348,10 +345,10 @@ class Generating(Walk):
         layer, i = node
         return (lambda m: [wrap(w) for w in layer(m - 1)]), self.rule(_SUM, i)
 
-    def _raising(self, error: type[Exception], message: str) -> tuple:
-        i = self._cell()
-        fail = self.fails[i] = raising(error, message)
-        return fail, i
+    @staticmethod
+    def _raising(error: type[Exception], message: str) -> NoReturn:
+        """A node that raises fails the generator as it is built."""
+        raise error(message)
 
     def _extend(self, bound: int) -> None:
         bits, mask, changed = self.bits, (2 << bound) - 2, True
@@ -371,35 +368,7 @@ class Generating(Walk):
                     s &= mask
                 if s != bits[i]:
                     bits[i], changed = s, True
-        if self.fails:
-            reached, fail = self._reached()
-            if reached <= bound:
-                fail(None)
         self.bound = bound
-
-    def _reached(self) -> tuple[float, Callable | None]:
-        """The least size at which an ungated generator asking the top meets
-        a raising node, and the one it meets first there (``inf`` and None if
-        it never does): 1 at a raising node, and from the operands' by the
-        rules, at a tie the left one's. A product's left operand meets one at
-        its least plus two, a pair of its least and a size of the left."""
-        least = [(inf, None)] * len(self.bits)
-        for i, fail in self.fails.items():
-            least[i] = 1, fail
-        changed = True
-        while changed:
-            changed = False
-            for op, i, a, b in self.rules:
-                (s, fail), (t, other) = least[a], least[b]
-                if op == _PROD:
-                    lefts, s = self.bits[a], s + 1
-                    t += (lefts & -lefts).bit_length() - 1 if lefts else inf
-                if op != _SAME:
-                    s, fail = (s, fail) if s <= t else (t, other)
-                    s += 1
-                if s < least[i][0]:
-                    least[i], changed = (s, fail), True
-        return least[self.top[1]]
 
 
 def once(table: dict, key, build: Callable[[], T]) -> T:
@@ -494,28 +463,24 @@ def is_refl(v: GenericValue) -> bool:
 
 
 def tokens(slot: PayloadSlot, m: int) -> list[GenericValue]:
-    """The values of ``slot`` with exactly ``m`` nodes: tokens 0 and 1 of
-    its sort, or ``tt`` for ``⊤``, one node each. A sort has infinitely
-    many tokens, so enumeration keeps two."""
-    if m != 1:
-        return []
+    """The values of ``slot``, of one node each, the only size ``m`` it is
+    asked for: tokens 0 and 1 of its sort, or ``tt`` for ``⊤``. A sort has
+    infinitely many tokens, so enumeration keeps two."""
     if slot.sort == TOP_SORT:
         return [TT()]
     return [payload(slot.sort, 0), payload(slot.sort, 1)]
 
 
 def refl_values(m: int) -> list[GenericValue]:
-    return [Refl()] if m == 1 else []
-
-
-def no_values(m: int) -> list[GenericValue]:
-    return []
+    return [Refl()]
 
 
 # The nodes of a generator's constant leaves: ``tt``, ``refl``, nothing.
+# Supports gate every call, so a leaf is asked only for its one node, and
+# ``NOTHING``, which has no size, is never asked.
 UNIT = _unit_values, ONE_NODE
 REFL = refl_values, ONE_NODE
-NOTHING = no_values, NO_SIZE
+NOTHING = None, NO_SIZE
 
 
 def token_node(slot: PayloadSlot) -> tuple:

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 
@@ -288,20 +289,49 @@ def test_transcripts_are_byte_stable(args):
     assert first.stderr == second.stderr
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("enum", "--universe", "regular", "--code", "NatC"),
-        ("roundtrip", "--from", "regular", "--to", "polyp", "--code", "NatC"),
-        ("laws", "--universe", "regular", "--code", "NatC"),
-        ("props",),
-    ],
-)
+MAX_SIZE_COMMANDS = [
+    ("enum", "--universe", "regular", "--code", "NatC"),
+    ("roundtrip", "--from", "regular", "--to", "polyp", "--code", "NatC"),
+    ("laws", "--universe", "regular", "--code", "NatC"),
+    ("props",),
+]
+
+
+@pytest.mark.parametrize("args", MAX_SIZE_COMMANDS)
 def test_max_size_below_one_is_a_usage_error(args):
     out = run_cli(*args, "--max-size", "0")
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: max_size must be at least 1\n"
+
+
+def _small_address_space():
+    limit = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("args", MAX_SIZE_COMMANDS)
+@pytest.mark.parametrize(
+    "max_size, exit_code, message",
+    [
+        (str(10**20), 2, f"max_size must be at most {sys.maxsize}"),
+        (str(9 * 10**18), 1, "out of memory"),
+        (str(sys.maxsize), 1, "out of memory"),
+    ],
+    ids=["above-maxsize", "out-of-memory", "maxsize"],
+)
+def test_a_huge_max_size_is_one_error_line(args, max_size, exit_code, message):
+    """A size no list can hold is refused; a size whose supports do not fit
+    in memory ends in one error line. The child can allocate little."""
+    out = subprocess.run(
+        [sys.executable, "-m", "genrep", *args, "--max-size", max_size],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=_small_address_space,
+        timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (exit_code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -390,6 +420,17 @@ def test_dangling_reference_is_one_error_line(command):
     out = run_cli(
         command, *universe, "--env", "List⊤", "--code", "R B", "--value", "rec tt"
     )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: reference B is not defined in the environment\n"
+
+
+@pytest.mark.parametrize("max_size", ["1", "2"])
+def test_enum_of_a_dangling_reference_fails_at_every_size(max_size):
+    """The generator fails when it is built, before any size is asked, even
+    one that no value of the code reaches the reference at."""
+    out = run_cli("enum", "--universe", "instant", "--env", "A = U", "--code", "R B",
+                  "--max-size", max_size)
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == "error: reference B is not defined in the environment\n"

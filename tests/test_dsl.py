@@ -408,6 +408,14 @@ def test_a_code_the_printer_cannot_print_is_refused(universe, code, message):
     assert str(err.value) == message
 
 
+def test_an_unknown_universe_is_refused():
+    message = "^unknown universe tag: 'nosuch'$"
+    with pytest.raises(ValueError, match=message):
+        parse_code("nosuch", "U")
+    with pytest.raises(ValueError, match=message):
+        print_code("nosuch", regular.Unit())
+
+
 @pytest.mark.parametrize(
     "code",
     [

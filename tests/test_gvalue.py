@@ -74,6 +74,15 @@ def test_value_size_counts_every_node():
     assert value_size(Konst(payload("a", 7))) == 2
 
 
+@pytest.mark.parametrize(
+    "v", ["tt", Pair(TT(), "tt"), In1(None)], ids=["alone", "paired", "injected"]
+)
+def test_value_size_of_a_non_value_is_malformed(v):
+    """The first node that is no value is named, however deep."""
+    with pytest.raises(MalformedValue, match="^not a generic value: ('tt'|None)$"):
+        value_size(v)
+
+
 @given(gvalues())
 def test_value_size_positive(v):
     assert value_size(v) >= 1

@@ -190,6 +190,11 @@ def test_a_fixed_points_table_holds_its_own_slots():
     assert "..." in repr(under)
 
 
+def test_a_foreign_slot_fails_the_generator_when_it_is_built():
+    with pytest.raises(TypeError, match="^not an indexed slot: 'nat'$"):
+        indexed.Generator(LIST_I, {STAR: "nat"}, STAR)
+
+
 def test_a_fixed_point_that_lacks_the_index_fails_only_when_a_value_reaches_it():
     """The fixed point's inner outputs miss ``a``, so no slot sits at
     ``R.a``: the unit summand passes, the other raises."""

@@ -93,6 +93,16 @@ def test_brute_force_agrees_indexed():
     assert enum_indexed(NAT_I, assign, STAR, EnumBudget(max_size=6)) == brute
 
 
+def test_brute_force_agrees_on_an_empty_slot():
+    """A list of an empty slot has only the empty list: the generator's
+    empty leaf has no size."""
+    assign = {STAR: EmptySlot()}
+    brute = _accepted(lambda t: conform_i(LIST_I, assign, STAR, t), BRUTE_CEILING)
+    assert enum_indexed(LIST_I, assign, STAR, EnumBudget(max_size=BRUTE_CEILING)) == brute
+    values = enum_indexed(LIST_I, assign, STAR, EnumBudget(max_size=8))
+    assert [print_value(v) for v in values] == ["<in1 tt>"]
+
+
 def test_brute_force_agrees_instant():
     body = LIST_TOP_ENV[LIST_TOP_NAME]
     brute = _accepted(lambda t: conform_ig(LIST_TOP_ENV, body, t), 7)
@@ -470,7 +480,7 @@ _BROKEN_GENERATORS = textwrap.dedent(
     budget = oracle.EnumBudget(max_size=6)
     # (owner, name, a generator that emits refl at every size)
     gen_i = (indexed.Generator, "__call__", lambda self, n: [Refl()])
-    gen_ig = (instant, "generator", lambda env, code: lambda n: [Refl()])
+    gen_ig = (instant._Generator, "__call__", lambda self, n: [Refl()])
     cases = {
         "regular": (gen_i, lambda: oracle.enum_mu_regular(corpus.NAT_C, budget)),
         "polyp": (gen_i, lambda: oracle.enum_mu_polyp(corpus.LIST_C, TOP_SLOT, budget)),
@@ -630,7 +640,7 @@ _BROKEN_CONTEXT_GENERATORS = textwrap.dedent(
     list_top = corpus.LIST_TOP_ENV[corpus.LIST_TOP_NAME]
     # (owner, name, a generator that emits refl at every size)
     gen_i = (indexed.Generator, "__call__", lambda self, n: [Refl()])
-    gen_ig = (instant, "generator", lambda env, code: lambda n: [Refl()])
+    gen_ig = (instant._Generator, "__call__", lambda self, n: [Refl()])
     cases = {
         "regular": (gen_i, embed.regular_context(corpus.NAT_C)),
         "polyp": (gen_i, embed.polyp_context(corpus.LIST_C)),

@@ -1,9 +1,9 @@
 """The supports of the generators: for each node, the sizes it has values
 of, computed before any value is built. The top's support must be exactly
 the sizes enumeration yields and the sizes the brute-force tree oracle
-accepts; a generator extends it when asked for more; a code node that
-raises raises as an ungated generator did; and skipping empty sizes is
-pinned by the calls it saves."""
+accepts; a generator extends it when asked for more; a code with a node
+that raises fails when its generator is built, before any size is asked;
+and skipping empty sizes is pinned by the calls it saves."""
 
 import re
 import sys
@@ -111,55 +111,58 @@ X = index_set(STAR)
 NOWHERE = label("nowhere")
 
 
-def _indexed(body, assign):
-    return lambda n: oracle.enum_indexed(
-        indexed.IndexedCode(X, X, body), assign, STAR, EnumBudget(max_size=n))
+def _indexed(code, assign):
+    """Building ``code``'s generator under ``assign`` at ⋆, and enumerating
+    it up to a size."""
+    return (
+        lambda: indexed.Generator(code, assign, STAR),
+        lambda n: oracle.enum_indexed(code, assign, STAR, EnumBudget(max_size=n)),
+    )
+
+
+def _body(body):
+    return indexed.IndexedCode(X, X, body)
 
 
 def _instant(env, code):
-    return lambda n: oracle.enum_instant(env, code, EnumBudget(max_size=n))
+    """Building ``code``'s generator in ``env``, and enumerating it up to a size."""
+    return (
+        lambda: instant.generator(env, code),
+        lambda n: oracle.enum_instant(env, code, EnumBudget(max_size=n)),
+    )
 
 
-# case -> (enumeration up to a size, what it gives at 3, what it gives at 6):
-# the values as printed, or the error and its message. An ungated generator
-# gave the same: it raised as soon as it asked a node that raises, and it
-# asked a sum's operands at every smaller size and a product's left operand
-# at every share.
+# case -> (build, enumerate, error, message): a code with a node that raises,
+# wherever the node sits, even where no size of the top reaches it.
 ERRORS = {
     "missing-slot": (
-        lambda n: oracle.enum_indexed(corpus.LIST_I, {}, STAR, EnumBudget(max_size=n)),
-        ["<in1 tt>"], (IndexNotInSet, "no slot for index L.⋆")),
+        *_indexed(corpus.LIST_I, {}), IndexNotInSet, "no slot for index L.⋆"),
     "missing-slot-right": (
-        _indexed(Sum(Unit(), Prod(indexed.Tag(STAR), indexed.Id(NOWHERE))), {STAR: TOP}),
-        ["in1 tt"], (IndexNotInSet, "no slot for index nowhere")),
+        *_indexed(_body(Sum(Unit(), Prod(indexed.Tag(STAR), indexed.Id(NOWHERE)))), {STAR: TOP}),
+        IndexNotInSet, "no slot for index nowhere"),
     "foreign-node-left": (
-        _indexed(Sum(Unit(), Prod(Foreign(), Unit())), {STAR: TOP}),
-        ["in1 tt"], (TypeError, "not an indexed body: Foreign()")),
+        *_indexed(_body(Sum(Unit(), Prod(Foreign(), Unit()))), {STAR: TOP}),
+        TypeError, "not an indexed body: Foreign()"),
     "foreign-node": (
-        _indexed(Sum(Unit(), Foreign()), {STAR: TOP}),
-        (TypeError, "not an indexed body: Foreign()"),
-        (TypeError, "not an indexed body: Foreign()")),
+        *_indexed(_body(Sum(Unit(), Foreign())), {STAR: TOP}),
+        TypeError, "not an indexed body: Foreign()"),
     "undefined-name": (
-        _instant({"A": instant.R("B")}, instant.R("A")),
-        (MalformedValue, "reference B is not defined in the environment"),
-        (MalformedValue, "reference B is not defined in the environment")),
+        *_instant({"A": instant.R("B")}, instant.R("A")),
+        MalformedValue, "reference B is not defined in the environment"),
     "undefined-name-right": (
-        _instant({"A": Sum(Unit(), instant.R("B"))}, instant.R("A")),
-        ["rec in1 tt"], (MalformedValue, "reference B is not defined in the environment")),
+        *_instant({"A": Sum(Unit(), instant.R("B"))}, instant.R("A")),
+        MalformedValue, "reference B is not defined in the environment"),
     "foreign-instant-node": (
-        _instant({}, Sum(Unit(), Foreign())),
-        (TypeError, "not an instant code: Foreign()"),
-        (TypeError, "not an instant code: Foreign()")),
+        *_instant({}, Sum(Unit(), Foreign())),
+        TypeError, "not an instant code: Foreign()"),
 }
 
 
-@pytest.mark.parametrize("enumerate_, at_3, at_6", ERRORS.values(), ids=ERRORS)
-def test_a_node_that_raises_raises_where_an_ungated_generator_met_it(enumerate_, at_3, at_6):
-    for max_size, expected in ((3, at_3), (6, at_6)):
-        if type(expected) is list:
-            assert [print_value(v) for v in enumerate_(max_size)] == expected
-            continue
-        error, message = expected
-        for _ in range(2):
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                enumerate_(max_size)
+@pytest.mark.parametrize("build, enumerate_, error, message", ERRORS.values(), ids=ERRORS)
+def test_a_node_that_raises_fails_its_generator_when_it_is_built(build, enumerate_, error, message):
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(error, match=match):
+        build()
+    for max_size in (1, 3, 6):
+        with pytest.raises(error, match=match):
+            enumerate_(max_size)
