@@ -137,6 +137,22 @@ MUTANTS = (
         "keys[node] = (kind is In1, *keys[node.value])",
         ("tests/test_oracle.py::test_enumeration_is_sorted_and_duplicate_free",),
     ),
+    Mutant(
+        "laws-count-once-per-context",
+        "oracle.py",
+        """            for lhs, rhs in law(partial(fmap, ctx)):
+                report.checked_count += len(values)""",
+        """            report.checked_count += len(values)
+            for lhs, rhs in law(partial(fmap, ctx)):""",
+        ("tests/test_oracle.py::test_checked_counts_are_pinned_at_size_ten[par-comp]",),
+    ),
+    Mutant(
+        "pitfall-drops-a-failure",
+        "oracle.py",
+        'report.failures.append((witness, "proper", "proper code rejected the witness"))',
+        "pass",
+        ("tests/test_oracle.py::test_pitfall_comp_reports_each_failure",),
+    ),
 )
 
 

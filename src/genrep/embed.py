@@ -56,7 +56,7 @@ def _check_direction(direction: str) -> None:
 
 
 class ConversionReport(spine.Record, frozen=False):
-    """Evidence from a round-trip or law run over enumerated values."""
+    """A suite's number of checks, and only its failing ones: (value, label, reason)."""
 
     checked_count: int
     failures: list[tuple[GenericValue, str, str]]

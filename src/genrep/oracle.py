@@ -58,7 +58,7 @@ import sys
 from bisect import bisect_right
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from . import corpus, embed, indexed, instant, multirec, polyp, regular, spine
 from .embed import STAR, ConversionReport, PathContext, standard_table
@@ -233,28 +233,18 @@ def standard_assign(code: indexed.IndexedCode) -> dict[IndexLabel, indexed.Index
     return embed.payload_slots(standard_table(code))
 
 
-def _report(
-    pairs: Iterable[tuple[GenericValue, str, str | None]],
-) -> ConversionReport:
-    report = ConversionReport()
-    for v, direction, mismatch in pairs:
-        report.checked_count += 1
-        if mismatch is not None:
-            report.failures.append((v, direction, mismatch))
-    return report
-
-
-def _round_trip(values: Iterable[GenericValue], walks: embed.Walks, there: str, back: str):
+def _round_trip(
+    report: ConversionReport, values: list[GenericValue], walks: embed.Walks, there: str, back: str
+) -> None:
+    report.checked_count += len(values)
     for v in values:
         try:
             w = walks[back](walks[there](v))
         except Exception as err:
-            yield v, there, f"{type(err).__name__}: {err}"
+            report.failures.append((v, there, f"{type(err).__name__}: {err}"))
             continue
         if w != v:
-            yield v, there, f"round trip produced {print_value(w)}"
-        else:
-            yield v, there, None
+            report.failures.append((v, there, f"round trip produced {print_value(w)}"))
 
 
 def _arrows(step: str, codes):
@@ -276,28 +266,31 @@ _ARROWS = {step: corpus.CODES[row.source] for step, row in embed.STEPS.items()}
 
 def _iso(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Round trips from every source value, then from every target value."""
-    pairs = []
+    report = ConversionReport()
     for source, target, walks in _arrows(step, codes):
-        pairs += _round_trip(enum_context(source, budget), walks, "forward", "backward")
-        pairs += _round_trip(enum_context(target, budget), walks, "backward", "forward")
-    return _report(pairs)
+        _round_trip(report, enum_context(source, budget), walks, "forward", "backward")
+        _round_trip(report, enum_context(target, budget), walks, "backward", "forward")
+    return report
 
 
 def _transport(step: str, codes, budget: EnumBudget) -> ConversionReport:
     """Every source value converts forward to a value of the lifted code;
     the target is never enumerated."""
-    pairs = []
+    report = ConversionReport()
     for source, target, walks in _arrows(step, codes):
         conforms, forward = embed.conformer(target), walks["forward"]
-        for v in enum_context(source, budget):
+        values = enum_context(source, budget)
+        report.checked_count += len(values)
+        for v in values:
             try:
                 w = forward(v)
                 ok = conforms(w)
             except Exception as err:
-                pairs.append((v, "forward", f"{type(err).__name__}: {err}"))
+                report.failures.append((v, "forward", f"{type(err).__name__}: {err}"))
                 continue
-            pairs.append((v, "forward", None if ok else f"{print_value(w)} does not conform"))
-    return _report(pairs)
+            if not ok:
+                report.failures.append((v, "forward", f"{print_value(w)} does not conform"))
+    return report
 
 
 def _tree_succ(v: GenericValue) -> GenericValue:
@@ -378,19 +371,22 @@ def _congruence(one, two):
 
 def _laws(key: str, label: str, law, codes, budget: EnumBudget) -> ConversionReport:
     """Check every pair of ``law`` on every value of every context of the
-    ``key`` functor; a failure shows the left map's result. A map's memo
+    ``key`` functor. The report counts one check per value and pair, and
+    keeps only the failures, each with the left map's result. A map's memo
     walks each subtree the values share once; the maps die with their pair
     or, when several pairs share them, with the context."""
     _, contexts, values_of, fmap = _FUNCTORS[key]
-    pairs = []
+    report = ConversionReport()
     for code in codes.values():
         for ctx in contexts(code):
             values = values_of(ctx, budget)
             for lhs, rhs in law(partial(fmap, ctx)):
+                report.checked_count += len(values)
                 for v in values:
                     w = lhs(v)
-                    pairs.append((v, label, None if w == rhs(v) else print_value(w)))
-    return _report(pairs)
+                    if w != rhs(v):
+                        report.failures.append((v, label, print_value(w)))
+    return report
 
 
 _MAP_COMP = _composition([((_wrap_in1,), (_tree_succ,))])
@@ -420,14 +416,12 @@ LAWS = {
 
 
 def _prop_pitfall_comp(codes, budget: EnumBudget) -> ConversionReport:
-    witness = corpus.TREE_OF_LISTS
-    naive = embed.conforms(embed.polyp_context(corpus.TREE_LIST_NAIVE), witness)
-    proper = embed.conforms(embed.polyp_context(corpus.TREE_LIST_PROPER), witness)
-    pairs = [
-        (witness, "naive", "naive composition accepted the witness" if naive else None),
-        (witness, "proper", None if proper else "proper code rejected the witness"),
-    ]
-    return _report(pairs)
+    witness, report = corpus.TREE_OF_LISTS, ConversionReport(checked_count=2)
+    if embed.conforms(embed.polyp_context(corpus.TREE_LIST_NAIVE), witness):
+        report.failures.append((witness, "naive", "naive composition accepted the witness"))
+    if not embed.conforms(embed.polyp_context(corpus.TREE_LIST_PROPER), witness):
+        report.failures.append((witness, "proper", "proper code rejected the witness"))
+    return report
 
 
 # name -> (default codes, suite)
@@ -450,7 +444,7 @@ def property_names() -> list[str]:
 def run_property(
     name: str, codes: Mapping | None = None, budget: EnumBudget | None = None
 ) -> ConversionReport:
-    """Run one registered property suite and report every checked value."""
+    """Run one registered property suite; its report counts every check."""
     if name not in _PROPERTIES:
         raise UnknownProperty(f"unknown property: {name}")
     if budget is None:

@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 
 from genrep import index_set, label, left, print_label, print_value, value_size
-from genrep import dsl, embed, indexed, oracle, regular
+from genrep import corpus, dsl, embed, indexed, oracle, regular
 from genrep.corpus import (
     BIN_C,
     INDEXED_CODES,
@@ -372,6 +372,21 @@ def test_a_suite_reports_each_failure_of_the_walks(monkeypatch, name):
     report = run_property(name, {"NatC": NAT_C}, EnumBudget(max_size=5))
     assert report.failures == BROKEN_R_P[name]
     assert report.checked_count == len(BROKEN_R_P[name])
+
+
+def test_pitfall_comp_reports_each_failure(monkeypatch):
+    """With the naive and proper codes swapped, the naive one accepts the
+    witness and the proper one rejects it: two checks, two failures, in
+    that order."""
+    naive, proper = corpus.TREE_LIST_NAIVE, corpus.TREE_LIST_PROPER
+    monkeypatch.setattr(corpus, "TREE_LIST_NAIVE", proper)
+    monkeypatch.setattr(corpus, "TREE_LIST_PROPER", naive)
+    report = run_property("pitfall-comp")
+    assert report.checked_count == 2
+    assert report.failures == [
+        (corpus.TREE_OF_LISTS, "naive", "naive composition accepted the witness"),
+        (corpus.TREE_OF_LISTS, "proper", "proper code rejected the witness"),
+    ]
 
 
 # The same at max_size 32, the benchmark's sweep size: 3,244 checks in all.
