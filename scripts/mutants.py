@@ -153,6 +153,25 @@ MUTANTS = (
         "pass",
         ("tests/test_oracle.py::test_pitfall_comp_reports_each_failure",),
     ),
+    Mutant(
+        "cli-imports-dsl-at-load",
+        "cli.py",
+        "from . import corpus, embed, instant",
+        "from . import corpus, dsl, embed, instant",
+        ("tests/test_package.py::test_a_readme_command_loads_only_the_modules_it_runs[convert]",),
+    ),
+    Mutant(
+        "dsl-defines-its-own-parse-error",
+        "dsl.py",
+        '__all__ = [\n    "ParseError",',
+        "class ParseError(Exception):\n"
+        "    def __init__(self, message, line, col, expected=frozenset()):\n"
+        '        super().__init__(f"{line}:{col}: {message}")\n'
+        "        self.message, self.line, self.col = message, line, col\n"
+        "        self.expected = expected\n\n\n"
+        '__all__ = [\n    "ParseError",',
+        ("tests/test_cli.py::test_parse_errors_exit_two",),
+    ),
 )
 
 

@@ -15,12 +15,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus, dsl, embed, instant, oracle
-from .dsl import ParseError
+# dsl and oracle load where a command first parses text or enumerates, so
+# a command that does neither compiles neither.
+from . import corpus, embed, instant
 from .gvalue import (
     GenericValue,
     IndexNotInSet,
     MalformedValue,
+    ParseError,
+    UnknownProperty,
     print_label,
     print_value,
 )
@@ -91,6 +94,7 @@ def _resolve_code(universe: str, text: str, env=None):
         return named[text]
     if env is not None and text in env:
         return env[text]
+    from . import dsl
     return _parse_code_text(dsl.parse_code, universe, text)
 
 
@@ -105,6 +109,7 @@ def _parse_code_text(parse, *args):
 def _resolve_value(text: str) -> GenericValue:
     if text in corpus.VALUES:
         return corpus.VALUES[text]
+    from . import dsl
     return dsl.parse_value(text)
 
 
@@ -124,6 +129,7 @@ def _resolve_env(text: str):
             raise UsageError(f"cannot read env file {text}: {err.strerror}") from None
         except UnicodeDecodeError:
             raise UsageError(f"env file {text} is not UTF-8 text") from None
+    from . import dsl
     return _parse_code_text(dsl.parse_env, text)
 
 
@@ -142,6 +148,7 @@ def _context(universe: str, code, index: str | None, env=None) -> embed.PathCont
     the code's family; universes without indices ignore --index."""
     at = None
     if index is not None and embed.family(universe, code) is not None:
+        from . import dsl
         at = dsl.parse_label(index)
     found = embed.contexts(universe, code, env, at)
     if not found:
@@ -149,7 +156,8 @@ def _context(universe: str, code, index: str | None, env=None) -> embed.PathCont
     return found[0]
 
 
-def _budget(max_size: int) -> oracle.EnumBudget:
+def _budget(max_size: int):
+    from . import oracle
     try:
         return oracle.EnumBudget(max_size=max_size)
     except ValueError as err:
@@ -177,6 +185,7 @@ def _step(src: str, dst: str) -> str:
 
 
 def _cmd_lift(args) -> int:
+    from . import dsl
     step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     if not embed.UNIVERSES[args.dst].needs_env:
@@ -209,6 +218,7 @@ def _print_report(report) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from . import oracle
     step = _step(args.src, args.dst)
     code = _resolve_code(args.src, args.code)
     budget = _budget(args.max_size)
@@ -218,6 +228,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from . import oracle
     budget = _budget(args.max_size)
     env = _env(args)
     code = _resolve_code(args.universe, args.code, env)
@@ -227,6 +238,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from . import oracle
     names = [name for name, (key, _, _) in oracle.LAWS.items() if key == args.universe]
     if not names:
         *most, last = [name for name, row in embed.UNIVERSES.items() if row.mapper is not None]
@@ -251,9 +263,10 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    from . import oracle
     unknown = [name for name in args.names if name not in oracle.property_names()]
     if unknown:
-        raise oracle.UnknownProperty(f"unknown property: {unknown[0]}")
+        raise UnknownProperty(f"unknown property: {unknown[0]}")
     budget = _budget(args.max_size)
     failed = False
     for name in args.names or oracle.property_names():
@@ -282,7 +295,7 @@ _EXIT_CODES = {
     UsageError: 2,
     ParseError: 2,
     IndexNotInSet: 2,
-    oracle.UnknownProperty: 2,
+    UnknownProperty: 2,
     MalformedValue: 1,
     RecursionError: 1,
     MemoryError: 1,

@@ -39,6 +39,7 @@ from .gvalue import (
     Konst,
     MalformedValue,
     Pair,
+    ParseError,
     RESERVED_NAME_CHARS,
     RecV,
     Refl,
@@ -63,17 +64,6 @@ __all__ = [
     "print_value",
     "print_label",
 ]
-
-
-class ParseError(Exception):
-    def __init__(
-        self, message: str, line: int, col: int, expected: frozenset[str] = frozenset()
-    ) -> None:
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
-        self.expected = expected
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,23 @@ class IndexNotInSet(Exception):
     """An index label was used outside the declared index set."""
 
 
+class ParseError(Exception):
+    """Text that ``dsl`` cannot read, at a line and column."""
+
+    def __init__(
+        self, message: str, line: int, col: int, expected: frozenset[str] = frozenset()
+    ) -> None:
+        super().__init__(f"{line}:{col}: {message}")
+        self.message = message
+        self.line = line
+        self.col = col
+        self.expected = expected
+
+
+class UnknownProperty(Exception):
+    """The requested property id is not in the registry."""
+
+
 TOP_SORT = "⊤"
 NAT_SORT = "nat"
 

@@ -73,15 +73,12 @@ from .gvalue import (
     RecV,
     Roll,
     TOP_SLOT,
+    UnknownProperty,
     compose,
     identity,
     print_value,
     value_size,
 )
-
-
-class UnknownProperty(Exception):
-    """The requested property id is not in the registry."""
 
 
 class EnumBudget(spine.Record):

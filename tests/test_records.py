@@ -4,7 +4,9 @@ with the same fields, defaults and settings, and the import of ``genrep``
 pulls in neither ``dataclasses`` nor ``inspect``."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, field, make_dataclass
@@ -111,16 +113,19 @@ def _raised(action):
 def _record_classes():
     """Every class a ``genrep`` module defines that takes class patterns
     and is neither a value node nor a tuple."""
-    import genrep  # noqa: F401  (every module loaded)
+    import genrep
 
+    # import genrep loads only its core, so import every module by name;
+    # importing __main__ would run the command line
+    names = ["genrep"] + [f"genrep.{m.name}" for m in pkgutil.iter_modules(genrep.__path__)
+                          if m.name != "__main__"]
     found = set()
-    for name, module in sys.modules.items():
-        if name == "genrep" or name.startswith("genrep."):
-            for obj in vars(module).values():
-                if (isinstance(obj, type) and obj.__module__ == name
-                        and hasattr(obj, "__match_args__")
-                        and not issubclass(obj, (tuple, gvalue._Node))):
-                    found.add(obj)
+    for name in names:
+        for obj in vars(importlib.import_module(name)).values():
+            if (isinstance(obj, type) and obj.__module__ == name
+                    and hasattr(obj, "__match_args__")
+                    and not issubclass(obj, (tuple, gvalue._Node))):
+                found.add(obj)
     return found
 
 
