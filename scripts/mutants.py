@@ -161,6 +161,22 @@ MUTANTS = (
         ("tests/test_package.py::test_a_readme_command_loads_only_the_modules_it_runs[convert]",),
     ),
     Mutant(
+        "fold-builds-the-right-operand-first",
+        "spine.py",
+        """    left = fold(code.left, atom, unit, join)
+    return join(kind, left, fold(code.right, atom, unit, join))""",
+        """    right = fold(code.right, atom, unit, join)
+    return join(kind, fold(code.left, atom, unit, join), right)""",
+        ("tests/test_embed.py::test_the_lift_of_generated_codes_is_pinned",),
+    ),
+    Mutant(
+        "fixed-point-read-as-a-composition",
+        "indexed.py",
+        "return self._rolled(self._walk(slot.inner, slot.under, slot.at))",
+        "return self._interp(self._walk(slot.inner, slot.under, slot.at))",
+        ("tests/test_indexed.py::test_nat_values_conform",),
+    ),
+    Mutant(
         "dsl-defines-its-own-parse-error",
         "dsl.py",
         '__all__ = [\n    "ParseError",',

@@ -328,6 +328,3 @@ def run_cli(argv) -> int:
 def main(argv=None) -> int:
     return run_cli(sys.argv[1:] if argv is None else argv)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

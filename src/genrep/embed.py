@@ -383,11 +383,11 @@ class _ToInstant(indexed.Walk):
     _spine = staticmethod(spine.mapper)
     _unrolled = staticmethod(indexed.Mapper._unrolled)
 
-    def _point(self, slot) -> Callable[[GenericValue], GenericValue]:
-        if type(slot) is indexed.InterpSlot:
-            layer = self._walk(slot.code, slot.assign, slot.at)
-            return lambda v: Konst(layer(v))
-        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+    def _interp(self, layer: Callable) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: Konst(layer(v))
+
+    def _rolled(self, layer: Callable) -> Callable[[GenericValue], GenericValue]:
+        unrolled = self._unrolled
         return lambda v: RecV(layer(v.inner)) if type(v) is Roll else unrolled(v)
 
     def _leaf(self, slot) -> Callable[[GenericValue], GenericValue]:
@@ -405,11 +405,11 @@ class _FromInstant(indexed.Walk):
 
     _spine = staticmethod(spine.mapper)
 
-    def _point(self, slot) -> Callable[[GenericValue], GenericValue]:
-        if type(slot) is indexed.InterpSlot:
-            layer = self._walk(slot.code, slot.assign, slot.at)
-            return lambda v: layer(_unwrap(v, Konst, "composition argument is not a constant"))
-        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+    def _interp(self, layer: Callable) -> Callable[[GenericValue], GenericValue]:
+        return lambda v: layer(_unwrap(v, Konst, "composition argument is not a constant"))
+
+    def _rolled(self, layer: Callable) -> Callable[[GenericValue], GenericValue]:
+        unrolled = self._unrolled
         return lambda v: Roll(layer(v.inner)) if type(v) is RecV else unrolled(v)
 
     @staticmethod

@@ -178,15 +178,18 @@ class Walk(spine.Walk):
     layer, also where the walk enters a ``Fix`` node) and an ``InterpSlot``
     (one layer of a composition's right code).
 
-    A subclass gives ``_spine`` (``spine.conformer``, ``spine.mapper`` or
-    ``spine.generator``) and hooks that compile one position each:
-    ``_point(slot)`` the body of a recursion point, ``_leaf(entry)`` any
-    other entry, ``_tag(lbl, at)`` a tag and ``_comp(layer)`` a composition
-    whose left code compiles to ``layer`` (by default ``layer`` itself). A
-    ``Fix`` node is its ``MuSlot``'s point, whose ``_point`` adds or takes
-    the ``Roll`` of one layer; a walk that maps values answers a value that
-    is not a layer with the static ``_unrolled(v)``. ``_entries`` names an
-    entry in the error for a missing one.
+    The body of a recursion point is ``_point(slot)``: the walk of the
+    slot's code, which ``_interp(layer)`` wraps for an ``InterpSlot`` (by
+    default ``layer`` itself) and ``_rolled(layer)`` for a ``MuSlot``, where
+    it adds or takes the ``Roll`` of one layer. A ``Fix`` node is its
+    ``MuSlot``'s point. A subclass gives ``_spine`` (``spine.conformer``,
+    ``spine.mapper`` or ``spine.generator``) and these hooks, which compile
+    one position each: ``_interp``, ``_rolled``, ``_leaf(entry)`` any other
+    entry, ``_tag(lbl, at)`` a tag and ``_comp(layer)`` a composition whose
+    left code compiles to ``layer`` (by default ``layer`` itself). A walk
+    that maps values answers a value that is not a layer with the static
+    ``_unrolled(v)``. ``_entries`` names an entry in the error for a missing
+    one.
     """
 
     _entries = "slot"
@@ -226,8 +229,15 @@ class Walk(spine.Walk):
             return self._raising(IndexNotInSet, f"no slot for index {print_label(right(at))}")
         return self.enter(slot)
 
-    def _comp(self, layer):
+    def _point(self, slot: InterpSlot | MuSlot):
+        if type(slot) is InterpSlot:
+            return self._interp(self._walk(slot.code, slot.assign, slot.at))
+        return self._rolled(self._walk(slot.inner, slot.under, slot.at))
+
+    def _interp(self, layer):
         return layer
+
+    _comp = _interp  # both default to the layer itself
 
 
 class Conformer(Walk):
@@ -241,10 +251,7 @@ class Conformer(Walk):
 
     _spine = staticmethod(spine.conformer)
 
-    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[GenericValue], bool]:
-        if type(slot) is InterpSlot:
-            return self._walk(slot.code, slot.assign, slot.at)
-        return spine.rolled(self._walk(slot.inner, slot.under, slot.at))
+    _rolled = staticmethod(spine.rolled)
 
     def _leaf(self, slot: IndexedSlot) -> Callable[[GenericValue], bool]:
         return spine.leaf(slot, "an indexed")
@@ -275,10 +282,8 @@ class Mapper(Walk):
     _spine = staticmethod(spine.mapper)
     _entries = "transformer"
 
-    def _point(self, slot: InterpSlot | MuSlot) -> Callable[[GenericValue], GenericValue]:
-        if type(slot) is InterpSlot:
-            return self._walk(slot.code, slot.assign, slot.at)
-        layer, unrolled = self._walk(slot.inner, slot.under, slot.at), self._unrolled
+    def _rolled(self, layer: Callable) -> Callable[[GenericValue], GenericValue]:
+        unrolled = self._unrolled
         return lambda v: Roll(layer(v.inner)) if type(v) is Roll else unrolled(v)
 
     @staticmethod
@@ -302,10 +307,8 @@ class Generator(Walk, spine.Generating):
     def _spine(self, code: IndexedBody, atom: Callable) -> tuple:
         return spine.generator(code, atom, self)
 
-    def _point(self, slot: InterpSlot | MuSlot) -> tuple:
-        if type(slot) is InterpSlot:
-            return self._walk(slot.code, slot.assign, slot.at)
-        return self.wrapped(Roll, self._walk(slot.inner, slot.under, slot.at))
+    def _rolled(self, layer: tuple) -> tuple:
+        return self.wrapped(Roll, layer)
 
     def _leaf(self, slot: IndexedSlot) -> tuple:
         if type(slot) is PayloadSlot:

@@ -81,10 +81,6 @@ def _refs(code: InstantCode) -> Iterator[str]:
         match node:
             case K(OfCode(ref)) | R(ref):
                 yield ref
-            case K(_):
-                pass
-            case _:
-                raise TypeError(f"not an instant code: {node!r}")
 
 
 class _Walk(spine.Walk):

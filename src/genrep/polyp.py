@@ -68,9 +68,11 @@ class _Walk(spine.Walk):
     Its recursion points are the ``MuSlot`` entries (one fixed-point layer
     each, whose layer slots its body builds) and the ``InterpSlot`` entries
     (one layer of a composition's right code) that it meets, each one
-    ``Walk.point`` (``enter``) whose body is ``_point(slot)``. Any other
-    entry compiles to ``_leaf(slot)``. The interpretation equation: values
-    of ``Comp(F, G)`` at ``slots`` are fixed-point values of F whose
+    ``Walk.point`` (``enter``) whose body is ``_point(slot)``: the layer
+    itself for an ``InterpSlot``, and for a ``MuSlot`` the layer that a
+    subclass's ``_rolled(slot, layer)`` adds or takes the ``Roll`` of. Any
+    other entry compiles to ``_leaf(slot)``. The interpretation equation:
+    values of ``Comp(F, G)`` at ``slots`` are fixed-point values of F whose
     parameters interpret G at ``slots``, a ``MuSlot`` built once per node
     and slot pair (``spine.once`` in ``tables``).
     """
@@ -98,6 +100,11 @@ class _Walk(spine.Walk):
         kind = type(slot)
         return self.enter(slot) if kind is MuSlot or kind is InterpSlot else self._leaf(slot)
 
+    def _point(self, slot: MuSlot | InterpSlot):
+        if type(slot) is InterpSlot:
+            return self._layer(slot.code, slot.slots)
+        return self._rolled(slot, self._layer(slot.code, SlotPair(slot.param, slot)))
+
 
 class Conformer(_Walk):
     """Does a value inhabit the slot? ``Conformer(MuSlot(code, param))``
@@ -106,10 +113,8 @@ class Conformer(_Walk):
 
     _spine = staticmethod(spine.conformer)
 
-    def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], bool]:
-        if type(slot) is InterpSlot:
-            return self._layer(slot.code, slot.slots)
-        return spine.rolled(self._layer(slot.code, SlotPair(slot.param, slot)))
+    def _rolled(self, slot: MuSlot, layer: Callable) -> Callable[[GenericValue], bool]:
+        return spine.rolled(layer)
 
     def _leaf(self, slot: PolyPSlot) -> Callable[[GenericValue], bool]:
         return spine.leaf(slot, "a polyp")
@@ -141,10 +146,7 @@ class Mapper(_Walk):
 
     _spine = staticmethod(spine.mapper)
 
-    def _point(self, slot: MuSlot | InterpSlot) -> Callable[[GenericValue], GenericValue]:
-        if type(slot) is InterpSlot:
-            return self._layer(slot.code, slot.slots)
-        layer = self._layer(slot.code, SlotPair(slot.param, slot))
+    def _rolled(self, slot: MuSlot, layer: Callable) -> Callable[[GenericValue], GenericValue]:
         what = "composition layer is not rolled"
         if slot is self.slot:  # ``pmap``'s own fixed point; the others are compositions'
             what = "pmap expects a rolled value"

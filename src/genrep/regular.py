@@ -100,8 +100,6 @@ def cata_r(code: RegularCode, alg: RegularAlgebra, v: GenericValue) -> GenericVa
         raise MalformedValue(f"not a fixed-point value of the code: {print_value(v)}")
 
     def fold(u: GenericValue) -> GenericValue:
-        if type(u) is not Roll:
-            raise MalformedValue(f"cata_r expects a rolled value: {print_value(u)}")
         return alg(layer(u.inner))
 
     layer = mapper(code, fold)

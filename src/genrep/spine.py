@@ -8,16 +8,20 @@ is the same class as ``instant.Sum``.
 
 What the universes do not share are their atoms: identity positions,
 parameters, tags, constants, references, composition and fixed points.
-``conformer``, ``mapper`` and ``generator`` compile a whole code into
-closures when a walk is built: they handle the spine and ask an atom
-function supplied by the caller for each atom node's closure (a generator's
-with its support, ``Generating``), which gives that node its universe's
-meaning. A node it cannot give one (a node of no universe, a missing slot,
-an undefined name) raises the universe's own error: in a conformer or a
-mapper when a value reaches it, in a generator when the walk is built,
-since a generator is asked for every value at once. Keeping the atoms
-apart keeps the universes independent interpreters, which the
-cross-universe checks depend on.
+``fold`` is the one recursion over the spine, and ``lift``, ``atoms``,
+``conformer``, ``mapper`` and ``generator`` are folds: the last three
+compile a whole code into closures when a walk is built, give the closure
+of each sum and product, and ask an atom function supplied by the caller
+for each atom node's closure (a generator's with its support,
+``Generating``), which gives that node its universe's meaning. Where a
+walk enters a fixed-point layer or a composition's code, its universe's
+``_point(slot)`` compiles the body (``indexed.Walk``, ``polyp._Walk``). A
+node the atom function cannot give a meaning (a node of no universe, a
+missing slot, an undefined name) raises the universe's own error: in a
+conformer or a mapper when a value reaches it, in a generator when the
+walk is built, since a generator is asked for every value at once.
+Keeping the atoms apart keeps the universes independent interpreters,
+which the cross-universe checks depend on.
 
 What depends on a code alone is kept on the code node itself (``cached``),
 so it dies with the code: its lifts, and a pool of compiled walks per key
@@ -29,7 +33,7 @@ value.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterator, NoReturn, TypeVar
+from typing import Callable, NoReturn, TypeVar
 
 from .gvalue import (
     EmptySlot,
@@ -66,6 +70,21 @@ class Prod(Record):
     right: object
 
 
+def fold(code, atom: Callable[[object], T], unit: T, join: Callable[[type, T, T], T]) -> T:
+    """The one recursion over the spine: ``unit`` for a ``Unit``, ``atom(node)``
+    for an atom node, and ``join(kind, left, right)`` for a ``Sum`` or
+    ``Prod`` (``kind``) whose operands fold to ``left`` and ``right``. Atoms
+    are visited left to right, which the names of a lift's environment
+    entries follow (``embed._EnvBuilder``)."""
+    kind = type(code)
+    if kind is Unit:
+        return unit
+    if kind is not Sum and kind is not Prod:
+        return atom(code)
+    left = fold(code.left, atom, unit, join)
+    return join(kind, left, fold(code.right, atom, unit, join))
+
+
 # The closures are the inner loop of every universe. Each spine node becomes
 # one closure that dispatches on the exact class of its value (faster than
 # ``match``; no class here or in gvalue is subclassed) and calls the
@@ -78,12 +97,10 @@ class Prod(Record):
 def conformer(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue], bool]:
     """``v -> bool``: does ``v`` inhabit ``code``? ``atom(node)`` is called
     once per atom node, and gives the closure that judges that atom."""
-    kind = type(code)
-    if kind is Unit:
-        return _is_tt
-    if kind is not Sum and kind is not Prod:
-        return atom(code)
-    left, right = conformer(code.left, atom), conformer(code.right, atom)
+    return fold(code, atom, _is_tt, _conform)
+
+
+def _conform(kind: type, left: Callable, right: Callable) -> Callable[[GenericValue], bool]:
     if kind is Sum:
 
         def conform_sum(v: GenericValue) -> bool:
@@ -109,12 +126,10 @@ def mapper(code, atom: Callable[[object], Callable]) -> Callable[[GenericValue],
     position ``w`` by ``atom(node)(w)``, with ``atom`` called once per atom
     node; a layer of the wrong shape is a ``MalformedValue``. Positions are
     visited left to right."""
-    kind = type(code)
-    if kind is Unit:
-        return _map_unit
-    if kind is not Sum and kind is not Prod:
-        return atom(code)
-    left, right = mapper(code.left, atom), mapper(code.right, atom)
+    return fold(code, atom, _map_unit, _map)
+
+
+def _map(kind: type, left: Callable, right: Callable) -> Callable[[GenericValue], GenericValue]:
     if kind is Sum:
 
         def map_sum(v: GenericValue) -> GenericValue:
@@ -153,12 +168,11 @@ def generator(code, atom: Callable[[object], tuple], walk: Generating) -> tuple[
     slot, an undefined name, a node of no universe) raises its error when
     ``atom`` compiles it, so the walk is never built. Each sum and product
     keeps its values by size in a memo of ``walk.memos``."""
-    kind = type(code)
-    if kind is Unit:
-        return UNIT
-    if kind is not Sum and kind is not Prod:
-        return atom(code)
-    (left, l), (right, r) = generator(code.left, atom, walk), generator(code.right, atom, walk)
+    return fold(code, atom, UNIT, partial(_generate, walk))
+
+
+def _generate(walk: Generating, kind: type, left_node: tuple, right_node: tuple) -> tuple:
+    (left, l), (right, r) = left_node, right_node
     bits, memo = walk.bits, {}
     walk.memos.append(memo)
     if kind is Sum:
@@ -194,6 +208,16 @@ def generator(code, atom: Callable[[object], tuple], walk: Generating) -> tuple[
 
 def _unit_values(m: int) -> list[GenericValue]:
     return [TT()]
+
+
+def raising(error: type[Exception], message: str) -> Callable[[GenericValue], object]:
+    """The closure of a node that no value can pass: it raises
+    ``error(message)`` when a value reaches it, never when it is built."""
+
+    def fail(v: GenericValue) -> object:
+        raise error(message)
+
+    return fail
 
 
 class Walk:
@@ -263,11 +287,9 @@ class Walk:
         """The recursion point of ``slot``, whose body is ``_point(slot)``."""
         return self.point(id(slot), lambda: self._point(slot))
 
-    @staticmethod
-    def _raising(error: type[Exception], message: str) -> Callable:
-        """The closure of a node that raises ``error(message)`` when a value
-        reaches it (``raising``); a generator raises it at once."""
-        return raising(error, message)
+    # The closure of a node that raises when a value reaches it; a generator
+    # raises at once.
+    _raising = staticmethod(raising)
 
 
 # The cells of ``Generating.bits`` every generator starts with, no size and
@@ -495,36 +517,12 @@ def map_tag(w: GenericValue) -> GenericValue:
     return w
 
 
-def raising(error: type[Exception], message: str) -> Callable[[GenericValue], object]:
-    """The closure of a node that no value can pass: it raises
-    ``error(message)`` when a value reaches it, never when it is built."""
-
-    def fail(v: GenericValue) -> object:
-        raise error(message)
-
-    return fail
-
-
 def lift(code, atom: Callable[[object], object]):
     """Rebuild ``code`` with every atom replaced by ``atom(node)``, left
     before right."""
-    match code:
-        case Unit():
-            return code
-        case Sum(f, g):
-            return Sum(lift(f, atom), lift(g, atom))
-        case Prod(f, g):
-            return Prod(lift(f, atom), lift(g, atom))
-    return atom(code)
+    return fold(code, atom, Unit(), lambda kind, left, right: kind(left, right))
 
 
-def atoms(code) -> Iterator[object]:
+def atoms(code) -> tuple:
     """The nodes of ``code`` that are not spine, left to right."""
-    match code:
-        case Unit():
-            return
-        case Sum(f, g) | Prod(f, g):
-            yield from atoms(f)
-            yield from atoms(g)
-        case _:
-            yield code
+    return fold(code, lambda node: (node,), (), lambda kind, left, right: left + right)

@@ -24,7 +24,7 @@ from genrep import (
     print_label,
     print_value,
 )
-from genrep import dsl, embed, indexed, parse_code
+from genrep import dsl, embed, indexed, multirec, parse_code, polyp, regular
 from genrep.corpus import (
     A_LIST,
     A_NAT,
@@ -399,6 +399,27 @@ def test_an_identity_outside_the_inputs_has_no_constant_set():
     )
     with pytest.raises(MalformedValue, match="^no constant set for input index x$"):
         lift_i_to_ig(code, TOP_TABLE)
+
+
+FOREIGN_NODES = {
+    "r-p": (embed.lift_r_to_p, (regular.Sum(regular.Unit(), polyp.Par()),),
+            "not a regular code: Par()"),
+    "r-m": (embed.lift_r_to_m, (regular.Sum(regular.Unit(), polyp.Par()),),
+            "not a regular code: Par()"),
+    "p-i": (embed.lift_p_to_i, (polyp.Sum(polyp.Unit(), regular.Id()),),
+            "not a polyp code: Id()"),
+    "m-i": (embed.lift_m_to_i, (multirec.MultirecCode(index_set(STAR), polyp.Par()),),
+            "not a multirec body: Par()"),
+    "i-ig": (embed.lift_i_to_ig, (indexed.IndexedCode(index_set(STAR), index_set(STAR),
+                                                      polyp.Par()), TOP_TABLE),
+             "not an indexed body: Par()"),
+}
+
+
+@pytest.mark.parametrize("lift, args, message", FOREIGN_NODES.values(), ids=FOREIGN_NODES)
+def test_a_lift_refuses_a_node_of_another_universe(lift, args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        lift(*args)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])

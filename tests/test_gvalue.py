@@ -194,6 +194,7 @@ def test_an_index_set_holds_a_tuple_of_labels(labels):
 def test_disjoint_union_tags_both_sides():
     both = disjoint_union(index_set(STAR), index_set(STAR))
     assert set(both) == {left(STAR), right(STAR)}
+    assert len(both) == 2
 
 
 def test_top_slot_accepts_only_tt():

@@ -36,6 +36,12 @@ def test_corpus_codes_are_wellformed(code):
     assert wellformed_i(code)
 
 
+def test_wellformedness_refuses_a_node_of_another_universe():
+    code = indexed.IndexedCode(index_set(STAR), index_set(STAR), In1(TT()))
+    with pytest.raises(TypeError, match=r"^not an indexed body: In1\(value=TT\(\)\)$"):
+        wellformed_i(code)
+
+
 def test_nat_values_conform():
     assert conform_i(NAT_I, TOP_ASSIGN, STAR, Roll(In1(TT())))
     assert conform_i(NAT_I, TOP_ASSIGN, STAR, Roll(In2(Roll(In1(TT())))))

@@ -67,6 +67,12 @@ def test_cata_rejects_non_conforming_input():
         cata_r(NAT_C, to_nat_alg, Roll(TT()))
 
 
+def test_the_nat_algebra_refuses_a_layer_of_another_code():
+    leaf = Roll(In1(TT()))
+    with pytest.raises(MalformedValue, match=r"^to_nat_alg cannot consume in2 \(nat#0 , nat#0\)$"):
+        cata_r(BIN_C, to_nat_alg, Roll(In2(Pair(leaf, leaf))))
+
+
 def test_map_r_applies_at_identity_positions():
     relabel = lambda v: Roll(In2(v))
     assert mapper(NAT_C, relabel)(In1(TT())) == In1(TT())

@@ -63,8 +63,9 @@ def test_enum_corpus_listing_is_pinned():
         ("ab_sweep.py", (str(ROOT), str(ROOT), "0"), "PASSES must be at least 1"),
         ("ab_sweep.py", (str(ROOT), str(ROOT / "src"), "1"),
          f"no perfbench/sweep.py under {ROOT / 'src'}"),
+        ("coverage.py", (str(ROOT / "src"),), f"no src/genrep and tests under {ROOT / 'src'}"),
     ],
-    ids=["enum_corpus-max-size", "ab_sweep-passes", "ab_sweep-checkout"],
+    ids=["enum_corpus-max-size", "ab_sweep-passes", "ab_sweep-checkout", "coverage-checkout"],
 )
 def test_bad_arguments_are_one_error_line(name, args, message):
     out = run_script(name, *args)
